@@ -39,9 +39,9 @@ bench-save:
 	go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) $(BENCH_PKGS) | tee $$out
 
 # Machine-readable perf trajectory: reruns the Table I campaign benchmark
-# across every engine and snapshots per-engine medians (ns/op, allocs/op,
-# trials/s) into $(BENCH_JSON) via cmd/xedbench. The committed
-# BENCH_pr*.json files let later PRs diff engine throughput without
+# (judging layers and end to end) and snapshots per-benchmark medians
+# (ns/op, allocs/op, trials/s) into $(BENCH_JSON) via cmd/xedbench. The
+# committed BENCH_pr*.json files let later PRs diff throughput without
 # replaying old trees.
 BENCH_JSON ?= BENCH_pr8.json
 

@@ -59,8 +59,6 @@ type cliArgs struct {
 	schemeList string
 	ckptPath   string
 	resume     bool
-	engine     string
-	gen        string
 	ondieCode  string
 }
 
@@ -98,12 +96,6 @@ func validateArgs(a cliArgs) error {
 	if a.resume && a.ckptPath == "" {
 		return errors.New("-resume needs -checkpoint")
 	}
-	if _, err := faultsim.ParseEngine(a.engine); err != nil {
-		return err
-	}
-	if _, err := faultsim.ParseGenerator(a.gen); err != nil {
-		return err
-	}
 	if _, err := faultsim.ParseOnDieCode(a.ondieCode); err != nil {
 		return err
 	}
@@ -121,8 +113,6 @@ func main() {
 	ckptPath := flag.String("checkpoint", "", "snapshot campaign progress to this file (single experiment only)")
 	ckptEvery := flag.Duration("checkpoint-every", faultsim.DefaultCheckpointInterval, "interval between periodic snapshots")
 	resume := flag.Bool("resume", false, "resume from -checkpoint if it exists")
-	engine := flag.String("engine", "", "campaign evaluation engine: lanes|indexed|reference (default indexed); results are bit-identical")
-	gen := flag.String("gen", "", "trial-generation mode: scalar|batch (default scalar); batch draws a different exactly-distributed stream")
 	ondieCode := flag.String("ondie-code", "", "measure the silent-word fraction from this on-die code (crc8|hamming|hsiao|random:<seed>) instead of assuming the paper's 0.008")
 	progress := flag.Bool("progress", false, "repaint a one-line live status (trials/s, per-scheme tallies) on stderr")
 	metricsJSON := flag.String("metrics-json", "", "write the final metrics snapshot to this file as JSON")
@@ -139,8 +129,6 @@ func main() {
 		schemeList: *schemeList,
 		ckptPath:   *ckptPath,
 		resume:     *resume,
-		engine:     *engine,
-		gen:        *gen,
 		ondieCode:  *ondieCode,
 	}); err != nil {
 		usageErr("%v", err)
@@ -194,8 +182,6 @@ func main() {
 			CheckpointInterval: *ckptEvery,
 			Resume:             *resume,
 			Metrics:            reg,
-			Engine:             faultsim.Engine(*engine),
-			Gen:                faultsim.Generator(*gen),
 		},
 	}
 	var runErr error

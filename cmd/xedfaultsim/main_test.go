@@ -4,7 +4,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xedsim/internal/clitest"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestValidateArgs pins the flag-range validation behind the exit-2 usage
 // convention: out-of-range values are rejected up front instead of
@@ -31,8 +35,6 @@ func TestValidateArgs(t *testing.T) {
 		{"schemes outside custom", func(a *cliArgs) { a.schemeList = "XED" }, "-schemes"},
 		{"checkpoint with all", func(a *cliArgs) { a.experiment = "all"; a.ckptPath = "x.json" }, "-checkpoint"},
 		{"resume without checkpoint", func(a *cliArgs) { a.resume = true }, "-resume"},
-		{"unknown engine", func(a *cliArgs) { a.engine = "warp" }, "engine"},
-		{"unknown generator", func(a *cliArgs) { a.gen = "warp" }, "generat"},
 		{"unknown on-die code", func(a *cliArgs) { a.ondieCode = "crc16" }, "on-die code"},
 		{"bad random code seed", func(a *cliArgs) { a.ondieCode = "random:x" }, "seed"},
 	}
@@ -46,6 +48,20 @@ func TestValidateArgs(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not name %q", err, tc.want)
+			}
+		})
+	}
+
+	// One campaign path: -engine and -gen are gone, and naming either is a
+	// usage error.
+	for _, tc := range []struct{ name, flag, value string }{
+		{"unknown engine", "-engine", "lanes"},
+		{"unknown generator", "-gen", "batch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stderr := clitest.Run(t, tc.flag, tc.value)
+			if want := "flag provided but not defined: " + tc.flag; code != 2 || !strings.Contains(stderr, want) {
+				t.Fatalf("exit %d, stderr %q; want exit 2 and %q", code, stderr, want)
 			}
 		})
 	}

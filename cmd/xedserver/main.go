@@ -61,8 +61,6 @@ type cliArgs struct {
 	systems     int
 	chunkSize   int
 	scrub       float64
-	engine      string
-	gen         string
 	outPath     string
 }
 
@@ -83,12 +81,6 @@ func validateArgs(a cliArgs) error {
 		}
 		if a.scrub < 0 {
 			return fmt.Errorf("-scrub-hours must be >= 0, got %v", a.scrub)
-		}
-		if _, err := faultsim.ParseEngine(a.engine); err != nil {
-			return err
-		}
-		if _, err := faultsim.ParseGenerator(a.gen); err != nil {
-			return err
 		}
 		return nil
 	}
@@ -131,8 +123,6 @@ func main() {
 	chunkSize := flag.Int("chunk-size", 0, "trials per chunk, 0 = engine default (submit mode)")
 	scrub := flag.Float64("scrub-hours", 0, "override patrol-scrub interval in hours (submit mode)")
 	overlap := flag.Bool("address-overlap", false, "require address-range intersection for compound failures (submit mode)")
-	engine := flag.String("engine", "", "worker evaluation engine: lanes|indexed|reference; results are bit-identical (submit mode)")
-	gen := flag.String("gen", "", "trial-generation mode: scalar|batch; part of the job identity (submit mode)")
 	outPath := flag.String("out", "", "write the result's canonical checkpoint to this file (submit mode)")
 	flag.Parse()
 
@@ -149,8 +139,6 @@ func main() {
 		systems:      *systems,
 		chunkSize:    *chunkSize,
 		scrub:        *scrub,
-		engine:       *engine,
-		gen:          *gen,
 		outPath:      *outPath,
 	}); err != nil {
 		usageErr("%v", err)
@@ -169,8 +157,6 @@ func main() {
 			chunkSize:   *chunkSize,
 			scrub:       *scrub,
 			overlap:     *overlap,
-			engine:      *engine,
-			gen:         *gen,
 			outPath:     *outPath,
 		})
 	} else {
@@ -239,8 +225,6 @@ type submitOptions struct {
 	chunkSize   int
 	scrub       float64
 	overlap     bool
-	engine      string
-	gen         string
 	outPath     string
 }
 
@@ -258,8 +242,6 @@ func runSubmit(ctx context.Context, o submitOptions) error {
 		Trials:    o.systems,
 		Seed:      o.seed,
 		ChunkSize: o.chunkSize,
-		Engine:    o.engine,
-		Gen:       o.gen,
 	}
 	if err := spec.Validate(); err != nil {
 		return err

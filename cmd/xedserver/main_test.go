@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"xedsim/internal/clitest"
 	"xedsim/internal/dist"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // serveArgs returns a valid serve-mode baseline.
 func serveArgs() cliArgs {
@@ -53,8 +56,6 @@ func TestValidateArgs(t *testing.T) {
 		{"submit zero systems", func(a *cliArgs) { *a = submitArgs(); a.systems = 0 }, "-systems"},
 		{"submit negative chunk size", func(a *cliArgs) { *a = submitArgs(); a.chunkSize = -1 }, "-chunk-size"},
 		{"submit negative scrub", func(a *cliArgs) { *a = submitArgs(); a.scrub = -1 }, "-scrub-hours"},
-		{"submit bad engine", func(a *cliArgs) { *a = submitArgs(); a.engine = "warp" }, "engine"},
-		{"submit bad generator", func(a *cliArgs) { *a = submitArgs(); a.gen = "warp" }, "generat"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,6 +70,19 @@ func TestValidateArgs(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("err = %v, want substring %q", err, tc.wantErr)
+			}
+		})
+	}
+	// One campaign path: -engine and -gen are gone, and naming either is a
+	// usage error.
+	for _, tc := range []struct{ name, flag, value string }{
+		{"submit bad engine", "-engine", "lanes"},
+		{"submit bad generator", "-gen", "batch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stderr := clitest.Run(t, "-submit", "-coordinator", "http://127.0.0.1:1", "-schemes", "XED", tc.flag, tc.value)
+			if want := "flag provided but not defined: " + tc.flag; code != 2 || !strings.Contains(stderr, want) {
+				t.Fatalf("exit %d, stderr %q; want exit 2 and %q", code, stderr, want)
 			}
 		})
 	}

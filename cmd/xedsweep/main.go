@@ -34,8 +34,6 @@ type cliArgs struct {
 	sweep   string
 	systems int
 	workers int
-	engine  string
-	gen     string
 }
 
 // validateArgs returns the message usageErr should print, or nil.
@@ -51,12 +49,6 @@ func validateArgs(a cliArgs) error {
 	default:
 		return fmt.Errorf("unknown sweep %q", a.sweep)
 	}
-	if _, err := faultsim.ParseEngine(a.engine); err != nil {
-		return err
-	}
-	if _, err := faultsim.ParseGenerator(a.gen); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -65,10 +57,8 @@ func main() {
 	systems := flag.Int("systems", 500_000, "Monte-Carlo trials per point")
 	seed := flag.Uint64("seed", 42, "random seed")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "campaign evaluation engine: lanes|indexed|reference (default indexed); results are bit-identical")
-	gen := flag.String("gen", "", "trial-generation mode: scalar|batch (default scalar)")
 	flag.Parse()
-	if err := validateArgs(cliArgs{sweep: *sweep, systems: *systems, workers: *workers, engine: *engine, gen: *gen}); err != nil {
+	if err := validateArgs(cliArgs{sweep: *sweep, systems: *systems, workers: *workers}); err != nil {
 		usageErr("%v", err)
 	}
 
@@ -83,8 +73,6 @@ func main() {
 	row := func(label string, cfg faultsim.Config) {
 		rep, err := faultsim.RunCampaign(ctx, cfg, schemes, faultsim.CampaignOptions{
 			Trials: *systems, Seed: *seed, Workers: *workers,
-			Engine: faultsim.Engine(*engine),
-			Gen:    faultsim.Generator(*gen),
 		})
 		if err != nil {
 			if errors.Is(err, context.Canceled) {

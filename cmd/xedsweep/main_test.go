@@ -3,7 +3,11 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"xedsim/internal/clitest"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestValidateArgs pins the flag-range validation behind the exit-2 usage
 // convention.
@@ -23,8 +27,6 @@ func TestValidateArgs(t *testing.T) {
 		{"negative workers", func(a *cliArgs) { a.workers = -1 }, "-workers"},
 		{"unknown sweep", func(a *cliArgs) { a.sweep = "voltage" }, "unknown sweep"},
 		{"empty sweep", func(a *cliArgs) { a.sweep = "" }, "unknown sweep"},
-		{"unknown engine", func(a *cliArgs) { a.engine = "warp" }, "engine"},
-		{"unknown generator", func(a *cliArgs) { a.gen = "warp" }, "generat"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -36,6 +38,20 @@ func TestValidateArgs(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not name %q", err, tc.want)
+			}
+		})
+	}
+
+	// One campaign path: -engine and -gen are gone, and naming either is a
+	// usage error.
+	for _, tc := range []struct{ name, flag, value string }{
+		{"unknown engine", "-engine", "lanes"},
+		{"unknown generator", "-gen", "batch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stderr := clitest.Run(t, tc.flag, tc.value)
+			if want := "flag provided but not defined: " + tc.flag; code != 2 || !strings.Contains(stderr, want) {
+				t.Fatalf("exit %d, stderr %q; want exit 2 and %q", code, stderr, want)
 			}
 		})
 	}

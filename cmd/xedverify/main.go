@@ -36,7 +36,6 @@ import (
 
 	"xedsim/internal/conformance"
 	"xedsim/internal/dist"
-	"xedsim/internal/faultsim"
 )
 
 func usageErr(format string, args ...any) {
@@ -55,8 +54,6 @@ type cliArgs struct {
 	maxTrials       int
 	configs         int
 	trialsPerConfig int
-	engine          string
-	gen             string
 	coordinator     string
 }
 
@@ -76,12 +73,6 @@ func validateArgs(a cliArgs) error {
 	}
 	if a.trialsPerConfig <= 0 {
 		return fmt.Errorf("-trials-per-config must be positive, got %d", a.trialsPerConfig)
-	}
-	if _, err := faultsim.ParseEngine(a.engine); err != nil {
-		return err
-	}
-	if _, err := faultsim.ParseGenerator(a.gen); err != nil {
-		return err
 	}
 	if a.coordinator != "" && a.workers != 0 {
 		return fmt.Errorf("-workers does not apply with -coordinator (the service's workers decide parallelism)")
@@ -115,8 +106,6 @@ func main() {
 	maxTrials := flag.Int("max-trials", def.MaxTrials, "trial budget per statistical claim")
 	configs := flag.Int("configs", def.Configs, "random configs for the evaluator differential claim")
 	trialsPerConfig := flag.Int("trials-per-config", def.TrialsPerConfig, "trials per differential config")
-	engine := flag.String("engine", "", "campaign evaluation engine: lanes|indexed|reference (default indexed); verdicts must not depend on it")
-	gen := flag.String("gen", "", "trial-generation mode: scalar|batch (default scalar); verdicts must agree across modes")
 	coordinator := flag.String("coordinator", "", "run campaigns through this xedserver coordinator URL instead of local cores")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -131,8 +120,6 @@ func main() {
 		maxTrials:       *maxTrials,
 		configs:         *configs,
 		trialsPerConfig: *trialsPerConfig,
-		engine:          *engine,
-		gen:             *gen,
 		coordinator:     *coordinator,
 	}); err != nil {
 		usageErr("%v", err)
@@ -157,8 +144,6 @@ func main() {
 		MaxTrials:       *maxTrials,
 		Configs:         *configs,
 		TrialsPerConfig: *trialsPerConfig,
-		Engine:          faultsim.Engine(*engine),
-		Gen:             faultsim.Generator(*gen),
 	}
 	if *coordinator != "" {
 		opts.Runner = dist.NewClient(*coordinator, nil).Runner()

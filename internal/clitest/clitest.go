@@ -1,0 +1,39 @@
+// Package clitest lets a command's tests run the command itself in a child
+// process, to assert on what only a whole process shows: its exit code.
+package clitest
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// env marks a child process started by Run.
+const env = "XEDSIM_CLITEST_MAIN"
+
+// Main is the body of a command's TestMain: in a child started by Run it
+// runs the command's main instead of the tests.
+func Main(m *testing.M, main func()) {
+	if os.Getenv(env) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// Run runs the command under test with args in a child process and returns
+// its exit code and standard error.
+func Run(t testing.TB, args ...string) (code int, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), env+"=1")
+	var buf strings.Builder
+	cmd.Stderr = &buf
+	var exit *exec.ExitError
+	if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), buf.String()
+}

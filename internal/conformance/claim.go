@@ -109,18 +109,6 @@ type Options struct {
 	// claim uses it, and sabotage tests substitute broken runners to prove
 	// the claim refutes them.
 	Fleet FleetRunner
-	// Engine selects the campaign evaluation engine every claim's
-	// RunCampaign uses ("" = indexed). Verdicts must not depend on it —
-	// running the gate under faultsim.EngineLanes is exactly how the
-	// bit-sliced engine's conformance is demonstrated.
-	Engine faultsim.Engine
-	// Gen selects the trial-generation mode ("" = scalar). The batch mode
-	// draws a different (exactly distributed) stream, so verdicts must
-	// agree statistically, not bit for bit — running the gate under
-	// faultsim.GenBatch is how the batch generator's conformance is
-	// demonstrated. The evaluator differential claim also regenerates its
-	// traces through the selected mode.
-	Gen faultsim.Generator
 }
 
 // DefaultOptions returns the tuning the CI gate runs with: every claim in
@@ -171,12 +159,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Fleet == nil {
 		o.Fleet = fleet.Run
-	}
-	if eng, err := faultsim.ParseEngine(string(o.Engine)); err == nil {
-		o.Engine = eng
-	}
-	if gen, err := faultsim.ParseGenerator(string(o.Gen)); err == nil {
-		o.Gen = gen
 	}
 	return o
 }
@@ -231,14 +213,20 @@ func AllConfirmed(vs []Verdict) bool {
 }
 
 // batchSeed derives the campaign seed for one sequential batch. Batches
-// use disjoint substreams of the option seed so their failure counts are
-// independent samples; the odd multiplier is the splitmix64 increment.
+// must draw disjoint substreams so their failure counts are independent
+// samples. The sum h + batch·γ alone would not do: simrand keys chunk c's
+// substream as seed + (c+1)·γ with the same splitmix64 increment γ, so
+// batch b's chunk c would be batch b+1's chunk c-1. The splitmix64
+// finalizer scatters consecutive batches across the seed space instead.
 func batchSeed(seed uint64, claim string, batch int) uint64 {
 	h := seed
 	for _, b := range []byte(claim) {
 		h = (h ^ uint64(b)) * 0x100000001b3
 	}
-	return h + uint64(batch)*0x9e3779b97f4a7c15
+	z := h + uint64(batch)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // ratioClaim builds the standard statistical claim: scheme `better` fails
@@ -265,8 +253,6 @@ func ratioClaim(name, ref, doc string, cfg func() faultsim.Config, better, worse
 					Trials:  o.Batch,
 					Seed:    batchSeed(o.Seed, name, batch),
 					Workers: o.Workers,
-					Engine:  o.Engine,
-					Gen:     o.Gen,
 				})
 				if err != nil {
 					return Verdict{Status: Errored, Err: err, Trials: trials, Detail: err.Error()}
@@ -328,8 +314,6 @@ func bandClaim(name, ref, doc string, cfg func() faultsim.Config, a, b string, b
 				Trials:  trials,
 				Seed:    batchSeed(o.Seed, name, 0),
 				Workers: o.Workers,
-				Engine:  o.Engine,
-				Gen:     o.Gen,
 			})
 			if err != nil {
 				return Verdict{Status: Errored, Err: err, Detail: err.Error()}

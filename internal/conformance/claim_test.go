@@ -8,6 +8,7 @@ import (
 
 	"xedsim/internal/dram"
 	"xedsim/internal/faultsim"
+	"xedsim/internal/simrand"
 )
 
 // testOptions returns reduced budgets for -short (and the -race job):
@@ -235,5 +236,24 @@ func TestOptionsRunnerSeam(t *testing.T) {
 	}
 	if verdicts[0].Status != Confirmed {
 		t.Fatalf("fabricated 0-vs-10%% evidence not confirmed: %v (%s)", verdicts[0].Status, verdicts[0].Detail)
+	}
+}
+
+// TestBatchSeedsDrawDisjointSubstreams: a claim's sequential batches must
+// be independent samples, so no two (batch, chunk) pairs among a claim's
+// first 100 batches of 100 chunks may start from the same substream.
+func TestBatchSeedsDrawDisjointSubstreams(t *testing.T) {
+	for _, claim := range []string{"fig9/xedck-over-dck", "fig10/xedck-over-dck-scaling"} {
+		seen := make(map[simrand.State][2]int, 100*100)
+		for b := 0; b < 100; b++ {
+			seed := batchSeed(DefaultOptions().Seed, claim, b)
+			for c := 0; c < 100; c++ {
+				st := simrand.NewStream(seed, uint64(c)).State()
+				if prev, dup := seen[st]; dup {
+					t.Fatalf("%s: batch %d chunk %d draws the substream of batch %d chunk %d", claim, b, c, prev[0], prev[1])
+				}
+				seen[st] = [2]int{b, c}
+			}
+		}
 	}
 }

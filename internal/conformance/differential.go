@@ -78,11 +78,10 @@ func randomConfig(rng *simrand.Source) faultsim.Config {
 // packed into lane batches (the final batch deliberately partial) so the
 // word-parallel mask pass and its scalar-probe fallback face the same
 // randomized corners as the indexed engine. Traces are captured through the
-// selected generation mode (Options.Gen), so -gen=batch drives the SoA
-// plan/pack path through the same thousand random corners. The claim is
-// bit-identical
-// three-way agreement — FailTime compared by float bits, kind by value —
-// with zero tolerated divergences.
+// campaigns' batch plan, so its plan/pack path faces the same thousand
+// random corners. The claim is bit-identical three-way agreement —
+// FailTime compared by float bits, kind by value — with zero tolerated
+// divergences.
 func evaluatorDifferentialClaim() Claim {
 	return Claim{
 		Name: "diff/evaluator-vs-reference",
@@ -97,7 +96,7 @@ func evaluatorDifferentialClaim() Claim {
 					return Verdict{Status: Errored, Err: err, Trials: trials, Detail: "cancelled mid-sweep"}
 				}
 				cfg := randomConfig(rng)
-				trace, err := faultsim.CaptureTraceGen(cfg, o.TrialsPerConfig, rng.Uint64(), o.Gen)
+				trace, err := faultsim.CaptureBatchTrace(cfg, o.TrialsPerConfig, rng.Uint64())
 				if err != nil {
 					return Verdict{Status: Errored, Err: err,
 						Detail: fmt.Sprintf("config %d rejected: %v", c, err)}

@@ -55,8 +55,6 @@ func fleetFigure1Claim() Claim {
 				Trials:  n,
 				Seed:    batchSeed(o.Seed, "fleet/campaign", 0),
 				Workers: o.Workers,
-				Engine:  o.Engine,
-				Gen:     o.Gen,
 			})
 			if err != nil {
 				return Verdict{Status: Errored, Err: err, Detail: err.Error()}

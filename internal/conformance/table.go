@@ -50,8 +50,6 @@ func zeroSDCClaim(name, ref, doc string, cfg func() faultsim.Config, scheme stri
 				Trials:  trials,
 				Seed:    batchSeed(o.Seed, name, 0),
 				Workers: o.Workers,
-				Engine:  o.Engine,
-				Gen:     o.Gen,
 			})
 			if err != nil {
 				return Verdict{Status: Errored, Err: err, Detail: err.Error()}

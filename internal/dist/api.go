@@ -62,13 +62,6 @@ type JobSpec struct {
 	// faultsim.DefaultChunkSize. Part of the job identity (it shapes the
 	// substreams).
 	ChunkSize int `json:"chunk_size,omitempty"`
-	// Engine selects the worker-side evaluation engine. NOT part of the
-	// job identity: results are bit-identical across engines.
-	Engine string `json:"engine,omitempty"`
-	// Gen selects the trial-generation mode ("scalar" or "batch"). Part of
-	// the job identity — the modes draw different (exactly distributed)
-	// streams — via faultsim.CampaignHash.
-	Gen string `json:"gen,omitempty"`
 	// ErrorBudget bounds voided (panicking) trials aggregated across all
 	// workers; 0 selects faultsim.DefaultErrorBudget.
 	ErrorBudget int `json:"error_budget,omitempty"`
@@ -80,8 +73,6 @@ func (s *JobSpec) CampaignOptions() faultsim.CampaignOptions {
 		Trials:      s.Trials,
 		Seed:        s.Seed,
 		ChunkSize:   s.ChunkSize,
-		Engine:      faultsim.Engine(s.Engine),
-		Gen:         faultsim.Generator(s.Gen),
 		ErrorBudget: s.ErrorBudget,
 	}
 }
@@ -99,12 +90,6 @@ func (s *JobSpec) Validate() error {
 	}
 	if len(s.Schemes) == 0 {
 		return fmt.Errorf("dist: no schemes named")
-	}
-	if _, err := faultsim.ParseEngine(s.Engine); err != nil {
-		return err
-	}
-	if _, err := faultsim.ParseGenerator(s.Gen); err != nil {
-		return err
 	}
 	if _, err := s.ResolveSchemes(); err != nil {
 		return err
@@ -137,13 +122,13 @@ type SchemeProgress struct {
 
 // JobStatus is the poll response for one job.
 type JobStatus struct {
-	ID          string           `json:"id"`
-	State       JobState         `json:"state"`
-	DoneChunks  int              `json:"done_chunks"`
-	TotalChunks int              `json:"total_chunks"`
-	DoneTrials  uint64           `json:"done_trials"`
-	Trials      int              `json:"trials"`
-	TrialErrors int              `json:"trial_errors"`
+	ID          string   `json:"id"`
+	State       JobState `json:"state"`
+	DoneChunks  int      `json:"done_chunks"`
+	TotalChunks int      `json:"total_chunks"`
+	DoneTrials  uint64   `json:"done_trials"`
+	Trials      int      `json:"trials"`
+	TrialErrors int      `json:"trial_errors"`
 	// Cached reports that the submission hit the completed-result cache:
 	// an identical campaign (same config hash) had already run to
 	// completion, so no new work was scheduled.
@@ -162,7 +147,8 @@ type LeaseRequest struct {
 // Deadline. Workers extend the deadline with heartbeats; a lease that
 // expires un-completed makes the unit grantable again (straggler
 // re-dispatch). The full JobSpec rides along so workers are stateless —
-// they cache a ChunkRunner per job ID but can always rebuild it.
+// each lease loop keeps the ChunkRunner of the job it last served but can
+// always rebuild it.
 type Lease struct {
 	JobID string `json:"job_id"`
 	// Unit indexes the work unit within the job; Lo/Hi is its chunk span.
@@ -174,7 +160,7 @@ type Lease struct {
 	// TTLMillis is the lease duration from grant (a duration, not a
 	// wall-clock deadline, so worker and coordinator clocks need not
 	// agree).
-	TTLMillis int64 `json:"ttl_ms"`
+	TTLMillis int64   `json:"ttl_ms"`
 	Spec      JobSpec `json:"spec"`
 }
 

@@ -170,8 +170,6 @@ func (c *Client) Runner() func(ctx context.Context, cfg faultsim.Config, schemes
 			Trials:      opts.Trials,
 			Seed:        opts.Seed,
 			ChunkSize:   opts.ChunkSize,
-			Engine:      string(opts.Engine),
-			Gen:         string(opts.Gen),
 			ErrorBudget: opts.ErrorBudget,
 		})
 	}

@@ -28,7 +28,6 @@ func testSpec() *JobSpec {
 		Trials:    40_000,
 		Seed:      99,
 		ChunkSize: 512,
-		Engine:    string(faultsim.EngineLanes),
 	}
 }
 
@@ -151,53 +150,51 @@ func TestCoordinatorMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestCoordinatorBatchGenMatchesLocal extends the core promise to the
-// batch generation mode: a -gen=batch job sharded across leased units
-// merges to exactly the local batch run's Report and checkpoint bytes, and
-// — because the generator is part of the job identity — a batch submission
-// is never served the scalar job's cached result.
+// TestCoordinatorBatchGenMatchesLocal: campaigns have one path, so a
+// submission from an older client that still names an engine and a
+// generation mode is the same job as one that does not — same ID, served
+// from the cache once done — and merges to the local run's Report and
+// checkpoint bytes.
 func TestCoordinatorBatchGenMatchesLocal(t *testing.T) {
-	scalar := testSpec()
-	batch := testSpec()
-	batch.Gen = string(faultsim.GenBatch)
-	localRep, localBytes := localRun(t, batch)
+	spec := testSpec()
+	localRep, localBytes := localRun(t, spec)
+	legacy := strings.Replace(mustSpecJSON(t, spec), `"chunk_size"`, `"engine":"indexed","gen":"scalar","chunk_size"`, 1)
 
 	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4})
-	st, err := c.Submit(*scalar)
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var st JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("legacy submit: HTTP %d, %v", resp.StatusCode, err)
+	}
 	drainJob(t, c)
 
-	st2, err := c.Submit(*batch)
+	st2, err := c.Submit(*spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Cached || st2.ID == st.ID {
-		t.Fatalf("batch submission hit the scalar job's cache: %+v", st2)
+	if st2.ID != st.ID || !st2.Cached {
+		t.Fatalf("the same campaign without mode fields is a different job: %+v vs %+v", st2, st)
 	}
-	drainJob(t, c)
-
-	rep, err := c.Result(st2.ID)
+	rep, err := c.Result(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rep, localRep) {
-		t.Fatal("coordinator batch-gen Report differs from local RunCampaign")
+		t.Fatal("coordinator Report differs from local RunCampaign")
 	}
-	b, err := c.CheckpointBytes(st2.ID)
+	b, err := c.CheckpointBytes(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(b) != string(localBytes) {
-		t.Fatal("coordinator batch-gen checkpoint bytes differ from local checkpoint file")
-	}
-	scalarRep, err := c.Result(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(scalarRep.Results, rep.Results) {
-		t.Fatal("scalar and batch jobs produced identical tallies; the generator plausibly never switched")
+		t.Fatal("coordinator checkpoint bytes differ from local checkpoint file")
 	}
 }
 
@@ -251,7 +248,6 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 		"no trials":      func(s *JobSpec) { s.Trials = 0 },
 		"no schemes":     func(s *JobSpec) { s.Schemes = nil },
 		"unknown scheme": func(s *JobSpec) { s.Schemes = []string{"TMR"} },
-		"unknown engine": func(s *JobSpec) { s.Engine = "quantum" },
 	}
 	for name, mut := range cases {
 		s := testSpec()

@@ -70,6 +70,79 @@ func TestWorkersEndToEnd(t *testing.T) {
 	wg.Wait()
 }
 
+// TestWorkerKeepsOneRunnerPerLoop: a long-lived worker serving job after
+// job keeps at most one ChunkRunner per lease loop — the current job's —
+// instead of one for every job it ever served.
+func TestWorkerKeepsOneRunnerPerLoop(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	opts := fastWorker("w", srv.URL)
+	opts.Parallel = 2
+	w := NewWorker(opts)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(ctx) //nolint:errcheck
+	}()
+
+	cl := NewClient(srv.URL, nil)
+	cl.PollInterval = 10 * time.Millisecond
+	const jobs = 4
+	ids := map[string]bool{}
+	for i := 0; i < jobs; i++ {
+		spec := testSpec()
+		spec.Seed += uint64(i)
+		if _, err := cl.RunCampaign(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+		ids[mustHash(t, spec)] = true
+	}
+	cancel()
+	<-done
+	if len(ids) != jobs {
+		t.Fatalf("%d distinct jobs, want %d", len(ids), jobs)
+	}
+	for i, loop := range w.runners {
+		if loop.r != nil && !ids[loop.jobID] {
+			t.Fatalf("loop %d holds a runner for unknown job %.12s", i, loop.jobID)
+		}
+	}
+	if len(w.runners) != opts.Parallel {
+		t.Fatalf("%d runner caches for %d lease loops", len(w.runners), opts.Parallel)
+	}
+}
+
+// TestJobRunnerReplacesPreviousJob: a loop's runner cache reuses the
+// runner while leases stay on one job and drops it for the next job's.
+func TestJobRunnerReplacesPreviousJob(t *testing.T) {
+	var cache jobRunner
+	a, b := testSpec(), testSpec()
+	b.Seed++
+	leaseA := &Lease{JobID: mustHash(t, a), Spec: *a}
+	leaseB := &Lease{JobID: mustHash(t, b), Spec: *b}
+	ra, err := cache.get(leaseA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := cache.get(leaseA); again != ra {
+		t.Fatal("a second lease of the same job rebuilt its runner")
+	}
+	rb, err := cache.get(leaseB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb == ra || cache.r != rb || cache.jobID != leaseB.JobID {
+		t.Fatal("the cache kept the previous job's runner")
+	}
+	bad := &Lease{JobID: "bad", Spec: JobSpec{Schemes: []string{"TMR"}, Trials: 1}}
+	if _, err := cache.get(bad); err == nil || cache.r != nil {
+		t.Fatalf("unbuildable spec: err %v, cached runner %v", err, cache.r)
+	}
+}
+
 func mustHash(t *testing.T, spec *JobSpec) string {
 	t.Helper()
 	schemes, err := spec.ResolveSchemes()

@@ -117,6 +117,38 @@ type Worker struct {
 
 	mu     sync.Mutex
 	active map[LeaseRef]struct{}
+
+	// runners holds each lease loop's runner cache, one per loop.
+	runners []jobRunner
+}
+
+// jobRunner is a lease loop's runner cache: the ChunkRunner of the job the
+// loop served last. A lease for another job replaces it, so a long-lived
+// worker holds at most one runner per loop however many jobs it has
+// served. (A faultsim.ChunkRunner is not safe for concurrent use, so
+// parallel loops never share one.)
+type jobRunner struct {
+	jobID string
+	r     *faultsim.ChunkRunner
+}
+
+// get returns the ChunkRunner for the lease's job, building it from the
+// lease's spec when the loop last served another job.
+func (c *jobRunner) get(lease *Lease) (*faultsim.ChunkRunner, error) {
+	if c.r != nil && c.jobID == lease.JobID {
+		return c.r, nil
+	}
+	c.jobID, c.r = "", nil // release the previous job's runner first
+	schemes, err := lease.Spec.ResolveSchemes()
+	if err != nil {
+		return nil, err
+	}
+	r, err := faultsim.NewChunkRunner(lease.Spec.Config, schemes, lease.Spec.CampaignOptions())
+	if err != nil {
+		return nil, err
+	}
+	c.jobID, c.r = lease.JobID, r
+	return r, nil
 }
 
 // NewWorker builds a worker; Run starts it.
@@ -168,11 +200,12 @@ func (w *Worker) Run(ctx context.Context) error {
 		defer wg.Done()
 		w.heartbeatLoop(ctx)
 	}()
-	for i := 0; i < w.opts.Parallel; i++ {
+	w.runners = make([]jobRunner, w.opts.Parallel)
+	for i := range w.runners {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.leaseLoop(ctx, cancel)
+			w.leaseLoop(ctx, cancel, &w.runners[i])
 		}()
 	}
 	wg.Wait()
@@ -184,12 +217,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	return nil
 }
 
-// leaseLoop is one lease → compute → complete cycle runner. Each loop owns
-// its runner cache: a faultsim.ChunkRunner carries per-chunk scratch state
-// and is not safe for concurrent use, so parallel loops never share one.
-func (w *Worker) leaseLoop(ctx context.Context, stop context.CancelFunc) {
+// leaseLoop is one lease → compute → complete cycle runner, with its own
+// runner cache.
+func (w *Worker) leaseLoop(ctx context.Context, stop context.CancelFunc, cache *jobRunner) {
 	bo := newBackoff(w.opts.BackoffMin, w.opts.BackoffMax)
-	runners := make(map[string]*faultsim.ChunkRunner)
 	for ctx.Err() == nil {
 		if w.opts.MaxUnits > 0 && int(w.unitsDone.Load()) >= w.opts.MaxUnits {
 			stop()
@@ -215,7 +246,7 @@ func (w *Worker) leaseLoop(ctx context.Context, stop context.CancelFunc) {
 			continue
 		}
 		bo.reset()
-		if err := w.runUnit(ctx, runners, lease); err != nil {
+		if err := w.runUnit(ctx, cache, lease); err != nil {
 			if ctx.Err() != nil {
 				return
 			}
@@ -235,27 +266,9 @@ func maxDuration(a, b time.Duration) time.Duration {
 	return b
 }
 
-// runner returns the loop-local ChunkRunner for a job, building it from
-// the lease's spec on first sight.
-func runner(cache map[string]*faultsim.ChunkRunner, lease *Lease) (*faultsim.ChunkRunner, error) {
-	if r, ok := cache[lease.JobID]; ok {
-		return r, nil
-	}
-	schemes, err := lease.Spec.ResolveSchemes()
-	if err != nil {
-		return nil, err
-	}
-	r, err := faultsim.NewChunkRunner(lease.Spec.Config, schemes, lease.Spec.CampaignOptions())
-	if err != nil {
-		return nil, err
-	}
-	cache[lease.JobID] = r
-	return r, nil
-}
-
 // runUnit computes a leased span and reports it, holding the lease in the
 // heartbeat set for the duration.
-func (w *Worker) runUnit(ctx context.Context, runners map[string]*faultsim.ChunkRunner, lease *Lease) error {
+func (w *Worker) runUnit(ctx context.Context, cache *jobRunner, lease *Lease) error {
 	ref := LeaseRef{JobID: lease.JobID, Unit: lease.Unit, Token: lease.Token}
 	w.mu.Lock()
 	w.active[ref] = struct{}{}
@@ -266,7 +279,7 @@ func (w *Worker) runUnit(ctx context.Context, runners map[string]*faultsim.Chunk
 		w.mu.Unlock()
 	}()
 
-	r, err := runner(runners, lease)
+	r, err := cache.get(lease)
 	if err != nil {
 		// A spec this binary cannot evaluate; drop the lease and let it
 		// expire for someone else.

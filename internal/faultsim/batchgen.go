@@ -1,22 +1,17 @@
 package faultsim
 
 import (
-	"context"
 	"fmt"
-	"runtime/debug"
 
-	"xedsim/internal/obs"
 	"xedsim/internal/simrand"
 )
 
-// Batched trial generation (-gen=batch).
+// Batched trial generation: how every campaign draws its trials.
 //
-// The scalar generator interleaves every trial's draws: one Poisson count,
-// then per record a class draw, an onset draw and three bounded geometry
-// draws, each paying full per-call sampler overhead. After the lane engine
-// (PR 6) collapsed judging to ~200µs per 200k Table I trials, that scalar
-// draw sequence was ~25x the judging cost. The batch generator restructures
-// a whole chunk into structure-of-arrays form:
+// The scalar generator (generator.Trial) interleaves every trial's draws:
+// one Poisson count, then per record a class draw, an onset draw and three
+// bounded geometry draws, each paying full per-call sampler overhead. The
+// batch plan restructures a whole chunk into structure-of-arrays form:
 //
 //  1. One arrival pass plans the chunk: TruncPoisson.NextPositiveRuns
 //     emits (zero-run, count) pairs, so the ~75% of trials that draw no
@@ -31,14 +26,14 @@ import (
 //     expansion) on the scalar route, in the scalar order.
 //
 // Determinism contract: for a fixed (cfg, seed, chunk index) the plan is a
-// pure function of the chunk substream, so -gen=batch results remain
-// bit-identical across worker counts, engines, checkpoint/resume patterns
-// and the service/local split — the campaign invariants are untouched. What
-// changes is the *order* uniforms are consumed in, so batch streams are not
-// bit-identical to scalar streams; they are exactly distributed instead:
+// pure function of the chunk substream, so results are bit-identical
+// across worker counts, checkpoint/resume patterns and the service/local
+// split. Plan streams consume uniforms in a different order from the
+// scalar generator's, so the two are not bit-identical; they are exactly
+// distributed alike instead:
 //
 //   - The arrival decomposition (geometric zero-run + zero-truncated count)
-//     is the same exact identity the scalar fast path uses; stopping at the
+//     is the same exact identity the scalar skip path uses; stopping at the
 //     chunk boundary without drawing a count is exact because
 //     P(zero-run >= remaining) = q^remaining is precisely the probability
 //     that every remaining trial is empty.
@@ -52,28 +47,39 @@ import (
 //     acceptance probability is exactly 1) and that a rank is drawn for
 //     multi-rank (GranChip) records whose expansion then overwrites it.
 //
-// The gate mirrors the lane engine's: FuzzBatchGenVsScalar differential
-// fuzz, the 1000-config conformance differential and `xedverify -gen=batch`
-// (including through a live coordinator) must all pass. Because the streams
-// differ, Generator is part of the campaign identity hash — see
-// campaignHashInput.
+// The scalar generator stays as the oracle: FuzzBatchGenVsScalar holds the
+// plan to a scalar-primitive reference of its draw order, and law-level
+// tests and the 1000-config conformance differential hold both to the same
+// distribution.
 
-// batchGenerator wraps a scalar generator with per-chunk plan storage. It
-// is single-goroutine, like the campaignWorker that owns it, and reuses all
-// plan columns across chunks (0 allocs/op in steady state). Plan memory is
-// O(records per chunk): ~40B per expected record.
-type batchGenerator struct {
-	g       *generator
+// arrivalSamplers are the plan's arrival-run samplers. Like genTables they
+// are read-only once built, so a campaign builds them once for all its
+// workers.
+type arrivalSamplers struct {
 	trunc   simrand.TruncPoisson // arrival runs at totalMean (flat profile)
 	truncPk simrand.TruncPoisson // candidate runs at totalMean * aging peak
+}
 
-	// Chunk plan. trialPos[i] is the chunk-relative index of the i-th
-	// emitted trial (>= 1 record after aging thinning); its records occupy
-	// the column range [recEnd[i-1], recEnd[i]).
+func newArrivalSamplers(g *genTables) arrivalSamplers {
+	var a arrivalSamplers
+	if g.totalMean > 0 {
+		a.trunc = simrand.NewTruncPoisson(g.totalMean)
+		if g.cfg.Aging.enabled() {
+			a.truncPk = simrand.NewTruncPoisson(g.totalMean * g.cfg.Aging.Peak())
+		}
+	}
+	return a
+}
+
+// batchPlan is one chunk's plan. trialPos[i] is the chunk-relative index of
+// the i-th emitted trial (>= 1 record after aging thinning); its records
+// occupy the column range [recEnd[i-1], recEnd[i]). Plan memory is
+// O(records per chunk), ~40B per expected record, reused across chunks.
+type batchPlan struct {
 	runs     []simrand.PosRun
 	trialPos []int32
 	recEnd   []int32
-	class    []int32   // index into g.classes
+	class    []int32   // index into the generator's classes
 	u01      []float64 // onset as a lifetime fraction in [0, 1)
 	ch       []int32
 	rk       []int32
@@ -83,94 +89,45 @@ type batchGenerator struct {
 	words []uint64  // bulk words for IntnSampler.Fill
 	f64   []float64 // class uniforms; aging thinning uniforms
 	x     []float64 // aging candidate onsets
-
-	met batchGenMetrics
 }
 
-// batchGenMetrics publishes generation-shape statistics under
-// "faultsim.gen.*". Handles resolve once per campaign; observations happen
-// at chunk granularity from the already-built plan arrays (pure atomic
-// ops, 0 allocs), and the whole block is skipped when no registry is
-// attached.
-type batchGenMetrics struct {
-	attached     bool
-	refills      *obs.Counter   // chunk plans built
-	recsPerTrial *obs.Histogram // records per emitted trial
-	skipRun      *obs.Histogram // empty-trial run length preceding each emitted trial
-}
-
-func newBatchGenerator(g *generator) *batchGenerator {
-	bg := &batchGenerator{g: g}
-	if g.totalMean > 0 {
-		bg.trunc = simrand.NewTruncPoisson(g.totalMean)
-		if g.cfg.Aging.enabled() {
-			bg.truncPk = simrand.NewTruncPoisson(g.totalMean * g.cfg.Aging.Peak())
-		}
-	}
-	return bg
-}
-
-func (bg *batchGenerator) setMetrics(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	bg.met = batchGenMetrics{
-		attached:     true,
-		refills:      r.Counter("faultsim.gen.batch_refills"),
-		recsPerTrial: r.Histogram("faultsim.gen.records_per_trial", []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}),
-		skipRun:      r.Histogram("faultsim.gen.skip_run", []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048}),
-	}
-}
-
-func growI32(s []int32, n int) []int32 {
+// grow returns s resized to n. It reallocates only when n exceeds the
+// capacity, and then at least doubles it, so a column settles at its
+// high-water mark after a few chunks instead of reallocating whenever a
+// chunk draws more records than any before.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }
 
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-// plan builds the chunk plan for n trials from rng, which must sit at the
-// head of the chunk's substream. The draw order is the batch mode's
-// canonical sequence (the differential fuzz reference reproduces it with
-// scalar primitives): arrival runs; [aging: candidate-onset column, then
-// thinning column]; class-uniform column; [flat: onset column]; channel,
-// rank, chip word columns with rejection redraws in ascending index order.
-// Conditional per-record draws happen later, inside emitTrial.
-func (bg *batchGenerator) plan(rng *simrand.Source, n int) {
-	g := bg.g
-	bg.runs = bg.runs[:0]
-	bg.trialPos = bg.trialPos[:0]
-	bg.recEnd = bg.recEnd[:0]
+// build plans n trials from rng, which must sit at the head of the chunk's
+// substream. The draw order is the canonical batch sequence (the
+// differential fuzz reference reproduces it with scalar primitives):
+// arrival runs; [aging: candidate-onset column, then thinning column];
+// class-uniform column; [flat: onset column]; channel, rank, chip word
+// columns with rejection redraws in ascending index order. Conditional
+// per-record draws happen later, inside emitTrial.
+func (p *batchPlan) build(g *genTables, a *arrivalSamplers, rng *simrand.Source, n int) {
+	p.runs = p.runs[:0]
+	p.trialPos = p.trialPos[:0]
+	p.recEnd = p.recEnd[:0]
 	if g.totalMean <= 0 {
 		return
 	}
 	aging := g.cfg.Aging
 	total := int32(0)
 	if !aging.enabled() {
-		bg.runs = bg.trunc.NextPositiveRuns(rng, n, bg.runs)
+		p.runs = a.trunc.NextPositiveRuns(rng, n, p.runs)
 		pos := int32(-1)
-		for _, r := range bg.runs {
+		for _, r := range p.runs {
 			pos += r.Skip + 1
 			total += r.Count
-			bg.trialPos = append(bg.trialPos, pos)
-			bg.recEnd = append(bg.recEnd, total)
+			p.trialPos = append(p.trialPos, pos)
+			p.recEnd = append(p.recEnd, total)
 		}
-		bg.fillColumns(rng, int(total), true)
-		bg.observe()
+		p.fillColumns(g, rng, int(total), true)
 		return
 	}
 	// Aging: candidates arrive at the envelope (peak) rate and are thinned
@@ -178,313 +135,92 @@ func (bg *batchGenerator) plan(rng *simrand.Source, n int) {
 	// sampling the scalar path uses, with the candidate onsets and
 	// acceptance uniforms drawn as columns. Thinning can empty a trial, so
 	// emitted trials are the runs with >= 1 accepted candidate.
-	bg.runs = bg.truncPk.NextPositiveRuns(rng, n, bg.runs)
+	p.runs = a.truncPk.NextPositiveRuns(rng, n, p.runs)
 	cand := 0
-	for _, r := range bg.runs {
+	for _, r := range p.runs {
 		cand += int(r.Count)
 	}
-	bg.x = growF64(bg.x, cand)
-	bg.f64 = growF64(bg.f64, cand)
-	rng.FillFloat64(bg.x)
-	rng.FillFloat64(bg.f64)
-	bg.u01 = growF64(bg.u01, cand)[:0]
+	p.x = grow(p.x, cand)
+	p.f64 = grow(p.f64, cand)
+	rng.FillFloat64(p.x)
+	rng.FillFloat64(p.f64)
+	p.u01 = grow(p.u01, cand)[:0]
 	peak := aging.Peak()
 	ci := 0
 	pos := int32(-1)
-	for _, r := range bg.runs {
+	for _, r := range p.runs {
 		pos += r.Skip + 1
 		kept := int32(0)
 		for j := int32(0); j < r.Count; j++ {
-			if x := bg.x[ci]; bg.f64[ci] < aging.Multiplier(x)/peak {
-				bg.u01 = append(bg.u01, x)
+			if x := p.x[ci]; p.f64[ci] < aging.Multiplier(x)/peak {
+				p.u01 = append(p.u01, x)
 				kept++
 			}
 			ci++
 		}
 		if kept > 0 {
 			total += kept
-			bg.trialPos = append(bg.trialPos, pos)
-			bg.recEnd = append(bg.recEnd, total)
+			p.trialPos = append(p.trialPos, pos)
+			p.recEnd = append(p.recEnd, total)
 		}
 	}
-	bg.fillColumns(rng, int(total), false)
-	bg.observe()
+	p.fillColumns(g, rng, int(total), false)
 }
 
 // fillColumns samples the per-record columns for R records. The onset
 // column is only drawn on the flat path; under aging the accepted candidate
 // onsets are already in u01.
-func (bg *batchGenerator) fillColumns(rng *simrand.Source, R int, withOnsets bool) {
-	g := bg.g
-	bg.f64 = growF64(bg.f64, R)
-	rng.FillFloat64(bg.f64)
-	bg.class = growI32(bg.class, R)
-	for i, u := range bg.f64 {
-		bg.class[i] = int32(g.classSamp.Lookup(u))
+func (p *batchPlan) fillColumns(g *genTables, rng *simrand.Source, R int, withOnsets bool) {
+	p.f64 = grow(p.f64, R)
+	rng.FillFloat64(p.f64)
+	p.class = grow(p.class, R)
+	for i, u := range p.f64 {
+		p.class[i] = int32(g.classSamp.Lookup(u))
 	}
 	if withOnsets {
-		bg.u01 = growF64(bg.u01, R)
-		rng.FillFloat64(bg.u01)
+		p.u01 = grow(p.u01, R)
+		rng.FillFloat64(p.u01)
 	}
-	bg.words = growU64(bg.words, R)
-	bg.ch = growI32(bg.ch, R)
-	bg.rk = growI32(bg.rk, R)
-	bg.chip = growI32(bg.chip, R)
-	g.chSamp.Fill(rng, bg.ch, bg.words)
+	p.words = grow(p.words, R)
+	p.ch = grow(p.ch, R)
+	p.rk = grow(p.rk, R)
+	p.chip = grow(p.chip, R)
+	g.chSamp.Fill(rng, p.ch, p.words)
 	// Multi-rank (GranChip) records consume a rank draw here like every
 	// other record; emitPlaced's expansion overwrites it. Unconditional
 	// columns keep the plan branch-free and the law is unchanged (the
 	// draw is independent of everything it feeds).
-	g.rankSamp.Fill(rng, bg.rk, bg.words)
-	g.chipSamp.Fill(rng, bg.chip, bg.words)
-}
-
-// observe publishes the chunk plan's shape metrics.
-func (bg *batchGenerator) observe() {
-	if !bg.met.attached {
-		return
-	}
-	bg.met.refills.Inc()
-	for _, r := range bg.runs {
-		bg.met.skipRun.Observe(float64(r.Skip))
-	}
-	prev := int32(0)
-	for _, end := range bg.recEnd {
-		bg.met.recsPerTrial.Observe(float64(end - prev))
-		prev = end
-	}
+	g.rankSamp.Fill(rng, p.rk, p.words)
+	g.chipSamp.Fill(rng, p.chip, p.words)
 }
 
 // emitted returns the number of planned non-empty trials in the chunk.
-func (bg *batchGenerator) emitted() int { return len(bg.trialPos) }
+func (p *batchPlan) emitted() int { return len(p.trialPos) }
 
 // emitTrial packs emitted trial i's records onto buf, drawing any
 // conditional per-record randomness (ranges, silent words, escalation) from
 // rng in the scalar order. Trials must be emitted in plan order exactly
-// once per chunk: the conditional draws and the EventID counter advance
+// once per chunk: the conditional draws and g's EventID counter advance
 // with each call.
-func (bg *batchGenerator) emitTrial(rng *simrand.Source, i int, buf []FaultRecord) []FaultRecord {
-	g := bg.g
+func (p *batchPlan) emitTrial(g *generator, rng *simrand.Source, i int, buf []FaultRecord) []FaultRecord {
 	lo := int32(0)
 	if i > 0 {
-		lo = bg.recEnd[i-1]
+		lo = p.recEnd[i-1]
 	}
 	lifetime := g.cfg.LifetimeHours
-	for r := lo; r < bg.recEnd[i]; r++ {
-		cls := g.classes[bg.class[r]]
-		buf = g.emitPlaced(rng, buf, cls, bg.u01[r]*lifetime,
-			int(bg.ch[r]), int(bg.rk[r]), int(bg.chip[r]))
+	for r := lo; r < p.recEnd[i]; r++ {
+		buf = g.emitPlaced(rng, buf, g.classes[p.class[r]], p.u01[r]*lifetime,
+			int(p.ch[r]), int(p.rk[r]), int(p.chip[r]))
 	}
 	return buf
 }
 
-// runBatchChunk is runChunk's GenBatch body: plan the whole chunk, then
-// judge it with the selected engine. The chunk-head RNG state anchors any
-// TrialError (batch draws are interleaved across the chunk, so there is no
-// meaningful per-trial state — see TrialError.RNGState).
-func (w *campaignWorker) runBatchChunk(ctx context.Context, lo, hi int) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	st := w.rng.State()
-	w.bg.plan(w.rng, hi-lo)
-	if w.engine == EngineLanes {
-		return w.runBatchLaneChunk(ctx, st, lo, hi)
-	}
-	return w.runBatchScalarChunk(ctx, st, lo, hi)
-}
-
-// runBatchLaneChunk packs planned trials straight into the worker's
-// LaneBatch. Fast mode commits only the emitted trials (skipped empties
-// survive every scheme and tally nothing); otherwise every trial of the
-// chunk gets a lane. Scheme panics are contained per lane by the
-// LaneEvaluator, exactly as on the scalar-generation lane path.
-func (w *campaignWorker) runBatchLaneChunk(ctx context.Context, st simrand.State, lo, hi int) bool {
-	rng, bg, b := w.rng, w.bg, &w.batch
-	b.Reset()
-	if w.fast {
-		lv := w.lv
-		// emitTrial and commitDigested are open-coded: the fast path
-		// visits every emitted trial in order, so recEnd[i-1] is just
-		// where the previous iteration stopped, and keeping the recs/lrs
-		// slice headers and the lane count in locals spares a load+store
-		// per record. The locals sync back to the batch at every flush
-		// boundary (flushBatch resets the batch) and on early return.
-		g := bg.g
-		lifetime := g.cfg.LifetimeHours
-		rLo := int32(0)
-		recs, lrs, lanes := b.recs, b.lrs, b.lanes
-		for i := 0; i < bg.emitted(); i++ {
-			if i&255 == 0 && ctx.Err() != nil {
-				b.recs, b.lrs, b.lanes = recs, lrs, lanes
-				return false
-			}
-			n0 := len(recs)
-			for r := rLo; r < bg.recEnd[i]; r++ {
-				recs = g.emitPlaced(rng, recs, g.classes[bg.class[r]],
-					bg.u01[r]*lifetime, int(bg.ch[r]), int(bg.rk[r]), int(bg.chip[r]))
-			}
-			rLo = bg.recEnd[i]
-			// Pre-judged survivors: most emitted trials hold one record,
-			// and when its signature is overweight for no scheme the lane
-			// would sail through EvaluateBatch without setting a fail bit.
-			// Dropping it here skips the mask pass and the flush for over
-			// half the stream at stock rates; outcomes are untouched
-			// because a surviving lane tallies nothing. The record is
-			// digested into a local first — cache-hot, and survivors never
-			// touch lrs at all.
-			if len(recs) == n0+1 {
-				r := &recs[n0]
-				sig := recSig(r)
-				if lv.singleSurvives(sig) {
-					recs = recs[:n0]
-					continue
-				}
-				lrs = append(lrs, digestRecordSig(r, sig))
-			} else {
-				for ri := n0; ri < len(recs); ri++ {
-					lrs = append(lrs, digestRecord(&recs[ri]))
-				}
-			}
-			b.trial[lanes] = lo + int(bg.trialPos[i])
-			b.state[lanes] = st
-			lanes++
-			b.offs[lanes] = int32(len(recs))
-			if lanes == LaneWidth {
-				b.recs, b.lrs, b.lanes = recs, lrs, lanes
-				w.flushBatch()
-				recs, lrs, lanes = b.recs, b.lrs, b.lanes
-			}
-		}
-		b.recs, b.lrs, b.lanes = recs, lrs, lanes
-	} else {
-		ti := 0
-		for t := lo; t < hi; t++ {
-			if (t-lo)&cancelCheckMask == 0 && ctx.Err() != nil {
-				return false
-			}
-			if ti < bg.emitted() && lo+int(bg.trialPos[ti]) == t {
-				b.recs = bg.emitTrial(rng, ti, b.recs)
-				ti++
-			}
-			b.commit(t, st)
-			if b.Lanes() == LaneWidth {
-				w.flushBatch()
-			}
-		}
-	}
-	w.flushBatch()
-	return true
-}
-
-// runBatchScalarChunk judges a planned chunk on the scalar engines
-// (indexed/reference) with the same span-scoped panic recovery as runSpan:
-// a panicking trial is voided and the span resumes after it. Evaluation
-// never draws from rng, so the remaining emitTrial calls see exactly the
-// draws they would have in a panic-free run.
-func (w *campaignWorker) runBatchScalarChunk(ctx context.Context, st simrand.State, lo, hi int) bool {
-	t0, bi0 := lo, 0
-	for {
-		switch w.runBatchSpan(ctx, st, t0, bi0, lo, hi) {
-		case spanDone:
-			return true
-		case spanCancelled:
-			return false
-		case spanPanicked:
-			if w.fast {
-				bi0 = w.bi + 1
-			} else {
-				t0, bi0 = w.t+1, w.bi
-			}
-		}
-	}
-}
-
-// runBatchSpan evaluates planned trials from (t0, bi0) on. Fast mode walks
-// only the emitted trials (bi0 is the emitted-trial index; t0 is unused);
-// otherwise it walks every trial index with bi0 as the emitted cursor. The
-// stash fields (w.t, w.bi, w.st) are written before each evaluation so the
-// span-level recover can attribute a panic and resume.
-func (w *campaignWorker) runBatchSpan(ctx context.Context, st simrand.State, t0, bi0, lo, hi int) (status int) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if !w.inEval {
-			panic(r)
-		}
-		w.inEval = false
-		w.errs = append(w.errs, TrialError{
-			Trial:      w.t,
-			Chunk:      w.chunk,
-			RNGState:   w.st,
-			Faults:     append([]FaultRecord(nil), w.buf...),
-			PanicValue: fmt.Sprint(r),
-			Stack:      string(debug.Stack()),
-		})
-		status = spanPanicked
-	}()
-
-	rng, bg, ev := w.rng, w.bg, w.ev
-	buf, outs := w.buf, w.outs
-	defer func() { w.buf, w.outs = buf, outs }()
-	ref := w.engine == EngineReference
-
-	if w.fast {
-		for i := bi0; i < bg.emitted(); i++ {
-			if i&255 == 0 && ctx.Err() != nil {
-				return spanCancelled
-			}
-			buf = bg.emitTrial(rng, i, buf[:0])
-			w.t, w.bi, w.st, w.buf, w.inEval = lo+int(bg.trialPos[i]), i, st, buf, true
-			if ref {
-				outs = ev.referenceInto(buf, outs)
-			} else {
-				outs = ev.EvaluateInto(buf, outs)
-			}
-			w.inEval = false
-			w.outs = outs
-			w.tally()
-		}
-		return spanDone
-	}
-	ti := bi0
-	for t := t0; t < hi; t++ {
-		if (t-lo)&cancelCheckMask == 0 && ctx.Err() != nil {
-			return spanCancelled
-		}
-		buf = buf[:0]
-		if ti < bg.emitted() && lo+int(bg.trialPos[ti]) == t {
-			buf = bg.emitTrial(rng, ti, buf)
-			ti++
-		}
-		w.t, w.bi, w.st, w.buf, w.inEval = t, ti, st, buf, true
-		if ref {
-			outs = ev.referenceInto(buf, outs)
-		} else {
-			outs = ev.EvaluateInto(buf, outs)
-		}
-		w.inEval = false
-		w.outs = outs
-		w.tally()
-	}
-	return spanDone
-}
-
-// CaptureTraceGen is CaptureTrace under a selectable generation mode: for
-// GenBatch it plans the requested trials as one batch chunk and
-// materialises every trial (empty ones stay nil, as in CaptureTrace).
-// GenScalar delegates to CaptureTrace. The conformance differential claim
-// uses this to drive random configs through the batch plan/pack path.
-func CaptureTraceGen(cfg Config, trials int, seed uint64, gen Generator) (*Trace, error) {
-	gen, err := ParseGenerator(string(gen))
-	if err != nil {
-		return nil, err
-	}
-	if gen == GenScalar {
-		return CaptureTrace(cfg, trials, seed)
-	}
+// CaptureBatchTrace records `trials` fault streams drawn the way campaigns
+// draw them: one batch plan over all the trials, every trial materialised
+// (empty ones stay nil, as in CaptureTrace). Like CaptureTrace it draws
+// from the full class table with address ranges. The conformance
+// differential claim drives random configs through it.
+func CaptureBatchTrace(cfg Config, trials int, seed uint64) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -492,11 +228,13 @@ func CaptureTraceGen(cfg Config, trials int, seed uint64, gen Generator) (*Trace
 		return nil, fmt.Errorf("faultsim: non-positive trial count %d", trials)
 	}
 	rng := simrand.New(seed)
-	bg := newBatchGenerator(newGenerator(&cfg))
+	g := newGenerator(&cfg)
+	arr := newArrivalSamplers(g.genTables)
+	var p batchPlan
+	p.build(g.genTables, &arr, rng, trials)
 	tr := &Trace{Config: cfg, Seed: seed, Trials: make([][]FaultRecord, trials)}
-	bg.plan(rng, trials)
-	for i := 0; i < bg.emitted(); i++ {
-		tr.Trials[bg.trialPos[i]] = bg.emitTrial(rng, i, nil)
+	for i := 0; i < p.emitted(); i++ {
+		tr.Trials[p.trialPos[i]] = p.emitTrial(g, rng, i, nil)
 	}
 	return tr, nil
 }

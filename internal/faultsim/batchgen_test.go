@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/bits"
 	"reflect"
@@ -45,7 +46,7 @@ func refBoundedColumn(rng *simrand.Source, count, n int) []int32 {
 
 // referenceBatchTrials is the differential-fuzz reference for the batch
 // generator: it reproduces the canonical batch draw order (documented on
-// batchGenerator.plan) with straightforward scalar loops and simrand
+// batchPlan.build) with straightforward scalar loops and simrand
 // primitives that are themselves unit-tested, then packs records through the
 // shared emitPlaced. Any reordering or off-by-one in the optimised SoA
 // plan/pack path shows up as a record-level mismatch.
@@ -193,9 +194,9 @@ func shapedConfig(t testing.TB, shape, inflateFactor uint8, aging bool) (Config,
 
 func diffBatchVsReference(t *testing.T, cfg Config, trials int, seed uint64) {
 	t.Helper()
-	tr, err := CaptureTraceGen(cfg, trials, seed, GenBatch)
+	tr, err := CaptureBatchTrace(cfg, trials, seed)
 	if err != nil {
-		t.Fatalf("CaptureTraceGen: %v", err)
+		t.Fatalf("CaptureBatchTrace: %v", err)
 	}
 	want := referenceBatchTrials(&cfg, trials, seed)
 	for i := range want {
@@ -245,40 +246,26 @@ func TestCaptureTraceGenMatchesReference(t *testing.T) {
 	}
 }
 
-func TestCaptureTraceGenScalarDelegates(t *testing.T) {
+func TestCaptureBatchTraceValidates(t *testing.T) {
 	cfg := DefaultConfig()
-	want, err := CaptureTrace(cfg, 500, 11)
+	a, err := CaptureBatchTrace(cfg, 500, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, gen := range []Generator{"", GenScalar} {
-		got, err := CaptureTraceGen(cfg, 500, 11, gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Trials, want.Trials) {
-			t.Fatalf("gen=%q: CaptureTraceGen diverged from CaptureTrace", gen)
-		}
+	b, err := CaptureBatchTrace(cfg, 500, 11)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := CaptureTraceGen(cfg, 500, 11, "warp"); err == nil {
-		t.Fatal("unknown generator accepted")
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("same seed captured different traces")
 	}
-	if _, err := CaptureTraceGen(cfg, 0, 11, GenBatch); err == nil {
+	if _, err := CaptureBatchTrace(cfg, 0, 11); err == nil {
 		t.Fatal("zero trials accepted")
 	}
-}
-
-func TestParseGenerator(t *testing.T) {
-	for in, want := range map[string]Generator{
-		"": GenScalar, "scalar": GenScalar, "batch": GenBatch,
-	} {
-		got, err := ParseGenerator(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseGenerator(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseGenerator("vectorized"); err == nil {
-		t.Fatal("unknown generator name accepted")
+	bad := cfg
+	bad.Channels = 0
+	if _, err := CaptureBatchTrace(bad, 500, 11); err == nil {
+		t.Fatal("invalid config accepted")
 	}
 }
 
@@ -308,46 +295,32 @@ func FuzzBatchGenVsScalar(f *testing.F) {
 	})
 }
 
-// TestBatchCampaignEngineAndWorkerInvariance pins the batch determinism
-// contract: for fixed (cfg, Trials, Seed, ChunkSize, Gen=batch) the report
-// is bit-identical across judging engines (the lane fast path, the lane
-// full path via reference-capable schemes is covered elsewhere, the indexed
-// scalar path, the O(n²) reference) and across worker counts.
+// TestBatchCampaignEngineAndWorkerInvariance pins the determinism contract
+// of the one campaign path: for fixed (cfg, Trials, Seed, ChunkSize) the
+// report is bit-identical across worker counts and equal to both scalar
+// judges — the pre-indexed Evaluator and the O(n²) reference — run over
+// the same planned chunks.
 func TestBatchCampaignEngineAndWorkerInvariance(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := AllSchemes()
-	var want *Report
-	for _, tc := range []struct {
-		engine  Engine
-		workers int
-	}{
-		{EngineIndexed, 1}, {EngineIndexed, 4}, {EngineLanes, 1},
-		{EngineLanes, 16}, {EngineReference, 4},
-	} {
-		opts := campaignTestOpts()
-		opts.Gen = GenBatch
-		opts.Engine = tc.engine
-		opts.Workers = tc.workers
-		rep := mustCampaign(t, context.Background(), cfg, schemes, opts)
-		if rep.Trials != uint64(opts.Trials) {
-			t.Fatalf("engine=%s workers=%d: tallied %d of %d trials",
-				tc.engine, tc.workers, rep.Trials, opts.Trials)
-		}
-		if want == nil {
-			want = rep
-			continue
-		}
-		if !reflect.DeepEqual(rep.Results, want.Results) {
-			t.Fatalf("engine=%s workers=%d diverged:\n%+v\nvs\n%+v",
-				tc.engine, tc.workers, rep.Results, want.Results)
+	opts := campaignTestOpts()
+	for judge, fn := range oracleJudges {
+		want := oracleCampaign(t, cfg, schemes, opts, fn)
+		for _, workers := range []int{1, 4, 16} {
+			opts.Workers = workers
+			rep := mustCampaign(t, context.Background(), cfg, schemes, opts)
+			if rep.Trials != uint64(opts.Trials) {
+				t.Fatalf("workers=%d: tallied %d of %d trials", workers, rep.Trials, opts.Trials)
+			}
+			sameCampaign(t, fmt.Sprintf("workers=%d vs %s", workers, judge), rep, want)
 		}
 	}
 }
 
-// TestBatchVsScalarCampaignLaw: the two generation modes draw different
-// streams, so their tallies differ — but only within Monte-Carlo noise.
-// A per-scheme 6-sigma gate over an inflated-FIT campaign catches any
-// systematic distributional skew in the batch plan.
+// TestBatchVsScalarCampaignLaw: the campaign's planned streams and the
+// scalar generator's differ, so their tallies differ — but only within
+// Monte-Carlo noise. A per-scheme 6-sigma gate over an inflated-FIT
+// campaign catches any systematic distributional skew in the batch plan.
 func TestBatchVsScalarCampaignLaw(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FITs = make(FITTable, len(DefaultConfig().FITs))
@@ -356,16 +329,17 @@ func TestBatchVsScalarCampaignLaw(t *testing.T) {
 		cfg.FITs[i].Rate *= 100
 	}
 	schemes := AllSchemes()
-	opts := CampaignOptions{Trials: 100_000, Seed: 424242, ChunkSize: 4096,
-		Engine: EngineLanes, Workers: 4}
-	scalar := mustCampaign(t, context.Background(), cfg, schemes, opts)
-	opts.Gen = GenBatch
+	opts := CampaignOptions{Trials: 100_000, Seed: 424242, ChunkSize: 4096, Workers: 4}
+	if testing.Short() {
+		opts.Trials = 25_000
+	}
+	scalar := scalarCampaign(t, cfg, schemes, opts)
 	batch := mustCampaign(t, context.Background(), cfg, schemes, opts)
 	for i := range schemes {
 		a, b := scalar.Results[i], batch.Results[i]
 		for _, v := range []struct {
-			name     string
-			sa, sb   uint64
+			name   string
+			sa, sb uint64
 		}{
 			{"failures", a.Failures, b.Failures},
 			{"dues", a.DUEs, b.DUEs},
@@ -380,33 +354,7 @@ func TestBatchVsScalarCampaignLaw(t *testing.T) {
 	}
 }
 
-func TestCampaignHashCoversGenerator(t *testing.T) {
-	cfg := DefaultConfig()
-	schemes := AllSchemes()
-	opts := campaignTestOpts()
-	unset, err := CampaignHash(cfg, schemes, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Gen = GenScalar
-	scalar, err := CampaignHash(cfg, schemes, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scalar != unset {
-		t.Fatal("explicit scalar generator changed the campaign hash; old checkpoints would be orphaned")
-	}
-	opts.Gen = GenBatch
-	batch, err := CampaignHash(cfg, schemes, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch == unset {
-		t.Fatal("batch generator not covered by the campaign hash; a scalar checkpoint could resume a batch run")
-	}
-}
-
-// TestBatchCampaignCheckpointResume: a batch campaign interrupted mid-run
+// TestBatchCampaignCheckpointResume: a campaign interrupted mid-run
 // resumes to the bit-identical report of an uninterrupted one — the plan is
 // a pure function of the chunk substream, so re-planning a chunk after
 // resume regenerates exactly the trials the lost worker would have judged.
@@ -414,8 +362,6 @@ func TestBatchCampaignCheckpointResume(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := AllSchemes()
 	opts := campaignTestOpts()
-	opts.Gen = GenBatch
-	opts.Engine = EngineLanes
 	full := mustCampaign(t, context.Background(), cfg, schemes, opts)
 
 	path := t.TempDir() + "/batch.ckpt"
@@ -445,9 +391,10 @@ func TestBatchCampaignCheckpointResume(t *testing.T) {
 }
 
 // TestBatchPlanZeroAllocs pins the steady-state allocation contract of the
-// plan/pack loop with metrics attached: after warm-up on larger chunks
-// (so every reused column has seen its high-water mark), planning and
-// emitting a chunk allocates nothing.
+// chunk loop: after warm-up on larger chunks (so every reused column has
+// seen its high-water mark), planning and emitting a chunk allocates
+// nothing, and neither does a whole campaign chunk — plan, pack, judge,
+// tally — with metrics attached.
 func TestBatchPlanZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FITs = make(FITTable, len(DefaultConfig().FITs))
@@ -455,14 +402,15 @@ func TestBatchPlanZeroAllocs(t *testing.T) {
 	for i := range cfg.FITs {
 		cfg.FITs[i].Rate *= 50
 	}
-	bg := newBatchGenerator(newGenerator(&cfg))
-	bg.setMetrics(obs.NewRegistry())
+	g := newGenerator(&cfg)
+	arr := newArrivalSamplers(g.genTables)
+	var p batchPlan
 	rng := simrand.New(7)
 	var buf []FaultRecord
 	emitChunk := func(n int) {
-		bg.plan(rng, n)
-		for i := 0; i < bg.emitted(); i++ {
-			buf = bg.emitTrial(rng, i, buf[:0])
+		p.build(g.genTables, &arr, rng, n)
+		for i := 0; i < p.emitted(); i++ {
+			buf = p.emitTrial(g, rng, i, buf[:0])
 		}
 	}
 	for i := 0; i < 50; i++ {
@@ -471,14 +419,37 @@ func TestBatchPlanZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { emitChunk(2048) }); allocs != 0 {
 		t.Fatalf("plan+emit allocated %v times per chunk, want 0", allocs)
 	}
+
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	reg := obs.NewRegistry()
+	met := newCampaignMetrics(reg, AllSchemes())
+	w := newCampaignWorker(newCampaignTables(&cfg, AllSchemes()), 7, 7)
+	w.shape = true
+	w.recsPerTrial, w.skipRun = met.recsPerTrial.Batch(), met.skipRun.Batch()
+	ctx := context.Background()
+	for c := 0; c < 10; c++ {
+		w.runChunk(ctx, c, 0, 4096)
+	}
+	c := 10
+	if allocs := testing.AllocsPerRun(20, func() {
+		w.runChunk(ctx, c, 0, 2048)
+		w.recsPerTrial.Flush()
+		w.skipRun.Flush()
+		c++
+	}); allocs != 0 {
+		t.Fatalf("a metered campaign chunk allocated %v times, want 0", allocs)
+	}
+	if reg.Snapshot().Histograms["faultsim.gen.records_per_trial"].Count == 0 {
+		t.Fatal("metered chunks published no plan shape")
+	}
 }
 
 func TestBatchGenMetricsShape(t *testing.T) {
 	cfg := DefaultConfig()
 	reg := obs.NewRegistry()
 	opts := campaignTestOpts()
-	opts.Gen = GenBatch
-	opts.Engine = EngineLanes
 	opts.Metrics = reg
 	rep := mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
 	snap := reg.Snapshot()
@@ -542,19 +513,20 @@ func TestBatchEventIDChunkReset(t *testing.T) {
 	cfg.RanksPerChannel = 3
 	cfg.FITs = FITTable{{Gran: dram.GranChip, Transient: false, Rate: 2000}}
 	g := newGenerator(&cfg)
-	bg := newBatchGenerator(g)
+	arr := newArrivalSamplers(g.genTables)
+	var p batchPlan
 	rng := simrand.New(0)
 	var buf []FaultRecord
 	for chunk := uint64(0); chunk < 4; chunk++ {
 		rng.SeedStream(42, chunk)
 		g.resetEvents()
-		bg.plan(rng, 512)
-		if bg.emitted() == 0 {
+		p.build(g.genTables, &arr, rng, 512)
+		if p.emitted() == 0 {
 			t.Fatalf("chunk %d: no multi-rank events at rate 2000", chunk)
 		}
 		next := uint64(1)
-		for i := 0; i < bg.emitted(); i++ {
-			buf = bg.emitTrial(rng, i, buf[:0])
+		for i := 0; i < p.emitted(); i++ {
+			buf = p.emitTrial(g, rng, i, buf[:0])
 			if len(buf)%cfg.RanksPerChannel != 0 {
 				t.Fatalf("chunk %d trial %d: %d records not a multiple of %d ranks", chunk, i, len(buf), cfg.RanksPerChannel)
 			}

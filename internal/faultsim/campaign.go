@@ -8,7 +8,7 @@ import (
 	"math/bits"
 	"os"
 	"runtime"
-	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,6 +23,11 @@ import (
 // it; the CLIs reach it directly through RunCampaign for cancellation,
 // checkpoint/resume and panic isolation.
 //
+// Every campaign takes one path: each chunk's trials are planned in one
+// batch (batchgen.go) and judged 64 at a time by the bit-sliced
+// LaneEvaluator (lanes.go). The scalar generator, Evaluator.EvaluateInto
+// and the reference probe stay as the oracles the tests hold that path to.
+//
 // The campaign is divided into fixed-size chunks of consecutive trials, and
 // chunk c draws from simrand substream (seed, c) — see Source.SeedStream.
 // Chunks make three guarantees compose:
@@ -35,15 +40,14 @@ import (
 //     accumulated tallies. Resuming re-runs exactly the missing chunks, so
 //     an interrupted+resumed campaign equals an uninterrupted one.
 //   - Panic isolation: trial evaluation (scheme code) never touches the
-//     trial RNG, so a panicking trial is caught, voided and recorded as a
-//     TrialError without desynchronising the chunk's stream; the RNG state
-//     captured at the head of the trial replays it in isolation.
+//     trial RNG, so a panicking trial is caught in its lane, voided and
+//     recorded as a TrialError without desynchronising the chunk's stream;
+//     the chunk-head RNG state and the trial's place in the chunk plan
+//     replay it in isolation.
 //
 // Chunk streams rather than per-trial streams are a measured tradeoff:
-// reseeding xoshiro per trial costs more than an average trial does
-// (~29ns vs ~14ns — most trials draw zero faults and are skipped
-// wholesale by the geometric fast path), which would blow the <5%
-// regression budget on the Table I campaign benchmark.
+// reseeding xoshiro per trial costs more than an average trial does, and a
+// chunk is what the batch plan draws at once.
 
 // Campaign engine defaults.
 const (
@@ -58,81 +62,17 @@ const (
 )
 
 // checkpointKind and checkpointVersion frame campaign snapshots on disk.
+// Version 2 marks the batch-planned trial stream: a version-1 snapshot
+// may hold tallies of scalar-generated trials under the same config hash,
+// so it is refused rather than blended.
 const (
 	checkpointKind    = "faultsim-campaign"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
 // ErrErrorBudgetExceeded reports a campaign aborted because more trials
 // panicked than ErrorBudget tolerates.
 var ErrErrorBudgetExceeded = errors.New("faultsim: trial-error budget exceeded")
-
-// Engine selects the trial-judging implementation a campaign runs on.
-// Every engine produces bit-identical Reports for the same (cfg, Trials,
-// Seed, ChunkSize): engines differ only in how trials are judged, never in
-// how they are generated (the RNG draw sequence is engine-invariant), so
-// the choice is excluded from the checkpoint config hash and a campaign
-// may even be checkpointed under one engine and resumed under another.
-type Engine string
-
-const (
-	// EngineIndexed is the pre-indexed scalar Evaluator (the default).
-	EngineIndexed Engine = "indexed"
-	// EngineLanes is the bit-sliced LaneEvaluator: 64 trials judged per
-	// machine word, with scalar probes only for lanes the lane masks
-	// cannot prove alive. See lanes.go.
-	EngineLanes Engine = "lanes"
-	// EngineReference judges every trial with the O(n²) reference probe —
-	// slow, kept for differential gating and debugging.
-	EngineReference Engine = "reference"
-)
-
-// ParseEngine maps a CLI/flag string to an Engine. The empty string
-// selects EngineIndexed.
-func ParseEngine(s string) (Engine, error) {
-	switch Engine(s) {
-	case "", EngineIndexed:
-		return EngineIndexed, nil
-	case EngineLanes:
-		return EngineLanes, nil
-	case EngineReference:
-		return EngineReference, nil
-	}
-	return "", fmt.Errorf("faultsim: unknown engine %q (want indexed, lanes or reference)", s)
-}
-
-// Generator selects the trial-generation implementation a campaign runs on.
-// Unlike Engine, the choice IS part of the campaign's identity: the batch
-// generator draws the same distributions but consumes uniforms in a
-// different (column-major) order, so its trial streams — while exactly
-// distributed like the scalar ones, see batchgen.go — are not bit-identical
-// to them. The generator is therefore included in the checkpoint config
-// hash, and a campaign checkpointed under one generator cannot be resumed
-// under the other. For a fixed (cfg, Trials, Seed, ChunkSize, Gen), results
-// remain bit-identical across worker counts, engines, and resume patterns.
-type Generator string
-
-const (
-	// GenScalar draws each trial's records one scalar variate at a time
-	// (the default; bit-compatible with every release since PR 2).
-	GenScalar Generator = "scalar"
-	// GenBatch plans a whole chunk of trials at once in structure-of-arrays
-	// form: one arrival-run pass, then class/onset/geometry columns filled
-	// array-at-a-time. See batchgen.go.
-	GenBatch Generator = "batch"
-)
-
-// ParseGenerator maps a CLI/flag string to a Generator. The empty string
-// selects GenScalar.
-func ParseGenerator(s string) (Generator, error) {
-	switch Generator(s) {
-	case "", GenScalar:
-		return GenScalar, nil
-	case GenBatch:
-		return GenBatch, nil
-	}
-	return "", fmt.Errorf("faultsim: unknown generator %q (want scalar or batch)", s)
-}
 
 // CampaignOptions parameterises RunCampaign.
 type CampaignOptions struct {
@@ -163,36 +103,28 @@ type CampaignOptions struct {
 	// (and once at startup when resuming): completed and total chunk
 	// counts. It is called from worker goroutines, serialised.
 	OnChunk func(doneChunks, totalChunks int)
-	// Engine selects the trial-judging implementation; the zero value is
-	// EngineIndexed. Reports are bit-identical across engines.
-	Engine Engine
-	// Gen selects the trial-generation implementation; the zero value is
-	// GenScalar. Unlike Engine, Gen is part of the campaign's identity
-	// (GenBatch consumes the substreams in a different order), so it is
-	// covered by the checkpoint config hash.
-	Gen Generator
 	// Metrics, when non-nil, publishes live campaign counters under
-	// "campaign.*" names: trial/chunk progress, per-scheme failure
-	// tallies, trial errors and checkpoint save latency. Tallies advance
-	// at chunk granularity (under the merge lock, off the trial hot
-	// path); only campaign.trials_evaluated ticks per evaluated trial,
-	// with a single nil-safe atomic add.
+	// "campaign.*" and "faultsim.gen.*" names: trial/chunk progress,
+	// per-scheme failure tallies, trial errors, checkpoint save latency,
+	// lane judging and plan shape. Workers count per chunk in plain memory
+	// and publish at merge, so nothing touches a shared metric per trial.
 	Metrics *obs.Registry
 }
 
-// TrialError records one panicking trial: where it was, the serialized RNG
-// state that regenerates it, the fault stream it drew, and what the panic
-// said. The campaign voids the trial (no scheme tallies it) and continues.
+// TrialError records one panicking trial: where it was, what regenerates
+// it, the fault stream it drew, and what the panic said. The campaign
+// voids the trial (no scheme tallies it) and continues.
 type TrialError struct {
 	// Trial is the global trial index; Chunk the chunk it belongs to.
 	Trial int `json:"trial"`
 	Chunk int `json:"chunk"`
-	// RNGState is the simrand state at the head of the generate call that
-	// produced this trial — the trial's replay seed (see Replay). Under
-	// GenBatch a trial's draws are interleaved with the rest of its chunk,
-	// so this is the chunk-head substream state instead and Replay cannot
-	// regenerate the stream; Faults carries the authoritative records.
-	RNGState simrand.State `json:"rng_state"`
+	// RNGState is the chunk's substream state before its plan was drawn,
+	// ChunkTrials the chunk's trial count, and PlanIndex the trial's index
+	// among the chunk's planned (non-empty) trials, or -1 for a trial that
+	// drew no faults: what Replay needs to re-plan the chunk.
+	RNGState    simrand.State `json:"rng_state"`
+	ChunkTrials int           `json:"chunk_trials"`
+	PlanIndex   int           `json:"plan_index"`
 	// Faults is the trial's generated fault stream.
 	Faults []FaultRecord `json:"faults"`
 	// PanicValue and Stack describe the panic.
@@ -206,14 +138,13 @@ func (e *TrialError) Error() string {
 }
 
 // Replay regenerates the errored trial in isolation: it restores the
-// recorded RNG state, draws the trial's fault stream with the same
-// scheme-filtered generator the campaign used, and re-evaluates it with
-// the panic contained. cfg and schemes must match the original campaign's
+// chunk-head RNG state, re-plans the chunk with the same scheme-filtered
+// generator the campaign used, emits its planned trials up to this one,
+// and re-evaluates the trial with Evaluator.EvaluateInto, the panic
+// contained. cfg and schemes must match the original campaign's
 // (generation is filtered by what the schemes can react to). It returns
 // the regenerated faults, the per-scheme outcomes (nil if the panic
-// recurred) and the recovered panic value (nil if it did not). Replay
-// regenerates with the scalar generator; for a GenBatch campaign's errors
-// use the recorded Faults directly (see RNGState).
+// recurred) and the recovered panic value (nil if it did not).
 func (e *TrialError) Replay(cfg Config, schemes []Scheme) (faults []FaultRecord, outs []TrialOutcome, panicked any, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -221,16 +152,26 @@ func (e *TrialError) Replay(cfg Config, schemes []Scheme) (faults []FaultRecord,
 	if len(schemes) == 0 {
 		return nil, nil, nil, fmt.Errorf("faultsim: no schemes to evaluate")
 	}
+	if e.ChunkTrials <= 0 {
+		return nil, nil, nil, fmt.Errorf("faultsim: trial %d records no chunk plan", e.Trial)
+	}
 	rng, err := simrand.Restore(e.RNGState)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	ev := NewEvaluator(&cfg, schemes)
-	gen := newRunGenerator(&cfg, ev)
-	if ev.EmptyTrialsSurvive() {
-		_, faults = gen.nextNonEmpty(rng, nil)
-	} else {
-		faults = gen.Trial(rng, nil)
+	if e.PlanIndex >= 0 {
+		gen := newRunGenerator(&cfg, ev.evalTables)
+		arr := newArrivalSamplers(gen.genTables)
+		var p batchPlan
+		p.build(gen.genTables, &arr, rng, e.ChunkTrials)
+		if e.PlanIndex >= p.emitted() {
+			return nil, nil, nil, fmt.Errorf("faultsim: trial %d has plan index %d, but its chunk plans %d trials",
+				e.Trial, e.PlanIndex, p.emitted())
+		}
+		for i := 0; i <= e.PlanIndex; i++ {
+			faults = p.emitTrial(gen, rng, i, faults[:0])
+		}
 	}
 	func() {
 		defer func() { panicked = recover() }()
@@ -281,15 +222,13 @@ type campaignSnapshot struct {
 }
 
 // campaignHashInput is what the checkpoint config hash covers: everything
-// that shapes the trial streams and the meaning of the accumulators. Gen is
-// omitted when scalar so every pre-batch checkpoint hash stays valid.
+// that shapes the trial streams and the meaning of the accumulators.
 type campaignHashInput struct {
 	Config    Config   `json:"config"`
 	Schemes   []string `json:"schemes"`
 	Trials    int      `json:"trials"`
 	Seed      uint64   `json:"seed"`
 	ChunkSize int      `json:"chunk_size"`
-	Gen       string   `json:"gen,omitempty"`
 }
 
 // engine is the shared state of one RunCampaign invocation.
@@ -334,6 +273,15 @@ type campaignMetrics struct {
 	failures []*obs.Counter
 	dues     []*obs.Counter
 	sdcs     []*obs.Counter
+
+	// Judging and plan-shape telemetry, counted by each worker over a chunk
+	// and published at merge.
+	trialsEvaluated *obs.Counter // lanes judged
+	laneBatches     *obs.Counter
+	laneProbes      *obs.Counter
+	batchRefills    *obs.Counter   // chunk plans built
+	recsPerTrial    *obs.Histogram // records per planned trial
+	skipRun         *obs.Histogram // empty-trial run length before each arrival
 }
 
 func newCampaignMetrics(r *obs.Registry, schemes []Scheme) campaignMetrics {
@@ -346,6 +294,12 @@ func newCampaignMetrics(r *obs.Registry, schemes []Scheme) campaignMetrics {
 		errorBudget:     r.Gauge("campaign.error_budget"),
 		ckptSaves:       r.Counter("campaign.checkpoint.saves"),
 		ckptSaveMS:      r.Histogram("campaign.checkpoint.save_ms", []float64{1, 2, 5, 10, 25, 50, 100, 250, 1000}),
+		trialsEvaluated: r.Counter("campaign.trials_evaluated"),
+		laneBatches:     r.Counter("campaign.lane_batches"),
+		laneProbes:      r.Counter("campaign.lane_probes"),
+		batchRefills:    r.Counter("faultsim.gen.batch_refills"),
+		recsPerTrial:    r.Histogram("faultsim.gen.records_per_trial", []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}),
+		skipRun:         r.Histogram("faultsim.gen.skip_run", []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048}),
 	}
 	for _, s := range schemes {
 		prefix := "campaign.scheme." + s.Name()
@@ -357,9 +311,9 @@ func newCampaignMetrics(r *obs.Registry, schemes []Scheme) campaignMetrics {
 }
 
 // newEngine validates (cfg, schemes, opts), normalizes the options
-// (default chunk size, checkpoint interval, error budget, engine) and
-// builds the campaign accumulator state shared by RunCampaign, ChunkRunner
-// and Merger. needHash forces the config-hash computation even when no
+// (default chunk size, checkpoint interval, error budget) and builds the
+// campaign accumulator state shared by RunCampaign, ChunkRunner and
+// Merger. needHash forces the config-hash computation even when no
 // CheckpointPath is set (distributed merging always needs it).
 func newEngine(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bool) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
@@ -383,13 +337,6 @@ func newEngine(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bool
 	case opts.ErrorBudget < 0:
 		opts.ErrorBudget = 0
 	}
-	var err error
-	if opts.Engine, err = ParseEngine(string(opts.Engine)); err != nil {
-		return nil, err
-	}
-	if opts.Gen, err = ParseGenerator(string(opts.Gen)); err != nil {
-		return nil, err
-	}
 
 	e := &engine{
 		cfg:     cfg,
@@ -403,13 +350,9 @@ func newEngine(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bool
 		for i, s := range schemes {
 			names[i] = s.Name()
 		}
-		gen := string(opts.Gen)
-		if opts.Gen == GenScalar {
-			gen = "" // omitempty: pre-batch checkpoint hashes stay valid
-		}
+		var err error
 		e.hash, err = checkpoint.Hash(campaignHashInput{
 			Config: cfg, Schemes: names, Trials: opts.Trials, Seed: opts.Seed, ChunkSize: opts.ChunkSize,
-			Gen: gen,
 		})
 		if err != nil {
 			return nil, err
@@ -479,12 +422,13 @@ func RunCampaign(ctx context.Context, cfg Config, schemes []Scheme, opts Campaig
 	if workers > e.nChunks {
 		workers = e.nChunks
 	}
+	tables := newCampaignTables(&e.cfg, e.schemes)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.worker(wctx)
+			e.worker(wctx, tables)
 		}()
 	}
 	wg.Wait()
@@ -508,17 +452,11 @@ func RunCampaign(ctx context.Context, cfg Config, schemes []Scheme, opts Campaig
 }
 
 // worker pulls chunk indices until the queue drains or ctx cancels.
-func (e *engine) worker(ctx context.Context) {
-	w := newCampaignWorker(&e.cfg, e.schemes, e.opts.Seed, e.years, e.opts.Engine, e.opts.Gen)
-	// Per-trial evaluation counter: a single nil-safe atomic add on the
-	// non-empty-trial path (nil registry → nil counter → no-op).
-	w.ev.SetTrialCounter(e.opts.Metrics.Counter("campaign.trials_evaluated"))
-	if w.lv != nil {
-		w.lv.SetCounters(e.opts.Metrics.Counter("campaign.lane_batches"),
-			e.opts.Metrics.Counter("campaign.lane_probes"))
-	}
-	if w.bg != nil {
-		w.bg.setMetrics(e.opts.Metrics)
+func (e *engine) worker(ctx context.Context, t *campaignTables) {
+	w := newCampaignWorker(t, e.opts.Seed, e.years)
+	if e.opts.Metrics != nil {
+		w.shape = true
+		w.recsPerTrial, w.skipRun = e.met.recsPerTrial.Batch(), e.met.skipRun.Batch()
 	}
 	for {
 		if ctx.Err() != nil {
@@ -607,6 +545,13 @@ func (e *engine) merge(c int, w *campaignWorker) bool {
 		e.met.dues[s].Add(w.dues[s])
 		e.met.sdcs[s].Add(w.sdcs[s])
 	}
+	e.met.trialsEvaluated.Add(w.stats.lanes)
+	e.met.laneBatches.Add(w.stats.batches)
+	e.met.laneProbes.Add(w.stats.probes)
+	w.stats = laneStats{}
+	e.met.batchRefills.Inc()
+	w.recsPerTrial.Flush()
+	w.skipRun.Flush()
 
 	if e.opts.OnChunk != nil {
 		e.onChunkSerialised(done, total)
@@ -691,9 +636,7 @@ func (e *engine) restoreSnapshot(snap *campaignSnapshot, from string) error {
 	copy(e.doneBits, snap.DoneChunks)
 	e.doneChunks = 0
 	for _, word := range e.doneBits {
-		for ; word != 0; word &= word - 1 {
-			e.doneChunks++
-		}
+		e.doneChunks += bits.OnesCount64(word)
 	}
 	e.doneTrials = snap.DoneTrials
 	for s := range e.accum {
@@ -729,183 +672,240 @@ func (e *engine) reportLocked() *Report {
 	return rep
 }
 
-// campaignWorker holds one goroutine's reusable trial state plus the
-// current chunk's tallies. Nothing here allocates per trial.
-type campaignWorker struct {
-	cfg     *Config
-	seed    uint64
-	years   int
-	engine  Engine
-	genMode Generator
-	ev      *Evaluator
-	lv      *LaneEvaluator // non-nil iff engine == EngineLanes
-	batch   LaneBatch
-	gen     *generator
-	bg      *batchGenerator // non-nil iff genMode == GenBatch
-	rng     *simrand.Source
-	fast    bool
-	buf     []FaultRecord
-	outs    []TrialOutcome
-
-	chunk    int
-	failures [][]uint64 // [scheme][year] first-failure buckets, this chunk; merge folds them cumulatively
-	total    []uint64
-	dues     []uint64
-	sdcs     []uint64
-	errs     []TrialError
-
-	// Panic-recovery bookkeeping, written just before each evaluation so a
-	// single span-level recover (rather than a per-trial defer) can attribute
-	// the panic to the right trial. See runSpan. bi is the batch-plan resume
-	// cursor (emitted-trial index), used only by runBatchSpan.
-	t      int
-	bi     int
-	st     simrand.State
-	inEval bool
+// campaignTables is what a campaign's workers share: everything derived
+// from the config and schemes alone — scheme classification, lane weight
+// codes, the class table and samplers — built once per campaign and never
+// written after, so a worker costs only its own scratch.
+type campaignTables struct {
+	eval *evalTables
+	lane *laneTables
+	gen  *genTables
+	arr  arrivalSamplers
 }
 
-func newCampaignWorker(cfg *Config, schemes []Scheme, seed uint64, years int, engine Engine, genMode Generator) *campaignWorker {
+func newCampaignTables(cfg *Config, schemes []Scheme) *campaignTables {
+	eval := newEvalTables(cfg, schemes)
+	gen := newRunGenerator(cfg, eval).genTables
+	return &campaignTables{eval: eval, lane: newLaneTables(eval), gen: gen, arr: newArrivalSamplers(gen)}
+}
+
+// chunkBuffers is a worker's per-chunk scratch: the chunk's plan, the
+// lane batch its trials are packed into, and the evaluators' scratch.
+// Workers borrow one from chunkPool for each chunk, so none is held between
+// chunks or spans — a ChunkRunner keeps nothing that needs closing — and a
+// steady stream of campaigns reuses the same few.
+type chunkBuffers struct {
+	plan  batchPlan
+	batch LaneBatch
+	ev    Evaluator
+	lv    LaneEvaluator
+}
+
+var chunkPool = sync.Pool{New: func() any { return new(chunkBuffers) }}
+
+// bind readies the buffers' evaluators for tables t and returns the lane
+// evaluator; it rebinds them, reusing their memory, only when the buffers
+// last served another campaign.
+func (b *chunkBuffers) bind(t *campaignTables) *LaneEvaluator {
+	if b.lv.laneTables != t.lane {
+		b.ev.bind(t.eval)
+		b.lv.bind(&b.ev, t.lane)
+	}
+	return &b.lv
+}
+
+// campaignWorker is one goroutine's campaign state: the chunk substream
+// and the current chunk's tallies. Its scratch comes from chunkPool for
+// one chunk at a time. Nothing here allocates per trial.
+type campaignWorker struct {
+	t     *campaignTables
+	seed  uint64
+	years int
+	gen   generator
+	rng   simrand.Source
+	buf   *chunkBuffers  // borrowed for the current chunk; nil between chunks
+	lv    *LaneEvaluator // buf's, bound to t
+	stats laneStats      // judging work since the last merge
+
+	// The current chunk: its index, trial range [lo, hi) and head-of-
+	// substream RNG state (every TrialError's replay anchor), and tallies.
+	chunk, lo, hi int
+	head          simrand.State
+	failures      [][]uint64 // [scheme][year] first-failure buckets, this chunk; merge folds them cumulatively
+	total         []uint64
+	dues          []uint64
+	sdcs          []uint64
+	errs          []TrialError
+
+	// Plan-shape telemetry, counted only when metrics are attached.
+	shape                 bool
+	recsPerTrial, skipRun obs.HistogramBatch
+}
+
+func newCampaignWorker(t *campaignTables, seed uint64, years int) *campaignWorker {
+	n := len(t.eval.evals)
 	w := &campaignWorker{
-		cfg:     cfg,
-		seed:    seed,
-		years:   years,
-		engine:  engine,
-		genMode: genMode,
-		rng:     simrand.New(0),
+		t:        t,
+		seed:     seed,
+		years:    years,
+		gen:      generator{genTables: t.gen},
+		failures: make([][]uint64, n),
 	}
-	// Every engine judges through (or falls back to) the same Evaluator,
-	// and generation is always filtered by its classLive so the trial
-	// streams are engine-invariant.
-	w.ev = NewEvaluator(cfg, schemes)
-	if engine == EngineLanes {
-		w.lv = NewLaneEvaluator(w.ev)
-	}
-	w.gen = newRunGenerator(cfg, w.ev)
-	if genMode == GenBatch {
-		w.bg = newBatchGenerator(w.gen)
-	}
-	w.fast = w.ev.EmptyTrialsSurvive()
-	w.failures = make([][]uint64, len(schemes))
+	buckets := make([]uint64, n*years)
 	for s := range w.failures {
-		w.failures[s] = make([]uint64, years)
+		w.failures[s] = buckets[s*years : (s+1)*years : (s+1)*years]
 	}
-	w.total = make([]uint64, len(schemes))
-	w.dues = make([]uint64, len(schemes))
-	w.sdcs = make([]uint64, len(schemes))
+	tallies := make([]uint64, 3*n)
+	w.total, w.dues, w.sdcs = tallies[:n:n], tallies[n:2*n:2*n], tallies[2*n:]
 	return w
 }
-
-// runChunk evaluates trials [lo, hi) of chunk c into the worker's tallies.
-// It returns false if ctx cancelled mid-chunk (tallies must be discarded).
-func (w *campaignWorker) runChunk(ctx context.Context, c, lo, hi int) bool {
-	w.chunk = c
-	// TrialError holds heap references (Faults slice, panic strings);
-	// truncating without clearing would keep every past chunk's worst-case
-	// error payloads reachable through the backing array.
-	clear(w.errs)
-	w.errs = w.errs[:0]
-	for s := range w.total {
-		w.total[s], w.dues[s], w.sdcs[s] = 0, 0, 0
-		clear(w.failures[s])
-	}
-	// Substream (seed, c): the chunk's randomness is independent of which
-	// worker runs it and of every other chunk.
-	w.rng.SeedStream(w.seed, uint64(c))
-	w.gen.resetEvents()
-
-	if w.genMode == GenBatch {
-		return w.runBatchChunk(ctx, lo, hi)
-	}
-	if w.engine == EngineLanes {
-		return w.runLaneChunk(ctx, lo, hi)
-	}
-	for t := lo; ; {
-		switch w.runSpan(ctx, t, lo, hi) {
-		case spanDone:
-			return true
-		case spanCancelled:
-			return false
-		case spanPanicked:
-			// Trial w.t was voided and recorded; the RNG sits just past its
-			// generation draws (evaluation never draws), so the remainder of
-			// the chunk replays identically to a panic-free run.
-			t = w.t + 1
-		}
-	}
-}
-
-const (
-	spanDone = iota
-	spanCancelled
-	spanPanicked
-)
 
 // cancelCheckMask paces the intra-chunk ctx poll. Cancellation is normally
 // drained at chunk boundaries; the intra-chunk check only matters for
 // outsized custom ChunkSizes.
 const cancelCheckMask = 1<<16 - 1
 
-// runLaneChunk is runChunk's trial loop for the lane engine: trials are
-// generated with the same draws and in the same order as the scalar spans,
-// but their records are packed straight into the worker's LaneBatch (no
-// per-trial copy) and judged 64 at a time at batch flushes. A lane batch
-// is a sub-unit of a chunk — the final partial batch flushes at the chunk
-// boundary — so chunk tallies, and therefore Reports, are bit-identical to
-// the indexed engine's. Panics inside scheme code are contained per lane
-// by the LaneEvaluator; a panic escaping to this frame is a generation
-// failure and propagates (recovery there could not keep the RNG stream
-// deterministic).
-func (w *campaignWorker) runLaneChunk(ctx context.Context, lo, hi int) bool {
-	rng, gen, b := w.rng, w.gen, &w.batch
-	b.Reset()
-	if w.fast {
-		for t := lo; t < hi; {
-			if (t-lo)&cancelCheckMask == 0 && ctx.Err() != nil {
-				return false
-			}
-			st := rng.State()
-			mark := len(b.recs)
-			skipped, recs := gen.nextNonEmptyAppend(rng, b.recs)
-			b.recs = recs
-			if skipped >= hi-t {
-				// The rest of the chunk drew empty trials; the non-empty
-				// trial just generated belongs past the chunk boundary.
-				b.recs = b.recs[:mark]
-				break
-			}
-			t += skipped
-			if len(b.recs) > mark { // aging thinning can still empty a trial
-				b.commit(t, st)
-				if b.Lanes() == LaneWidth {
-					w.flushBatch()
-				}
-			}
-			t++
-		}
+// runChunk evaluates trials [lo, hi) of chunk c into the worker's tallies:
+// it plans the whole chunk, packs the planned trials into lane batches and
+// judges each batch as it fills. It returns false if ctx cancelled
+// mid-chunk (tallies must be discarded). A panic inside scheme code is
+// contained per lane by the LaneEvaluator; a panic escaping to this frame
+// is a generation failure and propagates (recovery there could not keep
+// the RNG stream deterministic).
+func (w *campaignWorker) runChunk(ctx context.Context, c, lo, hi int) bool {
+	w.chunk, w.lo, w.hi = c, lo, hi
+	// TrialError holds heap references (Faults slice, panic strings);
+	// truncating without clearing would keep every past chunk's worst-case
+	// error payloads reachable through the backing array.
+	clear(w.errs)
+	w.errs = w.errs[:0]
+	clear(w.total)
+	clear(w.dues)
+	clear(w.sdcs)
+	for s := range w.failures {
+		clear(w.failures[s])
+	}
+	if ctx.Err() != nil {
+		return false
+	}
+	// Substream (seed, c): the chunk's randomness is independent of which
+	// worker runs it and of every other chunk.
+	w.rng.SeedStream(w.seed, uint64(c))
+	w.gen.resetEvents()
+	w.head = w.rng.State()
+	w.buf = chunkPool.Get().(*chunkBuffers)
+	w.lv = w.buf.bind(w.t)
+	defer func() {
+		w.stats.add(w.lv.stats)
+		w.lv.stats = laneStats{}
+		chunkPool.Put(w.buf)
+		w.buf, w.lv = nil, nil
+	}()
+	w.buf.plan.build(w.gen.genTables, &w.t.arr, &w.rng, hi-lo)
+	if w.shape {
+		w.observePlan(&w.buf.plan)
+	}
+	w.buf.batch.Reset()
+	var packed bool
+	if w.t.eval.emptySurvive {
+		packed = w.packPlanned(ctx)
 	} else {
-		for t := lo; t < hi; t++ {
-			if (t-lo)&cancelCheckMask == 0 && ctx.Err() != nil {
-				return false
-			}
-			st := rng.State()
-			b.recs = gen.trialAppend(rng, b.recs)
-			b.commit(t, st)
-			if b.Lanes() == LaneWidth {
-				w.flushBatch()
-			}
-		}
+		packed = w.packAll(ctx)
+	}
+	if !packed {
+		return false
 	}
 	w.flushBatch()
 	return true
 }
 
+// packPlanned packs the chunk's planned trials into lane batches: the path
+// for scheme sets under which empty trials survive. Trials outside the
+// plan drew no faults, so they tally nothing and get no lane.
+func (w *campaignWorker) packPlanned(ctx context.Context) bool {
+	p, b, lv, g, rng := &w.buf.plan, &w.buf.batch, w.lv, &w.gen, &w.rng
+	// emitTrial and commitDigested are open-coded: the loop visits every
+	// planned trial in order, so recEnd[i-1] is just where the previous
+	// iteration stopped, and keeping the recs/lrs slice headers and the
+	// lane count in locals spares a load+store per record. The locals sync
+	// back to the batch at every flush boundary (flushBatch resets the
+	// batch) and on early return.
+	classes, lifetime := g.classes, g.cfg.LifetimeHours
+	rLo := int32(0)
+	recs, lrs, lanes := b.recs, b.lrs, b.lanes
+	for i := 0; i < p.emitted(); i++ {
+		if i&255 == 0 && ctx.Err() != nil {
+			b.recs, b.lrs, b.lanes = recs, lrs, lanes
+			return false
+		}
+		n0 := len(recs)
+		for r := rLo; r < p.recEnd[i]; r++ {
+			recs = g.emitPlaced(rng, recs, classes[p.class[r]],
+				p.u01[r]*lifetime, int(p.ch[r]), int(p.rk[r]), int(p.chip[r]))
+		}
+		rLo = p.recEnd[i]
+		// Pre-judged survivors: most planned trials hold one record, and
+		// when its signature is overweight for no scheme the lane would
+		// sail through EvaluateBatch without setting a fail bit. Dropping
+		// it here skips the mask pass and the flush for over half the
+		// stream at stock rates; outcomes are untouched because a
+		// surviving lane tallies nothing. The record is digested into a
+		// local first — cache-hot, and survivors never touch lrs at all.
+		if len(recs) == n0+1 {
+			r := &recs[n0]
+			sig := recSig(r)
+			if lv.singleSurvives(sig) {
+				recs = recs[:n0]
+				continue
+			}
+			lrs = append(lrs, digestRecordSig(r, sig))
+		} else {
+			for ri := n0; ri < len(recs); ri++ {
+				lrs = append(lrs, digestRecord(&recs[ri]))
+			}
+		}
+		b.trial[lanes] = w.lo + int(p.trialPos[i])
+		b.state[lanes] = w.head
+		lanes++
+		b.offs[lanes] = int32(len(recs))
+		if lanes == LaneWidth {
+			b.recs, b.lrs, b.lanes = recs, lrs, lanes
+			w.flushBatch()
+			recs, lrs, lanes = b.recs, b.lrs, b.lanes
+		}
+	}
+	b.recs, b.lrs, b.lanes = recs, lrs, lanes
+	return true
+}
+
+// packAll gives every trial of the chunk a lane — the path for scheme sets
+// under which an empty trial can fail — emitting planned trials' records
+// as their turn comes.
+func (w *campaignWorker) packAll(ctx context.Context) bool {
+	p, b := &w.buf.plan, &w.buf.batch
+	next := 0
+	for t := w.lo; t < w.hi; t++ {
+		if (t-w.lo)&cancelCheckMask == 0 && ctx.Err() != nil {
+			return false
+		}
+		if next < p.emitted() && w.lo+int(p.trialPos[next]) == t {
+			b.recs = p.emitTrial(&w.gen, &w.rng, next, b.recs)
+			next++
+		}
+		b.commit(t, w.head)
+		if b.Lanes() == LaneWidth {
+			w.flushBatch()
+		}
+	}
+	return true
+}
+
 // flushBatch judges the pending lane batch and folds its failure masks
-// into the chunk accumulators — the lane engine's analogue of tally(),
-// popping mask bits instead of scanning per-trial outcomes. Voided
-// (panicked) lanes are excluded from every scheme's tallies and recorded
-// as TrialErrors, exactly like a voided scalar trial.
+// into the chunk tallies, popping mask bits instead of scanning per-trial
+// outcomes. Voided (panicked) lanes are excluded from every scheme's
+// tallies and recorded as TrialErrors.
 func (w *campaignWorker) flushBatch() {
-	b := &w.batch
+	b := &w.buf.batch
 	if b.Lanes() == 0 {
 		return
 	}
@@ -928,122 +928,35 @@ func (w *campaignWorker) flushBatch() {
 	}
 	for m := b.voided; m != 0; m &= m - 1 {
 		L := bits.TrailingZeros64(m)
+		planIdx, planned := slices.BinarySearch(w.buf.plan.trialPos, int32(b.trial[L]-w.lo))
+		if !planned {
+			planIdx = -1
+		}
 		w.errs = append(w.errs, TrialError{
-			Trial:      b.trial[L],
-			Chunk:      w.chunk,
-			RNGState:   b.state[L],
-			Faults:     append([]FaultRecord(nil), b.LaneFaults(L)...),
-			PanicValue: b.panicVal[L],
-			Stack:      b.stack[L],
+			Trial:       b.trial[L],
+			Chunk:       w.chunk,
+			RNGState:    b.state[L],
+			ChunkTrials: w.hi - w.lo,
+			PlanIndex:   planIdx,
+			Faults:      append([]FaultRecord(nil), b.LaneFaults(L)...),
+			PanicValue:  b.panicVal[L],
+			Stack:       b.stack[L],
 		})
+		// The batch returns to a shared pool; drop the panic payload.
+		b.panicVal[L], b.stack[L] = "", ""
 	}
 	b.Reset()
 }
 
-// runSpan evaluates trials [t0, hi) of the current chunk, stopping early on
-// cancellation or on the first panicking trial. Panic recovery is hoisted to
-// span scope — a single defer per span instead of one per trial — because the
-// per-trial defer alone costs more than an average trial. A panic voids the
-// trial: it is recorded as a TrialError (with the pre-trial RNG state as its
-// replay seed) and excluded from every scheme's tally, and runChunk resumes
-// the span after it. Panics outside evaluation (generation is RNG-stateful,
-// so recovery there could not keep the stream deterministic) are re-raised.
-func (w *campaignWorker) runSpan(ctx context.Context, t0, lo, hi int) (status int) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if !w.inEval {
-			panic(r)
-		}
-		w.inEval = false
-		w.errs = append(w.errs, TrialError{
-			Trial:      w.t,
-			Chunk:      w.chunk,
-			RNGState:   w.st,
-			Faults:     append([]FaultRecord(nil), w.buf...),
-			PanicValue: fmt.Sprint(r),
-			Stack:      string(debug.Stack()),
-		})
-		status = spanPanicked
-	}()
-
-	// Hot-loop state lives in locals; the struct fields are written only at
-	// the pre-evaluation stash point (for the recover above) and on exit.
-	rng, gen, ev := w.rng, w.gen, w.ev
-	buf, outs := w.buf, w.outs
-	defer func() { w.buf, w.outs = buf, outs }()
-	// The reference engine re-judges every trial with the O(n²) probe; a
-	// single predicted branch per trial keeps the indexed hot path shared.
-	ref := w.engine == EngineReference
-
-	if w.fast {
-		// Fast path (see Run): empty trials survive every scheme, so the
-		// generator skips their geometric runs wholesale.
-		for t := t0; t < hi; {
-			if (t-lo)&cancelCheckMask == 0 && ctx.Err() != nil {
-				return spanCancelled
-			}
-			st := rng.State()
-			skipped, rec := gen.nextNonEmpty(rng, buf)
-			buf = rec
-			if skipped >= hi-t {
-				return spanDone // rest of the chunk drew empty trials
-			}
-			t += skipped
-			if len(buf) > 0 { // aging thinning can still empty a trial
-				w.t, w.st, w.buf, w.inEval = t, st, buf, true
-				if ref {
-					outs = ev.referenceInto(buf, outs)
-				} else {
-					outs = ev.EvaluateInto(buf, outs)
-				}
-				w.inEval = false
-				w.outs = outs
-				w.tally()
-			}
-			t++
-		}
-		return spanDone
+// observePlan counts the chunk plan's shape: the empty-trial run before
+// each arrival and the records of each planned trial.
+func (w *campaignWorker) observePlan(p *batchPlan) {
+	for _, r := range p.runs {
+		w.skipRun.Observe(float64(r.Skip))
 	}
-	for t := t0; t < hi; t++ {
-		if (t-lo)&cancelCheckMask == 0 && ctx.Err() != nil {
-			return spanCancelled
-		}
-		st := rng.State()
-		buf = gen.Trial(rng, buf)
-		w.t, w.st, w.buf, w.inEval = t, st, buf, true
-		if ref {
-			outs = ev.referenceInto(buf, outs)
-		} else {
-			outs = ev.EvaluateInto(buf, outs)
-		}
-		w.inEval = false
-		w.outs = outs
-		w.tally()
-	}
-	return spanDone
-}
-
-// tally folds the current trial's outcomes into the chunk accumulators.
-func (w *campaignWorker) tally() {
-	for s := range w.outs {
-		ft := w.outs[s].FailTime
-		if math.IsInf(ft, 1) {
-			continue
-		}
-		w.total[s]++
-		switch w.outs[s].Kind {
-		case FailDUE:
-			w.dues[s]++
-		case FailSDC:
-			w.sdcs[s]++
-		}
-		yr := int(ft * invHoursPerYear)
-		if yr >= w.years {
-			yr = w.years - 1
-		}
-		w.failures[s][yr]++
+	prev := int32(0)
+	for _, end := range p.recEnd {
+		w.recsPerTrial.Observe(float64(end - prev))
+		prev = end
 	}
 }

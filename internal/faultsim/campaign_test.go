@@ -2,16 +2,20 @@ package faultsim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"xedsim/internal/checkpoint"
 	"xedsim/internal/obs"
+	"xedsim/internal/simrand"
 )
 
 // campaignTestOpts is the shared shape: small enough to run in
@@ -384,5 +388,150 @@ func TestConfigValidateRejectsBadRatesAndAging(t *testing.T) {
 	cfg.Aging = AgingProfile{InfantFactor: 1, WearoutFactor: 1, WearoutOnset: 1.5}
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("out-of-range wearout onset accepted")
+	}
+}
+
+// panicOnStart is an opaque scheme that panics on any trial holding a
+// record that starts at exactly start: one chosen trial of a campaign.
+type panicOnStart struct{ start float64 }
+
+func (p *panicOnStart) Name() string { return "panic-on-start" }
+
+func (p *panicOnStart) FailTime(cfg *Config, faults []FaultRecord) float64 {
+	for i := range faults {
+		if faults[i].Start == p.start {
+			panic("panic-on-start: chosen trial")
+		}
+	}
+	return math.Inf(1)
+}
+
+// TestTrialErrorReplayChosenTrial: a scheme panicking on one chosen trial —
+// the last planned trial of a chunk, so its regeneration depends on every
+// draw the chunk's earlier trials made — voids exactly that trial, and
+// Replay re-plans the chunk to regenerate the recorded faults and the
+// panic.
+func TestTrialErrorReplayChosenTrial(t *testing.T) {
+	cfg := DefaultConfig()
+	chosen := &panicOnStart{}
+	schemes := []Scheme{NewXED(), chosen}
+	opts := campaignTestOpts()
+	const chunk = 3
+
+	// Plan chunk 3 the way the campaign will, and pick its last trial.
+	ev := NewEvaluator(&cfg, schemes)
+	gen := newRunGenerator(&cfg, ev.evalTables)
+	arr := newArrivalSamplers(gen.genTables)
+	var p batchPlan
+	rng := simrand.NewStream(opts.Seed, chunk)
+	p.build(gen.genTables, &arr, rng, opts.ChunkSize)
+	last := p.emitted() - 1
+	if last < 1 {
+		t.Fatalf("chunk %d planned %d trials; need two or more", chunk, p.emitted())
+	}
+	var faults []FaultRecord
+	for i := 0; i <= last; i++ {
+		faults = p.emitTrial(gen, rng, i, faults[:0])
+	}
+	chosen.start = faults[0].Start
+
+	rep := mustCampaign(t, context.Background(), cfg, schemes, opts)
+	if len(rep.TrialErrors) != 1 {
+		t.Fatalf("%d voided trials, want exactly the chosen one", len(rep.TrialErrors))
+	}
+	te := rep.TrialErrors[0]
+	if want := chunk*opts.ChunkSize + int(p.trialPos[last]); te.Trial != want || te.Chunk != chunk ||
+		te.PlanIndex != last || te.ChunkTrials != opts.ChunkSize {
+		t.Fatalf("voided trial %d (chunk %d, plan index %d of a %d-trial chunk), want trial %d (chunk %d, plan index %d of %d)",
+			te.Trial, te.Chunk, te.PlanIndex, te.ChunkTrials, want, chunk, last, opts.ChunkSize)
+	}
+	got, outs, panicked, err := te.Replay(cfg, schemes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, te.Faults) || !reflect.DeepEqual(got, faults) {
+		t.Fatalf("replay regenerated\n%+v\nrecorded\n%+v", got, te.Faults)
+	}
+	if panicked == nil || outs != nil {
+		t.Fatalf("replay: panic %v, outcomes %v; want the panic to recur", panicked, outs)
+	}
+
+	// A trial that drew no faults replays as an empty stream.
+	empty := te
+	empty.PlanIndex = -1
+	if got, outs, panicked, err := empty.Replay(cfg, schemes); err != nil || got != nil || panicked != nil || len(outs) != len(schemes) {
+		t.Fatalf("empty-trial replay = %v, %v, %v, %v", got, outs, panicked, err)
+	}
+	// Records that cannot name a planned trial are refused.
+	for _, bad := range []TrialError{{ChunkTrials: 0, RNGState: te.RNGState}, {ChunkTrials: opts.ChunkSize, PlanIndex: last + 1, RNGState: te.RNGState}} {
+		if _, _, _, err := bad.Replay(cfg, schemes); err == nil {
+			t.Fatalf("replay of %+v accepted", bad)
+		}
+	}
+}
+
+// TestRunCampaignSteadyStateAllocs pins the campaign's allocation budget:
+// once the chunk buffers are pooled, a Table I campaign on two workers
+// allocates only its config-derived tables, accumulators and Report —
+// under the 40 KB the scalar path allocated.
+func TestRunCampaignSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	cfg, schemes := DefaultConfig(), AllSchemes()
+	opts := CampaignOptions{Trials: 1 << 20, Seed: 1, Workers: 2}
+	mustCampaign(t, context.Background(), cfg, schemes, opts)
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		opts.Seed++
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		mustCampaign(t, context.Background(), cfg, schemes, opts)
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if least > 40_000 {
+		t.Fatalf("a warm Table I campaign allocated %d bytes, want at most 40000", least)
+	}
+}
+
+// TestCampaignRefusesVersionOneCheckpoint: version-1 snapshots hold
+// scalar-generated tallies under the same config hash, so neither a
+// resuming campaign nor a merger may load one.
+func TestCampaignRefusesVersionOneCheckpoint(t *testing.T) {
+	cfg := DefaultConfig()
+	path := filepath.Join(t.TempDir(), "campaign.ckpt")
+	opts := campaignTestOpts()
+	opts.CheckpointPath = path
+	mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env checkpoint.Envelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Version != checkpointVersion || checkpointVersion < 2 {
+		t.Fatalf("campaign saved a v%d checkpoint; version %d is current", env.Version, checkpointVersion)
+	}
+	old, err := checkpoint.Marshal(env.Kind, 1, env.ConfigHash, env.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts.Resume = true
+	if _, err := RunCampaign(context.Background(), cfg, AllSchemes(), opts); !errors.Is(err, checkpoint.ErrVersionMismatch) {
+		t.Fatalf("resume from a v1 checkpoint: %v, want ErrVersionMismatch", err)
+	}
+	m, err := NewMerger(cfg, AllSchemes(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Load(path); !errors.Is(err, checkpoint.ErrVersionMismatch) {
+		t.Fatalf("merger load of a v1 checkpoint: %v, want ErrVersionMismatch", err)
 	}
 }

@@ -13,7 +13,7 @@ const HoursPerYear = 8766.0
 // invHoursPerYear turns the per-failure year bucketing into a multiply.
 // Every tally site must use the same expression: multiply and divide can
 // round a boundary-straddling FailTime into different years, and the
-// cross-engine/cross-generator bit-identity guarantees compare bucketed
+// campaign's bit-identity with its scalar oracles compares bucketed
 // tallies.
 const invHoursPerYear = 1 / HoursPerYear
 

@@ -55,15 +55,11 @@ type ChunkResult struct {
 }
 
 // CampaignHash returns the config hash guarding checkpoint compatibility
-// for a campaign shaped by (cfg, schemes, Trials, Seed, ChunkSize, Gen) —
-// the same hash RunCampaign stamps into snapshots. Distributed deployments
-// use it as the job identity: two submissions hashing equal are the same
+// for a campaign shaped by (cfg, schemes, Trials, Seed, ChunkSize) — the
+// same hash RunCampaign stamps into snapshots. Distributed deployments use
+// it as the job identity: two submissions hashing equal are the same
 // campaign and produce bit-identical results, so a completed result can be
-// served from cache. The evaluation Engine is deliberately excluded
-// (engines are bit-identical by construction); the Generator is included
-// (the batch generator consumes the substreams in a different order, so
-// its results — exactly distributed but not bit-identical — are a distinct
-// campaign identity).
+// served from cache.
 func CampaignHash(cfg Config, schemes []Scheme, opts CampaignOptions) (string, error) {
 	e, err := newEngine(cfg, schemes, opts, true)
 	if err != nil {
@@ -73,19 +69,22 @@ func CampaignHash(cfg Config, schemes []Scheme, opts CampaignOptions) (string, e
 }
 
 // ChunkRunner evaluates chunk spans of one campaign on behalf of a remote
-// coordinator. It is single-goroutine (one runner per worker loop) and
-// reuses all per-trial state across spans, exactly like a RunCampaign
-// worker goroutine. Trial panics are voided and reported in the
-// ChunkResult; generation panics propagate (they cannot be contained
-// without desynchronising the RNG stream).
+// coordinator. It is single-goroutine (one runner per worker loop), exactly
+// like a RunCampaign worker goroutine: it holds the campaign's shared
+// tables and borrows its per-chunk buffers and evaluator scratch from a
+// package-level pool only while a span runs, so an idle runner holds
+// little and needs no closing. Trial
+// panics are voided and reported in the ChunkResult; generation panics
+// propagate (they cannot be contained without desynchronising the RNG
+// stream).
 type ChunkRunner struct {
 	e *engine
 	w *campaignWorker
 }
 
 // NewChunkRunner builds a runner for the campaign shaped by (cfg, schemes,
-// opts). Only Trials, Seed, ChunkSize, Engine, Gen and ErrorBudget of opts
-// are meaningful here; scheduling fields (Workers, CheckpointPath, OnChunk,
+// opts). Only Trials, Seed, ChunkSize and ErrorBudget of opts are
+// meaningful here; scheduling fields (Workers, CheckpointPath, OnChunk,
 // Metrics) belong to the caller's loop.
 func NewChunkRunner(cfg Config, schemes []Scheme, opts CampaignOptions) (*ChunkRunner, error) {
 	e, err := newEngine(cfg, schemes, opts, true)
@@ -94,7 +93,7 @@ func NewChunkRunner(cfg Config, schemes []Scheme, opts CampaignOptions) (*ChunkR
 	}
 	return &ChunkRunner{
 		e: e,
-		w: newCampaignWorker(&e.cfg, e.schemes, e.opts.Seed, e.years, e.opts.Engine, e.opts.Gen),
+		w: newCampaignWorker(newCampaignTables(&e.cfg, e.schemes), e.opts.Seed, e.years),
 	}, nil
 }
 
@@ -114,9 +113,11 @@ func (r *ChunkRunner) RunSpan(ctx context.Context, lo, hi int) (*ChunkResult, er
 	if lo < 0 || hi <= lo || hi > r.e.nChunks {
 		return nil, fmt.Errorf("faultsim: chunk span [%d, %d) out of range [0, %d)", lo, hi, r.e.nChunks)
 	}
+	years := r.e.years
 	res := &ChunkResult{Lo: lo, Hi: hi, Tallies: make([]SchemeTally, len(r.e.schemes))}
+	byYear := make([]uint64, len(res.Tallies)*years)
 	for s := range res.Tallies {
-		res.Tallies[s].ByYear = make([]uint64, r.e.years)
+		res.Tallies[s].ByYear = byYear[s*years : (s+1)*years : (s+1)*years]
 	}
 	for c := lo; c < hi; c++ {
 		tlo, thi := r.e.chunkBounds(c)

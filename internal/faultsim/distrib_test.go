@@ -91,23 +91,46 @@ func TestMergerMatchesRunCampaign(t *testing.T) {
 	}
 }
 
-// TestMergerLaneEngineBitIdentical crosses the engine axis: spans run on
-// the lanes engine merge to the same bytes as an indexed local run.
+// TestMergerLaneEngineBitIdentical: spans judged by ChunkRunners' lane
+// engines merge to exactly what the EvaluateInto oracle tallies over the
+// same planned chunks.
 func TestMergerLaneEngineBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LifetimeHours = 2 * HoursPerYear
 	mkSchemes := func() []Scheme { return []Scheme{NewXED()} }
 	opts := distTestOpts()
 
-	localRep, err := RunCampaign(context.Background(), cfg, mkSchemes(), opts)
+	m := runSpans(t, cfg, mkSchemes, opts, 13, rand.New(rand.NewSource(5)))
+	sameCampaign(t, "merged spans vs EvaluateInto", m.Report(),
+		oracleCampaign(t, cfg, mkSchemes(), opts, (*Evaluator).EvaluateInto))
+}
+
+// TestChunkRunnerSpanAllocs pins the runner's steady state: once the
+// pooled chunk buffers are warm, a span allocates only its ChunkResult
+// (the result, its tallies and their year buckets).
+func TestChunkRunnerSpanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	r, err := NewChunkRunner(DefaultConfig(), AllSchemes(), distTestOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	laneOpts := opts
-	laneOpts.Engine = EngineLanes
-	m := runSpans(t, cfg, mkSchemes, laneOpts, 13, rand.New(rand.NewSource(5)))
-	if !reflect.DeepEqual(m.Report(), localRep) {
-		t.Fatal("lane-engine merged Report differs from indexed RunCampaign")
+	ctx := context.Background()
+	for c := 0; c < r.NumChunks(); c++ {
+		if _, err := r.RunSpan(ctx, c, c+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := r.RunSpan(ctx, c, c+1); err != nil {
+			t.Fatal(err)
+		}
+		c = (c + 1) % r.NumChunks()
+	})
+	if allocs > 3 {
+		t.Fatalf("RunSpan allocates %v times per span, want at most 3", allocs)
 	}
 }
 
@@ -306,8 +329,8 @@ func TestMergerSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestCampaignHashIdentity pins the job-identity semantics: the hash is
-// stable across engines (bit-identical results ⇒ same cache key) and
-// discriminates on everything that shapes the trial streams.
+// stable across scheduling choices (bit-identical results ⇒ same cache
+// key) and discriminates on everything that shapes the trial streams.
 func TestCampaignHashIdentity(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := []Scheme{NewXED()}
@@ -316,10 +339,10 @@ func TestCampaignHashIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanes := base
-	lanes.Engine = EngineLanes
-	if h, _ := CampaignHash(cfg, schemes, lanes); h != h0 {
-		t.Fatal("engine choice changed the campaign hash")
+	parallel := base
+	parallel.Workers = 16
+	if h, _ := CampaignHash(cfg, schemes, parallel); h != h0 {
+		t.Fatal("worker count changed the campaign hash")
 	}
 	// Explicit default chunk size hashes like the implicit one.
 	explicit := base

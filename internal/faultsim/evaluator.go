@@ -60,14 +60,10 @@ type prepRec struct {
 // fleet-sized per-chip arrays. Results are bit-identical to the reference
 // probe — TestEvaluatorMatchesReferenceProbe holds it to that.
 //
-// An Evaluator is not safe for concurrent use; Run gives each worker its
-// own.
+// An Evaluator is not safe for concurrent use; a campaign gives each
+// worker its own over shared evalTables.
 type Evaluator struct {
-	cfg   *Config
-	evals []schemeEval
-	// scalingFatal mirrors the reference probe's early-out: without
-	// On-Die ECC, birthtime scaling faults defeat every scheme at t=0.
-	scalingFatal bool
+	*evalTables
 
 	prep    []prepRec    // per-trial scheme-invariant digest, reused
 	entries []faultEntry // per-trial per-scheme index, reused
@@ -80,12 +76,21 @@ type Evaluator struct {
 	chipMinIdx []int32 // min original idx seen on the chip; -1 = anchor chip
 	chipSilent []bool
 
-	emptyOut     []TrialOutcome
-	emptySurvive bool
-
 	// trials ticks once per EvaluateInto call when instrumentation is
 	// attached; a nil counter makes the add a no-op (see SetTrialCounter).
 	trials *obs.Counter
+}
+
+// evalTables is the part of an Evaluator derived from the config and
+// schemes alone. It is read-only after construction, so one copy serves
+// every worker of a campaign.
+type evalTables struct {
+	cfg   *Config
+	evals []schemeEval
+	// scalingFatal mirrors the reference probe's early-out: without
+	// On-Die ECC, birthtime scaling faults defeat every scheme at t=0.
+	scalingFatal bool
+	emptySurvive bool
 }
 
 type schemeEval struct {
@@ -97,30 +102,51 @@ type schemeEval struct {
 // schemes' outcomes from EvaluateInto appear in the same order as the
 // schemes argument.
 func NewEvaluator(cfg *Config, schemes []Scheme) *Evaluator {
-	e := &Evaluator{cfg: cfg, scalingFatal: !cfg.OnDie && cfg.ScalingRate > 0}
+	return newEvaluator(newEvalTables(cfg, schemes))
+}
+
+func newEvalTables(cfg *Config, schemes []Scheme) *evalTables {
+	t := &evalTables{cfg: cfg, scalingFatal: !cfg.OnDie && cfg.ScalingRate > 0}
 	for _, s := range schemes {
 		ds, _ := s.(*domainScheme)
-		e.evals = append(e.evals, schemeEval{scheme: s, ds: ds})
+		t.evals = append(t.evals, schemeEval{scheme: s, ds: ds})
 	}
-	n := cfg.TotalChips()
-	e.chipEpoch = make([]uint32, n)
-	e.chipWeight = make([]int32, n)
-	e.chipMinIdx = make([]int32, n)
-	e.chipSilent = make([]bool, n)
-	e.emptyOut = e.EvaluateInto(nil, nil)
-	e.emptySurvive = true
-	for _, o := range e.emptyOut {
+	// An empty trial touches none of the probe scratch, so a scratch-less
+	// Evaluator can judge it.
+	t.emptySurvive = true
+	for _, o := range (&Evaluator{evalTables: t}).EvaluateInto(nil, nil) {
 		if !math.IsInf(o.FailTime, 1) {
-			e.emptySurvive = false
+			t.emptySurvive = false
 			break
 		}
 	}
+	return t
+}
+
+// newEvaluator builds an Evaluator with its own probe scratch over shared
+// tables.
+func newEvaluator(t *evalTables) *Evaluator {
+	e := &Evaluator{}
+	e.bind(t)
 	return e
 }
 
+// bind points e at tables t, sizing the probe scratch for t's fleet and
+// reusing whatever capacity e already has.
+func (e *Evaluator) bind(t *evalTables) {
+	n := t.cfg.TotalChips()
+	e.evalTables = t
+	e.epoch = 0
+	e.chipEpoch = grow(e.chipEpoch, n)
+	clear(e.chipEpoch) // no stale stamp may match a fresh epoch
+	e.chipWeight = grow(e.chipWeight, n)
+	e.chipMinIdx = grow(e.chipMinIdx, n)
+	e.chipSilent = grow(e.chipSilent, n)
+}
+
 // EmptyTrialsSurvive reports whether a trial with no fault records survives
-// under every scheme. When true, the campaign loop may account zero-fault
-// trials wholesale (see generator.nextNonEmpty) instead of evaluating each.
+// under every scheme. When true, the campaign accounts zero-fault trials
+// wholesale instead of judging each.
 func (e *Evaluator) EmptyTrialsSurvive() bool { return e.emptySurvive }
 
 // SetTrialCounter attaches a live counter ticked once per EvaluateInto
@@ -138,7 +164,7 @@ func (e *Evaluator) SetTrialCounter(c *obs.Counter) { e.trials = c }
 // functions may consult — chip position and the silent/escalated flags —
 // at their extreme values; non-domainScheme schemes are opaque, so any
 // such scheme keeps every class live.
-func (e *Evaluator) classLive(cls ClassRate) bool {
+func (e *evalTables) classLive(cls ClassRate) bool {
 	anyOpaque := false
 	for i := range e.evals {
 		if e.evals[i].ds == nil {
@@ -151,13 +177,13 @@ func (e *Evaluator) classLive(cls ClassRate) bool {
 	// Only flag values the generator can actually produce matter: Silent
 	// is sampled for word faults under On-Die ECC, EscalatedByScaling for
 	// bit faults when birthtime scaling is modelled.
-	silentVals := []bool{false}
+	flags := [2]bool{false, true}
+	silentVals, escVals := flags[:1], flags[:1]
 	if cls.Gran == dram.GranWord && e.cfg.OnDie && e.cfg.SilentWordFraction > 0 {
-		silentVals = append(silentVals, true)
+		silentVals = flags[:]
 	}
-	escVals := []bool{false}
 	if cls.Gran == dram.GranBit && e.cfg.OnDie && e.cfg.ScalingRate > 0 {
-		escVals = append(escVals, true)
+		escVals = flags[:]
 	}
 	var r FaultRecord
 	r.Gran = cls.Gran
@@ -209,8 +235,8 @@ func (e *Evaluator) EvaluateInto(faults []FaultRecord, out []TrialOutcome) []Tri
 }
 
 // referenceInto judges the trial with every scheme's reference probe
-// (O(n²) FailTimeKind) instead of the pre-index — the EngineReference
-// campaign path, kept for differential gating and debugging.
+// (O(n²) FailTimeKind) instead of the pre-index — the oracle the campaign
+// path is tested against.
 func (e *Evaluator) referenceInto(faults []FaultRecord, out []TrialOutcome) []TrialOutcome {
 	e.trials.Inc()
 	out = out[:0]
@@ -245,17 +271,6 @@ func (e *Evaluator) genericOutcome(s Scheme, faults []FaultRecord) TrialOutcome 
 		return TrialOutcome{FailTime: t, Kind: k}
 	}
 	return TrialOutcome{FailTime: s.FailTime(e.cfg, faults), Kind: FailNone}
-}
-
-// evalDomain evaluates one domainScheme over the trial, digesting the
-// records first — the entry point for one-off probes (the lane engine's
-// scalar fallback). EvaluateInto prepares once and calls
-// evalDomainPrepared per scheme instead.
-func (e *Evaluator) evalDomain(s *domainScheme, faults []FaultRecord) TrialOutcome {
-	if !e.scalingFatal {
-		e.prepare(faults)
-	}
-	return e.evalDomainPrepared(s, faults)
 }
 
 // evalDomainPrepared evaluates one domainScheme over the prepared trial

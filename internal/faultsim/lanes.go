@@ -62,7 +62,8 @@ import (
 // weighted records force the scalar probe), which is still exact: a
 // single within-capacity record cannot fail any domainScheme regardless
 // of how domains partition the fleet. Non-domainScheme (opaque) schemes
-// are judged per lane via the same generic path the indexed engine uses.
+// are judged per lane via the same generic path Evaluator.EvaluateInto
+// uses.
 
 // LaneWidth is the number of trials packed into one lane word.
 const LaneWidth = 64
@@ -139,8 +140,8 @@ func laneEventHash(lr *laneRec) float64 {
 // one LaneEvaluator.EvaluateBatch call. Lane L's records live at
 // recs[offs[L]:offs[L+1]] with their digests at the same indices of lrs;
 // trial[L] and state[L] carry the campaign bookkeeping (global trial
-// index, pre-generation RNG state) that a voided (panicking) lane needs
-// to become a TrialError.
+// index, the RNG state its generation started from — in a campaign, the
+// chunk head) that a voided (panicking) lane needs to become a TrialError.
 type LaneBatch struct {
 	lanes int
 	offs  [LaneWidth + 1]int32
@@ -187,8 +188,7 @@ func (b *LaneBatch) commit(trial int, state simrand.State) {
 }
 
 // digestFrom extends lrs with digests for recs[n0:], leaving lrs and recs
-// the same length. The batch generator calls it right after emitting a
-// trial, while the records are still cache-hot.
+// the same length.
 func (b *LaneBatch) digestFrom(n0 int) {
 	hi := len(b.recs)
 	if cap(b.lrs) < hi {
@@ -271,11 +271,13 @@ const (
 	laneGather = 0x0102040810204080
 )
 
-// laneScheme is one scheme's bit-sliced state.
+// laneScheme is one scheme's bit-sliced state: the identity, domain and
+// kind fields are fixed by the tables, the masks are per-batch scratch.
 type laneScheme struct {
-	ds     *domainScheme // nil → opaque scheme, judged per lane
-	scheme Scheme
-	domIdx int // index into the per-record doms array
+	ds      *domainScheme // nil → opaque scheme, judged per lane
+	scheme  Scheme
+	domIdx  int // index into the per-record doms array
+	domains int // len(seen)
 
 	seen    []uint64         // per-domain: lanes holding >= 1 weighted record
 	pair    uint64           // lanes where two weighted records met in one domain
@@ -305,30 +307,16 @@ type laneScheme struct {
 // It shares the Evaluator's config, scheme set and scalar probe scratch,
 // so outcomes are bit-identical to Evaluator.EvaluateInto lane by lane —
 // FuzzLaneVsIndexedEvaluator and the conformance differential hold it to
-// that. Not safe for concurrent use; the campaign gives each worker its
-// own.
+// that. Not safe for concurrent use; a campaign gives each worker its own
+// over shared laneTables.
 type LaneEvaluator struct {
 	ev *Evaluator
-	ls []laneScheme
+	*laneTables
+	ls []laneScheme // the tables' proto, with this evaluator's scratch
 
-	// dsIdx lists the indices into ls that are domain schemes, in table
-	// slot order: group g, byte k ↔ dsIdx[g*laneVecGroup+k]. slots holds
-	// the same mapping as direct pointers for the mask-pass inner loop.
-	dsIdx []int
+	// slots holds dsIdx as direct pointers into ls for the mask-pass inner
+	// loop: group g, byte k ↔ slots[g][k].
 	slots [][laneVecGroup]*laneScheme
-	// codes[g][sig] interleaves the weight codes of group g's schemes,
-	// byte k belonging to slots[g][k]. See buildWeightCodes. ovBytes[g][sig]
-	// is the same table pre-collapsed for single-record lanes: bit k set
-	// means the signature is overweight for slots[g][k] (the movemask
-	// multiply hoisted out of the mask pass).
-	codes   [][]uint64
-	ovBytes [][]uint8
-	// ovAny[sig] ORs ovBytes across groups: zero means the signature is
-	// overweight for no scheme at all, so a single-record lane with it
-	// provably survives everything (see singleSurvives). allDomain is true
-	// when every scheme is a domain scheme (no per-lane opaque judging).
-	ovAny     []uint8
-	allDomain bool
 
 	// overSlots[g][L] is the mask-pass scratch for single-record lanes:
 	// bit k set means lane L's record is overweight for slots[g][k]. The
@@ -359,6 +347,48 @@ type LaneEvaluator struct {
 	// Instrumentation (nil-safe): batches judged, lanes probed scalar.
 	batches *obs.Counter
 	probes  *obs.Counter
+	// stats counts the same work in plain fields for an owner that
+	// publishes it in bulk (the campaign worker, at chunk merge).
+	stats laneStats
+
+	// Backing arrays of the ls[].seen and fail/due/sdc slices, kept so a
+	// rebind reuses them.
+	seenBuf, maskBuf []uint64
+}
+
+// laneStats is a LaneEvaluator's work since its owner last reset it.
+type laneStats struct {
+	batches, lanes, probes uint64
+}
+
+func (s *laneStats) add(o laneStats) {
+	s.batches += o.batches
+	s.lanes += o.lanes
+	s.probes += o.probes
+}
+
+// laneTables is the part of a LaneEvaluator derived from the config and
+// schemes alone: the weight-code tables and each scheme's fixed lane
+// fields. It is read-only after construction, so one copy serves every
+// worker of a campaign.
+type laneTables struct {
+	proto []laneScheme // fixed fields only; scratch fields zero
+	// dsIdx lists the indices into proto that are domain schemes, in table
+	// slot order: group g, byte k ↔ dsIdx[g*laneVecGroup+k].
+	dsIdx []int
+	// codes[g][sig] interleaves the weight codes of group g's schemes,
+	// byte k belonging to slot k. See buildWeightCodes. ovBytes[g][sig]
+	// is the same table pre-collapsed for single-record lanes: bit k set
+	// means the signature is overweight for slot k (the movemask multiply
+	// hoisted out of the mask pass).
+	codes   [][]uint64
+	ovBytes [][]uint8
+	// ovAny[sig] ORs ovBytes across groups: zero means the signature is
+	// overweight for no scheme at all, so a single-record lane with it
+	// provably survives everything (see singleSurvives). allDomain is true
+	// when every scheme is a domain scheme (no per-lane opaque judging).
+	ovAny     []uint8
+	allDomain bool
 }
 
 // NewLaneEvaluator builds the bit-sliced engine over ev's config and
@@ -366,41 +396,43 @@ type LaneEvaluator struct {
 // each weight function across every (chip, signature) combination — see
 // buildWeightCodes for the purity contract this relies on.
 func NewLaneEvaluator(ev *Evaluator) *LaneEvaluator {
-	lv := &LaneEvaluator{ev: ev}
+	return newLaneEvaluator(ev, newLaneTables(ev.evalTables))
+}
+
+func newLaneTables(ev *evalTables) *laneTables {
+	t := &laneTables{proto: make([]laneScheme, 0, len(ev.evals))}
 	cfg := ev.cfg
 	for i := range ev.evals {
 		se := &ev.evals[i]
 		ls := laneScheme{ds: se.ds, scheme: se.scheme}
 		if se.ds != nil {
-			var domains int
 			switch se.ds.dom {
 			case domainRank:
-				ls.domIdx, domains = 0, cfg.Channels*cfg.RanksPerChannel
+				ls.domIdx, ls.domains = 0, cfg.Channels*cfg.RanksPerChannel
 			case domainChannel:
-				ls.domIdx, domains = 1, cfg.Channels
+				ls.domIdx, ls.domains = 1, cfg.Channels
 			case domainChannelPair:
-				ls.domIdx, domains = 2, (cfg.Channels+1)/2
+				ls.domIdx, ls.domains = 2, (cfg.Channels+1)/2
 			default:
 				// Unknown mapping: fold the whole trial into one
 				// pseudo-domain. Conservative (more scalar probes),
 				// never wrong (see package comment).
-				ls.domIdx, domains = 3, 1
+				ls.domIdx, ls.domains = 3, 1
 			}
-			ls.seen = make([]uint64, domains)
 			ls.constKind, ls.hashFree = hashFreeKind(se.ds.kind)
-			lv.dsIdx = append(lv.dsIdx, i)
+			t.dsIdx = append(t.dsIdx, i)
 		}
-		lv.ls = append(lv.ls, ls)
+		t.proto = append(t.proto, ls)
 	}
 	// Interleave the weight codes group by group.
 	ncodes := cfg.ChipsPerRank * laneNSig
-	for g := 0; g*laneVecGroup < len(lv.dsIdx); g++ {
+	var codes []uint8
+	for g := 0; g*laneVecGroup < len(t.dsIdx); g++ {
 		tab := make([]uint64, ncodes)
-		var sl [laneVecGroup]*laneScheme
-		for k := 0; k < laneVecGroup && g*laneVecGroup+k < len(lv.dsIdx); k++ {
-			sl[k] = &lv.ls[lv.dsIdx[g*laneVecGroup+k]]
-			per := buildWeightCodes(cfg, sl[k].ds)
-			for w, c := range per {
+		slots := t.dsIdx[g*laneVecGroup : min(len(t.dsIdx), (g+1)*laneVecGroup)]
+		for k, si := range slots {
+			codes = buildWeightCodes(cfg, t.proto[si].ds, codes)
+			for w, c := range codes {
 				tab[w] |= uint64(c) << (8 * k)
 			}
 		}
@@ -408,8 +440,8 @@ func NewLaneEvaluator(ev *Evaluator) *LaneEvaluator {
 		for s, vec := range tab {
 			ovb[s] = uint8((vec & laneOver >> 1 * laneGather) >> 56)
 		}
-		for k := 0; k < laneVecGroup && sl[k] != nil; k++ {
-			if !sl[k].hashFree {
+		for k, si := range slots {
+			if !t.proto[si].hashFree {
 				continue
 			}
 			partial := false
@@ -419,27 +451,57 @@ func NewLaneEvaluator(ev *Evaluator) *LaneEvaluator {
 					break
 				}
 			}
-			sl[k].noPair = !partial
+			t.proto[si].noPair = !partial
 		}
-		lv.codes = append(lv.codes, tab)
-		lv.ovBytes = append(lv.ovBytes, ovb)
-		lv.slots = append(lv.slots, sl)
-		lv.overSlots = append(lv.overSlots, [LaneWidth]uint8{})
+		t.codes = append(t.codes, tab)
+		t.ovBytes = append(t.ovBytes, ovb)
 	}
-	lv.allDomain = len(lv.dsIdx) == len(lv.ls)
-	if len(lv.ovBytes) > 0 {
-		lv.ovAny = make([]uint8, ncodes)
-		for _, ovb := range lv.ovBytes {
+	t.allDomain = len(t.dsIdx) == len(t.proto)
+	if len(t.ovBytes) > 0 {
+		t.ovAny = make([]uint8, ncodes)
+		for _, ovb := range t.ovBytes {
 			for s, v := range ovb {
-				lv.ovAny[s] |= v
+				t.ovAny[s] |= v
 			}
 		}
 	}
-	lv.fail = make([]uint64, len(lv.ls))
-	lv.outs = make([]TrialOutcome, len(lv.ls)*LaneWidth)
-	lv.due = make([]uint64, len(lv.ls))
-	lv.sdc = make([]uint64, len(lv.ls))
+	return t
+}
+
+// newLaneEvaluator builds a LaneEvaluator with its own batch scratch over
+// shared tables; ev supplies the scalar probe and must share t's config
+// and schemes.
+func newLaneEvaluator(ev *Evaluator, t *laneTables) *LaneEvaluator {
+	lv := &LaneEvaluator{}
+	lv.bind(ev, t)
 	return lv
+}
+
+// bind points lv at tables t and scalar probe ev, sizing the batch scratch
+// for t and reusing whatever capacity lv already has.
+func (lv *LaneEvaluator) bind(ev *Evaluator, t *laneTables) {
+	n := len(t.proto)
+	lv.ev, lv.laneTables = ev, t
+	lv.ls = append(lv.ls[:0], t.proto...)
+	domains := 0
+	for i := range lv.ls {
+		domains += lv.ls[i].domains
+	}
+	lv.seenBuf = grow(lv.seenBuf, domains)
+	seen := lv.seenBuf
+	for i := range lv.ls {
+		d := lv.ls[i].domains
+		lv.ls[i].seen, seen = seen[:d:d], seen[d:]
+	}
+	lv.slots = grow(lv.slots, len(t.codes))
+	clear(lv.slots)
+	for j, si := range t.dsIdx {
+		lv.slots[j/laneVecGroup][j%laneVecGroup] = &lv.ls[si]
+	}
+	lv.overSlots = grow(lv.overSlots, len(t.codes))
+	lv.outs = grow(lv.outs, n*LaneWidth)
+	lv.maskBuf = grow(lv.maskBuf, 3*n)
+	lv.fail, lv.due, lv.sdc = lv.maskBuf[:n:n], lv.maskBuf[n:2*n:2*n], lv.maskBuf[2*n:]
 }
 
 // singleSurvives reports whether a trial consisting of exactly one
@@ -471,8 +533,10 @@ func (lv *LaneEvaluator) singleSurvives(sig int32) bool {
 // the signature (times, addresses, channel/rank) must not influence the
 // weight — the scalar probe would still be exact for such a scheme, but
 // the mask pass could misclassify a lane as trivially alive.
-func buildWeightCodes(cfg *Config, ds *domainScheme) []uint8 {
-	codes := make([]uint8, cfg.ChipsPerRank*laneNSig)
+//
+// The table is written into codes, grown as needed, and returned.
+func buildWeightCodes(cfg *Config, ds *domainScheme, codes []uint8) []uint8 {
+	codes = grow(codes, cfg.ChipsPerRank*laneNSig)
 	var r FaultRecord
 	for chip := 0; chip < cfg.ChipsPerRank; chip++ {
 		r.Chip = chip
@@ -504,6 +568,11 @@ func (lv *LaneEvaluator) SetCounters(batches, probes *obs.Counter) {
 	lv.batches, lv.probes = batches, probes
 }
 
+func (lv *LaneEvaluator) addProbes(n int) {
+	lv.stats.probes += uint64(n)
+	lv.probes.Add(uint64(n))
+}
+
 // EvaluateBatch judges every packed lane under every scheme, leaving the
 // results in the evaluator's fail masks / outcome slots (see the field
 // docs) and the batch's voided mask. Lanes are independent: outcomes are
@@ -513,11 +582,13 @@ func (lv *LaneEvaluator) EvaluateBatch(b *LaneBatch) {
 	ev := lv.ev
 	ev.trials.Add(uint64(b.lanes))
 	lv.batches.Inc()
+	lv.stats.batches++
+	lv.stats.lanes += uint64(b.lanes)
 	active := b.activeMask()
 
 	if ev.scalingFatal {
-		// Mirrors evalDomain's early-out: without On-Die ECC, birthtime
-		// scaling faults defeat every domain scheme at t=0.
+		// Mirrors the reference probe's early-out: without On-Die ECC,
+		// birthtime scaling faults defeat every domain scheme at t=0.
 		for si := range lv.ls {
 			ls := &lv.ls[si]
 			if ls.ds == nil {
@@ -574,7 +645,7 @@ func (lv *LaneEvaluator) EvaluateBatch(b *LaneBatch) {
 			ls.need |= ls.pair & active
 		}
 		needAll |= ls.need
-		lv.probes.Add(uint64(bits.OnesCount64(ls.need)))
+		lv.addProbes(bits.OnesCount64(ls.need))
 	}
 
 	// Probe pass: exact scalar evaluation for the lanes the masks could
@@ -822,7 +893,7 @@ func (lv *LaneEvaluator) probeLane(b *LaneBatch, L int) {
 func (lv *LaneEvaluator) probeGeneric(b *LaneBatch, si int) {
 	lv.fail[si] = 0
 	lv.due[si], lv.sdc[si] = 0, 0
-	lv.probes.Add(uint64(b.lanes))
+	lv.addProbes(b.lanes)
 	for L := 0; L < b.lanes; L++ {
 		if b.voided&(1<<uint(L)) != 0 {
 			continue

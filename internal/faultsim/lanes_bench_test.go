@@ -29,12 +29,9 @@ func benchStream(cfg *Config, n int) [][]FaultRecord {
 
 // BenchmarkTableICampaign measures the Monte-Carlo hot loop on the
 // paper's Table I operating point, both as isolated judging throughput
-// over an identical captured stream (judge/engine=*) and as the full
-// generate-and-judge campaign (end2end/engine=*). The judge split is the
-// honest basis for the lane engine's speedup claim: trial generation is
-// engine-invariant and amortises to a constant floor, so end-to-end gains
-// saturate near the generation fraction while the judging step itself
-// scales with the bit-slicing.
+// over an identical captured stream (judge/engine=*: the campaign's lane
+// engine and its two scalar oracles) and as the full plan-and-judge
+// campaign (end2end).
 func BenchmarkTableICampaign(b *testing.B) {
 	const streamLen = 8192
 	cfg := DefaultConfig()
@@ -113,74 +110,16 @@ func BenchmarkTableICampaign(b *testing.B) {
 		_ = sink
 	})
 
-	// Generation-only split: the campaign loop minus judging, chunked and
-	// substream-seeded exactly as the campaign chunks it, under both
-	// generation modes. gen + judge ≈ end2end is the sanity identity;
-	// gen/gen=batch against gen/gen=scalar is the batch generator's
-	// headline speedup.
-	const genTrials = 1 << 16
-	genEval := NewEvaluator(&cfg, schemes)
-
-	b.Run("gen/gen=scalar", func(b *testing.B) {
-		g := newRunGenerator(&cfg, genEval)
-		rng := simrand.New(0)
-		var buf []FaultRecord
-		b.ResetTimer()
+	b.Run("end2end", func(b *testing.B) {
+		const campaignTrials = 200_000
 		for i := 0; i < b.N; i++ {
-			for lo := 0; lo < genTrials; lo += DefaultChunkSize {
-				rng.SeedStream(1, uint64(lo/DefaultChunkSize))
-				g.resetEvents()
-				t := lo
-				for t < lo+DefaultChunkSize {
-					skipped, out := g.nextNonEmpty(rng, buf)
-					buf = out
-					if skipped >= lo+DefaultChunkSize-t {
-						break
-					}
-					t += skipped + 1
-				}
-			}
-		}
-		b.ReportMetric(float64(genTrials*b.N)/b.Elapsed().Seconds(), "trials/s")
-	})
-
-	b.Run("gen/gen=batch", func(b *testing.B) {
-		bg := newBatchGenerator(newRunGenerator(&cfg, genEval))
-		rng := simrand.New(0)
-		var buf []FaultRecord
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for lo := 0; lo < genTrials; lo += DefaultChunkSize {
-				rng.SeedStream(1, uint64(lo/DefaultChunkSize))
-				bg.g.resetEvents()
-				bg.plan(rng, DefaultChunkSize)
-				buf = buf[:0]
-				for t := 0; t < bg.emitted(); t++ {
-					buf = bg.emitTrial(rng, t, buf)
-				}
-			}
-		}
-		b.ReportMetric(float64(genTrials*b.N)/b.Elapsed().Seconds(), "trials/s")
-	})
-
-	for _, engine := range []Engine{EngineIndexed, EngineLanes} {
-		for _, gen := range []Generator{GenScalar, GenBatch} {
-			name := "end2end/engine=" + string(engine)
-			if gen != GenScalar {
-				name += "/gen=" + string(gen)
-			}
-			b.Run(name, func(b *testing.B) {
-				const campaignTrials = 200_000
-				for i := 0; i < b.N; i++ {
-					_, err := RunCampaign(context.Background(), cfg, schemes, CampaignOptions{
-						Trials: campaignTrials, Seed: 1, Engine: engine, Gen: gen,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(campaignTrials*b.N)/b.Elapsed().Seconds(), "trials/s")
+			_, err := RunCampaign(context.Background(), cfg, schemes, CampaignOptions{
+				Trials: campaignTrials, Seed: 1,
 			})
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+		b.ReportMetric(float64(campaignTrials*b.N)/b.Elapsed().Seconds(), "trials/s")
+	})
 }

@@ -3,9 +3,9 @@ package faultsim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
@@ -28,47 +28,24 @@ func denseConfig(factor FIT) Config {
 	return cfg
 }
 
-func TestParseEngine(t *testing.T) {
-	for s, want := range map[string]Engine{
-		"": EngineIndexed, "indexed": EngineIndexed,
-		"lanes": EngineLanes, "reference": EngineReference,
-	} {
-		got, err := ParseEngine(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
-	}
-	if _, err := RunCampaign(context.Background(), DefaultConfig(), AllSchemes(),
-		CampaignOptions{Trials: 10, Engine: "warp"}); err == nil {
-		t.Fatal("RunCampaign accepted an unknown engine")
-	}
-}
-
 // TestLaneEngineBoundaries pins the lane-packing arithmetic at the word
 // boundaries: trial counts around one lane word, chunks smaller than a
-// word (so every batch is partial), and chunks that split words unevenly.
-// Every engine must produce bit-identical Results.
+// word (so every batch is partial), and chunks that split words unevenly —
+// with planned trials only (empty trials survive) and with every trial
+// packed (scaling faults without On-Die ECC fail even empty trials). The
+// campaign must match both scalar oracles on the same planned chunks.
 func TestLaneEngineBoundaries(t *testing.T) {
-	cfg := denseConfig(150)
+	fatal := denseConfig(150)
+	fatal.OnDie, fatal.ScalingRate = false, 1e-4
 	schemes := AllSchemes()
-	for _, trials := range []int{1, 63, 64, 65, 130} {
-		for _, chunk := range []int{1, 7, 64, 4096} {
-			base := CampaignOptions{Trials: trials, Seed: 7, ChunkSize: chunk, Workers: 2}
-			var want *Report
-			for _, engine := range []Engine{EngineIndexed, EngineLanes, EngineReference} {
-				opts := base
-				opts.Engine = engine
+	for name, cfg := range map[string]Config{"dense": denseConfig(150), "fatal": fatal} {
+		for _, trials := range []int{1, 63, 64, 65, 130} {
+			for _, chunk := range []int{1, 7, 64, 4096} {
+				opts := CampaignOptions{Trials: trials, Seed: 7, ChunkSize: chunk, Workers: 2}
 				rep := mustCampaign(t, context.Background(), cfg, schemes, opts)
-				if engine == EngineIndexed {
-					want = rep
-					continue
-				}
-				if !reflect.DeepEqual(rep.Results, want.Results) {
-					t.Fatalf("trials=%d chunk=%d engine=%s diverged from indexed:\n%+v\nvs\n%+v",
-						trials, chunk, engine, rep.Results, want.Results)
+				for judge, fn := range oracleJudges {
+					sameCampaign(t, fmt.Sprintf("%s trials=%d chunk=%d vs %s", name, trials, chunk, judge),
+						rep, oracleCampaign(t, cfg, schemes, opts, fn))
 				}
 			}
 		}
@@ -76,9 +53,10 @@ func TestLaneEngineBoundaries(t *testing.T) {
 }
 
 // TestLaneEngineEquivalenceSweep runs a larger campaign across the config
-// corners the lane masks special-case: silent word faults (overweight
+// corners the lane masks special-case — silent word faults (overweight
 // lanes), scaling escalation, x4 organisations, the address-overlap
-// criterion, and the scaling-fatal early-out.
+// criterion, the scaling-fatal early-out, aging — against the
+// EvaluateInto oracle on the same planned chunks.
 func TestLaneEngineEquivalenceSweep(t *testing.T) {
 	mutations := map[string]func(*Config){
 		"tableI":       func(c *Config) {},
@@ -97,15 +75,11 @@ func TestLaneEngineEquivalenceSweep(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		opts := CampaignOptions{Trials: 30_000, Seed: 11, ChunkSize: 512, Workers: 4}
-		indexed := mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
-		opts.Engine = EngineLanes
-		lanes := mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
-		if !reflect.DeepEqual(indexed.Results, lanes.Results) {
-			t.Fatalf("%s: lane engine diverged:\n%+v\nvs\n%+v", name, lanes.Results, indexed.Results)
+		if testing.Short() {
+			opts.Trials = 8_000
 		}
-		if indexed.Trials != lanes.Trials {
-			t.Fatalf("%s: trial counts differ: %d vs %d", name, indexed.Trials, lanes.Trials)
-		}
+		rep := mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
+		sameCampaign(t, name, rep, oracleCampaign(t, cfg, AllSchemes(), opts, (*Evaluator).EvaluateInto))
 	}
 }
 
@@ -142,64 +116,42 @@ func TestLaneEngineCustomDomainAndHeavyWeights(t *testing.T) {
 		NewRankErasureScheme("Heavy130", 200, heavy(130)),
 	}
 	opts := CampaignOptions{Trials: 20_000, Seed: 3, ChunkSize: 512, Workers: 2}
-	indexed := mustCampaign(t, context.Background(), cfg, schemes, opts)
-	opts.Engine = EngineLanes
-	lanes := mustCampaign(t, context.Background(), cfg, schemes, opts)
-	if !reflect.DeepEqual(indexed.Results, lanes.Results) {
-		t.Fatalf("lane engine diverged on custom/heavy schemes:\n%+v\nvs\n%+v",
-			lanes.Results, indexed.Results)
+	rep := mustCampaign(t, context.Background(), cfg, schemes, opts)
+	for judge, fn := range oracleJudges {
+		sameCampaign(t, "custom/heavy schemes vs "+judge, rep, oracleCampaign(t, cfg, schemes, opts, fn))
 	}
 }
 
 // TestLaneEnginePanicIsolation: a panicking opaque scheme voids exactly
-// the same trials under the lane engine as under the indexed one, and the
-// surviving tallies stay bit-identical.
+// the trials it voids under the EvaluateInto oracle, with the same replay
+// records, and the surviving tallies stay bit-identical.
 func TestLaneEnginePanicIsolation(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := []Scheme{NewXED(), &panicScheme{minFaults: 2}}
 	opts := campaignTestOpts()
 	opts.ErrorBudget = 1 << 20
-	indexed, err := RunCampaign(context.Background(), cfg, schemes, opts)
+	rep, err := RunCampaign(context.Background(), cfg, schemes, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Engine = EngineLanes
-	lanes, err := RunCampaign(context.Background(), cfg, schemes, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(indexed.TrialErrors) == 0 {
+	if len(rep.TrialErrors) == 0 {
 		t.Fatal("stub never panicked; weaken minFaults")
 	}
-	if !reflect.DeepEqual(indexed.Results, lanes.Results) {
-		t.Fatalf("results diverged under panics:\n%+v\nvs\n%+v", lanes.Results, indexed.Results)
-	}
-	if len(indexed.TrialErrors) != len(lanes.TrialErrors) {
-		t.Fatalf("%d trial errors under lanes vs %d under indexed",
-			len(lanes.TrialErrors), len(indexed.TrialErrors))
-	}
-	for i := range indexed.TrialErrors {
-		a, b := &lanes.TrialErrors[i], &indexed.TrialErrors[i]
-		if a.Trial != b.Trial || a.Chunk != b.Chunk || a.RNGState != b.RNGState ||
-			a.PanicValue != b.PanicValue || !reflect.DeepEqual(a.Faults, b.Faults) {
-			t.Fatalf("trial error %d differs:\n%+v\nvs\n%+v", i, a, b)
-		}
-	}
-	// The lane engine honours the error budget through the same merge path.
+	sameCampaign(t, "under panics", rep, oracleCampaign(t, cfg, schemes, opts, (*Evaluator).EvaluateInto))
+	// The error budget is enforced at merge.
 	opts.ErrorBudget = -1
 	if _, err := RunCampaign(context.Background(), cfg, schemes, opts); !errors.Is(err, ErrErrorBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrErrorBudgetExceeded", err)
 	}
 }
 
-// TestLaneEngineCrossEngineResume: the engine is excluded from the
-// checkpoint config hash, so a campaign interrupted under the indexed
-// engine resumes under the lane engine — and still equals an
-// uninterrupted run bit for bit.
+// TestLaneEngineCrossEngineResume: a lane-judged campaign interrupted on
+// two workers and resumed on sixteen equals, bit for bit, the reference
+// probe judging the same planned chunks uninterrupted.
 func TestLaneEngineCrossEngineResume(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := AllSchemes()
-	full := mustCampaign(t, context.Background(), cfg, schemes, campaignTestOpts())
+	full := oracleCampaign(t, cfg, schemes, campaignTestOpts(), (*Evaluator).referenceInto)
 
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
@@ -224,12 +176,8 @@ func TestLaneEngineCrossEngineResume(t *testing.T) {
 	resumed := opts
 	resumed.OnChunk = nil
 	resumed.Resume = true
-	resumed.Engine = EngineLanes
-	rep2 := mustCampaign(t, context.Background(), cfg, schemes, resumed)
-	if rep2.Trials != full.Trials || !reflect.DeepEqual(rep2.Results, full.Results) {
-		t.Fatalf("cross-engine resume diverged from uninterrupted run:\n%+v\nvs\n%+v",
-			rep2.Results, full.Results)
-	}
+	resumed.Workers = 16
+	sameCampaign(t, "resumed vs uninterrupted reference", mustCampaign(t, context.Background(), cfg, schemes, resumed), full)
 }
 
 // TestLaneEvaluatorDirect drives the LaneEvaluator through its public
@@ -246,12 +194,12 @@ func TestLaneEvaluatorDirect(t *testing.T) {
 			Gran: 1 /* GranWord */, Silent: silent, Transient: transient}
 	}
 	trials := [][]FaultRecord{
-		nil, // empty lane
-		{mk(0, 0, 1, 100, 61320, false, false)},                                         // lone visible fault
-		{mk(0, 0, 1, 100, 61320, false, false), mk(0, 0, 3, 200, 61320, false, false)},  // two chips, one rank
-		{mk(1, 1, 2, 50, 61320, true, true)},                                            // silent transient word: XED DUE
-		{mk(2, 0, 0, 10, 61320, false, false), mk(3, 0, 0, 10, 61320, false, false)},    // distinct channels
-		{mk(0, 0, 5, 500, 600, false, true), mk(0, 1, 5, 550, 61320, false, false)},     // cross-rank, same channel
+		nil,                                     // empty lane
+		{mk(0, 0, 1, 100, 61320, false, false)}, // lone visible fault
+		{mk(0, 0, 1, 100, 61320, false, false), mk(0, 0, 3, 200, 61320, false, false)}, // two chips, one rank
+		{mk(1, 1, 2, 50, 61320, true, true)},                                           // silent transient word: XED DUE
+		{mk(2, 0, 0, 10, 61320, false, false), mk(3, 0, 0, 10, 61320, false, false)},   // distinct channels
+		{mk(0, 0, 5, 500, 600, false, true), mk(0, 1, 5, 550, 61320, false, false)},    // cross-rank, same channel
 	}
 	var b LaneBatch
 	var st simrand.State
@@ -312,13 +260,12 @@ func TestLaneEvaluateBatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestLaneEngineMetrics: the lane engine keeps the campaign counters the
-// indexed engine publishes (trials_evaluated covers every judged lane) and
-// adds batch/probe telemetry.
+// TestLaneEngineMetrics: the campaign publishes lane judging telemetry
+// (trials_evaluated covers every judged lane) next to its tallies.
 func TestLaneEngineMetrics(t *testing.T) {
 	cfg := denseConfig(100)
 	reg := obs.NewRegistry()
-	opts := CampaignOptions{Trials: 20_000, Seed: 5, ChunkSize: 512, Metrics: reg, Engine: EngineLanes}
+	opts := CampaignOptions{Trials: 20_000, Seed: 5, ChunkSize: 512, Metrics: reg}
 	rep := mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
 
 	snap := reg.Snapshot().Counters

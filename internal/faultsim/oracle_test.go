@@ -1,0 +1,151 @@
+package faultsim
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+
+	"xedsim/internal/simrand"
+)
+
+// The campaign judges every trial through one path: batch-planned chunks,
+// survivor pre-judging, lane packing, mask judging and popcount tallies.
+// The helpers here recompute a campaign the slow, obviously-right way —
+// every trial materialised and judged on its own by a scalar oracle — so
+// tests can hold that path to its oracles trial stream for trial stream.
+
+// judgeFunc is a scalar oracle: Evaluator.EvaluateInto or referenceInto.
+type judgeFunc func(ev *Evaluator, faults []FaultRecord, out []TrialOutcome) []TrialOutcome
+
+var oracleJudges = map[string]judgeFunc{
+	"EvaluateInto":  (*Evaluator).EvaluateInto,
+	"referenceInto": (*Evaluator).referenceInto,
+}
+
+// oracle tallies trials judged one at a time into campaign accumulators.
+type oracle struct {
+	e     *engine
+	ev    *Evaluator
+	gen   *generator
+	judge judgeFunc
+	outs  []TrialOutcome
+}
+
+func newOracle(t testing.TB, cfg Config, schemes []Scheme, opts CampaignOptions, judge judgeFunc) *oracle {
+	t.Helper()
+	e, err := newEngine(cfg, schemes, opts, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(&e.cfg, schemes)
+	return &oracle{e: e, ev: ev, gen: newRunGenerator(&e.cfg, ev.evalTables), judge: judge}
+}
+
+// judgeTrial judges one trial (te carries its identity and faults),
+// voiding it into the trial errors if the judge panics.
+func (o *oracle) judgeTrial(te TrialError) {
+	var panicked any
+	func() {
+		defer func() { panicked = recover() }()
+		o.outs = o.judge(o.ev, te.Faults, o.outs)
+	}()
+	if panicked != nil {
+		te.PanicValue = fmt.Sprint(panicked)
+		te.Faults = append([]FaultRecord(nil), te.Faults...)
+		o.e.trialErrs = append(o.e.trialErrs, te)
+		return
+	}
+	o.e.doneTrials++
+	for s, out := range o.outs {
+		if math.IsInf(out.FailTime, 1) {
+			continue
+		}
+		acc := &o.e.accum[s]
+		acc.Failures++
+		switch out.Kind {
+		case FailDUE:
+			acc.DUEs++
+		case FailSDC:
+			acc.SDCs++
+		}
+		for y := min(int(out.FailTime*invHoursPerYear), o.e.years-1); y < o.e.years; y++ {
+			acc.ByYear[y]++
+		}
+	}
+}
+
+func (o *oracle) report() *Report {
+	sort.Slice(o.e.trialErrs, func(i, j int) bool { return o.e.trialErrs[i].Trial < o.e.trialErrs[j].Trial })
+	return o.e.reportLocked()
+}
+
+// oracleCampaign recomputes the campaign RunCampaign(cfg, schemes, opts)
+// runs: every chunk planned from its substream exactly as the campaign
+// plans it, every trial of the chunk — empty or not — emitted and judged
+// by judge, voided trials recorded with the replay fields the campaign
+// records.
+func oracleCampaign(t testing.TB, cfg Config, schemes []Scheme, opts CampaignOptions, judge judgeFunc) *Report {
+	t.Helper()
+	o := newOracle(t, cfg, schemes, opts, judge)
+	arr := newArrivalSamplers(o.gen.genTables)
+	var p batchPlan
+	var rng simrand.Source
+	for c := 0; c < o.e.nChunks; c++ {
+		lo, hi := o.e.chunkBounds(c)
+		rng.SeedStream(o.e.opts.Seed, uint64(c))
+		o.gen.resetEvents()
+		head := rng.State()
+		p.build(o.gen.genTables, &arr, &rng, hi-lo)
+		next := 0
+		for tr := lo; tr < hi; tr++ {
+			te := TrialError{Trial: tr, Chunk: c, RNGState: head, ChunkTrials: hi - lo, PlanIndex: -1}
+			if next < p.emitted() && lo+int(p.trialPos[next]) == tr {
+				te.Faults, te.PlanIndex = p.emitTrial(o.gen, &rng, next, nil), next
+				next++
+			}
+			o.judgeTrial(te)
+		}
+	}
+	return o.report()
+}
+
+// scalarCampaign is oracleCampaign over the scalar generator: the same
+// chunk substreams drawn one trial at a time by generator.Trial. Its
+// streams differ from the campaign's, so it agrees in law only.
+func scalarCampaign(t testing.TB, cfg Config, schemes []Scheme, opts CampaignOptions) *Report {
+	t.Helper()
+	o := newOracle(t, cfg, schemes, opts, (*Evaluator).EvaluateInto)
+	var rng simrand.Source
+	var buf []FaultRecord
+	for c := 0; c < o.e.nChunks; c++ {
+		lo, hi := o.e.chunkBounds(c)
+		rng.SeedStream(o.e.opts.Seed, uint64(c))
+		o.gen.resetEvents()
+		for tr := lo; tr < hi; tr++ {
+			buf = o.gen.Trial(&rng, buf)
+			o.judgeTrial(TrialError{Trial: tr, Chunk: c, Faults: buf})
+		}
+	}
+	return o.report()
+}
+
+// sameCampaign fails unless got and want tally identically and void the
+// same trials with the same replay records (stacks aside).
+func sameCampaign(t *testing.T, what string, got, want *Report) {
+	t.Helper()
+	if got.Trials != want.Trials || !reflect.DeepEqual(got.Results, want.Results) {
+		t.Fatalf("%s: %d trials\n%+v\nwant %d trials\n%+v", what, got.Trials, got.Results, want.Trials, want.Results)
+	}
+	if len(got.TrialErrors) != len(want.TrialErrors) {
+		t.Fatalf("%s: %d voided trials, want %d", what, len(got.TrialErrors), len(want.TrialErrors))
+	}
+	for i := range got.TrialErrors {
+		g, w := got.TrialErrors[i], want.TrialErrors[i]
+		g.Stack, w.Stack = "", ""
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: voided trial %d\n%+v\nwant\n%+v", what, i, g, w)
+		}
+	}
+}

@@ -46,11 +46,20 @@ func (f *FaultRecord) OverlapStart(o *FaultRecord) float64 {
 	return math.Max(f.Start, o.Start)
 }
 
-// generator draws the fault stream for one trial. All per-config constants
-// (class means, exp(-mean), Lemire thresholds, the scaling-escalation
-// probability) are computed once here rather than per record; the trial
-// loop runs millions of times per campaign.
+// generator draws the fault stream for one trial. Its tables are shared;
+// the multi-rank EventID counter is the only state a draw mutates, so
+// goroutines drawing from one configuration each hold their own generator
+// over the same genTables.
 type generator struct {
+	*genTables
+	nextEvent uint64
+}
+
+// genTables holds a generator's per-config constants (class means,
+// exp(-mean), Lemire thresholds, the scaling-escalation probability),
+// computed once rather than per record — the trial loop runs millions of
+// times per campaign — and read-only after construction.
+type genTables struct {
 	cfg *Config
 	// classes holds the fault classes this generator draws from —
 	// cfg.FITs, minus any classes a scheme-aware caller proved inert —
@@ -59,7 +68,6 @@ type generator struct {
 	classes    []ClassRate
 	classMeans []float64
 	totalMean  float64
-	nextEvent  uint64
 
 	// withRanges controls whether emitted records carry their symbolic
 	// address Range. The Monte-Carlo schemes only read Range under the
@@ -99,7 +107,7 @@ func (g *generator) resetEvents() {
 // trial-count mean accordingly, so the surviving classes keep their exact
 // per-class arrival statistics.
 func newFilteredGenerator(cfg *Config, live func(ClassRate) bool) *generator {
-	g := &generator{cfg: cfg, withRanges: true}
+	g := &generator{genTables: &genTables{cfg: cfg, withRanges: true}}
 	chips := float64(cfg.TotalChips())
 	for _, cls := range cfg.FITs {
 		if live != nil && !live(cls) {
@@ -145,12 +153,8 @@ func newFilteredGenerator(cfg *Config, live func(ClassRate) bool) *generator {
 // outcome statistics under ev's schemes, but classes no scheme can react
 // to are not generated at all, and address ranges are only drawn when a
 // scheme will actually read them.
-func newRunGenerator(cfg *Config, ev *Evaluator) *generator {
-	var live func(ClassRate) bool
-	if ev != nil {
-		live = ev.classLive
-	}
-	g := newFilteredGenerator(cfg, live)
+func newRunGenerator(cfg *Config, ev *evalTables) *generator {
+	g := newFilteredGenerator(cfg, ev.classLive)
 	g.withRanges = cfg.RequireAddressOverlap
 	return g
 }
@@ -161,13 +165,7 @@ func newRunGenerator(cfg *Config, ev *Evaluator) *generator {
 // the instantaneous multiplier, which samples the non-homogeneous Poisson
 // process exactly.
 func (g *generator) Trial(rng *simrand.Source, buf []FaultRecord) []FaultRecord {
-	return g.trialAppend(rng, buf[:0])
-}
-
-// trialAppend is Trial without the truncation: the lane-batch engine packs
-// many trials' records back to back in one backing array. The RNG draw
-// sequence is identical to Trial's.
-func (g *generator) trialAppend(rng *simrand.Source, buf []FaultRecord) []FaultRecord {
+	buf = buf[:0]
 	aging := g.cfg.Aging
 	if !aging.enabled() {
 		n := g.trialCount.Sample(rng)
@@ -191,23 +189,15 @@ func (g *generator) trialAppend(rng *simrand.Source, buf []FaultRecord) []FaultR
 	return buf
 }
 
-// nextNonEmpty is the Monte-Carlo fast path: it reports how many trials in
-// a row drew zero faults (`skipped`) and then generates the next trial that
-// drew a nonzero count. An empty trial cannot fail any scheme (callers
-// check Evaluator.EmptyTrialsSurvive first), so the campaign loop accounts
-// the skipped trials wholesale instead of spending a Poisson draw and a
-// scheme sweep on each. The decomposition is exact: i.i.d. trial counts
-// make the zero-run geometric and the next count zero-truncated Poisson.
-// Under an aging profile the *candidate* count is decomposed the same way;
-// thinning can still return an empty buf, which callers treat as one more
-// surviving trial.
-func (g *generator) nextNonEmpty(rng *simrand.Source, buf []FaultRecord) (skipped int, out []FaultRecord) {
-	return g.nextNonEmptyAppend(rng, buf[:0])
-}
-
-// nextNonEmptyAppend is nextNonEmpty appending to buf instead of
-// truncating it (see trialAppend). Callers detect an empty draw by
-// comparing len(out) against the pre-call length.
+// nextNonEmptyAppend is the scalar skip-sampling path: it reports how many
+// trials in a row drew zero faults (`skipped`) and then generates the next
+// trial that drew a nonzero count, appending its records to buf. Callers
+// account the skipped trials wholesale instead of spending a Poisson draw
+// on each. The decomposition is exact: i.i.d. trial counts make the
+// zero-run geometric and the next count zero-truncated Poisson. Under an
+// aging profile the *candidate* count is decomposed the same way; thinning
+// can still leave the trial empty, which callers detect by comparing
+// len(out) against the pre-call length.
 func (g *generator) nextNonEmptyAppend(rng *simrand.Source, buf []FaultRecord) (skipped int, out []FaultRecord) {
 	aging := g.cfg.Aging
 	if g.totalMean <= 0 {
@@ -259,7 +249,7 @@ func (g *generator) emitAt(rng *simrand.Source, buf []FaultRecord, cls ClassRate
 // struct is large enough (~30% of generation time went to copying it) that
 // building a local and appending shows up in profiles. The remaining
 // conditional draws (address range, silent-word, scaling escalation) stay
-// scalar in both generation modes, in this order.
+// scalar for both the scalar generator and the batch plan, in this order.
 func (g *generator) emitPlaced(rng *simrand.Source, buf []FaultRecord, cls ClassRate, start float64, ch, rank, chip int) []FaultRecord {
 	cfg := g.cfg
 	end := cfg.LifetimeHours

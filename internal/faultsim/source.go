@@ -43,7 +43,7 @@ func (s *TrialSource) Trial(rng *simrand.Source, buf []FaultRecord) []FaultRecor
 // then generates the next non-empty trial, appending its records to buf.
 // Callers account the skipped trials wholesale (a zero-fault system has no
 // telemetry and cannot fail); the decomposition is exact — see
-// generator.nextNonEmpty.
+// generator.nextNonEmptyAppend.
 func (s *TrialSource) NextNonEmpty(rng *simrand.Source, buf []FaultRecord) (skipped int, out []FaultRecord) {
 	return s.g.nextNonEmptyAppend(rng, buf[:0])
 }

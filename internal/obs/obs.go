@@ -116,6 +116,10 @@ func (h *Histogram) Observe(v float64) {
 	// First bucket whose bound is >= v; len(bounds) is the overflow bucket.
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
+	h.addSum(v)
+}
+
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -123,6 +127,55 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
+}
+
+// HistogramBatch counts observations for one Histogram in plain memory: a
+// single goroutine fills it with no atomic operations on a hot path and
+// publishes it in bulk with Flush, at a coarser grain. The zero value, and
+// a batch over a nil Histogram, discard everything.
+type HistogramBatch struct {
+	h      *Histogram
+	counts []uint64
+	sum    float64
+}
+
+// Batch returns an empty batch feeding h.
+func (h *Histogram) Batch() HistogramBatch {
+	if h == nil {
+		return HistogramBatch{}
+	}
+	return HistogramBatch{h: h, counts: make([]uint64, len(h.buckets))}
+}
+
+// Observe records one value in the batch. It finds the bucket by a linear
+// scan, which for the few bounds a histogram has, and values that mostly
+// land in its first buckets, beats the binary search Observe pays for.
+func (b *HistogramBatch) Observe(v float64) {
+	if b.h == nil {
+		return
+	}
+	i := 0
+	for i < len(b.h.bounds) && !(b.h.bounds[i] >= v) {
+		i++
+	}
+	b.counts[i]++
+	b.sum += v
+}
+
+// Flush adds the batch to its histogram — one atomic add per nonempty
+// bucket and one for the sum — and empties it.
+func (b *HistogramBatch) Flush() {
+	if b.h == nil {
+		return
+	}
+	for i, n := range b.counts {
+		if n != 0 {
+			b.h.buckets[i].Add(n)
+		}
+	}
+	b.h.addSum(b.sum)
+	clear(b.counts)
+	b.sum = 0
 }
 
 // Count returns the total number of observations; zero on a nil receiver.

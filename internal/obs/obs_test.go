@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -183,6 +184,40 @@ func TestUpdatesAllocationFree(t *testing.T) {
 		nilH.Observe(42)
 	}); allocs != 0 {
 		t.Fatalf("metric updates allocate: %v allocs/op", allocs)
+	}
+}
+
+// TestHistogramBatchMatchesObserve: observations counted in a batch and
+// flushed in bulk land exactly as the same observations made one by one,
+// the batch allocates nothing once made, and a nil histogram's batch
+// discards everything.
+func TestHistogramBatchMatchesObserve(t *testing.T) {
+	r := NewRegistry()
+	bounds := []float64{1, 2, 4, 8}
+	direct, bulk := r.Histogram("direct", bounds), r.Histogram("bulk", bounds)
+	b := bulk.Batch()
+	var nilH *Histogram
+	nb := nilH.Batch()
+	vals := []float64{0, 1, 1.5, 2, 3, 8, 9, 100}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, v := range vals {
+			direct.Observe(v)
+			b.Observe(v)
+			nb.Observe(v)
+		}
+		b.Flush()
+		nb.Flush()
+	}); allocs != 0 {
+		t.Fatalf("batched observations allocate: %v allocs/op", allocs)
+	}
+	snap := r.Snapshot()
+	d, k := snap.Histograms["direct"], snap.Histograms["bulk"]
+	if d.Count == 0 || d.Count != k.Count || d.Sum != k.Sum || !reflect.DeepEqual(d.Counts, k.Counts) {
+		t.Fatalf("bulk histogram %+v differs from direct %+v", k, d)
+	}
+	b.Flush() // an empty flush adds nothing
+	if again := r.Snapshot().Histograms["bulk"]; again.Count != k.Count || again.Sum != k.Sum {
+		t.Fatalf("empty flush changed the histogram: %+v", again)
 	}
 }
 

@@ -1,14 +1,15 @@
 // Batch sampling primitives for the structure-of-arrays trial generator.
 //
-// The scalar samplers in this package draw one variate per call; the batch
-// campaign generator (internal/faultsim, -gen=batch) instead samples whole
-// chunk columns at a time. The primitives here keep the xoshiro state in
+// The scalar samplers in this package draw one variate per call; the
+// campaign's batch plan (internal/faultsim) instead samples whole chunk
+// columns at a time. The primitives here keep the xoshiro state in
 // registers across a fill, replace the per-draw truncated-Poisson CDF walk
 // with a guide-table lookup, and amortize the Lemire bounded-draw rejection
 // over a pre-filled word column. All of them are exact: each produces the
 // same distribution as its scalar counterpart (several, noted below, consume
-// uniforms in a different order, which is why -gen=batch is a distinct,
-// conformance-gated stream rather than a bit-identical drop-in).
+// uniforms in a different order, which is why batch-planned campaigns draw
+// a distinct, conformance-gated stream rather than a bit-identical
+// drop-in for the scalar one).
 
 package simrand
 
