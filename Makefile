@@ -81,6 +81,7 @@ ci:
 	go vet ./...
 	go build ./...
 	go test ./...
+	cd benchmark && go vet ./... && go test ./...
 	go run ./cmd/xedverify
 	go test -race -short ./...
 	go test -run='^$$' -bench=TableI -benchtime=1x ./...

@@ -11,17 +11,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"xedsim/internal/analysis"
+	"xedsim/internal/cli"
 	"xedsim/internal/ecc"
 )
 
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "xedcodes: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
+const cmd cli.Command = "xedcodes"
 
 // cliArgs is the flag-validation surface, separated from flag.Parse so the
 // exit-2 usage convention is unit-testable (see main_test.go).
@@ -30,7 +26,7 @@ type cliArgs struct {
 	samples    int
 }
 
-// validateArgs returns the message usageErr should print, or nil. A
+// validateArgs returns the message cmd.UsageErr should print, or nil. A
 // non-positive -samples would make the Table II Monte-Carlo cells divide
 // by zero, so it is rejected up front.
 func validateArgs(a cliArgs) error {
@@ -51,7 +47,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	flag.Parse()
 	if err := validateArgs(cliArgs{experiment: *experiment, samples: *samples}); err != nil {
-		usageErr("%v", err)
+		cmd.UsageErr("%v", err)
 	}
 
 	switch *experiment {

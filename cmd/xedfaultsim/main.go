@@ -25,28 +25,22 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
+	"xedsim/internal/cli"
 	"xedsim/internal/faultsim"
 	"xedsim/internal/obs"
 	"xedsim/internal/profiling"
 )
 
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "xedfaultsim: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
+const cmd cli.Command = "xedfaultsim"
 
 // cliArgs is the flag-validation surface, separated from flag.Parse so the
 // exit-2 usage convention is unit-testable (see main_test.go).
@@ -62,7 +56,7 @@ type cliArgs struct {
 	ondieCode  string
 }
 
-// validateArgs returns the message usageErr should print, or nil. Range
+// validateArgs returns the message cmd.UsageErr should print, or nil. Range
 // errors are caught here, at flag-validation time, rather than surfacing
 // later as Config invariant violations (negative scrub intervals) or as
 // silently disabled periodic snapshots (non-positive -checkpoint-every).
@@ -131,14 +125,14 @@ func main() {
 		resume:     *resume,
 		ondieCode:  *ondieCode,
 	}); err != nil {
-		usageErr("%v", err)
+		cmd.UsageErr("%v", err)
 	}
 	var customSchemes []faultsim.Scheme
 	if *experiment == "custom" {
 		var err error
 		customSchemes, err = faultsim.SchemesByName(splitTrim(*schemeList)...)
 		if err != nil {
-			usageErr("%v", err)
+			cmd.UsageErr("%v", err)
 		}
 	}
 
@@ -149,14 +143,7 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 	if *debugAddr != "" {
-		ln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xedfaultsim: -debug-addr: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "xedfaultsim: serving metrics and pprof on http://%s\n", ln.Addr())
-		srv := &http.Server{Handler: obs.NewMux(reg)}
-		go srv.Serve(ln)
+		srv := cmd.ServeDebug(*debugAddr, reg, nil)
 		defer srv.Close()
 	}
 
@@ -164,8 +151,7 @@ func main() {
 	defer stop()
 
 	if err := prof.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "xedfaultsim: %v\n", err)
-		os.Exit(1)
+		cmd.Fatal(err)
 	}
 	opts := runOptions{
 		systems:   *systems,
@@ -196,29 +182,18 @@ func main() {
 		runErr = runExperiment(ctx, *experiment, opts)
 	}
 	if err := prof.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "xedfaultsim: %v\n", err)
-		os.Exit(1)
+		cmd.Fatal(err)
 	}
+	// The metrics are written even after an interrupted campaign, so
+	// partial runs still leave their accounting behind.
 	if *metricsJSON != "" {
-		if err := writeMetricsJSON(*metricsJSON, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "xedfaultsim: %v\n", err)
-			os.Exit(1)
+		if err := cli.WriteMetricsJSON(*metricsJSON, reg); err != nil {
+			cmd.Fatal(err)
 		}
 	}
 	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "xedfaultsim: %v\n", runErr)
-		os.Exit(1)
+		cmd.Fatal(runErr)
 	}
-}
-
-// writeMetricsJSON dumps the final snapshot; it runs even after an
-// interrupted campaign so partial runs still leave their accounting behind.
-func writeMetricsJSON(path string, reg *obs.Registry) error {
-	b, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 func splitTrim(s string) []string {

@@ -24,23 +24,19 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"xedsim/internal/cli"
 	"xedsim/internal/faultsim"
 	"xedsim/internal/fleet"
 	"xedsim/internal/obs"
 )
 
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "xedfleet: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
+const cmd cli.Command = "xedfleet"
 
 // cliArgs is the flag-validation surface, separated from flag.Parse so the
 // exit-2 usage convention is unit-testable (see main_test.go).
@@ -59,7 +55,7 @@ type cliArgs struct {
 	resume    bool
 }
 
-// validateArgs returns the message usageErr should print, or nil. Range
+// validateArgs returns the message cmd.UsageErr should print, or nil. Range
 // errors are caught at flag-validation time rather than surfacing later as
 // Config invariant violations.
 func validateArgs(a cliArgs) error {
@@ -135,7 +131,7 @@ func main() {
 		ckptEvery: *ckptEvery,
 		resume:    *resume,
 	}); err != nil {
-		usageErr("%v", err)
+		cmd.UsageErr("%v", err)
 	}
 
 	cfg := fleet.DefaultConfig()
@@ -146,7 +142,7 @@ func main() {
 	cfg.DIMMsPerMC = *dimmsMC
 	cfg.Policy, _ = fleet.ParsePolicy(*policy)
 	if err := cfg.Validate(); err != nil {
-		usageErr("%v", err)
+		cmd.UsageErr("%v", err)
 	}
 
 	opts := fleet.Options{
@@ -161,14 +157,12 @@ func main() {
 	if *dimmHist >= 0 {
 		h, err := fleet.History(cfg, opts, *dimmHist)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xedfleet: %v\n", err)
-			os.Exit(1)
+			cmd.Fatal(err)
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(h); err != nil {
-			fmt.Fprintf(os.Stderr, "xedfleet: %v\n", err)
-			os.Exit(1)
+			cmd.Fatal(err)
 		}
 		return
 	}
@@ -181,14 +175,7 @@ func main() {
 	view := fleet.NewView()
 	opts.View = view
 	if *debugAddr != "" {
-		ln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xedfleet: -debug-addr: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "xedfleet: serving metrics, /edac and pprof on http://%s\n", ln.Addr())
-		srv := &http.Server{Handler: obs.NewMuxViews(reg, map[string]http.Handler{"/edac": view.Handler()})}
-		go srv.Serve(ln) //nolint:errcheck // closed on exit
+		srv := cmd.ServeDebug(*debugAddr, reg, map[string]http.Handler{"/edac": view.Handler()})
 		defer srv.Close()
 	}
 	if *progress {
@@ -208,24 +195,17 @@ func main() {
 	}
 	interrupted := errors.Is(runErr, context.Canceled)
 	if runErr != nil && !interrupted {
-		fmt.Fprintf(os.Stderr, "xedfleet: %v\n", runErr)
-		os.Exit(1)
+		cmd.Fatal(runErr)
 	}
 	printSummary(sum)
 	if *edacPath != "" {
 		if err := writeEDAC(*edacPath, &cfg, sum); err != nil {
-			fmt.Fprintf(os.Stderr, "xedfleet: %v\n", err)
-			os.Exit(1)
+			cmd.Fatal(err)
 		}
 	}
 	if *metricsJSON != "" {
-		b, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-		if err == nil {
-			err = os.WriteFile(*metricsJSON, append(b, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xedfleet: %v\n", err)
-			os.Exit(1)
+		if err := cli.WriteMetricsJSON(*metricsJSON, reg); err != nil {
+			cmd.Fatal(err)
 		}
 	}
 	if interrupted {
@@ -233,8 +213,7 @@ func main() {
 		if *ckptPath != "" {
 			msg += ", progress saved to " + *ckptPath
 		}
-		fmt.Fprintf(os.Stderr, "xedfleet: %s\n", msg)
-		os.Exit(1)
+		cmd.Fatal(errors.New(msg))
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 
+	"xedsim/internal/cli"
 	"xedsim/internal/dram"
 	"xedsim/internal/ecc"
 	"xedsim/internal/faultsim"
@@ -30,11 +31,7 @@ import (
 	"xedsim/internal/simrand"
 )
 
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "xedinfer: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
+const cmd cli.Command = "xedinfer"
 
 // cliArgs is the flag-validation surface, separated from flag.Parse so the
 // exit-2 usage convention is unit-testable (see main_test.go).
@@ -47,7 +44,7 @@ type cliArgs struct {
 	rounds     int
 }
 
-// validateArgs returns the message usageErr should print, or nil.
+// validateArgs returns the message cmd.UsageErr should print, or nil.
 func validateArgs(a cliArgs) error {
 	switch a.experiment {
 	case "all", "beer", "harp":
@@ -83,7 +80,7 @@ func main() {
 	dumpH := flag.Bool("dump-h", false, "print the true and recovered parity-check matrices")
 	flag.Parse()
 	if flag.NArg() > 0 {
-		usageErr("unexpected arguments: %v", flag.Args())
+		cmd.UsageErr("unexpected arguments: %v", flag.Args())
 	}
 	a := cliArgs{
 		experiment: *experiment,
@@ -94,7 +91,7 @@ func main() {
 		rounds:     *rounds,
 	}
 	if err := validateArgs(a); err != nil {
-		usageErr("%v", err)
+		cmd.UsageErr("%v", err)
 	}
 	code, _ := faultsim.ParseOnDieCode(a.code) // validated above
 

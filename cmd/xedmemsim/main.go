@@ -26,15 +26,12 @@ import (
 	"os/signal"
 	"syscall"
 
+	"xedsim/internal/cli"
 	"xedsim/internal/memsim"
 	"xedsim/internal/profiling"
 )
 
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "xedmemsim: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
+const cmd cli.Command = "xedmemsim"
 
 // cliArgs is the flag-validation surface, separated from flag.Parse so the
 // exit-2 usage convention is unit-testable (see main_test.go).
@@ -44,7 +41,7 @@ type cliArgs struct {
 	workers    int
 }
 
-// validateArgs returns the message usageErr should print, or nil.
+// validateArgs returns the message cmd.UsageErr should print, or nil.
 func validateArgs(a cliArgs) error {
 	if a.instr <= 0 {
 		return fmt.Errorf("-instr must be positive, got %d", a.instr)
@@ -68,15 +65,14 @@ func main() {
 	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
 	if err := validateArgs(cliArgs{experiment: *experiment, instr: *instr, workers: *workers}); err != nil {
-		usageErr("%v", err)
+		cmd.UsageErr("%v", err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	if err := prof.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "xedmemsim: %v\n", err)
-		os.Exit(1)
+		cmd.Fatal(err)
 	}
 	var err error
 	switch *experiment {
@@ -97,8 +93,7 @@ func main() {
 		err = fig14(ctx, *instr, *seed, *workers)
 	}
 	if perr := prof.Stop(); perr != nil {
-		fmt.Fprintf(os.Stderr, "xedmemsim: %v\n", perr)
-		os.Exit(1)
+		cmd.Fatal(perr)
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {

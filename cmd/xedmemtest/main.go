@@ -12,15 +12,17 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
+	"xedsim/internal/cli"
 	"xedsim/internal/core"
 	"xedsim/internal/dram"
 	"xedsim/internal/obs"
 )
+
+const cmd cli.Command = "xedmemtest"
 
 var patterns = []struct {
 	name string
@@ -44,14 +46,10 @@ func main() {
 	metricsJSON := flag.String("metrics-json", "", "write the fleet's final core.* metrics snapshot to this file as JSON")
 	flag.Parse()
 	if *rows <= 0 || *banks <= 0 || *passes <= 0 {
-		fmt.Fprintf(os.Stderr, "xedmemtest: -rows, -banks and -passes must be positive\n")
-		flag.Usage()
-		os.Exit(2)
+		cmd.UsageErr("-rows, -banks and -passes must be positive")
 	}
 	if *killChip > 8 {
-		fmt.Fprintf(os.Stderr, "xedmemtest: -kill-chip must be in 0..8 (or negative for none)\n")
-		flag.Usage()
-		os.Exit(2)
+		cmd.UsageErr("-kill-chip must be in 0..8 (or negative for none)")
 	}
 
 	var reg *obs.Registry
@@ -119,13 +117,8 @@ func main() {
 		}
 	}
 	if reg != nil {
-		b, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-		if err == nil {
-			err = os.WriteFile(*metricsJSON, append(b, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xedmemtest: %v\n", err)
-			os.Exit(1)
+		if err := cli.WriteMetricsJSON(*metricsJSON, reg); err != nil {
+			cmd.Fatal(err)
 		}
 	}
 	if failures == 0 {

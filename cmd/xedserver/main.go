@@ -33,16 +33,13 @@ import (
 	"syscall"
 	"time"
 
+	"xedsim/internal/cli"
 	"xedsim/internal/dist"
 	"xedsim/internal/faultsim"
 	"xedsim/internal/obs"
 )
 
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "xedserver: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
+const cmd cli.Command = "xedserver"
 
 // cliArgs is the flag-validation surface, separated from flag.Parse so the
 // exit-2 usage convention is unit-testable (see main_test.go).
@@ -64,7 +61,7 @@ type cliArgs struct {
 	outPath     string
 }
 
-// validateArgs returns the message usageErr should print, or nil.
+// validateArgs returns the message cmd.UsageErr should print, or nil.
 func validateArgs(a cliArgs) error {
 	if a.submit {
 		if a.coordinator == "" {
@@ -141,7 +138,7 @@ func main() {
 		scrub:        *scrub,
 		outPath:      *outPath,
 	}); err != nil {
-		usageErr("%v", err)
+		cmd.UsageErr("%v", err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -169,8 +166,7 @@ func main() {
 		}, *addr)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "xedserver: %v\n", err)
-		os.Exit(1)
+		cmd.Fatal(err)
 	}
 }
 

@@ -19,14 +19,11 @@ import (
 	"syscall"
 
 	"xedsim/internal/analysis"
+	"xedsim/internal/cli"
 	"xedsim/internal/faultsim"
 )
 
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "xedsweep: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
+const cmd cli.Command = "xedsweep"
 
 // cliArgs is the flag-validation surface, separated from flag.Parse so the
 // exit-2 usage convention is unit-testable (see main_test.go).
@@ -36,7 +33,7 @@ type cliArgs struct {
 	workers int
 }
 
-// validateArgs returns the message usageErr should print, or nil.
+// validateArgs returns the message cmd.UsageErr should print, or nil.
 func validateArgs(a cliArgs) error {
 	if a.systems <= 0 {
 		return fmt.Errorf("-systems must be positive, got %d", a.systems)
@@ -59,7 +56,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	flag.Parse()
 	if err := validateArgs(cliArgs{sweep: *sweep, systems: *systems, workers: *workers}); err != nil {
-		usageErr("%v", err)
+		cmd.UsageErr("%v", err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

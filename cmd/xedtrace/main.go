@@ -14,15 +14,12 @@ import (
 	"fmt"
 	"os"
 
+	"xedsim/internal/cli"
 	"xedsim/internal/dram"
 	"xedsim/internal/faultsim"
 )
 
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "xedtrace: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
+const cmd cli.Command = "xedtrace"
 
 // cliArgs is the flag-validation surface, separated from flag.Parse so the
 // exit-2 usage convention is unit-testable (see main_test.go).
@@ -34,7 +31,7 @@ type cliArgs struct {
 	scaling      float64
 }
 
-// validateArgs returns the message usageErr should print, or nil. Exactly
+// validateArgs returns the message cmd.UsageErr should print, or nil. Exactly
 // one mode must be selected, and capture parameters are range-checked here
 // rather than surfacing later as Config or CaptureTrace errors.
 func validateArgs(a cliArgs) error {
@@ -85,7 +82,7 @@ func main() {
 		trials:  *trials,
 		scaling: *scaling,
 	}); err != nil {
-		usageErr("%v", err)
+		cmd.UsageErr("%v", err)
 	}
 
 	switch {
@@ -94,15 +91,15 @@ func main() {
 		cfg.ScalingRate = *scaling
 		tr, err := faultsim.CaptureTrace(cfg, *trials, *seed)
 		if err != nil {
-			fatal(err)
+			cmd.Fatal(err)
 		}
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			cmd.Fatal(err)
 		}
 		defer f.Close()
 		if err := tr.WriteJSON(f); err != nil {
-			fatal(err)
+			cmd.Fatal(err)
 		}
 		total := 0
 		for _, t := range tr.Trials {
@@ -113,7 +110,7 @@ func main() {
 		tr := load(*judge)
 		rep, err := tr.Judge(faultsim.AllSchemes())
 		if err != nil {
-			fatal(err)
+			cmd.Fatal(err)
 		}
 		fmt.Printf("%-22s %12s %12s %12s\n", "scheme", "P(fail)", "DUE", "SDC")
 		for i := range rep.Results {
@@ -159,17 +156,12 @@ func main() {
 func load(path string) *faultsim.Trace {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		cmd.Fatal(err)
 	}
 	defer f.Close()
 	tr, err := faultsim.ReadTrace(f)
 	if err != nil {
-		fatal(err)
+		cmd.Fatal(err)
 	}
 	return tr
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "xedtrace: %v\n", err)
-	os.Exit(1)
 }

@@ -34,15 +34,12 @@ import (
 	"syscall"
 	"time"
 
+	"xedsim/internal/cli"
 	"xedsim/internal/conformance"
 	"xedsim/internal/dist"
 )
 
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "xedverify: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
+const cmd cli.Command = "xedverify"
 
 // cliArgs is the flag-validation surface, separated from flag.Parse so the
 // exit-2 usage convention is unit-testable (see main_test.go).
@@ -57,7 +54,7 @@ type cliArgs struct {
 	coordinator     string
 }
 
-// validateArgs returns the message usageErr should print, or nil.
+// validateArgs returns the message cmd.UsageErr should print, or nil.
 func validateArgs(a cliArgs) error {
 	if a.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", a.workers)
@@ -109,7 +106,7 @@ func main() {
 	coordinator := flag.String("coordinator", "", "run campaigns through this xedserver coordinator URL instead of local cores")
 	flag.Parse()
 	if flag.NArg() > 0 {
-		usageErr("unexpected arguments: %v", flag.Args())
+		cmd.UsageErr("unexpected arguments: %v", flag.Args())
 	}
 
 	if err := validateArgs(cliArgs{
@@ -122,12 +119,12 @@ func main() {
 		trialsPerConfig: *trialsPerConfig,
 		coordinator:     *coordinator,
 	}); err != nil {
-		usageErr("%v", err)
+		cmd.UsageErr("%v", err)
 	}
 
 	claims, err := selectedClaims(*claimList)
 	if err != nil {
-		usageErr("%v", err) // unreachable after validateArgs; defensive
+		cmd.UsageErr("%v", err) // unreachable after validateArgs; defensive
 	}
 
 	if *list {

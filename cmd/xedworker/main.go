@@ -19,8 +19,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -28,15 +26,12 @@ import (
 	"syscall"
 	"time"
 
+	"xedsim/internal/cli"
 	"xedsim/internal/dist"
 	"xedsim/internal/obs"
 )
 
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "xedworker: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
+const cmd cli.Command = "xedworker"
 
 // cliArgs is the flag-validation surface, separated from flag.Parse so the
 // exit-2 usage convention is unit-testable (see main_test.go).
@@ -49,7 +44,7 @@ type cliArgs struct {
 	debugAddr   string
 }
 
-// validateArgs returns the message usageErr should print, or nil.
+// validateArgs returns the message cmd.UsageErr should print, or nil.
 func validateArgs(a cliArgs) error {
 	if a.coordinator == "" {
 		return errors.New("-coordinator URL is required")
@@ -92,7 +87,7 @@ func main() {
 		debugAddr:   *debugAddr,
 	}
 	if err := validateArgs(args); err != nil {
-		usageErr("%v", err)
+		cmd.UsageErr("%v", err)
 	}
 	if args.id == "" {
 		args.id = defaultWorkerID()
@@ -103,14 +98,7 @@ func main() {
 
 	reg := obs.NewRegistry()
 	if args.debugAddr != "" {
-		ln, err := net.Listen("tcp", args.debugAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xedworker: -debug-addr: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "xedworker: serving metrics and pprof on http://%s\n", ln.Addr())
-		srv := &http.Server{Handler: obs.NewMux(reg)}
-		go srv.Serve(ln) //nolint:errcheck
+		srv := cmd.ServeDebug(args.debugAddr, reg, nil)
 		defer srv.Close()
 	}
 
@@ -127,8 +115,7 @@ func main() {
 	})
 	fmt.Fprintf(os.Stderr, "xedworker: %s leasing from %s with %d slots\n", args.id, args.coordinator, args.parallel)
 	if err := w.Run(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "xedworker: %v\n", err)
-		os.Exit(1)
+		cmd.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "xedworker: settled %d units, bye\n", w.UnitsDone())
 }

@@ -449,6 +449,90 @@ func TestLedgerRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoveryRecomputesRefusedJobCheckpoint: a job checkpoint whose hash
+// is valid but whose payload does not fit the campaign (scheme 1 cut to
+// one year bucket) is refused whole at restart, so the job recomputes
+// from zero and still ends with the local run's result.
+func TestRecoveryRecomputesRefusedJobCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec()
+	localRep, localBytes := localRun(t, spec)
+
+	c1 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4})
+	st, err := c1.Submit(*spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes, _ := spec.ResolveSchemes()
+	r, err := faultsim.NewChunkRunner(spec.Config, schemes, spec.CampaignOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ { // 64 of 79 chunks
+		lease, err := c1.Lease("w")
+		if err != nil || lease == nil {
+			t.Fatal("no lease")
+		}
+		res, err := r.RunSpan(context.Background(), lease.Lo, lease.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c1.Complete(CompleteRequest{JobID: lease.JobID, Unit: lease.Unit, Token: lease.Token, Result: *res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1.SaveState()
+
+	path := filepath.Join(dir, "job-"+st.ID+".ckpt")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Magic      string         `json:"magic"`
+		Kind       string         `json:"kind"`
+		Version    int            `json:"version"`
+		ConfigHash string         `json:"config_hash"`
+		Payload    map[string]any `json:"payload"`
+	}
+	dec := json.NewDecoder(strings.NewReader(string(raw)))
+	dec.UseNumber() // the done bitmap's words do not fit a float64
+	if err := dec.Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if done := env.Payload["done_trials"].(json.Number).String(); done != "32768" {
+		t.Fatalf("saved job holds %s trials, want 64 chunks of 512", done)
+	}
+	scheme1 := env.Payload["results"].([]any)[1].(map[string]any)
+	scheme1["by_year"] = scheme1["by_year"].([]any)[:1]
+	if raw, err = json.Marshal(env); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4})
+	st2, err := c2.Status(st.ID)
+	if err != nil {
+		t.Fatalf("restarted coordinator lost the job: %v", err)
+	}
+	if st2.DoneChunks != 0 {
+		t.Fatalf("restored DoneChunks = %d from a refused checkpoint, want 0", st2.DoneChunks)
+	}
+	drainJob(t, c2)
+	rep, err := c2.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, localRep) {
+		t.Fatalf("recomputed job differs from local RunCampaign:\n%+v\nwant\n%+v", rep.Results, localRep.Results)
+	}
+	if b, err := c2.CheckpointBytes(st.ID); err != nil || string(b) != string(localBytes) {
+		t.Fatalf("recomputed job's checkpoint differs from the local one (err %v)", err)
+	}
+}
+
 // TestDrainRefusesWork pins graceful shutdown: a draining coordinator
 // refuses submissions and leases (503 semantics) and reports not-ready.
 func TestDrainRefusesWork(t *testing.T) {

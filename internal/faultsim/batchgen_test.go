@@ -430,11 +430,11 @@ func TestBatchPlanZeroAllocs(t *testing.T) {
 	w.recsPerTrial, w.skipRun = met.recsPerTrial.Batch(), met.skipRun.Batch()
 	ctx := context.Background()
 	for c := 0; c < 10; c++ {
-		w.runChunk(ctx, c, 0, 4096)
+		w.RunChunk(ctx, c, 0, 4096)
 	}
 	c := 10
 	if allocs := testing.AllocsPerRun(20, func() {
-		w.runChunk(ctx, c, 0, 2048)
+		w.RunChunk(ctx, c, 0, 2048)
 		w.recsPerTrial.Flush()
 		w.skipRun.Flush()
 		c++

@@ -6,22 +6,21 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"os"
-	"runtime"
 	"slices"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xedsim/internal/checkpoint"
+	"xedsim/internal/chunkrun"
 	"xedsim/internal/obs"
 	"xedsim/internal/simrand"
 )
 
-// This file is the resilient Monte-Carlo campaign engine. Run delegates to
-// it; the CLIs reach it directly through RunCampaign for cancellation,
-// checkpoint/resume and panic isolation.
+// This file is the resilient Monte-Carlo campaign: the campaign's domain
+// layer over internal/chunkrun, which owns the chunk queue, merging,
+// checkpointing and resume. Run delegates to it; the CLIs reach it
+// directly through RunCampaign for cancellation, checkpoint/resume and
+// panic isolation.
 //
 // Every campaign takes one path: each chunk's trials are planned in one
 // batch (batchgen.go) and judged 64 at a time by the bit-sliced
@@ -231,29 +230,66 @@ type campaignHashInput struct {
 	ChunkSize int      `json:"chunk_size"`
 }
 
-// engine is the shared state of one RunCampaign invocation.
-type engine struct {
+// accum is a campaign's integer accumulator: per-scheme tallies (ByYear
+// cumulative), the tallied trial count, the voided trials, and the error
+// budget those are held to.
+type accum struct {
+	results []SchemeTally
+	trials  uint64
+	errs    []TrialError
+	budget  int
+}
+
+// fold adds worker w's last chunk. The worker tallies first-failure year
+// buckets (one increment per failure, off the hot path's cumulative inner
+// loop); the prefix sum here restores the cumulative-by-year semantics.
+func (a *accum) fold(w *campaignWorker) error {
+	for s := range a.results {
+		t := &a.results[s]
+		t.Failures += w.total[s]
+		t.DUEs += w.dues[s]
+		t.SDCs += w.sdcs[s]
+		var run uint64
+		for y := range t.ByYear {
+			run += w.failures[s][y]
+			t.ByYear[y] += run
+		}
+	}
+	a.trials += uint64(w.hi-w.lo) - uint64(len(w.errs))
+	a.errs = append(a.errs, w.errs...)
+	return a.checkBudget()
+}
+
+// add folds a span result, whose tallies are already cumulative.
+func (a *accum) add(res *ChunkResult) error {
+	for s := range a.results {
+		a.results[s].add(&res.Tallies[s])
+	}
+	a.trials += res.Trials
+	a.errs = append(a.errs, res.Errors...)
+	return a.checkBudget()
+}
+
+func (a *accum) checkBudget() error {
+	if len(a.errs) <= a.budget {
+		return nil
+	}
+	return fmt.Errorf("%w: %d trials panicked (budget %d); first: %v",
+		ErrErrorBudgetExceeded, len(a.errs), a.budget, &a.errs[0])
+}
+
+// campaign is one campaign's domain layer over its chunk runner: the
+// validated configuration, the accumulator the runner's lock guards, and
+// the live metrics. RunCampaign, ChunkRunner and Merger are views of it.
+type campaign struct {
 	cfg     Config
 	schemes []Scheme
 	opts    CampaignOptions
 	years   int
-	nChunks int
 	hash    string
 
-	nextChunk atomic.Int64 // work queue: chunk indices in [0, nChunks)
-
-	mu         sync.Mutex
-	doneBits   []uint64
-	doneChunks int
-	doneTrials uint64
-	accum      []SchemeTally
-	trialErrs  []TrialError
-	failed     error // first fatal engine error (budget, checkpoint I/O)
-	lastSave   time.Time
-
-	onChunkMu sync.Mutex         // serialises the OnChunk callback
-	cancel    context.CancelFunc // cancels workers on fatal engine error
-
+	acc accum
+	run *chunkrun.Runner[campaignSnapshot]
 	met campaignMetrics
 }
 
@@ -266,10 +302,8 @@ type campaignMetrics struct {
 	chunksDone      *obs.Counter
 	chunksTotal     *obs.Gauge
 	errorBudget     *obs.Gauge
-	ckptSaves       *obs.Counter
-	ckptSaveMS      *obs.Histogram
 
-	// Per-scheme tallies, parallel to the engine's scheme slice.
+	// Per-scheme tallies, parallel to the campaign's scheme slice.
 	failures []*obs.Counter
 	dues     []*obs.Counter
 	sdcs     []*obs.Counter
@@ -292,8 +326,6 @@ func newCampaignMetrics(r *obs.Registry, schemes []Scheme) campaignMetrics {
 		chunksDone:      r.Counter("campaign.chunks_done"),
 		chunksTotal:     r.Gauge("campaign.chunks_total"),
 		errorBudget:     r.Gauge("campaign.error_budget"),
-		ckptSaves:       r.Counter("campaign.checkpoint.saves"),
-		ckptSaveMS:      r.Histogram("campaign.checkpoint.save_ms", []float64{1, 2, 5, 10, 25, 50, 100, 250, 1000}),
 		trialsEvaluated: r.Counter("campaign.trials_evaluated"),
 		laneBatches:     r.Counter("campaign.lane_batches"),
 		laneProbes:      r.Counter("campaign.lane_probes"),
@@ -310,12 +342,12 @@ func newCampaignMetrics(r *obs.Registry, schemes []Scheme) campaignMetrics {
 	return m
 }
 
-// newEngine validates (cfg, schemes, opts), normalizes the options
+// newCampaign validates (cfg, schemes, opts), normalizes the options
 // (default chunk size, checkpoint interval, error budget) and builds the
-// campaign accumulator state shared by RunCampaign, ChunkRunner and
-// Merger. needHash forces the config-hash computation even when no
-// CheckpointPath is set (distributed merging always needs it).
-func newEngine(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bool) (*engine, error) {
+// campaign's accumulator and runner. needHash forces the config-hash
+// computation even when no CheckpointPath is set (distributed merging
+// always needs it).
+func newCampaign(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bool) (*campaign, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -338,32 +370,37 @@ func newEngine(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bool
 		opts.ErrorBudget = 0
 	}
 
-	e := &engine{
+	c := &campaign{
 		cfg:     cfg,
 		schemes: schemes,
 		opts:    opts,
 		years:   int(math.Ceil(cfg.LifetimeHours / HoursPerYear)),
-		nChunks: (opts.Trials + opts.ChunkSize - 1) / opts.ChunkSize,
 	}
 	if needHash {
-		names := make([]string, len(schemes))
-		for i, s := range schemes {
-			names[i] = s.Name()
-		}
 		var err error
-		e.hash, err = checkpoint.Hash(campaignHashInput{
-			Config: cfg, Schemes: names, Trials: opts.Trials, Seed: opts.Seed, ChunkSize: opts.ChunkSize,
+		c.hash, err = checkpoint.Hash(campaignHashInput{
+			Config: cfg, Schemes: c.schemeNames(), Trials: opts.Trials, Seed: opts.Seed, ChunkSize: opts.ChunkSize,
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-	e.doneBits = make([]uint64, (e.nChunks+63)/64)
-	e.accum = make([]SchemeTally, len(schemes))
-	for i := range e.accum {
-		e.accum[i].ByYear = make([]uint64, e.years)
+	c.acc.results = make([]SchemeTally, len(schemes))
+	for i := range c.acc.results {
+		c.acc.results[i].ByYear = make([]uint64, c.years)
 	}
-	return e, nil
+	c.acc.budget = opts.ErrorBudget
+	c.run = chunkrun.New(opts.Trials, opts.ChunkSize,
+		chunkrun.Format{Kind: checkpointKind, Version: checkpointVersion, Hash: c.hash}, c)
+	return c, nil
+}
+
+func (c *campaign) schemeNames() []string {
+	names := make([]string, len(c.schemes))
+	for i, s := range c.schemes {
+		names[i] = s.Name()
+	}
+	return names
 }
 
 // RunCampaign executes a resilient Monte-Carlo campaign. It honours ctx
@@ -381,292 +418,114 @@ func RunCampaign(ctx context.Context, cfg Config, schemes []Scheme, opts Campaig
 	// The config hash only guards snapshot compatibility; skip the
 	// JSON+SHA-256 work for plain in-memory campaigns (Run calls this per
 	// benchmark iteration).
-	e, err := newEngine(cfg, schemes, opts, opts.CheckpointPath != "")
+	c, err := newCampaign(cfg, schemes, opts, opts.CheckpointPath != "")
 	if err != nil {
 		return nil, err
 	}
-	opts = e.opts
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	opts = c.opts
 	if opts.Resume && opts.CheckpointPath != "" {
-		if err := e.loadSnapshot(); err != nil {
+		if err := c.run.Load(opts.CheckpointPath); err != nil {
 			return nil, err
 		}
 	}
-	e.met = newCampaignMetrics(opts.Metrics, schemes)
-	e.met.trialsRequested.Add(int64(opts.Trials))
-	e.met.chunksTotal.Add(int64(e.nChunks))
-	e.met.errorBudget.Set(int64(opts.ErrorBudget))
-	if e.doneChunks > 0 {
+	c.met = newCampaignMetrics(opts.Metrics, schemes)
+	c.met.trialsRequested.Add(int64(opts.Trials))
+	c.met.chunksTotal.Add(int64(c.run.Chunks()))
+	c.met.errorBudget.Set(int64(opts.ErrorBudget))
+	if done := c.run.DoneChunks(); done > 0 {
 		// Resumed progress is visible immediately, so live trials/s and
 		// tallies start from the snapshot's frontier rather than zero.
-		e.met.chunksDone.Add(uint64(e.doneChunks))
-		e.met.trialsDone.Add(e.doneTrials)
-		e.met.trialErrors.Add(uint64(len(e.trialErrs)))
-		for s := range e.accum {
-			e.met.failures[s].Add(e.accum[s].Failures)
-			e.met.dues[s].Add(e.accum[s].DUEs)
-			e.met.sdcs[s].Add(e.accum[s].SDCs)
+		c.met.chunksDone.Add(uint64(done))
+		c.met.trialsDone.Add(c.acc.trials)
+		c.met.trialErrors.Add(uint64(len(c.acc.errs)))
+		for s := range c.acc.results {
+			c.met.failures[s].Add(c.acc.results[s].Failures)
+			c.met.dues[s].Add(c.acc.results[s].DUEs)
+			c.met.sdcs[s].Add(c.acc.results[s].SDCs)
 		}
 	}
-	e.lastSave = time.Now()
-	if opts.OnChunk != nil && e.doneChunks > 0 {
-		opts.OnChunk(e.doneChunks, e.nChunks)
-	}
 
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	e.cancel = cancel
-	if workers > e.nChunks {
-		workers = e.nChunks
-	}
-	tables := newCampaignTables(&e.cfg, e.schemes)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.worker(wctx, tables)
-		}()
-	}
-	wg.Wait()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sort.Slice(e.trialErrs, func(i, j int) bool { return e.trialErrs[i].Trial < e.trialErrs[j].Trial })
-	rep := e.reportLocked()
-	runErr := e.failed
-	if runErr == nil {
-		runErr = ctx.Err()
-	}
-	if e.opts.CheckpointPath != "" {
-		// Final snapshot: Complete on success, the partial frontier on
-		// cancellation, so a later -resume continues (or short-circuits).
-		if err := e.saveLocked(); err != nil && runErr == nil {
-			runErr = err
+	tables := newCampaignTables(&c.cfg, c.schemes)
+	runErr := c.run.Run(ctx, chunkrun.Options{
+		Workers:  opts.Workers,
+		Path:     opts.CheckpointPath,
+		Interval: opts.CheckpointInterval,
+		OnChunk:  opts.OnChunk,
+		Metrics:  opts.Metrics,
+		Prefix:   "campaign",
+	}, func() (chunkrun.Worker, error) {
+		w := newCampaignWorker(tables, c.opts.Seed, c.years)
+		w.c = c
+		if c.opts.Metrics != nil {
+			w.shape = true
+			w.recsPerTrial, w.skipRun = c.met.recsPerTrial.Batch(), c.met.skipRun.Batch()
 		}
-	}
-	return rep, runErr
+		return w, nil
+	})
+	c.run.Lock()
+	defer c.run.Unlock()
+	return c.reportLocked(), runErr
 }
 
-// worker pulls chunk indices until the queue drains or ctx cancels.
-func (e *engine) worker(ctx context.Context, t *campaignTables) {
-	w := newCampaignWorker(t, e.opts.Seed, e.years)
-	if e.opts.Metrics != nil {
-		w.shape = true
-		w.recsPerTrial, w.skipRun = e.met.recsPerTrial.Batch(), e.met.skipRun.Batch()
-	}
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		c := int(e.nextChunk.Add(1)) - 1
-		if c >= e.nChunks {
-			return
-		}
-		if e.chunkDone(c) {
-			continue
-		}
-		lo, hi := e.chunkBounds(c)
-		if !w.runChunk(ctx, c, lo, hi) {
-			return // cancelled mid-chunk; the chunk is not merged
-		}
-		if !e.merge(c, w) {
-			return
-		}
+// Snapshot assembles the checkpoint payload (chunkrun.Codec). The payload
+// is canonical: trial errors are sorted by trial index, so two campaigns
+// that merged the same chunks — in any order, on any number of workers or
+// machines — produce byte-identical snapshots.
+func (c *campaign) Snapshot(done []uint64, complete bool) campaignSnapshot {
+	sortTrialErrs(c.acc.errs)
+	return campaignSnapshot{
+		Trials:     c.opts.Trials,
+		Seed:       c.opts.Seed,
+		ChunkSize:  c.opts.ChunkSize,
+		Years:      c.years,
+		Schemes:    c.schemeNames(),
+		DoneChunks: done,
+		DoneTrials: c.acc.trials,
+		Complete:   complete,
+		Results:    c.acc.results,
+		Errors:     c.acc.errs,
 	}
 }
 
-func (e *engine) chunkBounds(c int) (lo, hi int) {
-	lo = c * e.opts.ChunkSize
-	hi = lo + e.opts.ChunkSize
-	if hi > e.opts.Trials {
-		hi = e.opts.Trials
+// Check validates a loaded payload's shape against the campaign
+// (chunkrun.Codec).
+func (c *campaign) Check(p *campaignSnapshot) ([]uint64, error) {
+	if p.Years != c.years || len(p.Results) != len(c.acc.results) {
+		return nil, fmt.Errorf("%d schemes over %d years, want %d over %d",
+			len(p.Results), p.Years, len(c.acc.results), c.years)
 	}
-	return lo, hi
-}
-
-// chunkDone reads the resume bitmap. Bits are only set under mu, but
-// workers may read them racily: a stale read merely re-checks under mu in
-// merge — and chunks are claimed uniquely via nextChunk anyway, so a chunk
-// marked done here was completed by a *previous* (resumed) run.
-func (e *engine) chunkDone(c int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.doneBits[c/64]&(1<<(c%64)) != 0
-}
-
-// merge folds one completed chunk into the campaign accumulator, advances
-// the checkpoint clock, and enforces the error budget. It returns false
-// when the worker should stop (fatal engine error).
-func (e *engine) merge(c int, w *campaignWorker) bool {
-	e.mu.Lock()
-	for s := range e.accum {
-		e.accum[s].Failures += w.total[s]
-		e.accum[s].DUEs += w.dues[s]
-		e.accum[s].SDCs += w.sdcs[s]
-		// The worker tallies first-failure year buckets (one increment per
-		// failure, off the hot path's cumulative inner loop); the prefix sum
-		// here restores the accumulator's cumulative-by-year semantics.
-		var run uint64
-		for y := 0; y < e.years; y++ {
-			run += w.failures[s][y]
-			e.accum[s].ByYear[y] += run
+	for s := range p.Results {
+		if n := len(p.Results[s].ByYear); n != c.years {
+			return nil, fmt.Errorf("scheme %d has %d year buckets, want %d", s, n, c.years)
 		}
 	}
-	lo, hi := e.chunkBounds(c)
-	e.doneBits[c/64] |= 1 << (c % 64)
-	e.doneChunks++
-	e.doneTrials += uint64(hi-lo) - uint64(len(w.errs))
-	e.trialErrs = append(e.trialErrs, w.errs...)
-	overBudget := len(e.trialErrs) > e.opts.ErrorBudget && e.failed == nil
-	if overBudget {
-		e.failed = fmt.Errorf("%w: %d trials panicked (budget %d); first: %v",
-			ErrErrorBudgetExceeded, len(e.trialErrs), e.opts.ErrorBudget, &e.trialErrs[0])
-	}
-	done, total := e.doneChunks, e.nChunks
-	if e.opts.CheckpointPath != "" && time.Since(e.lastSave) >= e.opts.CheckpointInterval {
-		if err := e.saveLocked(); err != nil && e.failed == nil {
-			e.failed = err
-		}
-	}
-	failed := e.failed
-	e.mu.Unlock()
-
-	// Live tallies advance per merged chunk — atomic adds only, outside
-	// the accumulator lock and far off the per-trial hot path.
-	e.met.chunksDone.Inc()
-	e.met.trialsDone.Add(uint64(hi-lo) - uint64(len(w.errs)))
-	e.met.trialErrors.Add(uint64(len(w.errs)))
-	for s := range e.met.failures {
-		e.met.failures[s].Add(w.total[s])
-		e.met.dues[s].Add(w.dues[s])
-		e.met.sdcs[s].Add(w.sdcs[s])
-	}
-	e.met.trialsEvaluated.Add(w.stats.lanes)
-	e.met.laneBatches.Add(w.stats.batches)
-	e.met.laneProbes.Add(w.stats.probes)
-	w.stats = laneStats{}
-	e.met.batchRefills.Inc()
-	w.recsPerTrial.Flush()
-	w.skipRun.Flush()
-
-	if e.opts.OnChunk != nil {
-		e.onChunkSerialised(done, total)
-	}
-	if failed != nil {
-		e.cancel()
-		return false
-	}
-	return true
+	return p.DoneChunks, nil
 }
 
-// onChunkSerialised keeps the progress callback single-threaded without
-// holding the accumulator lock across user code.
-func (e *engine) onChunkSerialised(done, total int) {
-	e.onChunkMu.Lock()
-	defer e.onChunkMu.Unlock()
-	e.opts.OnChunk(done, total)
+// Restore seeds the accumulator from a checked payload (chunkrun.Codec).
+func (c *campaign) Restore(p *campaignSnapshot) {
+	c.acc.results, c.acc.trials, c.acc.errs = p.Results, p.DoneTrials, p.Errors
 }
 
-// snapshotLocked assembles the checkpoint payload. Caller holds mu. The
-// payload is canonical: trial errors are sorted by trial index, so two
-// engines that merged the same chunks — in any order, on any number of
-// workers or machines — produce byte-identical snapshots.
-func (e *engine) snapshotLocked() campaignSnapshot {
-	names := make([]string, len(e.schemes))
-	for i, s := range e.schemes {
-		names[i] = s.Name()
-	}
-	snap := campaignSnapshot{
-		Trials:     e.opts.Trials,
-		Seed:       e.opts.Seed,
-		ChunkSize:  e.opts.ChunkSize,
-		Years:      e.years,
-		Schemes:    names,
-		DoneChunks: append([]uint64(nil), e.doneBits...),
-		DoneTrials: e.doneTrials,
-		Complete:   e.doneChunks == e.nChunks,
-		Results:    e.accum,
-		Errors:     e.trialErrs,
-	}
-	sort.Slice(snap.Errors, func(i, j int) bool { return snap.Errors[i].Trial < snap.Errors[j].Trial })
-	return snap
-}
-
-// saveLocked snapshots the accumulator to CheckpointPath. Caller holds mu.
-func (e *engine) saveLocked() error {
-	snap := e.snapshotLocked()
-	start := time.Now()
-	if err := checkpoint.Save(e.opts.CheckpointPath, checkpointKind, checkpointVersion, e.hash, &snap); err != nil {
-		return err
-	}
-	e.met.ckptSaves.Inc()
-	e.met.ckptSaveMS.Observe(float64(time.Since(start).Microseconds()) / 1e3)
-	e.lastSave = time.Now()
-	return nil
-}
-
-// loadSnapshot seeds the accumulator from CheckpointPath. A missing file
-// starts the campaign fresh; any mismatched snapshot is refused.
-func (e *engine) loadSnapshot() error {
-	var snap campaignSnapshot
-	err := checkpoint.Load(e.opts.CheckpointPath, checkpointKind, checkpointVersion, e.hash, &snap)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	return e.restoreSnapshot(&snap, e.opts.CheckpointPath)
-}
-
-// restoreSnapshot seeds the accumulator from a loaded snapshot, validating
-// the payload shape against the engine's own config. from names the source
-// in errors.
-func (e *engine) restoreSnapshot(snap *campaignSnapshot, from string) error {
-	if len(snap.DoneChunks) != len(e.doneBits) || len(snap.Results) != len(e.accum) || snap.Years != e.years {
-		// The config hash covers everything that shapes these; reaching
-		// here means the snapshot lies about its own hash input.
-		return fmt.Errorf("%w: %s payload shape does not match its config",
-			checkpoint.ErrConfigMismatch, from)
-	}
-	copy(e.doneBits, snap.DoneChunks)
-	e.doneChunks = 0
-	for _, word := range e.doneBits {
-		e.doneChunks += bits.OnesCount64(word)
-	}
-	e.doneTrials = snap.DoneTrials
-	for s := range e.accum {
-		if len(snap.Results[s].ByYear) != e.years {
-			return fmt.Errorf("%w: %s payload shape does not match its config",
-				checkpoint.ErrConfigMismatch, from)
-		}
-		e.accum[s] = snap.Results[s]
-	}
-	e.trialErrs = snap.Errors
-	return nil
-}
-
-// reportLocked assembles the Report from the accumulator. Caller holds mu.
-func (e *engine) reportLocked() *Report {
+// reportLocked assembles the Report from the accumulator. Caller holds the
+// runner's lock.
+func (c *campaign) reportLocked() *Report {
+	sortTrialErrs(c.acc.errs)
 	rep := &Report{
-		Config:      e.cfg,
-		Trials:      e.doneTrials,
-		Requested:   uint64(e.opts.Trials),
-		Years:       e.years,
-		TrialErrors: append([]TrialError(nil), e.trialErrs...),
+		Config:      c.cfg,
+		Trials:      c.acc.trials,
+		Requested:   uint64(c.opts.Trials),
+		Years:       c.years,
+		TrialErrors: append([]TrialError(nil), c.acc.errs...),
 	}
-	for s, scheme := range e.schemes {
+	for s, scheme := range c.schemes {
 		rep.Results = append(rep.Results, Result{
 			SchemeName:     scheme.Name(),
-			Trials:         e.doneTrials,
-			Failures:       e.accum[s].Failures,
-			DUEs:           e.accum[s].DUEs,
-			SDCs:           e.accum[s].SDCs,
-			FailuresByYear: append([]uint64(nil), e.accum[s].ByYear...),
+			Trials:         c.acc.trials,
+			Failures:       c.acc.results[s].Failures,
+			DUEs:           c.acc.results[s].DUEs,
+			SDCs:           c.acc.results[s].SDCs,
+			FailuresByYear: append([]uint64(nil), c.acc.results[s].ByYear...),
 		})
 	}
 	return rep
@@ -716,8 +575,11 @@ func (b *chunkBuffers) bind(t *campaignTables) *LaneEvaluator {
 
 // campaignWorker is one goroutine's campaign state: the chunk substream
 // and the current chunk's tallies. Its scratch comes from chunkPool for
-// one chunk at a time. Nothing here allocates per trial.
+// one chunk at a time. Nothing here allocates per trial. Under RunCampaign
+// it is the chunkrun.Worker of campaign c; a ChunkRunner folds its chunks
+// itself and leaves c nil.
 type campaignWorker struct {
+	c     *campaign
 	t     *campaignTables
 	seed  uint64
 	years int
@@ -765,14 +627,14 @@ func newCampaignWorker(t *campaignTables, seed uint64, years int) *campaignWorke
 // outsized custom ChunkSizes.
 const cancelCheckMask = 1<<16 - 1
 
-// runChunk evaluates trials [lo, hi) of chunk c into the worker's tallies:
+// RunChunk evaluates trials [lo, hi) of chunk c into the worker's tallies:
 // it plans the whole chunk, packs the planned trials into lane batches and
 // judges each batch as it fills. It returns false if ctx cancelled
 // mid-chunk (tallies must be discarded). A panic inside scheme code is
 // contained per lane by the LaneEvaluator; a panic escaping to this frame
 // is a generation failure and propagates (recovery there could not keep
 // the RNG stream deterministic).
-func (w *campaignWorker) runChunk(ctx context.Context, c, lo, hi int) bool {
+func (w *campaignWorker) RunChunk(ctx context.Context, c, lo, hi int) bool {
 	w.chunk, w.lo, w.hi = c, lo, hi
 	// TrialError holds heap references (Faults slice, panic strings);
 	// truncating without clearing would keep every past chunk's worst-case
@@ -817,6 +679,31 @@ func (w *campaignWorker) runChunk(ctx context.Context, c, lo, hi int) bool {
 	}
 	w.flushBatch()
 	return true
+}
+
+// Fold adds the last chunk to the campaign's accumulator (chunkrun.Worker).
+func (w *campaignWorker) Fold() error { return w.c.acc.fold(w) }
+
+// Publish advances the live tallies by the last chunk (chunkrun.Worker):
+// atomic adds only, outside the runner's lock and far off the per-trial
+// hot path.
+func (w *campaignWorker) Publish() {
+	m := &w.c.met
+	m.chunksDone.Inc()
+	m.trialsDone.Add(uint64(w.hi-w.lo) - uint64(len(w.errs)))
+	m.trialErrors.Add(uint64(len(w.errs)))
+	for s := range m.failures {
+		m.failures[s].Add(w.total[s])
+		m.dues[s].Add(w.dues[s])
+		m.sdcs[s].Add(w.sdcs[s])
+	}
+	m.trialsEvaluated.Add(w.stats.lanes)
+	m.laneBatches.Add(w.stats.batches)
+	m.laneProbes.Add(w.stats.probes)
+	w.stats = laneStats{}
+	m.batchRefills.Inc()
+	w.recsPerTrial.Flush()
+	w.skipRun.Flush()
 }
 
 // packPlanned packs the chunk's planned trials into lane batches: the path

@@ -473,25 +473,29 @@ func TestTrialErrorReplayChosenTrial(t *testing.T) {
 // TestRunCampaignSteadyStateAllocs pins the campaign's allocation budget:
 // once the chunk buffers are pooled, a Table I campaign on two workers
 // allocates only its config-derived tables, accumulators and Report —
-// under the 40 KB the scalar path allocated.
+// under the 40 KB the scalar path allocated. The same bound at 256 and
+// 4096 chunks holds the budget flat in the chunk count: 16 bytes per chunk
+// would break it at 4096.
 func TestRunCampaignSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	cfg, schemes := DefaultConfig(), AllSchemes()
-	opts := CampaignOptions{Trials: 1 << 20, Seed: 1, Workers: 2}
-	mustCampaign(t, context.Background(), cfg, schemes, opts)
-	least := uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
-		opts.Seed++
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
+	for _, chunks := range []int{256, 4096} {
+		opts := CampaignOptions{Trials: chunks * DefaultChunkSize, Seed: 1, Workers: 2}
 		mustCampaign(t, context.Background(), cfg, schemes, opts)
-		runtime.ReadMemStats(&m1)
-		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
-	}
-	if least > 40_000 {
-		t.Fatalf("a warm Table I campaign allocated %d bytes, want at most 40000", least)
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			opts.Seed++
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			mustCampaign(t, context.Background(), cfg, schemes, opts)
+			runtime.ReadMemStats(&m1)
+			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		if least > 40_000 {
+			t.Fatalf("a warm %d-chunk Table I campaign allocated %d bytes, want at most 40000", chunks, least)
+		}
 	}
 }
 
@@ -533,5 +537,52 @@ func TestCampaignRefusesVersionOneCheckpoint(t *testing.T) {
 	}
 	if err := m.Load(path); !errors.Is(err, checkpoint.ErrVersionMismatch) {
 		t.Fatalf("merger load of a v1 checkpoint: %v, want ErrVersionMismatch", err)
+	}
+}
+
+// rewriteCheckpoint edits the payload of the campaign checkpoint at path
+// and keeps its envelope, config hash included, valid.
+func rewriteCheckpoint(t *testing.T, path string, edit func(*campaignSnapshot)) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env checkpoint.Envelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	var snap campaignSnapshot
+	if err := json.Unmarshal(env.Payload, &snap); err != nil {
+		t.Fatal(err)
+	}
+	edit(&snap)
+	b, err := checkpoint.Marshal(env.Kind, env.Version, env.ConfigHash, &snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunCampaignRefusesDoneBitPastChunkCount: a hash-valid snapshot whose
+// bitmap marks a chunk past the last one would resume with more chunks
+// done than exist and never be complete; it is refused.
+func TestRunCampaignRefusesDoneBitPastChunkCount(t *testing.T) {
+	cfg := DefaultConfig()
+	opts := CampaignOptions{Trials: 40_000, Seed: 99, ChunkSize: 512} // 79 chunks
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "campaign.ckpt")
+	mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
+	rewriteCheckpoint(t, opts.CheckpointPath, func(s *campaignSnapshot) { s.DoneChunks[1] |= 1 << (79 - 64) })
+
+	opts.Resume = true
+	opts.OnChunk = func(done, total int) {
+		if done > total {
+			t.Errorf("OnChunk(%d, %d)", done, total)
+		}
+	}
+	if _, err := RunCampaign(context.Background(), cfg, AllSchemes(), opts); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+		t.Fatalf("resume with chunk 79 of 79 marked done: %v, want ErrConfigMismatch", err)
 	}
 }

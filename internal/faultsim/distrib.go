@@ -2,13 +2,11 @@ package faultsim
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
+	"math"
 	"sort"
-	"sync"
 
-	"xedsim/internal/checkpoint"
+	"xedsim/internal/chunkrun"
 )
 
 // This file is the campaign engine's distribution seam: the chunk-level
@@ -21,7 +19,8 @@ import (
 //	              (in any arrival order, rejecting duplicates) into the
 //	              same state RunCampaign builds in-process.
 //
-// Both are thin views over the same engine internals, which is what makes
+// Both are thin views over the campaign's domain layer and its
+// chunkrun.Runner, the same ones RunCampaign drives, which is what makes
 // the headline invariant cheap to state and test: for a fixed (Config,
 // schemes, Trials, Seed, ChunkSize), a Merger that has merged every chunk
 // exactly once holds byte-identical checkpoint snapshots — and therefore
@@ -35,7 +34,7 @@ import (
 // already merged — the expected outcome of retries and duplicated
 // deliveries, surfaced as a distinct sentinel so callers can acknowledge
 // idempotently rather than fail.
-var ErrDuplicateChunks = errors.New("faultsim: chunk span already merged")
+var ErrDuplicateChunks = chunkrun.ErrDuplicate
 
 // ChunkResult is one worker's tallies over the contiguous chunk span
 // [Lo, Hi): the wire unit of a distributed campaign. It is self-describing
@@ -61,11 +60,11 @@ type ChunkResult struct {
 // campaign and produce bit-identical results, so a completed result can be
 // served from cache.
 func CampaignHash(cfg Config, schemes []Scheme, opts CampaignOptions) (string, error) {
-	e, err := newEngine(cfg, schemes, opts, true)
+	c, err := newCampaign(cfg, schemes, opts, true)
 	if err != nil {
 		return "", err
 	}
-	return e.hash, nil
+	return c.hash, nil
 }
 
 // ChunkRunner evaluates chunk spans of one campaign on behalf of a remote
@@ -78,7 +77,7 @@ func CampaignHash(cfg Config, schemes []Scheme, opts CampaignOptions) (string, e
 // propagate (they cannot be contained without desynchronising the RNG
 // stream).
 type ChunkRunner struct {
-	e *engine
+	c *campaign
 	w *campaignWorker
 }
 
@@ -87,21 +86,21 @@ type ChunkRunner struct {
 // meaningful here; scheduling fields (Workers, CheckpointPath, OnChunk,
 // Metrics) belong to the caller's loop.
 func NewChunkRunner(cfg Config, schemes []Scheme, opts CampaignOptions) (*ChunkRunner, error) {
-	e, err := newEngine(cfg, schemes, opts, true)
+	c, err := newCampaign(cfg, schemes, opts, true)
 	if err != nil {
 		return nil, err
 	}
 	return &ChunkRunner{
-		e: e,
-		w: newCampaignWorker(newCampaignTables(&e.cfg, e.schemes), e.opts.Seed, e.years),
+		c: c,
+		w: newCampaignWorker(newCampaignTables(&c.cfg, c.schemes), c.opts.Seed, c.years),
 	}, nil
 }
 
 // Hash returns the campaign's config hash (the job identity).
-func (r *ChunkRunner) Hash() string { return r.e.hash }
+func (r *ChunkRunner) Hash() string { return r.c.hash }
 
 // NumChunks returns the campaign's total chunk count.
-func (r *ChunkRunner) NumChunks() int { return r.e.nChunks }
+func (r *ChunkRunner) NumChunks() int { return r.c.run.Chunks() }
 
 // RunSpan evaluates chunks [lo, hi) and returns their tallies. It honours
 // ctx at sub-chunk granularity: a cancellation mid-span returns ctx's
@@ -110,49 +109,40 @@ func (r *ChunkRunner) NumChunks() int { return r.e.nChunks }
 // order on any number of runners, yields tallies that merge to the same
 // campaign state.
 func (r *ChunkRunner) RunSpan(ctx context.Context, lo, hi int) (*ChunkResult, error) {
-	if lo < 0 || hi <= lo || hi > r.e.nChunks {
-		return nil, fmt.Errorf("faultsim: chunk span [%d, %d) out of range [0, %d)", lo, hi, r.e.nChunks)
+	run := r.c.run
+	if lo < 0 || hi <= lo || hi > run.Chunks() {
+		return nil, fmt.Errorf("faultsim: chunk span [%d, %d) out of range [0, %d)", lo, hi, run.Chunks())
 	}
-	years := r.e.years
-	res := &ChunkResult{Lo: lo, Hi: hi, Tallies: make([]SchemeTally, len(r.e.schemes))}
+	years := r.c.years
+	res := &ChunkResult{Lo: lo, Hi: hi, Tallies: make([]SchemeTally, len(r.c.schemes))}
 	byYear := make([]uint64, len(res.Tallies)*years)
 	for s := range res.Tallies {
 		res.Tallies[s].ByYear = byYear[s*years : (s+1)*years : (s+1)*years]
 	}
+	// The span folds chunks as RunCampaign does; the Merger holds all
+	// spans to the campaign's error budget together.
+	acc := accum{results: res.Tallies, budget: math.MaxInt}
 	for c := lo; c < hi; c++ {
-		tlo, thi := r.e.chunkBounds(c)
-		if !r.w.runChunk(ctx, c, tlo, thi) {
+		tlo, thi := run.Bounds(c)
+		if !r.w.RunChunk(ctx, c, tlo, thi) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			return nil, fmt.Errorf("faultsim: chunk %d aborted", c)
 		}
-		for s := range res.Tallies {
-			res.Tallies[s].Failures += r.w.total[s]
-			res.Tallies[s].DUEs += r.w.dues[s]
-			res.Tallies[s].SDCs += r.w.sdcs[s]
-			// Worker chunk tallies are first-failure buckets (see
-			// campaignWorker.failures); the wire format stays cumulative.
-			var run uint64
-			for y := range res.Tallies[s].ByYear {
-				run += r.w.failures[s][y]
-				res.Tallies[s].ByYear[y] += run
-			}
-		}
-		res.Trials += uint64(thi-tlo) - uint64(len(r.w.errs))
-		res.Errors = append(res.Errors, r.w.errs...)
+		_ = acc.fold(r.w) // no budget, so it cannot fail
 	}
+	res.Trials, res.Errors = acc.trials, acc.errs
 	return res, nil
 }
 
 // Merger folds ChunkResults into campaign state equivalent to a local
 // RunCampaign over the same chunks. It is safe for concurrent use; every
-// method takes the merger's lock. Duplicate spans are rejected (not
-// double-counted), which is what makes merging idempotent under retries,
-// duplicated deliveries and lease re-dispatch.
+// method takes the campaign runner's lock. Duplicate spans are rejected
+// (not double-counted), which is what makes merging idempotent under
+// retries, duplicated deliveries and lease re-dispatch.
 type Merger struct {
-	mu sync.Mutex
-	e  *engine
+	c *campaign
 }
 
 // NewMerger builds a merger for the campaign shaped by (cfg, schemes,
@@ -160,74 +150,45 @@ type Merger struct {
 // error budget is enforced across all merged spans, aggregating voided
 // trials from every worker.
 func NewMerger(cfg Config, schemes []Scheme, opts CampaignOptions) (*Merger, error) {
-	e, err := newEngine(cfg, schemes, opts, true)
+	c, err := newCampaign(cfg, schemes, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	return &Merger{e: e}, nil
+	return &Merger{c: c}, nil
 }
 
 // Hash returns the campaign's config hash (the job identity).
-func (m *Merger) Hash() string { return m.e.hash }
+func (m *Merger) Hash() string { return m.c.hash }
 
 // NumChunks returns the campaign's total chunk count.
-func (m *Merger) NumChunks() int { return m.e.nChunks }
+func (m *Merger) NumChunks() int { return m.c.run.Chunks() }
 
 // ChunkSize returns the normalized trials-per-chunk granularity.
-func (m *Merger) ChunkSize() int { return m.e.opts.ChunkSize }
+func (m *Merger) ChunkSize() int { return m.c.opts.ChunkSize }
 
 // DoneChunks returns how many chunks have been merged.
-func (m *Merger) DoneChunks() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.e.doneChunks
-}
+func (m *Merger) DoneChunks() int { return m.c.run.DoneChunks() }
 
 // DoneTrials returns how many trials have been tallied (voided trials
 // excluded).
 func (m *Merger) DoneTrials() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.e.doneTrials
+	m.c.run.Lock()
+	defer m.c.run.Unlock()
+	return m.c.acc.trials
 }
 
 // TrialErrorCount returns the voided-trial total across all merged spans.
 func (m *Merger) TrialErrorCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.e.trialErrs)
+	m.c.run.Lock()
+	defer m.c.run.Unlock()
+	return len(m.c.acc.errs)
 }
 
 // Complete reports whether every chunk has been merged.
-func (m *Merger) Complete() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.e.doneChunks == m.e.nChunks
-}
+func (m *Merger) Complete() bool { return m.c.run.DoneChunks() == m.c.run.Chunks() }
 
 // SpanMerged reports whether every chunk of [lo, hi) has been merged.
-func (m *Merger) SpanMerged(lo, hi int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.mergedInSpanLocked(lo, hi) == hi-lo
-}
-
-func (m *Merger) mergedInSpanLocked(lo, hi int) int {
-	n := 0
-	for c := lo; c < hi; c++ {
-		if m.e.doneBits[c/64]&(1<<(c%64)) != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// spanTrials returns the trial count of chunk span [lo, hi).
-func (m *Merger) spanTrials(lo, hi int) uint64 {
-	flo, _ := m.e.chunkBounds(lo)
-	_, fhi := m.e.chunkBounds(hi - 1)
-	return uint64(fhi - flo)
-}
+func (m *Merger) SpanMerged(lo, hi int) bool { return m.c.run.SpanMerged(lo, hi) }
 
 // Merge folds one span result into the campaign. It validates the result's
 // shape and trial accounting against the campaign config, rejects
@@ -239,95 +200,52 @@ func (m *Merger) Merge(res *ChunkResult) error {
 	if res == nil {
 		return fmt.Errorf("faultsim: nil chunk result")
 	}
-	if res.Lo < 0 || res.Hi <= res.Lo || res.Hi > m.e.nChunks {
-		return fmt.Errorf("faultsim: chunk span [%d, %d) out of range [0, %d)", res.Lo, res.Hi, m.e.nChunks)
+	run := m.c.run
+	if res.Lo < 0 || res.Hi <= res.Lo || res.Hi > run.Chunks() {
+		return fmt.Errorf("faultsim: chunk span [%d, %d) out of range [0, %d)", res.Lo, res.Hi, run.Chunks())
 	}
-	if len(res.Tallies) != len(m.e.accum) {
-		return fmt.Errorf("faultsim: result has %d scheme tallies, campaign has %d schemes", len(res.Tallies), len(m.e.accum))
+	if len(res.Tallies) != len(m.c.schemes) {
+		return fmt.Errorf("faultsim: result has %d scheme tallies, campaign has %d schemes", len(res.Tallies), len(m.c.schemes))
 	}
 	for s := range res.Tallies {
-		if len(res.Tallies[s].ByYear) != m.e.years {
-			return fmt.Errorf("faultsim: scheme %d tally has %d year buckets, campaign has %d", s, len(res.Tallies[s].ByYear), m.e.years)
+		if len(res.Tallies[s].ByYear) != m.c.years {
+			return fmt.Errorf("faultsim: scheme %d tally has %d year buckets, campaign has %d", s, len(res.Tallies[s].ByYear), m.c.years)
 		}
 	}
-	if want := m.spanTrials(res.Lo, res.Hi) - uint64(len(res.Errors)); res.Trials != want {
+	lo, _ := run.Bounds(res.Lo)
+	_, hi := run.Bounds(res.Hi - 1)
+	if want := uint64(hi-lo) - uint64(len(res.Errors)); res.Trials != want {
 		return fmt.Errorf("faultsim: span [%d, %d) reports %d trials, config implies %d", res.Lo, res.Hi, res.Trials, want)
 	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch merged := m.mergedInSpanLocked(res.Lo, res.Hi); {
-	case merged == res.Hi-res.Lo:
-		return ErrDuplicateChunks
-	case merged != 0:
-		// Spans are fixed at job creation; a partial overlap means the
-		// sender and the merger disagree about the unit layout.
-		return fmt.Errorf("faultsim: span [%d, %d) partially merged (%d of %d chunks)", res.Lo, res.Hi, merged, res.Hi-res.Lo)
-	}
-	for s := range m.e.accum {
-		m.e.accum[s].add(&res.Tallies[s])
-	}
-	for c := res.Lo; c < res.Hi; c++ {
-		m.e.doneBits[c/64] |= 1 << (c % 64)
-	}
-	m.e.doneChunks += res.Hi - res.Lo
-	m.e.doneTrials += res.Trials
-	m.e.trialErrs = append(m.e.trialErrs, res.Errors...)
-	if len(m.e.trialErrs) > m.e.opts.ErrorBudget {
-		return fmt.Errorf("%w: %d trials panicked (budget %d); first: %v",
-			ErrErrorBudgetExceeded, len(m.e.trialErrs), m.e.opts.ErrorBudget, &m.e.trialErrs[0])
-	}
-	return nil
+	return run.MergeSpan(res.Lo, res.Hi, func() error { return m.c.acc.add(res) })
 }
 
 // Report assembles the campaign Report from the merged state — for a
 // Complete merger, bit-identical to the local RunCampaign Report.
 func (m *Merger) Report() *Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sortTrialErrs(m.e.trialErrs)
-	return m.e.reportLocked()
+	m.c.run.Lock()
+	defer m.c.run.Unlock()
+	return m.c.reportLocked()
 }
 
 // SnapshotBytes returns the merged state as canonical checkpoint envelope
 // bytes — exactly what RunCampaign's Save writes for the same state, which
 // is how distributed results are proven bit-identical: compare these bytes
 // against a local run's checkpoint file.
-func (m *Merger) SnapshotBytes() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap := m.e.snapshotLocked()
-	return checkpoint.Marshal(checkpointKind, checkpointVersion, m.e.hash, &snap)
-}
+func (m *Merger) SnapshotBytes() ([]byte, error) { return m.c.run.Bytes() }
 
 // Save writes the merged state to path in the campaign checkpoint format
 // (atomic + durable, config-hash-guarded). A saved merger can be restored
 // by Load — or resumed by a local RunCampaign with the same config, which
 // is the escape hatch when a coordinator is retired mid-job.
-func (m *Merger) Save(path string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap := m.e.snapshotLocked()
-	return checkpoint.Save(path, checkpointKind, checkpointVersion, m.e.hash, &snap)
-}
+func (m *Merger) Save(path string) error { return m.c.run.Save(path) }
 
 // Load restores merged state from a checkpoint written by Save (or by a
 // local RunCampaign of the same campaign). A missing file leaves the
-// merger empty and returns nil; a snapshot from any other configuration is
-// refused with the checkpoint sentinel errors.
-func (m *Merger) Load(path string) error {
-	var snap campaignSnapshot
-	err := checkpoint.Load(path, checkpointKind, checkpointVersion, m.e.hash, &snap)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.e.restoreSnapshot(&snap, path)
-}
+// merger empty and returns nil; a snapshot from any other configuration,
+// or one whose payload does not fit the campaign, is refused with the
+// checkpoint sentinel errors and leaves the merger as it was.
+func (m *Merger) Load(path string) error { return m.c.run.Load(path) }
 
 // sortTrialErrs orders trial errors canonically (by trial index).
 func sortTrialErrs(errs []TrialError) {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"xedsim/internal/checkpoint"
 )
 
 // distTestOpts is a small campaign that still spans many chunks.
@@ -325,6 +327,54 @@ func TestMergerSaveLoadRoundTrip(t *testing.T) {
 	}
 	if m3.DoneChunks() != 0 {
 		t.Fatal("missing checkpoint produced progress")
+	}
+}
+
+// TestMergerLoadChecksWholePayload: a hash-valid checkpoint whose later
+// scheme has the wrong number of year buckets is refused before any state
+// changes, so a coordinator that discards the refused snapshot really
+// starts the job from zero.
+func TestMergerLoadChecksWholePayload(t *testing.T) {
+	cfg := DefaultConfig()
+	mkSchemes := func() []Scheme { return []Scheme{NewSECDED(), NewXED()} }
+	opts := distTestOpts()
+	r, err := NewChunkRunner(cfg, mkSchemes(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMerger(cfg, mkSchemes(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.RunSpan(context.Background(), 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Merge(res); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "job.ckpt")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	rewriteCheckpoint(t, path, func(s *campaignSnapshot) { s.Results[1].ByYear = s.Results[1].ByYear[:1] })
+
+	fresh, err := NewMerger(cfg, mkSchemes(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Load(path); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+		t.Fatalf("load of a truncated by_year: %v, want ErrConfigMismatch", err)
+	}
+	if fresh.SpanMerged(0, 64) || fresh.DoneChunks() != 0 || fresh.DoneTrials() != 0 {
+		t.Fatalf("refused load left %d chunks and %d trials merged", fresh.DoneChunks(), fresh.DoneTrials())
+	}
+	empty, err := NewMerger(cfg, mkSchemes(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh.Report(), empty.Report()) {
+		t.Fatal("refused load changed the tallies")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"testing"
 
 	"xedsim/internal/simrand"
@@ -26,7 +25,7 @@ var oracleJudges = map[string]judgeFunc{
 
 // oracle tallies trials judged one at a time into campaign accumulators.
 type oracle struct {
-	e     *engine
+	c     *campaign
 	ev    *Evaluator
 	gen   *generator
 	judge judgeFunc
@@ -35,12 +34,12 @@ type oracle struct {
 
 func newOracle(t testing.TB, cfg Config, schemes []Scheme, opts CampaignOptions, judge judgeFunc) *oracle {
 	t.Helper()
-	e, err := newEngine(cfg, schemes, opts, false)
+	c, err := newCampaign(cfg, schemes, opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator(&e.cfg, schemes)
-	return &oracle{e: e, ev: ev, gen: newRunGenerator(&e.cfg, ev.evalTables), judge: judge}
+	ev := NewEvaluator(&c.cfg, schemes)
+	return &oracle{c: c, ev: ev, gen: newRunGenerator(&c.cfg, ev.evalTables), judge: judge}
 }
 
 // judgeTrial judges one trial (te carries its identity and faults),
@@ -54,15 +53,15 @@ func (o *oracle) judgeTrial(te TrialError) {
 	if panicked != nil {
 		te.PanicValue = fmt.Sprint(panicked)
 		te.Faults = append([]FaultRecord(nil), te.Faults...)
-		o.e.trialErrs = append(o.e.trialErrs, te)
+		o.c.acc.errs = append(o.c.acc.errs, te)
 		return
 	}
-	o.e.doneTrials++
+	o.c.acc.trials++
 	for s, out := range o.outs {
 		if math.IsInf(out.FailTime, 1) {
 			continue
 		}
-		acc := &o.e.accum[s]
+		acc := &o.c.acc.results[s]
 		acc.Failures++
 		switch out.Kind {
 		case FailDUE:
@@ -70,15 +69,14 @@ func (o *oracle) judgeTrial(te TrialError) {
 		case FailSDC:
 			acc.SDCs++
 		}
-		for y := min(int(out.FailTime*invHoursPerYear), o.e.years-1); y < o.e.years; y++ {
+		for y := min(int(out.FailTime*invHoursPerYear), o.c.years-1); y < o.c.years; y++ {
 			acc.ByYear[y]++
 		}
 	}
 }
 
 func (o *oracle) report() *Report {
-	sort.Slice(o.e.trialErrs, func(i, j int) bool { return o.e.trialErrs[i].Trial < o.e.trialErrs[j].Trial })
-	return o.e.reportLocked()
+	return o.c.reportLocked()
 }
 
 // oracleCampaign recomputes the campaign RunCampaign(cfg, schemes, opts)
@@ -92,9 +90,9 @@ func oracleCampaign(t testing.TB, cfg Config, schemes []Scheme, opts CampaignOpt
 	arr := newArrivalSamplers(o.gen.genTables)
 	var p batchPlan
 	var rng simrand.Source
-	for c := 0; c < o.e.nChunks; c++ {
-		lo, hi := o.e.chunkBounds(c)
-		rng.SeedStream(o.e.opts.Seed, uint64(c))
+	for c := 0; c < o.c.run.Chunks(); c++ {
+		lo, hi := o.c.run.Bounds(c)
+		rng.SeedStream(o.c.opts.Seed, uint64(c))
 		o.gen.resetEvents()
 		head := rng.State()
 		p.build(o.gen.genTables, &arr, &rng, hi-lo)
@@ -119,9 +117,9 @@ func scalarCampaign(t testing.TB, cfg Config, schemes []Scheme, opts CampaignOpt
 	o := newOracle(t, cfg, schemes, opts, (*Evaluator).EvaluateInto)
 	var rng simrand.Source
 	var buf []FaultRecord
-	for c := 0; c < o.e.nChunks; c++ {
-		lo, hi := o.e.chunkBounds(c)
-		rng.SeedStream(o.e.opts.Seed, uint64(c))
+	for c := 0; c < o.c.run.Chunks(); c++ {
+		lo, hi := o.c.run.Bounds(c)
+		rng.SeedStream(o.c.opts.Seed, uint64(c))
 		o.gen.resetEvents()
 		for tr := lo; tr < hi; tr++ {
 			buf = o.gen.Trial(&rng, buf)

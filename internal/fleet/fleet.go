@@ -16,12 +16,12 @@
 // scrub-pass CE telemetry, retirement policies that truncate a fault's
 // active interval, and replacement economics.
 //
-// Determinism follows the campaign engine's design: DIMMs are partitioned
-// into fixed-size chunks, chunk c draws from simrand substream (seed, c),
-// and every accumulator is a sum of per-chunk integers — so results are
-// bit-identical for a fixed (Config, Seed, ChunkSize) whatever the worker
-// count, and checkpoint/resume (internal/checkpoint) restores mid-horizon
-// runs exactly.
+// Determinism comes from the chunk runner the campaigns share
+// (internal/chunkrun): DIMMs are partitioned into fixed-size chunks, chunk
+// c draws from simrand substream (seed, c), and every accumulator is a sum
+// of per-chunk integers — so results are bit-identical for a fixed
+// (Config, Seed, ChunkSize) whatever the worker count, and checkpoint/
+// resume restores mid-horizon runs exactly.
 package fleet
 
 import (

@@ -3,16 +3,12 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"xedsim/internal/checkpoint"
+	"xedsim/internal/chunkrun"
 	"xedsim/internal/dram"
 	"xedsim/internal/ecc"
 	"xedsim/internal/faultsim"
@@ -221,28 +217,17 @@ type fleetHashInput struct {
 	ChunkSize int    `json:"chunk_size"`
 }
 
-// fleetEngine is the shared state of one Run invocation.
-type fleetEngine struct {
-	cfg     Config
-	opts    Options
-	years   int
-	nChunks int
-	hash    string
-
-	nextChunk atomic.Int64
-
-	mu         sync.Mutex
-	doneBits   []uint64
-	doneChunks int
-	tally      Tally
-	mcs        []MCCounters
-	failed     error // first fatal engine error (checkpoint I/O)
-	lastSave   time.Time
-
-	onChunkMu sync.Mutex
-	cancel    context.CancelFunc
-
-	met fleetMetrics
+// fleetRun is one Run's domain layer over its chunk runner: the
+// configuration, the accumulator the runner's lock guards, and the live
+// metrics.
+type fleetRun struct {
+	cfg   Config
+	opts  Options
+	years int
+	tally Tally
+	mcs   []MCCounters
+	run   *chunkrun.Runner[fleetSnapshot]
+	met   fleetMetrics
 }
 
 // fleetMetrics holds pre-resolved obs handles; every field is nil (and
@@ -258,8 +243,6 @@ type fleetMetrics struct {
 	ues         *obs.Counter
 	ueNoInfo    *obs.Counter
 	retired     *obs.Counter
-	ckptSaves   *obs.Counter
-	ckptSaveMS  *obs.Histogram
 }
 
 func newFleetMetrics(r *obs.Registry) fleetMetrics {
@@ -274,9 +257,18 @@ func newFleetMetrics(r *obs.Registry) fleetMetrics {
 		ues:         r.Counter("fleet.ue_count"),
 		ueNoInfo:    r.Counter("fleet.ue_noinfo_count"),
 		retired:     r.Counter("fleet.retired_rows"),
-		ckptSaves:   r.Counter("fleet.checkpoint.saves"),
-		ckptSaveMS:  r.Histogram("fleet.checkpoint.save_ms", []float64{1, 2, 5, 10, 25, 50, 100, 250, 1000}),
 	}
+}
+
+// publish advances the live counters by tally t.
+func (m *fleetMetrics) publish(t *Tally) {
+	m.dimmsDone.Add(t.DIMMs)
+	m.failed.Add(t.Failed)
+	m.ces.Add(t.CEs)
+	m.ceNoInfo.Add(t.CENoInfo)
+	m.ues.Add(t.UEs)
+	m.ueNoInfo.Add(t.UENoInfo)
+	m.retired.Add(t.RetiredRows)
 }
 
 // Run ages the configured fleet. It honours ctx cancellation by draining
@@ -295,193 +287,89 @@ func Run(ctx context.Context, cfg Config, opts Options) (*Summary, error) {
 	if opts.CheckpointInterval <= 0 {
 		opts.CheckpointInterval = DefaultCheckpointInterval
 	}
-	e := &fleetEngine{
-		cfg:     cfg,
-		opts:    opts,
-		years:   cfg.Years(),
-		nChunks: (cfg.DIMMs + opts.ChunkSize - 1) / opts.ChunkSize,
-	}
+	f := &fleetRun{cfg: cfg, opts: opts, years: cfg.Years()}
+	var hash string
 	if opts.CheckpointPath != "" {
 		var err error
-		e.hash, err = checkpoint.Hash(fleetHashInput{Config: cfg, Seed: opts.Seed, ChunkSize: opts.ChunkSize})
+		hash, err = checkpoint.Hash(fleetHashInput{Config: cfg, Seed: opts.Seed, ChunkSize: opts.ChunkSize})
 		if err != nil {
 			return nil, err
 		}
 	}
-	e.doneBits = make([]uint64, (e.nChunks+63)/64)
-	e.tally.FailedByYear = make([]uint64, e.years)
-	e.mcs = make([]MCCounters, cfg.MCs())
+	f.tally.FailedByYear = make([]uint64, f.years)
+	f.mcs = make([]MCCounters, cfg.MCs())
+	f.run = chunkrun.New(cfg.DIMMs, opts.ChunkSize,
+		chunkrun.Format{Kind: fleetCheckpointKind, Version: fleetCheckpointVersion, Hash: hash}, f)
 	if opts.Resume && opts.CheckpointPath != "" {
-		if err := e.loadSnapshot(); err != nil {
+		if err := f.run.Load(opts.CheckpointPath); err != nil {
 			return nil, err
 		}
 	}
-	e.met = newFleetMetrics(opts.Metrics)
-	e.met.dimmsTotal.Set(int64(cfg.DIMMs))
-	e.met.chunksTotal.Set(int64(e.nChunks))
-	if e.doneChunks > 0 {
-		e.met.chunksDone.Add(uint64(e.doneChunks))
-		e.met.dimmsDone.Add(e.tally.DIMMs)
-		e.met.failed.Add(e.tally.Failed)
-		e.met.ces.Add(e.tally.CEs)
-		e.met.ceNoInfo.Add(e.tally.CENoInfo)
-		e.met.ues.Add(e.tally.UEs)
-		e.met.ueNoInfo.Add(e.tally.UENoInfo)
-		e.met.retired.Add(e.tally.RetiredRows)
+	f.met = newFleetMetrics(opts.Metrics)
+	f.met.dimmsTotal.Set(int64(cfg.DIMMs))
+	f.met.chunksTotal.Set(int64(f.run.Chunks()))
+	if done := f.run.DoneChunks(); done > 0 {
+		f.met.chunksDone.Add(uint64(done))
+		f.met.publish(&f.tally)
 	}
 	if opts.View != nil {
-		opts.View.bind(e.edacSnapshot)
-	}
-	e.lastSave = time.Now()
-	if opts.OnChunk != nil && e.doneChunks > 0 {
-		opts.OnChunk(e.doneChunks, e.nChunks)
+		opts.View.bind(f.edacSnapshot)
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > e.nChunks {
-		workers = e.nChunks
-	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	e.cancel = cancel
-	var wg sync.WaitGroup
-	var workerErr atomic.Value
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w, err := newFleetWorker(&e.cfg, e.opts.Seed, e.years)
-			if err != nil {
-				workerErr.Store(err)
-				cancel()
-				return
-			}
-			e.worker(wctx, w)
-		}()
-	}
-	wg.Wait()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sum := e.summaryLocked()
-	runErr := e.failed
-	if runErr == nil {
-		if err, ok := workerErr.Load().(error); ok {
-			runErr = err
+	runErr := f.run.Run(ctx, chunkrun.Options{
+		Workers:  opts.Workers,
+		Path:     opts.CheckpointPath,
+		Interval: opts.CheckpointInterval,
+		OnChunk:  opts.OnChunk,
+		Metrics:  opts.Metrics,
+		Prefix:   "fleet",
+	}, func() (chunkrun.Worker, error) {
+		w, err := newFleetWorker(&f.cfg, f.opts.Seed, f.years)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if runErr == nil {
-		runErr = ctx.Err()
-	}
-	if e.opts.CheckpointPath != "" {
-		// Final snapshot: Complete on success, the partial frontier on
-		// cancellation, so a later -resume continues (or short-circuits).
-		if err := e.saveLocked(); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	return sum, runErr
+		w.f = f
+		return w, nil
+	})
+	// Every worker has returned; only the /edac view still reads the
+	// accumulator.
+	return &Summary{
+		Config:    f.cfg,
+		Seed:      opts.Seed,
+		ChunkSize: opts.ChunkSize,
+		Years:     f.years,
+		Complete:  f.run.DoneChunks() == f.run.Chunks(),
+		Tally:     f.tally.clone(),
+		MCs:       append([]MCCounters(nil), f.mcs...),
+	}, runErr
 }
 
-// worker pulls chunk indices until the queue drains or ctx cancels.
-func (e *fleetEngine) worker(ctx context.Context, w *fleetWorker) {
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		c := int(e.nextChunk.Add(1)) - 1
-		if c >= e.nChunks {
-			return
-		}
-		if e.chunkDone(c) {
-			continue
-		}
-		lo, hi := e.chunkBounds(c)
-		if !w.runChunk(ctx, c, lo, hi) {
-			return // cancelled mid-chunk; the chunk is not merged
-		}
-		if !e.merge(c, w) {
-			return
-		}
-	}
-}
-
-func (e *fleetEngine) chunkBounds(c int) (lo, hi int) {
-	lo = c * e.opts.ChunkSize
-	hi = lo + e.opts.ChunkSize
-	if hi > e.cfg.DIMMs {
-		hi = e.cfg.DIMMs
-	}
-	return lo, hi
-}
-
-func (e *fleetEngine) chunkDone(c int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.doneBits[c/64]&(1<<(c%64)) != 0
-}
-
-// merge folds one completed chunk into the fleet accumulator.
-func (e *fleetEngine) merge(c int, w *fleetWorker) bool {
-	e.mu.Lock()
-	e.tally.add(&w.tally)
-	for i := range w.mcs {
-		e.mcs[w.mcLo+i].add(&w.mcs[i])
-	}
-	e.doneBits[c/64] |= 1 << (c % 64)
-	e.doneChunks++
-	done, total := e.doneChunks, e.nChunks
-	if e.opts.CheckpointPath != "" && time.Since(e.lastSave) >= e.opts.CheckpointInterval {
-		if err := e.saveLocked(); err != nil && e.failed == nil {
-			e.failed = err
-		}
-	}
-	failed := e.failed
-	e.mu.Unlock()
-
-	e.met.chunksDone.Inc()
-	e.met.dimmsDone.Add(w.tally.DIMMs)
-	e.met.failed.Add(w.tally.Failed)
-	e.met.ces.Add(w.tally.CEs)
-	e.met.ceNoInfo.Add(w.tally.CENoInfo)
-	e.met.ues.Add(w.tally.UEs)
-	e.met.ueNoInfo.Add(w.tally.UENoInfo)
-	e.met.retired.Add(w.tally.RetiredRows)
-
-	if e.opts.OnChunk != nil {
-		e.onChunkSerialised(done, total)
-	}
-	if failed != nil {
-		e.cancel()
-		return false
-	}
-	return true
-}
-
-func (e *fleetEngine) onChunkSerialised(done, total int) {
-	e.onChunkMu.Lock()
-	defer e.onChunkMu.Unlock()
-	e.opts.OnChunk(done, total)
-}
-
-// snapshotLocked assembles the checkpoint payload. Caller holds mu. The
-// payload is canonical: two engines that merged the same chunks — in any
-// order, on any number of workers — produce byte-identical snapshots.
-func (e *fleetEngine) snapshotLocked() fleetSnapshot {
+// Snapshot assembles the checkpoint payload (chunkrun.Codec).
+func (f *fleetRun) Snapshot(done []uint64, complete bool) fleetSnapshot {
 	return fleetSnapshot{
-		DIMMs:      e.cfg.DIMMs,
-		Seed:       e.opts.Seed,
-		ChunkSize:  e.opts.ChunkSize,
-		Years:      e.years,
-		DoneChunks: append([]uint64(nil), e.doneBits...),
-		Complete:   e.doneChunks == e.nChunks,
-		Tally:      e.tally.clone(),
-		MCs:        append([]MCCounters(nil), e.mcs...),
+		DIMMs:      f.cfg.DIMMs,
+		Seed:       f.opts.Seed,
+		ChunkSize:  f.opts.ChunkSize,
+		Years:      f.years,
+		DoneChunks: done,
+		Complete:   complete,
+		Tally:      f.tally,
+		MCs:        f.mcs,
 	}
 }
+
+// Check validates a loaded payload's shape against the fleet
+// (chunkrun.Codec).
+func (f *fleetRun) Check(p *fleetSnapshot) ([]uint64, error) {
+	if p.Years != f.years || len(p.Tally.FailedByYear) != f.years || len(p.MCs) != len(f.mcs) {
+		return nil, fmt.Errorf("%d MCs over %d years (%d buckets), want %d over %d",
+			len(p.MCs), p.Years, len(p.Tally.FailedByYear), len(f.mcs), f.years)
+	}
+	return p.DoneChunks, nil
+}
+
+// Restore seeds the accumulator from a checked payload (chunkrun.Codec).
+func (f *fleetRun) Restore(p *fleetSnapshot) { f.tally, f.mcs = p.Tally, p.MCs }
 
 func (t *Tally) clone() Tally {
 	c := *t
@@ -489,71 +377,20 @@ func (t *Tally) clone() Tally {
 	return c
 }
 
-func (e *fleetEngine) saveLocked() error {
-	snap := e.snapshotLocked()
-	start := time.Now()
-	if err := checkpoint.Save(e.opts.CheckpointPath, fleetCheckpointKind, fleetCheckpointVersion, e.hash, &snap); err != nil {
-		return err
-	}
-	e.met.ckptSaves.Inc()
-	e.met.ckptSaveMS.Observe(float64(time.Since(start).Microseconds()) / 1e3)
-	e.lastSave = time.Now()
-	return nil
-}
-
-func (e *fleetEngine) loadSnapshot() error {
-	var snap fleetSnapshot
-	err := checkpoint.Load(e.opts.CheckpointPath, fleetCheckpointKind, fleetCheckpointVersion, e.hash, &snap)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if len(snap.DoneChunks) != len(e.doneBits) || len(snap.MCs) != len(e.mcs) ||
-		snap.Years != e.years || len(snap.Tally.FailedByYear) != e.years {
-		// The config hash covers everything that shapes these; reaching
-		// here means the snapshot lies about its own hash input.
-		return fmt.Errorf("%w: %s payload shape does not match its config",
-			checkpoint.ErrConfigMismatch, e.opts.CheckpointPath)
-	}
-	copy(e.doneBits, snap.DoneChunks)
-	e.doneChunks = 0
-	for _, word := range e.doneBits {
-		for ; word != 0; word &= word - 1 {
-			e.doneChunks++
-		}
-	}
-	e.tally = snap.Tally.clone()
-	copy(e.mcs, snap.MCs)
-	return nil
-}
-
-// summaryLocked assembles the Summary from the accumulator. Caller holds mu.
-func (e *fleetEngine) summaryLocked() *Summary {
-	return &Summary{
-		Config:    e.cfg,
-		Seed:      e.opts.Seed,
-		ChunkSize: e.opts.ChunkSize,
-		Years:     e.years,
-		Complete:  e.doneChunks == e.nChunks,
-		Tally:     e.tally.clone(),
-		MCs:       append([]MCCounters(nil), e.mcs...),
-	}
-}
-
 // edacSnapshot renders the live per-MC counters in EDAC shape (the /edac
 // view's data source). Safe to call concurrently with merging.
-func (e *fleetEngine) edacSnapshot() *EDACSnapshot {
-	e.mu.Lock()
-	mcs := append([]MCCounters(nil), e.mcs...)
-	e.mu.Unlock()
-	return NewEDACSnapshot(&e.cfg, mcs)
+func (f *fleetRun) edacSnapshot() *EDACSnapshot {
+	f.run.Lock()
+	mcs := append([]MCCounters(nil), f.mcs...)
+	f.run.Unlock()
+	return NewEDACSnapshot(&f.cfg, mcs)
 }
 
 // fleetWorker holds one goroutine's reusable per-DIMM state plus the
-// current chunk's tallies. Nothing here allocates per healthy DIMM.
+// current chunk's tallies. Nothing here allocates per healthy DIMM. Under
+// Run it is the chunkrun.Worker of fleet f; History leaves f nil.
 type fleetWorker struct {
+	f       *fleetRun
 	cfg     *Config
 	dimmCfg faultsim.Config
 	src     *faultsim.TrialSource
@@ -598,9 +435,9 @@ func newFleetWorker(cfg *Config, seed uint64, years int) (*fleetWorker, error) {
 	return w, nil
 }
 
-// runChunk ages DIMMs [lo, hi) of chunk c into the worker's tallies. It
+// RunChunk ages DIMMs [lo, hi) of chunk c into the worker's tallies. It
 // returns false if ctx cancelled mid-chunk (tallies must be discarded).
-func (w *fleetWorker) runChunk(ctx context.Context, c, lo, hi int) bool {
+func (w *fleetWorker) RunChunk(ctx context.Context, c, lo, hi int) bool {
 	w.resetChunk(lo, hi)
 	return w.scanChunk(ctx, c, lo, hi,
 		func(_, n int) {
@@ -612,6 +449,21 @@ func (w *fleetWorker) runChunk(ctx context.Context, c, lo, hi int) bool {
 			w.tally.DIMMs++
 			return true
 		})
+}
+
+// Fold adds the last chunk to the fleet's accumulator (chunkrun.Worker).
+func (w *fleetWorker) Fold() error {
+	w.f.tally.add(&w.tally)
+	for i := range w.mcs {
+		w.f.mcs[w.mcLo+i].add(&w.mcs[i])
+	}
+	return nil
+}
+
+// Publish advances the live counters by the last chunk (chunkrun.Worker).
+func (w *fleetWorker) Publish() {
+	w.f.met.chunksDone.Inc()
+	w.f.met.publish(&w.tally)
 }
 
 func (w *fleetWorker) resetChunk(lo, hi int) {
@@ -635,7 +487,7 @@ func (w *fleetWorker) resetChunk(lo, hi int) {
 // to onEmpty and each faulty DIMM's record stream to onDIMM (return false
 // to stop early). The RNG draw sequence is a pure function of (Config,
 // seed, c): the same skip-sampling fast path and boundary-overrun rule as
-// the campaign engine, so History replays exactly what runChunk aged.
+// the campaign engine, so History replays exactly what RunChunk aged.
 func (w *fleetWorker) scanChunk(ctx context.Context, c, lo, hi int, onEmpty func(at, n int), onDIMM func(d int, recs []faultsim.FaultRecord) bool) bool {
 	w.rng.SeedStream(w.seed, uint64(c))
 	w.src.ResetEvents()
@@ -686,71 +538,23 @@ func (w *fleetWorker) scanChunk(ctx context.Context, c, lo, hi int, onEmpty func
 // record stream, judges survival under the configured scheme, and books
 // scrub-pass CE telemetry and any UE to the DIMM's memory controller.
 func (w *fleetWorker) simDIMM(dimm int, recs []faultsim.FaultRecord) {
-	arrivals := 0
-	for i := range recs {
-		if !isExpansionCopy(&recs[i]) {
-			arrivals++
-		}
-	}
-	bin := arrivals
-	if bin >= ArrivalBins {
-		bin = ArrivalBins - 1
-	}
-	w.tally.Arrivals[bin]++
-	w.tally.Faults += uint64(arrivals)
-
-	// Retirement first: truncating a record's End is exactly what
-	// retiring its row does — the damage stops producing CEs and stops
-	// participating in uncorrectable combinations.
-	scrub := w.cfg.ScrubIntervalHours
-	for i := range recs {
-		r := &recs[i]
-		if end, retired := w.retireEnd(dimm, i, r, scrub); retired {
-			w.tally.RetiredRows++
-			if end < r.End {
-				r.End = end
-			}
-		}
-	}
-
-	w.outs = w.ev.EvaluateInto(recs, w.outs)
-	failTime, kind := w.outs[0].FailTime, w.outs[0].Kind
-
-	// CE telemetry: every scrub pass over live, non-silent damage logs
-	// one correctable-error report (XED exposes even on-die-corrected
-	// bit faults through catch-words — that is the paper's point).
-	// Telemetry stops at the DIMM's failure (the replacement is
-	// error-free), and whole-chip damage books to the noinfo counters.
+	h := DIMMHistory{DIMM: dimm}
+	w.tally.RetiredRows += w.age(&h, recs)
+	w.tally.Arrivals[min(h.Arrivals, ArrivalBins-1)]++
+	w.tally.Faults += uint64(h.Arrivals)
 	mc := &w.mcs[dimm/w.cfg.DIMMsPerMC-w.mcLo]
-	for i := range recs {
-		r := &recs[i]
-		if r.Silent && r.Gran == dram.GranWord {
-			continue // the on-die code misses it: no catch-word, no CE
-		}
-		end := r.End
-		if failTime < end {
-			end = failTime
-		}
-		n := scrubTicksIn(r.Start, end, scrub)
-		if r.Gran == dram.GranChip {
-			mc.CENoInfo += n
-			w.tally.CENoInfo += n
-		} else {
-			mc.CE += n
-			w.tally.CEs += n
-		}
-	}
+	mc.CE += h.CEs
+	mc.CENoInfo += h.CENoInfo
+	w.tally.CEs += h.CEs
+	w.tally.CENoInfo += h.CENoInfo
 
+	failTime := h.FailTime
 	if math.IsInf(failTime, 1) {
 		return
 	}
 	w.tally.Failed++
-	yr := int(failTime / faultsim.HoursPerYear)
-	if yr >= w.years {
-		yr = w.years - 1
-	}
-	w.tally.FailedByYear[yr]++
-	switch kind {
+	w.tally.FailedByYear[min(int(failTime/faultsim.HoursPerYear), w.years-1)]++
+	switch h.Kind {
 	case faultsim.FailDUE:
 		w.tally.DUEs++
 		// A detected uncorrectable error reaches the EDAC counters;
@@ -766,6 +570,56 @@ func (w *fleetWorker) simDIMM(dimm int, recs []faultsim.FaultRecord) {
 	case faultsim.FailSDC:
 		w.tally.SDCs++ // silent: invisible to the monitor, no UE counter
 	}
+}
+
+// age runs one faulty DIMM's record stream through its horizon: it counts
+// fault arrivals, applies the retirement policy to the records in place
+// (flagging h.Retired when it is non-nil), judges survival, and counts the
+// scrub-pass CE reports, all into h. It returns the rows retired. simDIMM
+// books the result into the chunk's tallies; History reports it.
+func (w *fleetWorker) age(h *DIMMHistory, recs []faultsim.FaultRecord) (retiredRows uint64) {
+	for i := range recs {
+		if !isExpansionCopy(&recs[i]) {
+			h.Arrivals++
+		}
+	}
+
+	// Retirement first: truncating a record's End is exactly what
+	// retiring its row does — the damage stops producing CEs and stops
+	// participating in uncorrectable combinations.
+	scrub := w.cfg.ScrubIntervalHours
+	for i := range recs {
+		r := &recs[i]
+		if end, retired := w.retireEnd(h.DIMM, i, r, scrub); retired {
+			retiredRows++
+			if h.Retired != nil {
+				h.Retired[i] = true
+			}
+			r.End = min(r.End, end)
+		}
+	}
+
+	w.outs = w.ev.EvaluateInto(recs, w.outs)
+	h.FailTime, h.Kind = w.outs[0].FailTime, w.outs[0].Kind
+
+	// CE telemetry: every scrub pass over live, non-silent damage logs
+	// one correctable-error report (XED exposes even on-die-corrected
+	// bit faults through catch-words — that is the paper's point).
+	// Telemetry stops at the DIMM's failure (the replacement is
+	// error-free), and whole-chip damage books to the noinfo counters.
+	for i := range recs {
+		r := &recs[i]
+		if r.Silent && r.Gran == dram.GranWord {
+			continue // the on-die code misses it: no catch-word, no CE
+		}
+		n := scrubTicksIn(r.Start, min(r.End, h.FailTime), scrub)
+		if r.Gran == dram.GranChip {
+			h.CENoInfo += n
+		} else {
+			h.CEs += n
+		}
+	}
+	return retiredRows
 }
 
 // isExpansionCopy reports whether the record is a multi-rank event's
@@ -908,7 +762,7 @@ func harpSeed(seed uint64, dimm, idx int) uint64 {
 }
 
 // DIMMHistory is one DIMM's field history, regenerated on demand from the
-// fleet's substreams rather than stored: exactly the records runChunk aged
+// fleet's substreams rather than stored: exactly the records RunChunk aged
 // (post-retirement Ends), the survival verdict, and the telemetry the DIMM
 // contributed.
 type DIMMHistory struct {
@@ -963,10 +817,7 @@ func History(cfg Config, opts Options, dimm int) (*DIMMHistory, error) {
 	}
 	c := dimm / chunkSize
 	lo := c * chunkSize
-	hi := lo + chunkSize
-	if hi > cfg.DIMMs {
-		hi = cfg.DIMMs
-	}
+	hi := min(lo+chunkSize, cfg.DIMMs)
 	h := &DIMMHistory{DIMM: dimm, FailTime: math.Inf(1), Kind: faultsim.FailNone}
 	w.resetChunk(lo, hi)
 	w.scanChunk(context.Background(), c, lo, hi,
@@ -975,43 +826,10 @@ func History(cfg Config, opts Options, dimm int) (*DIMMHistory, error) {
 			if d < dimm {
 				return true
 			}
-			if d > dimm {
-				return false
-			}
-			for i := range recs {
-				if !isExpansionCopy(&recs[i]) {
-					h.Arrivals++
-				}
-			}
-			h.Records = append([]faultsim.FaultRecord(nil), recs...)
-			h.Retired = make([]bool, len(h.Records))
-			scrub := cfg.ScrubIntervalHours
-			for i := range h.Records {
-				r := &h.Records[i]
-				if end, retired := w.retireEnd(d, i, r, scrub); retired {
-					h.Retired[i] = true
-					if end < r.End {
-						r.End = end
-					}
-				}
-			}
-			outs := w.ev.EvaluateInto(h.Records, nil)
-			h.FailTime, h.Kind = outs[0].FailTime, outs[0].Kind
-			for i := range h.Records {
-				r := &h.Records[i]
-				if r.Silent && r.Gran == dram.GranWord {
-					continue
-				}
-				end := r.End
-				if h.FailTime < end {
-					end = h.FailTime
-				}
-				n := scrubTicksIn(r.Start, end, scrub)
-				if r.Gran == dram.GranChip {
-					h.CENoInfo += n
-				} else {
-					h.CEs += n
-				}
+			if d == dimm {
+				h.Records = append([]faultsim.FaultRecord(nil), recs...)
+				h.Retired = make([]bool, len(h.Records))
+				w.age(h, h.Records)
 			}
 			return false
 		})

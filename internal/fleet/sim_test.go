@@ -3,11 +3,14 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"xedsim/internal/checkpoint"
 	"xedsim/internal/dram"
 )
 
@@ -459,5 +462,39 @@ func TestTrialSourceMeanMatchesConfig(t *testing.T) {
 	}
 	if math.Abs(mean-want) > 1e-12*want {
 		t.Errorf("ExpectedFaultsPerDIMM = %v, want %v", mean, want)
+	}
+}
+
+// TestResumeRefusesDoneBitPastChunkCount: a hash-valid snapshot whose
+// bitmap marks a chunk past the last one would resume with more chunks
+// done than exist and never be complete; it is refused.
+func TestResumeRefusesDoneBitPastChunkCount(t *testing.T) {
+	cfg := testConfig(4_000) // 8 chunks of 512
+	path := filepath.Join(t.TempDir(), "fleet.ckpt")
+	mustRun(t, cfg, Options{Seed: 9, ChunkSize: 512, CheckpointPath: path})
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env checkpoint.Envelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	var snap fleetSnapshot
+	if err := json.Unmarshal(env.Payload, &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.DoneChunks[0] |= 1 << 8
+	b, err := checkpoint.Marshal(env.Kind, env.Version, env.ConfigHash, &snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(context.Background(), cfg, Options{Seed: 9, ChunkSize: 512, CheckpointPath: path, Resume: true})
+	if !errors.Is(err, checkpoint.ErrConfigMismatch) {
+		t.Fatalf("resume with chunk 8 of 8 marked done: %v, want ErrConfigMismatch", err)
 	}
 }
