@@ -5,7 +5,7 @@
 //
 //	xedfleet -dimms 100000                         # 100k DIMMs, 7 years, XED
 //	xedfleet -policy on-first-ce                   # retire rows at the first CE
-//	xedfleet -policy harp                          # retire only profiled at-risk rows
+//	xedfleet -policy harp                          # retire permanent faults' rows at first scrub
 //	xedfleet -edac fleet.edac                      # write the EDAC sysfs dump
 //	xedfleet -dimm 12345                           # one DIMM's regenerated history
 //	xedfleet -checkpoint fleet.ckpt -resume        # continue an interrupted run

@@ -49,11 +49,12 @@ const (
 	// PolicyThreshold retires after a fault's row has produced Threshold
 	// CE reports (the classic "N strikes" operator rule).
 	PolicyThreshold
-	// PolicyHARP retires only rows whose HARP-style active profile
-	// (internal/infer) flags resident at-risk damage: permanent faults
-	// repeat under profiling and are retired at their first scrub;
-	// transient upsets profile clean (the scrub rewrite already cleared
-	// them) and are left alone.
+	// PolicyHARP retires only rows a HARP-style active profile
+	// (infer.ProfileChip) would flag at risk, decided in closed form
+	// without running it: permanent faults repeat under profiling and
+	// are retired at their first scrub, silent ones included; transient
+	// upsets profile clean (the profiling writes clear them) and are
+	// left alone.
 	PolicyHARP
 )
 
@@ -83,7 +84,8 @@ func (p Policy) String() string {
 //	none            never retire (the conformance baseline)
 //	on-first-ce     retire the row at its first logged CE
 //	threshold:<n>   retire after n CE reports from the same fault
-//	harp            retire only rows an infer.ProfileChip pass flags at risk
+//	harp            retire permanent faults' rows at their first scrub, the
+//	                rows an infer.ProfileChip pass would flag at risk
 func ParsePolicy(spec string) (Policy, error) {
 	switch spec {
 	case "", "none":

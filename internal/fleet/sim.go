@@ -10,9 +10,7 @@ import (
 	"xedsim/internal/checkpoint"
 	"xedsim/internal/chunkrun"
 	"xedsim/internal/dram"
-	"xedsim/internal/ecc"
 	"xedsim/internal/faultsim"
-	"xedsim/internal/infer"
 	"xedsim/internal/obs"
 	"xedsim/internal/simrand"
 )
@@ -402,11 +400,6 @@ type fleetWorker struct {
 	buf     []faultsim.FaultRecord
 	outs    []faultsim.TrialOutcome
 
-	// HARP profiling scratch: one synthetic chip reused across profiled
-	// faults (sparse storage; ClearFaults between records).
-	harpChip  *dram.Chip
-	harpAddrs []dram.WordAddr
-
 	// Current chunk accumulators. mcs is a window over the memory
 	// controllers the chunk's DIMM range touches, starting at mcLo.
 	tally Tally
@@ -429,9 +422,6 @@ func newFleetWorker(cfg *Config, seed uint64, years int) (*fleetWorker, error) {
 	w.ev = faultsim.NewEvaluator(&w.dimmCfg, schemes)
 	w.fast = w.ev.EmptyTrialsSurvive()
 	w.tally.FailedByYear = make([]uint64, years)
-	if cfg.Policy.Kind == PolicyHARP {
-		w.harpChip = dram.NewChip(cfg.Geom, ecc.NewCRC8ATM())
-	}
 	return w, nil
 }
 
@@ -507,9 +497,15 @@ func (w *fleetWorker) scanChunk(ctx context.Context, c, lo, hi int, onEmpty func
 		}
 		return true
 	}
-	for d := lo; d < hi; {
-		if (d-lo)&1023 == 0 && ctx.Err() != nil {
-			return false
+	// d jumps over empty DIMMs, so ctx is polled by distance travelled:
+	// once at the chunk head, then each time d is 1024 or more DIMMs past
+	// the last poll.
+	for d, poll := lo, lo; d < hi; {
+		if d >= poll {
+			if ctx.Err() != nil {
+				return false
+			}
+			poll = d + 1024
 		}
 		skipped, recs := w.src.NextNonEmpty(w.rng, w.buf)
 		w.buf = recs
@@ -590,7 +586,7 @@ func (w *fleetWorker) age(h *DIMMHistory, recs []faultsim.FaultRecord) (retiredR
 	scrub := w.cfg.ScrubIntervalHours
 	for i := range recs {
 		r := &recs[i]
-		if end, retired := w.retireEnd(h.DIMM, i, r, scrub); retired {
+		if end, retired := w.retireEnd(r, scrub); retired {
 			retiredRows++
 			if h.Retired != nil {
 				h.Retired[i] = true
@@ -670,10 +666,9 @@ func retirableGran(g dram.Granularity) bool {
 }
 
 // retireEnd decides whether the policy retires the record's row and, if
-// so, the instant the row leaves service. Retirement never consumes the
-// trial RNG — HARP profiling seeds derive from (seed, dimm, record index)
-// — so fault streams are policy-invariant.
-func (w *fleetWorker) retireEnd(dimm, idx int, r *faultsim.FaultRecord, scrub float64) (end float64, retired bool) {
+// so, the instant the row leaves service. Retirement draws no randomness,
+// so fault streams are policy-invariant.
+func (w *fleetWorker) retireEnd(r *faultsim.FaultRecord, scrub float64) (end float64, retired bool) {
 	p := w.cfg.Policy
 	if p.Kind == PolicyNone || !retirableGran(r.Gran) {
 		return 0, false
@@ -696,69 +691,23 @@ func (w *fleetWorker) retireEnd(dimm, idx int, r *faultsim.FaultRecord, scrub fl
 		}
 		return nextScrubTick(r.Start, scrub) + float64(n-1)*scrub, true
 	case PolicyHARP:
-		// Profile-triggered: a HARP-style active pass at the first scrub
-		// flags resident at-risk damage. Permanent faults repeat under
-		// profiling (silent ones included — direct read-back errors need
-		// no catch-word); transient damage is cleared by the profiling
-		// writes themselves and is left alone.
-		tick := nextScrubTick(r.Start, scrub)
-		if tick >= r.End {
-			return 0, false // gone (or out of horizon) before profiling
+		// Profile-triggered: a HARP-style active pass (infer.ProfileChip)
+		// at the first scrub, whose verdict is fixed in advance. The pass
+		// writes each probe word before reading it, so transient damage
+		// profiles clean. A permanent fault flips a nonzero mask on every
+		// read of its words. If the flipped word is no codeword of the
+		// linear on-die code, the DC-Mux answers with the catch-word
+		// (§V-A: on detection and correction alike); if it is a nonzero
+		// codeword, its data part is nonzero and it reads back wrong, a
+		// direct error in HARP's terms. So exactly the permanent records
+		// still live at the tick are flagged, silent ones included
+		// (TestHARPVerdictMatchesProfile, FuzzHARPVerdictVsProfile).
+		if tick := nextScrubTick(r.Start, scrub); !r.Transient && tick < r.End {
+			return tick, true
 		}
-		if !w.harpAtRisk(dimm, idx, r) {
-			return 0, false
-		}
-		return tick, true
+		return 0, false // transient, or gone before profiling
 	}
 	return 0, false
-}
-
-// harpAtRisk runs an infer.ProfileChip pass over the words the record
-// damages, on a synthetic chip holding only that fault.
-func (w *fleetWorker) harpAtRisk(dimm, idx int, r *faultsim.FaultRecord) bool {
-	chip := w.harpChip
-	chip.ClearFaults()
-	chip.InjectFault(r.Range)
-	geom := w.cfg.Geom
-	addrs := w.harpAddrs[:0]
-	switch r.Gran {
-	case dram.GranBit, dram.GranWord:
-		addrs = append(addrs, dram.WordAddr{Bank: r.Range.Bank, Row: r.Range.Row, Col: r.Range.Col})
-	case dram.GranRow:
-		// Sample a few words across the damaged row; row faults corrupt
-		// a seed-derived pattern per word, so one clean probe word does
-		// not acquit the row.
-		cols := [4]int{0, 1, geom.ColsPerRow / 2, geom.ColsPerRow - 1}
-		for _, col := range cols {
-			a := dram.WordAddr{Bank: r.Range.Bank, Row: r.Range.Row, Col: col}
-			if len(addrs) == 0 || addrs[len(addrs)-1] != a {
-				addrs = append(addrs, a)
-			}
-		}
-	}
-	w.harpAddrs = addrs
-	prof := infer.ProfileChip(chip, addrs, infer.HARPOptions{
-		Rounds: 2,
-		Seed:   harpSeed(w.seed, dimm, idx),
-	})
-	for i := range prof.Words {
-		if prof.Words[i].AtRisk() {
-			return true
-		}
-	}
-	return false
-}
-
-// harpSeed derives a deterministic profiling seed independent of worker
-// scheduling and of the trial RNG.
-func harpSeed(seed uint64, dimm, idx int) uint64 {
-	x := seed ^ uint64(dimm)*0x9e3779b97f4a7c15 ^ uint64(idx)*0xbf58476d1ce4e5b9
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
 }
 
 // DIMMHistory is one DIMM's field history, regenerated on demand from the

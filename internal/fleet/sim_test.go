@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"xedsim/internal/checkpoint"
@@ -186,8 +187,8 @@ func TestArrivalsMatchTableIPoisson(t *testing.T) {
 }
 
 // TestPolicyInvariantFaultStreams: retirement policies must change what
-// happens to faults, never which faults arrive — retirement decisions are
-// seeded off the trial RNG.
+// happens to faults, never which faults arrive — retirement decisions draw
+// no randomness.
 func TestPolicyInvariantFaultStreams(t *testing.T) {
 	base := testConfig(50_000)
 	ref := mustRun(t, base, Options{Seed: 21})
@@ -496,5 +497,62 @@ func TestResumeRefusesDoneBitPastChunkCount(t *testing.T) {
 	_, err = Run(context.Background(), cfg, Options{Seed: 9, ChunkSize: 512, CheckpointPath: path, Resume: true})
 	if !errors.Is(err, checkpoint.ErrConfigMismatch) {
 		t.Fatalf("resume with chunk 8 of 8 marked done: %v, want ErrConfigMismatch", err)
+	}
+}
+
+// TestRunSteadyStateAllocs pins what a warm fleet run allocates: per-run
+// set-up (workers, tallies, the Summary), nothing per DIMM, per faulty
+// DIMM or per retirement decision, so a 16x larger fleet stays within the
+// same bound. The minimum over three seeds drops GC and scheduler noise.
+// The fleet pools nothing, so -race leaves the count as it is.
+func TestRunSteadyStateAllocs(t *testing.T) {
+	const bound = 64 << 10
+	cfg := DefaultConfig()
+	cfg.Policy = Policy{Kind: PolicyHARP}
+	cfg.DIMMsPerMC = 65536
+	for _, dimms := range []int{1 << 17, 1 << 21} {
+		cfg.DIMMs = dimms
+		mustRun(t, cfg, Options{Seed: 1, Workers: 2}) // warm
+		least := uint64(math.MaxUint64)
+		for seed := uint64(1); seed <= 3; seed++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			mustRun(t, cfg, Options{Seed: seed, Workers: 2})
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%d DIMMs: %d bytes allocated per run", dimms, least)
+		if least > bound {
+			t.Errorf("%d-DIMM harp fleet allocated %d bytes per run, want <= %d", dimms, least, bound)
+		}
+	}
+}
+
+// countingCtx counts the Err polls a scan makes.
+type countingCtx struct {
+	context.Context
+	polls int
+}
+
+func (c *countingCtx) Err() error {
+	c.polls++
+	return c.Context.Err()
+}
+
+// TestScanChunkPollsContext: skip-sampling jumps over empty DIMMs, yet a
+// chunk must still poll for cancellation about once per 1024 DIMMs, or a
+// large -chunk leaves SIGTERM waiting for an unbounded stretch.
+func TestScanChunkPollsContext(t *testing.T) {
+	cfg := testConfig(1 << 20)
+	w, err := newFleetWorker(&cfg, 7, cfg.Years())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &countingCtx{Context: context.Background()}
+	if !w.RunChunk(ctx, 0, 0, cfg.DIMMs) {
+		t.Fatal("RunChunk reported cancellation under a live context")
+	}
+	if ctx.polls < 1000 {
+		t.Errorf("a %d-DIMM chunk polled ctx %d times, want >= 1000", cfg.DIMMs, ctx.polls)
 	}
 }
