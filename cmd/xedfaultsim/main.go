@@ -29,9 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"xedsim/internal/cli"
@@ -147,7 +145,7 @@ func main() {
 		defer srv.Close()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.InterruptContext()
 	defer stop()
 
 	if err := prof.Start(); err != nil {

@@ -26,8 +26,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"xedsim/internal/cli"
@@ -186,7 +184,7 @@ func main() {
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.InterruptContext()
 	defer stop()
 
 	sum, runErr := fleet.Run(ctx, cfg, opts)

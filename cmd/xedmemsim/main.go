@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"xedsim/internal/cli"
 	"xedsim/internal/memsim"
@@ -68,7 +66,7 @@ func main() {
 		cmd.UsageErr("%v", err)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.InterruptContext()
 	defer stop()
 
 	if err := prof.Start(); err != nil {

@@ -28,9 +28,7 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"xedsim/internal/cli"
@@ -141,7 +139,7 @@ func main() {
 		cmd.UsageErr("%v", err)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.InterruptContext()
 	defer stop()
 
 	var err error

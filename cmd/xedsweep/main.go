@@ -15,8 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"xedsim/internal/analysis"
 	"xedsim/internal/cli"
@@ -59,7 +57,7 @@ func main() {
 		cmd.UsageErr("%v", err)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.InterruptContext()
 	defer stop()
 
 	schemes := []faultsim.Scheme{

@@ -25,13 +25,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"xedsim/internal/cli"
@@ -146,7 +143,7 @@ func main() {
 		opts.Runner = dist.NewClient(*coordinator, nil).Runner()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.InterruptContext()
 	defer stop()
 
 	start := time.Now()

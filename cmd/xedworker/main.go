@@ -15,15 +15,12 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
-	"syscall"
 	"time"
 
 	"xedsim/internal/cli"
@@ -102,7 +99,7 @@ func main() {
 		defer srv.Close()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.InterruptContext()
 	defer stop()
 
 	w := dist.NewWorker(dist.WorkerOptions{

@@ -1,18 +1,22 @@
 // Package cli is the plumbing xedsim's commands share: the usage-error
-// and runtime-error exits, the -debug-addr listener and the -metrics-json
-// writer. A command exits 2 on a usage error and 1 on a runtime error, and
-// starts every line it prints to standard error with its name.
+// and runtime-error exits, the interrupt context, the -debug-addr listener
+// and the -metrics-json writer. A command exits 2 on a usage error and 1
+// on a runtime error, and starts every line it prints to standard error
+// with its name.
 package cli
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"sort"
 	"strings"
+	"syscall"
 
 	"xedsim/internal/obs"
 )
@@ -32,6 +36,13 @@ func (c Command) UsageErr(format string, args ...any) {
 func (c Command) Fatal(err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", c, err)
 	os.Exit(1)
+}
+
+// InterruptContext returns a context cancelled by the first SIGINT or
+// SIGTERM, the signal set every long-running command drains on, and the
+// function that stops relaying them.
+func InterruptContext() (context.Context, context.CancelFunc) {
+	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
 // ServeDebug serves the -debug-addr endpoints on addr: reg's live metrics,

@@ -96,7 +96,7 @@ func evaluatorDifferentialClaim() Claim {
 					return Verdict{Status: Errored, Err: err, Trials: trials, Detail: "cancelled mid-sweep"}
 				}
 				cfg := randomConfig(rng)
-				trace, err := faultsim.CaptureBatchTrace(cfg, o.TrialsPerConfig, rng.Uint64())
+				trace, err := faultsim.CaptureTrace(cfg, o.TrialsPerConfig, rng.Uint64())
 				if err != nil {
 					return Verdict{Status: Errored, Err: err,
 						Detail: fmt.Sprintf("config %d rejected: %v", c, err)}

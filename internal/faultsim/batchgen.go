@@ -1,12 +1,9 @@
 package faultsim
 
-import (
-	"fmt"
+import "xedsim/internal/simrand"
 
-	"xedsim/internal/simrand"
-)
-
-// Batched trial generation: how every campaign draws its trials.
+// Batched trial generation: how every campaign, the fleet simulator
+// (through TrialSource) and CaptureTrace draw their trials.
 //
 // The scalar generator (generator.Trial) interleaves every trial's draws:
 // one Poisson count, then per record a class draw, an onset draw and three
@@ -33,7 +30,7 @@ import (
 // distributed alike instead:
 //
 //   - The arrival decomposition (geometric zero-run + zero-truncated count)
-//     is the same exact identity the scalar skip path uses; stopping at the
+//     is an exact identity for i.i.d. Poisson counts; stopping at the
 //     chunk boundary without drawing a count is exact because
 //     P(zero-run >= remaining) = q^remaining is precisely the probability
 //     that every remaining trial is empty.
@@ -213,28 +210,4 @@ func (p *batchPlan) emitTrial(g *generator, rng *simrand.Source, i int, buf []Fa
 			int(p.ch[r]), int(p.rk[r]), int(p.chip[r]))
 	}
 	return buf
-}
-
-// CaptureBatchTrace records `trials` fault streams drawn the way campaigns
-// draw them: one batch plan over all the trials, every trial materialised
-// (empty ones stay nil, as in CaptureTrace). Like CaptureTrace it draws
-// from the full class table with address ranges. The conformance
-// differential claim drives random configs through it.
-func CaptureBatchTrace(cfg Config, trials int, seed uint64) (*Trace, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if trials <= 0 {
-		return nil, fmt.Errorf("faultsim: non-positive trial count %d", trials)
-	}
-	rng := simrand.New(seed)
-	g := newGenerator(&cfg)
-	arr := newArrivalSamplers(g.genTables)
-	var p batchPlan
-	p.build(g.genTables, &arr, rng, trials)
-	tr := &Trace{Config: cfg, Seed: seed, Trials: make([][]FaultRecord, trials)}
-	for i := 0; i < p.emitted(); i++ {
-		tr.Trials[p.trialPos[i]] = p.emitTrial(g, rng, i, nil)
-	}
-	return tr, nil
 }

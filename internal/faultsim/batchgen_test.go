@@ -194,9 +194,9 @@ func shapedConfig(t testing.TB, shape, inflateFactor uint8, aging bool) (Config,
 
 func diffBatchVsReference(t *testing.T, cfg Config, trials int, seed uint64) {
 	t.Helper()
-	tr, err := CaptureBatchTrace(cfg, trials, seed)
+	tr, err := CaptureTrace(cfg, trials, seed)
 	if err != nil {
-		t.Fatalf("CaptureBatchTrace: %v", err)
+		t.Fatalf("CaptureTrace: %v", err)
 	}
 	want := referenceBatchTrials(&cfg, trials, seed)
 	for i := range want {
@@ -246,25 +246,27 @@ func TestCaptureTraceGenMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCaptureBatchTraceValidates: CaptureTrace draws through the batch plan,
+// so the same seed must capture the same trace and bad inputs are refused.
 func TestCaptureBatchTraceValidates(t *testing.T) {
 	cfg := DefaultConfig()
-	a, err := CaptureBatchTrace(cfg, 500, 11)
+	a, err := CaptureTrace(cfg, 500, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CaptureBatchTrace(cfg, 500, 11)
+	b, err := CaptureTrace(cfg, 500, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed captured different traces")
 	}
-	if _, err := CaptureBatchTrace(cfg, 0, 11); err == nil {
+	if _, err := CaptureTrace(cfg, 0, 11); err == nil {
 		t.Fatal("zero trials accepted")
 	}
 	bad := cfg
 	bad.Channels = 0
-	if _, err := CaptureBatchTrace(bad, 500, 11); err == nil {
+	if _, err := CaptureTrace(bad, 500, 11); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

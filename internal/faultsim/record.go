@@ -29,8 +29,8 @@ type FaultRecord struct {
 	EscalatedByScaling bool
 	// Range is the symbolic address range, used when the precise
 	// address-overlap criterion is enabled. The Monte-Carlo fast path
-	// leaves it zero unless Config.RequireAddressOverlap is set; Trial
-	// (the trace/replay entry point) always populates it.
+	// leaves it zero unless Config.RequireAddressOverlap is set; traces
+	// and TrialSource always populate it.
 	Range dram.Fault
 	// EventID groups the per-chip records of one multi-rank event.
 	EventID uint64
@@ -72,7 +72,7 @@ type genTables struct {
 	// withRanges controls whether emitted records carry their symbolic
 	// address Range. The Monte-Carlo schemes only read Range under the
 	// precise address-overlap criterion, so Run skips the (RNG-heavy)
-	// range draws otherwise. Trial always sets it.
+	// range draws otherwise. newGenerator always sets it.
 	withRanges bool
 
 	// Precomputed samplers and constants.
@@ -163,7 +163,8 @@ func newRunGenerator(cfg *Config, ev *evalTables) *generator {
 // returned slice is valid until the next call with the same buf. Under an
 // aging profile, candidates are drawn at the envelope rate and thinned to
 // the instantaneous multiplier, which samples the non-homogeneous Poisson
-// process exactly.
+// process exactly. This one-trial-at-a-time draw is the law-level oracle
+// the batch plan is tested against; every production path plans instead.
 func (g *generator) Trial(rng *simrand.Source, buf []FaultRecord) []FaultRecord {
 	buf = buf[:0]
 	aging := g.cfg.Aging
@@ -187,43 +188,6 @@ func (g *generator) Trial(rng *simrand.Source, buf []FaultRecord) []FaultRecord 
 		buf = g.emitAt(rng, buf, g.classes[cls], x*g.cfg.LifetimeHours)
 	}
 	return buf
-}
-
-// nextNonEmptyAppend is the scalar skip-sampling path: it reports how many
-// trials in a row drew zero faults (`skipped`) and then generates the next
-// trial that drew a nonzero count, appending its records to buf. Callers
-// account the skipped trials wholesale instead of spending a Poisson draw
-// on each. The decomposition is exact: i.i.d. trial counts make the
-// zero-run geometric and the next count zero-truncated Poisson. Under an
-// aging profile the *candidate* count is decomposed the same way; thinning
-// can still leave the trial empty, which callers detect by comparing
-// len(out) against the pre-call length.
-func (g *generator) nextNonEmptyAppend(rng *simrand.Source, buf []FaultRecord) (skipped int, out []FaultRecord) {
-	aging := g.cfg.Aging
-	if g.totalMean <= 0 {
-		return int(^uint(0) >> 1), buf // no faults ever: skip everything
-	}
-	if !aging.enabled() {
-		var n int
-		skipped, n = g.trialCount.NextPositive(rng)
-		for i := 0; i < n; i++ {
-			cls := g.sampleClass(rng)
-			buf = g.emit(rng, buf, g.classes[cls])
-		}
-		return skipped, buf
-	}
-	peak := aging.Peak()
-	var n int
-	skipped, n = g.trialCountPk.NextPositive(rng)
-	for i := 0; i < n; i++ {
-		x := rng.Float64()
-		if !rng.Bernoulli(aging.Multiplier(x) / peak) {
-			continue
-		}
-		cls := g.sampleClass(rng)
-		buf = g.emitAt(rng, buf, g.classes[cls], x*g.cfg.LifetimeHours)
-	}
-	return skipped, buf
 }
 
 func (g *generator) sampleClass(rng *simrand.Source) int {

@@ -51,6 +51,34 @@ func TestTrialSourceMeanIsUnfiltered(t *testing.T) {
 	}
 }
 
+// planTrials plans n trials of src from rng and returns them all, empty
+// ones nil, failing t unless the skipped counts and the emitted trials
+// account for exactly n.
+func planTrials(t *testing.T, src *TrialSource, rng *simrand.Source, n int) [][]FaultRecord {
+	t.Helper()
+	src.Plan(rng, n)
+	out := make([][]FaultRecord, n)
+	at := 0
+	var buf []FaultRecord
+	for {
+		skipped, recs := src.NextNonEmpty(rng, buf)
+		buf = recs
+		at += skipped
+		if len(recs) == 0 {
+			break
+		}
+		if at >= n {
+			t.Fatalf("non-empty trial at %d of a %d-trial plan", at, n)
+		}
+		out[at] = append([]FaultRecord(nil), recs...)
+		at++
+	}
+	if at != n {
+		t.Fatalf("plan accounted for %d of %d trials", at, n)
+	}
+	return out
+}
+
 // TestTrialSourceEmpiricalMean: long-run arrival counts track Mean().
 func TestTrialSourceEmpiricalMean(t *testing.T) {
 	cfg := singleDIMMConfig()
@@ -59,20 +87,22 @@ func TestTrialSourceEmpiricalMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := simrand.New(0)
-	rng.SeedStream(99, 0)
-	const trials = 200_000
+	const plans, perPlan = 50, 4000
 	var events int
-	var buf []FaultRecord
-	for i := 0; i < trials; i++ {
-		buf = src.Trial(rng, buf[:0])
-		for j := range buf {
-			// Count events, not records: multi-rank expansion copies share
-			// their event's identity and must not inflate the estimate.
-			if buf[j].EventID == 0 || buf[j].Rank == 0 {
-				events++
+	for p := uint64(0); p < plans; p++ {
+		rng.SeedStream(99, p)
+		for _, recs := range planTrials(t, src, rng, perPlan) {
+			for j := range recs {
+				// Count events, not records: multi-rank expansion copies
+				// share their event's identity and must not inflate the
+				// estimate.
+				if recs[j].EventID == 0 || recs[j].Rank == 0 {
+					events++
+				}
 			}
 		}
 	}
+	const trials = plans * perPlan
 	got := float64(events) / trials
 	want := src.Mean()
 	// 5-sigma band for a Poisson sum over `trials` draws.
@@ -82,79 +112,79 @@ func TestTrialSourceEmpiricalMean(t *testing.T) {
 	}
 }
 
-// TestNextNonEmptyDecomposition: skip-sampling must visit exactly the
-// trials the one-by-one draw visits, with identical records.
-func TestNextNonEmptyDecomposition(t *testing.T) {
-	cfg := singleDIMMConfig()
-	src, err := NewTrialSource(&cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestTrialSourceDrawsTheBatchPlan pins the source to the campaign planner:
+// from the same RNG state its non-empty trials are CaptureTrace's, record
+// for record and at the same places, whether the plan is asked for or
+// made on demand, and whether or not the source planned before.
+func TestTrialSourceDrawsTheBatchPlan(t *testing.T) {
+	inflated := singleDIMMConfig()
+	inflated.FITs = append(FITTable(nil), inflated.FITs...)
+	for i := range inflated.FITs {
+		inflated.FITs[i].Rate *= 100
 	}
+	aging := inflated
+	aging.Aging = BathtubAging()
+	multiRank := singleDIMMConfig()
+	multiRank.RanksPerChannel = 3
+	multiRank.FITs = FITTable{{Gran: dram.GranChip, Rate: 20000}, {Gran: dram.GranBit, Transient: true, Rate: 20000}}
+	for name, cfg := range map[string]Config{
+		"default": singleDIMMConfig(), "inflated": inflated, "aging": aging, "multi-rank": multiRank,
+	} {
+		t.Run(name, func(t *testing.T) {
+			src, err := NewTrialSource(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(1); seed <= 3; seed++ {
+				want, err := CaptureTrace(cfg, 3000, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := planTrials(t, src, simrand.New(seed), 3000); !reflect.DeepEqual(got, want.Trials) {
+					t.Fatalf("seed %d: planned trials differ from CaptureTrace's", seed)
+				}
+			}
 
-	type visit struct {
-		trial int
-		recs  []FaultRecord
-	}
-	const trials = 50_000
-
-	rng := simrand.New(0)
-	rng.SeedStream(7, 3)
-	src.ResetEvents()
-	var slow []visit
-	var buf []FaultRecord
-	for i := 0; i < trials; i++ {
-		buf = src.Trial(rng, buf[:0])
-		if len(buf) > 0 {
-			slow = append(slow, visit{i, append([]FaultRecord(nil), buf...)})
-		}
-	}
-
-	rng.SeedStream(7, 3)
-	src.ResetEvents()
-	var fast []visit
-	at := 0
-	for at < trials {
-		skipped, recs := src.NextNonEmpty(rng, buf)
-		buf = recs
-		at += skipped
-		if at >= trials {
-			break // the non-empty trial falls past the window; discard
-		}
-		if len(recs) > 0 {
-			fast = append(fast, visit{at, append([]FaultRecord(nil), recs...)})
-		}
-		at++
-	}
-
-	if !reflect.DeepEqual(slow, fast) {
-		t.Fatalf("skip-sampled visits diverge from one-by-one draws:\nslow: %d visits\nfast: %d visits", len(slow), len(fast))
-	}
-	if len(slow) == 0 {
-		t.Fatal("no non-empty trials in the window; test has no power")
+			want, err := CaptureTrace(cfg, DefaultChunkSize, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := simrand.New(7)
+			src = src.Fork()
+			got := make([][]FaultRecord, DefaultChunkSize)
+			var buf []FaultRecord
+			for at := 0; ; at++ {
+				skipped, recs := src.NextNonEmpty(rng, buf)
+				buf = recs
+				if at += skipped; len(recs) == 0 {
+					if at != DefaultChunkSize {
+						t.Fatalf("an on-demand plan accounted for %d of %d trials", at, DefaultChunkSize)
+					}
+					break
+				}
+				got[at] = append([]FaultRecord(nil), recs...)
+			}
+			if !reflect.DeepEqual(got, want.Trials) {
+				t.Fatal("an on-demand plan differs from CaptureTrace's")
+			}
+		})
 	}
 }
 
 // TestTrialSourceStreamsAreReproducible: same (seed, stream) → identical
-// records; different stream → different draws. ResetEvents makes the record
-// stream a pure function of the substream, which is what the fleet's
-// History replay depends on.
+// records; different stream → different draws. Plan rewinds the EventIDs,
+// so the record stream is a pure function of the substream, which is what
+// the fleet's History replay depends on.
 func TestTrialSourceStreamsAreReproducible(t *testing.T) {
 	cfg := singleDIMMConfig()
 	src, err := NewTrialSource(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	draw := func(seed, stream uint64) []FaultRecord {
+	draw := func(seed, stream uint64) [][]FaultRecord {
 		rng := simrand.New(0)
 		rng.SeedStream(seed, stream)
-		src.ResetEvents()
-		var out []FaultRecord
-		var buf []FaultRecord
-		for i := 0; i < 10_000; i++ {
-			buf = src.Trial(rng, buf[:0])
-			out = append(out, buf...)
-		}
-		return out
+		return planTrials(t, src, rng, 10_000)
 	}
 	a, b := draw(1, 0), draw(1, 0)
 	if !reflect.DeepEqual(a, b) {
@@ -176,12 +206,10 @@ func TestTrialSourceRecordsHaveRanges(t *testing.T) {
 	}
 	rng := simrand.New(0)
 	rng.SeedStream(13, 0)
-	var buf []FaultRecord
 	seen := 0
-	for i := 0; i < 200_000 && seen < 50; i++ {
-		buf = src.Trial(rng, buf[:0])
-		for j := range buf {
-			r := &buf[j]
+	for _, recs := range planTrials(t, src, rng, 20_000) {
+		for j := range recs {
+			r := &recs[j]
 			seen++
 			if r.Range.Gran != r.Gran {
 				t.Fatalf("record %d: range granularity %v != record granularity %v", j, r.Range.Gran, r.Gran)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"xedsim/internal/dram"
 	"xedsim/internal/simrand"
@@ -22,7 +23,11 @@ type Trace struct {
 	Trials [][]FaultRecord `json:"trials"`
 }
 
-// CaptureTrace generates and records `trials` fault streams.
+// CaptureTrace records `trials` fault streams drawn the way campaigns draw
+// them: one batch plan over all the trials, every trial materialised (empty
+// ones stay nil). Unlike a campaign it draws from the full class table with
+// address ranges, as TrialSource does. The conformance differential claim
+// drives random configs through it.
 func CaptureTrace(cfg Config, trials int, seed uint64) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -31,11 +36,13 @@ func CaptureTrace(cfg Config, trials int, seed uint64) (*Trace, error) {
 		return nil, fmt.Errorf("faultsim: non-positive trial count %d", trials)
 	}
 	rng := simrand.New(seed)
-	gen := newGenerator(&cfg)
+	g := newGenerator(&cfg)
+	arr := newArrivalSamplers(g.genTables)
+	var p batchPlan
+	p.build(g.genTables, &arr, rng, trials)
 	tr := &Trace{Config: cfg, Seed: seed, Trials: make([][]FaultRecord, trials)}
-	for t := 0; t < trials; t++ {
-		buf := gen.Trial(rng, nil)
-		tr.Trials[t] = append([]FaultRecord(nil), buf...)
+	for i := 0; i < p.emitted(); i++ {
+		tr.Trials[p.trialPos[i]] = p.emitTrial(g, rng, i, nil)
 	}
 	return tr, nil
 }
@@ -64,7 +71,7 @@ func (tr *Trace) Judge(schemes []Scheme) (*Report, error) {
 	if len(schemes) == 0 {
 		return nil, fmt.Errorf("faultsim: no schemes to evaluate")
 	}
-	years := int(tr.Config.LifetimeHours/HoursPerYear + 0.999999)
+	years := int(math.Ceil(tr.Config.LifetimeHours / HoursPerYear))
 	rep := &Report{Config: tr.Config, Trials: uint64(len(tr.Trials)), Years: years}
 	for _, scheme := range schemes {
 		rep.Results = append(rep.Results, Result{
@@ -92,11 +99,7 @@ func (tr *Trace) Judge(schemes []Scheme) (*Report, error) {
 			case FailSDC:
 				res.SDCs++
 			}
-			yr := int(ft / HoursPerYear)
-			if yr >= years {
-				yr = years - 1
-			}
-			for y := yr; y < years; y++ {
+			for y := min(int(ft*invHoursPerYear), years-1); y < years; y++ {
 				res.FailuresByYear[y]++
 			}
 		}

@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"xedsim/internal/dram"
@@ -130,5 +131,32 @@ func TestTraceValidation(t *testing.T) {
 	tr, _ := CaptureTrace(cfg, 1, 1)
 	if _, err := tr.Judge(nil); err == nil {
 		t.Error("expected error for no schemes")
+	}
+}
+
+// TestTraceJudgeYearsMatchCampaign: Judge promises Run's Report shape, so a
+// lifetime a hair past seven years gets the campaign's eight year buckets.
+func TestTraceJudgeYearsMatchCampaign(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LifetimeHours = 7*HoursPerYear + 1e-6
+	tr, err := CaptureTrace(cfg, 100, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	judged, err := tr.Judge(AllSchemes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran, err := RunCampaign(context.Background(), cfg, AllSchemes(), CampaignOptions{Trials: 100, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if judged.Years != ran.Years {
+		t.Fatalf("Judge counts %d years, RunCampaign %d", judged.Years, ran.Years)
+	}
+	for _, r := range judged.Results {
+		if len(r.FailuresByYear) != ran.Years {
+			t.Fatalf("%s: %d year buckets, want %d", r.SchemeName, len(r.FailuresByYear), ran.Years)
+		}
 	}
 }

@@ -8,10 +8,12 @@
 // actually bites.
 //
 // Each DIMM's runtime faults are one trial of the single-DIMM
-// faultsim.Config, drawn through faultsim.TrialSource and judged by the
-// same faultsim.Evaluator the Monte-Carlo campaigns use, so per-DIMM
-// failure statistics tie back to the paper's Figure 1/7 curves by
-// construction (the fleet/ conformance claim checks exactly this). On top
+// faultsim.Config. A chunk of DIMMs is planned exactly as a campaign chunk
+// is (faultsim.TrialSource iterates over the batch plan) and each faulty
+// DIMM is judged by the indexed faultsim.Evaluator, the scalar judge the
+// campaigns' lane engine is held bit-identical to, so per-DIMM failure
+// statistics tie back to the paper's Figure 1/7 curves by construction
+// (the fleet/ conformance claim checks exactly this). On top
 // of the record stream the simulator layers what campaigns abstract away:
 // scrub-pass CE telemetry, retirement policies that truncate a fault's
 // active interval, and replacement economics.
@@ -240,10 +242,17 @@ func (c *Config) MCs() int {
 // DIMM over the horizon — the rate the statistical battery's chi-squared
 // test checks the simulator against.
 func (c *Config) ExpectedFaultsPerDIMM() (float64, error) {
-	dimm := c.dimmConfig()
-	src, err := faultsim.NewTrialSource(&dimm)
+	src, err := c.trialSource()
 	if err != nil {
 		return 0, err
 	}
 	return src.Mean(), nil
+}
+
+// trialSource builds the source DIMMs are drawn through: every DIMM is one
+// trial of the single-DIMM view. A Run builds it once and gives each
+// worker a Fork.
+func (c *Config) trialSource() (*faultsim.TrialSource, error) {
+	dimm := c.dimmConfig()
+	return faultsim.NewTrialSource(&dimm)
 }

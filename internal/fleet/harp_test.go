@@ -60,11 +60,7 @@ func harpSeed(seed uint64, dimm, idx int) uint64 {
 func harpWorker(t testing.TB, cfg Config, seed uint64) *fleetWorker {
 	t.Helper()
 	cfg.Policy = Policy{Kind: PolicyHARP}
-	w, err := newFleetWorker(&cfg, seed, cfg.Years())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
+	return testWorker(t, &cfg, seed)
 }
 
 // checkHARPVerdict fails t unless retireEnd and the profile agree on r.

@@ -30,10 +30,12 @@ const (
 	ArrivalBins = 9
 )
 
-// fleetCheckpointKind frames fleet snapshots on disk.
+// fleetCheckpointKind frames fleet snapshots on disk. Version 1 snapshots
+// hold tallies of the scalar skip-sampled streams under the same config
+// hash, so they are refused.
 const (
 	fleetCheckpointKind    = "fleet-campaign"
-	fleetCheckpointVersion = 1
+	fleetCheckpointVersion = 2
 )
 
 // Options parameterises Run.
@@ -286,9 +288,12 @@ func Run(ctx context.Context, cfg Config, opts Options) (*Summary, error) {
 		opts.CheckpointInterval = DefaultCheckpointInterval
 	}
 	f := &fleetRun{cfg: cfg, opts: opts, years: cfg.Years()}
+	src, err := cfg.trialSource() // its tables are shared by every worker's Fork
+	if err != nil {
+		return nil, err
+	}
 	var hash string
 	if opts.CheckpointPath != "" {
-		var err error
 		hash, err = checkpoint.Hash(fleetHashInput{Config: cfg, Seed: opts.Seed, ChunkSize: opts.ChunkSize})
 		if err != nil {
 			return nil, err
@@ -322,7 +327,7 @@ func Run(ctx context.Context, cfg Config, opts Options) (*Summary, error) {
 		Metrics:  opts.Metrics,
 		Prefix:   "fleet",
 	}, func() (chunkrun.Worker, error) {
-		w, err := newFleetWorker(&f.cfg, f.opts.Seed, f.years)
+		w, err := newFleetWorker(&f.cfg, src.Fork(), f.opts.Seed, f.years)
 		if err != nil {
 			return nil, err
 		}
@@ -393,10 +398,9 @@ type fleetWorker struct {
 	dimmCfg faultsim.Config
 	src     *faultsim.TrialSource
 	ev      *faultsim.Evaluator
-	fast    bool
 	seed    uint64
 	years   int
-	rng     *simrand.Source
+	rng     simrand.Source
 	buf     []faultsim.FaultRecord
 	outs    []faultsim.TrialOutcome
 
@@ -407,20 +411,16 @@ type fleetWorker struct {
 	mcs   []MCCounters
 }
 
-func newFleetWorker(cfg *Config, seed uint64, years int) (*fleetWorker, error) {
-	w := &fleetWorker{cfg: cfg, seed: seed, years: years, rng: simrand.New(0)}
+// newFleetWorker builds a worker that draws its DIMMs through src, a
+// source of cfg.trialSource() the worker then owns.
+func newFleetWorker(cfg *Config, src *faultsim.TrialSource, seed uint64, years int) (*fleetWorker, error) {
+	w := &fleetWorker{cfg: cfg, src: src, seed: seed, years: years}
 	w.dimmCfg = cfg.dimmConfig()
-	src, err := faultsim.NewTrialSource(&w.dimmCfg)
-	if err != nil {
-		return nil, err
-	}
-	w.src = src
 	schemes, err := cfg.schemes()
 	if err != nil {
 		return nil, err
 	}
 	w.ev = faultsim.NewEvaluator(&w.dimmCfg, schemes)
-	w.fast = w.ev.EmptyTrialsSurvive()
 	w.tally.FailedByYear = make([]uint64, years)
 	return w, nil
 }
@@ -475,59 +475,33 @@ func (w *fleetWorker) resetChunk(lo, hi int) {
 
 // scanChunk walks chunk c's DIMM range, reporting runs of zero-fault DIMMs
 // to onEmpty and each faulty DIMM's record stream to onDIMM (return false
-// to stop early). The RNG draw sequence is a pure function of (Config,
-// seed, c): the same skip-sampling fast path and boundary-overrun rule as
-// the campaign engine, so History replays exactly what RunChunk aged.
+// to stop early). The chunk is planned exactly as a campaign chunk is, from
+// the head of substream (seed, c), so History replays exactly what
+// RunChunk aged. Every fleet scheme survives a fault-free DIMM (fleet
+// configs set no scaling rate), so empty DIMMs are only counted.
 func (w *fleetWorker) scanChunk(ctx context.Context, c, lo, hi int, onEmpty func(at, n int), onDIMM func(d int, recs []faultsim.FaultRecord) bool) bool {
 	w.rng.SeedStream(w.seed, uint64(c))
-	w.src.ResetEvents()
-	if !w.fast {
-		// A scheme that fails empty trials makes skip-sampling unsound;
-		// draw every DIMM individually.
-		for d := lo; d < hi; d++ {
-			if (d-lo)&1023 == 0 && ctx.Err() != nil {
-				return false
-			}
-			w.buf = w.src.Trial(w.rng, w.buf[:0])
-			if len(w.buf) == 0 {
-				onEmpty(d, 1)
-			} else if !onDIMM(d, w.buf) {
-				return true
-			}
-		}
-		return true
-	}
+	w.src.Plan(&w.rng, hi-lo)
 	// d jumps over empty DIMMs, so ctx is polled by distance travelled:
 	// once at the chunk head, then each time d is 1024 or more DIMMs past
 	// the last poll.
-	for d, poll := lo, lo; d < hi; {
+	for d, poll := lo, lo; ; d++ {
 		if d >= poll {
 			if ctx.Err() != nil {
 				return false
 			}
 			poll = d + 1024
 		}
-		skipped, recs := w.src.NextNonEmpty(w.rng, w.buf)
+		skipped, recs := w.src.NextNonEmpty(&w.rng, w.buf)
 		w.buf = recs
-		if skipped >= hi-d {
-			// The rest of the chunk drew zero faults; the non-empty trial
-			// just generated belongs past the chunk boundary and is
-			// discarded (the next chunk reseeds its own substream).
-			onEmpty(d, hi-d)
-			return true
-		}
 		if skipped > 0 {
 			onEmpty(d, skipped)
 			d += skipped
 		}
-		if len(recs) == 0 {
-			onEmpty(d, 1) // aging thinning can still empty a trial
-		} else if !onDIMM(d, recs) {
-			return true
+		if len(recs) == 0 || !onDIMM(d, recs) {
+			return true // the plan is spent (d == hi), or onDIMM stopped
 		}
-		d++
 	}
-	return true
 }
 
 // simDIMM ages one faulty DIMM: applies the retirement policy to its
@@ -760,7 +734,11 @@ func History(cfg Config, opts Options, dimm int) (*DIMMHistory, error) {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	w, err := newFleetWorker(&cfg, opts.Seed, cfg.Years())
+	src, err := cfg.trialSource()
+	if err != nil {
+		return nil, err
+	}
+	w, err := newFleetWorker(&cfg, src, opts.Seed, cfg.Years())
 	if err != nil {
 		return nil, err
 	}

@@ -9,10 +9,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"xedsim/internal/checkpoint"
 	"xedsim/internal/dram"
+	"xedsim/internal/faultsim"
 )
 
 // testConfig returns a fleet small enough for sub-second tests but large
@@ -21,6 +23,20 @@ func testConfig(dimms int) Config {
 	cfg := DefaultConfig()
 	cfg.DIMMs = dimms
 	return cfg
+}
+
+// testWorker builds a worker for cfg the way Run builds one.
+func testWorker(t testing.TB, cfg *Config, seed uint64) *fleetWorker {
+	t.Helper()
+	src, err := cfg.trialSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := newFleetWorker(cfg, src, seed, cfg.Years())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 func mustRun(t *testing.T, cfg Config, opts Options) *Summary {
@@ -126,6 +142,39 @@ func TestResumeRefusesForeignConfig(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), cfg, Options{Seed: 10, ChunkSize: 512, CheckpointPath: path, Resume: true}); err == nil {
 		t.Fatalf("resume under a different seed succeeded; want config-hash refusal")
+	}
+}
+
+// TestResumeRefusesVersionOneCheckpoint: version-1 snapshots hold tallies
+// of the scalar skip-sampled streams under the same config hash, so a
+// resuming fleet may not load one.
+func TestResumeRefusesVersionOneCheckpoint(t *testing.T) {
+	cfg := testConfig(4_000)
+	path := filepath.Join(t.TempDir(), "fleet.ckpt")
+	opts := Options{Seed: 9, ChunkSize: 512, CheckpointPath: path}
+	mustRun(t, cfg, opts)
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env checkpoint.Envelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Version != fleetCheckpointVersion || fleetCheckpointVersion < 2 {
+		t.Fatalf("fleet saved a v%d checkpoint; version %d is current", env.Version, fleetCheckpointVersion)
+	}
+	old, err := checkpoint.Marshal(env.Kind, 1, env.ConfigHash, env.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts.Resume = true
+	if _, err := Run(context.Background(), cfg, opts); !errors.Is(err, checkpoint.ErrVersionMismatch) {
+		t.Fatalf("resume from a v1 checkpoint: %v, want ErrVersionMismatch", err)
 	}
 }
 
@@ -504,8 +553,11 @@ func TestResumeRefusesDoneBitPastChunkCount(t *testing.T) {
 // set-up (workers, tallies, the Summary), nothing per DIMM, per faulty
 // DIMM or per retirement decision, so a 16x larger fleet stays within the
 // same bound. The minimum over three seeds drops GC and scheduler noise.
-// The fleet pools nothing, so -race leaves the count as it is.
+// Chunk plans come from faultsim's pool, which -race empties at random.
 func TestRunSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
 	const bound = 64 << 10
 	cfg := DefaultConfig()
 	cfg.Policy = Policy{Kind: PolicyHARP}
@@ -544,15 +596,74 @@ func (c *countingCtx) Err() error {
 // large -chunk leaves SIGTERM waiting for an unbounded stretch.
 func TestScanChunkPollsContext(t *testing.T) {
 	cfg := testConfig(1 << 20)
-	w, err := newFleetWorker(&cfg, 7, cfg.Years())
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := testWorker(t, &cfg, 7)
 	ctx := &countingCtx{Context: context.Background()}
 	if !w.RunChunk(ctx, 0, 0, cfg.DIMMs) {
 		t.Fatal("RunChunk reported cancellation under a live context")
 	}
 	if ctx.polls < 1000 {
 		t.Errorf("a %d-DIMM chunk polled ctx %d times, want >= 1000", cfg.DIMMs, ctx.polls)
+	}
+}
+
+// TestEveryFleetSchemeSurvivesEmptyDIMMs is the premise that lets a fleet
+// count fault-free DIMMs without judging them: under every scheme a fleet
+// can name, with or without the on-die code, an empty trial survives.
+func TestEveryFleetSchemeSurvivesEmptyDIMMs(t *testing.T) {
+	for _, name := range faultsim.SchemeNames() {
+		for _, onDie := range []bool{false, true} {
+			cfg := testConfig(100)
+			cfg.Scheme, cfg.OnDie = name, onDie
+			if w := testWorker(t, &cfg, 1); !w.ev.EmptyTrialsSurvive() {
+				t.Errorf("%s (on-die %v) fails a DIMM with no faults", name, onDie)
+			}
+		}
+	}
+}
+
+// TestFleetAndCampaignShareChunkPool: fleet workers borrow their chunk
+// plans from the pool campaign workers plan and judge from, so fleets and
+// campaigns running side by side must each give what they give alone.
+func TestFleetAndCampaignShareChunkPool(t *testing.T) {
+	cfg := testConfig(300_000)
+	opts := Options{Seed: 6, ChunkSize: 512, Workers: 4}
+	ccfg := faultsim.DefaultConfig()
+	copts := faultsim.CampaignOptions{Trials: 1_000_000, Seed: 6, ChunkSize: 2048, Workers: 4}
+	campaign := func() (*faultsim.Report, error) {
+		return faultsim.RunCampaign(context.Background(), ccfg, faultsim.AllSchemes(), copts)
+	}
+	wantFleet := mustRun(t, cfg, opts)
+	wantCampaign, err := campaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 3
+	fleets := make([]*Summary, rounds)
+	campaigns := make([]*faultsim.Report, rounds)
+	errs := make([]error, 2*rounds)
+	var wg sync.WaitGroup
+	for i := 0; i < rounds; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			fleets[i], errs[2*i] = Run(context.Background(), cfg, opts)
+		}()
+		go func() {
+			defer wg.Done()
+			campaigns[i], errs[2*i+1] = campaign()
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < rounds; i++ {
+		if errs[2*i] != nil || errs[2*i+1] != nil {
+			t.Fatalf("round %d: fleet %v, campaign %v", i, errs[2*i], errs[2*i+1])
+		}
+		if !reflect.DeepEqual(fleets[i], wantFleet) {
+			t.Errorf("round %d: concurrent fleet %+v, alone %+v", i, fleets[i].Tally, wantFleet.Tally)
+		}
+		if !reflect.DeepEqual(campaigns[i], wantCampaign) {
+			t.Errorf("round %d: concurrent campaign %+v, alone %+v", i, campaigns[i].Results, wantCampaign.Results)
+		}
 	}
 }

@@ -24,41 +24,6 @@ func TestPoissonSamplerStreamIdentical(t *testing.T) {
 	}
 }
 
-// TestNextPositiveDistribution: accounting skipped zero-trials wholesale
-// must reproduce the plain per-trial Poisson statistics — same zero
-// fraction, same conditional mean of the positive draws.
-func TestNextPositiveDistribution(t *testing.T) {
-	for _, mean := range []float64{0.05, 0.29, 2.5, 40} {
-		p := NewPoissonSampler(mean)
-		s := New(99)
-		const trials = 400_000
-		zeros, sum, positives := 0, 0, 0
-		done := 0
-		for done < trials {
-			skipped, n := p.NextPositive(s)
-			if skipped >= trials-done {
-				zeros += trials - done
-				done = trials
-				break
-			}
-			zeros += skipped
-			done += skipped + 1
-			sum += n
-			positives++
-		}
-		gotPZero := float64(zeros) / trials
-		wantPZero := math.Exp(-mean)
-		if math.Abs(gotPZero-wantPZero) > 5*math.Sqrt(wantPZero*(1-wantPZero)/trials)+1e-4 {
-			t.Errorf("mean %v: P(0) = %.5f, want %.5f", mean, gotPZero, wantPZero)
-		}
-		gotMean := float64(sum) / float64(trials)
-		if math.Abs(gotMean-mean) > 6*math.Sqrt(mean/trials)+1e-3 {
-			t.Errorf("mean %v: sample mean %.5f", mean, gotMean)
-		}
-		_ = positives
-	}
-}
-
 // TestSamplePositiveDistribution checks the zero-truncated inversion
 // against the analytic zero-truncated pmf for k = 1..3.
 func TestSamplePositiveDistribution(t *testing.T) {

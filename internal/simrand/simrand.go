@@ -289,53 +289,12 @@ func (p *PoissonSampler) samplePTRS(s *Source) int {
 	}
 }
 
-// NextPositive returns (skipped, n): the length of the run of consecutive
-// zero variates preceding the next positive one, and that variate. It is
-// how the Monte-Carlo campaign loop consumes the trial-count stream — a
-// zero-fault trial needs no evaluation, so the caller accounts `skipped`
-// survivors wholesale. Zeros cost one uniform each (the first Knuth draw
-// decides emptiness), except at minuscule means where a log-inversion
-// geometric jumps the whole run at once.
-func (p *PoissonSampler) NextPositive(s *Source) (skipped, n int) {
-	if p.mean <= 0 {
-		panic("simrand: NextPositive with non-positive mean")
-	}
-	if !p.small {
-		// Zeros occur with probability ~e^-30: just loop.
-		for {
-			if n = p.Sample(s); n > 0 {
-				return skipped, n
-			}
-			skipped++
-		}
-	}
-	if p.mean < 1e-3 {
-		// Zero runs average >1000 trials: jump them in one draw.
-		return p.SkipZeros(s), p.SamplePositive(s)
-	}
-	l := p.expNegMean
-	for {
-		u := s.Float64()
-		if u > l {
-			// Non-empty: continue the Knuth product from prod=u, k=1.
-			n = 1
-			prod := u
-			for {
-				prod *= s.Float64()
-				if prod <= l {
-					return skipped, n
-				}
-				n++
-			}
-		}
-		skipped++
-	}
-}
-
 // SamplePositive draws a zero-truncated Poisson variate (N >= 1) by
 // inversion on the truncated CDF. Together with SkipZeros it decomposes the
 // i.i.d. Poisson trial sequence exactly: a geometric run of N==0 trials
 // followed by one N>=1 trial, without spending any uniforms on the zeros.
+// TruncPoisson resolves the same inversion faster; this plain walk is the
+// law its tests hold it to.
 func (p *PoissonSampler) SamplePositive(s *Source) int {
 	if p.mean <= 0 {
 		panic("simrand: SamplePositive with non-positive mean")
