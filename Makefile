@@ -76,6 +76,7 @@ fuzz:
 	go test -fuzz=FuzzBatchGenVsScalar -fuzztime=$(FUZZTIME) -run='^$$' ./internal/faultsim/
 	go test -fuzz=FuzzEDACDumpRoundTrip -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fleet/
 	go test -fuzz=FuzzHARPVerdictVsProfile -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fleet/
+	go test -fuzz=FuzzWakeVsEveryCycle -fuzztime=$(FUZZTIME) -run='^$$' ./internal/memsim/
 
 # Everything CI runs (see .github/workflows/ci.yml), runnable locally.
 ci:

@@ -56,8 +56,9 @@ type channelState struct {
 	lastBusWrite bool
 	// draining flips under the write watermark policy.
 	draining bool
-	// inflight counts issued-but-incomplete requests (fast idle check).
-	inflight int
+	// wake is the first cycle at which the gang's scheduler must run
+	// again; before it no queued request can take a command.
+	wake int64
 	// nextRefresh schedules the staggered per-rank refresh.
 	nextRefresh int64
 	refreshRank int

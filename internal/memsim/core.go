@@ -20,7 +20,7 @@ type robEntry struct {
 // traceSource feeds a core its instruction stream: the synthetic
 // generator, or a recorded USIMM trace file.
 type traceSource interface {
-	next() (int, *traceOp)
+	next() (int, traceOp)
 }
 
 // core is one trace-driven processor.
@@ -29,7 +29,12 @@ type core struct {
 	mlp   int
 	trace traceSource
 
-	rob      []*robEntry
+	// rob rings the window's entries from robHead; an entry keeps its
+	// address while a read is in flight to it. Every entry holds at least
+	// one instruction, so robSize slots suffice.
+	rob      [robSize]robEntry
+	robHead  int
+	robLen   int
 	robInstr int // instructions currently in the window
 
 	retired int64
@@ -43,8 +48,14 @@ type core struct {
 	// pendingGap holds non-memory instructions still to fetch before
 	// the next memory operation.
 	pendingGap int
-	// pendingOp is the memory op waiting to enter the window.
-	pendingOp *traceOp
+	// pendingOp is the memory op waiting to enter the window, if hasOp.
+	pendingOp traceOp
+	hasOp     bool
+
+	// asleep marks a core whose last retire and fetch moved nothing; the
+	// simulator skips it until a read of its completes or a write leaves
+	// a write queue.
+	asleep bool
 }
 
 const (
@@ -64,9 +75,9 @@ type traceOp struct {
 func (c *core) fetch(sim *Simulator) {
 	budget := instrPerMemCycle
 	for budget > 0 && !c.done {
-		if c.pendingGap == 0 && c.pendingOp == nil {
-			gap, op := c.trace.next()
-			c.pendingGap, c.pendingOp = gap, op
+		if c.pendingGap == 0 && !c.hasOp {
+			c.pendingGap, c.pendingOp = c.trace.next()
+			c.hasOp = true
 		}
 		if c.pendingGap > 0 {
 			n := c.pendingGap
@@ -88,7 +99,7 @@ func (c *core) fetch(sim *Simulator) {
 		if c.robInstr+1 > robSize {
 			return
 		}
-		op := c.pendingOp
+		op := &c.pendingOp
 		if op.isWrite {
 			if !sim.enqueueWrite(op) {
 				return // write queue full: stall fetch
@@ -98,13 +109,12 @@ func (c *core) fetch(sim *Simulator) {
 			if c.outstanding >= c.mlp {
 				return // MLP limit: dependent miss cannot issue yet
 			}
-			entry := &robEntry{count: 1, owner: c}
-			c.rob = append(c.rob, entry)
+			entry := c.push(robEntry{count: 1, owner: c})
 			c.robInstr++
 			c.outstanding++
 			sim.enqueueRead(c, entry, op)
 		}
-		c.pendingOp = nil
+		c.hasOp = false
 		budget--
 	}
 }
@@ -112,16 +122,32 @@ func (c *core) fetch(sim *Simulator) {
 // appendBatch adds n immediately-ready instructions, merging with the
 // window tail when possible.
 func (c *core) appendBatch(n int) {
-	if len(c.rob) > 0 {
-		last := c.rob[len(c.rob)-1]
+	if c.robLen > 0 {
+		last := c.entry(c.robLen - 1)
 		if last.ready {
 			last.count += n
 			c.robInstr += n
 			return
 		}
 	}
-	c.rob = append(c.rob, &robEntry{count: n, ready: true})
+	c.push(robEntry{count: n, ready: true})
 	c.robInstr += n
+}
+
+// push appends e at the window's tail and returns its slot.
+func (c *core) push(e robEntry) *robEntry {
+	slot := c.entry(c.robLen)
+	*slot = e
+	c.robLen++
+	return slot
+}
+
+// entry returns the window's i-th oldest slot.
+func (c *core) entry(i int) *robEntry {
+	if i += c.robHead; i >= robSize {
+		i -= robSize
+	}
+	return &c.rob[i]
 }
 
 func (c *core) appendReady() { c.appendBatch(1) }
@@ -129,8 +155,8 @@ func (c *core) appendReady() { c.appendBatch(1) }
 // retire drains up to instrPerMemCycle completed instructions in order.
 func (c *core) retire() {
 	budget := instrPerMemCycle
-	for budget > 0 && len(c.rob) > 0 {
-		head := c.rob[0]
+	for budget > 0 && c.robLen > 0 {
+		head := &c.rob[c.robHead]
 		if !head.ready {
 			return
 		}
@@ -142,7 +168,10 @@ func (c *core) retire() {
 			budget = 0
 			break
 		}
-		c.rob = c.rob[1:]
+		if c.robHead++; c.robHead == robSize {
+			c.robHead = 0
+		}
+		c.robLen--
 		c.robInstr -= n
 		c.retired += int64(n)
 		budget -= n
@@ -195,7 +224,7 @@ func (t *traceGen) jump() {
 }
 
 // next yields the instruction gap before the next memory op and the op.
-func (t *traceGen) next() (int, *traceOp) {
+func (t *traceGen) next() (int, traceOp) {
 	// Geometric gap around the mean keeps bursts realistic.
 	gap := int(t.rng.ExpFloat64() * t.avgGap)
 	if !t.rng.Bernoulli(t.w.RowBufferLocality) {
@@ -203,9 +232,8 @@ func (t *traceGen) next() (int, *traceOp) {
 	} else {
 		t.col = (t.col + 1) % t.geom.cols
 	}
-	op := &traceOp{
+	return gap, traceOp{
 		isWrite: t.rng.Bernoulli(t.writeFrac),
 		channel: t.channel, rank: t.rank, bank: t.bank, row: t.row, col: t.col,
 	}
-	return gap, op
 }

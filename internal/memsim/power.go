@@ -71,16 +71,7 @@ func (s *Simulator) computePower() PowerBreakdown {
 			}
 			// Close out the rank's trailing idle gap for power-down
 			// accounting.
-			pd := float64(rank.pdCycles)
-			if s.cfg.PowerDown {
-				after := float64(s.cfg.PowerDownAfter)
-				if after <= 0 {
-					after = 16
-				}
-				if tail := float64(s.now-rank.lastActive) - after; tail > 0 {
-					pd += tail
-				}
-			}
+			pd := float64(rank.pdCycles + s.poweredDownFor(rank))
 			idle := cycles - active - pd
 			if idle < 0 {
 				idle = 0

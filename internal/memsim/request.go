@@ -25,6 +25,12 @@ type request struct {
 	companion bool
 }
 
+// completion is a demand read in flight to its ROB entry.
+type completion struct {
+	entry  *robEntry
+	arrive int64 // the request's enqueue cycle, for latency stats
+}
+
 // queue is a simple FIFO with removal, small enough that linear scans are
 // faster than anything clever.
 type queue struct {

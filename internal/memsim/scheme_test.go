@@ -141,22 +141,31 @@ func TestFRFCFSBeatsStrictFCFS(t *testing.T) {
 
 func TestPowerDownLowersBackgroundPower(t *testing.T) {
 	// A light workload leaves ranks idle; CKE power-down must cut the
-	// background component and may cost a little time (tXP wakes).
-	w := mustWorkload(t, "dealII")
-	base := New(quickCfg(w, XEDScheme())).Run()
-	cfg := quickCfg(w, XEDScheme())
-	cfg.PowerDown = true
-	pd := New(cfg).Run()
-	if pd.Power.Background >= base.Power.Background {
-		t.Fatalf("power-down background %v should be below %v",
-			pd.Power.Background, base.Power.Background)
-	}
-	ratio := float64(pd.Cycles) / float64(base.Cycles)
-	if ratio > 1.10 {
-		t.Fatalf("power-down cost %vx execution time", ratio)
-	}
-	if pd.Power.Total() >= base.Power.Total() {
-		t.Fatalf("power-down total %v should beat %v", pd.Power.Total(), base.Power.Total())
+	// background component and may cost a little time (tXP wakes) under
+	// either timing set, including DDR4's tXP longer than tCCD.
+	for _, tc := range []struct {
+		name   string
+		timing Timing
+	}{{"DDR3", DDR31600()}, {"DDR4", DDR42400()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := mustWorkload(t, "dealII")
+			cfg := quickCfg(w, XEDScheme())
+			cfg.Timing = tc.timing
+			base := New(cfg).Run()
+			cfg.PowerDown = true
+			pd := New(cfg).Run()
+			if pd.Power.Background >= base.Power.Background {
+				t.Fatalf("power-down background %v should be below %v",
+					pd.Power.Background, base.Power.Background)
+			}
+			ratio := float64(pd.Cycles) / float64(base.Cycles)
+			if ratio > 1.10 {
+				t.Fatalf("power-down cost %vx execution time", ratio)
+			}
+			if pd.Power.Total() >= base.Power.Total() {
+				t.Fatalf("power-down total %v should beat %v", pd.Power.Total(), base.Power.Total())
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package memsim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"xedsim/internal/dram"
 	"xedsim/internal/obs"
@@ -148,9 +149,16 @@ type Simulator struct {
 	now      int64
 	rng      *simrand.Source
 
-	// completions maps cycle -> ROB entries whose data arrives then.
-	completions map[int64][]*robEntry
-	latencies   map[int64][]int64 // parallel: arrive cycles for latency stats
+	// readRing holds the demand reads in flight by completion cycle: slot
+	// c&(len-1) lists those whose data reaches the ROB at cycle c. Its
+	// length exceeds the longest CAS-to-decode delay a read can see.
+	readRing [][]completion
+	// free recycles requests once their column command has issued.
+	free []*request
+
+	// busDur is the data-bus cycles one access occupies on each ganged
+	// channel; decode the controller's correction latency in bus cycles.
+	busDur, decode int64
 
 	res Result
 
@@ -170,11 +178,31 @@ func New(cfg Config) *Simulator {
 	if cfg.RanksPerChannel%cfg.Scheme.RanksPerAccess != 0 {
 		panic(fmt.Sprintf("memsim: %d ranks not divisible by gang %d", cfg.RanksPerChannel, cfg.Scheme.RanksPerAccess))
 	}
+	t, sc := &cfg.Timing, &cfg.Scheme
 	s := &Simulator{
-		cfg:         cfg,
-		rng:         simrand.New(cfg.Seed ^ 0xfeed),
-		completions: make(map[int64][]*robEntry),
-		latencies:   make(map[int64][]int64),
+		cfg: cfg,
+		rng: simrand.New(cfg.Seed ^ 0xfeed),
+		// Ganged ranks transfer back to back on the shared bus; the
+		// decode converts 3.2GHz core cycles to 800MHz bus cycles (ceil).
+		busDur: int64(sc.BurstCyclesPerRank*sc.RanksPerAccess + t.TRTRS*(sc.RanksPerAccess-1)),
+		decode: int64((sc.CorrectionCycles + 3) / 4),
+	}
+	// A read's CAS waits at most max(tCCD, tXP) past its issue (the
+	// column slack, or a power-down exit) and its data at most for the
+	// bus backlog the column phase admits plus a rank switch; the
+	// transfer and the decode follow.
+	span := int64(max(t.TCCD, t.TXP)+t.CL+4*t.TBurst+t.TRTRS) + s.busDur + s.decode
+	slots := 1
+	for int64(slots) <= span {
+		slots <<= 1
+	}
+	// Each base channel completes at most one read per cycle, because its
+	// transfers end strictly one after another.
+	perSlot := cfg.Channels / sc.ChannelsPerAccess
+	backing := make([]completion, slots*perSlot)
+	s.readRing = make([][]completion, slots)
+	for i := range s.readRing {
+		s.readRing[i] = backing[i*perSlot : i*perSlot : (i+1)*perSlot]
 	}
 	for c := 0; c < cfg.Channels; c++ {
 		ch := newChannel(cfg.RanksPerChannel, cfg.BanksPerRank)
@@ -228,16 +256,23 @@ func (s *Simulator) gangBase(effChannel int) int {
 	return effChannel * s.cfg.Scheme.ChannelsPerAccess
 }
 
+// gangRank maps a trace's effective rank to the first physical rank of its
+// gang within a channel.
+func (s *Simulator) gangRank(effRank int) int {
+	return (effRank * s.cfg.Scheme.RanksPerAccess) % s.cfg.RanksPerChannel
+}
+
 // enqueueRead registers a demand read (plus any scheme companion) and is
 // called from core.fetch.
 func (s *Simulator) enqueueRead(c *core, entry *robEntry, op *traceOp) {
 	base := s.gangBase(op.channel)
 	ch := s.channels[base]
-	r := &request{
-		kind: reqRead, channel: base, rank: op.rank, bank: op.bank,
+	r := s.newRequest(request{
+		kind: reqRead, channel: base, rank: s.gangRank(op.rank), bank: op.bank,
 		row: op.row, col: op.col, core: c.id, robSlot: entry, arrive: s.now,
-	}
+	})
 	ch.readQ.push(r)
+	ch.wake = s.now + 1
 	s.res.Reads++
 	s.mReads.Inc()
 	if n := s.cfg.Scheme.SerialModeEvery; n > 0 && s.res.Reads%int64(n) == 0 {
@@ -248,7 +283,7 @@ func (s *Simulator) enqueueRead(c *core, entry *robEntry, op *traceOp) {
 			comp.robSlot = nil
 			comp.core = -1
 			comp.companion = true
-			ch.readQ.push(&comp)
+			ch.readQ.push(s.newRequest(comp))
 			s.res.CompanionReads++
 		}
 	}
@@ -258,7 +293,7 @@ func (s *Simulator) enqueueRead(c *core, entry *robEntry, op *traceOp) {
 		comp.core = -1
 		comp.companion = true
 		comp.col = (op.col + 1) % s.cfg.ColsPerRow // ECC fetched from the same row
-		ch.readQ.push(&comp)
+		ch.readQ.push(s.newRequest(comp))
 		s.res.CompanionReads++
 	}
 }
@@ -271,11 +306,12 @@ func (s *Simulator) enqueueWrite(op *traceOp) bool {
 	if ch.writeQ.len() >= s.cfg.WriteQueueCap {
 		return false
 	}
-	w := &request{
-		kind: reqWrite, channel: base, rank: op.rank, bank: op.bank,
+	w := s.newRequest(request{
+		kind: reqWrite, channel: base, rank: s.gangRank(op.rank), bank: op.bank,
 		row: op.row, col: op.col, core: -1, arrive: s.now,
-	}
+	})
 	ch.writeQ.push(w)
+	ch.wake = s.now + 1
 	s.res.Writes++
 	s.mWrites.Inc()
 	if s.cfg.Scheme.ExtraReadPerWrite {
@@ -284,7 +320,7 @@ func (s *Simulator) enqueueWrite(op *traceOp) bool {
 		rd.kind = reqRead
 		rd.companion = true
 		rd.col = (op.col + 11) % s.cfg.ColsPerRow
-		ch.readQ.push(&rd)
+		ch.readQ.push(s.newRequest(rd))
 		s.res.CompanionReads++
 	}
 	if p := s.cfg.Scheme.ExtraWritePerWrite; p > 0 && s.rng.Bernoulli(p) {
@@ -294,11 +330,15 @@ func (s *Simulator) enqueueWrite(op *traceOp) bool {
 		// update is a row hit at a different column: pure extra write
 		// bandwidth, which is what its §XII-A slowdown consists of.
 		comp.col = (op.col + 7) % s.cfg.ColsPerRow
-		ch.writeQ.push(&comp)
+		ch.writeQ.push(s.newRequest(comp))
 		s.res.CompanionWrites++
 	}
 	return true
 }
+
+// errWatchdog is the panic value of a run still unfinished after
+// 400×InstrPerCore cycles.
+const errWatchdog = "memsim: watchdog expired; scheduler livelock?"
 
 // Run executes the simulation to completion and returns the result.
 func (s *Simulator) Run() Result {
@@ -309,37 +349,32 @@ func (s *Simulator) Run() Result {
 // cycles it polls ctx and, when cancelled, returns the partial Result as
 // of the current cycle (Cycles and the power/traffic counters cover the
 // simulated prefix).
+//
+// Each cycle takes the three steps of the every-cycle model, but skips
+// the calls that would change nothing: a channel gang's scheduler runs
+// only from its wake cycle on (see maybeIssue), and a core whose retire
+// and fetch moved nothing sleeps until one of its reads completes or a
+// write leaves a write queue.
 func (s *Simulator) RunContext(ctx context.Context) Result {
 	maxCycles := s.cfg.InstrPerCore * 400 // generous watchdog
+	gang := s.cfg.Scheme.ChannelsPerAccess
 	for {
 		s.now++
 		if s.now > maxCycles {
-			panic("memsim: watchdog expired; scheduler livelock?")
+			panic(errWatchdog)
 		}
 		if s.now&(1<<12-1) == 0 && ctx.Err() != nil {
 			break
 		}
 		// 1. Data arrivals unblock ROB entries.
-		if entries, ok := s.completions[s.now]; ok {
-			arrivals := s.latencies[s.now]
-			for i, e := range entries {
-				e.ready = true
-				if e.owner != nil {
-					e.owner.outstanding--
-				}
-				s.res.SumReadLatency += s.now - arrivals[i]
-				s.mReadLatency.Observe(float64(s.now - arrivals[i]))
+		s.deliver()
+		// 2. Controller work per channel gang; followers are driven by
+		// the base.
+		for ci := 0; ci < len(s.channels); ci += gang {
+			if ch := s.channels[ci]; s.now >= ch.wake {
+				s.maybeRefresh(ci)
+				s.maybeIssue(ci, ch)
 			}
-			delete(s.completions, s.now)
-			delete(s.latencies, s.now)
-		}
-		// 2. Controller work per channel.
-		for ci, ch := range s.channels {
-			if ci%s.cfg.Scheme.ChannelsPerAccess != 0 {
-				continue // ganged followers are driven by the base
-			}
-			s.maybeRefresh(ci)
-			s.maybeIssue(ci, ch)
 		}
 		// 3. Cores retire then fetch.
 		allDone := true
@@ -347,16 +382,41 @@ func (s *Simulator) RunContext(ctx context.Context) Result {
 			if c.done {
 				continue
 			}
-			c.retire()
-			if !c.done {
+			if !c.asleep {
+				retired, instr := c.retired, c.robInstr
+				c.retire()
+				if c.done {
+					continue
+				}
 				c.fetch(s)
-				allDone = false
+				c.asleep = c.retired == retired && c.robInstr == instr
 			}
+			allDone = false
 		}
 		if allDone {
 			break
 		}
 	}
+	return s.finish()
+}
+
+// deliver completes the demand reads whose data arrives this cycle: their
+// ROB entries turn ready and their cores wake.
+func (s *Simulator) deliver() {
+	slot := &s.readRing[s.now&int64(len(s.readRing)-1)]
+	for _, c := range *slot {
+		c.entry.ready = true
+		c.entry.owner.outstanding--
+		c.entry.owner.asleep = false
+		s.res.SumReadLatency += s.now - c.arrive
+		s.mReadLatency.Observe(float64(s.now - c.arrive))
+	}
+	*slot = (*slot)[:0]
+}
+
+// finish closes the run at the current cycle: totals, per-rank activity
+// and power.
+func (s *Simulator) finish() Result {
 	s.res.Cycles = s.now
 	s.res.Instructions = s.cfg.InstrPerCore * int64(s.cfg.Cores)
 	for _, ch := range s.channels {
@@ -402,19 +462,23 @@ func (s *Simulator) maybeRefresh(base int) {
 // the oldest row-conflict request. Decoupling the phases keeps the data
 // bus from being reserved for far-future conflicts — the head-of-line
 // blocking a single-pointer model would suffer.
+//
+// On the way it sets ch.wake, the first cycle at which the scheduler could
+// act again: the earliest cycle any scanned request could pass the column
+// slack or the row feasibility test, with the gang's state as it now is.
+// Only an enqueue, an issue, a refresh or a watermark flip changes that
+// state, so each of them pulls the wake in to the next scheduler call.
 func (s *Simulator) maybeIssue(base int, ch *channelState) {
 	// Write-drain watermark policy.
-	if ch.draining {
-		if ch.writeQ.len() <= s.cfg.DrainLo {
-			ch.draining = false
-		}
-	} else if ch.writeQ.len() >= s.cfg.DrainHi || (ch.readQ.len() == 0 && ch.writeQ.len() > 0) {
-		ch.draining = true
+	if s.drainFlips(ch) {
+		ch.draining = !ch.draining
 	}
 	q, other := &ch.readQ, &ch.writeQ
 	if ch.draining {
 		q, other = &ch.writeQ, &ch.readQ
 	}
+	ch.wake = math.MaxInt64
+	issued := false
 
 	// Column phase: oldest request that could move data soon, bus
 	// backlog permitting. The non-selected queue gets a chance when the
@@ -422,10 +486,10 @@ func (s *Simulator) maybeIssue(base int, ch *channelState) {
 	// prepared request always drains its bank reservation eventually.
 	// A fixed backlog horizon (independent of the scheme's burst shape,
 	// so schemes differ only through real resource usage).
-	if ch.busFreeAt <= s.now+4*int64(s.cfg.Timing.TBurst) {
-		if !s.tryColumn(base, q) {
-			s.tryColumn(base, other)
-		}
+	if backlog := ch.busFreeAt - 4*int64(s.cfg.Timing.TBurst); s.now >= backlog {
+		issued = s.tryColumn(base, q) || s.tryColumn(base, other)
+	} else {
+		ch.wake = backlog
 	}
 
 	// Row phase: prepare the oldest request whose row is closed or
@@ -436,63 +500,97 @@ func (s *Simulator) maybeIssue(base int, ch *channelState) {
 	}
 	for i := 0; i < rowLimit; i++ {
 		r := q.at(i)
-		if s.prepare(base, r) {
+		at := s.prepareAt(base, r)
+		if at <= s.now {
+			s.prepare(base, r)
+			issued = true
 			break
 		}
+		ch.wake = min(ch.wake, at)
+	}
+
+	if issued || s.drainFlips(ch) {
+		ch.wake = s.now + 1
+	}
+	if !s.cfg.DisableRefresh {
+		ch.wake = min(ch.wake, ch.nextRefresh)
 	}
 }
 
-// tryColumn issues a CAS for the oldest data-ready request in q.
+// drainFlips reports whether the write-drain watermark flips when next
+// evaluated with the queues as they stand: draining stops at DrainLo
+// writes, and starts at DrainHi or when only writes wait. A read queue
+// that is empty while DrainLo or fewer writes wait flips it on every call.
+func (s *Simulator) drainFlips(ch *channelState) bool {
+	if ch.draining {
+		return ch.writeQ.len() <= s.cfg.DrainLo
+	}
+	return ch.writeQ.len() >= s.cfg.DrainHi || (ch.readQ.len() == 0 && ch.writeQ.len() > 0)
+}
+
+// tryColumn issues a CAS for the oldest data-ready request in q, and
+// lowers the channel's wake to the cycle each open request not yet ready
+// comes within the slack.
 func (s *Simulator) tryColumn(base int, q *queue) bool {
-	slack := s.now + int64(s.cfg.Timing.TCCD)
+	ch := s.channels[base]
+	tCCD := int64(s.cfg.Timing.TCCD)
 	for i := 0; i < q.len(); i++ {
 		r := q.at(i)
-		ready, open := s.casReadyFor(base, r)
-		if open && ready <= slack {
-			q.removeAt(i)
-			if s.debug != nil {
-				s.debug("CAS", r, ready, s.channels[base].busFreeAt)
-			}
-			s.issueColumn(base, r, ready)
-			return true
+		ready, poweredDown, open := s.casReadyFor(base, r)
+		if !open {
+			continue
 		}
+		if ready > s.now+tCCD {
+			ch.wake = min(ch.wake, ready-tCCD)
+			continue
+		}
+		if poweredDown {
+			// The power-down exit delays the CAS it schedules; it does
+			// not hold the request back.
+			ready = max64(ready, s.now+int64(s.cfg.Timing.TXP))
+		}
+		q.removeAt(i)
+		if r.kind == reqWrite {
+			// A freed write-queue slot may unblock a core's fetch.
+			for _, c := range s.cores {
+				c.asleep = false
+			}
+		}
+		if s.debug != nil {
+			s.debug("CAS", r, ready, ch.busFreeAt)
+		}
+		s.issueColumn(base, r, ready)
+		s.free = append(s.free, r)
+		return true
 	}
 	return false
 }
 
 // casReadyFor reports whether r's row is open across its whole gang and,
-// if so, the earliest CAS cycle. No state is mutated.
-func (s *Simulator) casReadyFor(base int, r *request) (int64, bool) {
+// if so, the earliest CAS cycle the gang's timing horizons allow and
+// whether one of its ranks sits in power-down. No state is mutated.
+func (s *Simulator) casReadyFor(base int, r *request) (ready int64, poweredDown, open bool) {
 	t := &s.cfg.Timing
 	sc := &s.cfg.Scheme
 	isWrite := r.kind == reqWrite
-	physRank0 := (r.rank * sc.RanksPerAccess) % s.cfg.RanksPerChannel
-	ready := s.now
+	ready = s.now
 	for g := 0; g < sc.ChannelsPerAccess; g++ {
 		phys := s.channels[base+g]
 		for k := 0; k < sc.RanksPerAccess; k++ {
-			rank := &phys.ranks[physRank0+k]
+			rank := &phys.ranks[r.rank+k]
 			bank := &rank.banks[r.bank]
 			if bank.openRow != r.row {
-				return 0, false
+				return 0, false, false
 			}
 			v := max64(bank.nextCAS, rank.refreshUntil)
 			if !isWrite {
 				v = max64(v, rank.lastWriteEnd+int64(t.TWTR))
 			}
-			if s.cfg.PowerDown {
-				after := s.cfg.PowerDownAfter
-				if after <= 0 {
-					after = 16
-				}
-				if s.now-rank.lastActive > after {
-					v = max64(v, s.now+int64(t.TXP))
-				}
-			}
 			ready = max64(ready, v)
+			poweredDown = poweredDown || s.poweredDownFor(rank) > 0
 		}
 	}
-	return ready, true
+	return ready, poweredDown, true
 }
 
 // issueColumn schedules the CAS and data transfer for a request whose row
@@ -501,10 +599,8 @@ func (s *Simulator) issueColumn(base int, r *request, casReady int64) {
 	t := &s.cfg.Timing
 	sc := &s.cfg.Scheme
 	isWrite := r.kind == reqWrite
-	physRank0 := (r.rank * sc.RanksPerAccess) % s.cfg.RanksPerChannel
 
 	burst := int64(sc.BurstCyclesPerRank)
-	busDur := burst*int64(sc.RanksPerAccess) + int64(t.TRTRS)*int64(sc.RanksPerAccess-1)
 	lat := int64(t.CL)
 	if isWrite {
 		lat = int64(t.CWL)
@@ -513,20 +609,20 @@ func (s *Simulator) issueColumn(base int, r *request, casReady int64) {
 	for g := 0; g < sc.ChannelsPerAccess; g++ {
 		phys := s.channels[base+g]
 		busAt := phys.busFreeAt
-		if phys.lastBusWrite != isWrite || phys.lastBusRank != physRank0 {
+		if phys.lastBusWrite != isWrite || phys.lastBusRank != r.rank {
 			busAt += int64(t.TRTRS)
 		}
 		dataStart := max64(casReady+lat, busAt)
-		dataEnd := dataStart + busDur
+		dataEnd := dataStart + s.busDur
 		phys.busFreeAt = dataEnd
 		phys.lastBusWrite = isWrite
-		phys.lastBusRank = physRank0
+		phys.lastBusRank = r.rank
 		if dataEnd > dataEndMax {
 			dataEndMax = dataEnd
 		}
 		casT := dataStart - lat
 		for k := 0; k < sc.RanksPerAccess; k++ {
-			rank := &phys.ranks[physRank0+k]
+			rank := &phys.ranks[r.rank+k]
 			bank := &rank.banks[r.bank]
 			if rank.lastActive < dataEnd {
 				rank.lastActive = dataEnd
@@ -551,18 +647,19 @@ func (s *Simulator) issueColumn(base int, r *request, casReady int64) {
 	}
 
 	if !isWrite && r.robSlot != nil {
-		// Controller-side decode latency, converted from 3.2GHz core
-		// cycles to 800MHz bus cycles (ceil).
-		decode := int64((sc.CorrectionCycles + 3) / 4)
-		done := dataEndMax + decode
-		s.completions[done] = append(s.completions[done], r.robSlot)
-		s.latencies[done] = append(s.latencies[done], r.arrive)
+		done := dataEndMax + s.decode
+		if done-s.now >= int64(len(s.readRing)) {
+			panic(fmt.Sprintf("memsim: read completes %d cycles after its CAS issue, beyond the %d-slot ring", done-s.now, len(s.readRing)))
+		}
+		slot := &s.readRing[done&int64(len(s.readRing)-1)]
+		*slot = append(*slot, completion{entry: r.robSlot, arrive: r.arrive})
 	}
 }
 
-// wakeRank applies power-down bookkeeping at the start of new activity on
-// a rank and returns the wake penalty (tXP) if the rank had powered down.
-func (s *Simulator) wakeRank(rank *rankState) int64 {
+// poweredDownFor is how long rank has sat in precharge power-down as of
+// now: the part of its idle time beyond the entry threshold, or 0 with
+// power-down off.
+func (s *Simulator) poweredDownFor(rank *rankState) int64 {
 	if !s.cfg.PowerDown {
 		return 0
 	}
@@ -570,62 +667,69 @@ func (s *Simulator) wakeRank(rank *rankState) int64 {
 	if after <= 0 {
 		after = 16
 	}
-	gap := s.now - rank.lastActive
-	if gap > after {
-		rank.pdCycles += gap - after
-		return int64(s.cfg.Timing.TXP)
-	}
-	return 0
+	return max64(s.now-rank.lastActive-after, 0)
 }
 
-// prepare opens r's row across its gang (PRE if needed, then ACT), unless
-// a bank involved is already open on the right row, still reserved for an
-// earlier conflict victim, or not yet ready to activate. Reports whether
-// row commands were issued.
-func (s *Simulator) prepare(base int, r *request) bool {
+// wakeRank applies power-down bookkeeping at the start of new activity on
+// a rank and returns the wake penalty (tXP) if the rank had powered down.
+func (s *Simulator) wakeRank(rank *rankState) int64 {
+	gap := s.poweredDownFor(rank)
+	if gap == 0 {
+		return 0
+	}
+	rank.pdCycles += gap
+	return int64(s.cfg.Timing.TXP)
+}
+
+// prepareAt returns the earliest cycle at which r's row could be opened
+// across its gang (PRE if needed, then ACT) with the gang's state as it
+// is, or math.MaxInt64 while a bank involved is already open on the
+// right row (the column phase will serve it) or still reserved for an
+// earlier conflict victim. No state is mutated.
+func (s *Simulator) prepareAt(base int, r *request) int64 {
 	t := &s.cfg.Timing
 	sc := &s.cfg.Scheme
-	physRank0 := (r.rank * sc.RanksPerAccess) % s.cfg.RanksPerChannel
-
-	// Feasibility pass: every ganged bank must be preparable now.
+	at := s.now
 	for g := 0; g < sc.ChannelsPerAccess; g++ {
 		phys := s.channels[base+g]
 		for k := 0; k < sc.RanksPerAccess; k++ {
-			rank := &phys.ranks[physRank0+k]
+			rank := &phys.ranks[r.rank+k]
 			bank := &rank.banks[r.bank]
-			if bank.openRow == r.row {
-				return false // already open: column phase will serve it
-			}
-			if bank.reserved {
-				return false // an earlier victim owns this bank
-			}
-			if s.now < rank.refreshUntil {
-				return false
+			if bank.openRow == r.row || bank.reserved {
+				return math.MaxInt64
 			}
 			actFloor := max64(bank.nextAct,
 				max64(rank.fawReady(t.TFAW), rank.lastAct+int64(t.TRRD)))
 			if bank.openRow != -1 {
-				actFloor = max64(actFloor, max64(bank.nextPre, s.now)+int64(t.TRP))
+				actFloor = max64(actFloor, bank.nextPre+int64(t.TRP))
 			}
-			if actFloor > s.now+int64(t.TRP)+int64(t.TRRD) {
-				return false // bank busy; try a younger request
-			}
+			// The bank is busy (try a younger request) while its ACT
+			// would wait more than tRP+tRRD, and the rank while it
+			// refreshes.
+			at = max64(at, max64(rank.refreshUntil, actFloor-int64(t.TRP)-int64(t.TRRD)))
 		}
 	}
+	return at
+}
+
+// prepare opens r's row across its gang: PRE where another row is open,
+// then ACT. prepareAt has found it feasible now.
+func (s *Simulator) prepare(base int, r *request) {
+	t := &s.cfg.Timing
+	sc := &s.cfg.Scheme
 	if s.debug != nil {
 		s.debug("ACT", r, 0, 0)
 	}
 	// A conflict (not a cold miss): the request's bank holds a different
 	// open row that must be precharged first. One count per request, read
 	// off the gang's base bank before the commit pass mutates it.
-	if s.channels[base].ranks[physRank0].banks[r.bank].openRow != -1 {
+	if s.channels[base].ranks[r.rank].banks[r.bank].openRow != -1 {
 		s.mBankConflicts.Inc()
 	}
-	// Commit pass.
 	for g := 0; g < sc.ChannelsPerAccess; g++ {
 		phys := s.channels[base+g]
 		for k := 0; k < sc.RanksPerAccess; k++ {
-			rank := &phys.ranks[physRank0+k]
+			rank := &phys.ranks[r.rank+k]
 			bank := &rank.banks[r.bank]
 			wake := s.wakeRank(rank)
 			actAt := max64(s.now+wake, bank.nextAct)
@@ -645,7 +749,19 @@ func (s *Simulator) prepare(base int, r *request) bool {
 			bank.nextCAS = actAt + int64(t.TRCD)
 		}
 	}
-	return true
+}
+
+// newRequest returns a queueable copy of r, in a request taken from the
+// free list when one is there.
+func (s *Simulator) newRequest(r request) *request {
+	var p *request
+	if n := len(s.free); n > 0 {
+		p, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		p = new(request)
+	}
+	*p = r
+	return p
 }
 
 // debugHook is a development trace point; see probe_test.go.

@@ -131,11 +131,11 @@ type fileTrace struct {
 	rankGang    int // scheme.RanksPerAccess
 }
 
-func (f *fileTrace) next() (int, *traceOp) {
+func (f *fileTrace) next() (int, traceOp) {
 	rec := f.ops[f.pos]
 	f.pos = (f.pos + 1) % len(f.ops)
 	loc := f.mapper.Decompose((rec.LineAddr << 6) % f.mapper.Bytes())
-	return rec.Gap, &traceOp{
+	return rec.Gap, traceOp{
 		isWrite: rec.IsWrite,
 		channel: loc.Channel / f.channelGang,
 		rank:    loc.Rank / f.rankGang,
