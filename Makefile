@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet verify bench bench-save bench-json benchstat race fuzz ci experiments clean
+.PHONY: all build test vet verify bench bench-save benchstat race fuzz ci experiments clean
 
 all: build vet test
 
@@ -38,19 +38,6 @@ bench-save:
 	echo "saving $$out"; \
 	go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) $(BENCH_PKGS) | tee $$out
 
-# Machine-readable perf trajectory: reruns the Table I campaign benchmark
-# (judging layers and end to end) and snapshots per-benchmark medians
-# (ns/op, allocs/op, trials/s) into $(BENCH_JSON) via cmd/xedbench. The
-# committed BENCH_pr*.json files let later PRs diff throughput without
-# replaying old trees.
-BENCH_JSON ?= BENCH_pr8.json
-
-bench-json:
-	go test -run='^$$' -bench=BenchmarkTableICampaign -benchmem \
-		-benchtime=2s -count=$(BENCH_COUNT) ./internal/faultsim/ \
-		| go run ./cmd/xedbench -out $(BENCH_JSON)
-	@echo "wrote $(BENCH_JSON)"
-
 benchstat:
 	@if [ ! -f bench.old ] || [ ! -f bench.new ]; then \
 		echo "need bench.old and bench.new (run 'make bench-save' on each tree)"; exit 1; \
@@ -80,6 +67,7 @@ fuzz:
 
 # Everything CI runs (see .github/workflows/ci.yml), runnable locally.
 ci:
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 	go vet ./...
 	go build ./...
 	go test ./...

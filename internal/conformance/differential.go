@@ -126,7 +126,7 @@ func evaluatorDifferentialClaim() Claim {
 						laneOuts = lv.AppendLaneOutcomes(i-base, laneOuts[:0])
 						trials++
 						for s, scheme := range schemes {
-							wantT, wantK := scheme.(faultsim.KindedScheme).FailTimeKind(&cfg, faults)
+							wantT, wantK := scheme.FailTimeKind(&cfg, faults)
 							comparisons++
 							shaped := fmt.Sprintf("on %d faults (chips/rank=%d onDie=%v scaling=%v overlap=%v)",
 								len(faults), cfg.ChipsPerRank, cfg.OnDie, cfg.ScalingRate, cfg.RequireAddressOverlap)

@@ -162,7 +162,8 @@ func (c *AlertNController) diagnose(a dram.WordAddr) ReadResult {
 		}
 		return c.reconstruct(a, chip)
 	}
-	if chip := c.intraLine(a); chip >= 0 {
+	c.stats.IntraLineRuns++
+	if chip := intraLinePatternTest(c.rank, a); chip >= 0 {
 		if c.fct.Insert(a.Bank, a.Row, chip) {
 			c.stats.FCTChipMarks++
 		}
@@ -185,7 +186,7 @@ func (c *AlertNController) diagnose(a dram.WordAddr) ReadResult {
 func (c *AlertNController) interLine(a dram.WordAddr) int {
 	c.stats.InterLineRuns++
 	geom := c.rank.Geometry()
-	counts := make([]int, DataChips+1)
+	var counts [DataChips + 1]int
 	for col := 0; col < geom.ColsPerRow; col++ {
 		addr := dram.WordAddr{Bank: a.Bank, Row: a.Row, Col: col}
 		for i := 0; i <= DataChips; i++ {
@@ -194,70 +195,11 @@ func (c *AlertNController) interLine(a dram.WordAddr) int {
 			}
 		}
 	}
-	threshold := int(c.interLineThreshold * float64(geom.ColsPerRow))
-	if threshold < 1 {
-		threshold = 1
-	}
-	best, bestCount, ties := -1, 0, 0
-	for i, n := range counts {
-		if n > bestCount {
-			best, bestCount, ties = i, n, 1
-		} else if n == bestCount && n > 0 {
-			ties++
-		}
-	}
-	if bestCount >= threshold && ties == 1 {
-		return best
-	}
-	return -1
+	return convictRowChip(&counts, geom.ColsPerRow, c.interLineThreshold)
 }
 
-// intraLine runs the §VI-B pattern test.
-func (c *AlertNController) intraLine(a dram.WordAddr) int {
-	c.stats.IntraLineRuns++
-	var buffer [DataChips + 1]uint64
-	for i := 0; i <= DataChips; i++ {
-		buffer[i], _ = c.rank.Chip(i).ReadRaw(a)
-	}
-	faulty := -1
-	ambiguous := false
-	for _, pattern := range []uint64{0, ^uint64(0)} {
-		for i := 0; i <= DataChips; i++ {
-			c.rank.Chip(i).Write(a, pattern)
-		}
-		for i := 0; i <= DataChips; i++ {
-			got, st := c.rank.Chip(i).ReadRaw(a)
-			if got == pattern && st != ecc.StatusDetected {
-				continue
-			}
-			if faulty >= 0 && faulty != i {
-				ambiguous = true
-			}
-			faulty = i
-		}
-	}
-	for i := 0; i <= DataChips; i++ {
-		c.rank.Chip(i).Write(a, buffer[i])
-	}
-	if ambiguous {
-		return -1
-	}
-	return faulty
-}
-
+// reconstruct rebuilds line a against convicted chip k.
 func (c *AlertNController) reconstruct(a dram.WordAddr, k int) ReadResult {
-	var words [DataChips + 1]uint64
-	for i := 0; i <= DataChips; i++ {
-		if i == k {
-			continue
-		}
-		words[i], _ = c.rank.Chip(i).ReadRaw(a)
-	}
-	if k != parityChip {
-		words[k] = ecc.Reconstruct(words[:DataChips], words[parityChip], k)
-	} else {
-		words[parityChip] = ecc.Parity(words[:DataChips])
-	}
 	c.stats.DiagCorrections++
-	return ReadResult{Data: toLine(words), Outcome: OutcomeCorrectedDiagnosis, FaultyChips: []int{k}}
+	return ReadResult{Data: reconstructLine(c.rank, a, k), Outcome: OutcomeCorrectedDiagnosis, FaultyChips: []int{k}}
 }

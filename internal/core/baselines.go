@@ -87,29 +87,14 @@ func (c *ECCDIMMController) ReadLine(a dram.WordAddr) (Line, Outcome) {
 	for i := 0; i < DataChips; i++ {
 		rawLine[i] = res[i].Data
 	}
-	outcome := OutcomeClean
+	worst := ecc.StatusOK
 	for b := 0; b < 8; b++ {
 		cw := ecc.Codeword72{Data: c.gatherBeat(rawLine, b), Check: uint8(checks >> uint(8*b))}
 		data, st := c.code.Decode(cw)
-		switch st {
-		case ecc.StatusCorrected:
-			if outcome == OutcomeClean {
-				outcome = OutcomeCorrectedErasure
-			}
-		case ecc.StatusDetected:
-			outcome = OutcomeDUE
-		}
+		worst = max(worst, st)
 		scatterBeat(data, b, &line)
 	}
-	switch outcome {
-	case OutcomeClean:
-		c.stats.CleanReads++
-	case OutcomeCorrectedErasure:
-		c.stats.ErasureCorrections++
-	case OutcomeDUE:
-		c.stats.DUEs++
-	}
-	return line, outcome
+	return line, countBaselineRead(&c.stats, worst)
 }
 
 // ChipkillController is conventional Single-Chipkill over an 18-chip gang
@@ -117,14 +102,10 @@ func (c *ECCDIMMController) ReadLine(a dram.WordAddr) (Line, Outcome) {
 // and detecting two. On-Die ECC stays concealed.
 type ChipkillController struct {
 	rank  *dram.Rank
-	rs    *ecc.RS
-	dec   *ecc.RSDecoder
+	lanes rsLanes
 	stats Stats
 
-	// Scratch: one lane buffer shared by encode (data prefix, checks
-	// appended in place) and in-place decode, plus the rank read buffer.
-	lane    [ChipkillChips]uint8
-	readBuf []dram.ReadResult
+	readBuf []dram.ReadResult // read-path scratch
 }
 
 // NewChipkillController wraps an 18-chip rank with XED disabled.
@@ -133,8 +114,7 @@ func NewChipkillController(rank *dram.Rank) *ChipkillController {
 		panic(fmt.Sprintf("core: Chipkill needs 18 chips, got %d", rank.Chips()))
 	}
 	rank.SetXEDEnable(false)
-	rs := ecc.NewChipkill()
-	return &ChipkillController{rank: rank, rs: rs, dec: rs.NewDecoder()}
+	return &ChipkillController{rank: rank, lanes: newRSLanes(ecc.NewChipkill())}
 }
 
 // Rank exposes the underlying rank.
@@ -148,14 +128,7 @@ func (c *ChipkillController) WriteBlock(a dram.WordAddr, data Block) {
 	c.stats.Writes++
 	var beats [ChipkillChips]uint64
 	copy(beats[:ChipkillDataChips], data[:])
-	for b := 0; b < 8; b++ {
-		for i := 0; i < ChipkillDataChips; i++ {
-			c.lane[i] = uint8(data[i] >> uint(8*b))
-		}
-		cw := c.rs.EncodeInto(c.lane[:ChipkillDataChips], c.lane[:])
-		beats[16] |= uint64(cw[16]) << uint(8*b)
-		beats[17] |= uint64(cw[17]) << uint(8*b)
-	}
+	c.lanes.encode(beats[:])
 	c.rank.WriteLine(a, beats[:])
 }
 
@@ -169,32 +142,8 @@ func (c *ChipkillController) ReadBlock(a dram.WordAddr) (Block, Outcome) {
 		words[i] = c.readBuf[i].Data
 	}
 	var out Block
-	outcome := OutcomeClean
-	for b := 0; b < 8; b++ {
-		for i := 0; i < ChipkillChips; i++ {
-			c.lane[i] = uint8(words[i] >> uint(8*b))
-		}
-		switch c.dec.Decode(c.lane[:]) {
-		case ecc.StatusCorrected:
-			if outcome == OutcomeClean {
-				outcome = OutcomeCorrectedErasure
-			}
-		case ecc.StatusDetected:
-			outcome = OutcomeDUE
-		}
-		for i := 0; i < ChipkillDataChips; i++ {
-			out[i] |= uint64(c.lane[i]) << uint(8*b)
-		}
-	}
-	switch outcome {
-	case OutcomeClean:
-		c.stats.CleanReads++
-	case OutcomeCorrectedErasure:
-		c.stats.ErasureCorrections++
-	case OutcomeDUE:
-		c.stats.DUEs++
-	}
-	return out, outcome
+	st := c.lanes.decode(words[:], nil, out[:])
+	return out, countBaselineRead(&c.stats, st)
 }
 
 // DoubleChipkillChips is the 36-chip Double-Chipkill gang (§IX).
@@ -210,12 +159,10 @@ type WideBlock = [DoubleChipkillDataChips]uint64
 // byte lane, correcting any two unlocated chip errors.
 type DoubleChipkillController struct {
 	rank  *dram.Rank
-	rs    *ecc.RS
-	dec   *ecc.RSDecoder
+	lanes rsLanes
 	stats Stats
 
-	lane    [DoubleChipkillChips]uint8
-	readBuf []dram.ReadResult
+	readBuf []dram.ReadResult // read-path scratch
 }
 
 // NewDoubleChipkillController wraps a 36-chip gang with XED disabled.
@@ -224,8 +171,7 @@ func NewDoubleChipkillController(rank *dram.Rank) *DoubleChipkillController {
 		panic(fmt.Sprintf("core: Double-Chipkill needs 36 chips, got %d", rank.Chips()))
 	}
 	rank.SetXEDEnable(false)
-	rs := ecc.NewDoubleChipkill()
-	return &DoubleChipkillController{rank: rank, rs: rs, dec: rs.NewDecoder()}
+	return &DoubleChipkillController{rank: rank, lanes: newRSLanes(ecc.NewDoubleChipkill())}
 }
 
 // Rank exposes the underlying rank.
@@ -239,15 +185,7 @@ func (c *DoubleChipkillController) WriteBlock(a dram.WordAddr, data WideBlock) {
 	c.stats.Writes++
 	var beats [DoubleChipkillChips]uint64
 	copy(beats[:DoubleChipkillDataChips], data[:])
-	for b := 0; b < 8; b++ {
-		for i := 0; i < DoubleChipkillDataChips; i++ {
-			c.lane[i] = uint8(data[i] >> uint(8*b))
-		}
-		cw := c.rs.EncodeInto(c.lane[:DoubleChipkillDataChips], c.lane[:])
-		for j := 0; j < 4; j++ {
-			beats[32+j] |= uint64(cw[32+j]) << uint(8*b)
-		}
-	}
+	c.lanes.encode(beats[:])
 	c.rank.WriteLine(a, beats[:])
 }
 
@@ -260,30 +198,6 @@ func (c *DoubleChipkillController) ReadBlock(a dram.WordAddr) (WideBlock, Outcom
 		words[i] = c.readBuf[i].Data
 	}
 	var out WideBlock
-	outcome := OutcomeClean
-	for b := 0; b < 8; b++ {
-		for i := 0; i < DoubleChipkillChips; i++ {
-			c.lane[i] = uint8(words[i] >> uint(8*b))
-		}
-		switch c.dec.Decode(c.lane[:]) {
-		case ecc.StatusCorrected:
-			if outcome == OutcomeClean {
-				outcome = OutcomeCorrectedErasure
-			}
-		case ecc.StatusDetected:
-			outcome = OutcomeDUE
-		}
-		for i := 0; i < DoubleChipkillDataChips; i++ {
-			out[i] |= uint64(c.lane[i]) << uint(8*b)
-		}
-	}
-	switch outcome {
-	case OutcomeClean:
-		c.stats.CleanReads++
-	case OutcomeCorrectedErasure:
-		c.stats.ErasureCorrections++
-	case OutcomeDUE:
-		c.stats.DUEs++
-	}
-	return out, outcome
+	st := c.lanes.decode(words[:], nil, out[:])
+	return out, countBaselineRead(&c.stats, st)
 }

@@ -84,7 +84,15 @@ func (c *Controller) interLineDiagnosis(a dram.WordAddr) int {
 			}
 		}
 	}
-	threshold := int(c.interLineThreshold * float64(geom.ColsPerRow))
+	return convictRowChip(&counts, geom.ColsPerRow, c.interLineThreshold)
+}
+
+// convictRowChip is the §VI-A conviction rule over per-chip counts of
+// flagged lines in a row of cols lines: the chip with the unique highest
+// count is convicted if that count reaches frac of the row (at least one
+// line). Returns the chip or -1.
+func convictRowChip(counts *[DataChips + 1]int, cols int, frac float64) int {
+	threshold := int(frac * float64(cols))
 	if threshold < 1 {
 		threshold = 1
 	}
@@ -103,29 +111,35 @@ func (c *Controller) interLineDiagnosis(a dram.WordAddr) int {
 }
 
 // intraLineDiagnosis tests for a permanent fault confined to the accessed
-// line (§VI-B): it buffers the line, writes all-zeros and all-ones
-// patterns, reads them back with XED bypassed, and convicts the chip whose
-// cells do not hold the pattern. Transient word faults do not reproduce
-// under rewrite and correctly escape conviction. The original (buffered)
-// content is restored before returning. Returns the faulty chip or -1.
+// line (§VI-B). Returns the faulty chip or -1.
 func (c *Controller) intraLineDiagnosis(a dram.WordAddr) int {
 	c.stats.IntraLineRuns++
 	c.m.intraLineRuns.Inc()
+	return intraLinePatternTest(c.rank, a)
+}
+
+// intraLinePatternTest is the §VI-B test on line a of a 9-chip rank: it
+// buffers the line, writes all-zeros and all-ones patterns, reads them
+// back with XED bypassed, and convicts the chip whose cells do not hold
+// the pattern. Transient word faults do not reproduce under rewrite and
+// correctly escape conviction. The original (buffered) content is restored
+// before returning. Returns the faulty chip or -1.
+func intraLinePatternTest(rank *dram.Rank, a dram.WordAddr) int {
 	// Buffer the suspect line as raw (on-die corrected where possible)
 	// words.
 	var buffer [DataChips + 1]uint64
 	for i := 0; i <= DataChips; i++ {
-		buffer[i], _ = c.rank.Chip(i).ReadRaw(a)
+		buffer[i], _ = rank.Chip(i).ReadRaw(a)
 	}
 
 	faulty := -1
 	ambiguous := false
 	for _, pattern := range []uint64{0, ^uint64(0)} {
 		for i := 0; i <= DataChips; i++ {
-			c.rank.Chip(i).Write(a, pattern)
+			rank.Chip(i).Write(a, pattern)
 		}
 		for i := 0; i <= DataChips; i++ {
-			got, st := c.rank.Chip(i).ReadRaw(a)
+			got, st := rank.Chip(i).ReadRaw(a)
 			if got == pattern && st != ecc.StatusDetected {
 				continue
 			}
@@ -138,7 +152,7 @@ func (c *Controller) intraLineDiagnosis(a dram.WordAddr) int {
 
 	// Restore the buffered content.
 	for i := 0; i <= DataChips; i++ {
-		c.rank.Chip(i).Write(a, buffer[i])
+		rank.Chip(i).Write(a, buffer[i])
 	}
 	if ambiguous {
 		return -1
@@ -146,24 +160,28 @@ func (c *Controller) intraLineDiagnosis(a dram.WordAddr) int {
 	return faulty
 }
 
-// reconstructAgainstChip rebuilds the line treating chip k as an erasure:
-// every other chip is read with XED bypassed (their on-die engines repair
-// any correctable scaling faults), then chip k's beat is recomputed from
-// parity (§VI, §VII-C).
+// reconstructAgainstChip rebuilds the line treating chip k as an erasure
+// (see reconstructLine).
 func (c *Controller) reconstructAgainstChip(a dram.WordAddr, k int, outcome Outcome) ReadResult {
+	c.stats.DiagCorrections++
+	c.m.diagCorrections.Inc()
+	return ReadResult{Data: reconstructLine(c.rank, a, k), Outcome: outcome, FaultyChips: c.faultyOne(k)}
+}
+
+// reconstructLine rebuilds line a of a 9-chip rank treating chip k as an
+// erasure: every other chip is read with XED bypassed (their on-die
+// engines repair any correctable scaling faults), then chip k's beat is
+// recomputed from parity (§VI, §VII-C).
+func reconstructLine(rank *dram.Rank, a dram.WordAddr, k int) Line {
 	var words [DataChips + 1]uint64
 	for i := 0; i <= DataChips; i++ {
 		if i == k {
 			continue
 		}
-		words[i], _ = c.rank.Chip(i).ReadRaw(a)
+		words[i], _ = rank.Chip(i).ReadRaw(a)
 	}
 	if k != parityChip {
 		words[k] = ecc.Reconstruct(words[:DataChips], words[parityChip], k)
-	} else {
-		words[parityChip] = ecc.Parity(words[:DataChips])
 	}
-	c.stats.DiagCorrections++
-	c.m.diagCorrections.Inc()
-	return ReadResult{Data: toLine(words), Outcome: outcome, FaultyChips: c.faultyOne(k)}
+	return toLine(words)
 }

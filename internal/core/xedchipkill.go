@@ -29,14 +29,12 @@ type Block = [ChipkillDataChips]uint64
 // catch-words enabled, and RS(18,16) across chips on every byte lane.
 type XEDChipkillController struct {
 	rank       *dram.Rank
-	rs         *ecc.RS
-	dec        *ecc.RSDecoder
+	lanes      rsLanes
 	catchWords [ChipkillChips]uint64
 	rng        *simrand.Source
 	stats      Stats
 
-	// Read/write-path scratch, reused across calls.
-	lane        [ChipkillChips]uint8
+	// Read-path scratch, reused across calls.
 	flaggedBuf  [ChipkillChips]int
 	suspectsBuf [ChipkillChips]int
 	readBuf     []dram.ReadResult
@@ -48,8 +46,7 @@ func NewXEDChipkillController(rank *dram.Rank, seed uint64) *XEDChipkillControll
 	if rank.Chips() != ChipkillChips {
 		panic(fmt.Sprintf("core: XED-on-Chipkill needs 18 chips, got %d", rank.Chips()))
 	}
-	rs := ecc.NewXEDChipkill()
-	c := &XEDChipkillController{rank: rank, rs: rs, dec: rs.NewDecoder(), rng: simrand.New(seed)}
+	c := &XEDChipkillController{rank: rank, lanes: newRSLanes(ecc.NewXEDChipkill()), rng: simrand.New(seed)}
 	for i := 0; i < ChipkillChips; i++ {
 		c.catchWords[i] = c.rng.Uint64()
 		rank.Chip(i).SetCatchWord(c.catchWords[i])
@@ -71,14 +68,7 @@ func (c *XEDChipkillController) WriteBlock(a dram.WordAddr, data Block) {
 	c.stats.Writes++
 	var beats [ChipkillChips]uint64
 	copy(beats[:ChipkillDataChips], data[:])
-	for b := 0; b < 8; b++ {
-		for i := 0; i < ChipkillDataChips; i++ {
-			c.lane[i] = uint8(data[i] >> uint(8*b))
-		}
-		cw := c.rs.EncodeInto(c.lane[:ChipkillDataChips], c.lane[:])
-		beats[16] |= uint64(cw[16]) << uint(8*b)
-		beats[17] |= uint64(cw[17]) << uint(8*b)
-	}
+	c.lanes.encode(beats[:])
 	c.rank.WriteLine(a, beats[:])
 }
 
@@ -102,7 +92,7 @@ func (c *XEDChipkillController) ReadBlock(a dram.WordAddr) (Block, Outcome) {
 	}
 	c.stats.CatchWordsSeen += uint64(len(flagged))
 
-	if len(flagged) > c.rs.R {
+	if len(flagged) > c.lanes.rs.R {
 		// More catch-words than erasure budget: serial-mode re-read
 		// lets each on-die engine repair its own (scaling) fault.
 		suspects := c.suspectsBuf[:0]
@@ -114,7 +104,7 @@ func (c *XEDChipkillController) ReadBlock(a dram.WordAddr) (Block, Outcome) {
 			}
 		}
 		flagged = suspects
-		if len(flagged) > c.rs.R {
+		if len(flagged) > c.lanes.rs.R {
 			c.stats.DUEs++
 			return blockOf(words), OutcomeDUE
 		}
@@ -127,14 +117,14 @@ func (c *XEDChipkillController) ReadBlock(a dram.WordAddr) (Block, Outcome) {
 	}
 
 	if len(flagged) == 0 {
-		if c.lanesAllValid(&words) {
+		if c.lanes.valid(words[:]) {
 			c.stats.CleanReads++
 			return blockOf(words), OutcomeClean
 		}
 		// Unlocated errors (silent on-die miss): let the RS code both
 		// locate and correct — the classic Chipkill budget of one
 		// chip with R=2.
-		if ok, out := c.decodeUnlocated(&words); ok {
+		if ok, out := c.decodeLanes(&words, nil); ok {
 			c.stats.DiagCorrections++
 			return out, OutcomeCorrectedDiagnosis
 		}
@@ -154,54 +144,13 @@ func (c *XEDChipkillController) ReadBlock(a dram.WordAddr) (Block, Outcome) {
 	return blockOf(words), OutcomeDUE
 }
 
-// lanesAllValid reports whether every byte lane forms a valid RS codeword.
-func (c *XEDChipkillController) lanesAllValid(words *[ChipkillChips]uint64) bool {
-	for b := 0; b < 8; b++ {
-		for i := 0; i < ChipkillChips; i++ {
-			c.lane[i] = uint8(words[i] >> uint(8*b))
-		}
-		if !c.rs.IsValid(c.lane[:]) {
-			return false
-		}
-	}
-	return true
-}
-
-// decodeLanes runs the RS code over all 8 byte lanes with the given
-// erasures. It reports ok=false if any lane is uncorrectable.
+// decodeLanes corrects all 8 byte lanes with the given erasures — nil
+// asks the RS code to locate the damage itself, one unlocated chip error
+// under R=2. It reports ok=false if any lane is uncorrectable.
 func (c *XEDChipkillController) decodeLanes(words *[ChipkillChips]uint64, erasures []int) (bool, Block) {
 	var out Block
-	for b := 0; b < 8; b++ {
-		for i := 0; i < ChipkillChips; i++ {
-			c.lane[i] = uint8(words[i] >> uint(8*b))
-		}
-		if c.dec.DecodeErasures(c.lane[:], erasures) == ecc.StatusDetected {
-			return false, out
-		}
-		for i := 0; i < ChipkillDataChips; i++ {
-			out[i] |= uint64(c.lane[i]) << uint(8*b)
-		}
-	}
-	return true, out
-}
-
-// decodeUnlocated corrects one unlocated chip error across the lanes and
-// requires every lane's verdict to name the same chip (a chip failure
-// corrupts the same symbol position in every lane).
-func (c *XEDChipkillController) decodeUnlocated(words *[ChipkillChips]uint64) (bool, Block) {
-	var out Block
-	for b := 0; b < 8; b++ {
-		for i := 0; i < ChipkillChips; i++ {
-			c.lane[i] = uint8(words[i] >> uint(8*b))
-		}
-		if c.dec.Decode(c.lane[:]) == ecc.StatusDetected {
-			return false, out
-		}
-		for i := 0; i < ChipkillDataChips; i++ {
-			out[i] |= uint64(c.lane[i]) << uint(8*b)
-		}
-	}
-	return true, out
+	ok := c.lanes.decode(words[:], erasures, out[:]) != ecc.StatusDetected
+	return ok, out
 }
 
 // detectCollisions spots §V-D collisions on the Chipkill configuration:

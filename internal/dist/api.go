@@ -40,7 +40,6 @@ package dist
 
 import (
 	"fmt"
-	"time"
 
 	"xedsim/internal/faultsim"
 )
@@ -163,9 +162,6 @@ type Lease struct {
 	TTLMillis int64   `json:"ttl_ms"`
 	Spec      JobSpec `json:"spec"`
 }
-
-// TTL returns the lease duration.
-func (l *Lease) TTL() time.Duration { return time.Duration(l.TTLMillis) * time.Millisecond }
 
 // CompleteRequest returns a finished unit's tallies.
 type CompleteRequest struct {

@@ -1,7 +1,5 @@
 package ecc
 
-import "encoding/binary"
-
 // Table-driven syndrome evaluation. The Horner loop in syndrome() costs
 // one gfMul (two table lookups plus an add) per codeword symbol per
 // syndrome. For a fixed code the per-symbol contribution to syndrome j is
@@ -14,7 +12,7 @@ import "encoding/binary"
 // nonzero symbol per syndrome. The rows are laid out position-major —
 // all R rows for one chip position are contiguous — so walking a codeword
 // touches N·R·256 bytes sequentially (≤ 36 KiB for Double-Chipkill's
-// RS(36,32)), and a batch of codewords reuses the same hot lines.
+// RS(36,32)), and successive codewords reuse the same hot lines.
 //
 // The Horner path (synHorner) is kept verbatim as the oracle; the tables
 // must stay bit-identical to it (TestSyndromeTablesMatchHorner,
@@ -67,99 +65,4 @@ func (rs *RS) synHorner(cw, syn []uint8) {
 	for j := 0; j < rs.R; j++ {
 		syn[j] = rs.syndrome(cw, gfPow(j))
 	}
-}
-
-// BatchSyndromes computes the R syndromes of every codeword in cws,
-// returning them concatenated codeword-major (len(cws)·R entries, written
-// into syn's backing array when it has the capacity). Batching amortises
-// the contribution tables' cache footprint across the whole stream — the
-// bulk-judging analogue of the fault simulator's lane engine, and the
-// entry point the scrubber-style sweeps use to validate many words per
-// call. Every codeword must have length K+R.
-func BatchSyndromes(rs *RS, cws [][]uint8, syn []uint8) []uint8 {
-	total := len(cws) * rs.R
-	if cap(syn) < total {
-		syn = make([]uint8, total)
-	} else {
-		syn = syn[:total]
-		for i := range syn {
-			syn[i] = 0
-		}
-	}
-	for i, cw := range cws {
-		if len(cw) != rs.K+rs.R {
-			panic("ecc: RS Syndromes codeword length mismatch")
-		}
-		out := syn[i*rs.R : (i+1)*rs.R]
-		if rs.synTab != nil {
-			rs.synTabbed(cw, out)
-		} else {
-			rs.synHorner(cw, out)
-		}
-	}
-	return syn
-}
-
-// ParityLines XORs equal-length byte lines (one cache-line beat per data
-// chip) into out, eight bytes per machine word — the bulk form of Parity
-// for the RAID-3 layer (§V-C). out is reused when it has capacity. It
-// panics if the lines disagree on length.
-func ParityLines(lines [][]uint8, out []uint8) []uint8 {
-	if len(lines) == 0 {
-		return out[:0]
-	}
-	n := len(lines[0])
-	if cap(out) < n {
-		out = make([]uint8, n)
-	} else {
-		out = out[:n]
-		for i := range out {
-			out[i] = 0
-		}
-	}
-	for _, line := range lines {
-		if len(line) != n {
-			panic("ecc: ParityLines length mismatch")
-		}
-		i := 0
-		for ; i+8 <= n; i += 8 {
-			binary.LittleEndian.PutUint64(out[i:],
-				binary.LittleEndian.Uint64(out[i:])^binary.LittleEndian.Uint64(line[i:]))
-		}
-		for ; i < n; i++ {
-			out[i] ^= line[i]
-		}
-	}
-	return out
-}
-
-// CheckParityLines reports whether parity is the XOR of the data lines —
-// Equation (1) word-at-a-time, with no scratch allocation.
-func CheckParityLines(lines [][]uint8, parity []uint8) bool {
-	n := len(parity)
-	for _, line := range lines {
-		if len(line) != n {
-			panic("ecc: ParityLines length mismatch")
-		}
-	}
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		w := binary.LittleEndian.Uint64(parity[i:])
-		for _, line := range lines {
-			w ^= binary.LittleEndian.Uint64(line[i:])
-		}
-		if w != 0 {
-			return false
-		}
-	}
-	for ; i < n; i++ {
-		b := parity[i]
-		for _, line := range lines {
-			b ^= line[i]
-		}
-		if b != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -70,81 +70,7 @@ func TestLargeCodeFallsBackToHorner(t *testing.T) {
 	}
 }
 
-// TestBatchSyndromes: the batch entry point equals per-word SyndromesInto
-// and reuses its output buffer.
-func TestBatchSyndromes(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	rs := NewRS(16, 2)
-	cws := make([][]uint8, 67) // deliberately not a round number
-	for i := range cws {
-		data := make([]uint8, rs.K)
-		for j := range data {
-			data[j] = uint8(rng.Intn(256))
-		}
-		cws[i] = rs.Encode(data)
-		if i%3 == 0 {
-			corruptRandomly(rng, cws[i])
-		}
-	}
-	syn := BatchSyndromes(rs, cws, nil)
-	if len(syn) != len(cws)*rs.R {
-		t.Fatalf("batch output length %d, want %d", len(syn), len(cws)*rs.R)
-	}
-	var one []uint8
-	for i, cw := range cws {
-		one = rs.SyndromesInto(cw, one)
-		if !bytes.Equal(syn[i*rs.R:(i+1)*rs.R], one) {
-			t.Fatalf("codeword %d: batch %v != single %v", i, syn[i*rs.R:(i+1)*rs.R], one)
-		}
-	}
-	again := BatchSyndromes(rs, cws, syn)
-	if &again[0] != &syn[0] {
-		t.Fatal("BatchSyndromes reallocated a sufficient buffer")
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		syn = BatchSyndromes(rs, cws, syn)
-	}); allocs != 0 {
-		t.Fatalf("warm BatchSyndromes allocates %v times, want 0", allocs)
-	}
-}
-
-// TestParityLines: the word-at-a-time byte-line parity agrees with the
-// scalar uint64 Parity on word-aligned data and handles ragged tails.
-func TestParityLines(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, lineLen := range []int{0, 1, 7, 8, 64, 65} {
-		lines := make([][]uint8, 8)
-		for i := range lines {
-			lines[i] = make([]uint8, lineLen)
-			rng.Read(lines[i])
-		}
-		got := ParityLines(lines, nil)
-		want := make([]uint8, lineLen)
-		for _, line := range lines {
-			for i, b := range line {
-				want[i] ^= b
-			}
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("len %d: ParityLines %v != naive %v", lineLen, got, want)
-		}
-		if !CheckParityLines(lines, got) {
-			t.Fatalf("len %d: CheckParityLines rejects its own parity", lineLen)
-		}
-		if lineLen > 0 {
-			bad := append([]uint8(nil), got...)
-			bad[lineLen-1] ^= 1
-			if CheckParityLines(lines, bad) {
-				t.Fatalf("len %d: CheckParityLines accepts corrupt parity", lineLen)
-			}
-		}
-	}
-	if out := ParityLines(nil, nil); len(out) != 0 {
-		t.Fatalf("empty ParityLines = %v", out)
-	}
-}
-
-// benchCodewords builds a batch of n codewords with a few corrupted.
+// benchCodewords builds n codewords with a few corrupted.
 func benchCodewords(rs *RS, n int) [][]uint8 {
 	rng := rand.New(rand.NewSource(4))
 	cws := make([][]uint8, n)
@@ -182,13 +108,6 @@ func BenchmarkSyndromes(b *testing.B) {
 					}
 					rs.synTabbed(cw, syn)
 				}
-			}
-		})
-		b.Run("batch/"+rs.Name(), func(b *testing.B) {
-			var syn []uint8
-			b.SetBytes(int64(len(cws) * (rs.K + rs.R)))
-			for i := 0; i < b.N; i++ {
-				syn = BatchSyndromes(rs, cws, syn)
 			}
 		})
 	}

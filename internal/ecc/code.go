@@ -47,17 +47,8 @@ type Codeword72 struct {
 	Check uint8
 }
 
-// Bit returns bit i of the codeword, with bits 0..63 addressing Data (LSB
-// first) and bits 64..71 addressing Check.
-func (c Codeword72) Bit(i int) uint {
-	if i < 64 {
-		return uint(c.Data>>uint(i)) & 1
-	}
-	return uint(c.Check>>uint(i-64)) & 1
-}
-
-// FlipBit returns a copy of the codeword with bit i inverted. Bit numbering
-// matches Bit.
+// FlipBit returns a copy of the codeword with bit i inverted: bits 0..63
+// address Data (LSB first) and bits 64..71 address Check.
 func (c Codeword72) FlipBit(i int) Codeword72 {
 	if i < 64 {
 		c.Data ^= 1 << uint(i)

@@ -96,29 +96,6 @@ func polyMul(a, b []uint8) []uint8 {
 	return out
 }
 
-// polyScale multiplies every coefficient of p by c.
-func polyScale(p []uint8, c uint8) []uint8 {
-	out := make([]uint8, len(p))
-	for i, pi := range p {
-		out[i] = gfMul(pi, c)
-	}
-	return out
-}
-
-// polyAdd adds (XORs) two polynomials.
-func polyAdd(a, b []uint8) []uint8 {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make([]uint8, n)
-	copy(out, a)
-	for i, bi := range b {
-		out[i] ^= bi
-	}
-	return out
-}
-
 // polyDeriv returns the formal derivative of p. In characteristic 2 the
 // even-power terms vanish and odd powers keep their coefficient.
 func polyDeriv(p []uint8) []uint8 {

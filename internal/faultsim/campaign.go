@@ -605,7 +605,7 @@ type campaignWorker struct {
 }
 
 func newCampaignWorker(t *campaignTables, seed uint64, years int) *campaignWorker {
-	n := len(t.eval.evals)
+	n := len(t.eval.schemes)
 	w := &campaignWorker{
 		t:        t,
 		seed:     seed,
@@ -629,11 +629,14 @@ const cancelCheckMask = 1<<16 - 1
 
 // RunChunk evaluates trials [lo, hi) of chunk c into the worker's tallies:
 // it plans the whole chunk, packs the planned trials into lane batches and
-// judges each batch as it fills. It returns false if ctx cancelled
-// mid-chunk (tallies must be discarded). A panic inside scheme code is
-// contained per lane by the LaneEvaluator; a panic escaping to this frame
-// is a generation failure and propagates (recovery there could not keep
-// the RNG stream deterministic).
+// judges each batch as it fills. Trials outside the plan drew no faults;
+// an empty trial survives every scheme unless scaling faults meet a
+// fleet without On-Die ECC, and then every trial fails as an SDC at hour 0
+// whatever it drew, so such a chunk is tallied without a plan. RunChunk
+// returns false if ctx cancelled mid-chunk (tallies must be discarded). A
+// panic inside scheme code is contained per lane by the LaneEvaluator; a
+// panic escaping to this frame is a generation failure and propagates
+// (recovery there could not keep the RNG stream deterministic).
 func (w *campaignWorker) RunChunk(ctx context.Context, c, lo, hi int) bool {
 	w.chunk, w.lo, w.hi = c, lo, hi
 	// TrialError holds heap references (Faults slice, panic strings);
@@ -649,6 +652,13 @@ func (w *campaignWorker) RunChunk(ctx context.Context, c, lo, hi int) bool {
 	}
 	if ctx.Err() != nil {
 		return false
+	}
+	if w.t.eval.scalingFatal {
+		n := uint64(hi - lo)
+		for s := range w.total {
+			w.total[s], w.sdcs[s], w.failures[s][0] = n, n, n
+		}
+		return true
 	}
 	// Substream (seed, c): the chunk's randomness is independent of which
 	// worker runs it and of every other chunk.
@@ -668,13 +678,7 @@ func (w *campaignWorker) RunChunk(ctx context.Context, c, lo, hi int) bool {
 		w.observePlan(&w.buf.plan)
 	}
 	w.buf.batch.Reset()
-	var packed bool
-	if w.t.eval.emptySurvive {
-		packed = w.packPlanned(ctx)
-	} else {
-		packed = w.packAll(ctx)
-	}
-	if !packed {
+	if !w.packPlanned(ctx) {
 		return false
 	}
 	w.flushBatch()
@@ -701,14 +705,15 @@ func (w *campaignWorker) Publish() {
 	m.laneBatches.Add(w.stats.batches)
 	m.laneProbes.Add(w.stats.probes)
 	w.stats = laneStats{}
-	m.batchRefills.Inc()
+	if !w.t.eval.scalingFatal {
+		m.batchRefills.Inc()
+	}
 	w.recsPerTrial.Flush()
 	w.skipRun.Flush()
 }
 
-// packPlanned packs the chunk's planned trials into lane batches: the path
-// for scheme sets under which empty trials survive. Trials outside the
-// plan drew no faults, so they tally nothing and get no lane.
+// packPlanned packs the chunk's planned trials into lane batches. Trials
+// outside the plan drew no faults, so they tally nothing and get no lane.
 func (w *campaignWorker) packPlanned(ctx context.Context) bool {
 	p, b, lv, g, rng := &w.buf.plan, &w.buf.batch, w.lv, &w.gen, &w.rng
 	// emitTrial and commitDigested are open-coded: the loop visits every
@@ -762,28 +767,6 @@ func (w *campaignWorker) packPlanned(ctx context.Context) bool {
 		}
 	}
 	b.recs, b.lrs, b.lanes = recs, lrs, lanes
-	return true
-}
-
-// packAll gives every trial of the chunk a lane — the path for scheme sets
-// under which an empty trial can fail — emitting planned trials' records
-// as their turn comes.
-func (w *campaignWorker) packAll(ctx context.Context) bool {
-	p, b := &w.buf.plan, &w.buf.batch
-	next := 0
-	for t := w.lo; t < w.hi; t++ {
-		if (t-w.lo)&cancelCheckMask == 0 && ctx.Err() != nil {
-			return false
-		}
-		if next < p.emitted() && w.lo+int(p.trialPos[next]) == t {
-			b.recs = p.emitTrial(&w.gen, &w.rng, next, b.recs)
-			next++
-		}
-		b.commit(t, w.head)
-		if b.Lanes() == LaneWidth {
-			w.flushBatch()
-		}
-	}
 	return true
 }
 

@@ -225,24 +225,25 @@ func TestRunCampaignCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-// panicScheme is an opaque (non-domainScheme) stub that survives empty
-// trials but panics whenever a trial drew at least minFaults records —
-// deterministic in the fault stream, so every worker count trips over
-// exactly the same trials.
-type panicScheme struct{ minFaults int }
-
-func (p *panicScheme) Name() string { return "panic-stub" }
-
-func (p *panicScheme) FailTime(cfg *Config, faults []FaultRecord) float64 {
-	if len(faults) >= p.minFaults {
-		panic("panic-stub: injected trial failure")
+// panicScheme is a rank-domain scheme of capacity 1 that weighs every
+// record 1 and panics in its kind function: whenever two records meet
+// concurrently in one rank and the scheme has to classify the failure.
+// Only the lane engine's scalar probe classifies such a failure, so the
+// panic fires where campaigns contain it. It is deterministic in the fault
+// stream, so every worker count trips over exactly the same trials.
+func panicScheme() Scheme {
+	return &domainScheme{
+		name:     "panic-stub",
+		dom:      domainRank,
+		capacity: 1,
+		weight:   func(*Config, *FaultRecord) int { return 1 },
+		kind:     func(int, int, float64) FailKind { panic("panic-stub: injected trial failure") },
 	}
-	return math.Inf(1)
 }
 
 func TestRunCampaignPanicIsolationAndReplay(t *testing.T) {
 	cfg := DefaultConfig()
-	schemes := []Scheme{NewXED(), &panicScheme{minFaults: 2}}
+	schemes := []Scheme{NewXED(), panicScheme()}
 	var reference *Report
 	for _, workers := range []int{1, 4, 16} {
 		opts := campaignTestOpts()
@@ -253,7 +254,7 @@ func TestRunCampaignPanicIsolationAndReplay(t *testing.T) {
 			t.Fatalf("workers=%d: campaign aborted: %v", workers, err)
 		}
 		if len(rep.TrialErrors) == 0 {
-			t.Fatalf("workers=%d: stub never panicked; weaken minFaults", workers)
+			t.Fatalf("workers=%d: stub never panicked", workers)
 		}
 		if rep.Trials != rep.Requested-uint64(len(rep.TrialErrors)) {
 			t.Fatalf("workers=%d: %d tallied + %d voided != %d requested",
@@ -306,7 +307,7 @@ func TestRunCampaignPanicIsolationAndReplay(t *testing.T) {
 
 func TestRunCampaignErrorBudget(t *testing.T) {
 	cfg := DefaultConfig()
-	schemes := []Scheme{NewXED(), &panicScheme{minFaults: 1}} // panics often
+	schemes := []Scheme{NewXED(), panicScheme()}
 	opts := campaignTestOpts()
 	opts.ErrorBudget = -1 // tolerate none
 	rep, err := RunCampaign(context.Background(), cfg, schemes, opts)
@@ -391,49 +392,71 @@ func TestConfigValidateRejectsBadRatesAndAging(t *testing.T) {
 	}
 }
 
-// panicOnStart is an opaque scheme that panics on any trial holding a
-// record that starts at exactly start: one chosen trial of a campaign.
-type panicOnStart struct{ start float64 }
+// panicOnStart is a rank-domain scheme of capacity 1 that weighs every
+// record 1 and panics in its weight function on a record that starts at
+// exactly *start: one chosen trial of a campaign. The lane engine weighs
+// records from its tables, so the panic fires when the scalar probe
+// re-weighs the chosen trial — which it does because the trial holds two
+// records in one rank.
+func panicOnStart(start *float64) Scheme {
+	return &domainScheme{
+		name:     "panic-on-start",
+		dom:      domainRank,
+		capacity: 1,
+		weight: func(_ *Config, r *FaultRecord) int {
+			if r.Start == *start {
+				panic("panic-on-start: chosen trial")
+			}
+			return 1
+		},
+		kind: xedKind,
+	}
+}
 
-func (p *panicOnStart) Name() string { return "panic-on-start" }
-
-func (p *panicOnStart) FailTime(cfg *Config, faults []FaultRecord) float64 {
+// sharesRank reports whether two of the records lie in one rank.
+func sharesRank(faults []FaultRecord) bool {
 	for i := range faults {
-		if faults[i].Start == p.start {
-			panic("panic-on-start: chosen trial")
+		for j := i + 1; j < len(faults); j++ {
+			if faults[i].Channel == faults[j].Channel && faults[i].Rank == faults[j].Rank {
+				return true
+			}
 		}
 	}
-	return math.Inf(1)
+	return false
 }
 
 // TestTrialErrorReplayChosenTrial: a scheme panicking on one chosen trial —
-// the last planned trial of a chunk, so its regeneration depends on every
-// draw the chunk's earlier trials made — voids exactly that trial, and
-// Replay re-plans the chunk to regenerate the recorded faults and the
-// panic.
+// the last planned trial of a chunk to hold two records in one rank, so
+// its regeneration depends on the draws the chunk's earlier trials made —
+// voids exactly that trial, and Replay re-plans the chunk to regenerate
+// the recorded faults and the panic.
 func TestTrialErrorReplayChosenTrial(t *testing.T) {
 	cfg := DefaultConfig()
-	chosen := &panicOnStart{}
-	schemes := []Scheme{NewXED(), chosen}
+	start := -1.0
+	schemes := []Scheme{NewXED(), panicOnStart(&start)}
 	opts := campaignTestOpts()
 	const chunk = 3
 
-	// Plan chunk 3 the way the campaign will, and pick its last trial.
+	// Plan chunk 3 the way the campaign will, and pick its last trial
+	// that pairs two records in one rank.
 	ev := NewEvaluator(&cfg, schemes)
 	gen := newRunGenerator(&cfg, ev.evalTables)
 	arr := newArrivalSamplers(gen.genTables)
 	var p batchPlan
 	rng := simrand.NewStream(opts.Seed, chunk)
 	p.build(gen.genTables, &arr, rng, opts.ChunkSize)
-	last := p.emitted() - 1
+	last := -1
+	var faults, buf []FaultRecord
+	for i := 0; i < p.emitted(); i++ {
+		buf = p.emitTrial(gen, rng, i, buf[:0])
+		if sharesRank(buf) {
+			last, faults = i, append(faults[:0], buf...)
+		}
+	}
 	if last < 1 {
-		t.Fatalf("chunk %d planned %d trials; need two or more", chunk, p.emitted())
+		t.Fatalf("chunk %d's last trial with two records in one rank is plan index %d; need 1 or more", chunk, last)
 	}
-	var faults []FaultRecord
-	for i := 0; i <= last; i++ {
-		faults = p.emitTrial(gen, rng, i, faults[:0])
-	}
-	chosen.start = faults[0].Start
+	start = faults[0].Start
 
 	rep := mustCampaign(t, context.Background(), cfg, schemes, opts)
 	if len(rep.TrialErrors) != 1 {
@@ -463,7 +486,7 @@ func TestTrialErrorReplayChosenTrial(t *testing.T) {
 		t.Fatalf("empty-trial replay = %v, %v, %v, %v", got, outs, panicked, err)
 	}
 	// Records that cannot name a planned trial are refused.
-	for _, bad := range []TrialError{{ChunkTrials: 0, RNGState: te.RNGState}, {ChunkTrials: opts.ChunkSize, PlanIndex: last + 1, RNGState: te.RNGState}} {
+	for _, bad := range []TrialError{{ChunkTrials: 0, RNGState: te.RNGState}, {ChunkTrials: opts.ChunkSize, PlanIndex: p.emitted(), RNGState: te.RNGState}} {
 		if _, _, _, err := bad.Replay(cfg, schemes); err == nil {
 			t.Fatalf("replay of %+v accepted", bad)
 		}

@@ -85,17 +85,12 @@ type Evaluator struct {
 // schemes alone. It is read-only after construction, so one copy serves
 // every worker of a campaign.
 type evalTables struct {
-	cfg   *Config
-	evals []schemeEval
+	cfg     *Config
+	schemes []*domainScheme
 	// scalingFatal mirrors the reference probe's early-out: without
 	// On-Die ECC, birthtime scaling faults defeat every scheme at t=0.
+	// It is also the only way an empty trial can fail.
 	scalingFatal bool
-	emptySurvive bool
-}
-
-type schemeEval struct {
-	scheme Scheme
-	ds     *domainScheme // nil → generic Scheme fallback
 }
 
 // NewEvaluator prepares reusable evaluation state for cfg and schemes. The
@@ -108,17 +103,7 @@ func NewEvaluator(cfg *Config, schemes []Scheme) *Evaluator {
 func newEvalTables(cfg *Config, schemes []Scheme) *evalTables {
 	t := &evalTables{cfg: cfg, scalingFatal: !cfg.OnDie && cfg.ScalingRate > 0}
 	for _, s := range schemes {
-		ds, _ := s.(*domainScheme)
-		t.evals = append(t.evals, schemeEval{scheme: s, ds: ds})
-	}
-	// An empty trial touches none of the probe scratch, so a scratch-less
-	// Evaluator can judge it.
-	t.emptySurvive = true
-	for _, o := range (&Evaluator{evalTables: t}).EvaluateInto(nil, nil) {
-		if !math.IsInf(o.FailTime, 1) {
-			t.emptySurvive = false
-			break
-		}
+		t.schemes = append(t.schemes, s.budget())
 	}
 	return t
 }
@@ -144,11 +129,6 @@ func (e *Evaluator) bind(t *evalTables) {
 	e.chipSilent = grow(e.chipSilent, n)
 }
 
-// EmptyTrialsSurvive reports whether a trial with no fault records survives
-// under every scheme. When true, the campaign accounts zero-fault trials
-// wholesale instead of judging each.
-func (e *Evaluator) EmptyTrialsSurvive() bool { return e.emptySurvive }
-
 // SetTrialCounter attaches a live counter ticked once per EvaluateInto
 // call. nil detaches (the default): the per-trial cost is then a single
 // nil check, keeping the uninstrumented hot path untouched.
@@ -162,18 +142,8 @@ func (e *Evaluator) SetTrialCounter(c *obs.Counter) { e.trials = c }
 // unchanged while shrinking the Poisson mean (bit faults under On-Die ECC
 // are over half of Table I). The check sweeps the record fields the weight
 // functions may consult — chip position and the silent/escalated flags —
-// at their extreme values; non-domainScheme schemes are opaque, so any
-// such scheme keeps every class live.
+// at their extreme values.
 func (e *evalTables) classLive(cls ClassRate) bool {
-	anyOpaque := false
-	for i := range e.evals {
-		if e.evals[i].ds == nil {
-			anyOpaque = true
-		}
-	}
-	if anyOpaque || len(e.evals) == 0 {
-		return true
-	}
 	// Only flag values the generator can actually produce matter: Silent
 	// is sampled for word faults under On-Die ECC, EscalatedByScaling for
 	// bit faults when birthtime scaling is modelled.
@@ -188,8 +158,7 @@ func (e *evalTables) classLive(cls ClassRate) bool {
 	var r FaultRecord
 	r.Gran = cls.Gran
 	r.Transient = cls.Transient
-	for i := range e.evals {
-		ds := e.evals[i].ds
+	for _, ds := range e.schemes {
 		for _, chip := range [2]int{0, e.cfg.ChipsPerRank - 1} {
 			r.Chip = chip
 			for _, silent := range silentVals {
@@ -213,23 +182,17 @@ func (e *evalTables) classLive(cls ClassRate) bool {
 func (e *Evaluator) EvaluateInto(faults []FaultRecord, out []TrialOutcome) []TrialOutcome {
 	e.trials.Inc()
 	out = out[:0]
-	prepared := false
-	for i := range e.evals {
-		ev := &e.evals[i]
-		if ev.ds == nil {
-			out = append(out, e.genericOutcome(ev.scheme, faults))
-			continue
+	if e.scalingFatal {
+		for range e.schemes {
+			out = append(out, TrialOutcome{FailTime: 0, Kind: FailSDC})
 		}
-		if !prepared {
-			// Scheme-invariant digestion happens once per trial; each
-			// scheme's evalDomain pass then only adds its own weight and
-			// domain on top (and scalingFatal needs no digest at all).
-			if !e.scalingFatal {
-				e.prepare(faults)
-			}
-			prepared = true
-		}
-		out = append(out, e.evalDomainPrepared(ev.ds, faults))
+		return out
+	}
+	// Scheme-invariant digestion happens once per trial; each scheme's
+	// evalDomainPrepared pass then only adds its own weight and domain.
+	e.prepare(faults)
+	for _, ds := range e.schemes {
+		out = append(out, e.evalDomainPrepared(ds, faults))
 	}
 	return out
 }
@@ -240,8 +203,9 @@ func (e *Evaluator) EvaluateInto(faults []FaultRecord, out []TrialOutcome) []Tri
 func (e *Evaluator) referenceInto(faults []FaultRecord, out []TrialOutcome) []TrialOutcome {
 	e.trials.Inc()
 	out = out[:0]
-	for i := range e.evals {
-		out = append(out, e.genericOutcome(e.evals[i].scheme, faults))
+	for _, ds := range e.schemes {
+		t, k := ds.FailTimeKind(e.cfg, faults)
+		out = append(out, TrialOutcome{FailTime: t, Kind: k})
 	}
 	return out
 }
@@ -265,14 +229,6 @@ func (e *Evaluator) prepare(faults []FaultRecord) {
 	e.prep = prep
 }
 
-func (e *Evaluator) genericOutcome(s Scheme, faults []FaultRecord) TrialOutcome {
-	if ks, ok := s.(KindedScheme); ok {
-		t, k := ks.FailTimeKind(e.cfg, faults)
-		return TrialOutcome{FailTime: t, Kind: k}
-	}
-	return TrialOutcome{FailTime: s.FailTime(e.cfg, faults), Kind: FailNone}
-}
-
 // evalDomainPrepared evaluates one domainScheme over the prepared trial
 // (e.prep must describe faults). Semantics match domainScheme.FailTimeKind
 // exactly: the winning event — an overweight record or a failing anchor
@@ -280,9 +236,6 @@ func (e *Evaluator) genericOutcome(s Scheme, faults []FaultRecord) TrialOutcome 
 // index), reproducing the reference's record-order iteration with its
 // strict `t < fail` replacement rule.
 func (e *Evaluator) evalDomainPrepared(s *domainScheme, faults []FaultRecord) TrialOutcome {
-	if e.scalingFatal {
-		return TrialOutcome{FailTime: 0, Kind: FailSDC}
-	}
 	cfg := e.cfg
 	bestTime := math.Inf(1)
 	bestIdx := int32(math.MaxInt32)

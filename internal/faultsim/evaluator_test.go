@@ -75,7 +75,7 @@ func TestEvaluatorMatchesReferenceProbe(t *testing.T) {
 			}
 			outs = ev.EvaluateInto(buf, outs)
 			for s, scheme := range schemes {
-				wantT, wantK := scheme.(KindedScheme).FailTimeKind(&cfg, buf)
+				wantT, wantK := scheme.FailTimeKind(&cfg, buf)
 				gotT, gotK := outs[s].FailTime, outs[s].Kind
 				if math.Float64bits(gotT) != math.Float64bits(wantT) || gotK != wantK {
 					t.Fatalf("config %d trial %d scheme %s: evaluator (%v, %v) != reference (%v, %v) on %d faults",
@@ -86,18 +86,31 @@ func TestEvaluatorMatchesReferenceProbe(t *testing.T) {
 	}
 }
 
-// TestEvaluatorEmptyTrialsSurvive pins the gate the skip-sampling fast
-// path depends on.
-func TestEvaluatorEmptyTrialsSurvive(t *testing.T) {
-	cfg := DefaultConfig()
-	if !NewEvaluator(&cfg, AllSchemes()).EmptyTrialsSurvive() {
-		t.Fatal("default config: empty trials must survive")
-	}
-	fatal := DefaultConfig()
-	fatal.OnDie = false
-	fatal.ScalingRate = 1e-4
-	if NewEvaluator(&fatal, AllSchemes()).EmptyTrialsSurvive() {
-		t.Fatal("scaling without on-die ECC: empty trials must not survive")
+// TestEvaluatorEmptyTrialOutcome pins what the campaign leans on when it
+// gives unplanned trials no lane: an empty trial survives every scheme,
+// except that scaling faults without On-Die ECC fail every trial, empty
+// or not, as an SDC at hour 0 — the verdict RunChunk tallies wholesale.
+func TestEvaluatorEmptyTrialOutcome(t *testing.T) {
+	for _, onDie := range []bool{false, true} {
+		for _, scaling := range []float64{0, 1e-4} {
+			cfg := DefaultConfig()
+			cfg.OnDie, cfg.ScalingRate = onDie, scaling
+			fatal := !onDie && scaling > 0
+			if fatal != NewEvaluator(&cfg, nil).scalingFatal {
+				t.Fatalf("onDie=%v scaling=%v: scalingFatal disagrees", onDie, scaling)
+			}
+			want := TrialOutcome{FailTime: math.Inf(1), Kind: FailNone}
+			if fatal {
+				want = TrialOutcome{FailTime: 0, Kind: FailSDC}
+			}
+			schemes := append(AllSchemes(), NewRankErasureScheme("Rank0", 0, func(*Config, *FaultRecord) int { return 1 }))
+			for s, out := range NewEvaluator(&cfg, schemes).EvaluateInto(nil, nil) {
+				if out != want {
+					t.Fatalf("onDie=%v scaling=%v: empty trial under %s = %+v, want %+v",
+						onDie, scaling, schemes[s].Name(), out, want)
+				}
+			}
+		}
 	}
 }
 
@@ -114,7 +127,7 @@ func TestEvaluatorOutOfFleetRecordFallsBack(t *testing.T) {
 	}
 	outs := ev.EvaluateInto(faults, nil)
 	for s, scheme := range schemes {
-		wantT, wantK := scheme.(KindedScheme).FailTimeKind(&cfg, faults)
+		wantT, wantK := scheme.FailTimeKind(&cfg, faults)
 		if math.Float64bits(outs[s].FailTime) != math.Float64bits(wantT) || outs[s].Kind != wantK {
 			t.Fatalf("scheme %s: fallback mismatch", scheme.Name())
 		}
@@ -133,7 +146,6 @@ func TestEvaluatorHighWeightSchemeFallsBack(t *testing.T) {
 	// the weights survive unclipped.
 	heavy := &domainScheme{
 		name:     "HeavyErasure",
-		domainOf: rankDomain,
 		capacity: 300,
 		weight: func(cfg *Config, r *FaultRecord) int {
 			if visibleWeight(cfg, r) == 0 {
@@ -156,7 +168,7 @@ func TestEvaluatorHighWeightSchemeFallsBack(t *testing.T) {
 	for name, faults := range map[string][]FaultRecord{"overlapping": overlapping, "lone": lone} {
 		outs := ev.EvaluateInto(faults, nil)
 		for s, scheme := range schemes {
-			wantT, wantK := scheme.(KindedScheme).FailTimeKind(&cfg, faults)
+			wantT, wantK := scheme.FailTimeKind(&cfg, faults)
 			if math.Float64bits(outs[s].FailTime) != math.Float64bits(wantT) || outs[s].Kind != wantK {
 				t.Fatalf("%s/%s: got (%v, %v), reference says (%v, %v)",
 					name, scheme.Name(), outs[s].FailTime, outs[s].Kind, wantT, wantK)

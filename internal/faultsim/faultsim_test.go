@@ -120,6 +120,12 @@ func mkRec(ch, rank, chip int, gran dram.Granularity, transient bool, start, end
 		Range: dram.NewChipFault(transient, 1)}
 }
 
+// failTime is the reference probe's failure instant, kind aside.
+func failTime(s Scheme, cfg *Config, faults []FaultRecord) float64 {
+	t, _ := s.FailTimeKind(cfg, faults)
+	return t
+}
+
 func TestSchemeSingleFaultRules(t *testing.T) {
 	cfg := DefaultConfig()
 	bank := mkRec(0, 0, 0, dram.GranBank, false, 100, cfg.LifetimeHours)
@@ -141,7 +147,7 @@ func TestSchemeSingleFaultRules(t *testing.T) {
 		{NewXEDChipkill(), bank, false},
 	}
 	for _, c := range cases {
-		ft := c.scheme.FailTime(&cfg, []FaultRecord{c.fault})
+		ft := failTime(c.scheme, &cfg, []FaultRecord{c.fault})
 		if got := !math.IsInf(ft, 1); got != c.wantFail {
 			t.Errorf("%s with single %v fault: failed=%v, want %v",
 				c.scheme.Name(), c.fault.Gran, got, c.wantFail)
@@ -156,19 +162,19 @@ func TestSchemePairRules(t *testing.T) {
 	b := mkRec(0, 0, 5, dram.GranBank, false, 200, cfg.LifetimeHours)
 	pair := []FaultRecord{a, b}
 
-	if ft := NewXED().FailTime(&cfg, pair); ft != 200 {
+	if ft := failTime(NewXED(), &cfg, pair); ft != 200 {
 		t.Errorf("XED pair in one rank: failTime %v, want 200 (overlap onset)", ft)
 	}
 	// Chipkill's 18-chip gang is the whole dual-rank DIMM: the pair
 	// also fails there (two chips of the 18).
-	if ft := NewChipkill().FailTime(&cfg, pair); ft != 200 {
+	if ft := failTime(NewChipkill(), &cfg, pair); ft != 200 {
 		t.Errorf("Chipkill pair: failTime %v, want 200", ft)
 	}
 	// Two-erasure schemes survive the pair.
-	if ft := NewXEDChipkill().FailTime(&cfg, pair); !math.IsInf(ft, 1) {
+	if ft := failTime(NewXEDChipkill(), &cfg, pair); !math.IsInf(ft, 1) {
 		t.Errorf("XED+Chipkill pair should be corrected, failed at %v", ft)
 	}
-	if ft := NewDoubleChipkill().FailTime(&cfg, pair); !math.IsInf(ft, 1) {
+	if ft := failTime(NewDoubleChipkill(), &cfg, pair); !math.IsInf(ft, 1) {
 		t.Errorf("Double-Chipkill pair should be corrected, failed at %v", ft)
 	}
 }
@@ -180,21 +186,21 @@ func TestSchemePairDifferentRanksXEDSurvives(t *testing.T) {
 	pair := []FaultRecord{a, b}
 	// Different ranks: XED's 9-chip domains each see one fault — this is
 	// the group-size advantage behind Figure 7's 4x.
-	if ft := NewXED().FailTime(&cfg, pair); !math.IsInf(ft, 1) {
+	if ft := failTime(NewXED(), &cfg, pair); !math.IsInf(ft, 1) {
 		t.Errorf("XED cross-rank pair should be corrected, failed at %v", ft)
 	}
 	// Chipkill gangs both ranks of the DIMM: the same pair is fatal.
-	if ft := NewChipkill().FailTime(&cfg, pair); ft != 200 {
+	if ft := failTime(NewChipkill(), &cfg, pair); ft != 200 {
 		t.Errorf("Chipkill DIMM-gang pair: failTime %v, want 200", ft)
 	}
 	// Different channels are different Chipkill gangs.
 	c := mkRec(1, 0, 3, dram.GranBank, false, 300, cfg.LifetimeHours)
 	crossChannel := []FaultRecord{a, c}
-	if ft := NewChipkill().FailTime(&cfg, crossChannel); !math.IsInf(ft, 1) {
+	if ft := failTime(NewChipkill(), &cfg, crossChannel); !math.IsInf(ft, 1) {
 		t.Errorf("Chipkill cross-channel pair should be corrected, failed at %v", ft)
 	}
 	// ...but one Double-Chipkill gang spans channel pairs.
-	if ft := NewDoubleChipkill().FailTime(&cfg, crossChannel); !math.IsInf(ft, 1) {
+	if ft := failTime(NewDoubleChipkill(), &cfg, crossChannel); !math.IsInf(ft, 1) {
 		t.Errorf("Double-Chipkill corrects two chips, failed at %v", ft)
 	}
 }
@@ -204,12 +210,12 @@ func TestSchemeTransientNoOverlapSurvives(t *testing.T) {
 	// Two transient faults in different chips, non-overlapping windows.
 	a := mkRec(0, 0, 1, dram.GranRow, true, 100, 150)
 	b := mkRec(0, 0, 5, dram.GranRow, true, 500, 550)
-	if ft := NewXED().FailTime(&cfg, []FaultRecord{a, b}); !math.IsInf(ft, 1) {
+	if ft := failTime(NewXED(), &cfg, []FaultRecord{a, b}); !math.IsInf(ft, 1) {
 		t.Errorf("non-overlapping transients should be corrected, failed at %v", ft)
 	}
 	// Overlapping windows fail.
 	c := mkRec(0, 0, 5, dram.GranRow, true, 120, 170)
-	if ft := NewXED().FailTime(&cfg, []FaultRecord{a, c}); ft != 120 {
+	if ft := failTime(NewXED(), &cfg, []FaultRecord{a, c}); ft != 120 {
 		t.Errorf("overlapping transients: failTime %v, want 120", ft)
 	}
 }
@@ -218,13 +224,13 @@ func TestXEDSilentTransientWordIsDUE(t *testing.T) {
 	cfg := DefaultConfig()
 	r := mkRec(0, 0, 2, dram.GranWord, true, 100, 150)
 	r.Silent = true
-	if ft := NewXED().FailTime(&cfg, []FaultRecord{r}); ft != 100 {
+	if ft := failTime(NewXED(), &cfg, []FaultRecord{r}); ft != 100 {
 		t.Errorf("silent transient word fault: failTime %v, want 100 (DUE)", ft)
 	}
 	// Permanent silent word faults are convicted by Intra-Line diagnosis.
 	p := mkRec(0, 0, 2, dram.GranWord, false, 100, cfg.LifetimeHours)
 	p.Silent = true
-	if ft := NewXED().FailTime(&cfg, []FaultRecord{p}); !math.IsInf(ft, 1) {
+	if ft := failTime(NewXED(), &cfg, []FaultRecord{p}); !math.IsInf(ft, 1) {
 		t.Errorf("permanent silent word fault should be diagnosed, failed at %v", ft)
 	}
 }
@@ -235,11 +241,11 @@ func TestXEDChipkillSilentWordConsumesBudget(t *testing.T) {
 	silent.Silent = true
 	other := mkRec(0, 1, 4, dram.GranBank, false, 200, cfg.LifetimeHours)
 	// Alone: locatable by the RS code (2t <= R).
-	if ft := NewXEDChipkill().FailTime(&cfg, []FaultRecord{silent}); !math.IsInf(ft, 1) {
+	if ft := failTime(NewXEDChipkill(), &cfg, []FaultRecord{silent}); !math.IsInf(ft, 1) {
 		t.Errorf("lone silent word should be RS-corrected, failed at %v", ft)
 	}
 	// Silent (weight 2) + flagged (weight 1) = 3 > 2: fail.
-	if ft := NewXEDChipkill().FailTime(&cfg, []FaultRecord{silent, other}); ft != 200 {
+	if ft := failTime(NewXEDChipkill(), &cfg, []FaultRecord{silent, other}); ft != 200 {
 		t.Errorf("silent+flagged pair: failTime %v, want 200", ft)
 	}
 }
@@ -253,18 +259,18 @@ func TestMultiRankFaultDomainInteraction(t *testing.T) {
 	pair := []FaultRecord{a, b}
 	// XED: one chip per rank → corrected. This immunity to multi-rank
 	// faults is a second mechanism behind XED's edge over Chipkill.
-	if ft := NewXED().FailTime(&cfg, pair); !math.IsInf(ft, 1) {
+	if ft := failTime(NewXED(), &cfg, pair); !math.IsInf(ft, 1) {
 		t.Errorf("XED multi-rank should be corrected, failed at %v", ft)
 	}
 	// Chipkill's DIMM-wide gang sees two concurrent chips → fatal.
-	if ft := NewChipkill().FailTime(&cfg, pair); ft != 100 {
+	if ft := failTime(NewChipkill(), &cfg, pair); ft != 100 {
 		t.Errorf("Chipkill multi-rank: failTime %v, want 100", ft)
 	}
 	// The two-erasure schemes absorb it.
-	if ft := NewXEDChipkill().FailTime(&cfg, pair); !math.IsInf(ft, 1) {
+	if ft := failTime(NewXEDChipkill(), &cfg, pair); !math.IsInf(ft, 1) {
 		t.Errorf("XED+Chipkill multi-rank should be corrected, failed at %v", ft)
 	}
-	if ft := NewDoubleChipkill().FailTime(&cfg, pair); !math.IsInf(ft, 1) {
+	if ft := failTime(NewDoubleChipkill(), &cfg, pair); !math.IsInf(ft, 1) {
 		t.Errorf("Double-Chipkill multi-rank should be corrected, failed at %v", ft)
 	}
 }
@@ -277,12 +283,12 @@ func TestAddressOverlapCriterion(t *testing.T) {
 	a.Range = dram.NewRowFault(2, 10, false, 1)
 	b := mkRec(0, 0, 5, dram.GranBank, false, 200, cfg.LifetimeHours)
 	b.Range = dram.NewBankFault(5, false, 2)
-	if ft := NewXED().FailTime(&cfg, []FaultRecord{a, b}); !math.IsInf(ft, 1) {
+	if ft := failTime(NewXED(), &cfg, []FaultRecord{a, b}); !math.IsInf(ft, 1) {
 		t.Errorf("disjoint ranges should be corrected under precise criterion, failed at %v", ft)
 	}
 	// Same bank: ranges intersect → fail.
 	b.Range = dram.NewBankFault(2, false, 2)
-	if ft := NewXED().FailTime(&cfg, []FaultRecord{a, b}); ft != 200 {
+	if ft := failTime(NewXED(), &cfg, []FaultRecord{a, b}); ft != 200 {
 		t.Errorf("intersecting ranges: failTime %v, want 200", ft)
 	}
 }
@@ -292,7 +298,7 @@ func TestScalingWithoutOnDieIsFatal(t *testing.T) {
 	cfg.OnDie = false
 	cfg.ScalingRate = 1e-4
 	for _, s := range AllSchemes() {
-		if ft := s.FailTime(&cfg, nil); ft != 0 {
+		if ft := failTime(s, &cfg, nil); ft != 0 {
 			t.Errorf("%s: failTime %v, want 0 (scaling without on-die)", s.Name(), ft)
 		}
 	}
@@ -397,7 +403,7 @@ func BenchmarkFullTrialAllSchemes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf = gen.Trial(rng, buf)
 		for _, s := range schemes {
-			s.FailTime(&cfg, buf)
+			failTime(s, &cfg, buf)
 		}
 	}
 }

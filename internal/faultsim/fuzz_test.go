@@ -68,7 +68,7 @@ func FuzzEvaluatorVsReference(f *testing.F) {
 		}
 		outs := ev.EvaluateInto(buf, nil)
 		for s, scheme := range schemes {
-			wantT, wantK := scheme.(KindedScheme).FailTimeKind(&cfg, buf)
+			wantT, wantK := scheme.FailTimeKind(&cfg, buf)
 			if math.Float64bits(outs[s].FailTime) != math.Float64bits(wantT) || outs[s].Kind != wantK {
 				t.Fatalf("scheme %s: evaluator (%v, %v) != reference (%v, %v) on %d faults (shape %#x, inflate %d)",
 					scheme.Name(), outs[s].FailTime, outs[s].Kind, wantT, wantK, len(buf), shape, inflateFactor)
@@ -83,9 +83,9 @@ func FuzzEvaluatorVsReference(f *testing.F) {
 // final batches), and demands that the LaneEvaluator's unpacked outcomes
 // match the indexed Evaluator bit for bit on every (trial, scheme) pair.
 // The scheme set covers the stock organisations plus the corners the mask
-// pass special-cases: weights straddling the scalar probe's int8 envelope
-// and an off-menu domain mapping the lane engine must route through its
-// conservative whole-trial path.
+// pass special-cases: weights straddling the scalar probe's int8 envelope,
+// and a ninth scheme — a capacity-1 channel-pair budget — so the weight
+// codes span two interleaved table groups.
 func FuzzLaneVsIndexedEvaluator(f *testing.F) {
 	f.Add(uint64(42), uint8(0), uint8(0), uint8(1))
 	f.Add(uint64(99), uint8(0xff), uint8(200), uint8(65))
@@ -135,7 +135,7 @@ func FuzzLaneVsIndexedEvaluator(f *testing.F) {
 		schemes := append(AllSchemes(),
 			NewRankErasureScheme("Heavy120", 200, heavy(120)),
 			NewRankErasureScheme("Heavy130", 200, heavy(130)),
-			chipParityScheme(1),
+			&domainScheme{name: "PairErasure", dom: domainChannelPair, capacity: 1, weight: visibleWeight, kind: xedKind},
 		)
 		gen := newGenerator(&cfg)
 		ev := NewEvaluator(&cfg, schemes)

@@ -37,14 +37,6 @@ func (k FailKind) String() string {
 	}
 }
 
-// KindedScheme extends Scheme with failure classification.
-type KindedScheme interface {
-	Scheme
-	// FailTimeKind returns the earliest failure and its kind
-	// (FailNone with +Inf when the system survives).
-	FailTimeKind(cfg *Config, faults []FaultRecord) (float64, FailKind)
-}
-
 // Mis-correction probabilities of the bounded-distance decoders when an
 // error beyond their budget arrives, estimated from the codes' syndrome
 // geometry and confirmed by the internal/ecc measurements:

@@ -18,7 +18,7 @@ func TestKindStrings(t *testing.T) {
 func TestNonECCFailuresAreSDC(t *testing.T) {
 	cfg := DefaultConfig()
 	r := mkRec(0, 0, 0, dram.GranBank, false, 100, cfg.LifetimeHours)
-	ft, kind := NewNonECC().(KindedScheme).FailTimeKind(&cfg, []FaultRecord{r})
+	ft, kind := NewNonECC().FailTimeKind(&cfg, []FaultRecord{r})
 	if math.IsInf(ft, 1) || kind != FailSDC {
 		t.Fatalf("ft=%v kind=%v, want SDC at 100", ft, kind)
 	}
@@ -29,14 +29,14 @@ func TestXEDFailuresAreDUE(t *testing.T) {
 	// Pair failure.
 	a := mkRec(0, 0, 1, dram.GranBank, false, 100, cfg.LifetimeHours)
 	b := mkRec(0, 0, 5, dram.GranBank, false, 200, cfg.LifetimeHours)
-	_, kind := NewXED().(KindedScheme).FailTimeKind(&cfg, []FaultRecord{a, b})
+	_, kind := NewXED().FailTimeKind(&cfg, []FaultRecord{a, b})
 	if kind != FailDUE {
 		t.Fatalf("XED pair kind = %v, want DUE", kind)
 	}
 	// Silent transient word: still detected via parity mismatch.
 	s := mkRec(0, 0, 2, dram.GranWord, true, 50, 60)
 	s.Silent = true
-	_, kind = NewXED().(KindedScheme).FailTimeKind(&cfg, []FaultRecord{s})
+	_, kind = NewXED().FailTimeKind(&cfg, []FaultRecord{s})
 	if kind != FailDUE {
 		t.Fatalf("XED silent-word kind = %v, want DUE", kind)
 	}
@@ -47,7 +47,7 @@ func TestXEDChipkillSilentPlusFlaggedIsSDC(t *testing.T) {
 	silent := mkRec(0, 0, 2, dram.GranWord, false, 100, cfg.LifetimeHours)
 	silent.Silent = true
 	flagged := mkRec(0, 1, 4, dram.GranBank, false, 200, cfg.LifetimeHours)
-	_, kind := NewXEDChipkill().(KindedScheme).FailTimeKind(&cfg, []FaultRecord{silent, flagged})
+	_, kind := NewXEDChipkill().FailTimeKind(&cfg, []FaultRecord{silent, flagged})
 	if kind != FailSDC {
 		t.Fatalf("kind = %v, want SDC (erasures consume all redundancy)", kind)
 	}
@@ -55,7 +55,7 @@ func TestXEDChipkillSilentPlusFlaggedIsSDC(t *testing.T) {
 	c := mkRec(0, 0, 7, dram.GranBank, false, 300, cfg.LifetimeHours)
 	d := mkRec(0, 1, 8, dram.GranRow, false, 300, cfg.LifetimeHours)
 	e := mkRec(0, 0, 3, dram.GranColumn, false, 350, cfg.LifetimeHours)
-	_, kind = NewXEDChipkill().(KindedScheme).FailTimeKind(&cfg, []FaultRecord{c, d, e})
+	_, kind = NewXEDChipkill().FailTimeKind(&cfg, []FaultRecord{c, d, e})
 	if kind == FailNone {
 		t.Fatal("three flagged chips should fail")
 	}

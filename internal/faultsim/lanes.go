@@ -50,20 +50,16 @@ import (
 //     envelope — are handed to the exact scalar probe (the indexed
 //     Evaluator's evalDomainPrepared — bit-identity by construction,
 //     including its int8/chip-range reference fallback), prepared once
-//     per lane for all schemes that need it. Overweight non-pair lanes
-//     resolve inline from the tracked record; every other lane provably
+//     per lane for all schemes that need it; a panic in scheme code
+//     there voids only that lane. Overweight non-pair lanes resolve
+//     inline from the tracked record; every other lane provably
 //     survives: +Inf, FailNone.
 //   - Tallying pops failure masks with bits.OnesCount64 and touches
 //     per-year buckets only for set bits.
 //
 // The weight tables rely on the purity contract documented on
-// buildWeightCodes. Schemes whose domain mapping is not one of the stock
-// tags conservatively treat the whole trial as one domain (any two
-// weighted records force the scalar probe), which is still exact: a
-// single within-capacity record cannot fail any domainScheme regardless
-// of how domains partition the fleet. Non-domainScheme (opaque) schemes
-// are judged per lane via the same generic path Evaluator.EvaluateInto
-// uses.
+// buildWeightCodes; every scheme's domain is one of the three domainTag
+// mappings, which the mask pass indexes directly.
 
 // LaneWidth is the number of trials packed into one lane word.
 const LaneWidth = 64
@@ -257,7 +253,7 @@ func sigOf(r *FaultRecord) int32 {
 	return int32(r.Chip)*int32(laneNSig) + int32(laneSig(r))
 }
 
-// laneVecGroup is the number of domain schemes whose weight codes share
+// laneVecGroup is the number of schemes whose weight codes share
 // one interleaved table word; schemes beyond it go into further groups.
 const laneVecGroup = 8
 
@@ -274,10 +270,9 @@ const (
 // laneScheme is one scheme's bit-sliced state: the identity, domain and
 // kind fields are fixed by the tables, the masks are per-batch scratch.
 type laneScheme struct {
-	ds      *domainScheme // nil → opaque scheme, judged per lane
-	scheme  Scheme
-	domIdx  int // index into the per-record doms array
-	domains int // len(seen)
+	ds      *domainScheme
+	dom     domainTag // ds.dom, kept beside the masks for the mask pass
+	domains int       // len(seen)
 
 	seen    []uint64         // per-domain: lanes holding >= 1 weighted record
 	pair    uint64           // lanes where two weighted records met in one domain
@@ -314,8 +309,8 @@ type LaneEvaluator struct {
 	*laneTables
 	ls []laneScheme // the tables' proto, with this evaluator's scratch
 
-	// slots holds dsIdx as direct pointers into ls for the mask-pass inner
-	// loop: group g, byte k ↔ slots[g][k].
+	// slots points into ls for the mask-pass inner loop: group g, byte k ↔
+	// slots[g][k] = &ls[g*laneVecGroup+k].
 	slots [][laneVecGroup]*laneScheme
 
 	// overSlots[g][L] is the mask-pass scratch for single-record lanes:
@@ -328,8 +323,7 @@ type LaneEvaluator struct {
 
 	// Per-scheme results of the last EvaluateBatch. fail[s] bit L set
 	// means lane L failed scheme s, with the outcome in outs[s*64+L];
-	// clear bits mean {+Inf, FailNone} (outs not written). For opaque
-	// schemes outs is written for every live lane.
+	// clear bits mean {+Inf, FailNone} (outs not written).
 	fail []uint64
 	outs []TrialOutcome
 	// due/sdc split fail by outcome kind (a failing lane with some other
@@ -373,22 +367,17 @@ func (s *laneStats) add(o laneStats) {
 // worker of a campaign.
 type laneTables struct {
 	proto []laneScheme // fixed fields only; scratch fields zero
-	// dsIdx lists the indices into proto that are domain schemes, in table
-	// slot order: group g, byte k ↔ dsIdx[g*laneVecGroup+k].
-	dsIdx []int
 	// codes[g][sig] interleaves the weight codes of group g's schemes,
-	// byte k belonging to slot k. See buildWeightCodes. ovBytes[g][sig]
-	// is the same table pre-collapsed for single-record lanes: bit k set
-	// means the signature is overweight for slot k (the movemask multiply
-	// hoisted out of the mask pass).
+	// byte k belonging to scheme g*laneVecGroup+k (slot k). See
+	// buildWeightCodes. ovBytes[g][sig] is the same table pre-collapsed
+	// for single-record lanes: bit k set means the signature is overweight
+	// for slot k (the movemask multiply hoisted out of the mask pass).
 	codes   [][]uint64
 	ovBytes [][]uint8
 	// ovAny[sig] ORs ovBytes across groups: zero means the signature is
 	// overweight for no scheme at all, so a single-record lane with it
-	// provably survives everything (see singleSurvives). allDomain is true
-	// when every scheme is a domain scheme (no per-lane opaque judging).
-	ovAny     []uint8
-	allDomain bool
+	// provably survives everything (see singleSurvives).
+	ovAny []uint8
 }
 
 // NewLaneEvaluator builds the bit-sliced engine over ev's config and
@@ -400,38 +389,21 @@ func NewLaneEvaluator(ev *Evaluator) *LaneEvaluator {
 }
 
 func newLaneTables(ev *evalTables) *laneTables {
-	t := &laneTables{proto: make([]laneScheme, 0, len(ev.evals))}
+	t := &laneTables{proto: make([]laneScheme, 0, len(ev.schemes))}
 	cfg := ev.cfg
-	for i := range ev.evals {
-		se := &ev.evals[i]
-		ls := laneScheme{ds: se.ds, scheme: se.scheme}
-		if se.ds != nil {
-			switch se.ds.dom {
-			case domainRank:
-				ls.domIdx, ls.domains = 0, cfg.Channels*cfg.RanksPerChannel
-			case domainChannel:
-				ls.domIdx, ls.domains = 1, cfg.Channels
-			case domainChannelPair:
-				ls.domIdx, ls.domains = 2, (cfg.Channels+1)/2
-			default:
-				// Unknown mapping: fold the whole trial into one
-				// pseudo-domain. Conservative (more scalar probes),
-				// never wrong (see package comment).
-				ls.domIdx, ls.domains = 3, 1
-			}
-			ls.constKind, ls.hashFree = hashFreeKind(se.ds.kind)
-			t.dsIdx = append(t.dsIdx, i)
-		}
+	for _, ds := range ev.schemes {
+		ls := laneScheme{ds: ds, dom: ds.dom, domains: ds.domainCount(cfg)}
+		ls.constKind, ls.hashFree = hashFreeKind(ds.kind)
 		t.proto = append(t.proto, ls)
 	}
 	// Interleave the weight codes group by group.
 	ncodes := cfg.ChipsPerRank * laneNSig
 	var codes []uint8
-	for g := 0; g*laneVecGroup < len(t.dsIdx); g++ {
+	for g := 0; g*laneVecGroup < len(t.proto); g++ {
 		tab := make([]uint64, ncodes)
-		slots := t.dsIdx[g*laneVecGroup : min(len(t.dsIdx), (g+1)*laneVecGroup)]
-		for k, si := range slots {
-			codes = buildWeightCodes(cfg, t.proto[si].ds, codes)
+		group := t.proto[g*laneVecGroup : min(len(t.proto), (g+1)*laneVecGroup)]
+		for k := range group {
+			codes = buildWeightCodes(cfg, group[k].ds, codes)
 			for w, c := range codes {
 				tab[w] |= uint64(c) << (8 * k)
 			}
@@ -440,8 +412,8 @@ func newLaneTables(ev *evalTables) *laneTables {
 		for s, vec := range tab {
 			ovb[s] = uint8((vec & laneOver >> 1 * laneGather) >> 56)
 		}
-		for k, si := range slots {
-			if !t.proto[si].hashFree {
+		for k := range group {
+			if !group[k].hashFree {
 				continue
 			}
 			partial := false
@@ -451,12 +423,11 @@ func newLaneTables(ev *evalTables) *laneTables {
 					break
 				}
 			}
-			t.proto[si].noPair = !partial
+			group[k].noPair = !partial
 		}
 		t.codes = append(t.codes, tab)
 		t.ovBytes = append(t.ovBytes, ovb)
 	}
-	t.allDomain = len(t.dsIdx) == len(t.proto)
 	if len(t.ovBytes) > 0 {
 		t.ovAny = make([]uint8, ncodes)
 		for _, ovb := range t.ovBytes {
@@ -495,8 +466,8 @@ func (lv *LaneEvaluator) bind(ev *Evaluator, t *laneTables) {
 	}
 	lv.slots = grow(lv.slots, len(t.codes))
 	clear(lv.slots)
-	for j, si := range t.dsIdx {
-		lv.slots[j/laneVecGroup][j%laneVecGroup] = &lv.ls[si]
+	for j := range lv.ls {
+		lv.slots[j/laneVecGroup][j%laneVecGroup] = &lv.ls[j]
 	}
 	lv.overSlots = grow(lv.overSlots, len(t.codes))
 	lv.outs = grow(lv.outs, n*LaneWidth)
@@ -509,17 +480,13 @@ func (lv *LaneEvaluator) bind(ev *Evaluator, t *laneTables) {
 // every scheme, letting the batch pack loop drop the lane before it is
 // digested, judged or tallied. The proof is the mask pass's own
 // single-record argument run in reverse: a lone record can never pair,
-// so a domain scheme fails the lane only if the record is overweight,
+// so a scheme fails the lane only if the record is overweight,
 // and for in-envelope signatures (sig >= 0) ovAny==0 says it is
 // overweight for none of them (channel/rank bounds are irrelevant to
-// single-record verdicts — no domain bucketing happens). Opaque schemes
-// judge every lane individually and birthtime-scaling fatality fails
-// whole batches, so either disables the skip.
+// single-record verdicts — no domain bucketing happens). Birthtime-scaling
+// fatality fails every lane, so it disables the skip.
 func (lv *LaneEvaluator) singleSurvives(sig int32) bool {
-	if !lv.allDomain || lv.ev.scalingFatal {
-		return false
-	}
-	return uint64(sig) < uint64(len(lv.ovAny)) && lv.ovAny[sig] == 0
+	return !lv.ev.scalingFatal && uint64(sig) < uint64(len(lv.ovAny)) && lv.ovAny[sig] == 0
 }
 
 // buildWeightCodes tabulates ds.weight over every (chip position, fault
@@ -588,13 +555,8 @@ func (lv *LaneEvaluator) EvaluateBatch(b *LaneBatch) {
 
 	if ev.scalingFatal {
 		// Mirrors the reference probe's early-out: without On-Die ECC,
-		// birthtime scaling faults defeat every domain scheme at t=0.
+		// birthtime scaling faults defeat every scheme at t=0.
 		for si := range lv.ls {
-			ls := &lv.ls[si]
-			if ls.ds == nil {
-				lv.probeGeneric(b, si)
-				continue
-			}
 			lv.fail[si] = active
 			lv.due[si], lv.sdc[si] = 0, active
 			for L := 0; L < b.lanes; L++ {
@@ -634,7 +596,7 @@ func (lv *LaneEvaluator) EvaluateBatch(b *LaneBatch) {
 			sl[k].overS = m
 		}
 	}
-	for _, si := range lv.dsIdx {
+	for si := range lv.ls {
 		ls := &lv.ls[si]
 		lv.fail[si] = 0
 		lv.due[si], lv.sdc[si] = 0, 0
@@ -658,7 +620,7 @@ func (lv *LaneEvaluator) EvaluateBatch(b *LaneBatch) {
 	// weighted records sharing a domain, so concurrency probes cannot
 	// exceed capacity and its failure is exactly its earliest overweight
 	// record — the reference probe's single-record branch, inline.
-	for _, si := range lv.dsIdx {
+	for si := range lv.ls {
 		ls := &lv.ls[si]
 		outs := lv.outs[si*LaneWidth : (si+1)*LaneWidth]
 		fm := lv.fail[si]
@@ -708,17 +670,10 @@ func (lv *LaneEvaluator) EvaluateBatch(b *LaneBatch) {
 		}
 		lv.fail[si] = fm
 	}
-
-	// Opaque schemes last: they judge every lane individually.
-	for si := range lv.ls {
-		if lv.ls[si].ds == nil {
-			lv.probeGeneric(b, si)
-		}
-	}
 }
 
 // maskPass sweeps the batch's signatures once, classifying every lane for
-// every domain scheme. Single-record lanes never pair, so their verdict
+// every scheme. Single-record lanes never pair, so their verdict
 // needs only the signature: the overweight slot mask lands in overSlots
 // via a multiply-movemask without touching the record. Multi-record
 // lanes additionally run the per-domain seen/pair bookkeeping and track
@@ -730,7 +685,7 @@ func (lv *LaneEvaluator) EvaluateBatch(b *LaneBatch) {
 func (lv *LaneEvaluator) maskPass(b *LaneBatch) {
 	cfg := lv.ev.cfg
 	rpc, nch := cfg.RanksPerChannel, cfg.Channels
-	for _, si := range lv.dsIdx {
+	for si := range lv.ls {
 		ls := &lv.ls[si]
 		clear(ls.seen)
 		ls.pair, ls.over = 0, 0
@@ -741,10 +696,10 @@ func (lv *LaneEvaluator) maskPass(b *LaneBatch) {
 	lrs := b.lrs
 	urpc, unch := uint32(rpc), uint32(nch)
 	var scalar uint64
-	var doms [4]int32
+	var doms [3]int32 // the record's domain under each domainTag
 
 	if len(lv.codes) == 1 {
-		// One table word covers every domain scheme — the common case
+		// One table word covers every scheme — the common case
 		// (AllSchemes is 6) — so the group loop vanishes from the
 		// per-record path.
 		tab := lv.codes[0]
@@ -779,11 +734,11 @@ func (lv *LaneEvaluator) maskPass(b *LaneBatch) {
 				if vec == 0 {
 					continue // invisible to every scheme
 				}
-				doms = [4]int32{lr.ch*int32(rpc) + lr.rk, lr.ch, lr.ch / 2, 0}
+				doms = [3]int32{lr.ch*int32(rpc) + lr.rk, lr.ch, lr.ch / 2}
 				for wt := (vec | vec>>1) & laneWt; wt != 0; wt &= wt - 1 {
 					k := bits.TrailingZeros64(wt) >> 3
 					ls := sl[k]
-					dom := doms[ls.domIdx]
+					dom := doms[ls.dom]
 					m := ls.seen[dom]
 					ls.pair |= m & bit
 					ls.seen[dom] = m | bit
@@ -826,7 +781,7 @@ func (lv *LaneEvaluator) maskPass(b *LaneBatch) {
 				scalar |= bit
 				break
 			}
-			doms = [4]int32{lr.ch*int32(rpc) + lr.rk, lr.ch, lr.ch / 2, 0}
+			doms = [3]int32{lr.ch*int32(rpc) + lr.rk, lr.ch, lr.ch / 2}
 			for g := range lv.codes {
 				vec := lv.codes[g][lr.sig]
 				if vec == 0 {
@@ -836,7 +791,7 @@ func (lv *LaneEvaluator) maskPass(b *LaneBatch) {
 				for wt := (vec | vec>>1) & laneWt; wt != 0; wt &= wt - 1 {
 					k := bits.TrailingZeros64(wt) >> 3
 					ls := sl[k]
-					dom := doms[ls.domIdx]
+					dom := doms[ls.dom]
 					m := ls.seen[dom]
 					ls.pair |= m & bit
 					ls.seen[dom] = m | bit
@@ -853,9 +808,9 @@ func (lv *LaneEvaluator) maskPass(b *LaneBatch) {
 	lv.scalar = scalar
 }
 
-// probeLane judges lane L under every domain scheme whose need mask holds
-// it, sharing one digest (Evaluator.prepare) across the schemes and
-// containing any panic to the lane.
+// probeLane judges lane L under every scheme whose need mask holds it,
+// sharing one digest (Evaluator.prepare) across the schemes and containing
+// any panic to the lane.
 func (lv *LaneEvaluator) probeLane(b *LaneBatch, L int) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -867,7 +822,7 @@ func (lv *LaneEvaluator) probeLane(b *LaneBatch, L int) {
 	faults := b.LaneFaults(L)
 	lv.ev.prepare(faults)
 	bit := uint64(1) << uint(L)
-	for _, si := range lv.dsIdx {
+	for si := range lv.ls {
 		ls := &lv.ls[si]
 		if ls.need&bit == 0 {
 			continue
@@ -886,43 +841,6 @@ func (lv *LaneEvaluator) probeLane(b *LaneBatch, L int) {
 	}
 }
 
-// probeGeneric judges every live lane under an opaque (non-domainScheme)
-// scheme. Unlike domain schemes, outcomes are stored for alive lanes too:
-// an opaque KindedScheme may legally return a finite-kind survival that
-// AppendLaneOutcomes must reproduce.
-func (lv *LaneEvaluator) probeGeneric(b *LaneBatch, si int) {
-	lv.fail[si] = 0
-	lv.due[si], lv.sdc[si] = 0, 0
-	lv.addProbes(b.lanes)
-	for L := 0; L < b.lanes; L++ {
-		if b.voided&(1<<uint(L)) != 0 {
-			continue
-		}
-		lv.probeGenericLane(b, si, L)
-	}
-}
-
-func (lv *LaneEvaluator) probeGenericLane(b *LaneBatch, si, L int) {
-	defer func() {
-		if r := recover(); r != nil {
-			b.voided |= 1 << uint(L)
-			b.panicVal[L] = fmt.Sprint(r)
-			b.stack[L] = string(debug.Stack())
-		}
-	}()
-	out := lv.ev.genericOutcome(lv.ls[si].scheme, b.LaneFaults(L))
-	lv.outs[si*LaneWidth+L] = out
-	if !math.IsInf(out.FailTime, 1) {
-		lv.fail[si] |= 1 << uint(L)
-		switch out.Kind {
-		case FailDUE:
-			lv.due[si] |= 1 << uint(L)
-		case FailSDC:
-			lv.sdc[si] |= 1 << uint(L)
-		}
-	}
-}
-
 // FailMask returns the last batch's failure lane mask for scheme s.
 func (lv *LaneEvaluator) FailMask(s int) uint64 { return lv.fail[s] }
 
@@ -933,10 +851,9 @@ func (lv *LaneEvaluator) AppendLaneOutcomes(L int, out []TrialOutcome) []TrialOu
 	out = out[:0]
 	bit := uint64(1) << uint(L)
 	for si := range lv.ls {
-		switch {
-		case lv.fail[si]&bit != 0 || lv.ls[si].ds == nil:
+		if lv.fail[si]&bit != 0 {
 			out = append(out, lv.outs[si*LaneWidth+L])
-		default:
+		} else {
 			out = append(out, TrialOutcome{FailTime: math.Inf(1), Kind: FailNone})
 		}
 	}

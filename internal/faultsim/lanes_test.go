@@ -31,8 +31,9 @@ func denseConfig(factor FIT) Config {
 // TestLaneEngineBoundaries pins the lane-packing arithmetic at the word
 // boundaries: trial counts around one lane word, chunks smaller than a
 // word (so every batch is partial), and chunks that split words unevenly —
-// with planned trials only (empty trials survive) and with every trial
-// packed (scaling faults without On-Die ECC fail even empty trials). The
+// on a dense config, where planned trials are packed into lanes, and on a
+// scaling-fatal one (scaling faults without On-Die ECC), where every
+// trial, empty or not, fails and the chunk is tallied without a plan. The
 // campaign must match both scalar oracles on the same planned chunks.
 func TestLaneEngineBoundaries(t *testing.T) {
 	fatal := denseConfig(150)
@@ -83,21 +84,9 @@ func TestLaneEngineEquivalenceSweep(t *testing.T) {
 	}
 }
 
-// chipParityScheme builds a domainScheme with an off-menu domain mapping
-// (chips split by parity) and no domainTag: the lane engine must detect
-// the custom mapping and stay exact through the conservative
-// whole-trial-as-one-domain path.
-func chipParityScheme(capacity int) Scheme {
-	return &domainScheme{
-		name:     "chip-parity",
-		domainOf: func(cfg *Config, r *FaultRecord) int { return r.Chip % 2 },
-		capacity: capacity,
-		weight:   visibleWeight,
-		kind:     xedKind,
-	}
-}
-
-func TestLaneEngineCustomDomainAndHeavyWeights(t *testing.T) {
+// TestLaneEngineHeavyWeights: weights straddling the scalar probe's int8
+// envelope — 130 forces its reference fallback inside a lane probe.
+func TestLaneEngineHeavyWeights(t *testing.T) {
 	cfg := denseConfig(200)
 	heavy := func(w int) weightFunc {
 		return func(cfg *Config, r *FaultRecord) int {
@@ -109,25 +98,22 @@ func TestLaneEngineCustomDomainAndHeavyWeights(t *testing.T) {
 	}
 	schemes := []Scheme{
 		NewXED(),
-		chipParityScheme(1),
-		// Weights straddling the scalar probe's int8 envelope: 130 forces
-		// its reference fallback inside a lane probe.
 		NewRankErasureScheme("Heavy120", 200, heavy(120)),
 		NewRankErasureScheme("Heavy130", 200, heavy(130)),
 	}
 	opts := CampaignOptions{Trials: 20_000, Seed: 3, ChunkSize: 512, Workers: 2}
 	rep := mustCampaign(t, context.Background(), cfg, schemes, opts)
 	for judge, fn := range oracleJudges {
-		sameCampaign(t, "custom/heavy schemes vs "+judge, rep, oracleCampaign(t, cfg, schemes, opts, fn))
+		sameCampaign(t, "heavy schemes vs "+judge, rep, oracleCampaign(t, cfg, schemes, opts, fn))
 	}
 }
 
-// TestLaneEnginePanicIsolation: a panicking opaque scheme voids exactly
-// the trials it voids under the EvaluateInto oracle, with the same replay
-// records, and the surviving tallies stay bit-identical.
+// TestLaneEnginePanicIsolation: a scheme panicking in the scalar probe
+// voids exactly the trials it voids under the EvaluateInto oracle, with
+// the same replay records, and the surviving tallies stay bit-identical.
 func TestLaneEnginePanicIsolation(t *testing.T) {
 	cfg := DefaultConfig()
-	schemes := []Scheme{NewXED(), &panicScheme{minFaults: 2}}
+	schemes := []Scheme{NewXED(), panicScheme()}
 	opts := campaignTestOpts()
 	opts.ErrorBudget = 1 << 20
 	rep, err := RunCampaign(context.Background(), cfg, schemes, opts)
@@ -135,7 +121,7 @@ func TestLaneEnginePanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rep.TrialErrors) == 0 {
-		t.Fatal("stub never panicked; weaken minFaults")
+		t.Fatal("stub never panicked")
 	}
 	sameCampaign(t, "under panics", rep, oracleCampaign(t, cfg, schemes, opts, (*Evaluator).EvaluateInto))
 	// The error budget is enforced at merge.

@@ -7,13 +7,21 @@ import (
 )
 
 // Scheme judges one trial's fault stream for one protection organisation.
+// Every organisation the paper evaluates is a chip-erasure budget per
+// protection domain, so the set is closed: only this package's
+// constructors implement Scheme, and a new code joins as a weight function
+// plus a domain (see NewRankErasureScheme).
 type Scheme interface {
 	// Name identifies the scheme in tables.
 	Name() string
-	// FailTime returns the earliest hour at which the scheme's system
-	// fails (uncorrectable, mis-corrected or silent error), or +Inf if
-	// it survives the whole lifetime.
-	FailTime(cfg *Config, faults []FaultRecord) float64
+	// FailTimeKind is the reference probe: the earliest hour at which the
+	// scheme's system fails (uncorrectable, mis-corrected or silent
+	// error) and its DUE/SDC kind, or +Inf and FailNone if it survives
+	// the whole lifetime.
+	FailTimeKind(cfg *Config, faults []FaultRecord) (float64, FailKind)
+	// budget returns the scheme's domain-budget description, the one
+	// thing the judging engines read. It also seals the interface.
+	budget() *domainScheme
 }
 
 // chipWeight is the correction budget one faulty chip consumes in an
@@ -26,16 +34,24 @@ type Scheme interface {
 //	    symbols (2t+e ≤ R) on a chip whose damage produced no catch-word.
 type weightFunc func(cfg *Config, r *FaultRecord) int
 
-// domainTag names the stock domain mappings so engines that cannot
-// compare function values (the lane engine's mask pass) can recognise
-// them. The zero value marks an off-menu mapping, which the lane engine
-// handles conservatively (whole trial as one pseudo-domain).
+// domainTag names a protection domain: the set of chips whose concurrent
+// damage draws on one correction budget.
 type domainTag uint8
 
 const (
-	domainCustom domainTag = iota
-	domainRank
+	// domainRank: each rank protects itself (Non-ECC, SECDED, XED).
+	domainRank domainTag = iota
+	// domainChannel gangs both ranks of one channel's dual-rank DIMM — the
+	// paper's x8 Chipkill organisation ("accessing two memory ranks (x8
+	// devices) simultaneously", §I). The 18-chip gang is one DIMM, so a
+	// multi-rank fault puts two concurrently faulty chips into a single
+	// gang — fatal for single-symbol correction, survivable for the
+	// two-erasure schemes. This asymmetry is one of the mechanisms behind
+	// XED's 4x edge over Chipkill in Figure 7.
 	domainChannel
+	// domainChannelPair gangs the two DIMMs of channels {2i, 2i+1} — the
+	// 36-chip Double-Chipkill organisation (four ranks across two
+	// channels).
 	domainChannelPair
 )
 
@@ -44,8 +60,7 @@ const (
 // concurrently faulty distinct chips in any domain exceeds the capacity.
 type domainScheme struct {
 	name     string
-	domainOf func(cfg *Config, r *FaultRecord) int
-	dom      domainTag // must agree with domainOf; see domainTag
+	dom      domainTag
 	capacity int
 	weight   weightFunc
 	kind     kindFunc
@@ -54,10 +69,31 @@ type domainScheme struct {
 // Name implements Scheme.
 func (s *domainScheme) Name() string { return s.name }
 
-// FailTime implements Scheme.
-func (s *domainScheme) FailTime(cfg *Config, faults []FaultRecord) float64 {
-	t, _ := s.FailTimeKind(cfg, faults)
-	return t
+func (s *domainScheme) budget() *domainScheme { return s }
+
+// domainOf returns the index of r's protection domain, in [0,
+// domainCount(cfg)) for records inside the configured fleet.
+func (s *domainScheme) domainOf(cfg *Config, r *FaultRecord) int {
+	switch s.dom {
+	case domainRank:
+		return r.Channel*cfg.RanksPerChannel + r.Rank
+	case domainChannel:
+		return r.Channel
+	default:
+		return r.Channel / 2
+	}
+}
+
+// domainCount returns how many protection domains cfg's fleet holds.
+func (s *domainScheme) domainCount(cfg *Config) int {
+	switch s.dom {
+	case domainRank:
+		return cfg.Channels * cfg.RanksPerChannel
+	case domainChannel:
+		return cfg.Channels
+	default:
+		return (cfg.Channels + 1) / 2
+	}
 }
 
 // chipKey identifies one chip of the fleet in the reference probe's
@@ -65,15 +101,14 @@ func (s *domainScheme) FailTime(cfg *Config, faults []FaultRecord) float64 {
 // probe loop obscured that it is loop-invariant.)
 type chipKey struct{ ch, rank, chip int }
 
-// FailTimeKind implements KindedScheme: the earliest failure instant plus
-// its DUE/SDC classification.
+// FailTimeKind implements Scheme: the earliest failure instant plus its
+// DUE/SDC classification.
 //
 // This is the REFERENCE implementation: a direct O(n²) transcription of the
-// probe semantics, kept for clarity and as the oracle for
-// TestEvaluatorMatchesReferenceProbe. The Monte-Carlo campaign (Run,
-// Trace.Judge) evaluates trials through the pre-indexed Evaluator instead,
-// which returns bit-identical results without the per-record map
-// allocation.
+// probe semantics, kept for clarity and as the oracle the tests hold the
+// engines to. Campaigns judge through the lane engine (lanes.go), whose
+// scalar probe is the pre-indexed Evaluator; both return bit-identical
+// results without the per-record map allocation.
 func (s *domainScheme) FailTimeKind(cfg *Config, faults []FaultRecord) (float64, FailKind) {
 	// Without On-Die ECC, birthtime scaling faults saturate every
 	// scheme immediately: at 10^-4 per bit, codewords with multi-bit
@@ -152,30 +187,6 @@ func (s *domainScheme) FailTimeKind(cfg *Config, faults []FaultRecord) (float64,
 		}
 	}
 	return fail, kind
-}
-
-// --- domain mappings ---
-
-// rankDomain: each rank protects itself (Non-ECC, SECDED, XED).
-func rankDomain(cfg *Config, r *FaultRecord) int {
-	return r.Channel*cfg.RanksPerChannel + r.Rank
-}
-
-// dimmGangDomain gangs both ranks of one channel's dual-rank DIMM — the
-// paper's x8 Chipkill organisation ("accessing two memory ranks (x8
-// devices) simultaneously", §I). The 18-chip gang is one DIMM, so a
-// multi-rank fault puts two concurrently faulty chips into a single gang —
-// fatal for single-symbol correction, survivable for the two-erasure
-// schemes. This asymmetry is one of the mechanisms behind XED's 4x edge
-// over Chipkill in Figure 7.
-func dimmGangDomain(cfg *Config, r *FaultRecord) int {
-	return r.Channel
-}
-
-// dimmPairGangDomain gangs the two DIMMs of channels {2i, 2i+1} — the
-// 36-chip Double-Chipkill organisation (four ranks across two channels).
-func dimmPairGangDomain(cfg *Config, r *FaultRecord) int {
-	return r.Channel / 2
 }
 
 // --- weight functions ---
@@ -258,37 +269,37 @@ func nonECCWeight(cfg *Config, r *FaultRecord) int {
 // NewNonECC is the 8-chip DIMM of Figure 1: no DIMM-level redundancy at
 // all; any visible fault is silent data corruption.
 func NewNonECC() Scheme {
-	return &domainScheme{name: "NonECC", domainOf: rankDomain, dom: domainRank, capacity: 0, weight: nonECCWeight, kind: nonECCKind}
+	return &domainScheme{name: "NonECC", dom: domainRank, capacity: 0, weight: nonECCWeight, kind: nonECCKind}
 }
 
 // NewSECDED is the conventional 9-chip ECC-DIMM (§II-D1).
 func NewSECDED() Scheme {
-	return &domainScheme{name: "ECC-DIMM (SECDED)", domainOf: rankDomain, dom: domainRank, capacity: 0, weight: secdedWeight, kind: secdedKind}
+	return &domainScheme{name: "ECC-DIMM (SECDED)", dom: domainRank, capacity: 0, weight: secdedWeight, kind: secdedKind}
 }
 
 // NewXED is the paper's proposal on a 9-chip ECC-DIMM: one erasure per
 // rank via catch-words + RAID-3 parity (§V), diagnosis for silent
 // permanent faults (§VI), serial-mode for scaling faults (§VII).
 func NewXED() Scheme {
-	return &domainScheme{name: "XED", domainOf: rankDomain, dom: domainRank, capacity: 1, weight: xedWeight, kind: xedKind}
+	return &domainScheme{name: "XED", dom: domainRank, capacity: 1, weight: xedWeight, kind: xedKind}
 }
 
 // NewChipkill is commercial SSC-DSD Chipkill over 18 lockstepped chips:
 // corrects one chip, detects two (detection without correction is still a
 // failed system).
 func NewChipkill() Scheme {
-	return &domainScheme{name: "Chipkill", domainOf: dimmGangDomain, dom: domainChannel, capacity: 1, weight: visibleWeight, kind: chipkillKind}
+	return &domainScheme{name: "Chipkill", dom: domainChannel, capacity: 1, weight: visibleWeight, kind: chipkillKind}
 }
 
 // NewDoubleChipkill corrects any two chips among 36 (§IX).
 func NewDoubleChipkill() Scheme {
-	return &domainScheme{name: "Double-Chipkill", domainOf: dimmPairGangDomain, dom: domainChannelPair, capacity: 2, weight: visibleWeight, kind: dblChipkillKind}
+	return &domainScheme{name: "Double-Chipkill", dom: domainChannelPair, capacity: 2, weight: visibleWeight, kind: dblChipkillKind}
 }
 
 // NewXEDChipkill is XED over Single-Chipkill hardware: catch-words turn
 // the two check symbols into two erasure corrections (§IX-A).
 func NewXEDChipkill() Scheme {
-	return &domainScheme{name: "XED+Chipkill", domainOf: dimmGangDomain, dom: domainChannel, capacity: 2, weight: xedChipkillWeight, kind: xedChipkillKind}
+	return &domainScheme{name: "XED+Chipkill", dom: domainChannel, capacity: 2, weight: xedChipkillWeight, kind: xedChipkillKind}
 }
 
 // VisibleWeight is the baseline per-record chip weight shared by the
@@ -307,5 +318,5 @@ func VisibleWeight(cfg *Config, r *FaultRecord) int { return visibleWeight(cfg, 
 // the Evaluator's int8 fast-path envelope, or a deliberately sabotaged XED
 // whose refutation a statistical acceptance test must demonstrate.
 func NewRankErasureScheme(name string, capacity int, weight func(cfg *Config, r *FaultRecord) int) Scheme {
-	return &domainScheme{name: name, domainOf: rankDomain, dom: domainRank, capacity: capacity, weight: weight, kind: xedKind}
+	return &domainScheme{name: name, dom: domainRank, capacity: capacity, weight: weight, kind: xedKind}
 }

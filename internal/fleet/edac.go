@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -81,19 +80,51 @@ func NewEDACSnapshot(cfg *Config, mcs []MCCounters) *EDACSnapshot {
 // Dump renders the snapshot as "<sysfs-path> <value>" lines, mc0 first,
 // attributes in edacAttrs order. ParseEDACDump inverts it exactly.
 func (s *EDACSnapshot) Dump() []byte {
-	var b bytes.Buffer
+	size := 0
 	for i := range s.MCs {
 		mc := &s.MCs[i]
-		p := edacPrefix + strconv.Itoa(i) + "/"
-		fmt.Fprintf(&b, "%smc_name %s\n", p, mc.Name)
-		fmt.Fprintf(&b, "%ssize_mb %d\n", p, mc.SizeMB)
-		fmt.Fprintf(&b, "%sseconds_since_reset %d\n", p, mc.SecondsSinceReset)
-		fmt.Fprintf(&b, "%sce_count %d\n", p, mc.Counters.CE)
-		fmt.Fprintf(&b, "%sce_noinfo_count %d\n", p, mc.Counters.CENoInfo)
-		fmt.Fprintf(&b, "%sue_count %d\n", p, mc.Counters.UE)
-		fmt.Fprintf(&b, "%sue_noinfo_count %d\n", p, mc.Counters.UENoInfo)
+		size += len(edacAttrs)*(len(edacPrefix)+decLen(uint64(i))+3) + len(mc.Name)
+		for _, v := range mc.values() {
+			size += decLen(*v)
+		}
 	}
-	return b.Bytes()
+	for _, attr := range edacAttrs {
+		size += len(s.MCs) * len(attr)
+	}
+	b := make([]byte, 0, size)
+	for i := range s.MCs {
+		mc := &s.MCs[i]
+		vals := mc.values()
+		for a, attr := range edacAttrs {
+			b = append(b, edacPrefix...)
+			b = strconv.AppendUint(b, uint64(i), 10)
+			b = append(b, '/')
+			b = append(b, attr...)
+			b = append(b, ' ')
+			if a == 0 {
+				b = append(b, mc.Name...)
+			} else {
+				b = strconv.AppendUint(b, *vals[a-1], 10)
+			}
+			b = append(b, '\n')
+		}
+	}
+	return b
+}
+
+// values points at the record's numeric attributes in edacAttrs order
+// (every attribute after mc_name).
+func (r *MCRecord) values() [len(edacAttrs) - 1]*uint64 {
+	return [...]*uint64{&r.SizeMB, &r.SecondsSinceReset, &r.Counters.CE, &r.Counters.CENoInfo, &r.Counters.UE, &r.Counters.UENoInfo}
+}
+
+// decLen is the number of decimal digits in v.
+func decLen(v uint64) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // ParseEDACDump inverts Dump: it accepts any ordering of complete MC
@@ -102,84 +133,89 @@ func (s *EDACSnapshot) Dump() []byte {
 // values. For every snapshot s, ParseEDACDump(s.Dump()) reproduces s
 // exactly (names may contain spaces; values run to end of line).
 func ParseEDACDump(data []byte) (*EDACSnapshot, error) {
-	type partial struct {
-		rec  MCRecord
-		seen map[string]bool
-	}
-	mcs := make(map[int]*partial)
-	for ln, line := range strings.Split(string(data), "\n") {
-		if line == "" {
+	// A dense dump's controllers cannot outnumber its lines, so no valid
+	// index reaches the line count.
+	lines := bytes.Count(data, []byte{'\n'}) + 1
+	mcCap := (lines + len(edacAttrs) - 1) / len(edacAttrs)
+	recs := make([]MCRecord, 0, mcCap)
+	seen := make([]uint8, 0, mcCap) // per controller: bit a set once edacAttrs[a] was read
+	name := ""                      // the last mc_name read, shared by controllers repeating it
+	for ln := 1; len(data) > 0; ln++ {
+		line := data
+		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
+			line, data = data[:nl], data[nl+1:]
+		} else {
+			data = nil
+		}
+		if len(line) == 0 {
 			continue
 		}
-		rest, ok := strings.CutPrefix(line, edacPrefix)
-		if !ok {
-			return nil, fmt.Errorf("fleet: edac dump line %d: path does not start with %s", ln+1, edacPrefix)
+		if len(line) < len(edacPrefix) || string(line[:len(edacPrefix)]) != edacPrefix {
+			return nil, fmt.Errorf("fleet: edac dump line %d: path does not start with %s", ln, edacPrefix)
 		}
-		slash := strings.IndexByte(rest, '/')
+		rest := line[len(edacPrefix):]
+		slash := bytes.IndexByte(rest, '/')
 		if slash < 0 {
-			return nil, fmt.Errorf("fleet: edac dump line %d: missing attribute path", ln+1)
+			return nil, fmt.Errorf("fleet: edac dump line %d: missing attribute path", ln)
 		}
-		idx, err := strconv.Atoi(rest[:slash])
+		idx, err := strconv.Atoi(string(rest[:slash]))
 		if err != nil || idx < 0 {
-			return nil, fmt.Errorf("fleet: edac dump line %d: bad controller index %q", ln+1, rest[:slash])
+			return nil, fmt.Errorf("fleet: edac dump line %d: bad controller index %q", ln, rest[:slash])
+		}
+		if idx >= lines {
+			return nil, fmt.Errorf("fleet: edac dump line %d: controller index mc%d cannot be dense in %d lines", ln, idx, lines)
 		}
 		attrVal := rest[slash+1:]
-		space := strings.IndexByte(attrVal, ' ')
+		space := bytes.IndexByte(attrVal, ' ')
 		if space < 0 {
-			return nil, fmt.Errorf("fleet: edac dump line %d: missing value", ln+1)
+			return nil, fmt.Errorf("fleet: edac dump line %d: missing value", ln)
 		}
 		attr, val := attrVal[:space], attrVal[space+1:]
-		p := mcs[idx]
-		if p == nil {
-			p = &partial{seen: make(map[string]bool, len(edacAttrs))}
-			mcs[idx] = p
+		a := 0
+		for a < len(edacAttrs) && string(attr) != edacAttrs[a] {
+			a++
 		}
-		if p.seen[attr] {
-			return nil, fmt.Errorf("fleet: edac dump line %d: duplicate attribute mc%d/%s", ln+1, idx, attr)
+		if a == len(edacAttrs) {
+			return nil, fmt.Errorf("fleet: edac dump line %d: unknown attribute %q", ln, attr)
 		}
-		p.seen[attr] = true
-		switch attr {
-		case "mc_name":
-			p.rec.Name = val
-		case "size_mb", "seconds_since_reset", "ce_count", "ce_noinfo_count", "ue_count", "ue_noinfo_count":
-			n, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: edac dump line %d: mc%d/%s value %q is not a uint64", ln+1, idx, attr, val)
+		for idx >= len(recs) {
+			recs = append(recs, MCRecord{})
+			seen = append(seen, 0)
+		}
+		if seen[idx]&(1<<a) != 0 {
+			return nil, fmt.Errorf("fleet: edac dump line %d: duplicate attribute mc%d/%s", ln, idx, attr)
+		}
+		seen[idx] |= 1 << a
+		if a == 0 {
+			if string(val) != name {
+				name = string(val)
 			}
-			switch attr {
-			case "size_mb":
-				p.rec.SizeMB = n
-			case "seconds_since_reset":
-				p.rec.SecondsSinceReset = n
-			case "ce_count":
-				p.rec.Counters.CE = n
-			case "ce_noinfo_count":
-				p.rec.Counters.CENoInfo = n
-			case "ue_count":
-				p.rec.Counters.UE = n
-			case "ue_noinfo_count":
-				p.rec.Counters.UENoInfo = n
-			}
-		default:
-			return nil, fmt.Errorf("fleet: edac dump line %d: unknown attribute %q", ln+1, attr)
+			recs[idx].Name = name
+			continue
+		}
+		n, err := strconv.ParseUint(string(val), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: edac dump line %d: mc%d/%s value %q is not a uint64", ln, idx, attr, val)
+		}
+		*recs[idx].values()[a-1] = n
+	}
+	mcs := 0
+	for _, m := range seen {
+		if m != 0 {
+			mcs++
 		}
 	}
-	snap := &EDACSnapshot{MCs: make([]MCRecord, len(mcs))}
-	for i := range snap.MCs {
-		p := mcs[i]
-		if p == nil {
-			return nil, fmt.Errorf("fleet: edac dump: controller indices not dense (missing mc%d of %d)", i, len(mcs))
+	for i := 0; i < mcs; i++ {
+		if seen[i] == 0 {
+			return nil, fmt.Errorf("fleet: edac dump: controller indices not dense (missing mc%d of %d)", i, mcs)
 		}
-		if len(p.seen) != len(edacAttrs) {
-			for _, a := range edacAttrs {
-				if !p.seen[a] {
-					return nil, fmt.Errorf("fleet: edac dump: mc%d missing attribute %s", i, a)
-				}
+		for a, attr := range edacAttrs {
+			if seen[i]&(1<<a) == 0 {
+				return nil, fmt.Errorf("fleet: edac dump: mc%d missing attribute %s", i, attr)
 			}
 		}
-		snap.MCs[i] = p.rec
 	}
-	return snap, nil
+	return &EDACSnapshot{MCs: recs}, nil
 }
 
 // View is the live EDAC data source the /edac HTTP view serves. A running

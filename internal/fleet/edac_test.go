@@ -91,6 +91,32 @@ func TestParseEDACDumpRejects(t *testing.T) {
 	}
 }
 
+// TestEDACRoundTripAllocs pins the round trip's allocations on a snapshot
+// the size of the fleet-harp benchmark's (123 controllers): Dump sizes its
+// buffer exactly and allocates once, and ParseEDACDump allocates only the
+// records, their attribute masks, the name the controllers share and the
+// snapshot — nothing per line or per controller.
+func TestEDACRoundTripAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DIMMsPerMC = 65536
+	cfg.DIMMs = 123 * cfg.DIMMsPerMC
+	mcs := make([]MCCounters, cfg.MCs())
+	for i := range mcs {
+		mcs[i] = MCCounters{CE: uint64(i) * 977, CENoInfo: uint64(i), UE: uint64(i % 3), UENoInfo: 1 << 40}
+	}
+	snap := NewEDACSnapshot(&cfg, mcs)
+	dump := snap.Dump()
+	if len(dump) != cap(dump) {
+		t.Errorf("Dump reserved %d bytes for a %d-byte dump", cap(dump), len(dump))
+	}
+	if n := testing.AllocsPerRun(20, func() { snap.Dump() }); n != 1 {
+		t.Errorf("Dump allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { ParseEDACDump(dump) }); n > 4 {
+		t.Errorf("ParseEDACDump allocates %v times for %d controllers, want at most 4", n, len(mcs))
+	}
+}
+
 func TestNewEDACSnapshotPartialLastMC(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DIMMs = 11 // 8 + 3: the second controller hosts only 3 DIMMs

@@ -614,8 +614,10 @@ func TestEveryFleetSchemeSurvivesEmptyDIMMs(t *testing.T) {
 		for _, onDie := range []bool{false, true} {
 			cfg := testConfig(100)
 			cfg.Scheme, cfg.OnDie = name, onDie
-			if w := testWorker(t, &cfg, 1); !w.ev.EmptyTrialsSurvive() {
-				t.Errorf("%s (on-die %v) fails a DIMM with no faults", name, onDie)
+			for _, out := range testWorker(t, &cfg, 1).ev.EvaluateInto(nil, nil) {
+				if !math.IsInf(out.FailTime, 1) {
+					t.Errorf("%s (on-die %v) fails a DIMM with no faults: %+v", name, onDie, out)
+				}
 			}
 		}
 	}

@@ -130,9 +130,6 @@ func (r *Result) BusUtilization() float64 {
 	return float64(r.BusCycles) / float64(r.Cycles) / 4 // 4 channels in Table V
 }
 
-// IPC is retired instructions per memory-bus cycle across all cores.
-func (r *Result) IPC() float64 { return float64(r.Instructions) / float64(r.Cycles) }
-
 // AvgReadLatency is the mean demand-read latency in bus cycles.
 func (r *Result) AvgReadLatency() float64 {
 	if r.Reads == 0 {

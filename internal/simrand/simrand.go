@@ -63,26 +63,6 @@ func (s *Source) Uint64() uint64 {
 	return result
 }
 
-// Jump advances the generator 2^128 steps, equivalent to 2^128 calls to
-// Uint64. It is used to derive non-overlapping streams for worker
-// goroutines that must share one logical seed.
-func (s *Source) Jump() {
-	jump := [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	var t0, t1, t2, t3 uint64
-	for _, j := range jump {
-		for b := 0; b < 64; b++ {
-			if j&(1<<uint(b)) != 0 {
-				t0 ^= s.s0
-				t1 ^= s.s1
-				t2 ^= s.s2
-				t3 ^= s.s3
-			}
-			s.Uint64()
-		}
-	}
-	s.s0, s.s1, s.s2, s.s3 = t0, t1, t2, t3
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) * (1.0 / (1 << 53))
@@ -246,9 +226,6 @@ func NewPoissonSampler(mean float64) PoissonSampler {
 
 // Mean returns the sampler's mean.
 func (p *PoissonSampler) Mean() float64 { return p.mean }
-
-// PZero returns P(N == 0) = e^-mean.
-func (p *PoissonSampler) PZero() float64 { return p.expNegMean }
 
 // Sample draws one variate. It consumes the same uniforms in the same
 // order as Source.Poisson(mean), so switching call sites preserves streams.
@@ -466,51 +443,4 @@ func (s *Source) Bernoulli(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
-}
-
-// Binomial returns a Binomial(n, p) variate. For small n it flips n coins;
-// for large n with small mean it samples via waiting times (geometric
-// skipping), which is O(np) instead of O(n).
-func (s *Source) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if n < 32 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if s.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	// Geometric skipping: the gap between successes is geometric.
-	logq := math.Log1p(-p)
-	k := 0
-	i := 0
-	for {
-		u := s.Float64()
-		if u <= 0 {
-			continue
-		}
-		i += int(math.Log(u)/logq) + 1
-		if i > n {
-			return k
-		}
-		k++
-	}
-}
-
-// Perm fills out with a uniformly random permutation of 0..len(out)-1.
-func (s *Source) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
 }

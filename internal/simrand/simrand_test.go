@@ -3,7 +3,6 @@ package simrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -114,34 +113,6 @@ func TestPoissonMoments(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	r := New(6)
-	cases := []struct {
-		n int
-		p float64
-	}{{10, 0.3}, {1000, 0.001}, {1000, 0.8}, {64, 0.5}}
-	for _, c := range cases {
-		const trials = 80_000
-		sum := 0.0
-		for i := 0; i < trials; i++ {
-			v := r.Binomial(c.n, c.p)
-			if v < 0 || v > c.n {
-				t.Fatalf("Binomial(%d,%v) = %d out of range", c.n, c.p, v)
-			}
-			sum += float64(v)
-		}
-		mean := sum / trials
-		want := float64(c.n) * c.p
-		sd := math.Sqrt(want * (1 - c.p))
-		if math.Abs(mean-want) > 5*sd/math.Sqrt(trials)+0.01 {
-			t.Fatalf("Binomial(%d,%v) mean %v, want %v", c.n, c.p, mean, want)
-		}
-	}
-	if New(1).Binomial(10, 0) != 0 || New(1).Binomial(10, 1) != 10 || New(1).Binomial(0, 0.5) != 0 {
-		t.Fatal("binomial edge cases")
-	}
-}
-
 func TestBernoulliEdges(t *testing.T) {
 	r := New(7)
 	if r.Bernoulli(0) || !r.Bernoulli(1) {
@@ -156,41 +127,6 @@ func TestBernoulliEdges(t *testing.T) {
 	}
 	if f := float64(hits) / n; f < 0.24 || f > 0.26 {
 		t.Fatalf("Bernoulli(0.25) rate %v", f)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(8)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw)%50 + 1
-		out := make([]int, n)
-		r.Perm(out)
-		seen := make([]bool, n)
-		for _, v := range out {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestJumpProducesDisjointStream(t *testing.T) {
-	a := New(9)
-	b := New(9)
-	b.Jump()
-	same := 0
-	for i := 0; i < 10_000; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("jumped stream overlaps: %d matches", same)
 	}
 }
 
