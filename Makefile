@@ -54,10 +54,10 @@ benchstat:
 # scales all of them.
 FUZZTIME ?= 30s
 fuzz:
-	go test -fuzz=FuzzCode64CRC8 -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ecc/
+	go test -fuzz='^FuzzCode64$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ecc/
 	go test -fuzz=FuzzCRC8Miscorrection -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ecc/
 	go test -fuzz=FuzzRSErasureRoundTrip -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ecc/
-	go test -fuzz=FuzzLinearCodeVsHandRolled -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ecc/
+	go test -fuzz=FuzzLinearCodeVsNaive -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ecc/
 	go test -fuzz=FuzzEvaluatorVsReference -fuzztime=$(FUZZTIME) -run='^$$' ./internal/faultsim/
 	go test -fuzz=FuzzLaneVsIndexedEvaluator -fuzztime=$(FUZZTIME) -run='^$$' ./internal/faultsim/
 	go test -fuzz=FuzzBatchGenVsScalar -fuzztime=$(FUZZTIME) -run='^$$' ./internal/faultsim/

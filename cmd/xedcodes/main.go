@@ -1,7 +1,7 @@
 // Command xedcodes regenerates the XED paper's code-strength tables and
 // analytic figures:
 //
-//	xedcodes -experiment table2  # detection of random & burst errors (Hamming vs CRC8-ATM)
+//	xedcodes -experiment table2  # detection of random & burst errors (Hamming, CRC8-ATM, Hsiao)
 //	xedcodes -experiment fig6    # catch-word collision probability over time
 //	xedcodes -experiment table3  # likelihood of multiple catch-words per access
 //	xedcodes -experiment table4  # SDC and DUE rates of XED

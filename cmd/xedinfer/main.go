@@ -117,7 +117,7 @@ func inferGeom() dram.Geometry {
 
 // runBEER recovers the code's parity-check matrix from a black-box chip
 // and compares it to the truth.
-func runBEER(code ecc.Code64, a cliArgs, seed uint64, dumpH bool) bool {
+func runBEER(code *ecc.LinearCode64, a cliArgs, seed uint64, dumpH bool) bool {
 	fmt.Printf("BEER-style recovery: on-die code %s\n", code.Name())
 	chip := dram.NewChip(inferGeom(), code)
 	got, ev, err := infer.RecoverHMatrix(chip, infer.BEEROptions{Rounds: a.rounds, Seed: seed})
@@ -128,12 +128,7 @@ func runBEER(code ecc.Code64, a cliArgs, seed uint64, dumpH bool) bool {
 	fmt.Printf("  %d probes over %d data-pattern families pinned all 64 data columns\n",
 		ev.ProbeCount, ev.Families)
 
-	m, ok := code.(interface{ Matrix() ecc.HMatrix72 })
-	if !ok {
-		fmt.Println("  true matrix unavailable (code exposes no Matrix()); cannot compare")
-		return false
-	}
-	want, err := m.Matrix().Canonical()
+	want, err := code.Matrix().Canonical()
 	if err != nil {
 		fmt.Printf("  true matrix has no canonical form: %v\n", err)
 		return false

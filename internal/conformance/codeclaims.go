@@ -63,9 +63,9 @@ func table1Claim() Claim {
 	}
 }
 
-// secdedCodecs returns the three (72,64) SECDED implementations under test.
-func secdedCodecs() []ecc.Code64 {
-	return []ecc.Code64{ecc.NewHamming(), ecc.NewCRC8ATM(), ecc.NewHsiao()}
+// secdedCodecs returns the three named (72,64) SECDED codes under test.
+func secdedCodecs() []*ecc.LinearCode64 {
+	return []*ecc.LinearCode64{ecc.NewHamming(), ecc.NewCRC8ATM(), ecc.NewHsiao()}
 }
 
 // secdedAgreementClaim sweeps every weight-1 and weight-2 error pattern

@@ -23,14 +23,13 @@ func inferGeom() dram.Geometry {
 // beerRecoveryClaim is the tentpole's acceptance gate: the BEER-style
 // probe pass, looking only at bus-visible data from a black-box chip,
 // recovers a randomly drawn SECDED code's parity-check matrix exactly —
-// bit-for-bit H equality — and does the same for the three hand-rolled
-// codes up to canonical form (the only form black-box inference can
-// distinguish).
+// bit-for-bit H equality — and does the same for the three named codes up
+// to canonical form (the only form black-box inference can distinguish).
 func beerRecoveryClaim() Claim {
 	return Claim{
 		Name: "infer/beer-recovers-random-code",
 		Ref:  "BEER (arXiv:2009.07985)",
-		Doc:  "check-bit probe sweeps recover randomly drawn and hand-rolled on-die H-matrices exactly",
+		Doc:  "check-bit probe sweeps recover randomly drawn and named on-die H-matrices exactly",
 		Check: func(ctx context.Context, o Options) Verdict {
 			var probes uint64
 			const draws = 6
@@ -53,16 +52,11 @@ func beerRecoveryClaim() Claim {
 						Detail: fmt.Sprintf("draw %d (%s): recovered H differs from the drawn H", i, code.Name())}
 				}
 			}
-			// The hand-rolled codes recover up to canonical form: Hamming
-			// spells its syndromes differently, the codeword set is what
-			// a black box exposes.
+			// The named codes recover up to canonical form: Hamming spells
+			// its syndromes differently, the codeword set is what a black
+			// box exposes.
 			for _, code := range secdedCodecs() {
-				m, ok := code.(interface{ Matrix() ecc.HMatrix72 })
-				if !ok {
-					return Verdict{Status: Errored, Trials: probes,
-						Err: fmt.Errorf("%s exposes no Matrix()", code.Name())}
-				}
-				want, err := m.Matrix().Canonical()
+				want, err := code.Matrix().Canonical()
 				if err != nil {
 					return Verdict{Status: Errored, Err: err, Trials: probes}
 				}
@@ -81,7 +75,7 @@ func beerRecoveryClaim() Claim {
 				}
 			}
 			return Verdict{Status: Confirmed, Confidence: 1, Trials: probes,
-				Detail: fmt.Sprintf("%d random draws + %d hand-rolled codes recovered bit-for-bit over %d probes",
+				Detail: fmt.Sprintf("%d random draws + %d named codes recovered bit-for-bit over %d probes",
 					draws, len(secdedCodecs()), probes)}
 		},
 	}

@@ -1,8 +1,12 @@
 // Package ecc implements the error-correcting and error-detecting codes the
-// XED paper builds on: the (72,64) Hamming SECDED code, the (72,64) CRC8-ATM
-// SECDED code recommended for On-Die ECC (§V-E), RAID-3 XOR parity across
-// chips (§V-C), and Reed-Solomon symbol codes over GF(2⁸) for Chipkill and
+// XED paper builds on: (72,64) on-die codes, RAID-3 XOR parity across chips
+// (§V-C), and Reed-Solomon symbol codes over GF(2⁸) for Chipkill and
 // Double-Chipkill (§II-D2, §IX), including erasure decoding.
+//
+// Every (72,64) code is one codec, LinearCode64, compiled from the code's
+// 8×72 parity-check matrix: the Hamming SECDED baseline, the CRC8-ATM code
+// recommended for On-Die ECC (§V-E), the Hsiao code commercial DIMMs ship,
+// and random SECDED codes standing in for an unknown vendor code.
 //
 // All codes operate on the granularities the paper uses: 64 data bits plus 8
 // check bits per on-die word, and one 8-bit symbol per chip per beat for the
@@ -67,7 +71,8 @@ func (c Codeword72) FlipMask(dataMask uint64, checkMask uint8) Codeword72 {
 }
 
 // Code64 is a (72,64) systematic code: 64 data bits in, 8 check bits out.
-// Both on-die code candidates (Hamming, CRC8-ATM) implement it.
+// *LinearCode64 is its one implementation; chips take the interface so
+// tests can hand them a deliberately broken corrector.
 type Code64 interface {
 	// Name identifies the code in tables and logs, e.g. "(72,64) Hamming".
 	Name() string

@@ -1,6 +1,6 @@
 package ecc
 
-// CRC8ATM implements the (72,64) CRC8-ATM SECDED code the paper recommends
+// NewCRC8ATM returns the (72,64) CRC8-ATM SECDED code the paper recommends
 // for On-Die ECC (§V-E). The generator is the ATM HEC polynomial
 // x⁸ + x² + x + 1 (0x07), standardised in ITU-T I.432.1 for cell-header
 // protection. Over a 64-bit message this code has Hamming distance 4, so it
@@ -10,93 +10,30 @@ package ecc
 // the failure signature of a chip-internal multi-bit fault. Table II of the
 // paper contrasts the two codes.
 //
-// Encoding and decoding are table-driven (256-entry byte table), mirroring
-// the single-cycle XOR-tree implementations cited by the paper.
-type CRC8ATM struct {
-	table [256]uint8 // byte-at-a-time CRC table for poly 0x07
-	// posForSyndrome maps a syndrome to 1 + the index of the single
-	// codeword bit whose flip produces it (0 = not a single-bit
-	// syndrome). Bit numbering follows Codeword72.
-	posForSyndrome [256]uint8
-	colSyndrome    [72]uint8
+// The check byte is the remainder of data(x)·x⁸ mod g(x), the data word
+// shifted in most-significant bit first (network order, as in ATM cells).
+// A CRC is linear, so data bit i contributes the column x^(i+8) mod g(x),
+// and each check bit contributes itself. The serial order is the wire
+// order d63..d0, c7..c0.
+func NewCRC8ATM() *LinearCode64 {
+	var h HMatrix72
+	col := uint8(crc8Poly) // x⁸ mod g(x)
+	for i := 0; i < dataBits; i++ {
+		h[i] = col
+		col = col<<1 ^ crc8Poly*(col>>7) // multiply by x mod g(x)
+	}
+	var serial [codeBits]int
+	for k := 0; k < dataBits; k++ {
+		serial[k] = dataBits - 1 - k
+	}
+	for a := 0; a < checkBits; a++ {
+		h[dataBits+a] = 1 << uint(a)
+		serial[dataBits+a] = codeBits - 1 - a
+	}
+	c := MustLinearCode64("(72,64) CRC8-ATM", h)
+	c.serial = serial
+	return c
 }
 
 // crc8Poly is the ATM HEC generator polynomial x^8+x^2+x+1, low 8 bits.
 const crc8Poly = 0x07
-
-// NewCRC8ATM constructs the code and its lookup tables.
-func NewCRC8ATM() *CRC8ATM {
-	c := &CRC8ATM{}
-	for v := 0; v < 256; v++ {
-		r := uint8(v)
-		for b := 0; b < 8; b++ {
-			if r&0x80 != 0 {
-				r = r<<1 ^ crc8Poly
-			} else {
-				r <<= 1
-			}
-		}
-		c.table[v] = r
-	}
-	// Column syndromes: syndrome produced by each single-bit flip.
-	for i := 0; i < 72; i++ {
-		cw := Codeword72{}.FlipBit(i)
-		c.colSyndrome[i] = c.rawSyndrome(cw)
-	}
-	for i := 0; i < 72; i++ {
-		s := c.colSyndrome[i]
-		if s == 0 {
-			panic("crc8: zero column syndrome")
-		}
-		if c.posForSyndrome[s] != 0 {
-			panic("crc8: duplicate column syndrome; code is not SEC over 72 bits")
-		}
-		c.posForSyndrome[s] = uint8(i + 1)
-	}
-	return c
-}
-
-// Name implements Code64.
-func (c *CRC8ATM) Name() string { return "(72,64) CRC8-ATM" }
-
-// crcData computes the CRC-8 remainder of the 64-bit data word processed
-// most-significant byte first (network order, as in ATM cells).
-func (c *CRC8ATM) crcData(data uint64) uint8 {
-	var r uint8
-	for shift := 56; shift >= 0; shift -= 8 {
-		r = c.table[r^uint8(data>>uint(shift))]
-	}
-	return r
-}
-
-// rawSyndrome recomputes the remainder over data and XORs the stored check
-// byte: zero for a valid codeword. Because the code is linear the syndrome
-// depends only on the error pattern.
-func (c *CRC8ATM) rawSyndrome(cw Codeword72) uint8 {
-	return c.crcData(cw.Data) ^ cw.Check
-}
-
-// Encode implements Code64.
-func (c *CRC8ATM) Encode(data uint64) Codeword72 {
-	return Codeword72{Data: data, Check: c.crcData(data)}
-}
-
-// IsValid implements Code64.
-func (c *CRC8ATM) IsValid(cw Codeword72) bool { return c.rawSyndrome(cw) == 0 }
-
-// Decode implements Code64. A nonzero syndrome matching a column corrects
-// that single bit; any other nonzero syndrome is detected-uncorrectable.
-// Multi-bit errors that alias onto a column syndrome are mis-corrected —
-// the residual risk Table II quantifies (≈0.8% of random 4-bit patterns).
-func (c *CRC8ATM) Decode(cw Codeword72) (uint64, DecodeStatus) {
-	s := c.rawSyndrome(cw)
-	if s == 0 {
-		return cw.Data, StatusOK
-	}
-	pos := c.posForSyndrome[s]
-	if pos == 0 {
-		return cw.Data, StatusDetected
-	}
-	corrected := cw.FlipBit(int(pos - 1))
-	return corrected.Data, StatusCorrected
-}

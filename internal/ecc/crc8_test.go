@@ -1,73 +1,85 @@
 package ecc
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"xedsim/internal/simrand"
 )
 
-func TestCRC8RoundTrip(t *testing.T) {
-	c := NewCRC8ATM()
-	f := func(v uint64) bool {
-		cw := c.Encode(v)
-		if !c.IsValid(cw) {
-			return false
+// crc8Bitwise is the textbook reference: long division of msg·x⁸ by
+// x⁸ + x² + x + 1, shifting msg in most-significant bit first.
+func crc8Bitwise(msg []byte) uint8 {
+	var r uint8
+	for _, b := range msg {
+		for i := 7; i >= 0; i-- {
+			fb := r>>7 ^ b>>uint(i)&1
+			r <<= 1
+			if fb == 1 {
+				r ^= crc8Poly
+			}
 		}
-		got, st := c.Decode(cw)
-		return st == StatusOK && got == v
+	}
+	return r
+}
+
+// crc8Word is crc8Bitwise over a data word in network byte order.
+func crc8Word(data uint64) uint8 {
+	var msg [8]byte
+	binary.BigEndian.PutUint64(msg[:], data)
+	return crc8Bitwise(msg[:])
+}
+
+func TestCRC8KnownVector(t *testing.T) {
+	// CRC-8/ATM ("CRC-8" in the RevEng catalogue): poly 0x07, init 0,
+	// no reflection, xorout 0. The check value of "123456789" is 0xF4.
+	if r := crc8Bitwise([]byte("123456789")); r != 0xf4 {
+		t.Fatalf("CRC8-ATM check value = %#x, want 0xf4", r)
+	}
+}
+
+func TestCRC8EncodeMatchesBitwise(t *testing.T) {
+	c := NewCRC8ATM()
+	rng := simrand.New(11)
+	for i := 0; i < 5000; i++ {
+		v := rng.Uint64()
+		if got, want := c.Encode(v).Check, crc8Word(v); got != want {
+			t.Fatalf("Encode(%#x).Check = %#x, bitwise CRC %#x", v, got, want)
+		}
+	}
+}
+
+func TestCRC8LinearityProperty(t *testing.T) {
+	// CRC over GF(2) is linear, crc(a^b) == crc(a)^crc(b), which is what
+	// lets NewCRC8ATM express it as a parity-check matrix.
+	f := func(a, b uint64) bool {
+		return crc8Word(a^b) == crc8Word(a)^crc8Word(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestCRC8KnownVector(t *testing.T) {
-	// CRC-8/ATM ("CRC-8" in the RevEng catalogue): poly 0x07, init 0,
-	// no reflection, xorout 0. The check value of "123456789" is 0xF4.
-	c := NewCRC8ATM()
-	var r uint8
-	for _, b := range []byte("123456789") {
-		r = c.table[r^b]
-	}
-	if r != 0xf4 {
-		t.Fatalf("CRC8-ATM check value = %#x, want 0xf4", r)
-	}
-}
-
-func TestCRC8CorrectsEverySingleBit(t *testing.T) {
-	c := NewCRC8ATM()
-	rng := simrand.New(2)
-	for trial := 0; trial < 32; trial++ {
-		v := rng.Uint64()
-		cw := c.Encode(v)
-		for bit := 0; bit < 72; bit++ {
-			got, st := c.Decode(cw.FlipBit(bit))
-			if st != StatusCorrected || got != v {
-				t.Fatalf("bit %d: got %#x status %v, want corrected %#x", bit, got, st, v)
-			}
+func TestCRC8SerialOrderIsWireOrder(t *testing.T) {
+	// The message goes out d63 first, then the check byte c7..c0.
+	order := NewCRC8ATM().SerialOrder()
+	for k, i := range order {
+		want := 63 - k
+		if k >= 64 {
+			want = 64 + 71 - k
+		}
+		if i != want {
+			t.Fatalf("serial position %d holds bit %d, want %d", k, i, want)
 		}
 	}
 }
 
-func TestCRC8DetectsEveryDoubleBit(t *testing.T) {
-	// HD=4 at this length: every 2-bit error must be detected and must
-	// NOT alias to a single-bit syndrome (which would mis-correct).
-	c := NewCRC8ATM()
-	cw := c.Encode(0x0123456789abcdef)
-	for i := 0; i < 72; i++ {
-		for j := i + 1; j < 72; j++ {
-			bad := cw.FlipBit(i).FlipBit(j)
-			if c.IsValid(bad) {
-				t.Fatalf("double error (%d,%d) is a valid codeword", i, j)
-			}
-			_, st := c.Decode(bad)
-			if st != StatusDetected {
-				t.Fatalf("double error (%d,%d) mis-corrected (status %v)", i, j, st)
-			}
-		}
-	}
-}
+// The clauses of TestSECDEDContract, run on CRC8-ATM alone. HD = 4 at this
+// length, so no double error aliases to a single-bit syndrome.
+func TestCRC8RoundTrip(t *testing.T)              { roundTripProperty(t, NewCRC8ATM()) }
+func TestCRC8CorrectsEverySingleBit(t *testing.T) { correctsEverySingleBit(t, NewCRC8ATM()) }
+func TestCRC8DetectsEveryDoubleBit(t *testing.T)  { detectsEveryDoubleBit(t, NewCRC8ATM()) }
 
 func TestCRC8DetectsAllBurstsUpTo8(t *testing.T) {
 	// A degree-8 CRC detects every burst of length <= 8 in wire order —
@@ -102,47 +114,13 @@ func TestCRC8DetectsAllBurstsUpTo8(t *testing.T) {
 	}
 }
 
-func TestCRC8TableMatchesBitwise(t *testing.T) {
-	c := NewCRC8ATM()
-	bitwise := func(data uint64) uint8 {
-		var r uint8
-		for i := 63; i >= 0; i-- {
-			in := uint8(data>>uint(i)) & 1
-			fb := (r>>7)&1 ^ in
-			r <<= 1
-			if fb == 1 {
-				r ^= crc8Poly
-			}
-		}
-		return r
-	}
-	rng := simrand.New(11)
-	for i := 0; i < 5000; i++ {
-		v := rng.Uint64()
-		if got, want := c.crcData(v), bitwise(v); got != want {
-			t.Fatalf("crcData(%#x) = %#x, want %#x", v, got, want)
-		}
-	}
-}
-
-func TestCRC8LinearityProperty(t *testing.T) {
-	// CRC over GF(2) is linear: crc(a^b) == crc(a)^crc(b).
-	c := NewCRC8ATM()
-	f := func(a, b uint64) bool {
-		return c.crcData(a^b) == c.crcData(a)^c.crcData(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSerialOrdersArePermutations(t *testing.T) {
-	for _, code := range []Code64{NewHamming(), NewCRC8ATM()} {
-		so := code.(SerialOrderer).SerialOrder()
+	for _, tc := range testCodes() {
+		so := tc.code.SerialOrder()
 		seen := [72]bool{}
 		for _, idx := range so {
 			if idx < 0 || idx >= 72 || seen[idx] {
-				t.Fatalf("%s: serial order is not a permutation", code.Name())
+				t.Fatalf("%s: serial order is not a permutation", tc.name)
 			}
 			seen[idx] = true
 		}

@@ -4,44 +4,6 @@ import (
 	"xedsim/internal/simrand"
 )
 
-// SerialOrderer is implemented by codes that define a physical transmission
-// order for their 72 codeword bits. Burst errors are contiguous in this
-// order: for Hamming, the classical position order 1..72; for CRC8-ATM, the
-// polynomial (wire) order d63..d0,c7..c0. Table II's burst-error rows are
-// measured along this order.
-type SerialOrderer interface {
-	// SerialOrder returns the Codeword72 bit index at each of the 72
-	// serial positions.
-	SerialOrder() [72]int
-}
-
-// SerialOrder implements SerialOrderer for the Hamming code: serial position
-// k carries classical codeword position k+1.
-func (h *Hamming) SerialOrder() [72]int {
-	dataPos, checkPos := hammingLayout()
-	var order [72]int
-	for i, p := range dataPos {
-		order[p-1] = i
-	}
-	for i, p := range checkPos {
-		order[p-1] = 64 + i
-	}
-	return order
-}
-
-// SerialOrder implements SerialOrderer for CRC8-ATM: the message is shifted
-// MSB-first (d63 first), followed by the check byte c7..c0.
-func (c *CRC8ATM) SerialOrder() [72]int {
-	var order [72]int
-	for k := 0; k < 64; k++ {
-		order[k] = 63 - k
-	}
-	for k := 0; k < 8; k++ {
-		order[64+k] = 64 + (7 - k)
-	}
-	return order
-}
-
 // DetectionRates holds Table II measurements for one code: the fraction of
 // k-bit error patterns (k = 1..8) whose syndrome is nonzero, i.e. that the
 // code recognises as an invalid codeword. XED converts exactly this
@@ -64,7 +26,7 @@ const randomExhaustiveLimit = 2_000_000
 // on the error pattern, so this loses no generality. samples controls the
 // Monte-Carlo sample count used for weights whose pattern space is too big
 // to enumerate (k >= 5); seed makes runs reproducible.
-func MeasureDetection(code Code64, samples int, seed uint64) DetectionRates {
+func MeasureDetection(code *LinearCode64, samples int, seed uint64) DetectionRates {
 	res := DetectionRates{CodeName: code.Name()}
 	rng := simrand.New(seed)
 	for k := 1; k <= 8; k++ {
@@ -87,7 +49,7 @@ func binomial(n, k int) int {
 }
 
 // detectRandomExhaustive enumerates every k-subset of the 72 bit positions.
-func detectRandomExhaustive(code Code64, k int) float64 {
+func detectRandomExhaustive(code *LinearCode64, k int) float64 {
 	idx := make([]int, k)
 	for i := range idx {
 		idx[i] = i
@@ -119,7 +81,7 @@ func detectRandomExhaustive(code Code64, k int) float64 {
 }
 
 // detectRandomSampled draws `samples` uniformly random k-subsets.
-func detectRandomSampled(code Code64, k, samples int, rng *simrand.Source) float64 {
+func detectRandomSampled(code *LinearCode64, k, samples int, rng *simrand.Source) float64 {
 	detected := 0
 	var positions [8]int
 	for s := 0; s < samples; s++ {
@@ -153,8 +115,8 @@ func detectRandomSampled(code Code64, k, samples int, rng *simrand.Source) float
 
 // detectBurst enumerates every length-k contiguous window in the code's
 // serial order (all 73-k of them) with all k bits flipped.
-func detectBurst(code Code64, k int) float64 {
-	order := serialOrderOf(code)
+func detectBurst(code *LinearCode64, k int) float64 {
+	order := code.SerialOrder()
 	total, detected := 0, 0
 	for start := 0; start+k <= 72; start++ {
 		cw := Codeword72{}
@@ -167,17 +129,6 @@ func detectBurst(code Code64, k int) float64 {
 		}
 	}
 	return float64(detected) / float64(total)
-}
-
-func serialOrderOf(code Code64) [72]int {
-	if so, ok := code.(SerialOrderer); ok {
-		return so.SerialOrder()
-	}
-	var order [72]int
-	for i := range order {
-		order[i] = i
-	}
-	return order
 }
 
 // UndetectedMultiBitFraction returns the probability that a multi-bit error

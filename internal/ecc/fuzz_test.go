@@ -2,64 +2,59 @@ package ecc
 
 import "testing"
 
-// Fuzz targets: the decoders must never panic, must round-trip clean
-// codewords, and must never "correct" a clean codeword into different
-// data, for arbitrary inputs. Run with `go test -fuzz=FuzzCode64 ./internal/ecc`
-// for continuous fuzzing; the seed corpus runs in normal test mode.
+// FuzzCode64: every code in testCodes must round-trip clean codewords,
+// never "correct" a clean codeword into different data, give every decode a
+// coherent status, and correct every single-bit flip exactly, for
+// arbitrary inputs. FuzzCode64Hamming, FuzzCode64CRC8 and FuzzCode64Hsiao
+// hold one named code each to the same contract, so a fuzzing session can
+// spend its whole budget on one matrix. Run with
+// `go test -fuzz=FuzzCode64 ./internal/ecc` for continuous fuzzing; the
+// seed corpus runs in normal test mode.
+func FuzzCode64(f *testing.F) {
+	var codes []*LinearCode64
+	for _, tc := range testCodes() {
+		codes = append(codes, tc.code)
+	}
+	fuzzCode64(f, codes...)
+}
 
-func fuzzCode(f *testing.F, code Code64) {
+func FuzzCode64Hamming(f *testing.F) { fuzzCode64(f, NewHamming()) }
+func FuzzCode64CRC8(f *testing.F)    { fuzzCode64(f, NewCRC8ATM()) }
+func FuzzCode64Hsiao(f *testing.F)   { fuzzCode64(f, NewHsiao()) }
+
+func fuzzCode64(f *testing.F, codes ...*LinearCode64) {
 	f.Add(uint64(0), uint64(0), uint8(0))
 	f.Add(uint64(0xdeadbeefcafebabe), uint64(1)<<13, uint8(0x80))
 	f.Add(^uint64(0), ^uint64(0), uint8(0xff))
 	f.Fuzz(func(t *testing.T, data, flipData uint64, flipCheck uint8) {
-		cw := code.Encode(data)
-		if !code.IsValid(cw) {
-			t.Fatalf("%s: Encode(%#x) invalid", code.Name(), data)
-		}
-		got, st := code.Decode(cw)
-		if st != StatusOK || got != data {
-			t.Fatalf("%s: clean decode (%#x, %v)", code.Name(), got, st)
-		}
-		// Arbitrary corruption: decode must terminate with a coherent
-		// status and, for single-bit flips, must correct exactly.
-		bad := cw.FlipMask(flipData, flipCheck)
-		got, st = code.Decode(bad)
-		switch st {
-		case StatusOK:
-			if flipData != 0 || flipCheck != 0 {
-				// Zero-syndrome corruption: pattern is a codeword;
-				// data must have changed or pattern was empty.
+		for _, code := range codes {
+			cw := code.Encode(data)
+			if !code.IsValid(cw) {
+				t.Fatalf("%s: Encode(%#x) invalid", code.Name(), data)
+			}
+			got, st := code.Decode(cw)
+			if st != StatusOK || got != data {
+				t.Fatalf("%s: clean decode (%#x, %v)", code.Name(), got, st)
+			}
+			bad := cw.FlipMask(flipData, flipCheck)
+			got, st = code.Decode(bad)
+			switch st {
+			case StatusOK:
+				// Zero-syndrome corruption: the pattern is a codeword,
+				// and the data must come back as received.
 				if got != bad.Data {
 					t.Fatalf("%s: StatusOK but data rewritten", code.Name())
 				}
+			case StatusCorrected, StatusDetected:
+			default:
+				t.Fatalf("%s: unknown status %v", code.Name(), st)
 			}
-		case StatusCorrected, StatusDetected:
-			// fine
-		default:
-			t.Fatalf("%s: unknown status %v", code.Name(), st)
-		}
-		if oneBit(flipData, flipCheck) {
-			if st != StatusCorrected || got != data {
+			if patternWeight(flipData, flipCheck) == 1 && (st != StatusCorrected || got != data) {
 				t.Fatalf("%s: single-bit flip not corrected (%v)", code.Name(), st)
 			}
 		}
 	})
 }
-
-func oneBit(d uint64, c uint8) bool {
-	n := 0
-	for x := d; x != 0; x &= x - 1 {
-		n++
-	}
-	for x := c; x != 0; x &= x - 1 {
-		n++
-	}
-	return n == 1
-}
-
-func FuzzCode64Hamming(f *testing.F) { fuzzCode(f, NewHamming()) }
-func FuzzCode64CRC8(f *testing.F)    { fuzzCode(f, NewCRC8ATM()) }
-func FuzzCode64Hsiao(f *testing.F)   { fuzzCode(f, NewHsiao()) }
 
 // FuzzCRC8Miscorrection pins the shape of CRC8-ATM mis-correction, the
 // hazard Table II quantifies. For an arbitrary corruption pattern:
@@ -111,35 +106,23 @@ func FuzzCRC8Miscorrection(f *testing.F) {
 	})
 }
 
-// FuzzLinearCodeVsHandRolled is the differential oracle for the generic
-// matrix-driven engine: LinearCode64 instantiated with the Hamming, Hsiao
-// and CRC8-ATM parity-check matrices must agree with the hand-rolled
-// codecs bit for bit — same check byte from Encode, same validity verdict,
-// same Decode status AND same (possibly mis-corrected) data — for every
-// data word and every corruption pattern. Any divergence means either the
-// table construction or the decode-policy classifier is wrong.
-func FuzzLinearCodeVsHandRolled(f *testing.F) {
-	pairs := handRolledPairs()
+// FuzzLinearCodeVsNaive is the differential oracle for the one codec:
+// for every code in testCodes, LinearCode64 must agree with the naive
+// definitional codec of linear_test.go — same check byte from Encode, same
+// validity verdict, same Decode status AND same (possibly mis-corrected)
+// data — for every data word and every corruption pattern. The naive codec
+// keeps each code's textbook single-error rule, so this also checks that
+// Decode's one rule loses nothing by having no parity gate.
+func FuzzLinearCodeVsNaive(f *testing.F) {
+	codes := testCodes()
 	f.Add(uint64(0), uint64(0), uint8(0))
 	f.Add(uint64(0xdeadbeefcafebabe), uint64(1)<<13, uint8(0x80))
 	f.Add(uint64(0x0123456789abcdef), uint64(0b11), uint8(0))
 	f.Add(^uint64(0), uint64(0xf0f0), uint8(0x0f))
 	f.Add(uint64(42), uint64(0), uint8(0xff))
 	f.Fuzz(func(t *testing.T, data, flipData uint64, flipCheck uint8) {
-		for _, p := range pairs {
-			refCW := p.ref.Encode(data)
-			if linCW := p.lin.Encode(data); linCW != refCW {
-				t.Fatalf("%s: Encode(%#x) = %+v, hand-rolled %+v", p.name, data, linCW, refCW)
-			}
-			bad := refCW.FlipMask(flipData, flipCheck)
-			if rv, lv := p.ref.IsValid(bad), p.lin.IsValid(bad); rv != lv {
-				t.Fatalf("%s: IsValid(%+v) = %v, hand-rolled %v", p.name, bad, lv, rv)
-			}
-			rd, rs := p.ref.Decode(bad)
-			ld, ls := p.lin.Decode(bad)
-			if rd != ld || rs != ls {
-				t.Fatalf("%s: Decode(%+v) = (%#x, %v), hand-rolled (%#x, %v)", p.name, bad, ld, ls, rd, rs)
-			}
+		for _, tc := range codes {
+			compareNaive(t, tc, data, flipData, flipCheck)
 		}
 	})
 }

@@ -1,29 +1,28 @@
 package ecc
 
-import "math/bits"
-
-// Hamming implements the classic extended (72,64) Hamming SECDED code
+// NewHamming returns the classic extended (72,64) Hamming SECDED code
 // (Hamming 1950, extended with an overall parity bit). Check bits live at
 // the power-of-two positions of the 72-bit codeword plus one overall parity
-// bit; the syndrome of a single-bit error equals the (1-based) position of
-// the flipped bit.
+// bit, and the syndrome of a single-bit error spells the (1-based) position
+// of the flipped bit in its low seven bits, with the overall parity in bit 7.
+// The serial order is classical position order.
 //
 // The paper (§V-E, Table II) uses this code as the conventional On-Die ECC
 // baseline and shows that its detection of *burst* errors — multiple flips
 // confined to a few adjacent lanes, the signature of a chip-internal word
 // failure — is as low as ~50%, which motivates CRC8-ATM instead.
-type Hamming struct {
-	// colSyndrome[i] is the 8-bit syndrome (7 Hamming bits plus overall
-	// parity in bit 7) produced by flipping codeword bit i alone, where i
-	// follows the Codeword72 numbering (0..63 data, 64..71 check).
-	colSyndrome [72]uint8
-	// posForSyndrome inverts colSyndrome for correctable syndromes.
-	// Entries are position+1; 0 means "no single-bit error maps here".
-	posForSyndrome [256]uint8
-	// encodeTables[b][v] holds the check byte contribution of byte b of
-	// the data word having value v, so Encode is four table lookups per
-	// 32-bit half instead of 64 conditional XORs.
-	encodeTables [8][256]uint8
+func NewHamming() *LinearCode64 {
+	dataPos, checkPos := hammingLayout()
+	var h HMatrix72
+	var serial [codeBits]int
+	for i, p := range append(dataPos[:], checkPos[:]...) {
+		h[i] = uint8(p) | 0x80 // every position is in the overall parity
+		serial[p-1] = i
+	}
+	h[codeBits-1] = 0x80 // position 72, the parity bit, is in no Hamming check
+	c := MustLinearCode64("(72,64) Hamming", h)
+	c.serial = serial
+	return c
 }
 
 // hammingLayout maps our systematic bit order to the classical codeword
@@ -46,159 +45,3 @@ func hammingLayout() (dataPos [64]int, checkPos [8]int) {
 	checkPos[7] = 72 // overall parity
 	return dataPos, checkPos
 }
-
-// NewHamming constructs the code and precomputes its syndrome tables.
-func NewHamming() *Hamming {
-	h := &Hamming{}
-	dataPos, checkPos := hammingLayout()
-
-	// Syndrome of flipping a single codeword bit. For a bit at classical
-	// position p, the 7 Hamming syndrome bits are the binary digits of p
-	// and the overall parity bit always flips (every position is covered
-	// by the overall parity).
-	synOf := func(p int) uint8 {
-		s := uint8(p & 0x7f)
-		if p == 72 {
-			s = 0 // the parity bit is not covered by the Hamming checks
-		}
-		return s | 0x80 // overall parity flips for any single-bit error
-	}
-	for i := 0; i < 64; i++ {
-		h.colSyndrome[i] = synOf(dataPos[i])
-	}
-	for i := 0; i < 7; i++ {
-		// Check bit i sits at position 2^i; its syndrome is that
-		// position (it participates only in its own check) plus the
-		// overall parity.
-		h.colSyndrome[64+i] = synOf(checkPos[i])
-	}
-	h.colSyndrome[71] = synOf(72) // overall parity bit: syndrome 0x80
-
-	for i := 0; i < 72; i++ {
-		s := h.colSyndrome[i]
-		if s == 0 {
-			panic("hamming: zero column syndrome")
-		}
-		if h.posForSyndrome[s] != 0 {
-			// A silent overwrite here would alias two positions onto one
-			// syndrome and turn a detectable double error into a
-			// miscorrection; fail loudly like NewHsiao and NewCRC8ATM do.
-			panic("hamming: duplicate column syndrome")
-		}
-		h.posForSyndrome[s] = uint8(i + 1)
-	}
-
-	// Byte-sliced encode tables. The check byte of a data word is the
-	// XOR of per-bit syndromes of its set bits, restricted to the check
-	// positions; equivalently we encode by finding check bits that zero
-	// the syndrome.
-	for b := 0; b < 8; b++ {
-		for v := 0; v < 256; v++ {
-			var acc uint8
-			for k := 0; k < 8; k++ {
-				if v>>uint(k)&1 == 1 {
-					acc ^= h.colSyndrome[b*8+k]
-				}
-			}
-			h.encodeTables[b][v] = acc
-		}
-	}
-	return h
-}
-
-// Name implements Code64.
-func (h *Hamming) Name() string { return "(72,64) Hamming" }
-
-// rawSyndrome XORs the per-bit syndromes of every set bit in the codeword.
-// A valid codeword has raw syndrome zero by construction of Encode.
-func (h *Hamming) rawSyndrome(cw Codeword72) uint8 {
-	var s uint8
-	d := cw.Data
-	for b := 0; d != 0; b++ {
-		s ^= h.encodeTables[b][uint8(d)]
-		d >>= 8
-	}
-	c := cw.Check
-	for k := 0; c != 0; k++ {
-		if c&1 == 1 {
-			s ^= h.colSyndrome[64+k]
-		}
-		c >>= 1
-	}
-	return s
-}
-
-// Encode implements Code64.
-func (h *Hamming) Encode(data uint64) Codeword72 {
-	// Data-only syndrome; choose check bits to cancel it. The seven
-	// Hamming check bits each control exactly one syndrome bit, and the
-	// overall parity bit controls syndrome bit 7 — but flipping any
-	// check bit also flips overall parity, so set Hamming bits first and
-	// then fix parity.
-	var s uint8
-	d := data
-	for b := 0; d != 0; b++ {
-		s ^= h.encodeTables[b][uint8(d)]
-		d >>= 8
-	}
-	var check uint8
-	for i := 0; i < 7; i++ {
-		if s>>uint(i)&1 == 1 {
-			check |= 1 << uint(i)
-			s ^= h.colSyndrome[64+i]
-		}
-	}
-	if s&0x80 != 0 {
-		check |= 1 << 7
-	}
-	return Codeword72{Data: data, Check: check}
-}
-
-// IsValid implements Code64.
-func (h *Hamming) IsValid(cw Codeword72) bool { return h.rawSyndrome(cw) == 0 }
-
-// Decode implements Code64. Decoding policy follows the standard SECDED
-// rules: zero syndrome = clean; nonzero syndrome with overall parity flipped
-// = single-bit error (corrected when the syndrome names a real position);
-// nonzero syndrome with overall parity clean = double error, detected.
-func (h *Hamming) Decode(cw Codeword72) (uint64, DecodeStatus) {
-	s := h.rawSyndrome(cw)
-	if s == 0 {
-		return cw.Data, StatusOK
-	}
-	if s&0x80 == 0 {
-		// Even number of bit errors (>=2): detectable, uncorrectable.
-		return cw.Data, StatusDetected
-	}
-	pos := h.posForSyndrome[s]
-	if pos == 0 {
-		// Odd-weight error whose syndrome names no codeword position:
-		// detectable, uncorrectable.
-		return cw.Data, StatusDetected
-	}
-	corrected := cw.FlipBit(int(pos - 1))
-	return corrected.Data, StatusCorrected
-}
-
-// MinDistanceProbe exhaustively verifies that no weight-1 or weight-2 error
-// pattern is a codeword and that all weight-1 patterns decode correctly.
-// It exists for tests and returns the number of patterns checked.
-func (h *Hamming) MinDistanceProbe() int {
-	n := 0
-	for i := 0; i < 72; i++ {
-		if h.rawSyndrome(Codeword72{}.FlipBit(i)) == 0 {
-			panic("hamming: weight-1 codeword")
-		}
-		n++
-		for j := i + 1; j < 72; j++ {
-			if h.rawSyndrome(Codeword72{}.FlipBit(i).FlipBit(j)) == 0 {
-				panic("hamming: weight-2 codeword")
-			}
-			n++
-		}
-	}
-	return n
-}
-
-// popcount8 is a helper shared by the detection-rate analysis.
-func popcount8(x uint8) int { return bits.OnesCount8(x) }

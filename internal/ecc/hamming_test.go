@@ -2,116 +2,21 @@ package ecc
 
 import (
 	"testing"
-	"testing/quick"
 
 	"xedsim/internal/simrand"
 )
 
-func TestHammingRoundTrip(t *testing.T) {
-	h := NewHamming()
-	vectors := []uint64{0, 1, 0xffffffffffffffff, 0xdeadbeefcafebabe, 1 << 63, 0x5555555555555555, 0xaaaaaaaaaaaaaaaa}
-	for _, v := range vectors {
-		cw := h.Encode(v)
-		if !h.IsValid(cw) {
-			t.Errorf("Encode(%#x) produced invalid codeword", v)
-		}
-		got, st := h.Decode(cw)
-		if st != StatusOK || got != v {
-			t.Errorf("Decode(Encode(%#x)) = %#x, %v", v, got, st)
-		}
-	}
-}
-
-func TestHammingRoundTripProperty(t *testing.T) {
-	h := NewHamming()
-	f := func(v uint64) bool {
-		got, st := h.Decode(h.Encode(v))
-		return st == StatusOK && got == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHammingCorrectsEverySingleBit(t *testing.T) {
-	h := NewHamming()
-	rng := simrand.New(1)
-	for trial := 0; trial < 32; trial++ {
-		v := rng.Uint64()
-		cw := h.Encode(v)
-		for bit := 0; bit < 72; bit++ {
-			got, st := h.Decode(cw.FlipBit(bit))
-			if st != StatusCorrected {
-				t.Fatalf("bit %d: status %v, want corrected", bit, st)
-			}
-			if got != v {
-				t.Fatalf("bit %d: corrected to %#x, want %#x", bit, got, v)
-			}
-		}
-	}
-}
-
-func TestHammingDetectsEveryDoubleBit(t *testing.T) {
-	h := NewHamming()
-	v := uint64(0x0123456789abcdef)
-	cw := h.Encode(v)
-	for i := 0; i < 72; i++ {
-		for j := i + 1; j < 72; j++ {
-			bad := cw.FlipBit(i).FlipBit(j)
-			if h.IsValid(bad) {
-				t.Fatalf("double error (%d,%d) is a valid codeword", i, j)
-			}
-			_, st := h.Decode(bad)
-			if st != StatusDetected {
-				t.Fatalf("double error (%d,%d): status %v, want detected", i, j, st)
-			}
-		}
-	}
-}
-
-func TestHammingMinDistanceProbe(t *testing.T) {
-	h := NewHamming()
-	// 72 singles + C(72,2) pairs.
-	want := 72 + 72*71/2
-	if got := h.MinDistanceProbe(); got != want {
-		t.Errorf("MinDistanceProbe checked %d patterns, want %d", got, want)
-	}
-}
-
-func TestHammingOddErrorsNeverSilent(t *testing.T) {
-	// Any odd-weight error flips the overall parity bit of the syndrome,
-	// so it can never produce a valid codeword (it may mis-correct, but
-	// XED's detection predicate still fires).
-	h := NewHamming()
-	rng := simrand.New(7)
-	for trial := 0; trial < 20000; trial++ {
-		v := rng.Uint64()
-		cw := h.Encode(v)
-		k := 1 + 2*rng.Intn(4) // 1,3,5,7
-		seen := map[int]bool{}
-		for len(seen) < k {
-			seen[rng.Intn(72)] = true
-		}
-		for b := range seen {
-			cw = cw.FlipBit(b)
-		}
-		if h.IsValid(cw) {
-			t.Fatalf("odd-weight (%d) error produced valid codeword", k)
-		}
-	}
-}
-
 func TestHammingLayout(t *testing.T) {
 	dataPos, checkPos := hammingLayout()
-	seen := map[int]bool{}
-	for _, p := range dataPos {
+	for i, p := range dataPos {
 		if p < 1 || p > 71 || p&(p-1) == 0 {
 			t.Fatalf("data position %d invalid", p)
 		}
-		if seen[p] {
-			t.Fatalf("duplicate position %d", p)
+		// 64 ascending positions out of the 64 non-powers of two in
+		// 1..71: the layout is pinned exactly.
+		if i > 0 && p <= dataPos[i-1] {
+			t.Fatalf("data positions not ascending at bit %d (%d after %d)", i, p, dataPos[i-1])
 		}
-		seen[p] = true
 	}
 	wantCheck := []int{1, 2, 4, 8, 16, 32, 64, 72}
 	for i, p := range checkPos {
@@ -120,6 +25,39 @@ func TestHammingLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestHammingMatrixIsTextbook pins the code itself, not just its SECDED
+// properties (which any column permutation keeps): the syndrome of the bit
+// at classical position p spells p under the overall-parity bit 0x80, the
+// parity bit at position 72 has syndrome 0x80 alone, and serial position k
+// holds classical position k+1.
+func TestHammingMatrixIsTextbook(t *testing.T) {
+	code := NewHamming()
+	h := code.Matrix()
+	dataPos, checkPos := hammingLayout()
+	pos := append(dataPos[:], checkPos[:]...)
+	for i, p := range pos {
+		want := uint8(p) | 0x80
+		if p == 72 {
+			want = 0x80
+		}
+		if h[i] != want {
+			t.Fatalf("bit %d (position %d): syndrome %#02x, want %#02x", i, p, h[i], want)
+		}
+	}
+	for k, i := range code.SerialOrder() {
+		if pos[i] != k+1 {
+			t.Fatalf("serial position %d holds classical position %d, want %d", k, pos[i], k+1)
+		}
+	}
+}
+
+// The clauses of TestSECDEDContract, run on Hamming alone.
+func TestHammingRoundTrip(t *testing.T)              { roundTripVectors(t, NewHamming()) }
+func TestHammingRoundTripProperty(t *testing.T)      { roundTripProperty(t, NewHamming()) }
+func TestHammingCorrectsEverySingleBit(t *testing.T) { correctsEverySingleBit(t, NewHamming()) }
+func TestHammingDetectsEveryDoubleBit(t *testing.T)  { detectsEveryDoubleBit(t, NewHamming()) }
+func TestHammingOddErrorsNeverSilent(t *testing.T)   { oddErrorsNeverSilent(t, NewHamming()) }
 
 func TestHammingBurst4AlignedUndetected(t *testing.T) {
 	// The classic weakness Table II reports: a burst of 4 consecutive

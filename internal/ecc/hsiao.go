@@ -1,118 +1,37 @@
 package ecc
 
-// Hsiao implements a (72,64) odd-weight-column SECDED code (Hsiao, 1970) —
+import "math/bits"
+
+// NewHsiao returns a (72,64) odd-weight-column SECDED code (Hsiao, 1970) —
 // the code most commercial ECC DIMMs actually use. Every column of the
 // parity-check matrix has odd weight, which buys two properties the
 // classic Hamming arrangement lacks:
 //
 //   - single- and double-error discrimination by syndrome *parity* alone
-//     (odd-weight syndrome = correctable single error, even-weight nonzero
-//     = detected double), with no separate overall-parity bit; and
+//     (an even-weight syndrome never names a column), with no separate
+//     overall-parity bit; and
 //   - minimal, balanced row weights, i.e. the shallowest XOR trees.
 //
-// The paper's Table II contrasts Hamming and CRC8-ATM; Hsiao slots between
-// them (better random-error detection than classic Hamming, still without
-// CRC8-ATM's burst guarantee), so it is included both for completeness and
-// as the natural third column for the detection-rate analysis.
-type Hsiao struct {
-	// colSyndrome[i] is the 8-bit syndrome of flipping codeword bit i
-	// (0..63 data, 64..71 check).
-	colSyndrome    [72]uint8
-	posForSyndrome [256]uint8
-	encodeTables   [8][256]uint8
-}
-
-// NewHsiao constructs the code. Data columns use the 64
-// lexicographically-smallest odd-weight-3 and weight-5 bytes (C(8,3)=56
-// weight-3 columns plus the first 8 weight-5 columns), check columns are
-// the identity (weight 1) — the canonical (72,64) Hsiao construction.
-func NewHsiao() *Hsiao {
-	h := &Hsiao{}
-	var cols []uint8
-	for w := 3; w <= 7 && len(cols) < 64; w += 2 {
-		for v := 1; v < 256 && len(cols) < 64; v++ {
-			if popcount8(uint8(v)) == w {
-				cols = append(cols, uint8(v))
+// Data columns are the 56 weight-3 bytes in ascending order, then the first
+// 8 weight-5 bytes; check columns are the identity — the canonical (72,64)
+// Hsiao construction. The paper's Table II contrasts Hamming and CRC8-ATM;
+// Hsiao slots between them (better random-error detection than classic
+// Hamming, still without CRC8-ATM's burst guarantee), so it is included
+// both for completeness and as the natural third column for the
+// detection-rate analysis.
+func NewHsiao() *LinearCode64 {
+	var h HMatrix72
+	i := 0
+	for _, w := range [...]int{3, 5} {
+		for v := 1; v < 256 && i < dataBits; v++ {
+			if bits.OnesCount8(uint8(v)) == w {
+				h[i] = uint8(v)
+				i++
 			}
 		}
 	}
-	for i := 0; i < 64; i++ {
-		h.colSyndrome[i] = cols[i]
+	for a := 0; a < checkBits; a++ {
+		h[dataBits+a] = 1 << uint(a)
 	}
-	for i := 0; i < 8; i++ {
-		h.colSyndrome[64+i] = 1 << uint(i)
-	}
-	for i := 0; i < 72; i++ {
-		s := h.colSyndrome[i]
-		if h.posForSyndrome[s] != 0 {
-			panic("hsiao: duplicate column")
-		}
-		h.posForSyndrome[s] = uint8(i + 1)
-	}
-	for b := 0; b < 8; b++ {
-		for v := 0; v < 256; v++ {
-			var acc uint8
-			for k := 0; k < 8; k++ {
-				if v>>uint(k)&1 == 1 {
-					acc ^= h.colSyndrome[b*8+k]
-				}
-			}
-			h.encodeTables[b][v] = acc
-		}
-	}
-	return h
-}
-
-// Name implements Code64.
-func (h *Hsiao) Name() string { return "(72,64) Hsiao" }
-
-func (h *Hsiao) dataSyndrome(data uint64) uint8 {
-	var s uint8
-	for b := 0; data != 0; b++ {
-		s ^= h.encodeTables[b][uint8(data)]
-		data >>= 8
-	}
-	return s
-}
-
-// Encode implements Code64. Check columns are the identity, so the check
-// byte is simply the data syndrome.
-func (h *Hsiao) Encode(data uint64) Codeword72 {
-	return Codeword72{Data: data, Check: h.dataSyndrome(data)}
-}
-
-func (h *Hsiao) rawSyndrome(cw Codeword72) uint8 {
-	return h.dataSyndrome(cw.Data) ^ cw.Check
-}
-
-// IsValid implements Code64.
-func (h *Hsiao) IsValid(cw Codeword72) bool { return h.rawSyndrome(cw) == 0 }
-
-// Decode implements Code64. Odd-weight syndrome: correct the named single
-// bit (or flag if the syndrome names no column — a detected odd-weight
-// multi-bit error). Even-weight nonzero syndrome: detected double error.
-func (h *Hsiao) Decode(cw Codeword72) (uint64, DecodeStatus) {
-	s := h.rawSyndrome(cw)
-	if s == 0 {
-		return cw.Data, StatusOK
-	}
-	if popcount8(s)%2 == 0 {
-		return cw.Data, StatusDetected
-	}
-	pos := h.posForSyndrome[s]
-	if pos == 0 {
-		return cw.Data, StatusDetected
-	}
-	corrected := cw.FlipBit(int(pos - 1))
-	return corrected.Data, StatusCorrected
-}
-
-// SerialOrder implements SerialOrderer: data bits then check bits, the
-// natural lane order of a DIMM beat.
-func (h *Hsiao) SerialOrder() [72]int {
-	var order [72]int
-	for i := range order {
-		order[i] = i
-	}
-	return order
+	return MustLinearCode64("(72,64) Hsiao", h)
 }

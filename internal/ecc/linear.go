@@ -7,13 +7,14 @@ import (
 	"xedsim/internal/simrand"
 )
 
-// This file makes the on-die code *pluggable*: LinearCode64 implements
-// Code64 for an arbitrary systematic (72,64) linear code given by its 8×72
-// parity-check matrix, the representation the BEER/HARP related-work thread
-// (Patel et al., arXiv:2009.07985 and arXiv:2109.12697) reasons about. The
-// hand-rolled Hamming/Hsiao/CRC8 codecs remain the fast paths and the
-// oracles; LinearCode64 instantiated with their matrices must agree with
-// them bit for bit (FuzzLinearCodeVsHandRolled).
+// LinearCode64 is the package's one (72,64) codec: it compiles any
+// systematic (72,64) linear code, given by its 8×72 parity-check matrix,
+// into table-sliced Encode, IsValid and Decode. The matrix is the
+// representation the BEER/HARP related-work thread (Patel et al.,
+// arXiv:2009.07985 and arXiv:2109.12697) reasons about, and the named codes
+// (NewHamming, NewHsiao, NewCRC8ATM) are just matrices compiled by it. The
+// tests hold it to a naive definitional codec that XORs matrix columns
+// (FuzzLinearCodeVsNaive).
 
 // HMatrix72 is an 8×72 parity-check matrix over GF(2), stored column-major:
 // entry i is column i — the 8-bit syndrome produced by flipping codeword
@@ -108,11 +109,13 @@ func (h HMatrix72) Canonical() (HMatrix72, error) {
 
 // LinearCode64 is a (72,64) systematic linear code constructed from an
 // arbitrary parity-check matrix. Encode, IsValid and Decode are
-// table-sliced exactly like the hand-rolled Hamming codec: one 256-entry
-// lookup per data byte, one per check byte.
+// table-sliced: one 256-entry lookup per data byte, one per check byte.
 type LinearCode64 struct {
 	name string
 	h    HMatrix72
+	// serial[k] is the Codeword72 bit index at serial (wire) position k;
+	// see SerialOrder.
+	serial [codeBits]int
 	// posForSyndrome inverts the columns: entries are position+1, 0 means
 	// "no single-bit error maps here". Collisions are rejected at
 	// construction — see NewLinearCode64.
@@ -124,12 +127,6 @@ type LinearCode64 struct {
 	// checkFor[s] is the unique check byte whose columns XOR to s (the
 	// inverse of the check submatrix, expanded to all 256 syndromes).
 	checkFor [256]uint8
-	// parity is the code's parity functional u: ⟨u, column⟩ = 1 for every
-	// column, so ⟨u, syndrome⟩ is the error weight mod 2. It exists iff
-	// the code is SECDED (every codeword has even weight); it is unique
-	// because the columns span GF(2)⁸. secded records its existence.
-	parity uint8
-	secded bool
 }
 
 // NewLinearCode64 validates h and builds the code. Construction fails when
@@ -140,15 +137,11 @@ type LinearCode64 struct {
 //     bug this constructor exists to reject), or
 //   - the check submatrix is singular (no systematic encoder exists).
 //
-// The decode policy is classified at construction time: if a parity
-// functional exists the code is SECDED and Decode discriminates single
-// (odd) from double (even) errors by syndrome parity, generalising both
-// the classic Hamming overall-parity rule (u = 0x80) and the Hsiao
-// odd-column rule (u = 0xff); otherwise the code is SEC-only and Decode
-// corrects any syndrome that names a column.
+// The serial order is the Codeword72 order: data bits, then check bits.
 func NewLinearCode64(name string, h HMatrix72) (*LinearCode64, error) {
 	c := &LinearCode64{name: name, h: h}
 	for i, col := range h {
+		c.serial[i] = i
 		if col == 0 {
 			return nil, fmt.Errorf("ecc: column %d of %q is zero; bit %d would be undetectable", i, name, i)
 		}
@@ -180,7 +173,6 @@ func NewLinearCode64(name string, h HMatrix72) (*LinearCode64, error) {
 		c.checkSyn[v] = cs
 		c.checkFor[v] = cf
 	}
-	c.parity, c.secded = solveParityFunctional(&h)
 	return c, nil
 }
 
@@ -194,67 +186,23 @@ func MustLinearCode64(name string, h HMatrix72) *LinearCode64 {
 	return c
 }
 
-// solveParityFunctional finds the u with ⟨u, h[i]⟩ = 1 for all 72 columns,
-// by Gaussian elimination over GF(2). When the columns span GF(2)⁸ (always
-// true for a systematic matrix) the solution, if it exists, is unique.
-func solveParityFunctional(h *HMatrix72) (uint8, bool) {
-	// piv[b] holds an equation a·u = rhs whose leading (highest) set bit
-	// is b; any other set bits of a are below b.
-	var pivA [checkBits]uint8
-	var pivB [checkBits]uint8
-	for _, col := range h {
-		a, rhs := col, uint8(1)
-		for a != 0 {
-			b := bits.Len8(a) - 1
-			if pivA[b] == 0 {
-				pivA[b], pivB[b] = a, rhs
-				a, rhs = 0, 0
-				break
-			}
-			a ^= pivA[b]
-			rhs ^= pivB[b]
-		}
-		if rhs == 1 {
-			return 0, false // reduced to 0·u = 1: no functional exists
-		}
-	}
-	// Back-substitute low bit to high: pivA[b]'s other set bits are all
-	// below b, so they are already resolved when bit b is chosen.
-	var u uint8
-	for b := 0; b < checkBits; b++ {
-		if pivA[b] == 0 {
-			continue // free variable (columns don't span); leave 0
-		}
-		if pivB[b]^uint8(bits.OnesCount8(pivA[b]&^(1<<uint(b))&u)&1) == 1 {
-			u |= 1 << uint(b)
-		}
-	}
-	return u, true
-}
-
 // Name implements Code64.
 func (c *LinearCode64) Name() string { return c.name }
 
 // Matrix returns a copy of the parity-check matrix.
 func (c *LinearCode64) Matrix() HMatrix72 { return c.h }
 
-// IsSECDED reports whether the code carries a parity functional, i.e.
-// whether Decode can discriminate single from double errors. Codes built
-// by RandomSECDED always are.
-func (c *LinearCode64) IsSECDED() bool { return c.secded }
+// SerialOrder returns the Codeword72 bit index at each of the 72 serial
+// positions: the physical transmission order in which burst errors are
+// contiguous. It is classical position order 1..72 for Hamming, the
+// polynomial (wire) order d63..d0, c7..c0 for CRC8-ATM, and the Codeword72
+// order for every other code. Table II's burst rows are measured along it.
+func (c *LinearCode64) SerialOrder() [72]int { return c.serial }
 
-// ParityFunctional returns the functional u with ⟨u, column⟩ = 1 for every
-// column, and whether it exists. For the Hamming matrix u = 0x80 (the
-// overall-parity bit); for Hsiao-style all-odd-column matrices u = 0xff.
-func (c *LinearCode64) ParityFunctional() (uint8, bool) { return c.parity, c.secded }
-
-func (c *LinearCode64) dataSyndrome(data uint64) uint8 {
-	var s uint8
-	for b := 0; data != 0; b++ {
-		s ^= c.encodeTables[b][uint8(data)]
-		data >>= 8
-	}
-	return s
+func (c *LinearCode64) dataSyndrome(d uint64) uint8 {
+	t := &c.encodeTables
+	return t[0][uint8(d)] ^ t[1][uint8(d>>8)] ^ t[2][uint8(d>>16)] ^ t[3][uint8(d>>24)] ^
+		t[4][uint8(d>>32)] ^ t[5][uint8(d>>40)] ^ t[6][uint8(d>>48)] ^ t[7][uint8(d>>56)]
 }
 
 func (c *LinearCode64) rawSyndrome(cw Codeword72) uint8 {
@@ -270,16 +218,17 @@ func (c *LinearCode64) Encode(data uint64) Codeword72 {
 // IsValid implements Code64.
 func (c *LinearCode64) IsValid(cw Codeword72) bool { return c.rawSyndrome(cw) == 0 }
 
-// Decode implements Code64 under the policy classified at construction:
-// SECDED codes gate correction on odd syndrome parity (even ⇒ detected
-// double), SEC-only codes correct whatever names a column.
+// Decode implements Code64 with one rule: a zero syndrome is clean, a
+// syndrome that names a column is corrected by flipping that bit, and any
+// other syndrome is detected. No parity gate is needed to keep a SECDED
+// code from mis-correcting double errors: if some functional u has
+// ⟨u, column⟩ = 1 for every column (0x80 for Hamming's overall-parity row,
+// 0xff for Hsiao's odd columns), an even-weight error has ⟨u, syndrome⟩ = 0
+// and so never names a column.
 func (c *LinearCode64) Decode(cw Codeword72) (uint64, DecodeStatus) {
 	s := c.rawSyndrome(cw)
 	if s == 0 {
 		return cw.Data, StatusOK
-	}
-	if c.secded && bits.OnesCount8(c.parity&s)&1 == 0 {
-		return cw.Data, StatusDetected
 	}
 	pos := c.posForSyndrome[s]
 	if pos == 0 {
@@ -288,18 +237,6 @@ func (c *LinearCode64) Decode(cw Codeword72) (uint64, DecodeStatus) {
 	corrected := cw.FlipBit(int(pos - 1))
 	return corrected.Data, StatusCorrected
 }
-
-// Matrix returns the Hamming code's parity-check matrix — LinearCode64
-// instantiated with it must agree with the hand-rolled codec bit for bit.
-func (h *Hamming) Matrix() HMatrix72 { return HMatrix72(h.colSyndrome) }
-
-// Matrix returns the Hsiao code's parity-check matrix.
-func (h *Hsiao) Matrix() HMatrix72 { return HMatrix72(h.colSyndrome) }
-
-// Matrix returns the CRC8-ATM code's parity-check matrix (a CRC is linear,
-// so it has one; its check columns are already the identity because the
-// check byte is the remainder itself).
-func (c *CRC8ATM) Matrix() HMatrix72 { return HMatrix72(c.colSyndrome) }
 
 // RandomSECDED draws a uniformly random (72,64) SECDED code in canonical
 // systematic form: identity check columns and 64 distinct data columns
@@ -311,8 +248,9 @@ func (c *CRC8ATM) Matrix() HMatrix72 { return HMatrix72(c.colSyndrome) }
 // variates from rng, so a fixed seed names a fixed code.
 func RandomSECDED(rng *simrand.Source) *LinearCode64 {
 	// The candidate pool: every odd-weight byte of weight >= 3. Weight-1
-	// bytes are the check columns; even weights would break the parity
-	// functional u = 0xff that canonical form guarantees.
+	// bytes are the check columns; an even-weight column would break the
+	// parity functional u = 0xff that keeps Decode from mis-correcting
+	// double errors.
 	var cand [120]uint8
 	n := 0
 	for v := 1; v < 256; v++ {

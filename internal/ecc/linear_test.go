@@ -1,50 +1,118 @@
 package ecc
 
 import (
+	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"xedsim/internal/simrand"
 )
 
-// handRolledPairs returns each hand-rolled codec next to a LinearCode64
-// built from its own parity-check matrix; the pairs must be bit-for-bit
-// interchangeable (the tentpole's correctness anchor).
-func handRolledPairs() []struct {
-	name string
-	ref  Code64
-	lin  *LinearCode64
-} {
-	hamming := NewHamming()
-	hsiao := NewHsiao()
-	crc8 := NewCRC8ATM()
-	return []struct {
-		name string
-		ref  Code64
-		lin  *LinearCode64
-	}{
-		{"hamming", hamming, MustLinearCode64("linear-hamming", hamming.Matrix())},
-		{"hsiao", hsiao, MustLinearCode64("linear-hsiao", hsiao.Matrix())},
-		{"crc8", crc8, MustLinearCode64("linear-crc8", crc8.Matrix())},
+// testCode is one (72,64) code under test, with its textbook single-error
+// rule: which nonzero syndromes its decoder may treat as one flipped bit.
+type testCode struct {
+	name   string
+	code   *LinearCode64
+	single func(s uint8) bool
+}
+
+func oddWeight(s uint8) bool { return bits.OnesCount8(s)%2 == 1 }
+
+// testCodes returns every code the repository names — Hamming (overall
+// parity bit set), Hsiao (odd weight) and CRC8-ATM (any column) — and
+// RandomSECDED seeds 0-3 (odd weight, like Hsiao).
+func testCodes() []testCode {
+	codes := []testCode{
+		{"hamming", NewHamming(), func(s uint8) bool { return s&0x80 != 0 }},
+		{"hsiao", NewHsiao(), oddWeight},
+		{"crc8", NewCRC8ATM(), func(uint8) bool { return true }},
+	}
+	for seed := uint64(0); seed < 4; seed++ {
+		codes = append(codes, testCode{fmt.Sprintf("random-%d", seed), RandomSECDED(simrand.New(seed)), oddWeight})
+	}
+	return codes
+}
+
+// naiveSyndrome is the definition of a syndrome: the XOR of the matrix
+// columns at the word's set bits.
+func naiveSyndrome(h *HMatrix72, cw Codeword72) uint8 {
+	var s uint8
+	for d := cw.Data; d != 0; d &= d - 1 {
+		s ^= h[bits.TrailingZeros64(d)]
+	}
+	for c := cw.Check; c != 0; c &= c - 1 {
+		s ^= h[dataBits+bits.TrailingZeros8(c)]
+	}
+	return s
+}
+
+// naiveEncode searches the 256 check bytes for the one that zeroes the
+// syndrome.
+func (tc testCode) naiveEncode(data uint64) Codeword72 {
+	h := tc.code.Matrix()
+	want := naiveSyndrome(&h, Codeword72{Data: data})
+	for c := 0; c < 256; c++ {
+		if naiveSyndrome(&h, Codeword72{Check: uint8(c)}) == want {
+			return Codeword72{Data: data, Check: uint8(c)}
+		}
+	}
+	panic("no check byte zeroes the syndrome")
+}
+
+// naiveDecode corrects only a syndrome that passes the code's textbook
+// single-error rule and names a column.
+func (tc testCode) naiveDecode(cw Codeword72) (uint64, DecodeStatus) {
+	h := tc.code.Matrix()
+	s := naiveSyndrome(&h, cw)
+	if s == 0 {
+		return cw.Data, StatusOK
+	}
+	if tc.single(s) {
+		for i, col := range h {
+			if col == s {
+				return cw.FlipBit(i).Data, StatusCorrected
+			}
+		}
+	}
+	return cw.Data, StatusDetected
+}
+
+// compareNaive fails t unless LinearCode64 encodes data, and validates and
+// decodes data's codeword under the error pattern, exactly as the naive
+// codec does.
+func compareNaive(t *testing.T, tc testCode, data, flipData uint64, flipCheck uint8) {
+	t.Helper()
+	clean := tc.naiveEncode(data)
+	if got := tc.code.Encode(data); got != clean {
+		t.Fatalf("%s: Encode(%#x) = %+v, naive %+v", tc.name, data, got, clean)
+	}
+	cw := clean.FlipMask(flipData, flipCheck)
+	h := tc.code.Matrix()
+	if nv, lv := naiveSyndrome(&h, cw) == 0, tc.code.IsValid(cw); nv != lv {
+		t.Fatalf("%s: IsValid(%+v) = %v, naive %v", tc.name, cw, lv, nv)
+	}
+	nd, ns := tc.naiveDecode(cw)
+	ld, ls := tc.code.Decode(cw)
+	if nd != ld || ns != ls {
+		t.Fatalf("%s: Decode(%+v) = (%#x, %v), naive (%#x, %v)", tc.name, cw, ld, ls, nd, ns)
 	}
 }
 
-func TestLinearMatchesHandRolledExhaustiveErrors(t *testing.T) {
-	for _, p := range handRolledPairs() {
-		t.Run(p.name, func(t *testing.T) {
+func TestLinearMatchesNaiveExhaustiveErrors(t *testing.T) {
+	for _, tc := range testCodes() {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := simrand.New(11)
 			for trial := 0; trial < 8; trial++ {
 				v := rng.Uint64()
-				refCW := p.ref.Encode(v)
-				linCW := p.lin.Encode(v)
-				if refCW != linCW {
-					t.Fatalf("Encode(%#x): linear %+v, hand-rolled %+v", v, linCW, refCW)
-				}
 				// All weight-1 and weight-2 error patterns.
-				for i := 0; i < 72; i++ {
-					compareDecode(t, p.ref, p.lin, refCW.FlipBit(i))
-					for j := i + 1; j < 72; j++ {
-						compareDecode(t, p.ref, p.lin, refCW.FlipBit(i).FlipBit(j))
+				for i := 0; i < codeBits; i++ {
+					one := Codeword72{}.FlipBit(i)
+					compareNaive(t, tc, v, one.Data, one.Check)
+					for j := i + 1; j < codeBits; j++ {
+						two := one.FlipBit(j)
+						compareNaive(t, tc, v, two.Data, two.Check)
 					}
 				}
 			}
@@ -52,27 +120,112 @@ func TestLinearMatchesHandRolledExhaustiveErrors(t *testing.T) {
 	}
 }
 
-func TestLinearMatchesHandRolledRandomErrors(t *testing.T) {
-	for _, p := range handRolledPairs() {
-		t.Run(p.name, func(t *testing.T) {
+func TestLinearMatchesNaiveRandomErrors(t *testing.T) {
+	for _, tc := range testCodes() {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := simrand.New(23)
 			for trial := 0; trial < 20000; trial++ {
-				cw := p.ref.Encode(rng.Uint64()).FlipMask(rng.Uint64(), uint8(rng.Uint64()))
-				compareDecode(t, p.ref, p.lin, cw)
+				compareNaive(t, tc, rng.Uint64(), rng.Uint64(), uint8(rng.Uint64()))
 			}
 		})
 	}
 }
 
-func compareDecode(t *testing.T, ref Code64, lin *LinearCode64, cw Codeword72) {
-	t.Helper()
-	if rv, lv := ref.IsValid(cw), lin.IsValid(cw); rv != lv {
-		t.Fatalf("IsValid(%+v): linear %v, hand-rolled %v", cw, lv, rv)
+// TestSECDEDContract holds every code in testCodes to the SECDED contract,
+// one clause per helper below: clean words round-trip, every single-bit
+// error is corrected exactly, every double-bit error is detected (never
+// valid, never mis-corrected), and no odd-weight error is ever a valid
+// codeword. The per-code tests in hamming_test.go, hsiao_test.go and
+// crc8_test.go run single clauses on one named code each.
+func TestSECDEDContract(t *testing.T) {
+	for _, tc := range testCodes() {
+		code := tc.code
+		t.Run(tc.name, func(t *testing.T) {
+			roundTripVectors(t, code)
+			roundTripProperty(t, code)
+			correctsEverySingleBit(t, code)
+			detectsEveryDoubleBit(t, code)
+			oddErrorsNeverSilent(t, code)
+		})
 	}
-	rd, rs := ref.Decode(cw)
-	ld, ls := lin.Decode(cw)
-	if rd != ld || rs != ls {
-		t.Fatalf("Decode(%+v): linear (%#x, %v), hand-rolled (%#x, %v)", cw, ld, ls, rd, rs)
+}
+
+func roundTrips(code *LinearCode64, v uint64) bool {
+	cw := code.Encode(v)
+	got, st := code.Decode(cw)
+	return code.IsValid(cw) && st == StatusOK && got == v
+}
+
+func roundTripVectors(t *testing.T, code *LinearCode64) {
+	t.Helper()
+	for _, v := range []uint64{0, 1, ^uint64(0), 0xdeadbeefcafebabe, 1 << 63, 0x5555555555555555, 0xaaaaaaaaaaaaaaaa} {
+		if !roundTrips(code, v) {
+			t.Fatalf("Encode(%#x) does not round-trip", v)
+		}
+	}
+}
+
+func roundTripProperty(t *testing.T, code *LinearCode64) {
+	t.Helper()
+	if err := quick.Check(func(v uint64) bool { return roundTrips(code, v) }, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func correctsEverySingleBit(t *testing.T, code *LinearCode64) {
+	t.Helper()
+	rng := simrand.New(1)
+	for trial := 0; trial < 32; trial++ {
+		v := rng.Uint64()
+		cw := code.Encode(v)
+		for bit := 0; bit < codeBits; bit++ {
+			if got, st := code.Decode(cw.FlipBit(bit)); st != StatusCorrected || got != v {
+				t.Fatalf("single error at bit %d of %#x: (%#x, %v), want corrected", bit, v, got, st)
+			}
+		}
+	}
+}
+
+func detectsEveryDoubleBit(t *testing.T, code *LinearCode64) {
+	t.Helper()
+	cw := code.Encode(0x0123456789abcdef)
+	for i := 0; i < codeBits; i++ {
+		for j := i + 1; j < codeBits; j++ {
+			bad := cw.FlipBit(i).FlipBit(j)
+			if code.IsValid(bad) {
+				t.Fatalf("double error (%d,%d) is a valid codeword", i, j)
+			}
+			if _, st := code.Decode(bad); st != StatusDetected {
+				t.Fatalf("double error (%d,%d): status %v, want detected", i, j, st)
+			}
+		}
+	}
+}
+
+// oddErrorsNeverSilent: odd-weight errors can mis-correct, but never yield
+// a valid codeword, so XED's detection predicate always fires.
+func oddErrorsNeverSilent(t *testing.T, code *LinearCode64) {
+	t.Helper()
+	rng := simrand.New(7)
+	for trial := 0; trial < 20000; trial++ {
+		cw := code.Encode(rng.Uint64())
+		k := 1 + 2*rng.Intn(4) // 1,3,5,7
+		seen := map[int]bool{}
+		for len(seen) < k {
+			seen[rng.Intn(codeBits)] = true
+		}
+		for b := range seen {
+			cw = cw.FlipBit(b)
+		}
+		if code.IsValid(cw) {
+			t.Fatalf("odd-weight (%d) error produced a valid codeword", k)
+		}
+	}
+	rates := MeasureDetection(code, 100_000, 3)
+	for _, k := range []int{1, 3, 5, 7} {
+		if rates.Random[k-1] != 1 {
+			t.Fatalf("odd weight %d detection %v, want 1", k, rates.Random[k-1])
+		}
 	}
 }
 
@@ -113,39 +266,6 @@ func TestLinearRejectsSingularCheckSubmatrix(t *testing.T) {
 	}
 }
 
-func TestLinearParityFunctionals(t *testing.T) {
-	// The classifier must recover each hand-rolled code's discrimination
-	// rule exactly: Hamming gates on the overall-parity syndrome bit
-	// (u = 0x80), Hsiao on syndrome popcount (u = 0xff). CRC8-ATM's
-	// generator is divisible by (x+1), so all codewords have even weight
-	// and a functional exists for it too.
-	cases := []struct {
-		code Code64
-		m    HMatrix72
-		want uint8
-		ok   bool
-	}{
-		{NewHamming(), NewHamming().Matrix(), 0x80, true},
-		{NewHsiao(), NewHsiao().Matrix(), 0xff, true},
-	}
-	for _, c := range cases {
-		lin := MustLinearCode64("t", c.m)
-		if u, ok := lin.ParityFunctional(); ok != c.ok || u != c.want {
-			t.Errorf("%s: parity functional (%#02x, %v), want (%#02x, %v)", c.code.Name(), u, ok, c.want, c.ok)
-		}
-	}
-	crc := MustLinearCode64("t", NewCRC8ATM().Matrix())
-	u, ok := crc.ParityFunctional()
-	if !ok {
-		t.Fatal("CRC8-ATM: no parity functional found")
-	}
-	for i, col := range crc.Matrix() {
-		if popcount8(u&col)%2 != 1 {
-			t.Fatalf("CRC8-ATM: functional %#02x misses column %d (%#02x)", u, i, col)
-		}
-	}
-}
-
 func TestRandomSECDEDDeterministicAndSECDED(t *testing.T) {
 	a := RandomSECDED(simrand.New(99))
 	b := RandomSECDED(simrand.New(99))
@@ -155,36 +275,11 @@ func TestRandomSECDEDDeterministicAndSECDED(t *testing.T) {
 	if c := RandomSECDED(simrand.New(100)); c.Matrix() == a.Matrix() {
 		t.Fatal("different seeds drew the same code")
 	}
-	if !a.IsSECDED() {
-		t.Fatal("random draw is not SECDED-classifiable")
-	}
-	if u, _ := a.ParityFunctional(); u != 0xff {
-		t.Fatalf("canonical-form draw has functional %#02x, want 0xff", u)
-	}
-}
-
-func TestRandomSECDEDCorrectsAndDetects(t *testing.T) {
-	// The SECDED contract over several draws: every single-bit error is
-	// corrected exactly, every double-bit error is detected (never valid,
-	// never mis-corrected).
-	for seed := uint64(0); seed < 4; seed++ {
-		code := RandomSECDED(simrand.New(seed))
-		v := uint64(0x0123456789abcdef)
-		cw := code.Encode(v)
-		for i := 0; i < 72; i++ {
-			got, st := code.Decode(cw.FlipBit(i))
-			if st != StatusCorrected || got != v {
-				t.Fatalf("%s: single error at %d -> (%#x, %v)", code.Name(), i, got, st)
-			}
-			for j := i + 1; j < 72; j++ {
-				bad := cw.FlipBit(i).FlipBit(j)
-				if code.IsValid(bad) {
-					t.Fatalf("%s: double error (%d,%d) valid", code.Name(), i, j)
-				}
-				if _, st := code.Decode(bad); st != StatusDetected {
-					t.Fatalf("%s: double error (%d,%d) status %v", code.Name(), i, j, st)
-				}
-			}
+	// Odd columns make u = 0xff a parity functional: an even-weight error
+	// can then never name a column, so Decode detects every double error.
+	for i, col := range a.Matrix() {
+		if !oddWeight(col) {
+			t.Fatalf("column %d (%#02x) has even weight", i, col)
 		}
 	}
 }

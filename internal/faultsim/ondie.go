@@ -25,7 +25,7 @@ import (
 //	random:<seed>   a RandomSECDED draw in canonical form
 //
 // An empty spec selects crc8, matching DefaultConfig's assumption.
-func ParseOnDieCode(spec string) (ecc.Code64, error) {
+func ParseOnDieCode(spec string) (*ecc.LinearCode64, error) {
 	switch spec {
 	case "", "crc8":
 		return ecc.NewCRC8ATM(), nil
@@ -49,6 +49,6 @@ func ParseOnDieCode(spec string) (ecc.Code64, error) {
 // its real syndrome tables (the quantity the paper's 0.8% figure reports
 // for CRC8-ATM). samples bounds the Monte-Carlo sampling of the pattern
 // weights too large to enumerate; seed makes the measurement reproducible.
-func SilentWordFractionFor(code ecc.Code64, samples int, seed uint64) float64 {
+func SilentWordFractionFor(code *ecc.LinearCode64, samples int, seed uint64) float64 {
 	return ecc.UndetectedMultiBitFraction(ecc.MeasureDetection(code, samples, seed))
 }

@@ -17,19 +17,18 @@ func TestRecoverHMatrixKnownCodes(t *testing.T) {
 	// The recovered matrix must equal the true matrix's canonical form,
 	// bit for bit. Hsiao and CRC8 are already canonical (identity check
 	// columns); Hamming is not, so recovery must land on its
-	// canonicalisation rather than the hand-rolled spelling.
+	// canonicalisation rather than its own spelling.
 	cases := []struct {
 		name string
-		code ecc.Code64
-		m    ecc.HMatrix72
+		code *ecc.LinearCode64
 	}{
-		{"hsiao", ecc.NewHsiao(), ecc.NewHsiao().Matrix()},
-		{"crc8", ecc.NewCRC8ATM(), ecc.NewCRC8ATM().Matrix()},
-		{"hamming", ecc.NewHamming(), ecc.NewHamming().Matrix()},
+		{"hsiao", ecc.NewHsiao()},
+		{"crc8", ecc.NewCRC8ATM()},
+		{"hamming", ecc.NewHamming()},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want, err := c.m.Canonical()
+			want, err := c.code.Matrix().Canonical()
 			if err != nil {
 				t.Fatal(err)
 			}
