@@ -21,6 +21,12 @@ func TestExitConventions(t *testing.T) {
 		t.Fatalf("usage error: exit %d, stderr %q", code, stderr)
 	}
 
+	// A repeated scheme would print two rows for one name.
+	code, stderr = clitest.Run(t, "-experiment", "custom", "-schemes", "XED,XED", "-systems", "1000")
+	if code != 2 || !strings.HasPrefix(stderr, `xedfaultsim: faultsim: scheme "XED" named twice`) {
+		t.Fatalf("repeated scheme: exit %d, stderr %q", code, stderr)
+	}
+
 	code, stderr = clitest.Run(t, "-experiment", "fig7", "-systems", "1000", "-debug-addr", "256.0.0.1:1")
 	if code != 1 || !strings.HasPrefix(stderr, "xedfaultsim: -debug-addr: ") {
 		t.Fatalf("unusable -debug-addr: exit %d, stderr %q", code, stderr)

@@ -3,7 +3,11 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"xedsim/internal/clitest"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestValidateArgs pins the flag-range validation behind the exit-2 usage
 // convention: exactly one mode, range-checked capture parameters.

@@ -16,10 +16,10 @@ import (
 // conformance gate runs.
 
 // heavyWeight builds a weight function that books `w` per visible chip
-// fault. Weights of 120 and 130 straddle the Evaluator's int8 fast-path
-// envelope: 120 exercises the packed path near its ceiling, 130 (> 127)
-// must route through the map-based reference fallback. Divergence on
-// either side is exactly the class of bug the fallback gate can hide.
+// fault. Weights of 120 and 130 sit either side of 127, the int8 limit:
+// the Evaluator's concurrency probe must carry both at full width, and a
+// weight field narrowed to a byte would wrap 130 into a negative total on
+// exactly the dense configs this claim draws.
 func heavyWeight(w int) func(cfg *faultsim.Config, r *faultsim.FaultRecord) int {
 	return func(cfg *faultsim.Config, r *faultsim.FaultRecord) int {
 		if faultsim.VisibleWeight(cfg, r) == 0 {
@@ -31,7 +31,8 @@ func heavyWeight(w int) func(cfg *faultsim.Config, r *faultsim.FaultRecord) int 
 
 // differentialSchemes returns the scheme set each random config is judged
 // under: the six paper organisations plus two synthetic heavy-erasure
-// schemes straddling the int8 boundary.
+// schemes either side of the int8 limit — eight, the lane engine's full
+// table word.
 func differentialSchemes() []faultsim.Scheme {
 	schemes := faultsim.AllSchemes()
 	schemes = append(schemes,
@@ -76,7 +77,7 @@ func randomConfig(rng *simrand.Source) faultsim.Config {
 // o.Configs random configurations x o.TrialsPerConfig captured trials
 // each, for all eight schemes. Each config's trials are additionally
 // packed into lane batches (the final batch deliberately partial) so the
-// word-parallel mask pass and its scalar-probe fallback face the same
+// word-parallel mask pass and its scalar pair probe face the same
 // randomized corners as the indexed engine. Traces are captured through the
 // campaigns' batch plan, so its plan/pack path faces the same thousand
 // random corners. The claim is bit-identical three-way agreement —

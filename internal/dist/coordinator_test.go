@@ -245,9 +245,10 @@ func mustSpecJSON(t *testing.T, s *JobSpec) string {
 func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 	c := newTestCoordinator(t, CoordinatorOptions{})
 	cases := map[string]func(*JobSpec){
-		"no trials":      func(s *JobSpec) { s.Trials = 0 },
-		"no schemes":     func(s *JobSpec) { s.Schemes = nil },
-		"unknown scheme": func(s *JobSpec) { s.Schemes = []string{"TMR"} },
+		"no trials":       func(s *JobSpec) { s.Trials = 0 },
+		"no schemes":      func(s *JobSpec) { s.Schemes = nil },
+		"unknown scheme":  func(s *JobSpec) { s.Schemes = []string{"TMR"} },
+		"repeated scheme": func(s *JobSpec) { s.Schemes = []string{"XED", "XED"} },
 	}
 	for name, mut := range cases {
 		s := testSpec()

@@ -357,6 +357,9 @@ func newCampaign(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bo
 	if len(schemes) == 0 {
 		return nil, fmt.Errorf("faultsim: no schemes to evaluate")
 	}
+	if len(schemes) > laneVecGroup {
+		return nil, fmt.Errorf("faultsim: a campaign judges at most %d schemes, got %d", laneVecGroup, len(schemes))
+	}
 	if opts.ChunkSize <= 0 {
 		opts.ChunkSize = DefaultChunkSize
 	}

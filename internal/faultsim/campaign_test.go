@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -353,6 +354,11 @@ func TestSchemesByName(t *testing.T) {
 	}
 	if _, err := SchemesByName(); err == nil {
 		t.Fatal("empty name list accepted")
+	}
+	// A repeated name would print two rows of which Report.ResultFor and
+	// Improvement only ever read the first.
+	if _, err := SchemesByName("XED", "Chipkill", "XED"); err == nil || !strings.Contains(err.Error(), `"XED"`) {
+		t.Fatalf("repeated scheme: err = %v, want one naming \"XED\"", err)
 	}
 }
 

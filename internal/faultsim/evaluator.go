@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"xedsim/internal/dram"
-	"xedsim/internal/obs"
 )
 
 // TrialOutcome is one scheme's verdict on one trial: the earliest failure
@@ -20,10 +19,10 @@ type TrialOutcome struct {
 type faultEntry struct {
 	start, end float64
 	rec        *FaultRecord
+	weight     int
 	idx        int32 // original record index: the probe's tie-break order
 	chip       int32 // global chip id: (channel*RPC + rank)*CPR + chip
 	domain     int32
-	weight     int8
 	silent     bool
 	overweight bool // weight > capacity: fails alone, never anchors
 }
@@ -41,9 +40,6 @@ func entryLess(a, b *faultEntry) bool {
 // prepRec is one fault record's scheme-INVARIANT digest: the quantities
 // every scheme's pass 1 used to recompute per scheme (global chip id,
 // silent flag, interval copy) are now computed once per trial and shared.
-// chip is -1 when the record lies outside the configured fleet (hand-built
-// or foreign streams); a scheme that weights such a record falls back to
-// the reference probe, exactly as before.
 type prepRec struct {
 	start, end float64
 	rec        *FaultRecord
@@ -58,7 +54,8 @@ type prepRec struct {
 // per-trial index: entries are bucketed by domain (sorted once per trial),
 // and the concurrency probe walks each domain run with epoch-stamped
 // fleet-sized per-chip arrays. Results are bit-identical to the reference
-// probe — TestEvaluatorMatchesReferenceProbe holds it to that.
+// probe — TestEvaluatorMatchesReferenceProbe holds it to that. Every record
+// must lie inside cfg's fleet (see ReadTrace).
 //
 // An Evaluator is not safe for concurrent use; a campaign gives each
 // worker its own over shared evalTables.
@@ -72,13 +69,9 @@ type Evaluator struct {
 	// epoch stamps so it never needs clearing between probes.
 	epoch      uint32
 	chipEpoch  []uint32
-	chipWeight []int32
+	chipWeight []int
 	chipMinIdx []int32 // min original idx seen on the chip; -1 = anchor chip
 	chipSilent []bool
-
-	// trials ticks once per EvaluateInto call when instrumentation is
-	// attached; a nil counter makes the add a no-op (see SetTrialCounter).
-	trials *obs.Counter
 }
 
 // evalTables is the part of an Evaluator derived from the config and
@@ -129,11 +122,6 @@ func (e *Evaluator) bind(t *evalTables) {
 	e.chipSilent = grow(e.chipSilent, n)
 }
 
-// SetTrialCounter attaches a live counter ticked once per EvaluateInto
-// call. nil detaches (the default): the per-trial cost is then a single
-// nil check, keeping the uninstrumented hot path untouched.
-func (e *Evaluator) SetTrialCounter(c *obs.Counter) { e.trials = c }
-
 // classLive reports whether a fault of the given class can ever carry
 // nonzero weight under at least one evaluated scheme. When it cannot, the
 // class is inert: weight-0 records are skipped by both the reference probe
@@ -180,7 +168,6 @@ func (e *evalTables) classLive(cls ClassRate) bool {
 // valid until the next call with the same backing array. It performs no
 // heap allocations once out has capacity for all schemes.
 func (e *Evaluator) EvaluateInto(faults []FaultRecord, out []TrialOutcome) []TrialOutcome {
-	e.trials.Inc()
 	out = out[:0]
 	if e.scalingFatal {
 		for range e.schemes {
@@ -192,7 +179,7 @@ func (e *Evaluator) EvaluateInto(faults []FaultRecord, out []TrialOutcome) []Tri
 	// evalDomainPrepared pass then only adds its own weight and domain.
 	e.prepare(faults)
 	for _, ds := range e.schemes {
-		out = append(out, e.evalDomainPrepared(ds, faults))
+		out = append(out, e.evalDomainPrepared(ds))
 	}
 	return out
 }
@@ -201,7 +188,6 @@ func (e *Evaluator) EvaluateInto(faults []FaultRecord, out []TrialOutcome) []Tri
 // (O(n²) FailTimeKind) instead of the pre-index — the oracle the campaign
 // path is tested against.
 func (e *Evaluator) referenceInto(faults []FaultRecord, out []TrialOutcome) []TrialOutcome {
-	e.trials.Inc()
 	out = out[:0]
 	for _, ds := range e.schemes {
 		t, k := ds.FailTimeKind(e.cfg, faults)
@@ -213,14 +199,10 @@ func (e *Evaluator) referenceInto(faults []FaultRecord, out []TrialOutcome) []Tr
 // prepare digests the trial's records into e.prep (see prepRec).
 func (e *Evaluator) prepare(faults []FaultRecord) {
 	prep := e.prep[:0]
-	nchips := int32(len(e.chipEpoch))
 	rpc, cpr := e.cfg.RanksPerChannel, e.cfg.ChipsPerRank
 	for i := range faults {
 		r := &faults[i]
 		chip := int32((r.Channel*rpc+r.Rank)*cpr + r.Chip)
-		if chip < 0 || chip >= nchips {
-			chip = -1
-		}
 		prep = append(prep, prepRec{
 			start: r.Start, end: r.End, rec: r,
 			idx: int32(i), chip: chip, silent: isSilentRecord(r),
@@ -229,13 +211,13 @@ func (e *Evaluator) prepare(faults []FaultRecord) {
 	e.prep = prep
 }
 
-// evalDomainPrepared evaluates one domainScheme over the prepared trial
-// (e.prep must describe faults). Semantics match domainScheme.FailTimeKind
-// exactly: the winning event — an overweight record or a failing anchor
-// probe — is the one with lexicographically minimal (time, original record
-// index), reproducing the reference's record-order iteration with its
-// strict `t < fail` replacement rule.
-func (e *Evaluator) evalDomainPrepared(s *domainScheme, faults []FaultRecord) TrialOutcome {
+// evalDomainPrepared evaluates one domainScheme over the trial e.prepare
+// last digested. Semantics match domainScheme.FailTimeKind exactly: the
+// winning event — an overweight record or a failing anchor probe — is the
+// one with lexicographically minimal (time, original record index),
+// reproducing the reference's record-order iteration with its strict
+// `t < fail` replacement rule.
+func (e *Evaluator) evalDomainPrepared(s *domainScheme) TrialOutcome {
 	cfg := e.cfg
 	bestTime := math.Inf(1)
 	bestIdx := int32(math.MaxInt32)
@@ -251,17 +233,6 @@ func (e *Evaluator) evalDomainPrepared(s *domainScheme, faults []FaultRecord) Tr
 		w := s.weight(cfg, p.rec)
 		if w == 0 {
 			continue
-		}
-		if p.chip < 0 || w > math.MaxInt8 {
-			// Outside the pre-index's envelope: a record beyond the
-			// configured fleet (hand-built or foreign trace) cannot index
-			// the fixed-size chip arrays, and a weight above 127 would
-			// silently wrap in faultEntry's int8 and corrupt probe
-			// totals. Either way, fall back to the map-based reference
-			// probe, which carries full-width ints.
-			e.entries = entries[:0]
-			t, k := s.FailTimeKind(cfg, faults)
-			return TrialOutcome{FailTime: t, Kind: k}
 		}
 		if w > s.capacity {
 			if p.start < bestTime || (p.start == bestTime && p.idx < bestIdx) {
@@ -280,7 +251,7 @@ func (e *Evaluator) evalDomainPrepared(s *domainScheme, faults []FaultRecord) Tr
 		en.idx = p.idx
 		en.chip = p.chip
 		en.domain = int32(s.domainOf(cfg, p.rec))
-		en.weight = int8(w)
+		en.weight = w
 		en.silent = p.silent
 		en.overweight = w > s.capacity
 	}
@@ -338,9 +309,9 @@ func (e *Evaluator) probeRun(s *domainScheme, run []faultEntry, bestTime *float6
 		e.epoch++
 		epoch := e.epoch
 		e.chipEpoch[an.chip] = epoch
-		e.chipWeight[an.chip] = int32(an.weight)
+		e.chipWeight[an.chip] = an.weight
 		e.chipMinIdx[an.chip] = -1
-		total := int32(an.weight)
+		total := an.weight
 		distinct := 1
 		silent := 0
 		if an.silent {
@@ -358,7 +329,7 @@ func (e *Evaluator) probeRun(s *domainScheme, run []faultEntry, bestTime *float6
 				continue
 			}
 			c := o.chip
-			ow := int32(o.weight)
+			ow := o.weight
 			if e.chipEpoch[c] != epoch {
 				e.chipEpoch[c] = epoch
 				e.chipWeight[c] = ow
@@ -390,7 +361,7 @@ func (e *Evaluator) probeRun(s *domainScheme, run []faultEntry, bestTime *float6
 				e.chipMinIdx[c] = o.idx
 			}
 		}
-		if int(total) > s.capacity {
+		if total > s.capacity {
 			*bestTime = t
 			*bestIdx = an.idx
 			*bestKind = s.kind(silent, distinct, eventHash(an.rec))

@@ -31,9 +31,11 @@ import (
 //     in the rare scalar probe.
 //   - Weights are pre-tabulated per signature and folded against each
 //     scheme's capacity into a code (0 skip, 1 weighted, 2 overweight),
-//     eight schemes interleaved per uint64 table word: ONE load yields
-//     every scheme's code, and a zero word dismisses the record for all
-//     of them in a single branch.
+//     the schemes interleaved byte by byte in one uint64 table word: ONE
+//     load yields every scheme's code, and a zero word dismisses the
+//     record for all of them in a single branch. The word has
+//     laneVecGroup (8) slots, so an engine judges at most eight schemes;
+//     the paper's six fill six.
 //   - A single-record lane never pairs, so its verdict per scheme is
 //     alive unless the record is overweight — in which case it fails
 //     deterministically at the record's start. The mask pass collapses
@@ -46,20 +48,21 @@ import (
 //     lane mask per protection domain: two weighted records meeting in
 //     one domain raise the lane in `pair` (word-wide AND/OR), and the
 //     earliest-starting overweight record is tracked per lane.
-//   - Only pair lanes — plus lanes holding records outside the digest
-//     envelope — are handed to the exact scalar probe (the indexed
-//     Evaluator's evalDomainPrepared — bit-identity by construction,
-//     including its int8/chip-range reference fallback), prepared once
-//     per lane for all schemes that need it; a panic in scheme code
-//     there voids only that lane. Overweight non-pair lanes resolve
-//     inline from the tracked record; every other lane provably
+//   - Only pair lanes are handed to the exact scalar probe (the indexed
+//     Evaluator's evalDomainPrepared — bit-identity by construction),
+//     prepared once per lane for all schemes that need it; a panic in
+//     scheme code there voids only that lane. Overweight non-pair lanes
+//     resolve inline from the tracked record; every other lane provably
 //     survives: +Inf, FailNone.
 //   - Tallying pops failure masks with bits.OnesCount64 and touches
 //     per-year buckets only for set bits.
 //
 // The weight tables rely on the purity contract documented on
 // buildWeightCodes; every scheme's domain is one of the three domainTag
-// mappings, which the mask pass indexes directly.
+// mappings, which the mask pass indexes directly. Every record lies inside
+// the configured fleet — the campaign, the fleet and CaptureTrace generate
+// it there and ReadTrace refuses any other — so its signature, channel and
+// rank index the tables without a bounds test of their own.
 
 // LaneWidth is the number of trials packed into one lane word.
 const LaneWidth = 64
@@ -103,9 +106,6 @@ func digestRecordSig(r *FaultRecord, sig int32) laneRec {
 // digest is even needed. TestDigestRecordMatchesSigOf pins the
 // equivalence against sigOf.
 func recSig(r *FaultRecord) int32 {
-	if uint(r.Gran) >= uint(dram.NumGranularities) || uint(r.Chip) >= 1<<20 {
-		return -1
-	}
 	s := int32(r.Gran) * 8
 	if r.Transient {
 		s |= 1
@@ -165,8 +165,9 @@ func (b *LaneBatch) Reset() {
 // Lanes returns the number of packed trials.
 func (b *LaneBatch) Lanes() int { return b.lanes }
 
-// Add packs one trial into the next free lane, copying its fault records.
-// It panics when the batch is full; check Lanes() < LaneWidth first.
+// Add packs one trial into the next free lane, copying its fault records,
+// which must lie inside the judging evaluator's fleet. It panics when the
+// batch is full; check Lanes() < LaneWidth first.
 func (b *LaneBatch) Add(trial int, state simrand.State, faults []FaultRecord) {
 	if b.lanes >= LaneWidth {
 		panic("faultsim: LaneBatch overflow")
@@ -240,21 +241,14 @@ func b2i(b bool) int {
 	return 0
 }
 
-// sigOf digests a record into its weight-table row, or -1 when the
-// record cannot index any table (granularity out of range, chip position
-// negative or absurd). The signature is config-free: whether the chip
-// row actually exists in a given evaluator's table is decided there by a
-// bounds check. The chip cap only guards int32 overflow — real
-// configurations have single-digit chips per rank.
+// sigOf digests an in-fleet record into its weight-table row. The
+// signature is config-free: the chip position picks the row block.
 func sigOf(r *FaultRecord) int32 {
-	if uint(r.Gran) >= uint(dram.NumGranularities) || uint(r.Chip) >= 1<<20 {
-		return -1
-	}
 	return int32(r.Chip)*int32(laneNSig) + int32(laneSig(r))
 }
 
-// laneVecGroup is the number of schemes whose weight codes share
-// one interleaved table word; schemes beyond it go into further groups.
+// laneVecGroup is the number of schemes whose weight codes share the one
+// interleaved table word, and so the most schemes a LaneEvaluator judges.
 const laneVecGroup = 8
 
 // Weight-code byte values are 0, 1 or 2, so within a code word bit 1 of
@@ -309,16 +303,16 @@ type LaneEvaluator struct {
 	*laneTables
 	ls []laneScheme // the tables' proto, with this evaluator's scratch
 
-	// slots points into ls for the mask-pass inner loop: group g, byte k ↔
-	// slots[g][k] = &ls[g*laneVecGroup+k].
-	slots [][laneVecGroup]*laneScheme
+	// slots points into ls for the mask-pass inner loop: table-word byte
+	// k ↔ slots[k] = &ls[k].
+	slots [laneVecGroup]*laneScheme
 
-	// overSlots[g][L] is the mask-pass scratch for single-record lanes:
-	// bit k set means lane L's record is overweight for slots[g][k]. The
-	// probe pass transposes it into per-scheme overS lane masks. The
-	// record itself is overRecL[L] (one per lane: it is the lane's only
-	// record, shared by every scheme and group).
-	overSlots [][LaneWidth]uint8
+	// overSlots[L] is the mask-pass scratch for single-record lanes: bit k
+	// set means lane L's record is overweight for slots[k]. EvaluateBatch
+	// transposes it into per-scheme overS lane masks. The record itself is
+	// overRecL[L] (one per lane: it is the lane's only record, shared by
+	// every scheme).
+	overSlots [LaneWidth]uint8
 	overRecL  [LaneWidth]int32
 
 	// Per-scheme results of the last EvaluateBatch. fail[s] bit L set
@@ -331,12 +325,6 @@ type LaneEvaluator struct {
 	// popcounts instead of walking outs per failing lane.
 	due []uint64
 	sdc []uint64
-
-	// scalar is the lane mask forced wholesale onto the scalar path:
-	// lanes holding a record outside the digest envelope (signature or
-	// channel/rank beyond the configured fleet — hand-built or foreign
-	// streams only; the generator cannot produce them).
-	scalar uint64
 
 	// Instrumentation (nil-safe): batches judged, lanes probed scalar.
 	batches *obs.Counter
@@ -367,74 +355,52 @@ func (s *laneStats) add(o laneStats) {
 // worker of a campaign.
 type laneTables struct {
 	proto []laneScheme // fixed fields only; scratch fields zero
-	// codes[g][sig] interleaves the weight codes of group g's schemes,
-	// byte k belonging to scheme g*laneVecGroup+k (slot k). See
-	// buildWeightCodes. ovBytes[g][sig] is the same table pre-collapsed
-	// for single-record lanes: bit k set means the signature is overweight
-	// for slot k (the movemask multiply hoisted out of the mask pass).
-	codes   [][]uint64
-	ovBytes [][]uint8
-	// ovAny[sig] ORs ovBytes across groups: zero means the signature is
-	// overweight for no scheme at all, so a single-record lane with it
-	// provably survives everything (see singleSurvives).
-	ovAny []uint8
+	// codes[sig] interleaves the schemes' weight codes, byte k belonging
+	// to scheme k (slot k). See buildWeightCodes. ovBytes[sig] is the same
+	// table pre-collapsed for single-record lanes: bit k set means the
+	// signature is overweight for slot k (the movemask multiply hoisted
+	// out of the mask pass), and zero means it is overweight for no
+	// scheme at all (see singleSurvives).
+	codes   []uint64
+	ovBytes []uint8
 }
 
 // NewLaneEvaluator builds the bit-sliced engine over ev's config and
 // schemes. The per-scheme weight tables are materialised here by probing
 // each weight function across every (chip, signature) combination — see
-// buildWeightCodes for the purity contract this relies on.
+// buildWeightCodes for the purity contract this relies on. It panics when
+// ev judges more than eight schemes, the table word's slots; campaigns
+// refuse such scheme sets up front.
 func NewLaneEvaluator(ev *Evaluator) *LaneEvaluator {
 	return newLaneEvaluator(ev, newLaneTables(ev.evalTables))
 }
 
 func newLaneTables(ev *evalTables) *laneTables {
-	t := &laneTables{proto: make([]laneScheme, 0, len(ev.schemes))}
+	if len(ev.schemes) > laneVecGroup {
+		panic(fmt.Sprintf("faultsim: a lane engine judges at most %d schemes, got %d", laneVecGroup, len(ev.schemes)))
+	}
 	cfg := ev.cfg
-	for _, ds := range ev.schemes {
+	ncodes := cfg.ChipsPerRank * laneNSig
+	t := &laneTables{
+		proto:   make([]laneScheme, 0, len(ev.schemes)),
+		codes:   make([]uint64, ncodes),
+		ovBytes: make([]uint8, ncodes),
+	}
+	var codes []uint8
+	for k, ds := range ev.schemes {
 		ls := laneScheme{ds: ds, dom: ds.dom, domains: ds.domainCount(cfg)}
 		ls.constKind, ls.hashFree = hashFreeKind(ds.kind)
+		partial := false
+		codes = buildWeightCodes(cfg, ds, codes)
+		for w, c := range codes {
+			t.codes[w] |= uint64(c) << (8 * k)
+			partial = partial || c == 1
+		}
+		ls.noPair = ls.hashFree && !partial
 		t.proto = append(t.proto, ls)
 	}
-	// Interleave the weight codes group by group.
-	ncodes := cfg.ChipsPerRank * laneNSig
-	var codes []uint8
-	for g := 0; g*laneVecGroup < len(t.proto); g++ {
-		tab := make([]uint64, ncodes)
-		group := t.proto[g*laneVecGroup : min(len(t.proto), (g+1)*laneVecGroup)]
-		for k := range group {
-			codes = buildWeightCodes(cfg, group[k].ds, codes)
-			for w, c := range codes {
-				tab[w] |= uint64(c) << (8 * k)
-			}
-		}
-		ovb := make([]uint8, ncodes)
-		for s, vec := range tab {
-			ovb[s] = uint8((vec & laneOver >> 1 * laneGather) >> 56)
-		}
-		for k := range group {
-			if !group[k].hashFree {
-				continue
-			}
-			partial := false
-			for _, vec := range tab {
-				if vec>>(8*uint(k))&0xff == 1 {
-					partial = true
-					break
-				}
-			}
-			group[k].noPair = !partial
-		}
-		t.codes = append(t.codes, tab)
-		t.ovBytes = append(t.ovBytes, ovb)
-	}
-	if len(t.ovBytes) > 0 {
-		t.ovAny = make([]uint8, ncodes)
-		for _, ovb := range t.ovBytes {
-			for s, v := range ovb {
-				t.ovAny[s] |= v
-			}
-		}
+	for s, vec := range t.codes {
+		t.ovBytes[s] = uint8((vec & laneOver >> 1 * laneGather) >> 56)
 	}
 	return t
 }
@@ -464,12 +430,10 @@ func (lv *LaneEvaluator) bind(ev *Evaluator, t *laneTables) {
 		d := lv.ls[i].domains
 		lv.ls[i].seen, seen = seen[:d:d], seen[d:]
 	}
-	lv.slots = grow(lv.slots, len(t.codes))
-	clear(lv.slots)
+	lv.slots = [laneVecGroup]*laneScheme{}
 	for j := range lv.ls {
-		lv.slots[j/laneVecGroup][j%laneVecGroup] = &lv.ls[j]
+		lv.slots[j] = &lv.ls[j]
 	}
-	lv.overSlots = grow(lv.overSlots, len(t.codes))
 	lv.outs = grow(lv.outs, n*LaneWidth)
 	lv.maskBuf = grow(lv.maskBuf, 3*n)
 	lv.fail, lv.due, lv.sdc = lv.maskBuf[:n:n], lv.maskBuf[n:2*n:2*n], lv.maskBuf[2*n:]
@@ -480,13 +444,11 @@ func (lv *LaneEvaluator) bind(ev *Evaluator, t *laneTables) {
 // every scheme, letting the batch pack loop drop the lane before it is
 // digested, judged or tallied. The proof is the mask pass's own
 // single-record argument run in reverse: a lone record can never pair,
-// so a scheme fails the lane only if the record is overweight,
-// and for in-envelope signatures (sig >= 0) ovAny==0 says it is
-// overweight for none of them (channel/rank bounds are irrelevant to
-// single-record verdicts — no domain bucketing happens). Birthtime-scaling
-// fatality fails every lane, so it disables the skip.
+// so a scheme fails the lane only if the record is overweight, and
+// ovBytes[sig]==0 says it is overweight for none of them.
+// Birthtime-scaling fatality fails every lane, so it disables the skip.
 func (lv *LaneEvaluator) singleSurvives(sig int32) bool {
-	return !lv.ev.scalingFatal && uint64(sig) < uint64(len(lv.ovAny)) && lv.ovAny[sig] == 0
+	return !lv.ev.scalingFatal && lv.ovBytes[sig] == 0
 }
 
 // buildWeightCodes tabulates ds.weight over every (chip position, fault
@@ -547,7 +509,6 @@ func (lv *LaneEvaluator) addProbes(n int) {
 // in isolation. A panic inside scheme code voids that lane only.
 func (lv *LaneEvaluator) EvaluateBatch(b *LaneBatch) {
 	ev := lv.ev
-	ev.trials.Add(uint64(b.lanes))
 	lv.batches.Inc()
 	lv.stats.batches++
 	lv.stats.lanes += uint64(b.lanes)
@@ -568,43 +529,35 @@ func (lv *LaneEvaluator) EvaluateBatch(b *LaneBatch) {
 
 	lv.maskPass(b)
 
-	// Transpose the single-record overweight scratch into per-scheme
-	// lane masks, and gather the scalar-probe set.
-	var needAll uint64
-	for g := range lv.overSlots {
-		ovs := lv.overSlots[g][:]
-		sl := &lv.slots[g]
-		var words [LaneWidth / 8]uint64
-		var colMask uint64
-		for w := range words {
-			words[w] = binary.LittleEndian.Uint64(ovs[w*8:])
-			colMask |= words[w]
-		}
-		for k := 0; k < laneVecGroup && sl[k] != nil; k++ {
-			// Slot columns no single-record lane marked (most schemes on a
-			// typical batch) skip the movemask entirely.
-			if colMask>>uint(k)&laneWt == 0 {
-				sl[k].overS = 0
-				continue
-			}
-			var m uint64
-			for w := 0; w < LaneWidth/8; w++ {
-				if word := words[w]; word != 0 {
-					m |= ((word >> uint(k) & laneWt) * laneGather) >> 56 << (8 * w)
-				}
-			}
-			sl[k].overS = m
-		}
+	// Reset the per-scheme results, transpose the single-record overweight
+	// scratch into per-scheme lane masks (scheme k is slot k, bit k of each
+	// overSlots byte), and gather the scalar-probe set.
+	var words [LaneWidth / 8]uint64
+	var colMask uint64
+	for w := range words {
+		words[w] = binary.LittleEndian.Uint64(lv.overSlots[w*8:])
+		colMask |= words[w]
 	}
+	var needAll uint64
 	for si := range lv.ls {
 		ls := &lv.ls[si]
 		lv.fail[si] = 0
 		lv.due[si], lv.sdc[si] = 0, 0
-		ls.need = lv.scalar & active
+		ls.overS = 0
+		// Slot columns no single-record lane marked (most schemes on a
+		// typical batch) skip the movemask entirely.
+		if colMask>>uint(si)&laneWt != 0 {
+			for w, word := range words {
+				if word != 0 {
+					ls.overS |= ((word >> uint(si) & laneWt) * laneGather) >> 56 << (8 * w)
+				}
+			}
+		}
+		ls.need = 0
 		if !ls.noPair {
 			// noPair schemes resolve paired lanes in the direct pass:
 			// their earliest overweight record is the exact verdict.
-			ls.need |= ls.pair & active
+			ls.need = ls.pair & active
 		}
 		needAll |= ls.need
 		lv.addProbes(bits.OnesCount64(ls.need))
@@ -673,139 +626,59 @@ func (lv *LaneEvaluator) EvaluateBatch(b *LaneBatch) {
 }
 
 // maskPass sweeps the batch's signatures once, classifying every lane for
-// every scheme. Single-record lanes never pair, so their verdict
-// needs only the signature: the overweight slot mask lands in overSlots
-// via a multiply-movemask without touching the record. Multi-record
-// lanes additionally run the per-domain seen/pair bookkeeping and track
-// their earliest overweight record. Lanes with a record the tables
-// cannot describe (signature or channel/rank out of the envelope) go to
-// the scalar probe wholesale — except single-record lanes, whose verdict
-// provably cannot depend on channel or rank (no domain bucketing ever
-// happens), so only the signature bound matters for them.
+// every scheme. Single-record lanes never pair, so their verdict needs
+// only the signature: the overweight slot mask lands in overSlots via a
+// multiply-movemask without touching the record. Multi-record lanes
+// additionally run the per-domain seen/pair bookkeeping and track their
+// earliest overweight record.
 func (lv *LaneEvaluator) maskPass(b *LaneBatch) {
-	cfg := lv.ev.cfg
-	rpc, nch := cfg.RanksPerChannel, cfg.Channels
+	rpc := int32(lv.ev.cfg.RanksPerChannel)
 	for si := range lv.ls {
 		ls := &lv.ls[si]
 		clear(ls.seen)
 		ls.pair, ls.over = 0, 0
 	}
-	for g := range lv.overSlots {
-		clear(lv.overSlots[g][:])
-	}
-	lrs := b.lrs
-	urpc, unch := uint32(rpc), uint32(nch)
-	var scalar uint64
+	clear(lv.overSlots[:])
+	lrs, tab, ovb, sl := b.lrs, lv.codes, lv.ovBytes, &lv.slots
 	var doms [3]int32 // the record's domain under each domainTag
-
-	if len(lv.codes) == 1 {
-		// One table word covers every scheme — the common case
-		// (AllSchemes is 6) — so the group loop vanishes from the
-		// per-record path.
-		tab := lv.codes[0]
-		ovb := lv.ovBytes[0]
-		sl := &lv.slots[0]
-		ovs := &lv.overSlots[0]
-		for L := 0; L < b.lanes; L++ {
-			lo, hi := int(b.offs[L]), int(b.offs[L+1])
-			if hi-lo == 1 {
-				s := lrs[lo].sig
-				if uint64(s) >= uint64(len(ovb)) {
-					scalar |= uint64(1) << uint(L)
-					continue
-				}
-				// Branchless: most lanes flip between overweight and
-				// not, so storing an occasionally-zero mask beats a
-				// coin-toss branch. overRecL is only read under a set
-				// overS bit, so the unconditional write is safe.
-				ovs[L] = ovb[s]
-				lv.overRecL[L] = int32(lo)
-				continue
-			}
-			bit := uint64(1) << uint(L)
-			for ri := lo; ri < hi; ri++ {
-				lr := &lrs[ri]
-				if uint64(lr.sig) >= uint64(len(tab)) ||
-					uint32(lr.ch) >= unch || uint32(lr.rk) >= urpc {
-					scalar |= bit
-					break // remaining records of this lane are moot
-				}
-				vec := tab[lr.sig]
-				if vec == 0 {
-					continue // invisible to every scheme
-				}
-				doms = [3]int32{lr.ch*int32(rpc) + lr.rk, lr.ch, lr.ch / 2}
-				for wt := (vec | vec>>1) & laneWt; wt != 0; wt &= wt - 1 {
-					k := bits.TrailingZeros64(wt) >> 3
-					ls := sl[k]
-					dom := doms[ls.dom]
-					m := ls.seen[dom]
-					ls.pair |= m & bit
-					ls.seen[dom] = m | bit
-					if vec>>(uint(k)*8)&0xff == 2 {
-						// Keep the earliest-starting overweight record;
-						// strict < matches the reference probe's
-						// first-record-wins tie-break.
-						if ls.over&bit == 0 || lr.start < lrs[ls.overRec[L]].start {
-							ls.overRec[L] = int32(ri)
-						}
-						ls.over |= bit
-					}
-				}
-			}
-		}
-		lv.scalar = scalar
-		return
-	}
-
-	ncodes := uint64(len(lv.codes[0]))
 	for L := 0; L < b.lanes; L++ {
 		lo, hi := int(b.offs[L]), int(b.offs[L+1])
+		if hi-lo == 1 {
+			// Branchless: most lanes flip between overweight and not, so
+			// storing an occasionally-zero mask beats a coin-toss branch.
+			// overRecL is only read under a set overS bit, so the
+			// unconditional write is safe.
+			lv.overSlots[L] = ovb[lrs[lo].sig]
+			lv.overRecL[L] = int32(lo)
+			continue
+		}
 		bit := uint64(1) << uint(L)
-		single := hi-lo == 1
 		for ri := lo; ri < hi; ri++ {
 			lr := &lrs[ri]
-			if single {
-				if uint64(lr.sig) >= ncodes {
-					scalar |= bit
-					break
-				}
-				for g := range lv.ovBytes {
-					lv.overSlots[g][L] = lv.ovBytes[g][lr.sig]
-				}
-				lv.overRecL[L] = int32(lo)
-				continue
+			vec := tab[lr.sig]
+			if vec == 0 {
+				continue // invisible to every scheme
 			}
-			if uint64(lr.sig) >= ncodes ||
-				uint32(lr.ch) >= unch || uint32(lr.rk) >= urpc {
-				scalar |= bit
-				break
-			}
-			doms = [3]int32{lr.ch*int32(rpc) + lr.rk, lr.ch, lr.ch / 2}
-			for g := range lv.codes {
-				vec := lv.codes[g][lr.sig]
-				if vec == 0 {
-					continue
-				}
-				sl := &lv.slots[g]
-				for wt := (vec | vec>>1) & laneWt; wt != 0; wt &= wt - 1 {
-					k := bits.TrailingZeros64(wt) >> 3
-					ls := sl[k]
-					dom := doms[ls.dom]
-					m := ls.seen[dom]
-					ls.pair |= m & bit
-					ls.seen[dom] = m | bit
-					if vec>>(uint(k)*8)&0xff == 2 {
-						if ls.over&bit == 0 || lr.start < lrs[ls.overRec[L]].start {
-							ls.overRec[L] = int32(ri)
-						}
-						ls.over |= bit
+			doms = [3]int32{lr.ch*rpc + lr.rk, lr.ch, lr.ch / 2}
+			for wt := (vec | vec>>1) & laneWt; wt != 0; wt &= wt - 1 {
+				k := bits.TrailingZeros64(wt) >> 3
+				ls := sl[k]
+				dom := doms[ls.dom]
+				m := ls.seen[dom]
+				ls.pair |= m & bit
+				ls.seen[dom] = m | bit
+				if vec>>(uint(k)*8)&0xff == 2 {
+					// Keep the earliest-starting overweight record; strict
+					// < matches the reference probe's first-record-wins
+					// tie-break.
+					if ls.over&bit == 0 || lr.start < lrs[ls.overRec[L]].start {
+						ls.overRec[L] = int32(ri)
 					}
+					ls.over |= bit
 				}
 			}
 		}
 	}
-	lv.scalar = scalar
 }
 
 // probeLane judges lane L under every scheme whose need mask holds it,
@@ -819,15 +692,14 @@ func (lv *LaneEvaluator) probeLane(b *LaneBatch, L int) {
 			b.stack[L] = string(debug.Stack())
 		}
 	}()
-	faults := b.LaneFaults(L)
-	lv.ev.prepare(faults)
+	lv.ev.prepare(b.LaneFaults(L))
 	bit := uint64(1) << uint(L)
 	for si := range lv.ls {
 		ls := &lv.ls[si]
 		if ls.need&bit == 0 {
 			continue
 		}
-		out := lv.ev.evalDomainPrepared(ls.ds, faults)
+		out := lv.ev.evalDomainPrepared(ls.ds)
 		if !math.IsInf(out.FailTime, 1) {
 			lv.fail[si] |= bit
 			switch out.Kind {
@@ -840,9 +712,6 @@ func (lv *LaneEvaluator) probeLane(b *LaneBatch, L int) {
 		}
 	}
 }
-
-// FailMask returns the last batch's failure lane mask for scheme s.
-func (lv *LaneEvaluator) FailMask(s int) uint64 { return lv.fail[s] }
 
 // AppendLaneOutcomes unpacks lane L's outcomes — one per scheme, in the
 // Evaluator's scheme order — appending to out[:0]. It must not be called

@@ -99,7 +99,7 @@ func BenchmarkTableICampaign(b *testing.B) {
 				// Consume outcomes the way flushBatch does: failing
 				// lanes only, via the per-scheme fail masks.
 				for s := range schemes {
-					for m := lv.FailMask(s); m != 0; m &= m - 1 {
+					for m := lv.fail[s]; m != 0; m &= m - 1 {
 						L := bits.TrailingZeros64(m)
 						sink += lv.outs[s*LaneWidth+L].FailTime
 					}

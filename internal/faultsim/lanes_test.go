@@ -84,8 +84,8 @@ func TestLaneEngineEquivalenceSweep(t *testing.T) {
 	}
 }
 
-// TestLaneEngineHeavyWeights: weights straddling the scalar probe's int8
-// envelope — 130 forces its reference fallback inside a lane probe.
+// TestLaneEngineHeavyWeights: weights either side of 127, the int8 limit —
+// the lane probe must carry both at full width.
 func TestLaneEngineHeavyWeights(t *testing.T) {
 	cfg := denseConfig(200)
 	heavy := func(w int) weightFunc {
@@ -106,6 +106,34 @@ func TestLaneEngineHeavyWeights(t *testing.T) {
 	for judge, fn := range oracleJudges {
 		sameCampaign(t, "heavy schemes vs "+judge, rep, oracleCampaign(t, cfg, schemes, opts, fn))
 	}
+}
+
+// TestLaneEngineSchemeCap: the weight-code word has eight slots, so every
+// way of shaping a campaign refuses a ninth scheme up front, and
+// NewLaneEvaluator panics on one.
+func TestLaneEngineSchemeCap(t *testing.T) {
+	cfg := DefaultConfig()
+	schemes := AllSchemes()
+	for len(schemes) < 9 {
+		schemes = append(schemes, NewRankErasureScheme(fmt.Sprintf("Rank%d", len(schemes)), 1, visibleWeight))
+	}
+	opts := CampaignOptions{Trials: 1000, Seed: 1}
+	mustCampaign(t, context.Background(), cfg, schemes[:8], opts)
+	if _, err := RunCampaign(context.Background(), cfg, schemes, opts); err == nil {
+		t.Error("RunCampaign accepted nine schemes")
+	}
+	if _, err := NewChunkRunner(cfg, schemes, opts); err == nil {
+		t.Error("NewChunkRunner accepted nine schemes")
+	}
+	if _, err := NewMerger(cfg, schemes, opts); err == nil {
+		t.Error("NewMerger accepted nine schemes")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewLaneEvaluator accepted nine schemes")
+		}
+	}()
+	NewLaneEvaluator(NewEvaluator(&cfg, schemes))
 }
 
 // TestLaneEnginePanicIsolation: a scheme panicking in the scalar probe
@@ -207,19 +235,6 @@ func TestLaneEvaluatorDirect(t *testing.T) {
 			}
 		}
 	}
-	// Out-of-envelope records route the whole lane to the scalar path.
-	b.Reset()
-	foreign := []FaultRecord{mk(99, 0, 0, 5, 61320, false, false)}
-	b.Add(0, st, foreign)
-	lv.EvaluateBatch(&b)
-	want = ev.EvaluateInto(foreign, want)
-	got = lv.AppendLaneOutcomes(0, got)
-	for s := range schemes {
-		if math.Float64bits(got[s].FailTime) != math.Float64bits(want[s].FailTime) || got[s].Kind != want[s].Kind {
-			t.Fatalf("foreign record, scheme %s: lanes (%v,%v) != indexed (%v,%v)",
-				schemes[s].Name(), got[s].FailTime, got[s].Kind, want[s].FailTime, want[s].Kind)
-		}
-	}
 }
 
 // TestLaneEvaluateBatchAllocFree holds the lane engine's hot path to the
@@ -298,16 +313,15 @@ func TestLaneEventHashMatches(t *testing.T) {
 }
 
 // TestDigestRecordMatchesSigOf pins digestRecord's hand-fused signature
-// against sigOf: the two must agree on every record, including the
-// out-of-envelope granularities and chip positions that map to -1.
+// against sigOf on records inside an x4 fleet, the widest stock rank.
 func TestDigestRecordMatchesSigOf(t *testing.T) {
 	rng := simrand.New(7)
 	for i := 0; i < 50_000; i++ {
 		r := FaultRecord{
 			Channel:            int(rng.Uint64n(8)),
 			Rank:               int(rng.Uint64n(4)),
-			Chip:               int(rng.Uint64n(1<<21)) - 4, // straddles both sigOf caps
-			Gran:               dram.Granularity(rng.Uint64n(uint64(dram.NumGranularities) + 2)),
+			Chip:               int(rng.Uint64n(18)),
+			Gran:               dram.Granularity(rng.Uint64n(uint64(dram.NumGranularities))),
 			Transient:          rng.Uint64n(2) == 0,
 			Silent:             rng.Uint64n(2) == 0,
 			EscalatedByScaling: rng.Uint64n(2) == 0,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Result accumulates one scheme's outcome over all trials.
@@ -138,7 +139,8 @@ func SchemeNames() []string {
 // SchemesByName resolves scheme names (as reported by Scheme.Name) to fresh
 // scheme instances, preserving order. Unknown names are an error listing
 // the valid vocabulary — the CLI's defence against typos silently running a
-// zero-scheme campaign.
+// zero-scheme campaign — and so is a repeated name, whose second Report row
+// Report.ResultFor could never reach.
 func SchemesByName(names ...string) ([]Scheme, error) {
 	ctors := map[string]func() Scheme{
 		"NonECC":            func() Scheme { return NewNonECC() },
@@ -149,10 +151,13 @@ func SchemesByName(names ...string) ([]Scheme, error) {
 		"XED+Chipkill":      func() Scheme { return NewXEDChipkill() },
 	}
 	out := make([]Scheme, 0, len(names))
-	for _, name := range names {
+	for i, name := range names {
 		ctor, ok := ctors[name]
 		if !ok {
 			return nil, fmt.Errorf("faultsim: unknown scheme %q (valid: %v)", name, SchemeNames())
+		}
+		if slices.Contains(names[:i], name) {
+			return nil, fmt.Errorf("faultsim: scheme %q named twice", name)
 		}
 		out = append(out, ctor())
 	}

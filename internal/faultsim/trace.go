@@ -53,14 +53,27 @@ func (tr *Trace) WriteJSON(w io.Writer) error {
 	return enc.Encode(tr)
 }
 
-// ReadTrace deserialises a trace written by WriteJSON.
+// ReadTrace deserialises a trace written by WriteJSON. It refuses a trace
+// with any record outside its config's fleet or granularity range: the
+// judging engines index their tables by those fields unchecked.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	var tr Trace
 	if err := json.NewDecoder(r).Decode(&tr); err != nil {
 		return nil, fmt.Errorf("faultsim: decoding trace: %w", err)
 	}
-	if err := tr.Config.Validate(); err != nil {
+	cfg := &tr.Config
+	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	for t, trial := range tr.Trials {
+		for i := range trial {
+			f := &trial[i]
+			if uint(f.Channel) >= uint(cfg.Channels) || uint(f.Rank) >= uint(cfg.RanksPerChannel) ||
+				uint(f.Chip) >= uint(cfg.ChipsPerRank) || uint(f.Gran) >= uint(dram.NumGranularities) {
+				return nil, fmt.Errorf("faultsim: trace trial %d record %d lies outside its config's fleet (channel %d of %d, rank %d of %d, chip %d of %d, granularity %d of %d)",
+					t, i, f.Channel, cfg.Channels, f.Rank, cfg.RanksPerChannel, f.Chip, cfg.ChipsPerRank, int(f.Gran), int(dram.NumGranularities))
+			}
+		}
 	}
 	return &tr, nil
 }

@@ -3,6 +3,7 @@ package faultsim
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"xedsim/internal/dram"
@@ -131,6 +132,41 @@ func TestTraceValidation(t *testing.T) {
 	tr, _ := CaptureTrace(cfg, 1, 1)
 	if _, err := tr.Judge(nil); err == nil {
 		t.Error("expected error for no schemes")
+	}
+}
+
+// TestReadTraceRejectsOutOfFleetRecord: the judging engines index their
+// tables by a record's channel, rank, chip and granularity unchecked, so
+// ReadTrace refuses a trace holding any record outside its config's fleet
+// and names the offending trial and record.
+func TestReadTraceRejectsOutOfFleetRecord(t *testing.T) {
+	cfg := DefaultConfig()
+	cases := map[string]func(*FaultRecord){
+		"in fleet":         func(*FaultRecord) {},
+		"channel":          func(r *FaultRecord) { r.Channel = cfg.Channels },
+		"negative channel": func(r *FaultRecord) { r.Channel = -1 },
+		"rank":             func(r *FaultRecord) { r.Rank = cfg.RanksPerChannel },
+		"chip":             func(r *FaultRecord) { r.Chip = cfg.ChipsPerRank },
+		"granularity":      func(r *FaultRecord) { r.Gran = dram.NumGranularities },
+	}
+	for name, mut := range cases {
+		tr := &Trace{Config: cfg, Trials: make([][]FaultRecord, 5)}
+		last := mkRec(cfg.Channels-1, cfg.RanksPerChannel-1, cfg.ChipsPerRank-1, dram.NumGranularities-1, false, 5, 10)
+		mut(&last)
+		tr.Trials[3] = []FaultRecord{mkRec(0, 0, 0, dram.GranWord, false, 1, 2), last}
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadTrace(&buf)
+		switch {
+		case name == "in fleet" && err != nil:
+			t.Fatalf("in-fleet trace refused: %v", err)
+		case name != "in fleet" && err == nil:
+			t.Fatalf("%s: out-of-fleet record accepted", name)
+		case err != nil && !strings.Contains(err.Error(), "trial 3 record 1 "):
+			t.Fatalf("%s: error %q does not name trial 3 record 1", name, err)
+		}
 	}
 }
 
