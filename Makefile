@@ -73,6 +73,12 @@ ci:
 	go test ./...
 	cd benchmark && go vet ./... && go test ./...
 	go run ./cmd/xedverify
+	@bin=$$(mktemp -d); for dir in cmd/*/; do name=$$(basename $$dir); \
+		go build -o $$bin/$$name ./$$dir || exit 1; \
+		$$bin/$$name -h 2>/dev/null || { echo "$$name -h exited $$?, want 0"; exit 1; }; \
+		code=0; $$bin/$$name stray 2>/dev/null || code=$$?; \
+		[ $$code -eq 2 ] || { echo "$$name stray exited $$code, want 2"; exit 1; }; \
+	done; rm -rf $$bin
 	go test -race -short ./...
 	go test -run='^$$' -bench=TableI -benchtime=1x ./...
 

@@ -19,11 +19,12 @@ import (
 
 const cmd cli.Command = "xedcodes"
 
-// cliArgs is the flag-validation surface, separated from flag.Parse so the
-// exit-2 usage convention is unit-testable (see main_test.go).
+// cliArgs holds every flag's value. validateArgs checks it apart from flag
+// parsing, so the exit-2 usage convention is unit-testable.
 type cliArgs struct {
 	experiment string
 	samples    int
+	seed       uint64
 }
 
 // validateArgs returns the message cmd.UsageErr should print, or nil. A
@@ -42,17 +43,18 @@ func validateArgs(a cliArgs) error {
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "table2|fig6|table3|table4|all")
-	samples := flag.Int("samples", 2_000_000, "Monte-Carlo samples per Table II cell (k >= 5)")
-	seed := flag.Uint64("seed", 1, "random seed")
-	flag.Parse()
-	if err := validateArgs(cliArgs{experiment: *experiment, samples: *samples}); err != nil {
+	var a cliArgs
+	flag.StringVar(&a.experiment, "experiment", "all", "table2|fig6|table3|table4|all")
+	flag.IntVar(&a.samples, "samples", 2_000_000, "Monte-Carlo samples per Table II cell (k >= 5)")
+	flag.Uint64Var(&a.seed, "seed", 1, "random seed")
+	cmd.Parse()
+	if err := validateArgs(a); err != nil {
 		cmd.UsageErr("%v", err)
 	}
 
-	switch *experiment {
+	switch a.experiment {
 	case "all":
-		table2(*samples, *seed)
+		table2(a.samples, a.seed)
 		fmt.Println()
 		fig6()
 		fmt.Println()
@@ -60,7 +62,7 @@ func main() {
 		fmt.Println()
 		table4()
 	case "table2":
-		table2(*samples, *seed)
+		table2(a.samples, a.seed)
 	case "fig6":
 		fig6()
 	case "table3":

@@ -21,6 +21,13 @@ func TestExitConventions(t *testing.T) {
 		t.Fatalf("usage error: exit %d, stderr %q", code, stderr)
 	}
 
+	// Flag parsing stops at a positional argument and would drop every flag
+	// after it, so one is a usage error.
+	code, stderr = clitest.Run(t, "-experiment", "fig7", "-systems", "1000", "stray", "-seed", "5")
+	if code != 2 || !strings.HasPrefix(stderr, "xedfaultsim: unexpected arguments: [stray -seed 5]\n") {
+		t.Fatalf("stray argument: exit %d, stderr %q", code, stderr)
+	}
+
 	// A repeated scheme would print two rows for one name.
 	code, stderr = clitest.Run(t, "-experiment", "custom", "-schemes", "XED,XED", "-systems", "1000")
 	if code != 2 || !strings.HasPrefix(stderr, `xedfaultsim: faultsim: scheme "XED" named twice`) {

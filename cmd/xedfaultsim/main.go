@@ -29,29 +29,32 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"xedsim/internal/cli"
 	"xedsim/internal/faultsim"
 	"xedsim/internal/obs"
-	"xedsim/internal/profiling"
 )
 
 const cmd cli.Command = "xedfaultsim"
 
-// cliArgs is the flag-validation surface, separated from flag.Parse so the
-// exit-2 usage convention is unit-testable (see main_test.go).
+// cliArgs holds every flag's value. validateArgs checks it apart from flag
+// parsing, so the exit-2 usage convention is unit-testable.
 type cliArgs struct {
-	systems    int
-	workers    int
-	scrub      float64
-	ckptEvery  time.Duration
-	experiment string
-	schemeList string
-	ckptPath   string
-	resume     bool
-	ondieCode  string
+	experiment  string
+	systems     int
+	seed        uint64
+	scrub       float64
+	overlap     bool
+	workers     int
+	schemeList  string
+	ckptPath    string
+	ckptEvery   time.Duration
+	resume      bool
+	ondieCode   string
+	progress    bool
+	metricsJSON string
+	debugAddr   string
 }
 
 // validateArgs returns the message cmd.UsageErr should print, or nil. Range
@@ -95,55 +98,38 @@ func validateArgs(a cliArgs) error {
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "fig1|fig7|fig8|fig9|fig10|custom|all")
-	systems := flag.Int("systems", 2_000_000, "Monte-Carlo trials (systems simulated)")
-	seed := flag.Uint64("seed", 42, "random seed")
-	scrub := flag.Float64("scrub-hours", 0, "override patrol-scrub interval (hours)")
-	overlap := flag.Bool("address-overlap", false, "require address-range intersection for compound failures (precise FaultSim criterion)")
-	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	schemeList := flag.String("schemes", "", "comma-separated scheme names for -experiment custom")
-	ckptPath := flag.String("checkpoint", "", "snapshot campaign progress to this file (single experiment only)")
-	ckptEvery := flag.Duration("checkpoint-every", faultsim.DefaultCheckpointInterval, "interval between periodic snapshots")
-	resume := flag.Bool("resume", false, "resume from -checkpoint if it exists")
-	ondieCode := flag.String("ondie-code", "", "measure the silent-word fraction from this on-die code (crc8|hamming|hsiao|random:<seed>) instead of assuming the paper's 0.008")
-	progress := flag.Bool("progress", false, "repaint a one-line live status (trials/s, per-scheme tallies) on stderr")
-	metricsJSON := flag.String("metrics-json", "", "write the final metrics snapshot to this file as JSON")
-	debugAddr := flag.String("debug-addr", "", "serve live metrics and pprof over HTTP on this address (e.g. localhost:6060)")
-	prof := profiling.Register(flag.CommandLine)
-	flag.Parse()
+	var a cliArgs
+	flag.StringVar(&a.experiment, "experiment", "all", "fig1|fig7|fig8|fig9|fig10|custom|all")
+	flag.IntVar(&a.systems, "systems", 2_000_000, "Monte-Carlo trials (systems simulated)")
+	flag.Uint64Var(&a.seed, "seed", 42, "random seed")
+	flag.Float64Var(&a.scrub, "scrub-hours", 0, "override patrol-scrub interval (hours)")
+	flag.BoolVar(&a.overlap, "address-overlap", false, "require address-range intersection for compound failures (precise FaultSim criterion)")
+	flag.IntVar(&a.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	flag.StringVar(&a.schemeList, "schemes", "", "comma-separated scheme names for -experiment custom")
+	flag.StringVar(&a.ckptPath, "checkpoint", "", "snapshot campaign progress to this file (single experiment only)")
+	flag.DurationVar(&a.ckptEvery, "checkpoint-every", faultsim.DefaultCheckpointInterval, "interval between periodic snapshots")
+	flag.BoolVar(&a.resume, "resume", false, "resume from -checkpoint if it exists")
+	flag.StringVar(&a.ondieCode, "ondie-code", "", "measure the silent-word fraction from this on-die code (crc8|hamming|hsiao|random:<seed>) instead of assuming the paper's 0.008")
+	flag.BoolVar(&a.progress, "progress", false, "repaint a one-line live status (trials/s, per-scheme tallies) on stderr")
+	flag.StringVar(&a.metricsJSON, "metrics-json", "", "write the final metrics snapshot to this file as JSON")
+	flag.StringVar(&a.debugAddr, "debug-addr", "", "serve live metrics and pprof over HTTP on this address (e.g. localhost:6060)")
+	prof := cli.RegisterProfile(flag.CommandLine)
+	cmd.Parse()
 
-	if err := validateArgs(cliArgs{
-		systems:    *systems,
-		workers:    *workers,
-		scrub:      *scrub,
-		ckptEvery:  *ckptEvery,
-		experiment: *experiment,
-		schemeList: *schemeList,
-		ckptPath:   *ckptPath,
-		resume:     *resume,
-		ondieCode:  *ondieCode,
-	}); err != nil {
+	if err := validateArgs(a); err != nil {
 		cmd.UsageErr("%v", err)
 	}
-	var customSchemes []faultsim.Scheme
-	if *experiment == "custom" {
+	var custom []faultsim.Scheme
+	if a.experiment == "custom" {
 		var err error
-		customSchemes, err = faultsim.SchemesByName(splitTrim(*schemeList)...)
-		if err != nil {
+		if custom, err = faultsim.SchemesByName(cli.SplitList(a.schemeList)...); err != nil {
 			cmd.UsageErr("%v", err)
 		}
 	}
 
 	// One registry spans all experiments of the run, so -experiment all
 	// accumulates into the same counters the debug endpoint serves.
-	var reg *obs.Registry
-	if *progress || *metricsJSON != "" || *debugAddr != "" {
-		reg = obs.NewRegistry()
-	}
-	if *debugAddr != "" {
-		srv := cmd.ServeDebug(*debugAddr, reg, nil)
-		defer srv.Close()
-	}
+	reg, done := cmd.Observe(a.progress, a.metricsJSON, a.debugAddr, nil)
 
 	ctx, stop := cli.InterruptContext()
 	defer stop()
@@ -151,88 +137,43 @@ func main() {
 	if err := prof.Start(); err != nil {
 		cmd.Fatal(err)
 	}
-	opts := runOptions{
-		systems:   *systems,
-		seed:      *seed,
-		scrub:     *scrub,
-		overlap:   *overlap,
-		workers:   *workers,
-		ondieCode: *ondieCode,
-		schemes:   customSchemes,
-		metrics:   reg,
-		progress:  *progress,
-		campaign: faultsim.CampaignOptions{
-			CheckpointPath:     *ckptPath,
-			CheckpointInterval: *ckptEvery,
-			Resume:             *resume,
-			Metrics:            reg,
-		},
-	}
 	var runErr error
-	if *experiment == "all" {
+	if a.experiment == "all" {
 		for _, name := range []string{"fig1", "fig7", "fig8", "fig9", "fig10"} {
-			if runErr = runExperiment(ctx, name, opts); runErr != nil {
+			if runErr = runExperiment(ctx, name, &a, nil, reg); runErr != nil {
 				break
 			}
 			fmt.Println()
 		}
 	} else {
-		runErr = runExperiment(ctx, *experiment, opts)
+		runErr = runExperiment(ctx, a.experiment, &a, custom, reg)
 	}
 	if err := prof.Stop(); err != nil {
 		cmd.Fatal(err)
 	}
-	// The metrics are written even after an interrupted campaign, so
-	// partial runs still leave their accounting behind.
-	if *metricsJSON != "" {
-		if err := cli.WriteMetricsJSON(*metricsJSON, reg); err != nil {
-			cmd.Fatal(err)
-		}
-	}
+	done() // an interrupted run leaves its metrics behind too
 	if runErr != nil {
 		cmd.Fatal(runErr)
 	}
 }
 
-func splitTrim(s string) []string {
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-type runOptions struct {
-	systems   int
-	seed      uint64
-	scrub     float64
-	overlap   bool
-	workers   int
-	ondieCode string            // non-empty: measure SilentWordFraction from this code
-	schemes   []faultsim.Scheme // custom experiment only
-	metrics   *obs.Registry     // nil unless -progress/-metrics-json/-debug-addr
-	progress  bool
-	campaign  faultsim.CampaignOptions
-}
-
-func runExperiment(ctx context.Context, name string, o runOptions) error {
+// runExperiment runs one figure's campaign, or the custom schemes, and
+// prints its table; reg is nil unless an observability flag is set.
+func runExperiment(ctx context.Context, name string, a *cliArgs, custom []faultsim.Scheme, reg *obs.Registry) error {
 	cfg := faultsim.DefaultConfig()
-	if o.scrub > 0 {
-		cfg.ScrubIntervalHours = o.scrub
+	if a.scrub > 0 {
+		cfg.ScrubIntervalHours = a.scrub
 	}
-	cfg.RequireAddressOverlap = o.overlap
-	if o.ondieCode != "" {
+	cfg.RequireAddressOverlap = a.overlap
+	if a.ondieCode != "" {
 		// Replace the paper's assumed 0.8% escape rate with one measured
 		// against the selected codec. The measurement is seeded, so
 		// checkpointed campaigns hash and resume consistently.
-		code, err := faultsim.ParseOnDieCode(o.ondieCode)
+		code, err := faultsim.ParseOnDieCode(a.ondieCode)
 		if err != nil {
 			return err
 		}
-		cfg.SilentWordFraction = faultsim.SilentWordFractionFor(code, 200_000, o.seed)
+		cfg.SilentWordFraction = faultsim.SilentWordFractionFor(code, 200_000, a.seed)
 		fmt.Printf("on-die code %s: measured silent word fraction %.2g (config default %.2g)\n",
 			code.Name(), cfg.SilentWordFraction, faultsim.DefaultConfig().SilentWordFraction)
 	}
@@ -278,23 +219,26 @@ func runExperiment(ctx context.Context, name string, o runOptions) error {
 		}
 	case "custom":
 		title = "Custom campaign"
-		schemes = o.schemes
+		schemes = custom
 	}
 
-	copts := o.campaign
-	copts.Trials = o.systems
-	copts.Seed = o.seed
-	copts.Workers = o.workers
-	var pp *progressPrinter
-	if o.progress && o.metrics != nil {
-		pp = newProgressPrinter(o.metrics, os.Stderr, name, schemes)
-		copts.OnChunk = pp.onChunk
+	copts := faultsim.CampaignOptions{
+		Trials:             a.systems,
+		Seed:               a.seed,
+		Workers:            a.workers,
+		CheckpointPath:     a.ckptPath,
+		CheckpointInterval: a.ckptEvery,
+		Resume:             a.resume,
+		Metrics:            reg,
+	}
+	var progress *cli.Progress
+	if a.progress {
+		progress = cli.NewProgress(os.Stderr, progressLine(reg, name, schemes))
+		copts.OnChunk = progress.Update
 	}
 
 	rep, err := faultsim.RunCampaign(ctx, cfg, schemes, copts)
-	if pp != nil {
-		pp.finish() // terminate the repaint line before the results table
-	}
+	progress.Finish() // terminate the repaint line before the results table
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
 		return err
@@ -302,19 +246,7 @@ func runExperiment(ctx context.Context, name string, o runOptions) error {
 	fmt.Println(title)
 	fmt.Printf("  (%d of %d systems, %d chips each, %.0f-year lifetime, scrub %.0fh)\n",
 		rep.Trials, rep.Requested, cfg.TotalChips(), cfg.LifetimeHours/faultsim.HoursPerYear, cfg.ScrubIntervalHours)
-	fmt.Printf("%-22s", "scheme \\ year")
-	for y := 1; y <= rep.Years; y++ {
-		fmt.Printf(" %9d", y)
-	}
-	fmt.Println()
-	for i := range rep.Results {
-		r := &rep.Results[i]
-		fmt.Printf("%-22s", r.SchemeName)
-		for y := 0; y < rep.Years; y++ {
-			fmt.Printf(" %9.3g", r.ProbabilityByYear(y))
-		}
-		fmt.Printf("   (±%.1g; DUE %.2g, SDC %.2g)\n", r.StdErr(), r.DUEProbability(), r.SDCProbability())
-	}
+	rep.WriteTable(os.Stdout)
 	for _, pair := range ratios {
 		ratio, lo, hi := rep.ImprovementCI(pair[0], pair[1])
 		fmt.Printf("  %s is %.1fx more reliable than %s (95%% CI %.1f-%.1fx)\n",
@@ -326,11 +258,7 @@ func runExperiment(ctx context.Context, name string, o runOptions) error {
 			te.Trial, te.Chunk, te.RNGState, te.PanicValue)
 	}
 	if interrupted {
-		msg := "interrupted; partial results above"
-		if copts.CheckpointPath != "" {
-			msg += ", progress saved to " + copts.CheckpointPath
-		}
-		return errors.New(msg)
+		return cli.Interrupted("partial results", a.ckptPath)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -10,72 +9,28 @@ import (
 	"xedsim/internal/obs"
 )
 
-// progressPrinter repaints a one-line live status after each merged chunk,
-// fed entirely from the campaign's metrics registry: trial throughput plus
-// per-scheme running failure tallies with 95% Wilson intervals. The engine
-// already serialises OnChunk, so no locking is needed here.
-type progressPrinter struct {
-	reg     *obs.Registry
-	out     io.Writer
-	label   string
-	schemes []string
-	start   time.Time
-	trials0 uint64 // trials_done at construction (resume credit)
-	last    time.Time
-	width   int
-}
+// progressLine returns the -progress status line of one campaign, read
+// entirely from its metrics registry: trial throughput plus per-scheme
+// running failure tallies with 95% Wilson intervals.
+func progressLine(reg *obs.Registry, label string, schemes []faultsim.Scheme) func(done, total int) string {
+	start := time.Now()
+	trials0 := reg.Snapshot().Counters["campaign.trials_done"] // resume credit
+	return func(done, total int) string {
+		snap := reg.Snapshot()
+		trials := snap.Counters["campaign.trials_done"]
+		rate := float64(trials-trials0) / time.Since(start).Seconds()
 
-func newProgressPrinter(reg *obs.Registry, out io.Writer, label string, schemes []faultsim.Scheme) *progressPrinter {
-	p := &progressPrinter{
-		reg:     reg,
-		out:     out,
-		label:   label,
-		start:   time.Now(),
-		trials0: reg.Snapshot().Counters["campaign.trials_done"],
-	}
-	for _, s := range schemes {
-		p.schemes = append(p.schemes, s.Name())
-	}
-	return p
-}
-
-// onChunk is wired as CampaignOptions.OnChunk.
-func (p *progressPrinter) onChunk(done, total int) {
-	now := time.Now()
-	if done < total && now.Sub(p.last) < 100*time.Millisecond {
-		return // repaint at most ~10 Hz, but always paint the final state
-	}
-	p.last = now
-
-	snap := p.reg.Snapshot()
-	trials := snap.Counters["campaign.trials_done"]
-	rate := float64(trials-p.trials0) / time.Since(p.start).Seconds()
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %3d%% %s trials %s/s", p.label, done*100/max(total, 1), si(float64(trials)), si(rate))
-	for _, name := range p.schemes {
-		k := snap.Counters["campaign.scheme."+name+".failures"]
-		lo, hi := faultsim.WilsonInterval(k, trials)
-		fmt.Fprintf(&b, " | %s %d [%.2g,%.2g]", name, k, lo, hi)
-	}
-	if errs := snap.Counters["campaign.trial_errors"]; errs > 0 {
-		fmt.Fprintf(&b, " | voided %d", errs)
-	}
-
-	// Overwrite in place, blanking any leftover tail of a longer line.
-	line := b.String()
-	pad := ""
-	if n := p.width - len(line); n > 0 {
-		pad = strings.Repeat(" ", n)
-	}
-	p.width = len(line)
-	fmt.Fprintf(p.out, "\r%s%s", line, pad)
-}
-
-// finish terminates the repaint line so the results table starts clean.
-func (p *progressPrinter) finish() {
-	if p.width > 0 {
-		fmt.Fprintln(p.out)
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s %3d%% %s trials %s/s", label, done*100/max(total, 1), si(float64(trials)), si(rate))
+		for _, s := range schemes {
+			k := snap.Counters["campaign.scheme."+s.Name()+".failures"]
+			lo, hi := faultsim.WilsonInterval(k, trials)
+			fmt.Fprintf(&b, " | %s %d [%.2g,%.2g]", s.Name(), k, lo, hi)
+		}
+		if errs := snap.Counters["campaign.trial_errors"]; errs > 0 {
+			fmt.Fprintf(&b, " | voided %d", errs)
+		}
+		return b.String()
 	}
 }
 

@@ -31,26 +31,30 @@ import (
 	"xedsim/internal/cli"
 	"xedsim/internal/faultsim"
 	"xedsim/internal/fleet"
-	"xedsim/internal/obs"
 )
 
 const cmd cli.Command = "xedfleet"
 
-// cliArgs is the flag-validation surface, separated from flag.Parse so the
-// exit-2 usage convention is unit-testable (see main_test.go).
+// cliArgs holds every flag's value. validateArgs checks it apart from flag
+// parsing, so the exit-2 usage convention is unit-testable.
 type cliArgs struct {
-	dimms     int
-	years     float64
-	scrub     float64
-	workers   int
-	chunk     int
-	dimmsMC   int
-	policy    string
-	scheme    string
-	dimmsHist int
-	ckptPath  string
-	ckptEvery time.Duration
-	resume    bool
+	dimms       int
+	years       float64
+	scrub       float64
+	policy      string
+	scheme      string
+	seed        uint64
+	workers     int
+	chunk       int
+	dimmsMC     int
+	dimmsHist   int
+	edacPath    string
+	ckptPath    string
+	ckptEvery   time.Duration
+	resume      bool
+	progress    bool
+	metricsJSON string
+	debugAddr   string
 }
 
 // validateArgs returns the message cmd.UsageErr should print, or nil. Range
@@ -86,7 +90,7 @@ func validateArgs(a cliArgs) error {
 			return err
 		}
 	}
-	if a.dimmsHist >= a.dimms {
+	if a.dimmsHist < -1 || a.dimmsHist >= a.dimms { // -1: no history
 		return fmt.Errorf("-dimm %d out of range [0, %d)", a.dimmsHist, a.dimms)
 	}
 	if a.resume && a.ckptPath == "" {
@@ -96,64 +100,52 @@ func validateArgs(a cliArgs) error {
 }
 
 func main() {
-	dimms := flag.Int("dimms", 10_000, "fleet size in DIMMs")
-	years := flag.Float64("years", 7, "simulated horizon in years")
-	scrub := flag.Float64("scrub-hours", 24*7, "patrol-scrub interval (hours)")
-	policy := flag.String("policy", "none", "row retirement policy: none|on-first-ce|threshold:<n>|harp")
-	scheme := flag.String("scheme", "XED", "rank-level protection scheme (faultsim registry name)")
-	seed := flag.Uint64("seed", 42, "random seed")
-	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS); results do not depend on this")
-	chunk := flag.Int("chunk", 0, "DIMMs per scheduling chunk (0 = default); part of the deterministic stream layout")
-	dimmsMC := flag.Int("dimms-per-mc", 8, "DIMMs per simulated memory controller (EDAC grouping; sizes checkpoints and dumps)")
-	dimmHist := flag.Int("dimm", -1, "print this DIMM's regenerated fault history as JSON and exit")
-	edacPath := flag.String("edac", "", "write the EDAC sysfs-shaped counter dump to this file (\"-\" for stdout)")
-	ckptPath := flag.String("checkpoint", "", "snapshot fleet progress to this file")
-	ckptEvery := flag.Duration("checkpoint-every", fleet.DefaultCheckpointInterval, "interval between periodic snapshots")
-	resume := flag.Bool("resume", false, "resume from -checkpoint if it exists")
-	progress := flag.Bool("progress", false, "repaint a one-line live status on stderr")
-	metricsJSON := flag.String("metrics-json", "", "write the final metrics snapshot to this file as JSON")
-	debugAddr := flag.String("debug-addr", "", "serve live /metrics, /edac and pprof over HTTP on this address")
-	flag.Parse()
+	var a cliArgs
+	flag.IntVar(&a.dimms, "dimms", 10_000, "fleet size in DIMMs")
+	flag.Float64Var(&a.years, "years", 7, "simulated horizon in years")
+	flag.Float64Var(&a.scrub, "scrub-hours", 24*7, "patrol-scrub interval (hours)")
+	flag.StringVar(&a.policy, "policy", "none", "row retirement policy: none|on-first-ce|threshold:<n>|harp")
+	flag.StringVar(&a.scheme, "scheme", "XED", "rank-level protection scheme (faultsim registry name)")
+	flag.Uint64Var(&a.seed, "seed", 42, "random seed")
+	flag.IntVar(&a.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS); results do not depend on this")
+	flag.IntVar(&a.chunk, "chunk", 0, "DIMMs per scheduling chunk (0 = default); part of the deterministic stream layout")
+	flag.IntVar(&a.dimmsMC, "dimms-per-mc", 8, "DIMMs per simulated memory controller (EDAC grouping; sizes checkpoints and dumps)")
+	flag.IntVar(&a.dimmsHist, "dimm", -1, "print this DIMM's regenerated fault history as JSON and exit")
+	flag.StringVar(&a.edacPath, "edac", "", "write the EDAC sysfs-shaped counter dump to this file (\"-\" for stdout)")
+	flag.StringVar(&a.ckptPath, "checkpoint", "", "snapshot fleet progress to this file")
+	flag.DurationVar(&a.ckptEvery, "checkpoint-every", fleet.DefaultCheckpointInterval, "interval between periodic snapshots")
+	flag.BoolVar(&a.resume, "resume", false, "resume from -checkpoint if it exists")
+	flag.BoolVar(&a.progress, "progress", false, "repaint a one-line live status on stderr")
+	flag.StringVar(&a.metricsJSON, "metrics-json", "", "write the final metrics snapshot to this file as JSON")
+	flag.StringVar(&a.debugAddr, "debug-addr", "", "serve live /metrics, /edac and pprof over HTTP on this address")
+	cmd.Parse()
 
-	if err := validateArgs(cliArgs{
-		dimms:     *dimms,
-		years:     *years,
-		scrub:     *scrub,
-		workers:   *workers,
-		chunk:     *chunk,
-		dimmsMC:   *dimmsMC,
-		policy:    *policy,
-		scheme:    *scheme,
-		dimmsHist: *dimmHist,
-		ckptPath:  *ckptPath,
-		ckptEvery: *ckptEvery,
-		resume:    *resume,
-	}); err != nil {
+	if err := validateArgs(a); err != nil {
 		cmd.UsageErr("%v", err)
 	}
 
 	cfg := fleet.DefaultConfig()
-	cfg.DIMMs = *dimms
-	cfg.HorizonHours = *years * faultsim.HoursPerYear
-	cfg.ScrubIntervalHours = *scrub
-	cfg.Scheme = *scheme
-	cfg.DIMMsPerMC = *dimmsMC
-	cfg.Policy, _ = fleet.ParsePolicy(*policy)
+	cfg.DIMMs = a.dimms
+	cfg.HorizonHours = a.years * faultsim.HoursPerYear
+	cfg.ScrubIntervalHours = a.scrub
+	cfg.Scheme = a.scheme
+	cfg.DIMMsPerMC = a.dimmsMC
+	cfg.Policy, _ = fleet.ParsePolicy(a.policy)
 	if err := cfg.Validate(); err != nil {
 		cmd.UsageErr("%v", err)
 	}
 
 	opts := fleet.Options{
-		Seed:               *seed,
-		Workers:            *workers,
-		ChunkSize:          *chunk,
-		CheckpointPath:     *ckptPath,
-		CheckpointInterval: *ckptEvery,
-		Resume:             *resume,
+		Seed:               a.seed,
+		Workers:            a.workers,
+		ChunkSize:          a.chunk,
+		CheckpointPath:     a.ckptPath,
+		CheckpointInterval: a.ckptEvery,
+		Resume:             a.resume,
 	}
 
-	if *dimmHist >= 0 {
-		h, err := fleet.History(cfg, opts, *dimmHist)
+	if a.dimmsHist >= 0 {
+		h, err := fleet.History(cfg, opts, a.dimmsHist)
 		if err != nil {
 			cmd.Fatal(err)
 		}
@@ -165,53 +157,38 @@ func main() {
 		return
 	}
 
-	var reg *obs.Registry
-	if *progress || *metricsJSON != "" || *debugAddr != "" {
-		reg = obs.NewRegistry()
-		opts.Metrics = reg
-	}
 	view := fleet.NewView()
 	opts.View = view
-	if *debugAddr != "" {
-		srv := cmd.ServeDebug(*debugAddr, reg, map[string]http.Handler{"/edac": view.Handler()})
-		defer srv.Close()
-	}
-	if *progress {
+	reg, done := cmd.Observe(a.progress, a.metricsJSON, a.debugAddr, map[string]http.Handler{"/edac": view.Handler()})
+	opts.Metrics = reg
+	var progress *cli.Progress
+	if a.progress {
 		start := time.Now()
-		opts.OnChunk = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rxedfleet: %d/%d chunks (%.0f%%), %.0fs elapsed   ",
-				done, total, 100*float64(done)/float64(total), time.Since(start).Seconds())
-		}
+		progress = cli.NewProgress(os.Stderr, func(chunks, total int) string {
+			return fmt.Sprintf("xedfleet: %d/%d chunks (%.0f%%), %.0fs elapsed",
+				chunks, total, 100*float64(chunks)/float64(total), time.Since(start).Seconds())
+		})
+		opts.OnChunk = progress.Update
 	}
 
 	ctx, stop := cli.InterruptContext()
 	defer stop()
 
 	sum, runErr := fleet.Run(ctx, cfg, opts)
-	if *progress {
-		fmt.Fprintln(os.Stderr)
-	}
+	progress.Finish()
 	interrupted := errors.Is(runErr, context.Canceled)
 	if runErr != nil && !interrupted {
 		cmd.Fatal(runErr)
 	}
 	printSummary(sum)
-	if *edacPath != "" {
-		if err := writeEDAC(*edacPath, &cfg, sum); err != nil {
+	if a.edacPath != "" {
+		if err := writeEDAC(a.edacPath, &cfg, sum); err != nil {
 			cmd.Fatal(err)
 		}
 	}
-	if *metricsJSON != "" {
-		if err := cli.WriteMetricsJSON(*metricsJSON, reg); err != nil {
-			cmd.Fatal(err)
-		}
-	}
+	done()
 	if interrupted {
-		msg := "interrupted; partial summary above"
-		if *ckptPath != "" {
-			msg += ", progress saved to " + *ckptPath
-		}
-		cmd.Fatal(errors.New(msg))
+		cmd.Fatal(cli.Interrupted("partial summary", a.ckptPath))
 	}
 }
 

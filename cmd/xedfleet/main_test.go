@@ -45,6 +45,7 @@ func TestValidateArgs(t *testing.T) {
 		{"bad threshold", func(a *cliArgs) { a.policy = "threshold:0" }, "threshold"},
 		{"bad scheme", func(a *cliArgs) { a.scheme = "NoSuchScheme" }, "NoSuchScheme"},
 		{"history out of range", func(a *cliArgs) { a.dimmsHist = 10_000 }, "-dimm"},
+		{"history below -1", func(a *cliArgs) { a.dimmsHist = -5 }, "-dimm"},
 		{"resume without checkpoint", func(a *cliArgs) { a.resume = true }, "-resume"},
 	}
 	for _, tc := range cases {

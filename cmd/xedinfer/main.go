@@ -33,8 +33,8 @@ import (
 
 const cmd cli.Command = "xedinfer"
 
-// cliArgs is the flag-validation surface, separated from flag.Parse so the
-// exit-2 usage convention is unit-testable (see main_test.go).
+// cliArgs holds every flag's value. validateArgs checks it apart from flag
+// parsing, so the exit-2 usage convention is unit-testable.
 type cliArgs struct {
 	experiment string
 	code       string
@@ -42,6 +42,8 @@ type cliArgs struct {
 	weak       int
 	broken     int
 	rounds     int
+	seed       uint64
+	dumpH      bool
 }
 
 // validateArgs returns the message cmd.UsageErr should print, or nil.
@@ -70,26 +72,16 @@ func validateArgs(a cliArgs) error {
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "beer|harp|all")
-	codeSpec := flag.String("code", "random:1", "on-die code under test: crc8|hamming|hsiao|random:<seed>")
-	words := flag.Int("words", 32, "words profiled by the harp experiment")
-	weak := flag.Int("weak", 4, "profiled words planted with a correctable single-bit fault")
-	broken := flag.Int("broken", 2, "profiled words planted with an uncorrectable double-bit fault")
-	rounds := flag.Int("rounds", 8, "random test patterns per probe sweep / profiled word")
-	seed := flag.Uint64("seed", 1, "random seed")
-	dumpH := flag.Bool("dump-h", false, "print the true and recovered parity-check matrices")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		cmd.UsageErr("unexpected arguments: %v", flag.Args())
-	}
-	a := cliArgs{
-		experiment: *experiment,
-		code:       *codeSpec,
-		words:      *words,
-		weak:       *weak,
-		broken:     *broken,
-		rounds:     *rounds,
-	}
+	var a cliArgs
+	flag.StringVar(&a.experiment, "experiment", "all", "beer|harp|all")
+	flag.StringVar(&a.code, "code", "random:1", "on-die code under test: crc8|hamming|hsiao|random:<seed>")
+	flag.IntVar(&a.words, "words", 32, "words profiled by the harp experiment")
+	flag.IntVar(&a.weak, "weak", 4, "profiled words planted with a correctable single-bit fault")
+	flag.IntVar(&a.broken, "broken", 2, "profiled words planted with an uncorrectable double-bit fault")
+	flag.IntVar(&a.rounds, "rounds", 8, "random test patterns per probe sweep / profiled word")
+	flag.Uint64Var(&a.seed, "seed", 1, "random seed")
+	flag.BoolVar(&a.dumpH, "dump-h", false, "print the true and recovered parity-check matrices")
+	cmd.Parse()
 	if err := validateArgs(a); err != nil {
 		cmd.UsageErr("%v", err)
 	}
@@ -98,13 +90,13 @@ func main() {
 	ok := true
 	switch a.experiment {
 	case "all":
-		ok = runBEER(code, a, *seed, *dumpH)
+		ok = runBEER(code, a)
 		fmt.Println()
-		ok = runHARP(code, a, *seed) && ok
+		ok = runHARP(code, a) && ok
 	case "beer":
-		ok = runBEER(code, a, *seed, *dumpH)
+		ok = runBEER(code, a)
 	case "harp":
-		ok = runHARP(code, a, *seed)
+		ok = runHARP(code, a)
 	}
 	if !ok {
 		os.Exit(1)
@@ -117,10 +109,10 @@ func inferGeom() dram.Geometry {
 
 // runBEER recovers the code's parity-check matrix from a black-box chip
 // and compares it to the truth.
-func runBEER(code *ecc.LinearCode64, a cliArgs, seed uint64, dumpH bool) bool {
+func runBEER(code *ecc.LinearCode64, a cliArgs) bool {
 	fmt.Printf("BEER-style recovery: on-die code %s\n", code.Name())
 	chip := dram.NewChip(inferGeom(), code)
-	got, ev, err := infer.RecoverHMatrix(chip, infer.BEEROptions{Rounds: a.rounds, Seed: seed})
+	got, ev, err := infer.RecoverHMatrix(chip, infer.BEEROptions{Rounds: a.rounds, Seed: a.seed})
 	if err != nil {
 		fmt.Printf("  recovery failed: %v\n", err)
 		return false
@@ -133,7 +125,7 @@ func runBEER(code *ecc.LinearCode64, a cliArgs, seed uint64, dumpH bool) bool {
 		fmt.Printf("  true matrix has no canonical form: %v\n", err)
 		return false
 	}
-	if dumpH {
+	if a.dumpH {
 		fmt.Printf("  true (canonical): %v\n", want)
 		fmt.Printf("  recovered:        %v\n", got)
 	}
@@ -146,12 +138,12 @@ func runBEER(code *ecc.LinearCode64, a cliArgs, seed uint64, dumpH bool) bool {
 }
 
 // runHARP plants faults, profiles the chip and scores the predictions.
-func runHARP(code ecc.Code64, a cliArgs, seed uint64) bool {
+func runHARP(code ecc.Code64, a cliArgs) bool {
 	fmt.Printf("HARP-style profiling: on-die code %s, %d words (%d weak, %d broken)\n",
 		code.Name(), a.words, a.weak, a.broken)
 	chip := dram.NewChip(inferGeom(), code)
 	geom := chip.Geometry()
-	rng := simrand.New(seed)
+	rng := simrand.New(a.seed)
 
 	addrs := make([]dram.WordAddr, 0, a.words)
 	used := map[dram.WordAddr]bool{}
@@ -176,7 +168,7 @@ func runHARP(code ecc.Code64, a cliArgs, seed uint64) bool {
 		wantUncorr[addrs[i]] = true
 	}
 
-	p := infer.ProfileChip(chip, addrs, infer.HARPOptions{Rounds: a.rounds, Seed: seed + 1})
+	p := infer.ProfileChip(chip, addrs, infer.HARPOptions{Rounds: a.rounds, Seed: a.seed + 1})
 	uncorr := p.PredictUncorrectable()
 	risk := p.PredictAtRisk()
 	fmt.Printf("  profiled %d words x %d reads: %d at-risk, %d uncorrectable\n",

@@ -63,7 +63,7 @@ func TestValidateArgs(t *testing.T) {
 // configurations; each must report success against every code family.
 func TestExperimentsSucceed(t *testing.T) {
 	for _, spec := range []string{"crc8", "hamming", "hsiao", "random:3"} {
-		a := cliArgs{experiment: "all", code: spec, words: 8, weak: 2, broken: 1, rounds: 2}
+		a := cliArgs{experiment: "all", code: spec, words: 8, weak: 2, broken: 1, rounds: 2, seed: 5}
 		if err := validateArgs(a); err != nil {
 			t.Fatal(err)
 		}
@@ -71,10 +71,10 @@ func TestExperimentsSucceed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !runBEER(code, a, 5, false) {
+		if !runBEER(code, a) {
 			t.Errorf("%s: BEER run failed", spec)
 		}
-		if !runHARP(code, a, 5) {
+		if !runHARP(code, a) {
 			t.Errorf("%s: HARP run failed", spec)
 		}
 	}

@@ -22,20 +22,19 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"os"
 
 	"xedsim/internal/cli"
 	"xedsim/internal/memsim"
-	"xedsim/internal/profiling"
 )
 
 const cmd cli.Command = "xedmemsim"
 
-// cliArgs is the flag-validation surface, separated from flag.Parse so the
-// exit-2 usage convention is unit-testable (see main_test.go).
+// cliArgs holds every flag's value. validateArgs checks it apart from flag
+// parsing, so the exit-2 usage convention is unit-testable.
 type cliArgs struct {
 	experiment string
 	instr      int64
+	seed       uint64
 	workers    int
 }
 
@@ -56,13 +55,14 @@ func validateArgs(a cliArgs) error {
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "fig11|fig12|fig13|fig14|all")
-	instr := flag.Int64("instr", 150_000, "instructions per core")
-	seed := flag.Uint64("seed", 7, "random seed")
-	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	prof := profiling.Register(flag.CommandLine)
-	flag.Parse()
-	if err := validateArgs(cliArgs{experiment: *experiment, instr: *instr, workers: *workers}); err != nil {
+	var a cliArgs
+	flag.StringVar(&a.experiment, "experiment", "all", "fig11|fig12|fig13|fig14|all")
+	flag.Int64Var(&a.instr, "instr", 150_000, "instructions per core")
+	flag.Uint64Var(&a.seed, "seed", 7, "random seed")
+	flag.IntVar(&a.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	prof := cli.RegisterProfile(flag.CommandLine)
+	cmd.Parse()
+	if err := validateArgs(a); err != nil {
 		cmd.UsageErr("%v", err)
 	}
 
@@ -73,37 +73,35 @@ func main() {
 		cmd.Fatal(err)
 	}
 	var err error
-	switch *experiment {
+	switch a.experiment {
 	case "all":
-		if err = fig1112(ctx, *instr, *seed, *workers); err == nil {
+		if err = fig1112(ctx, a); err == nil {
 			fmt.Println()
-			err = fig13(ctx, *instr, *seed, *workers)
+			err = fig13(ctx, a)
 		}
 		if err == nil {
 			fmt.Println()
-			err = fig14(ctx, *instr, *seed, *workers)
+			err = fig14(ctx, a)
 		}
 	case "fig11", "fig12":
-		err = fig1112(ctx, *instr, *seed, *workers)
+		err = fig1112(ctx, a)
 	case "fig13":
-		err = fig13(ctx, *instr, *seed, *workers)
+		err = fig13(ctx, a)
 	case "fig14":
-		err = fig14(ctx, *instr, *seed, *workers)
+		err = fig14(ctx, a)
 	}
 	if perr := prof.Stop(); perr != nil {
 		cmd.Fatal(perr)
 	}
+	if errors.Is(err, context.Canceled) {
+		err = errors.New("interrupted; partial results discarded")
+	}
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "xedmemsim: interrupted; partial results discarded")
-		} else {
-			fmt.Fprintf(os.Stderr, "xedmemsim: %v\n", err)
-		}
-		os.Exit(1)
+		cmd.Fatal(err)
 	}
 }
 
-func fig1112(ctx context.Context, instr int64, seed uint64, workers int) error {
+func fig1112(ctx context.Context, a cliArgs) error {
 	schemes := []memsim.SchemeConfig{
 		memsim.SECDEDScheme(),
 		memsim.XEDScheme(),
@@ -111,7 +109,7 @@ func fig1112(ctx context.Context, instr int64, seed uint64, workers int) error {
 		memsim.XEDChipkillScheme(),
 		memsim.DoubleChipkillScheme(),
 	}
-	cmp, err := memsim.RunComparison(ctx, memsim.PaperWorkloads(), schemes, instr, seed, workers)
+	cmp, err := memsim.RunComparison(ctx, memsim.PaperWorkloads(), schemes, a.instr, a.seed, a.workers)
 	if err != nil {
 		return err
 	}
@@ -152,7 +150,7 @@ func printMatrix(cmp *memsim.Comparison, metric func(w, s int) float64) {
 	fmt.Println()
 }
 
-func fig13(ctx context.Context, instr int64, seed uint64, workers int) error {
+func fig13(ctx context.Context, a cliArgs) error {
 	schemes := []memsim.SchemeConfig{
 		memsim.SECDEDScheme(),
 		memsim.XEDScheme(),
@@ -162,7 +160,7 @@ func fig13(ctx context.Context, instr int64, seed uint64, workers int) error {
 		memsim.ExtraBurstDoubleChipkill(),
 		memsim.ExtraTransactionDoubleChipkill(),
 	}
-	cmp, err := memsim.RunComparison(ctx, memsim.PaperWorkloads(), schemes, instr, seed, workers)
+	cmp, err := memsim.RunComparison(ctx, memsim.PaperWorkloads(), schemes, a.instr, a.seed, a.workers)
 	if err != nil {
 		return err
 	}
@@ -176,14 +174,14 @@ func fig13(ctx context.Context, instr int64, seed uint64, workers int) error {
 	return nil
 }
 
-func fig14(ctx context.Context, instr int64, seed uint64, workers int) error {
+func fig14(ctx context.Context, a cliArgs) error {
 	schemes := []memsim.SchemeConfig{
 		memsim.SECDEDScheme(),
 		memsim.XEDScheme(),
 		memsim.LOTECCScheme(),
 		memsim.MultiECCScheme(),
 	}
-	cmp, err := memsim.RunComparison(ctx, memsim.PaperWorkloads(), schemes, instr, seed, workers)
+	cmp, err := memsim.RunComparison(ctx, memsim.PaperWorkloads(), schemes, a.instr, a.seed, a.workers)
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,6 @@ import (
 	"xedsim/internal/cli"
 	"xedsim/internal/core"
 	"xedsim/internal/dram"
-	"xedsim/internal/obs"
 )
 
 const cmd cli.Command = "xedmemtest"
@@ -44,7 +43,7 @@ func main() {
 	passes := flag.Int("passes", 1, "test passes")
 	seed := flag.Uint64("seed", 1, "seed")
 	metricsJSON := flag.String("metrics-json", "", "write the fleet's final core.* metrics snapshot to this file as JSON")
-	flag.Parse()
+	cmd.Parse()
 	if *rows <= 0 || *banks <= 0 || *passes <= 0 {
 		cmd.UsageErr("-rows, -banks and -passes must be positive")
 	}
@@ -52,10 +51,7 @@ func main() {
 		cmd.UsageErr("-kill-chip must be in 0..8 (or negative for none)")
 	}
 
-	var reg *obs.Registry
-	if *metricsJSON != "" {
-		reg = obs.NewRegistry()
-	}
+	reg, done := cmd.Observe(false, *metricsJSON, "", nil)
 	fleet, err := core.NewMemorySystem(core.MemorySystemConfig{
 		Channels:         4,
 		RanksPerChannel:  2,
@@ -116,11 +112,7 @@ func main() {
 			failures += bad + dues
 		}
 	}
-	if reg != nil {
-		if err := cli.WriteMetricsJSON(*metricsJSON, reg); err != nil {
-			cmd.Fatal(err)
-		}
-	}
+	done()
 	if failures == 0 {
 		fmt.Println("PASS: no miscompares, no uncorrectable errors")
 		return

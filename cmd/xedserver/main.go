@@ -28,7 +28,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"xedsim/internal/cli"
@@ -39,8 +38,8 @@ import (
 
 const cmd cli.Command = "xedserver"
 
-// cliArgs is the flag-validation surface, separated from flag.Parse so the
-// exit-2 usage convention is unit-testable (see main_test.go).
+// cliArgs holds every flag's value. validateArgs checks it apart from flag
+// parsing, so the exit-2 usage convention is unit-testable.
 type cliArgs struct {
 	// serve mode
 	addr         string
@@ -54,8 +53,10 @@ type cliArgs struct {
 	coordinator string
 	schemeList  string
 	systems     int
+	seed        uint64
 	chunkSize   int
 	scrub       float64
+	overlap     bool
 	outPath     string
 }
 
@@ -104,66 +105,36 @@ func validateArgs(a cliArgs) error {
 }
 
 func main() {
-	addr := flag.String("addr", ":7600", "serve the coordinator API on this address")
-	stateDir := flag.String("state-dir", "", "persist the job ledger and accumulators here (restarts resume in-flight jobs)")
-	queueDepth := flag.Int("queue-depth", dist.DefaultQueueDepth, "max jobs admitted but not finished; beyond it submissions get 429")
-	leaseTimeout := flag.Duration("lease-timeout", dist.DefaultLeaseTTL, "work-unit lease TTL; a silent worker's units are re-dispatched after this")
-	unitChunks := flag.Int("unit-chunks", dist.DefaultUnitChunks, "campaign chunks per leased work unit")
-	persistEvery := flag.Duration("persist-every", dist.DefaultPersistInterval, "interval between background state persists")
-	submit := flag.Bool("submit", false, "act as a submission client instead of serving")
-	coordinator := flag.String("coordinator", "", "coordinator base URL (submit mode)")
-	schemeList := flag.String("schemes", "", "comma-separated scheme names (submit mode)")
-	systems := flag.Int("systems", 2_000_000, "Monte-Carlo trials (submit mode)")
-	seed := flag.Uint64("seed", 42, "random seed (submit mode)")
-	chunkSize := flag.Int("chunk-size", 0, "trials per chunk, 0 = engine default (submit mode)")
-	scrub := flag.Float64("scrub-hours", 0, "override patrol-scrub interval in hours (submit mode)")
-	overlap := flag.Bool("address-overlap", false, "require address-range intersection for compound failures (submit mode)")
-	outPath := flag.String("out", "", "write the result's canonical checkpoint to this file (submit mode)")
-	flag.Parse()
+	var a cliArgs
+	flag.StringVar(&a.addr, "addr", ":7600", "serve the coordinator API on this address")
+	flag.StringVar(&a.stateDir, "state-dir", "", "persist the job ledger and accumulators here (restarts resume in-flight jobs)")
+	flag.IntVar(&a.queueDepth, "queue-depth", dist.DefaultQueueDepth, "max jobs admitted but not finished; beyond it submissions get 429")
+	flag.DurationVar(&a.leaseTimeout, "lease-timeout", dist.DefaultLeaseTTL, "work-unit lease TTL; a silent worker's units are re-dispatched after this")
+	flag.IntVar(&a.unitChunks, "unit-chunks", dist.DefaultUnitChunks, "campaign chunks per leased work unit")
+	flag.DurationVar(&a.persistEvery, "persist-every", dist.DefaultPersistInterval, "interval between background state persists")
+	flag.BoolVar(&a.submit, "submit", false, "act as a submission client instead of serving")
+	flag.StringVar(&a.coordinator, "coordinator", "", "coordinator base URL (submit mode)")
+	flag.StringVar(&a.schemeList, "schemes", "", "comma-separated scheme names (submit mode)")
+	flag.IntVar(&a.systems, "systems", 2_000_000, "Monte-Carlo trials (submit mode)")
+	flag.Uint64Var(&a.seed, "seed", 42, "random seed (submit mode)")
+	flag.IntVar(&a.chunkSize, "chunk-size", 0, "trials per chunk, 0 = engine default (submit mode)")
+	flag.Float64Var(&a.scrub, "scrub-hours", 0, "override patrol-scrub interval in hours (submit mode)")
+	flag.BoolVar(&a.overlap, "address-overlap", false, "require address-range intersection for compound failures (submit mode)")
+	flag.StringVar(&a.outPath, "out", "", "write the result's canonical checkpoint to this file (submit mode)")
+	cmd.Parse()
 
-	if err := validateArgs(cliArgs{
-		addr:         *addr,
-		stateDir:     *stateDir,
-		queueDepth:   *queueDepth,
-		leaseTimeout: *leaseTimeout,
-		unitChunks:   *unitChunks,
-		persistEvery: *persistEvery,
-		submit:       *submit,
-		coordinator:  *coordinator,
-		schemeList:   *schemeList,
-		systems:      *systems,
-		chunkSize:    *chunkSize,
-		scrub:        *scrub,
-		outPath:      *outPath,
-	}); err != nil {
+	if err := validateArgs(a); err != nil {
 		cmd.UsageErr("%v", err)
 	}
 
 	ctx, stop := cli.InterruptContext()
 	defer stop()
 
-	var err error
-	if *submit {
-		err = runSubmit(ctx, submitOptions{
-			coordinator: *coordinator,
-			schemes:     splitTrim(*schemeList),
-			systems:     *systems,
-			seed:        *seed,
-			chunkSize:   *chunkSize,
-			scrub:       *scrub,
-			overlap:     *overlap,
-			outPath:     *outPath,
-		})
-	} else {
-		err = runServe(ctx, dist.CoordinatorOptions{
-			StateDir:        *stateDir,
-			QueueDepth:      *queueDepth,
-			LeaseTTL:        *leaseTimeout,
-			UnitChunks:      *unitChunks,
-			PersistInterval: *persistEvery,
-		}, *addr)
+	run := runServe
+	if a.submit {
+		run = runSubmit
 	}
-	if err != nil {
+	if err := run(ctx, &a); err != nil {
 		cmd.Fatal(err)
 	}
 }
@@ -172,21 +143,27 @@ func main() {
 // drains: readiness flips to 503, in-flight requests finish, and all job
 // state is persisted so the next incarnation resumes where this one
 // stopped.
-func runServe(ctx context.Context, copts dist.CoordinatorOptions, addr string) error {
-	copts.Metrics = obs.NewRegistry()
-	coord, err := dist.NewCoordinator(copts)
+func runServe(ctx context.Context, a *cliArgs) error {
+	coord, err := dist.NewCoordinator(dist.CoordinatorOptions{
+		StateDir:        a.stateDir,
+		QueueDepth:      a.queueDepth,
+		LeaseTTL:        a.leaseTimeout,
+		UnitChunks:      a.unitChunks,
+		PersistInterval: a.persistEvery,
+		Metrics:         obs.NewRegistry(),
+	})
 	if err != nil {
 		return err
 	}
 	coord.Start(ctx)
 
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", a.addr)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "xedserver: serving on http://%s", ln.Addr())
-	if copts.StateDir != "" {
-		fmt.Fprintf(os.Stderr, " (state in %s)", copts.StateDir)
+	if a.stateDir != "" {
+		fmt.Fprintf(os.Stderr, " (state in %s)", a.stateDir)
 	}
 	fmt.Fprintln(os.Stderr)
 
@@ -211,37 +188,26 @@ func runServe(ctx context.Context, copts dist.CoordinatorOptions, addr string) e
 	return nil
 }
 
-type submitOptions struct {
-	coordinator string
-	schemes     []string
-	systems     int
-	seed        uint64
-	chunkSize   int
-	scrub       float64
-	overlap     bool
-	outPath     string
-}
-
 // runSubmit submits one campaign, waits it out, prints the per-scheme
 // summary, and optionally saves the canonical checkpoint.
-func runSubmit(ctx context.Context, o submitOptions) error {
+func runSubmit(ctx context.Context, a *cliArgs) error {
 	cfg := faultsim.DefaultConfig()
-	if o.scrub > 0 {
-		cfg.ScrubIntervalHours = o.scrub
+	if a.scrub > 0 {
+		cfg.ScrubIntervalHours = a.scrub
 	}
-	cfg.RequireAddressOverlap = o.overlap
+	cfg.RequireAddressOverlap = a.overlap
 	spec := &dist.JobSpec{
 		Config:    cfg,
-		Schemes:   o.schemes,
-		Trials:    o.systems,
-		Seed:      o.seed,
-		ChunkSize: o.chunkSize,
+		Schemes:   cli.SplitList(a.schemeList),
+		Trials:    a.systems,
+		Seed:      a.seed,
+		ChunkSize: a.chunkSize,
 	}
 	if err := spec.Validate(); err != nil {
 		return err
 	}
 
-	cl := dist.NewClient(o.coordinator, nil)
+	cl := dist.NewClient(a.coordinator, nil)
 	cl.PollInterval = time.Second
 	st, err := cl.Wait(ctx, spec)
 	if err != nil {
@@ -260,40 +226,17 @@ func runSubmit(ctx context.Context, o submitOptions) error {
 		fmt.Print(" (served from result cache)")
 	}
 	fmt.Println()
-	fmt.Printf("%-22s", "scheme \\ year")
-	for y := 1; y <= rep.Years; y++ {
-		fmt.Printf(" %9d", y)
-	}
-	fmt.Println()
-	for i := range rep.Results {
-		r := &rep.Results[i]
-		fmt.Printf("%-22s", r.SchemeName)
-		for y := 0; y < rep.Years; y++ {
-			fmt.Printf(" %9.3g", r.ProbabilityByYear(y))
-		}
-		fmt.Printf("   (±%.1g; DUE %.2g, SDC %.2g)\n", r.StdErr(), r.DUEProbability(), r.SDCProbability())
-	}
+	rep.WriteTable(os.Stdout)
 
-	if o.outPath != "" {
+	if a.outPath != "" {
 		b, err := cl.CheckpointBytes(ctx, st.ID)
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(o.outPath, b, 0o644); err != nil {
+		if err := os.WriteFile(a.outPath, b, 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "xedserver: result checkpoint written to %s\n", o.outPath)
+		fmt.Fprintf(os.Stderr, "xedserver: result checkpoint written to %s\n", a.outPath)
 	}
 	return nil
-}
-
-func splitTrim(s string) []string {
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -86,11 +85,12 @@ func TestValidateArgs(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestSplitTrim(t *testing.T) {
-	got := splitTrim(" XED , Chipkill ,,")
-	if want := []string{"XED", "Chipkill"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("splitTrim = %v, want %v", got, want)
-	}
+	// A positional argument is a usage error; flag parsing would otherwise
+	// stop at it and drop every flag after it.
+	t.Run("stray argument", func(t *testing.T) {
+		code, stderr := clitest.Run(t, "-submit", "stray", "-coordinator", "http://127.0.0.1:1", "-schemes", "XED")
+		if want := "xedserver: unexpected arguments: [stray -coordinator http://127.0.0.1:1 -schemes XED]\n"; code != 2 || !strings.HasPrefix(stderr, want) {
+			t.Fatalf("exit %d, stderr %q; want exit 2 and %q", code, stderr, want)
+		}
+	})
 }

@@ -23,11 +23,12 @@ import (
 
 const cmd cli.Command = "xedsweep"
 
-// cliArgs is the flag-validation surface, separated from flag.Parse so the
-// exit-2 usage convention is unit-testable (see main_test.go).
+// cliArgs holds every flag's value. validateArgs checks it apart from flag
+// parsing, so the exit-2 usage convention is unit-testable.
 type cliArgs struct {
 	sweep   string
 	systems int
+	seed    uint64
 	workers int
 }
 
@@ -48,12 +49,13 @@ func validateArgs(a cliArgs) error {
 }
 
 func main() {
-	sweep := flag.String("sweep", "fit", "fit|scrub|scaling|silent|aging")
-	systems := flag.Int("systems", 500_000, "Monte-Carlo trials per point")
-	seed := flag.Uint64("seed", 42, "random seed")
-	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	flag.Parse()
-	if err := validateArgs(cliArgs{sweep: *sweep, systems: *systems, workers: *workers}); err != nil {
+	var a cliArgs
+	flag.StringVar(&a.sweep, "sweep", "fit", "fit|scrub|scaling|silent|aging")
+	flag.IntVar(&a.systems, "systems", 500_000, "Monte-Carlo trials per point")
+	flag.Uint64Var(&a.seed, "seed", 42, "random seed")
+	flag.IntVar(&a.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	cmd.Parse()
+	if err := validateArgs(a); err != nil {
 		cmd.UsageErr("%v", err)
 	}
 
@@ -67,16 +69,14 @@ func main() {
 	header := "point,secded,xed,chipkill,xedchipkill,xed_due,xed_sdc"
 	row := func(label string, cfg faultsim.Config) {
 		rep, err := faultsim.RunCampaign(ctx, cfg, schemes, faultsim.CampaignOptions{
-			Trials: *systems, Seed: *seed, Workers: *workers,
+			Trials: a.systems, Seed: a.seed, Workers: a.workers,
 		})
+		if errors.Is(err, context.Canceled) {
+			// Completed rows are already printed; drop the partial one.
+			err = errors.New("interrupted")
+		}
 		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				// Completed rows are already printed; drop the partial one.
-				fmt.Fprintln(os.Stderr, "xedsweep: interrupted")
-			} else {
-				fmt.Fprintf(os.Stderr, "xedsweep: %v\n", err)
-			}
-			os.Exit(1)
+			cmd.Fatal(err)
 		}
 		xed := rep.ResultFor("XED")
 		fmt.Printf("%s,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g\n", label,
@@ -88,7 +88,7 @@ func main() {
 	}
 
 	fmt.Println(header)
-	switch *sweep {
+	switch a.sweep {
 	case "fit":
 		// The scaling-era question: every fault class worsens together.
 		for _, mult := range []float64{0.5, 1, 2, 4, 8, 16} {

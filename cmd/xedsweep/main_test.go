@@ -56,6 +56,15 @@ func TestValidateArgs(t *testing.T) {
 		})
 	}
 
+	// A positional argument is a usage error; flag parsing would otherwise
+	// stop at it and drop every flag after it.
+	t.Run("stray argument", func(t *testing.T) {
+		code, stderr := clitest.Run(t, "-systems", "1000", "stray", "-sweep", "silent")
+		if want := "xedsweep: unexpected arguments: [stray -sweep silent]\n"; code != 2 || !strings.HasPrefix(stderr, want) {
+			t.Fatalf("exit %d, stderr %q; want exit 2 and %q", code, stderr, want)
+		}
+	})
+
 	for _, sweep := range []string{"fit", "scrub", "scaling", "silent", "aging"} {
 		a := valid
 		a.sweep = sweep

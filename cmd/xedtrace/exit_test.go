@@ -12,13 +12,18 @@ import (
 )
 
 // TestExitConventions runs the command to pin its exit codes: a usage
-// error exits 2, a captured trace reads back through -stats and -judge
+// error or a positional argument exits 2, a captured trace reads back through -stats and -judge
 // with exit 0, and -judge on a trace holding a record outside its
 // config's fleet exits 1 naming the record.
 func TestExitConventions(t *testing.T) {
 	code, stderr := clitest.Run(t)
 	if code != 2 || !strings.HasPrefix(stderr, "xedtrace: pick one of -capture, -judge or -stats\n") {
 		t.Fatalf("usage error: exit %d, stderr %q", code, stderr)
+	}
+
+	code, stderr = clitest.Run(t, "stray", "-stats", "x.json")
+	if code != 2 || !strings.HasPrefix(stderr, "xedtrace: unexpected arguments: [stray -stats x.json]\n") {
+		t.Fatalf("stray argument: exit %d, stderr %q", code, stderr)
 	}
 
 	dir := t.TempDir()

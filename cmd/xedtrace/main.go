@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -21,13 +22,14 @@ import (
 
 const cmd cli.Command = "xedtrace"
 
-// cliArgs is the flag-validation surface, separated from flag.Parse so the
-// exit-2 usage convention is unit-testable (see main_test.go).
+// cliArgs holds every flag's value. validateArgs checks it apart from flag
+// parsing, so the exit-2 usage convention is unit-testable.
 type cliArgs struct {
 	capture      bool
 	judge, stats string
 	out          string
 	trials       int
+	seed         uint64
 	scaling      float64
 }
 
@@ -66,48 +68,41 @@ func validateArgs(a cliArgs) error {
 }
 
 func main() {
-	capture := flag.Bool("capture", false, "generate and save a trace")
-	judge := flag.String("judge", "", "trace file to evaluate under all schemes")
-	stats := flag.String("stats", "", "trace file to summarise")
-	out := flag.String("out", "trace.json", "output path for -capture")
-	trials := flag.Int("trials", 100_000, "systems to capture")
-	seed := flag.Uint64("seed", 42, "random seed for -capture")
-	scaling := flag.Float64("scaling", 0, "scaling-fault rate (e.g. 1e-4)")
-	flag.Parse()
-	if err := validateArgs(cliArgs{
-		capture: *capture,
-		judge:   *judge,
-		stats:   *stats,
-		out:     *out,
-		trials:  *trials,
-		scaling: *scaling,
-	}); err != nil {
+	var a cliArgs
+	flag.BoolVar(&a.capture, "capture", false, "generate and save a trace")
+	flag.StringVar(&a.judge, "judge", "", "trace file to evaluate under all schemes")
+	flag.StringVar(&a.stats, "stats", "", "trace file to summarise")
+	flag.StringVar(&a.out, "out", "trace.json", "output path for -capture")
+	flag.IntVar(&a.trials, "trials", 100_000, "systems to capture")
+	flag.Uint64Var(&a.seed, "seed", 42, "random seed for -capture")
+	flag.Float64Var(&a.scaling, "scaling", 0, "scaling-fault rate (e.g. 1e-4)")
+	cmd.Parse()
+	if err := validateArgs(a); err != nil {
 		cmd.UsageErr("%v", err)
 	}
 
 	switch {
-	case *capture:
+	case a.capture:
 		cfg := faultsim.DefaultConfig()
-		cfg.ScalingRate = *scaling
-		tr, err := faultsim.CaptureTrace(cfg, *trials, *seed)
+		cfg.ScalingRate = a.scaling
+		tr, err := faultsim.CaptureTrace(cfg, a.trials, a.seed)
 		if err != nil {
 			cmd.Fatal(err)
 		}
-		f, err := os.Create(*out)
+		f, err := os.Create(a.out)
 		if err != nil {
 			cmd.Fatal(err)
 		}
-		defer f.Close()
-		if err := tr.WriteJSON(f); err != nil {
+		if err := errors.Join(tr.WriteJSON(f), f.Close()); err != nil {
 			cmd.Fatal(err)
 		}
 		total := 0
 		for _, t := range tr.Trials {
 			total += len(t)
 		}
-		fmt.Printf("captured %d systems (%d fault records) to %s\n", *trials, total, *out)
-	case *judge != "":
-		tr := load(*judge)
+		fmt.Printf("captured %d systems (%d fault records) to %s\n", a.trials, total, a.out)
+	case a.judge != "":
+		tr := load(a.judge)
 		rep, err := tr.Judge(faultsim.AllSchemes())
 		if err != nil {
 			cmd.Fatal(err)
@@ -118,8 +113,8 @@ func main() {
 			fmt.Printf("%-22s %12.3g %12.3g %12.3g\n",
 				r.SchemeName, r.Probability(), r.DUEProbability(), r.SDCProbability())
 		}
-	case *stats != "":
-		tr := load(*stats)
+	case a.stats != "":
+		tr := load(a.stats)
 		byGran := map[dram.Granularity]int{}
 		byKind := map[string]int{}
 		total, silent := 0, 0
@@ -147,9 +142,6 @@ func main() {
 				fmt.Printf("  %-12s %8d (%.2f%%)\n", g, n, 100*float64(n)/float64(total))
 			}
 		}
-	default:
-		flag.Usage()
-		os.Exit(2)
 	}
 }
 

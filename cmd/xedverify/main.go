@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"xedsim/internal/cli"
@@ -38,10 +37,11 @@ import (
 
 const cmd cli.Command = "xedverify"
 
-// cliArgs is the flag-validation surface, separated from flag.Parse so the
-// exit-2 usage convention is unit-testable (see main_test.go).
+// cliArgs holds every flag's value. validateArgs checks it apart from flag
+// parsing, so the exit-2 usage convention is unit-testable.
 type cliArgs struct {
 	claims          string
+	list            bool
 	seed            uint64
 	workers         int
 	batch           int
@@ -81,50 +81,33 @@ func validateArgs(a cliArgs) error {
 
 // selectedClaims resolves the -claims list against the table.
 func selectedClaims(list string) ([]conformance.Claim, error) {
-	var names []string
-	for _, n := range strings.Split(list, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			names = append(names, n)
-		}
-	}
-	return conformance.SelectClaims(conformance.PaperClaims(), names)
+	return conformance.SelectClaims(conformance.PaperClaims(), cli.SplitList(list))
 }
 
 func main() {
 	def := conformance.DefaultOptions()
-	claimList := flag.String("claims", "", "comma-separated claim names (default: all; see -list)")
-	list := flag.Bool("list", false, "print the claim table and exit")
-	seed := flag.Uint64("seed", def.Seed, "root seed for campaigns and differential sweeps")
-	workers := flag.Int("workers", 0, "campaign workers (0 = GOMAXPROCS)")
-	batch := flag.Int("batch", def.Batch, "Monte-Carlo trials per sequential-test step")
-	maxTrials := flag.Int("max-trials", def.MaxTrials, "trial budget per statistical claim")
-	configs := flag.Int("configs", def.Configs, "random configs for the evaluator differential claim")
-	trialsPerConfig := flag.Int("trials-per-config", def.TrialsPerConfig, "trials per differential config")
-	coordinator := flag.String("coordinator", "", "run campaigns through this xedserver coordinator URL instead of local cores")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		cmd.UsageErr("unexpected arguments: %v", flag.Args())
-	}
+	var a cliArgs
+	flag.StringVar(&a.claims, "claims", "", "comma-separated claim names (default: all; see -list)")
+	flag.BoolVar(&a.list, "list", false, "print the claim table and exit")
+	flag.Uint64Var(&a.seed, "seed", def.Seed, "root seed for campaigns and differential sweeps")
+	flag.IntVar(&a.workers, "workers", 0, "campaign workers (0 = GOMAXPROCS)")
+	flag.IntVar(&a.batch, "batch", def.Batch, "Monte-Carlo trials per sequential-test step")
+	flag.IntVar(&a.maxTrials, "max-trials", def.MaxTrials, "trial budget per statistical claim")
+	flag.IntVar(&a.configs, "configs", def.Configs, "random configs for the evaluator differential claim")
+	flag.IntVar(&a.trialsPerConfig, "trials-per-config", def.TrialsPerConfig, "trials per differential config")
+	flag.StringVar(&a.coordinator, "coordinator", "", "run campaigns through this xedserver coordinator URL instead of local cores")
+	cmd.Parse()
 
-	if err := validateArgs(cliArgs{
-		claims:          *claimList,
-		seed:            *seed,
-		workers:         *workers,
-		batch:           *batch,
-		maxTrials:       *maxTrials,
-		configs:         *configs,
-		trialsPerConfig: *trialsPerConfig,
-		coordinator:     *coordinator,
-	}); err != nil {
+	if err := validateArgs(a); err != nil {
 		cmd.UsageErr("%v", err)
 	}
 
-	claims, err := selectedClaims(*claimList)
+	claims, err := selectedClaims(a.claims)
 	if err != nil {
 		cmd.UsageErr("%v", err) // unreachable after validateArgs; defensive
 	}
 
-	if *list {
+	if a.list {
 		for _, c := range claims {
 			fmt.Printf("%-34s %-18s %s\n", c.Name, c.Ref, c.Doc)
 		}
@@ -132,15 +115,15 @@ func main() {
 	}
 
 	opts := conformance.Options{
-		Seed:            *seed,
-		Workers:         *workers,
-		Batch:           *batch,
-		MaxTrials:       *maxTrials,
-		Configs:         *configs,
-		TrialsPerConfig: *trialsPerConfig,
+		Seed:            a.seed,
+		Workers:         a.workers,
+		Batch:           a.batch,
+		MaxTrials:       a.maxTrials,
+		Configs:         a.configs,
+		TrialsPerConfig: a.trialsPerConfig,
 	}
-	if *coordinator != "" {
-		opts.Runner = dist.NewClient(*coordinator, nil).Runner()
+	if a.coordinator != "" {
+		opts.Runner = dist.NewClient(a.coordinator, nil).Runner()
 	}
 
 	ctx, stop := cli.InterruptContext()

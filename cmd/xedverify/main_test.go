@@ -62,6 +62,15 @@ func TestValidateArgs(t *testing.T) {
 		})
 	}
 
+	// A positional argument is a usage error; flag parsing would otherwise
+	// stop at it and drop every flag after it.
+	t.Run("stray argument", func(t *testing.T) {
+		code, stderr := clitest.Run(t, "-list", "stray", "-claims", "table1/fit-inputs")
+		if want := "xedverify: unexpected arguments: [stray -claims table1/fit-inputs]\n"; code != 2 || !strings.HasPrefix(stderr, want) {
+			t.Fatalf("exit %d, stderr %q; want exit 2 and %q", code, stderr, want)
+		}
+	})
+
 	// Known claim names — with surrounding whitespace and a trailing comma
 	// — resolve.
 	ok := valid

@@ -25,13 +25,12 @@ import (
 
 	"xedsim/internal/cli"
 	"xedsim/internal/dist"
-	"xedsim/internal/obs"
 )
 
 const cmd cli.Command = "xedworker"
 
-// cliArgs is the flag-validation surface, separated from flag.Parse so the
-// exit-2 usage convention is unit-testable (see main_test.go).
+// cliArgs holds every flag's value. validateArgs checks it apart from flag
+// parsing, so the exit-2 usage convention is unit-testable.
 type cliArgs struct {
 	coordinator string
 	id          string
@@ -67,50 +66,40 @@ func defaultWorkerID() string {
 }
 
 func main() {
-	coordinator := flag.String("coordinator", "", "coordinator base URL, e.g. http://host:7600")
-	id := flag.String("id", "", "worker identity in lease traffic (default hostname-pid)")
-	parallel := flag.Int("parallel", 0, "concurrent work units (0 = GOMAXPROCS)")
-	heartbeat := flag.Duration("heartbeat", dist.DefaultHeartbeatInterval, "lease-extension interval; keep well below the coordinator's -lease-timeout")
-	maxUnits := flag.Int("max-units", 0, "exit after settling this many units (0 = run until signalled)")
-	debugAddr := flag.String("debug-addr", "", "serve live metrics and pprof over HTTP on this address")
-	flag.Parse()
+	var a cliArgs
+	flag.StringVar(&a.coordinator, "coordinator", "", "coordinator base URL, e.g. http://host:7600")
+	flag.StringVar(&a.id, "id", "", "worker identity in lease traffic (default hostname-pid)")
+	flag.IntVar(&a.parallel, "parallel", 0, "concurrent work units (0 = GOMAXPROCS)")
+	flag.DurationVar(&a.heartbeat, "heartbeat", dist.DefaultHeartbeatInterval, "lease-extension interval; keep well below the coordinator's -lease-timeout")
+	flag.IntVar(&a.maxUnits, "max-units", 0, "exit after settling this many units (0 = run until signalled)")
+	flag.StringVar(&a.debugAddr, "debug-addr", "", "serve live metrics and pprof over HTTP on this address")
+	cmd.Parse()
 
-	args := cliArgs{
-		coordinator: *coordinator,
-		id:          *id,
-		parallel:    *parallel,
-		heartbeat:   *heartbeat,
-		maxUnits:    *maxUnits,
-		debugAddr:   *debugAddr,
-	}
-	if err := validateArgs(args); err != nil {
+	if err := validateArgs(a); err != nil {
 		cmd.UsageErr("%v", err)
 	}
-	if args.id == "" {
-		args.id = defaultWorkerID()
+	if a.id == "" {
+		a.id = defaultWorkerID()
 	}
-	if args.parallel == 0 {
-		args.parallel = runtime.GOMAXPROCS(0)
+	if a.parallel == 0 {
+		a.parallel = runtime.GOMAXPROCS(0)
 	}
 
-	reg := obs.NewRegistry()
-	if args.debugAddr != "" {
-		srv := cmd.ServeDebug(args.debugAddr, reg, nil)
-		defer srv.Close()
-	}
+	reg, done := cmd.Observe(false, "", a.debugAddr, nil)
+	defer done()
 
 	ctx, stop := cli.InterruptContext()
 	defer stop()
 
 	w := dist.NewWorker(dist.WorkerOptions{
-		ID:                args.id,
-		Coordinator:       args.coordinator,
-		Parallel:          args.parallel,
-		HeartbeatInterval: args.heartbeat,
-		MaxUnits:          args.maxUnits,
+		ID:                a.id,
+		Coordinator:       a.coordinator,
+		Parallel:          a.parallel,
+		HeartbeatInterval: a.heartbeat,
+		MaxUnits:          a.maxUnits,
 		Metrics:           reg,
 	})
-	fmt.Fprintf(os.Stderr, "xedworker: %s leasing from %s with %d slots\n", args.id, args.coordinator, args.parallel)
+	fmt.Fprintf(os.Stderr, "xedworker: %s leasing from %s with %d slots\n", a.id, a.coordinator, a.parallel)
 	if err := w.Run(ctx); err != nil {
 		cmd.Fatal(err)
 	}

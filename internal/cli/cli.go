@@ -1,28 +1,35 @@
-// Package cli is the plumbing xedsim's commands share: the usage-error
-// and runtime-error exits, the interrupt context, the -debug-addr listener
-// and the -metrics-json writer. A command exits 2 on a usage error and 1
-// on a runtime error, and starts every line it prints to standard error
-// with its name.
+// Package cli is the plumbing xedsim's commands share: flag parsing, the
+// usage-error and runtime-error exits, the interrupt context, the
+// observability flags (-progress, -metrics-json, -debug-addr) and the
+// profiling flags (-cpuprofile, -memprofile). A command exits 2 on a
+// usage error and 1 on a runtime error, and starts every line it prints
+// to standard error with its name.
 package cli
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
-
-	"xedsim/internal/obs"
 )
 
 // Command names a command in its diagnostics.
 type Command string
+
+// Parse parses the command line into the flags registered on
+// flag.CommandLine. No command takes a positional argument, so one is a
+// usage error: flag parsing stops at the first, and would otherwise drop
+// every flag after it unseen.
+func (c Command) Parse() {
+	flag.Parse()
+	if flag.NArg() > 0 {
+		c.UsageErr("unexpected arguments: %v", flag.Args())
+	}
+}
 
 // UsageErr prints the message and the flag usage to standard error and
 // exits 2.
@@ -45,32 +52,25 @@ func InterruptContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// ServeDebug serves the -debug-addr endpoints on addr: reg's live metrics,
-// pprof, and views mounted at their paths (see obs.NewMuxViews). It exits 1
-// when addr cannot be listened on; the caller closes the returned server
-// on exit.
-func (c Command) ServeDebug(addr string, reg *obs.Registry, views map[string]http.Handler) *http.Server {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		c.Fatal(fmt.Errorf("-debug-addr: %w", err))
+// Interrupted is the error an interrupted run exits 1 with, once it has
+// printed what it completed: what names that output, and path, when not
+// empty, the checkpoint its progress was saved to.
+func Interrupted(what, path string) error {
+	msg := "interrupted; " + what + " above"
+	if path != "" {
+		msg += ", progress saved to " + path
 	}
-	served := []string{"metrics"}
-	for path := range views {
-		served = append(served, path)
-	}
-	sort.Strings(served[1:])
-	fmt.Fprintf(os.Stderr, "%s: serving %s and pprof on http://%s\n", c, strings.Join(served, ", "), ln.Addr())
-	srv := &http.Server{Handler: obs.NewMuxViews(reg, views)}
-	go srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed once the caller closes srv
-	return srv
+	return errors.New(msg)
 }
 
-// WriteMetricsJSON writes reg's snapshot to path as indented JSON, for the
-// -metrics-json flag.
-func WriteMetricsJSON(path string, reg *obs.Registry) error {
-	b, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-	if err != nil {
-		return err
+// SplitList splits a comma-separated flag value, trimming space around
+// each item and dropping empty ones.
+func SplitList(s string) []string {
+	var out []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return out
 }

@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"xedsim/internal/dram"
@@ -450,6 +451,22 @@ func TestReportAccessors(t *testing.T) {
 	}
 	if !math.IsInf(rep.Improvement("nope", "XED"), 1) {
 		t.Fatal("missing scheme should give +Inf improvement")
+	}
+}
+
+// TestReportWriteTable pins the per-year table xedfaultsim and
+// xedserver -submit print.
+func TestReportWriteTable(t *testing.T) {
+	rep := &Report{Years: 2, Results: []Result{{
+		SchemeName: "XED", Trials: 100, Failures: 4, DUEs: 3, SDCs: 1,
+		FailuresByYear: []uint64{1, 4},
+	}}}
+	var b strings.Builder
+	rep.WriteTable(&b)
+	want := "scheme \\ year                  1         2\n" +
+		"XED                         0.01      0.04   (±0.02; DUE 0.03, SDC 0.01)\n"
+	if b.String() != want {
+		t.Fatalf("WriteTable wrote\n%s\nwant\n%s", b.String(), want)
 	}
 }
 

@@ -3,6 +3,7 @@ package faultsim
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 )
@@ -85,6 +86,25 @@ func (rep *Report) ResultFor(name string) *Result {
 		}
 	}
 	return nil
+}
+
+// WriteTable prints the per-year failure probabilities: a header of
+// years, then one row per scheme ending in its standard error and its DUE
+// and SDC probabilities.
+func (rep *Report) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "%-22s", "scheme \\ year")
+	for y := 1; y <= rep.Years; y++ {
+		fmt.Fprintf(w, " %9d", y)
+	}
+	fmt.Fprintln(w)
+	for i := range rep.Results {
+		r := &rep.Results[i]
+		fmt.Fprintf(w, "%-22s", r.SchemeName)
+		for y := 0; y < rep.Years; y++ {
+			fmt.Fprintf(w, " %9.3g", r.ProbabilityByYear(y))
+		}
+		fmt.Fprintf(w, "   (±%.1g; DUE %.2g, SDC %.2g)\n", r.StdErr(), r.DUEProbability(), r.SDCProbability())
+	}
 }
 
 // Improvement returns how many times more reliable scheme a is than b

@@ -13,7 +13,8 @@ import "xedsim/internal/simrand"
 // Unlike the campaign's generator, a TrialSource never filters fault
 // classes by scheme liveness (telemetry needs the on-die-corrected
 // single-bit stream the schemes ignore) and always draws symbolic address
-// ranges (retirement policies need the damaged row).
+// ranges. No retirement policy reads a record's Range; only a DIMM's
+// regenerated history (fleet.History, xedfleet -dimm) shows it.
 //
 // A source iterates over one batch plan at a time: Plan plans a run of
 // trials and NextNonEmpty emits its non-empty ones in order. While a plan

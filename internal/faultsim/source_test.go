@@ -196,7 +196,7 @@ func TestTrialSourceStreamsAreReproducible(t *testing.T) {
 }
 
 // TestTrialSourceRecordsHaveRanges: the source always draws symbolic
-// address ranges (retirement policies need the damaged row), even though
+// address ranges (a DIMM's regenerated history shows them), even though
 // campaign generators only do so on demand.
 func TestTrialSourceRecordsHaveRanges(t *testing.T) {
 	cfg := singleDIMMConfig()
