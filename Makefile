@@ -65,7 +65,10 @@ fuzz:
 	go test -fuzz=FuzzHARPVerdictVsProfile -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fleet/
 	go test -fuzz=FuzzWakeVsEveryCycle -fuzztime=$(FUZZTIME) -run='^$$' ./internal/memsim/
 
-# Everything CI runs (see .github/workflows/ci.yml), runnable locally.
+# Everything CI's test and race jobs run (see .github/workflows/ci.yml),
+# runnable locally, apart from the three smokes that interrupt or kill
+# background processes (interrupted resume, service chaos, fleet resume).
+# `make fuzz` covers the fuzz job.
 ci:
 	test -z "$$(gofmt -l . | tee /dev/stderr)"
 	go vet ./...
@@ -79,6 +82,10 @@ ci:
 		code=0; $$bin/$$name stray 2>/dev/null || code=$$?; \
 		[ $$code -eq 2 ] || { echo "$$name stray exited $$code, want 2"; exit 1; }; \
 	done; rm -rf $$bin
+	@dir=$$(mktemp -d); go build -o $$dir/xedtrace ./cmd/xedtrace && \
+		$$dir/xedtrace -capture -trials 200000 -seed 5 -scaling 1e-4 -out $$dir/trace.json && \
+		$$dir/xedtrace -stats $$dir/trace.json && \
+		$$dir/xedtrace -judge $$dir/trace.json; code=$$?; rm -rf $$dir; exit $$code
 	go test -race -short ./...
 	go test -run='^$$' -bench=TableI -benchtime=1x ./...
 

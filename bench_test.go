@@ -361,21 +361,6 @@ func BenchmarkAblationSerialMode(b *testing.B) {
 	b.ReportMetric(exaggerated, "slowdown-1in100")
 }
 
-// BenchmarkAblationPagePolicy contrasts the open-page baseline with a
-// closed-page controller on a high-locality workload.
-func BenchmarkAblationPagePolicy(b *testing.B) {
-	w, _ := memsim.WorkloadByName("libquantum")
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		open := memsim.New(withInstr(memsim.DefaultConfig(w, memsim.XEDScheme()), 60_000)).Run()
-		cfg := withInstr(memsim.DefaultConfig(w, memsim.XEDScheme()), 60_000)
-		cfg.ClosePage = true
-		closed := memsim.New(cfg).Run()
-		ratio = float64(closed.Cycles) / float64(open.Cycles)
-	}
-	b.ReportMetric(ratio, "closedpage-vs-openpage")
-}
-
 // BenchmarkTable4MonteCarlo cross-checks the Table IV DUE closed form
 // against the Monte-Carlo simulator's kind classification.
 func BenchmarkTable4MonteCarlo(b *testing.B) {

@@ -37,11 +37,6 @@ type rankState struct {
 	writeCycles  int64
 	activeCycles int64 // approximate row-open time (tRAS per ACT)
 	refreshes    int64
-	// CKE power-down tracking: lastActive is the end of the rank's most
-	// recent command activity; pdCycles accumulates time spent in
-	// precharge power-down (idle gaps beyond the entry threshold).
-	lastActive int64
-	pdCycles   int64
 }
 
 // channelState holds a channel's ranks, queues and shared data bus.

@@ -17,17 +17,11 @@ type robEntry struct {
 	owner *core
 }
 
-// traceSource feeds a core its instruction stream: the synthetic
-// generator, or a recorded USIMM trace file.
-type traceSource interface {
-	next() (int, traceOp)
-}
-
 // core is one trace-driven processor.
 type core struct {
 	id    int
 	mlp   int
-	trace traceSource
+	trace *traceGen
 
 	// rob rings the window's entries from robHead; an entry keeps its
 	// address while a read is in flight to it. Every entry holds at least

@@ -39,34 +39,20 @@ func goldenSchemes() []SchemeConfig {
 	}
 }
 
-// goldenVariants are the policy and timing alternatives, each run on a
-// handful of workloads under every golden scheme.
-var goldenVariants = []struct {
-	name string
-	set  func(*Config)
-}{
-	{"powerdown-ddr3", func(c *Config) { c.PowerDown = true }},
-	{"powerdown-ddr4", func(c *Config) { c.PowerDown, c.Timing = true, DDR42400() }},
-	{"closepage", func(c *Config) { c.ClosePage = true }},
-	{"strictfcfs", func(c *Config) { c.StrictFCFS = true }},
-	{"norefresh", func(c *Config) { c.DisableRefresh = true }},
-	{"ddr4", func(c *Config) { c.Timing = DDR42400() }},
-	// With the default 64-entry queue no core ever waits for a write
-	// slot; eight entries make cores block on a full write queue.
-	{"smallwq", func(c *Config) { c.WriteQueueCap, c.DrainHi, c.DrainLo = 8, 6, 3 }},
-	{"filetrace", func(c *Config) { c.TraceOps = ExportTrace(c.Workload, DefaultTraceGeom(), c.Seed, 4000) }},
-}
+// smallWriteQueue shrinks the write queue and its watermarks: with the
+// default 64 entries no core ever waits for a write slot; eight entries
+// make cores block on a full write queue.
+func smallWriteQueue(c *Config) { c.WriteQueueCap, c.DrainHi, c.DrainLo = 8, 6, 3 }
 
 // goldenCases lists the matrix: every paper workload at two seeds under
-// every golden scheme, then each variant on four workloads of different
-// character (light, streaming, write-heavy, row-conflicting). short keeps
-// a subset for -race runs: one seed, every third workload, and the
-// variants on the write-heavy workload, which also idles enough to power
-// down.
+// every golden scheme, then the small write queue ("smallwq") on four
+// workloads of different character (light, streaming, write-heavy,
+// row-conflicting). short keeps a subset for -race runs: one seed, every
+// third workload, and the small write queue on the write-heavy workload.
 func goldenCases(short bool) []goldenCase {
 	seeds := []uint64{1, 2}
 	workloads := PaperWorkloads()
-	variantWorkloads := []string{"dealII", "libquantum", "lbm", "mcf"}
+	smallWQWorkloads := []string{"dealII", "libquantum", "lbm", "mcf"}
 	if short {
 		seeds = seeds[:1]
 		var some []Workload
@@ -74,7 +60,7 @@ func goldenCases(short bool) []goldenCase {
 			some = append(some, workloads[i])
 		}
 		workloads = some
-		variantWorkloads = []string{"lbm"}
+		smallWQWorkloads = []string{"lbm"}
 	}
 	var cases []goldenCase
 	add := func(variant string, w Workload, s SchemeConfig, seed uint64, set func(*Config)) {
@@ -96,12 +82,10 @@ func goldenCases(short bool) []goldenCase {
 			}
 		}
 	}
-	for _, v := range goldenVariants {
-		for _, name := range variantWorkloads {
-			w, _ := WorkloadByName(name)
-			for _, s := range goldenSchemes() {
-				add(v.name, w, s, 1, v.set)
-			}
+	for _, name := range smallWQWorkloads {
+		w, _ := WorkloadByName(name)
+		for _, s := range goldenSchemes() {
+			add("smallwq", w, s, 1, smallWriteQueue)
 		}
 	}
 	return cases

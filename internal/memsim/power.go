@@ -11,7 +11,6 @@ type IDDProfile struct {
 	VDD   float64 // volts
 	IDD0  float64 // one-bank activate-precharge
 	IDD2N float64 // precharge standby
-	IDD2P float64 // precharge power-down
 	IDD3N float64 // active standby
 	IDD4R float64 // burst read
 	IDD4W float64 // burst write
@@ -24,7 +23,6 @@ func Micron2GbX8() IDDProfile {
 		VDD:   1.5,
 		IDD0:  95,
 		IDD2N: 42,
-		IDD2P: 12,
 		IDD3N: 45,
 		IDD4R: 180,
 		IDD4W: 185,
@@ -69,17 +67,11 @@ func (s *Simulator) computePower() PowerBreakdown {
 			if active > cycles {
 				active = cycles
 			}
-			// Close out the rank's trailing idle gap for power-down
-			// accounting.
-			pd := float64(rank.pdCycles + s.poweredDownFor(rank))
-			idle := cycles - active - pd
-			if idle < 0 {
-				idle = 0
-			}
+			idle := cycles - active
 
-			// Background: active standby vs precharge standby vs
-			// power-down, in mA·cycles.
-			bgCharge := (idd.IDD3N*active + idd.IDD2N*idle + idd.IDD2P*pd) * ondie
+			// Background: active standby vs precharge standby, in
+			// mA·cycles.
+			bgCharge := (idd.IDD3N*active + idd.IDD2N*idle) * ondie
 			// Activate/precharge energy above the standby floor.
 			actCharge := (idd.IDD0*float64(t.TRC) -
 				(idd.IDD3N*float64(t.TRAS) + idd.IDD2N*float64(t.TRC-t.TRAS))) *

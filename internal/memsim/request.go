@@ -12,9 +12,9 @@ const (
 // request is one memory transaction from the controller's point of view.
 type request struct {
 	kind reqKind
-	// channel is the first channel of the (possibly ganged) access;
-	// rank the first rank. bank/row/col name the open-page target.
-	channel, rank, bank, row, col int
+	// rank is the first rank of the (possibly ganged) access, bank/row/col
+	// the open-page target; the queue holding it names the channel gang.
+	rank, bank, row, col int
 	// core owning the demand read (-1 for writes and companions).
 	core int
 	// robSlot links a read back to the issuing core's ROB entry.

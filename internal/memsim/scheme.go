@@ -1,5 +1,7 @@
 package memsim
 
+import "strconv"
+
 // SchemeConfig describes how one reliability scheme maps a cache-line
 // access onto DRAM resources — the lever behind every Figure 11-14 result.
 type SchemeConfig struct {
@@ -165,23 +167,9 @@ func MultiECCScheme() SchemeConfig {
 // multiple Catch-Words ... once every 200K accesses".
 func XEDSchemeWithSerialMode(n int) SchemeConfig {
 	s := XEDScheme()
-	s.Name = "XED (serial mode 1/" + itoa(n) + ")"
+	s.Name = "XED (serial mode 1/" + strconv.Itoa(n) + ")"
 	s.SerialModeEvery = n
 	return s
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }
 
 // LOTECCScheme models LOT-ECC with write coalescing (§XII-A, Figure 14):

@@ -64,128 +64,11 @@ func TestSchemeNamesDistinct(t *testing.T) {
 	}
 }
 
-func TestItoa(t *testing.T) {
-	for _, c := range []struct {
-		n    int
-		want string
-	}{{0, "0"}, {7, "7"}, {200000, "200000"}} {
-		if got := itoa(c.n); got != c.want {
-			t.Fatalf("itoa(%d) = %q", c.n, got)
-		}
-	}
-}
-
-func TestClosePagePolicyCostsRowHits(t *testing.T) {
-	// Closed-page trades row-hit latency for conflict latency: on a
-	// high-locality workload it must raise the activation count and not
-	// run faster.
-	w := mustWorkload(t, "libquantum") // 93% row locality
-	open := New(quickCfg(w, XEDScheme())).Run()
-	cfg := quickCfg(w, XEDScheme())
-	cfg.ClosePage = true
-	closed := New(cfg).Run()
-	if closed.Activates <= open.Activates {
-		t.Fatalf("closed-page activates (%d) should exceed open-page (%d)",
-			closed.Activates, open.Activates)
-	}
-	if closed.Cycles < open.Cycles {
-		t.Fatalf("closed-page (%d cycles) should not beat open-page (%d) on a streaming workload",
-			closed.Cycles, open.Cycles)
-	}
-	if open.RowHitRate() < 0.5 {
-		t.Fatalf("open-page row-hit rate %v implausibly low for libquantum", open.RowHitRate())
-	}
-}
-
 func TestUtilizationMetrics(t *testing.T) {
 	w := mustWorkload(t, "stream")
 	res := New(quickCfg(w, XEDScheme())).Run()
-	if u := res.BusUtilization(); u <= 0 || u > 1 {
-		t.Fatalf("bus utilization %v out of range", u)
-	}
 	if res.Activates == 0 || res.BusCycles == 0 {
 		t.Fatalf("metrics missing: %+v", res)
-	}
-	if h := res.RowHitRate(); h < 0 || h >= 1 {
-		t.Fatalf("row-hit rate %v out of range", h)
-	}
-}
-
-func TestDDR4TimingRuns(t *testing.T) {
-	w := mustWorkload(t, "milc")
-	cfg := quickCfg(w, XEDScheme())
-	cfg.Timing = DDR42400()
-	res := New(cfg).Run()
-	if res.Cycles <= 0 || res.Power.Total() <= 0 {
-		t.Fatalf("DDR4 run degenerate: %+v", res)
-	}
-	// Faster bus, same work: fewer bus cycles than wall cycles, sane
-	// utilization.
-	if u := res.BusUtilization(); u <= 0 || u > 1 {
-		t.Fatalf("utilization %v", u)
-	}
-}
-
-func TestFRFCFSBeatsStrictFCFS(t *testing.T) {
-	// The reordering scheduler must outperform strict FCFS on a
-	// mixed-locality workload — the justification for FR-FCFS.
-	w := mustWorkload(t, "milc")
-	fr := New(quickCfg(w, XEDScheme())).Run()
-	cfg := quickCfg(w, XEDScheme())
-	cfg.StrictFCFS = true
-	fcfs := New(cfg).Run()
-	if fcfs.Cycles <= fr.Cycles {
-		t.Fatalf("strict FCFS (%d) should be slower than FR-FCFS (%d)", fcfs.Cycles, fr.Cycles)
-	}
-}
-
-func TestPowerDownLowersBackgroundPower(t *testing.T) {
-	// A light workload leaves ranks idle; CKE power-down must cut the
-	// background component and may cost a little time (tXP wakes) under
-	// either timing set, including DDR4's tXP longer than tCCD.
-	for _, tc := range []struct {
-		name   string
-		timing Timing
-	}{{"DDR3", DDR31600()}, {"DDR4", DDR42400()}} {
-		t.Run(tc.name, func(t *testing.T) {
-			w := mustWorkload(t, "dealII")
-			cfg := quickCfg(w, XEDScheme())
-			cfg.Timing = tc.timing
-			base := New(cfg).Run()
-			cfg.PowerDown = true
-			pd := New(cfg).Run()
-			if pd.Power.Background >= base.Power.Background {
-				t.Fatalf("power-down background %v should be below %v",
-					pd.Power.Background, base.Power.Background)
-			}
-			ratio := float64(pd.Cycles) / float64(base.Cycles)
-			if ratio > 1.10 {
-				t.Fatalf("power-down cost %vx execution time", ratio)
-			}
-			if pd.Power.Total() >= base.Power.Total() {
-				t.Fatalf("power-down total %v should beat %v", pd.Power.Total(), base.Power.Total())
-			}
-		})
-	}
-}
-
-func TestRefreshCostsTime(t *testing.T) {
-	// The no-refresh ablation: ~2-5% of cycles go to tRFC blackouts on
-	// a memory-bound workload.
-	w := mustWorkload(t, "stream")
-	base := New(quickCfg(w, XEDScheme())).Run()
-	cfg := quickCfg(w, XEDScheme())
-	cfg.DisableRefresh = true
-	noRef := New(cfg).Run()
-	if noRef.Cycles >= base.Cycles {
-		t.Fatalf("disabling refresh (%d) should speed up the run (%d)", noRef.Cycles, base.Cycles)
-	}
-	if noRef.Power.Refresh != 0 {
-		t.Fatalf("refresh power %v with refresh disabled", noRef.Power.Refresh)
-	}
-	saved := 1 - float64(noRef.Cycles)/float64(base.Cycles)
-	if saved > 0.15 {
-		t.Fatalf("refresh overhead %v implausibly large", saved)
 	}
 }
 

@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"math"
 
-	"xedsim/internal/dram"
 	"xedsim/internal/obs"
 	"xedsim/internal/simrand"
 )
 
-// Config assembles one simulation: the Table V system, a workload run in
-// rate mode on every core, and a reliability scheme's resource mapping.
+// Config assembles one simulation: the Table V system (DDR3-1600 with an
+// FR-FCFS, open-page controller and staggered auto-refresh), a workload
+// run in rate mode on every core, and a reliability scheme's resource
+// mapping.
 type Config struct {
 	Timing Timing
 
@@ -28,36 +29,9 @@ type Config struct {
 	DrainHi       int
 	DrainLo       int
 
-	// ClosePage selects the closed-page row policy: every column access
-	// auto-precharges its row. Open-page (default) is the Table V
-	// baseline; the ablation bench contrasts the two.
-	ClosePage bool
-
-	// StrictFCFS disables first-ready reordering: the scheduler serves
-	// the oldest request only, the classic FCFS baseline FR-FCFS is
-	// measured against.
-	StrictFCFS bool
-
-	// DisableRefresh turns off auto-refresh — the no-refresh ablation
-	// quantifying how much of the baseline's time and power refresh
-	// costs (and what eliminating it would buy).
-	DisableRefresh bool
-
-	// PowerDown enables CKE precharge power-down: a rank idle for more
-	// than PowerDownAfter cycles drops to IDD2P standby and pays tXP to
-	// wake. Off by default so the headline Figure 12 numbers stay
-	// reproducible; the ablation bench flips it.
-	PowerDown      bool
-	PowerDownAfter int64
-
 	Scheme   SchemeConfig
 	Workload Workload
 	Seed     uint64
-
-	// TraceOps, when non-nil, replaces the synthetic generator: every
-	// core replays this recorded USIMM-format stream (rate mode), with
-	// per-core offsets so the copies do not run in lockstep.
-	TraceOps []TraceOpRecord
 
 	// Metrics, when non-nil, publishes live counters under "memsim.*"
 	// names: demand traffic, a read-latency histogram (bus cycles) and
@@ -107,29 +81,6 @@ type Result struct {
 	Power PowerBreakdown
 }
 
-// RowHitRate estimates the fraction of accesses served without a fresh
-// activation.
-func (r *Result) RowHitRate() float64 {
-	accesses := r.Reads + r.Writes + r.CompanionReads + r.CompanionWrites
-	if accesses == 0 {
-		return 0
-	}
-	h := 1 - float64(r.Activates)/float64(accesses)
-	if h < 0 {
-		return 0
-	}
-	return h
-}
-
-// BusUtilization is the fraction of data-bus cycles carrying data,
-// averaged over all channels.
-func (r *Result) BusUtilization() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.BusCycles) / float64(r.Cycles) / 4 // 4 channels in Table V
-}
-
 // AvgReadLatency is the mean demand-read latency in bus cycles.
 func (r *Result) AvgReadLatency() float64 {
 	if r.Reads == 0 {
@@ -162,8 +113,6 @@ type Simulator struct {
 	// Pre-resolved obs handles; nil (no-op) without Config.Metrics.
 	mReads, mWrites, mBankConflicts *obs.Counter
 	mReadLatency                    *obs.Histogram
-
-	debug debugHook
 }
 
 // New builds a simulator. It panics on nonsensical configuration, which
@@ -184,11 +133,10 @@ func New(cfg Config) *Simulator {
 		busDur: int64(sc.BurstCyclesPerRank*sc.RanksPerAccess + t.TRTRS*(sc.RanksPerAccess-1)),
 		decode: int64((sc.CorrectionCycles + 3) / 4),
 	}
-	// A read's CAS waits at most max(tCCD, tXP) past its issue (the
-	// column slack, or a power-down exit) and its data at most for the
-	// bus backlog the column phase admits plus a rank switch; the
-	// transfer and the decode follow.
-	span := int64(max(t.TCCD, t.TXP)+t.CL+4*t.TBurst+t.TRTRS) + s.busDur + s.decode
+	// A read's CAS waits at most tCCD past its issue (the column slack)
+	// and its data at most for the bus backlog the column phase admits
+	// plus a rank switch; the transfer and the decode follow.
+	span := int64(t.TCCD+t.CL+4*t.TBurst+t.TRTRS) + s.busDur + s.decode
 	slots := 1
 	for int64(slots) <= span {
 		slots <<= 1
@@ -218,22 +166,10 @@ func New(cfg Config) *Simulator {
 		if mlp <= 0 {
 			mlp = 8
 		}
-		var src traceSource
-		if cfg.TraceOps != nil {
-			src = &fileTrace{
-				ops:         cfg.TraceOps,
-				pos:         (i * len(cfg.TraceOps)) / cfg.Cores,
-				mapper:      dram.MustNewMapper(cfg.Channels, cfg.RanksPerChannel, dram.Geometry{Banks: cfg.BanksPerRank, RowsPerBank: cfg.RowsPerBank, ColsPerRow: cfg.ColsPerRow}),
-				channelGang: cfg.Scheme.ChannelsPerAccess,
-				rankGang:    cfg.Scheme.RanksPerAccess,
-			}
-		} else {
-			src = newTraceGen(cfg.Workload, geom, cfg.Seed*1000003+uint64(i))
-		}
 		s.cores = append(s.cores, &core{
 			id:     i,
 			mlp:    mlp,
-			trace:  src,
+			trace:  newTraceGen(cfg.Workload, geom, cfg.Seed*1000003+uint64(i)),
 			target: cfg.InstrPerCore,
 		})
 	}
@@ -265,7 +201,7 @@ func (s *Simulator) enqueueRead(c *core, entry *robEntry, op *traceOp) {
 	base := s.gangBase(op.channel)
 	ch := s.channels[base]
 	r := s.newRequest(request{
-		kind: reqRead, channel: base, rank: s.gangRank(op.rank), bank: op.bank,
+		kind: reqRead, rank: s.gangRank(op.rank), bank: op.bank,
 		row: op.row, col: op.col, core: c.id, robSlot: entry, arrive: s.now,
 	})
 	ch.readQ.push(r)
@@ -304,7 +240,7 @@ func (s *Simulator) enqueueWrite(op *traceOp) bool {
 		return false
 	}
 	w := s.newRequest(request{
-		kind: reqWrite, channel: base, rank: s.gangRank(op.rank), bank: op.bank,
+		kind: reqWrite, rank: s.gangRank(op.rank), bank: op.bank,
 		row: op.row, col: op.col, core: -1, arrive: s.now,
 	})
 	ch.writeQ.push(w)
@@ -428,9 +364,6 @@ func (s *Simulator) finish() Result {
 
 // maybeRefresh launches the staggered per-rank auto-refresh.
 func (s *Simulator) maybeRefresh(base int) {
-	if s.cfg.DisableRefresh {
-		return
-	}
 	ch := s.channels[base]
 	if s.now < ch.nextRefresh {
 		return
@@ -491,11 +424,7 @@ func (s *Simulator) maybeIssue(base int, ch *channelState) {
 
 	// Row phase: prepare the oldest request whose row is closed or
 	// conflicting, unless its bank is reserved for an earlier victim.
-	rowLimit := q.len()
-	if s.cfg.StrictFCFS && rowLimit > 1 {
-		rowLimit = 1
-	}
-	for i := 0; i < rowLimit; i++ {
+	for i := 0; i < q.len(); i++ {
 		r := q.at(i)
 		at := s.prepareAt(base, r)
 		if at <= s.now {
@@ -509,9 +438,7 @@ func (s *Simulator) maybeIssue(base int, ch *channelState) {
 	if issued || s.drainFlips(ch) {
 		ch.wake = s.now + 1
 	}
-	if !s.cfg.DisableRefresh {
-		ch.wake = min(ch.wake, ch.nextRefresh)
-	}
+	ch.wake = min(ch.wake, ch.nextRefresh)
 }
 
 // drainFlips reports whether the write-drain watermark flips when next
@@ -533,7 +460,7 @@ func (s *Simulator) tryColumn(base int, q *queue) bool {
 	tCCD := int64(s.cfg.Timing.TCCD)
 	for i := 0; i < q.len(); i++ {
 		r := q.at(i)
-		ready, poweredDown, open := s.casReadyFor(base, r)
+		ready, open := s.casReadyFor(base, r)
 		if !open {
 			continue
 		}
@@ -541,20 +468,12 @@ func (s *Simulator) tryColumn(base int, q *queue) bool {
 			ch.wake = min(ch.wake, ready-tCCD)
 			continue
 		}
-		if poweredDown {
-			// The power-down exit delays the CAS it schedules; it does
-			// not hold the request back.
-			ready = max64(ready, s.now+int64(s.cfg.Timing.TXP))
-		}
 		q.removeAt(i)
 		if r.kind == reqWrite {
 			// A freed write-queue slot may unblock a core's fetch.
 			for _, c := range s.cores {
 				c.asleep = false
 			}
-		}
-		if s.debug != nil {
-			s.debug("CAS", r, ready, ch.busFreeAt)
 		}
 		s.issueColumn(base, r, ready)
 		s.free = append(s.free, r)
@@ -564,9 +483,9 @@ func (s *Simulator) tryColumn(base int, q *queue) bool {
 }
 
 // casReadyFor reports whether r's row is open across its whole gang and,
-// if so, the earliest CAS cycle the gang's timing horizons allow and
-// whether one of its ranks sits in power-down. No state is mutated.
-func (s *Simulator) casReadyFor(base int, r *request) (ready int64, poweredDown, open bool) {
+// if so, the earliest CAS cycle the gang's timing horizons allow. No state
+// is mutated.
+func (s *Simulator) casReadyFor(base int, r *request) (ready int64, open bool) {
 	t := &s.cfg.Timing
 	sc := &s.cfg.Scheme
 	isWrite := r.kind == reqWrite
@@ -577,17 +496,16 @@ func (s *Simulator) casReadyFor(base int, r *request) (ready int64, poweredDown,
 			rank := &phys.ranks[r.rank+k]
 			bank := &rank.banks[r.bank]
 			if bank.openRow != r.row {
-				return 0, false, false
+				return 0, false
 			}
 			v := max64(bank.nextCAS, rank.refreshUntil)
 			if !isWrite {
 				v = max64(v, rank.lastWriteEnd+int64(t.TWTR))
 			}
 			ready = max64(ready, v)
-			poweredDown = poweredDown || s.poweredDownFor(rank) > 0
 		}
 	}
-	return ready, poweredDown, true
+	return ready, true
 }
 
 // issueColumn schedules the CAS and data transfer for a request whose row
@@ -621,9 +539,6 @@ func (s *Simulator) issueColumn(base int, r *request, casReady int64) {
 		for k := 0; k < sc.RanksPerAccess; k++ {
 			rank := &phys.ranks[r.rank+k]
 			bank := &rank.banks[r.bank]
-			if rank.lastActive < dataEnd {
-				rank.lastActive = dataEnd
-			}
 			bank.nextCAS = casT + int64(t.TCCD)
 			bank.reserved = false // the opened row has served its CAS
 			if isWrite {
@@ -633,12 +548,6 @@ func (s *Simulator) issueColumn(base int, r *request, casReady int64) {
 			} else {
 				bank.nextPre = max64(bank.nextPre, casT+int64(t.TRTP))
 				rank.readCycles += burst
-			}
-			if s.cfg.ClosePage {
-				// Auto-precharge: the row closes as soon as the
-				// precharge constraint allows.
-				bank.openRow = -1
-				bank.nextAct = max64(bank.nextAct, bank.nextPre+int64(t.TRP))
 			}
 		}
 	}
@@ -651,31 +560,6 @@ func (s *Simulator) issueColumn(base int, r *request, casReady int64) {
 		slot := &s.readRing[done&int64(len(s.readRing)-1)]
 		*slot = append(*slot, completion{entry: r.robSlot, arrive: r.arrive})
 	}
-}
-
-// poweredDownFor is how long rank has sat in precharge power-down as of
-// now: the part of its idle time beyond the entry threshold, or 0 with
-// power-down off.
-func (s *Simulator) poweredDownFor(rank *rankState) int64 {
-	if !s.cfg.PowerDown {
-		return 0
-	}
-	after := s.cfg.PowerDownAfter
-	if after <= 0 {
-		after = 16
-	}
-	return max64(s.now-rank.lastActive-after, 0)
-}
-
-// wakeRank applies power-down bookkeeping at the start of new activity on
-// a rank and returns the wake penalty (tXP) if the rank had powered down.
-func (s *Simulator) wakeRank(rank *rankState) int64 {
-	gap := s.poweredDownFor(rank)
-	if gap == 0 {
-		return 0
-	}
-	rank.pdCycles += gap
-	return int64(s.cfg.Timing.TXP)
 }
 
 // prepareAt returns the earliest cycle at which r's row could be opened
@@ -714,9 +598,6 @@ func (s *Simulator) prepareAt(base int, r *request) int64 {
 func (s *Simulator) prepare(base int, r *request) {
 	t := &s.cfg.Timing
 	sc := &s.cfg.Scheme
-	if s.debug != nil {
-		s.debug("ACT", r, 0, 0)
-	}
 	// A conflict (not a cold miss): the request's bank holds a different
 	// open row that must be precharged first. One count per request, read
 	// off the gang's base bank before the commit pass mutates it.
@@ -728,17 +609,13 @@ func (s *Simulator) prepare(base int, r *request) {
 		for k := 0; k < sc.RanksPerAccess; k++ {
 			rank := &phys.ranks[r.rank+k]
 			bank := &rank.banks[r.bank]
-			wake := s.wakeRank(rank)
-			actAt := max64(s.now+wake, bank.nextAct)
+			actAt := max64(s.now, bank.nextAct)
 			if bank.openRow != -1 {
 				actAt = max64(actAt, max64(bank.nextPre, s.now)+int64(t.TRP))
 			}
 			actAt = max64(actAt, rank.fawReady(t.TFAW))
 			actAt = max64(actAt, rank.lastAct+int64(t.TRRD))
 			rank.recordAct(actAt, t.TRAS)
-			if rank.lastActive < actAt+int64(t.TRCD) {
-				rank.lastActive = actAt + int64(t.TRCD)
-			}
 			bank.openRow = r.row
 			bank.reserved = true
 			bank.nextAct = actAt + int64(t.TRC)
@@ -760,6 +637,3 @@ func (s *Simulator) newRequest(r request) *request {
 	*p = r
 	return p
 }
-
-// debugHook is a development trace point; see probe_test.go.
-type debugHook func(kind string, r *request, a, b int64)

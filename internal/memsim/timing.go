@@ -35,7 +35,6 @@ type Timing struct {
 	TRTRS int // rank-to-rank data-bus switch penalty
 	TRFC  int // refresh cycle time
 	TREFI int // refresh interval
-	TXP   int // power-down exit to first valid command
 
 	TBurst int // data-bus cycles per 64B cache-line transfer (BL8 = 4)
 }
@@ -60,34 +59,6 @@ func DDR31600() Timing {
 		TRTRS:  2,
 		TRFC:   128,  // 160ns for a 2Gb part
 		TREFI:  6240, // 7.8us
-		TXP:    4,
-		TBurst: 4, // 8 beats, double data rate
-	}
-}
-
-// DDR42400 is a DDR4-2400R timing set (1200 MHz bus) for what-if studies
-// beyond the paper's DDR3 baseline — §XI-C notes DDR4's ALERT_n pin and
-// the shrinking-burst trend that makes extra-burst signalling ever more
-// expensive.
-func DDR42400() Timing {
-	return Timing{
-		TCK:    0.833,
-		CL:     17,
-		CWL:    12,
-		TRCD:   17,
-		TRP:    17,
-		TRAS:   39,
-		TRC:    56,
-		TRRD:   6,
-		TFAW:   26,
-		TCCD:   4,
-		TWTR:   9,
-		TWR:    18,
-		TRTP:   9,
-		TRTRS:  2,
-		TRFC:   312,  // 260ns for a 4Gb part
-		TREFI:  9363, // 7.8us
-		TXP:    8,
-		TBurst: 4,
+		TBurst: 4,    // 8 beats, double data rate
 	}
 }
