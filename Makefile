@@ -87,7 +87,8 @@ ci:
 		$$dir/xedtrace -stats $$dir/trace.json && \
 		$$dir/xedtrace -judge $$dir/trace.json; code=$$?; rm -rf $$dir; exit $$code
 	go test -race -short ./...
-	go test -run='^$$' -bench=TableI -benchtime=1x ./...
+	go test -run='^$$' -bench=. -benchtime=1x ./...
+	go run ./tools/reach
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).
 experiments:

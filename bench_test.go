@@ -71,8 +71,6 @@ func BenchmarkFig6CollisionCurve(b *testing.B) {
 	var curve []float64
 	for i := 0; i < b.N; i++ {
 		curve = model.Curve(years)
-		// Empirical validation leg at a tractable width.
-		analysis.SimulateCollisions(20, 100_000, uint64(i))
 	}
 	b.ReportMetric(curve[6], "P(collision,7y)")
 	b.ReportMetric(model.MeanTimeBetweenCollisionsYears(), "mttc-years")
@@ -350,10 +348,12 @@ func BenchmarkAblationCatchWordWidth(b *testing.B) {
 func BenchmarkAblationSerialMode(b *testing.B) {
 	w, _ := memsim.WorkloadByName("libquantum")
 	var paperRate, exaggerated float64
+	rareScheme, freqScheme := memsim.XEDScheme(), memsim.XEDScheme()
+	rareScheme.SerialModeEvery, freqScheme.SerialModeEvery = 200_000, 100
 	for i := 0; i < b.N; i++ {
 		base := memsim.New(withInstr(memsim.DefaultConfig(w, memsim.XEDScheme()), 60_000)).Run()
-		rare := memsim.New(withInstr(memsim.DefaultConfig(w, memsim.XEDSchemeWithSerialMode(200_000)), 60_000)).Run()
-		freq := memsim.New(withInstr(memsim.DefaultConfig(w, memsim.XEDSchemeWithSerialMode(100)), 60_000)).Run()
+		rare := memsim.New(withInstr(memsim.DefaultConfig(w, rareScheme), 60_000)).Run()
+		freq := memsim.New(withInstr(memsim.DefaultConfig(w, freqScheme), 60_000)).Run()
 		paperRate = float64(rare.Cycles) / float64(base.Cycles)
 		exaggerated = float64(freq.Cycles) / float64(base.Cycles)
 	}

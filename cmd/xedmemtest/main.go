@@ -1,7 +1,7 @@
 // Command xedmemtest is a memtest-style exerciser for the functional XED
 // fleet: it walks classic test patterns across an address-mapped memory
-// system, optionally injects faults mid-run, scrubs, and reports every
-// correction the controllers performed. It demonstrates — end to end, with
+// system, optionally injects faults mid-run, and reports every correction
+// the controllers performed. It demonstrates — end to end, with
 // real stored bits — that the paper's mechanism survives what it claims to
 // survive.
 //

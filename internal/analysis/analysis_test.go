@@ -5,7 +5,55 @@ import (
 	"testing"
 
 	"xedsim/internal/faultsim"
+	"xedsim/internal/simrand"
 )
+
+// SimulateCollisions validates the geometric model empirically at a small
+// catch-word width: it draws `writes` random values against a random
+// catch-word and returns the observed collision count. Used by tests to
+// confirm the analytic curve before extrapolating to 64 bits.
+func SimulateCollisions(bits int, writes int, seed uint64) int {
+	rng := simrand.New(seed)
+	mask := uint64(1)<<uint(bits) - 1
+	cw := rng.Uint64() & mask
+	hits := 0
+	for i := 0; i < writes; i++ {
+		if rng.Uint64()&mask == cw {
+			hits++
+		}
+	}
+	return hits
+}
+
+// PairLossProbability generalises MultiChipLossProbability to any gang
+// size — the analytic cross-check for the Chipkill curve (two concurrent
+// faulty chips among `chips`, summed over `gangs` protection gangs).
+func PairLossProbability(permFIT, transFIT float64, chips, gangs int, lifetimeHours, scrubHours float64) float64 {
+	return MultiChipLossProbability(permFIT, transFIT, chips, gangs, lifetimeHours, scrubHours)
+}
+
+// TripleLossProbability approximates the two-erasure schemes' failure
+// mode: three concurrently active visible faults in distinct chips of one
+// gang. Only the dominant permanent^3 and permanent^2 x transient terms
+// are kept; the Monte-Carlo simulator carries the full model.
+func TripleLossProbability(permFIT, transFIT float64, chips, gangs int, lifetimeHours, scrubHours float64) float64 {
+	lp := permFIT * 1e-9 * lifetimeHours
+	lt := transFIT * 1e-9 * lifetimeHours
+	triples := float64(chips*(chips-1)*(chips-2)) / 6
+	// permanent^3: the latest of three always sees the other two.
+	ppp := lp * lp * lp
+	// 2 permanents + 1 transient: the transient must arrive after both
+	// (~1/3 of orderings) or a permanent lands in its scrub window.
+	ppt := 3 * lp * lp * lt * (1.0/3 + 2*scrubHours/lifetimeHours)
+	return triples * (ppp + ppt) * float64(gangs)
+}
+
+// MultiRankLossProbability is the Chipkill-specific extra term: a
+// multi-rank event puts two concurrent faulty chips into the DIMM-wide
+// gang, defeating single-symbol correction outright.
+func MultiRankLossProbability(multiRankFIT float64, dimms int, lifetimeHours float64) float64 {
+	return multiRankFIT * 1e-9 * lifetimeHours * float64(dimms)
+}
 
 func TestCollisionPerWriteProbability(t *testing.T) {
 	if got := X8Default().PerWriteProbability(); got != math.Exp2(-64) {

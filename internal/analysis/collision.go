@@ -5,11 +5,7 @@
 // cross-checked against small-scale Monte Carlo in the tests.
 package analysis
 
-import (
-	"math"
-
-	"xedsim/internal/simrand"
-)
+import "math"
 
 // CollisionModel computes how often legitimately written data matches a
 // chip's randomly chosen catch-word (§V-D2). Writes are conservatively
@@ -83,21 +79,4 @@ func PaperCalibratedX8() CollisionModel {
 		CatchWordBits:    64,
 		WriteIntervalSec: paperYears * SecondsPerYear * math.Exp2(-64),
 	}
-}
-
-// SimulateCollisions validates the geometric model empirically at a small
-// catch-word width: it draws `writes` random values against a random
-// catch-word and returns the observed collision count. Used by tests to
-// confirm the analytic curve before extrapolating to 64 bits.
-func SimulateCollisions(bits int, writes int, seed uint64) int {
-	rng := simrand.New(seed)
-	mask := uint64(1)<<uint(bits) - 1
-	cw := rng.Uint64() & mask
-	hits := 0
-	for i := 0; i < writes; i++ {
-		if rng.Uint64()&mask == cw {
-			hits++
-		}
-	}
-	return hits
 }

@@ -175,9 +175,9 @@ func TestSelectClaims(t *testing.T) {
 	if _, err := SelectClaims(table, []string{"no/such"}); err == nil {
 		t.Fatal("unknown claim name accepted")
 	}
-	names := ClaimNames(table)
-	if len(names) != len(table) || names[0] != table[0].Name {
-		t.Fatalf("ClaimNames mismatch: %v", names)
+	one, err := SelectClaims(table, []string{table[1].Name})
+	if err != nil || len(one) != 1 || one[0].Name != table[1].Name {
+		t.Fatalf("selecting %q: %d claims, err %v", table[1].Name, len(one), err)
 	}
 }
 
@@ -248,7 +248,9 @@ func TestBatchSeedsDrawDisjointSubstreams(t *testing.T) {
 		for b := 0; b < 100; b++ {
 			seed := batchSeed(DefaultOptions().Seed, claim, b)
 			for c := 0; c < 100; c++ {
-				st := simrand.NewStream(seed, uint64(c)).State()
+				var src simrand.Source
+				src.SeedStream(seed, uint64(c))
+				st := src.State()
 				if prev, dup := seen[st]; dup {
 					t.Fatalf("%s: batch %d chunk %d draws the substream of batch %d chunk %d", claim, b, c, prev[0], prev[1])
 				}

@@ -39,20 +39,6 @@ const (
 	RejectClaim
 )
 
-// String implements fmt.Stringer.
-func (d Decision) String() string {
-	switch d {
-	case Undecided:
-		return "undecided"
-	case AcceptClaim:
-		return "accept"
-	case RejectClaim:
-		return "reject"
-	default:
-		return fmt.Sprintf("Decision(%d)", int(d))
-	}
-}
-
 // RatioSPRT is Wald's sequential probability-ratio test specialised to
 // scheme-ordering claims of the form "scheme A's failure probability pA is
 // at least `ratio` times smaller than scheme B's pB".
@@ -135,9 +121,6 @@ func (s *RatioSPRT) Decision() Decision { return s.terminated }
 // LLR returns the accumulated log-likelihood ratio (positive favours the
 // claim).
 func (s *RatioSPRT) LLR() float64 { return s.llr }
-
-// Counts returns the failure events observed so far.
-func (s *RatioSPRT) Counts() (kA, kB uint64) { return s.kA, s.kB }
 
 // wilsonSeparation cross-checks an ordering claim with simultaneous 95%
 // Wilson intervals: the claim is `confirmed` when even the pessimistic

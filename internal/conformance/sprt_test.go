@@ -34,7 +34,7 @@ func TestRatioSPRTDirections(t *testing.T) {
 				}
 			}
 			if got := sprt.Decision(); got != tc.want {
-				kA, kB := sprt.Counts()
+				kA, kB := sprt.kA, sprt.kB
 				t.Fatalf("decision %v after %d/%d observations, want %v (LLR %v)",
 					got, kA, kB, tc.want, sprt.LLR())
 			}
@@ -54,12 +54,12 @@ func TestRatioSPRTTerminationSticks(t *testing.T) {
 		t.Fatalf("all-B stream did not accept: %v", sprt.Decision())
 	}
 	llr := sprt.LLR()
-	kA, kB := sprt.Counts()
+	kA, kB := sprt.kA, sprt.kB
 	sprt.Observe(1_000_000, 0) // would reject if it counted
 	if sprt.Decision() != AcceptClaim || sprt.LLR() != llr {
 		t.Fatal("post-termination observation changed the test")
 	}
-	if a, b := sprt.Counts(); a != kA || b != kB {
+	if sprt.kA != kA || sprt.kB != kB {
 		t.Fatal("post-termination observation changed the counts")
 	}
 }

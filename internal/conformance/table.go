@@ -129,16 +129,6 @@ func PaperClaims() []Claim {
 	}
 }
 
-// ClaimNames returns the table's claim names in order (for -list and flag
-// validation).
-func ClaimNames(claims []Claim) []string {
-	names := make([]string, len(claims))
-	for i, c := range claims {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // SelectClaims filters the table by exact claim names; unknown names are
 // an error so a typo in -claims cannot silently pass CI by selecting
 // nothing.

@@ -36,8 +36,6 @@ type AlertNController struct {
 	extended bool
 	fct      *FCT
 	stats    Stats
-
-	interLineThreshold float64
 }
 
 // NewAlertNController wraps a 9-chip rank. extended selects the
@@ -50,10 +48,9 @@ func NewAlertNController(rank *dram.Rank, extended bool) *AlertNController {
 	// carries (possibly corrected) data, never catch-words.
 	rank.SetXEDEnable(false)
 	return &AlertNController{
-		rank:               rank,
-		extended:           extended,
-		fct:                NewFCT(DefaultFCTEntries),
-		interLineThreshold: 0.10,
+		rank:     rank,
+		extended: extended,
+		fct:      NewFCT(DefaultFCTEntries),
 	}
 }
 
@@ -195,7 +192,7 @@ func (c *AlertNController) interLine(a dram.WordAddr) int {
 			}
 		}
 	}
-	return convictRowChip(&counts, geom.ColsPerRow, c.interLineThreshold)
+	return convictRowChip(&counts, geom.ColsPerRow)
 }
 
 // reconstruct rebuilds line a against convicted chip k.

@@ -31,13 +31,6 @@ type Controller struct {
 	fct        *FCT
 	stats      Stats
 
-	// interLineThreshold is the fraction of faulty lines in a row that
-	// convicts a chip (§VI-A uses 10%).
-	interLineThreshold float64
-
-	// events is the bounded RAS log (see events.go).
-	events *eventLog
-
 	// obsReg and m mirror Stats into an obs registry when WithMetrics is
 	// set; every handle is a nil no-op otherwise (see metrics.go).
 	obsReg *obs.Registry
@@ -57,14 +50,8 @@ func WithFCTEntries(n int) Option {
 	return func(c *Controller) { c.fct = NewFCT(n) }
 }
 
-// WithInterLineThreshold overrides the 10% conviction threshold; the
-// ablation benches sweep this.
-func WithInterLineThreshold(t float64) Option {
-	return func(c *Controller) { c.interLineThreshold = t }
-}
-
 // WithMetrics mirrors the controller's activity counters into r under
-// "core.*" names (and "core.scrub.*" for scrubbers attached to it). A nil
+// "core.*" names (and "core.scrub.*" for its patrol scrubs). A nil
 // registry leaves the controller uninstrumented.
 func WithMetrics(r *obs.Registry) Option {
 	return func(c *Controller) { c.obsReg = r }
@@ -78,11 +65,9 @@ func NewController(rank *dram.Rank, seed uint64, opts ...Option) *Controller {
 		panic(fmt.Sprintf("core: XED needs a 9-chip ECC-DIMM, got %d chips", rank.Chips()))
 	}
 	c := &Controller{
-		rank:               rank,
-		rng:                simrand.New(seed),
-		fct:                NewFCT(DefaultFCTEntries),
-		interLineThreshold: 0.10,
-		events:             newEventLog(0),
+		rank: rank,
+		rng:  simrand.New(seed),
+		fct:  NewFCT(DefaultFCTEntries),
 	}
 	for _, o := range opts {
 		o(c)
@@ -101,9 +86,6 @@ func (c *Controller) Rank() *dram.Rank { return c.rank }
 
 // Stats returns a copy of the activity counters.
 func (c *Controller) Stats() Stats { return c.stats }
-
-// CatchWord returns the catch-word currently programmed for chip i.
-func (c *Controller) CatchWord(i int) uint64 { return c.catchWords[i] }
 
 // FCT exposes the tracker for inspection.
 func (c *Controller) FCT() *FCT { return c.fct }
@@ -169,7 +151,6 @@ func (c *Controller) ReadLine(a dram.WordAddr) ReadResult {
 // can only ever originate from such an on-die miss.
 func (c *Controller) correctSingleErasure(a dram.WordAddr, words [DataChips + 1]uint64, k int) ReadResult {
 	res := ReadResult{Outcome: OutcomeCorrectedErasure, FaultyChips: c.faultyOne(k)}
-	c.events.append(EventErasureCorrection, a, k)
 	if k == parityChip {
 		// The parity chip erred; the data beats are intact.
 		res.Data = toLine(words)
@@ -183,7 +164,6 @@ func (c *Controller) correctSingleErasure(a dram.WordAddr, words [DataChips + 1]
 			res.Collision = true
 			c.stats.Collisions++
 			c.m.collisions.Inc()
-			c.events.append(EventCollision, a, k)
 			c.regenerateCatchWord(k)
 		}
 		words[k] = rebuilt
@@ -215,7 +195,6 @@ func (c *Controller) serialModeCorrect(a dram.WordAddr, _ [DataChips + 1]uint64,
 	if ecc.CheckParity(words[:DataChips], words[parityChip]) {
 		c.stats.SerialCorrections++
 		c.m.serialCorrections.Inc()
-		c.events.append(EventSerialMode, a, -1)
 		return ReadResult{Data: toLine(words), Outcome: OutcomeCorrectedSerial, FaultyChips: flagged}
 	}
 	// A chip beyond on-die repair is hiding among the catch-words:

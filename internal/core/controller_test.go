@@ -116,11 +116,11 @@ func TestXEDCatchWordCollision(t *testing.T) {
 	c := newXED(t)
 	a := dram.WordAddr{Bank: 0, Row: 1, Col: 2}
 	var data Line
-	data[5] = c.CatchWord(5) // legitimate data that equals chip 5's CW
+	data[5] = c.Rank().Chip(5).CatchWord() // legitimate data that equals chip 5's CW
 	data[0] = 0x1111
 	c.WriteLine(a, data)
 
-	oldCW := c.CatchWord(5)
+	oldCW := c.Rank().Chip(5).CatchWord()
 	res := c.ReadLine(a)
 	if !res.Collision {
 		t.Fatalf("collision not flagged (outcome %v)", res.Outcome)
@@ -128,7 +128,7 @@ func TestXEDCatchWordCollision(t *testing.T) {
 	if res.Data != data {
 		t.Fatal("collision read returned wrong data")
 	}
-	if c.CatchWord(5) == oldCW {
+	if c.Rank().Chip(5).CatchWord() == oldCW {
 		t.Fatal("catch-word not regenerated after collision")
 	}
 	if c.Stats().Collisions != 1 || c.Stats().CatchWordUpdates != 1 {
@@ -349,7 +349,7 @@ func TestXEDCatchWordsAreDistinctAndProgrammed(t *testing.T) {
 	c := newXED(t)
 	seen := map[uint64]bool{}
 	for i := 0; i <= DataChips; i++ {
-		cw := c.CatchWord(i)
+		cw := c.catchWords[i]
 		if seen[cw] {
 			t.Fatalf("duplicate catch-word for chip %d", i)
 		}
@@ -384,16 +384,15 @@ func BenchmarkXEDReadChipFailure(b *testing.B) {
 	}
 }
 
-func TestInterLineThresholdAblation(t *testing.T) {
-	// §VI-A's 10% threshold matters: a transient row failure whose
-	// accessed line is silent can only be rescued by Inter-Line
-	// diagnosis (Intra-Line needs permanence). With the default
-	// threshold the ~25 flagged neighbours convict the chip; with an
-	// over-strict 40% threshold diagnosis fails and the read becomes a
-	// DUE.
-	build := func(opts ...Option) (*Controller, dram.WordAddr, Line) {
+func TestInterLineThresholdPinned(t *testing.T) {
+	// §VI-A's 10% threshold: a transient row failure whose accessed line
+	// is silent can only be rescued by Inter-Line diagnosis (Intra-Line
+	// needs permanence). 12 flagged neighbours of a 128-line row reach
+	// the threshold and convict the chip; 11 do not, and the read becomes
+	// a DUE.
+	build := func(flagged int) (*Controller, dram.WordAddr, Line) {
 		rank := dram.MustNewRank(9, testGeom(), func() ecc.Code64 { return ecc.NewCRC8ATM() })
-		c := NewController(rank, 0xabc, opts...)
+		c := NewController(rank, 0xabc)
 		rng := simrand.New(90)
 		victim := dram.WordAddr{Bank: 1, Row: 6, Col: 77}
 		var want Line
@@ -405,23 +404,23 @@ func TestInterLineThresholdAblation(t *testing.T) {
 			c.WriteLine(dram.WordAddr{Bank: 1, Row: 6, Col: col}, l)
 		}
 		c.Rank().Chip(4).InjectFault(silentWordFault(victim, true))
-		for col := 0; col < 25; col++ {
+		for col := 0; col < flagged; col++ {
 			c.Rank().Chip(4).InjectFault(dram.NewWordFault(
 				dram.WordAddr{Bank: 1, Row: 6, Col: col}, 0b11, 0, true))
 		}
 		return c, victim, want
 	}
 
-	cDefault, victim, want := build()
-	res := cDefault.ReadLine(victim)
+	c, victim, want := build(12)
+	res := c.ReadLine(victim)
 	if res.Outcome != OutcomeCorrectedDiagnosis || res.Data != want {
-		t.Fatalf("default threshold: %v (dataOK=%v)", res.Outcome, res.Data == want)
+		t.Fatalf("12 of 128 flagged: %v (dataOK=%v)", res.Outcome, res.Data == want)
 	}
 
-	cStrict, victim, _ := build(WithInterLineThreshold(0.4))
-	res = cStrict.ReadLine(victim)
+	c, victim, _ = build(11)
+	res = c.ReadLine(victim)
 	if res.Outcome != OutcomeDUE {
-		t.Fatalf("strict threshold: %v, want DUE", res.Outcome)
+		t.Fatalf("11 of 128 flagged: %v, want DUE", res.Outcome)
 	}
 }
 
@@ -453,7 +452,7 @@ func TestXEDCollisionStorm(t *testing.T) {
 			data[b] = rng.Uint64()
 		}
 		if chip < 8 {
-			data[chip] = c.CatchWord(chip)
+			data[chip] = c.Rank().Chip(chip).CatchWord()
 		} else {
 			// Parity collision: choose data whose XOR equals the
 			// parity chip's catch-word.
@@ -461,9 +460,9 @@ func TestXEDCollisionStorm(t *testing.T) {
 			for b := 0; b < 7; b++ {
 				x ^= data[b]
 			}
-			data[7] = x ^ c.CatchWord(8)
+			data[7] = x ^ c.Rank().Chip(8).CatchWord()
 		}
-		before := c.CatchWord(chip)
+		before := c.Rank().Chip(chip).CatchWord()
 		c.WriteLine(a, data)
 		res := c.ReadLine(a)
 		if res.Data != data {
@@ -473,7 +472,7 @@ func TestXEDCollisionStorm(t *testing.T) {
 			if !res.Collision {
 				t.Fatalf("episode %d: collision not flagged", i)
 			}
-			if c.CatchWord(chip) == before {
+			if c.Rank().Chip(chip).CatchWord() == before {
 				t.Fatalf("episode %d: catch-word not rotated", i)
 			}
 		}

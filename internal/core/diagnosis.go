@@ -26,9 +26,7 @@ func (c *Controller) diagnoseAndCorrect(a dram.WordAddr, hintWords []uint64) Rea
 		if c.fct.Insert(a.Bank, a.Row, chip) {
 			c.stats.FCTChipMarks++
 			c.m.fctChipMarks.Inc()
-			c.events.append(EventChipMarked, dram.WordAddr{}, chip)
 		}
-		c.events.append(EventDiagnosis, a, chip)
 		return c.reconstructAgainstChip(a, chip, OutcomeCorrectedDiagnosis)
 	}
 	if chip := c.intraLineDiagnosis(a); chip >= 0 {
@@ -38,16 +36,13 @@ func (c *Controller) diagnoseAndCorrect(a dram.WordAddr, hintWords []uint64) Rea
 		if c.fct.Insert(a.Bank, a.Row, chip) {
 			c.stats.FCTChipMarks++
 			c.m.fctChipMarks.Inc()
-			c.events.append(EventChipMarked, dram.WordAddr{}, chip)
 		}
-		c.events.append(EventDiagnosis, a, chip)
 		return c.reconstructAgainstChip(a, chip, OutcomeCorrectedDiagnosis)
 	}
 	// Both diagnoses failed (the transient-word-fault case of §VIII):
 	// detected but uncorrectable.
 	c.stats.DUEs++
 	c.m.dues.Inc()
-	c.events.append(EventDUE, a, -1)
 	res := ReadResult{Outcome: OutcomeDUE}
 	if hintWords != nil {
 		var words [DataChips + 1]uint64
@@ -84,15 +79,19 @@ func (c *Controller) interLineDiagnosis(a dram.WordAddr) int {
 			}
 		}
 	}
-	return convictRowChip(&counts, geom.ColsPerRow, c.interLineThreshold)
+	return convictRowChip(&counts, geom.ColsPerRow)
 }
+
+// interLineThreshold is the fraction of a row's lines that must be flagged
+// by one chip to convict it (§VI-A).
+const interLineThreshold = 0.10
 
 // convictRowChip is the §VI-A conviction rule over per-chip counts of
 // flagged lines in a row of cols lines: the chip with the unique highest
-// count is convicted if that count reaches frac of the row (at least one
-// line). Returns the chip or -1.
-func convictRowChip(counts *[DataChips + 1]int, cols int, frac float64) int {
-	threshold := int(frac * float64(cols))
+// count is convicted if that count reaches interLineThreshold of the row
+// (at least one line). Returns the chip or -1.
+func convictRowChip(counts *[DataChips + 1]int, cols int) int {
+	threshold := int(interLineThreshold * float64(cols))
 	if threshold < 1 {
 		threshold = 1
 	}

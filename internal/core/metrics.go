@@ -45,8 +45,8 @@ func newControllerMetrics(r *obs.Registry) controllerMetrics {
 	}
 }
 
-// scrubMetrics mirrors ScrubStats; scrubbers inherit the registry of the
-// controller they patrol.
+// scrubMetrics counts a controller's patrol scrub passes (see scrub.go) in
+// its registry.
 type scrubMetrics struct {
 	lines       *obs.Counter
 	corrections *obs.Counter

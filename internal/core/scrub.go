@@ -9,103 +9,33 @@ import "xedsim/internal/dram"
 // — and rewrites heal transient upsets in the functional model exactly as
 // redundant-bit rewrites do in real DRAM.
 
-// Scrubber walks a Controller's rank in address order.
-type Scrubber struct {
-	ctrl *Controller
-	pos  dram.WordAddr
-
-	// sincePass counts lines scrubbed since the last completed pass. A
-	// pass completes when every line of the rank has been visited once
-	// since the pass began — NOT when the walk wraps through address
-	// zero, which for a scrubber that is mid-rank when a pass starts
-	// happens after fewer lines than the rank holds.
-	sincePass uint64
-
-	stats ScrubStats
-	m     scrubMetrics
-}
-
-// ScrubStats counts scrubber activity.
-type ScrubStats struct {
-	LinesScrubbed uint64
-	Corrections   uint64
-	DUEs          uint64
-	// PassesDone counts completed full passes: Banks·Rows·Cols lines
-	// visited since the pass began, wherever in the rank it began.
-	PassesDone uint64
-}
-
-// NewScrubber starts a scrubber at address zero. It inherits the metrics
-// registry (if any) of the controller it patrols.
-func NewScrubber(ctrl *Controller) *Scrubber {
-	return &Scrubber{ctrl: ctrl, m: newScrubMetrics(ctrl.obsReg)}
-}
-
-// Stats returns a copy of the counters.
-func (s *Scrubber) Stats() ScrubStats { return s.stats }
-
-// Step scrubs the next n lines (read-correct-writeback), wrapping at the
-// end of the rank. It returns the number of uncorrectable lines hit.
-func (s *Scrubber) Step(n int) int {
-	geom := s.ctrl.Rank().Geometry()
-	total := uint64(geom.Banks * geom.RowsPerBank * geom.ColsPerRow)
+// scrub runs one patrol pass over the controller's rank in address order
+// and returns the number of uncorrectable lines hit. A corrected line is
+// written back; an uncorrectable one is left for the OS to retire rather
+// than laundering bad data. The pass is mirrored into the "core.scrub.*"
+// counters of the controller's registry, if any.
+func (c *Controller) scrub() int {
+	m := newScrubMetrics(c.obsReg)
+	geom := c.rank.Geometry()
 	dues := 0
-	for i := 0; i < n; i++ {
-		res := s.ctrl.ReadLine(s.pos)
-		switch res.Outcome {
-		case OutcomeDUE:
-			s.stats.DUEs++
-			s.m.dues.Inc()
-			dues++
-			// Data is unrecoverable; leave the line for the OS to
-			// retire rather than laundering bad data.
-		case OutcomeClean:
-			// Nothing to heal; skip the write-back.
-		default:
-			s.stats.Corrections++
-			s.m.corrections.Inc()
-			s.ctrl.WriteLine(s.pos, res.Data)
+	for bank := 0; bank < geom.Banks; bank++ {
+		for row := 0; row < geom.RowsPerBank; row++ {
+			for col := 0; col < geom.ColsPerRow; col++ {
+				a := dram.WordAddr{Bank: bank, Row: row, Col: col}
+				switch res := c.ReadLine(a); res.Outcome {
+				case OutcomeDUE:
+					m.dues.Inc()
+					dues++
+				case OutcomeClean:
+					// Nothing to heal; skip the write-back.
+				default:
+					m.corrections.Inc()
+					c.WriteLine(a, res.Data)
+				}
+				m.lines.Inc()
+			}
 		}
-		s.stats.LinesScrubbed++
-		s.m.lines.Inc()
-		s.sincePass++
-		if s.sincePass == total {
-			s.stats.PassesDone++
-			s.m.passes.Inc()
-			s.sincePass = 0
-		}
-		s.advance(geom)
 	}
+	m.passes.Inc()
 	return dues
-}
-
-// FullPass scrubs one complete wrap from the scrubber's current position —
-// every line of the rank exactly once — and returns the DUE count. The
-// wrap is itself the pass: the boundary realigns to the current position,
-// so any partial progress from earlier Step calls is discarded rather than
-// letting the next address-zero wrap credit a pass that visited fewer than
-// rank-size lines since the last one.
-func (s *Scrubber) FullPass() int {
-	s.sincePass = 0
-	geom := s.ctrl.Rank().Geometry()
-	lines := geom.Banks * geom.RowsPerBank * geom.ColsPerRow
-	return s.Step(lines)
-}
-
-func (s *Scrubber) advance(geom dram.Geometry) {
-	s.pos.Col++
-	if s.pos.Col < geom.ColsPerRow {
-		return
-	}
-	s.pos.Col = 0
-	s.pos.Row++
-	if s.pos.Row < geom.RowsPerBank {
-		return
-	}
-	s.pos.Row = 0
-	s.pos.Bank++
-	if s.pos.Bank < geom.Banks {
-		return
-	}
-	s.pos.Bank = 0
 }

@@ -4,72 +4,16 @@ import (
 	"testing"
 
 	"xedsim/internal/dram"
+	"xedsim/internal/obs"
 	"xedsim/internal/simrand"
 )
-
-// TestScrubberPassAccountingFromMidRank pins the FullPass definition: one
-// complete wrap from the current position. A FullPass issued mid-rank
-// realigns the pass boundary to its own start, so the next PassesDone
-// increment requires a further rank-size lines — the old wrap-at-address-
-// zero accounting credited it after only (total - k).
-func TestScrubberPassAccountingFromMidRank(t *testing.T) {
-	ctrl := newXED(t)
-	geom := ctrl.Rank().Geometry()
-	total := geom.Banks * geom.RowsPerBank * geom.ColsPerRow
-	const k = 7
-
-	s := NewScrubber(ctrl)
-	s.Step(k)
-	if st := s.Stats(); st.PassesDone != 0 || st.LinesScrubbed != k {
-		t.Fatalf("after Step(%d): %+v", k, st)
-	}
-
-	// FullPass from position k covers every line exactly once.
-	s.FullPass()
-	if st := s.Stats(); st.PassesDone != 1 || st.LinesScrubbed != uint64(k+total) {
-		t.Fatalf("after mid-rank FullPass: %+v", st)
-	}
-
-	// The pass completed by FullPass ended at position k; the next pass
-	// therefore needs a full rank-size worth of lines. Wrapping through
-	// address zero after only total-k more lines must NOT count.
-	s.Step(total - k)
-	if st := s.Stats(); st.PassesDone != 1 {
-		t.Fatalf("address-zero wrap credited a short pass: %+v", st)
-	}
-	s.Step(k)
-	if st := s.Stats(); st.PassesDone != 2 || st.LinesScrubbed != uint64(2*total+k) {
-		t.Fatalf("after full coverage since last pass: %+v", st)
-	}
-}
-
-// TestScrubberStepPassWrap pins plain Step accounting for a zero-start
-// scrubber: a pass completes exactly every rank-size lines.
-func TestScrubberStepPassWrap(t *testing.T) {
-	ctrl := newXED(t)
-	geom := ctrl.Rank().Geometry()
-	total := geom.Banks * geom.RowsPerBank * geom.ColsPerRow
-
-	s := NewScrubber(ctrl)
-	s.Step(total - 1)
-	if st := s.Stats(); st.PassesDone != 0 {
-		t.Fatalf("pass credited a line early: %+v", st)
-	}
-	s.Step(1)
-	if st := s.Stats(); st.PassesDone != 1 {
-		t.Fatalf("pass not credited at exactly %d lines: %+v", total, st)
-	}
-	s.Step(total)
-	if st := s.Stats(); st.PassesDone != 2 || st.LinesScrubbed != uint64(2*total) {
-		t.Fatalf("second wrap: %+v", st)
-	}
-}
 
 // TestScrubberDUELineNotWrittenBack: an uncorrectable line is counted but
 // must not be written back — a rewrite would heal the (transient) fault in
 // the functional model and launder undetected-bad data into clean state.
 func TestScrubberDUELineNotWrittenBack(t *testing.T) {
-	ctrl := newXED(t)
+	reg := obs.NewRegistry()
+	ctrl := newXED(t, WithMetrics(reg))
 	rng := simrand.New(91)
 	a := dram.WordAddr{Bank: 2, Row: 3, Col: 4}
 	ctrl.WriteLine(a, lineOf(rng))
@@ -78,17 +22,11 @@ func TestScrubberDUELineNotWrittenBack(t *testing.T) {
 	// so any write-back would heal it.
 	ctrl.Rank().Chip(1).InjectFault(silentWordFault(a, true))
 
-	s := NewScrubber(ctrl)
-	// Position the scrubber on the faulty line, then scrub it.
-	for s.pos != a {
-		s.advance(ctrl.Rank().Geometry())
-	}
-	if dues := s.Step(1); dues != 1 {
+	if dues := ctrl.scrub(); dues != 1 {
 		t.Fatalf("scrub DUEs = %d, want 1", dues)
 	}
-	st := s.Stats()
-	if st.DUEs != 1 || st.Corrections != 0 {
-		t.Fatalf("stats = %+v", st)
+	if d, c := reg.Counter("core.scrub.dues").Load(), reg.Counter("core.scrub.corrections").Load(); d != 1 || c != 0 {
+		t.Fatalf("core.scrub.dues = %d, core.scrub.corrections = %d", d, c)
 	}
 	// No write-back happened: the transient fault is still live, so a
 	// second read still reports DUE instead of laundered-clean data.

@@ -128,7 +128,7 @@ func (m *MemorySystem) ScrubAll() int {
 	dues := 0
 	for _, row := range m.ctrls {
 		for _, c := range row {
-			dues += NewScrubber(c).FullPass()
+			dues += c.scrub()
 		}
 	}
 	return dues

@@ -2,9 +2,9 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 
 	"xedsim/internal/dram"
+	"xedsim/internal/obs"
 	"xedsim/internal/simrand"
 )
 
@@ -86,22 +86,33 @@ func TestMemorySystemChipFailureScopedToRank(t *testing.T) {
 	}
 }
 
-func TestAddressMapperInverse(t *testing.T) {
-	m := dram.MustNewMapper(4, 2, dram.Geometry{Banks: 8, RowsPerBank: 64, ColsPerRow: 128})
-	f := func(raw uint64) bool {
-		phys := (raw % m.Lines()) << 6
-		loc := m.Decompose(phys)
-		return m.Compose(loc) == phys
+func newMapper(t *testing.T, channels, ranks int, geom dram.Geometry) *dram.AddressMapper {
+	t.Helper()
+	m, err := dram.NewMapper(channels, ranks, geom)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	return m
+}
+
+// TestAddressMapperInverse: Decompose is a bijection from the fleet's
+// lines onto its locations, so it has an inverse.
+func TestAddressMapperInverse(t *testing.T) {
+	m := newMapper(t, 4, 2, dram.Geometry{Banks: 8, RowsPerBank: 16, ColsPerRow: 32})
+	seen := make(map[dram.Location]bool, m.Lines())
+	for line := uint64(0); line < m.Lines(); line++ {
+		loc := m.Decompose(line << 6)
+		if seen[loc] {
+			t.Fatalf("line %d maps to %+v, which an earlier line already holds", line, loc)
+		}
+		seen[loc] = true
 	}
 }
 
 func TestAddressMapperChannelInterleave(t *testing.T) {
 	// Consecutive cache lines land on consecutive channels — the
 	// stream-friendly interleave of the Table V system.
-	m := dram.MustNewMapper(4, 2, dram.Geometry{Banks: 8, RowsPerBank: 64, ColsPerRow: 128})
+	m := newMapper(t, 4, 2, dram.Geometry{Banks: 8, RowsPerBank: 64, ColsPerRow: 128})
 	for i := uint64(0); i < 16; i++ {
 		loc := m.Decompose(i << 6)
 		if loc.Channel != int(i%4) {
@@ -111,7 +122,7 @@ func TestAddressMapperChannelInterleave(t *testing.T) {
 }
 
 func TestAddressMapperCoversAllBanksAndRanks(t *testing.T) {
-	m := dram.MustNewMapper(2, 2, dram.Geometry{Banks: 4, RowsPerBank: 8, ColsPerRow: 4})
+	m := newMapper(t, 2, 2, dram.Geometry{Banks: 4, RowsPerBank: 8, ColsPerRow: 4})
 	seen := map[[4]int]bool{}
 	for line := uint64(0); line < m.Lines(); line++ {
 		loc := m.Decompose(line << 6)
@@ -128,7 +139,7 @@ func TestAddressMapperCoversAllBanksAndRanks(t *testing.T) {
 }
 
 func TestAddressMapperBounds(t *testing.T) {
-	m := dram.MustNewMapper(2, 1, dram.Geometry{Banks: 2, RowsPerBank: 2, ColsPerRow: 2})
+	m := newMapper(t, 2, 1, dram.Geometry{Banks: 2, RowsPerBank: 2, ColsPerRow: 2})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic beyond capacity")
@@ -138,7 +149,8 @@ func TestAddressMapperBounds(t *testing.T) {
 }
 
 func TestScrubberHealsTransientFaults(t *testing.T) {
-	ctrl := newXED(t)
+	reg := obs.NewRegistry()
+	ctrl := newXED(t, WithMetrics(reg))
 	rng := simrand.New(72)
 	geom := ctrl.Rank().Geometry()
 
@@ -149,17 +161,15 @@ func TestScrubberHealsTransientFaults(t *testing.T) {
 	// rewritten.
 	ctrl.Rank().Chip(2).InjectFault(dram.NewRowFault(1, 4, true, 5))
 
-	s := NewScrubber(ctrl)
-	s.FullPass()
-	st := s.Stats()
-	if st.Corrections == 0 {
+	ctrl.scrub()
+	if reg.Counter("core.scrub.corrections").Load() == 0 {
 		t.Fatal("scrub pass corrected nothing")
 	}
-	if st.LinesScrubbed != uint64(geom.Banks*geom.RowsPerBank*geom.ColsPerRow) {
-		t.Fatalf("scrubbed %d lines", st.LinesScrubbed)
+	if n := reg.Counter("core.scrub.lines").Load(); n != uint64(geom.Banks*geom.RowsPerBank*geom.ColsPerRow) {
+		t.Fatalf("scrubbed %d lines", n)
 	}
-	if st.PassesDone != 1 {
-		t.Fatalf("passes = %d", st.PassesDone)
+	if n := reg.Counter("core.scrub.passes").Load(); n != 1 {
+		t.Fatalf("passes = %d", n)
 	}
 	// After scrubbing, the transient damage is healed: clean read, and
 	// the chip-level fault no longer corrupts (rewritten epoch).
@@ -176,7 +186,7 @@ func TestScrubberLeavesPermanentFaultsCorrectable(t *testing.T) {
 	data := lineOf(rng)
 	ctrl.WriteLine(a, data)
 	ctrl.Rank().Chip(4).InjectFault(dram.NewChipFault(false, 6))
-	NewScrubber(ctrl).Step(200)
+	ctrl.scrub()
 	// Permanent damage persists, but reads stay correct via erasure.
 	res := ctrl.ReadLine(a)
 	if res.Data != data {
@@ -185,17 +195,17 @@ func TestScrubberLeavesPermanentFaultsCorrectable(t *testing.T) {
 }
 
 func TestScrubberReportsDUEs(t *testing.T) {
-	ctrl := newXED(t)
+	reg := obs.NewRegistry()
+	ctrl := newXED(t, WithMetrics(reg))
 	rng := simrand.New(74)
 	a := dram.WordAddr{Bank: 0, Row: 0, Col: 0}
 	ctrl.WriteLine(a, lineOf(rng))
 	ctrl.Rank().Chip(1).InjectFault(silentWordFault(a, true))
-	s := NewScrubber(ctrl)
-	if dues := s.Step(1); dues != 1 {
+	if dues := ctrl.scrub(); dues != 1 {
 		t.Fatalf("scrub DUEs = %d, want 1", dues)
 	}
-	if s.Stats().DUEs != 1 {
-		t.Fatalf("stats = %+v", s.Stats())
+	if n := reg.Counter("core.scrub.dues").Load(); n != 1 {
+		t.Fatalf("core.scrub.dues = %d", n)
 	}
 }
 

@@ -46,7 +46,7 @@ import (
 
 // JobSpec is a campaign submission: everything that shapes the trial
 // streams and the meaning of the result. Its identity — and the completed-
-// result cache key — is faultsim.CampaignHash over the normalized spec,
+// result cache key — is the faultsim.Merger hash of the normalized spec,
 // the same hash that guards checkpoint compatibility.
 type JobSpec struct {
 	// Config is the simulated system and fault environment.

@@ -41,9 +41,6 @@ func NewClient(base string, hc *http.Client) *Client {
 	return c
 }
 
-// SetBase repoints the client at a (re)started coordinator address.
-func (c *Client) SetBase(url string) { c.base.Store(url) }
-
 // Base returns the current coordinator base URL.
 func (c *Client) Base() string { return c.base.Load().(string) }
 

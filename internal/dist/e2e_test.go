@@ -149,11 +149,11 @@ func mustHash(t *testing.T, spec *JobSpec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := faultsim.CampaignHash(spec.Config, schemes, spec.CampaignOptions())
+	m, err := faultsim.NewMerger(spec.Config, schemes, spec.CampaignOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h
+	return m.Hash()
 }
 
 // TestChaosBitIdentical is the headline robustness proof. The schedule is

@@ -76,8 +76,7 @@ type WorkerOptions struct {
 	// the coordinator side). Empty selects "worker".
 	ID string
 	// Coordinator is the base URL of the coordinator, e.g.
-	// "http://127.0.0.1:7600". Changeable at runtime with SetBase (the
-	// torn-restart tests move workers to a resurrected coordinator).
+	// "http://127.0.0.1:7600".
 	Coordinator string
 	// Parallel is the number of concurrent lease loops; 0 selects 1.
 	Parallel int
@@ -106,7 +105,7 @@ type WorkerOptions struct {
 // worker at any instant is always safe.
 type Worker struct {
 	opts WorkerOptions
-	base atomic.Value // string
+	base string
 	hc   *http.Client
 
 	unitsDone  atomic.Int64
@@ -174,15 +173,12 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if w.hc == nil {
 		w.hc = &http.Client{}
 	}
-	w.base.Store(opts.Coordinator)
+	w.base = opts.Coordinator
 	return w
 }
 
-// SetBase repoints the worker at a (re)started coordinator address.
-func (w *Worker) SetBase(url string) { w.base.Store(url) }
-
-// Base returns the current coordinator base URL.
-func (w *Worker) Base() string { return w.base.Load().(string) }
+// Base returns the coordinator base URL.
+func (w *Worker) Base() string { return w.base }
 
 // UnitsDone reports how many units this worker has settled (merged or
 // acknowledged duplicate).

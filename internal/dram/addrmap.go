@@ -9,14 +9,13 @@ import "fmt"
 // with row bits (reducing pathological row-conflict strides), then ranks,
 // then rows — the common open-page server mapping USIMM ships with.
 
-// AddressMapper decomposes 64-byte-aligned physical addresses.
+// AddressMapper decomposes 64-byte-aligned physical addresses. The bank
+// index is XOR-hashed with the low row bits, the standard
+// permutation-based page interleaving.
 type AddressMapper struct {
 	Channels        int
 	RanksPerChannel int
 	Geom            Geometry
-	// XORBankHash folds low row bits into the bank index, the standard
-	// permutation-based page interleaving. On by default in NewMapper.
-	XORBankHash bool
 }
 
 // Location is a fully decomposed line address.
@@ -26,7 +25,9 @@ type Location struct {
 }
 
 // NewMapper builds the default mapping for the given fleet shape. It
-// rejects non-positive channel/rank counts and invalid geometries.
+// rejects non-positive channel/rank counts, invalid geometries and a bank
+// count that is not a power of two: the XOR bank hash stays inside
+// [0, Banks) only for a power of two.
 func NewMapper(channels, ranksPerChannel int, geom Geometry) (*AddressMapper, error) {
 	if channels <= 0 || ranksPerChannel <= 0 {
 		return nil, fmt.Errorf("dram: mapper needs positive channel/rank counts, got %d/%d",
@@ -35,22 +36,14 @@ func NewMapper(channels, ranksPerChannel int, geom Geometry) (*AddressMapper, er
 	if err := geom.Validate(); err != nil {
 		return nil, err
 	}
+	if geom.Banks&(geom.Banks-1) != 0 {
+		return nil, fmt.Errorf("dram: mapper needs a power-of-two bank count for its XOR bank hash, got %d", geom.Banks)
+	}
 	return &AddressMapper{
 		Channels:        channels,
 		RanksPerChannel: ranksPerChannel,
 		Geom:            geom,
-		XORBankHash:     true,
 	}, nil
-}
-
-// MustNewMapper is NewMapper for statically known shapes; it panics on the
-// errors NewMapper would return.
-func MustNewMapper(channels, ranksPerChannel int, geom Geometry) *AddressMapper {
-	m, err := NewMapper(channels, ranksPerChannel, geom)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // Lines returns the number of cache lines the fleet stores.
@@ -81,23 +74,6 @@ func (m *AddressMapper) Decompose(phys uint64) Location {
 	loc.Rank = int(line % uint64(m.RanksPerChannel))
 	line /= uint64(m.RanksPerChannel)
 	loc.Addr.Row = int(line)
-	if m.XORBankHash {
-		loc.Addr.Bank ^= loc.Addr.Row % m.Geom.Banks
-	}
+	loc.Addr.Bank ^= loc.Addr.Row % m.Geom.Banks
 	return loc
-}
-
-// Compose is the inverse of Decompose, returning the 64-byte-aligned
-// physical address for a location.
-func (m *AddressMapper) Compose(loc Location) uint64 {
-	bank := loc.Addr.Bank
-	if m.XORBankHash {
-		bank ^= loc.Addr.Row % m.Geom.Banks
-	}
-	line := uint64(loc.Addr.Row)
-	line = line*uint64(m.RanksPerChannel) + uint64(loc.Rank)
-	line = line*uint64(m.Geom.Banks) + uint64(bank)
-	line = line*uint64(m.Geom.ColsPerRow) + uint64(loc.Addr.Col)
-	line = line*uint64(m.Channels) + uint64(loc.Channel)
-	return line << 6
 }

@@ -5,8 +5,24 @@ import (
 	"testing/quick"
 )
 
+// Compose is the inverse of Decompose, returning the 64-byte-aligned
+// physical address for a location.
+func (m *AddressMapper) Compose(loc Location) uint64 {
+	bank := loc.Addr.Bank
+	bank ^= loc.Addr.Row % m.Geom.Banks
+	line := uint64(loc.Addr.Row)
+	line = line*uint64(m.RanksPerChannel) + uint64(loc.Rank)
+	line = line*uint64(m.Geom.Banks) + uint64(bank)
+	line = line*uint64(m.Geom.ColsPerRow) + uint64(loc.Addr.Col)
+	line = line*uint64(m.Channels) + uint64(loc.Channel)
+	return line << 6
+}
+
 func TestMapperRoundTripInPackage(t *testing.T) {
-	m := MustNewMapper(4, 2, Geometry{Banks: 8, RowsPerBank: 128, ColsPerRow: 64})
+	m, err := NewMapper(4, 2, Geometry{Banks: 8, RowsPerBank: 128, ColsPerRow: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Bytes() != m.Lines()*64 {
 		t.Fatal("bytes/lines inconsistent")
 	}
@@ -19,17 +35,6 @@ func TestMapperRoundTripInPackage(t *testing.T) {
 	}
 }
 
-func TestMapperWithoutXORHash(t *testing.T) {
-	m := MustNewMapper(2, 2, Geometry{Banks: 4, RowsPerBank: 16, ColsPerRow: 8})
-	m.XORBankHash = false
-	for line := uint64(0); line < m.Lines(); line += 7 {
-		phys := line << 6
-		if m.Compose(m.Decompose(phys)) != phys {
-			t.Fatalf("round trip failed at %#x without XOR hash", phys)
-		}
-	}
-}
-
 func TestMapperConstructorValidation(t *testing.T) {
 	if _, err := NewMapper(0, 2, DefaultGeometry()); err == nil {
 		t.Fatal("zero channels accepted")
@@ -37,17 +42,20 @@ func TestMapperConstructorValidation(t *testing.T) {
 	if _, err := NewMapper(2, 2, Geometry{}); err == nil {
 		t.Fatal("zero geometry accepted")
 	}
-	assertPanics(t, "channels", func() { MustNewMapper(0, 2, DefaultGeometry()) })
+	// At 3 banks the XOR bank hash maps row 1 col 0 of bank 2 to bank 3.
+	if _, err := NewMapper(2, 2, Geometry{Banks: 3, RowsPerBank: 16, ColsPerRow: 8}); err == nil {
+		t.Fatal("3 banks accepted")
+	}
 }
 
 func TestIntersectsAcrossChips(t *testing.T) {
 	a := NewRowFault(1, 10, false, 1)
 	b := NewBankFault(1, false, 2)
 	c := NewBankFault(2, false, 3)
-	if !IntersectsAcrossChips(&a, &b) {
+	if !a.Intersects(&b) {
 		t.Fatal("row and same-bank fault share lines")
 	}
-	if IntersectsAcrossChips(&a, &c) {
+	if a.Intersects(&c) {
 		t.Fatal("different banks share nothing")
 	}
 }

@@ -29,10 +29,6 @@ type Chip struct {
 	scaling          ScalingProfile
 	scalingThreshold uint64
 
-	// Row sparing (see sparing.go).
-	spares   map[spareKey]int
-	spareSeq int
-
 	// writeClock advances on every write; transient faults only corrupt
 	// words whose last write predates the fault's injection epoch.
 	writeClock uint64

@@ -262,7 +262,7 @@ func TestScalingFaultDensity(t *testing.T) {
 		for row := 0; row < 256; row++ {
 			for col := 0; col < 32; col++ {
 				total++
-				if c.ScalingWordIsFaulty(WordAddr{Bank: bank, Row: row, Col: col}) {
+				if _, ok := c.scalingBit(c.geom.index(WordAddr{Bank: bank, Row: row, Col: col})); ok {
 					faulty++
 				}
 			}

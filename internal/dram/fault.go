@@ -137,9 +137,9 @@ func (f *Fault) Corrupt(g Geometry, a WordAddr, cw ecc.Codeword72) ecc.Codeword7
 }
 
 // Intersects reports whether two faults in the *same chip* share at least
-// one word address, the FaultSim overlap test. Two faults in different
-// chips never intersect at the chip level; the DIMM-level overlap of faults
-// in different chips is computed by IntersectsAcrossChips.
+// one word address, the FaultSim overlap test. Chips of a rank share the
+// bank/row/column address, so the same test tells whether faults in two
+// chips of a rank damage a common cache line.
 func (f *Fault) Intersects(o *Fault) bool {
 	matchDim := func(a, b int) bool { return a == -1 || b == -1 || a == b }
 	bankOverlap := func() bool {
@@ -165,12 +165,6 @@ func (f *Fault) bankSet() uint64 {
 	}
 	return 1 << uint(f.Bank)
 }
-
-// IntersectsAcrossChips reports whether two faults in *different* chips of
-// the same rank damage at least one common cache line. Chips in a rank
-// share the bank/row/column address, so the test is the same range overlap
-// ignoring the chip dimension.
-func IntersectsAcrossChips(a, b *Fault) bool { return a.Intersects(b) }
 
 // NewBitFault builds a single-bit fault at the given address. bit selects
 // which of the 72 codeword bits is damaged (0..63 data, 64..71 check).

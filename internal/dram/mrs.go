@@ -27,18 +27,6 @@ const (
 	numModeRegisters
 )
 
-// String implements fmt.Stringer.
-func (r ModeRegister) String() string {
-	switch r {
-	case MRXEDEnable:
-		return "MR(XED-Enable)"
-	case MRCatchWord0, MRCatchWord1, MRCatchWord2, MRCatchWord3:
-		return fmt.Sprintf("MR(CW%d)", int(r-MRCatchWord0))
-	default:
-		return fmt.Sprintf("ModeRegister(%d)", int(r))
-	}
-}
-
 // MRSWrite performs one mode-register-set command with a 16-bit operand,
 // exactly as the command bus delivers it. SetXEDEnable and SetCatchWord
 // are conveniences layered on this entry point.

@@ -67,14 +67,6 @@ func TestMRSUnknownRegisterPanics(t *testing.T) {
 	newTestChip().MRSWrite(numModeRegisters, 0)
 }
 
-func TestModeRegisterStrings(t *testing.T) {
-	for r := MRXEDEnable; r < numModeRegisters; r++ {
-		if s := r.String(); s == "" || s[0] != 'M' {
-			t.Fatalf("register %d has bad string %q", int(r), s)
-		}
-	}
-}
-
 // Guard: the MRS path and the legacy setters must agree with the read
 // path's view of the registers.
 func TestMRSAgreesWithDCMux(t *testing.T) {

@@ -63,18 +63,6 @@ func (r *Rank) SetXEDEnable(on bool) {
 	}
 }
 
-// SetCatchWords programs per-chip catch-words. The memory controller
-// generates a unique random catch-word for each chip (§V-A) so that a chip
-// can be identified even if data lanes were swapped.
-func (r *Rank) SetCatchWords(words []uint64) {
-	if len(words) != len(r.chips) {
-		panic(fmt.Sprintf("dram: %d catch-words for %d chips", len(words), len(r.chips)))
-	}
-	for i, c := range r.chips {
-		c.SetCatchWord(words[i])
-	}
-}
-
 // WriteLine writes one cache line: beat i goes to chip i. len(beats) must
 // equal the chip count.
 func (r *Rank) WriteLine(a WordAddr, beats []uint64) {

@@ -36,7 +36,9 @@ func TestRankCatchWordConfiguration(t *testing.T) {
 	for i := range words {
 		words[i] = uint64(i+1) * 0x0101010101010101
 	}
-	r.SetCatchWords(words)
+	for i, w := range words {
+		r.Chip(i).SetCatchWord(w)
+	}
 	r.SetXEDEnable(true)
 	for i := 0; i < 9; i++ {
 		if r.Chip(i).CatchWord() != words[i] {
@@ -54,7 +56,9 @@ func TestRankFailedChipSendsItsCatchWord(t *testing.T) {
 	for i := range words {
 		words[i] = 0xc0ffee00 + uint64(i)
 	}
-	r.SetCatchWords(words)
+	for i, w := range words {
+		r.Chip(i).SetCatchWord(w)
+	}
 	r.SetXEDEnable(true)
 	a := WordAddr{Bank: 0, Row: 10, Col: 4}
 	r.WriteLine(a, make([]uint64, 9))
@@ -76,6 +80,5 @@ func TestRankFailedChipSendsItsCatchWord(t *testing.T) {
 func TestRankSizeMismatchPanics(t *testing.T) {
 	r := newTestRank(9)
 	assertPanics(t, "write beats", func() { r.WriteLine(WordAddr{}, make([]uint64, 8)) })
-	assertPanics(t, "catch words", func() { r.SetCatchWords(make([]uint64, 8)) })
 	assertPanics(t, "empty rank", func() { newTestRank(0) })
 }

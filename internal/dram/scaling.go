@@ -20,10 +20,6 @@ type ScalingProfile struct {
 	Rate float64
 	// Seed decorrelates chips.
 	Seed uint64
-	// AllowMultiBit drops the vendor's ≤1-weak-bit-per-word guarantee:
-	// words carry Binomial(72, Rate) weak cells, the raw as-manufactured
-	// state before the §II-C sparing flow (RepairBirthtimeFaults).
-	AllowMultiBit bool
 }
 
 // wordFaultThreshold converts the per-bit rate into a per-word "has a weak
@@ -65,86 +61,10 @@ func (c *Chip) scalingBit(idx uint64) (int, bool) {
 	return int(mix(h) % 72), true
 }
 
-// scalingBits fills mask with the word's weak cells under the multi-bit
-// model: each of the 72 cells is independently weak with probability Rate.
-func (c *Chip) scalingBits(idx uint64) (dataMask uint64, checkMask uint8) {
-	if c.scaling.Rate <= 0 {
-		return 0, 0
-	}
-	// Per-cell Bernoulli via one hash per 8-cell group keeps this cheap:
-	// each byte of the hash is an independent uniform in [0,256), weak
-	// when below Rate*256... too coarse for 1e-4; use one 64-bit hash
-	// per cell group of 4 with 16-bit thresholds.
-	thr := uint64(c.scaling.Rate * 65536)
-	if thr == 0 && c.scaling.Rate > 0 {
-		// Preserve tiny rates: fall back to a full hash per cell.
-		for bit := 0; bit < 72; bit++ {
-			h := mix(c.scaling.Seed ^ idx*73 ^ uint64(bit)<<48 ^ 0x5ca1e)
-			if float64(h)/(1<<63)/2 < c.scaling.Rate {
-				if bit < 64 {
-					dataMask |= 1 << uint(bit)
-				} else {
-					checkMask |= 1 << uint(bit-64)
-				}
-			}
-		}
-		return dataMask, checkMask
-	}
-	for group := 0; group < 18; group++ { // 18 groups of 4 cells
-		h := mix(c.scaling.Seed ^ idx*73 ^ uint64(group)<<52 ^ 0x5ca1e)
-		for k := 0; k < 4; k++ {
-			if h>>(uint(k)*16)&0xffff < thr {
-				bit := group*4 + k
-				if bit < 64 {
-					dataMask |= 1 << uint(bit)
-				} else {
-					checkMask |= 1 << uint(bit-64)
-				}
-			}
-		}
-	}
-	return dataMask, checkMask
-}
-
-// scalingBitCount returns the number of weak cells in the word at a,
-// honouring sparing and the active profile.
-func (c *Chip) scalingBitCount(a WordAddr) int {
-	idx := c.scalingIndex(a)
-	if c.scaling.AllowMultiBit {
-		d, ck := c.scalingBits(idx)
-		n := 0
-		for x := d; x != 0; x &= x - 1 {
-			n++
-		}
-		for x := ck; x != 0; x &= x - 1 {
-			n++
-		}
-		return n
-	}
-	if _, ok := c.scalingBit(idx); ok {
-		return 1
-	}
-	return 0
-}
-
 // applyScaling corrupts a read codeword with the word's weak cells.
 func (c *Chip) applyScaling(a WordAddr, cw ecc.Codeword72) (ecc.Codeword72, bool) {
-	idx := c.scalingIndex(a)
-	if c.scaling.AllowMultiBit {
-		d, ck := c.scalingBits(idx)
-		if d == 0 && ck == 0 {
-			return cw, false
-		}
-		return cw.FlipMask(d, ck), true
-	}
-	if bit, ok := c.scalingBit(idx); ok {
+	if bit, ok := c.scalingBit(c.geom.index(a)); ok {
 		return cw.FlipBit(bit), true
 	}
 	return cw, false
-}
-
-// ScalingWordIsFaulty reports whether the word at address a carries a weak
-// bit — exposed so tests and the analytic model can cross-check densities.
-func (c *Chip) ScalingWordIsFaulty(a WordAddr) bool {
-	return c.scalingBitCount(a) > 0
 }

@@ -21,7 +21,7 @@ func TestSyndromeTablesMatchHorner(t *testing.T) {
 	for _, shape := range [][2]int{{16, 2}, {32, 4}, {4, 3}, {1, 1}, {100, 8}} {
 		rs := NewRS(shape[0], shape[1])
 		if rs.synTab == nil {
-			t.Fatalf("%s: contribution tables not built", rs.Name())
+			t.Fatalf("%s: contribution tables not built", rsName(rs))
 		}
 		data := make([]uint8, rs.K)
 		horner := make([]uint8, rs.R)
@@ -36,14 +36,14 @@ func TestSyndromeTablesMatchHorner(t *testing.T) {
 			rs.synHorner(cw, horner)
 			got := rs.SyndromesInto(cw, nil)
 			if !bytes.Equal(got, horner) {
-				t.Fatalf("%s: tabled syndromes %v != Horner %v", rs.Name(), got, horner)
+				t.Fatalf("%s: tabled syndromes %v != Horner %v", rsName(rs), got, horner)
 			}
 			wantValid := true
 			for _, s := range horner {
 				wantValid = wantValid && s == 0
 			}
 			if rs.IsValid(cw) != wantValid {
-				t.Fatalf("%s: IsValid = %v, syndromes %v", rs.Name(), !wantValid, horner)
+				t.Fatalf("%s: IsValid = %v, syndromes %v", rsName(rs), !wantValid, horner)
 			}
 		}
 	}
@@ -89,7 +89,7 @@ func BenchmarkSyndromes(b *testing.B) {
 	for _, shape := range [][2]int{{16, 2}, {32, 4}} {
 		rs := NewRS(shape[0], shape[1])
 		cws := benchCodewords(rs, 1024)
-		b.Run("horner/"+rs.Name(), func(b *testing.B) {
+		b.Run("horner/"+rsName(rs), func(b *testing.B) {
 			syn := make([]uint8, rs.R)
 			b.SetBytes(int64(len(cws) * (rs.K + rs.R)))
 			for i := 0; i < b.N; i++ {
@@ -98,7 +98,7 @@ func BenchmarkSyndromes(b *testing.B) {
 				}
 			}
 		})
-		b.Run("tabled/"+rs.Name(), func(b *testing.B) {
+		b.Run("tabled/"+rsName(rs), func(b *testing.B) {
 			syn := make([]uint8, rs.R)
 			b.SetBytes(int64(len(cws) * (rs.K + rs.R)))
 			for i := 0; i < b.N; i++ {

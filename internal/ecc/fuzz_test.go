@@ -172,7 +172,7 @@ func FuzzRSErasureRoundTrip(f *testing.F) {
 		// The pure-erasure path must agree with the general decoder when
 		// the corruption is within its correction radius.
 		if len(erasures) == 1 || valB == 0 {
-			decoded, st := rs.Decode(bad)
+			decoded, st := rs.DecodeErasures(bad, nil)
 			if valA == 0 && (j == i || valB == 0) {
 				if st != StatusOK {
 					t.Fatalf("clean word decoded as %v", st)
@@ -204,7 +204,7 @@ func FuzzRSDecode(f *testing.F) {
 		bad := make([]uint8, len(cw))
 		copy(bad, cw)
 		bad[int(errPos)%len(bad)] ^= errVal
-		fixed, st := rs.Decode(bad)
+		fixed, st := rs.DecodeErasures(bad, nil)
 		if errVal == 0 {
 			if st != StatusOK {
 				t.Fatalf("clean word status %v", st)

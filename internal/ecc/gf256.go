@@ -51,14 +51,6 @@ func gfDiv(a, b uint8) uint8 {
 	return gfExp[gfLog[a]+255-gfLog[b]]
 }
 
-// gfInv returns the multiplicative inverse of a. It panics if a is zero.
-func gfInv(a uint8) uint8 {
-	if a == 0 {
-		panic("ecc: GF(256) inverse of zero")
-	}
-	return gfExp[255-gfLog[a]]
-}
-
 // gfPow returns alpha^n for the generator alpha = 0x02.
 func gfPow(n int) uint8 {
 	n %= 255
@@ -96,15 +88,6 @@ func polyMul(a, b []uint8) []uint8 {
 	return out
 }
 
-// polyDeriv returns the formal derivative of p. In characteristic 2 the
-// even-power terms vanish and odd powers keep their coefficient.
-func polyDeriv(p []uint8) []uint8 {
-	if len(p) <= 1 {
-		return []uint8{0}
-	}
-	return polyDerivInto(p, make([]uint8, len(p)-1))
-}
-
 // polyMulInto multiplies a and b into out's backing array, which must not
 // alias either operand and must have capacity len(a)+len(b)-1.
 func polyMulInto(a, b, out []uint8) []uint8 {
@@ -123,8 +106,9 @@ func polyMulInto(a, b, out []uint8) []uint8 {
 	return out
 }
 
-// polyDerivInto is polyDeriv writing into out's backing array (capacity
-// len(p)-1, len(p) >= 2, must not alias p).
+// polyDerivInto writes the formal derivative of p into out's backing array
+// (capacity len(p)-1, len(p) >= 2, must not alias p). In characteristic 2
+// the even-power terms vanish and odd powers keep their coefficient.
 func polyDerivInto(p, out []uint8) []uint8 {
 	out = out[:len(p)-1]
 	for i := range out {

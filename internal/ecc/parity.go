@@ -42,11 +42,3 @@ func Reconstruct(words []uint64, parity uint64, erased int) uint64 {
 	}
 	return v
 }
-
-// Ambiguity returns the XOR of all words and parity. For a single erasure
-// this equals the erased word XOR its stored (corrupt) value; for sound
-// data it is zero. The XED controller uses a nonzero value with *no*
-// catch-word present as the trigger for fault diagnosis (§VI).
-func Ambiguity(words []uint64, parity uint64) uint64 {
-	return Parity(words) ^ parity
-}

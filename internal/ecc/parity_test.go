@@ -42,7 +42,7 @@ func TestParityDetectsSingleCorruption(t *testing.T) {
 		if CheckParity(bad, p) {
 			t.Fatalf("corruption of word %d not detected", e)
 		}
-		if Ambiguity(bad, p) == 0 {
+		if Parity(bad)^p == 0 {
 			t.Fatalf("ambiguity zero for corrupt word %d", e)
 		}
 	}

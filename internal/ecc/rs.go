@@ -55,9 +55,6 @@ func NewRS(k, r int) *RS {
 	return rs
 }
 
-// Name identifies the code configuration.
-func (rs *RS) Name() string { return fmt.Sprintf("RS(%d,%d) over GF(256)", rs.K+rs.R, rs.K) }
-
 // Encode appends R check symbols to the K data symbols in data, returning a
 // full codeword of length K+R. It panics if len(data) != K.
 func (rs *RS) Encode(data []uint8) []uint8 {
@@ -117,19 +114,14 @@ func (rs *RS) symbolAt(deg int) int {
 	return deg - rs.R
 }
 
-// Syndromes computes the R syndromes S_j = c(alpha^j) of the received word.
-// All-zero syndromes mean a valid codeword.
-func (rs *RS) Syndromes(cw []uint8) []uint8 {
-	return rs.SyndromesInto(cw, nil)
-}
-
-// SyndromesInto is Syndromes writing into syn's backing array when it has
-// capacity R (allocating otherwise). The common path is one pass over the
-// codeword through the precomputed contribution rows (batch.go); codes
-// too large for the tables fall back to R Horner evaluations walking the
-// codeword in degree order — data symbols occupy degrees R..N-1 (data
-// symbol i at degree R+i), check symbol j degree j — so no
-// codeword-polynomial copy is materialised either way.
+// SyndromesInto computes the R syndromes S_j = c(alpha^j) of the received
+// word into syn's backing array when it has capacity R (allocating
+// otherwise). All-zero syndromes mean a valid codeword. The common path is
+// one pass over the codeword through the precomputed contribution rows
+// (batch.go); codes too large for the tables fall back to R Horner
+// evaluations walking the codeword in degree order — data symbols occupy
+// degrees R..N-1 (data symbol i at degree R+i), check symbol j degree j —
+// so no codeword-polynomial copy is materialised either way.
 func (rs *RS) SyndromesInto(cw, syn []uint8) []uint8 {
 	if len(cw) != rs.K+rs.R {
 		panic("ecc: RS Syndromes codeword length mismatch")
@@ -189,19 +181,14 @@ func (rs *RS) IsValid(cw []uint8) bool {
 	return true
 }
 
-// Decode corrects up to floor(R/2) symbol errors in place on a copy of cw
-// and returns the corrected codeword. Status is StatusOK for a clean word,
+// DecodeErasures corrects, on a copy of cw, the symbol indices listed in
+// erasures (known-bad chips named by XED catch-words) plus up to
+// floor((R-len(erasures))/2) additional unknown symbol errors, and returns
+// the corrected codeword. Status is StatusOK for a clean word,
 // StatusCorrected when errors were repaired, and StatusDetected when the
 // syndromes are inconsistent with any correctable pattern (the word is
 // returned unmodified). Like all bounded-distance decoders it mis-corrects
-// some patterns beyond floor(R/2) errors.
-func (rs *RS) Decode(cw []uint8) ([]uint8, DecodeStatus) {
-	return rs.DecodeErasures(cw, nil)
-}
-
-// DecodeErasures corrects the received word given the symbol indices listed
-// in erasures (known-bad chips named by XED catch-words) plus up to
-// floor((R-len(erasures))/2) additional unknown symbol errors. This is the
+// some patterns beyond its correction radius. This is the
 // errors-and-erasures decoder: erasure locator times error locator found by
 // Berlekamp-Massey on the Forney-modified syndromes, Chien search, and
 // Forney's formula for magnitudes.

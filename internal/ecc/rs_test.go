@@ -1,11 +1,15 @@
 package ecc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"xedsim/internal/simrand"
 )
+
+// rsName labels an RS configuration in test and benchmark names.
+func rsName(rs *RS) string { return fmt.Sprintf("RS(%d,%d) over GF(256)", rs.K+rs.R, rs.K) }
 
 func randomData(rng *simrand.Source, k int) []uint8 {
 	d := make([]uint8, k)
@@ -19,9 +23,9 @@ func TestGF256FieldAxioms(t *testing.T) {
 	// Multiplicative inverses, associativity and distributivity on a
 	// random sample; exhaustive inverse check over all nonzero elements.
 	for a := 1; a < 256; a++ {
-		inv := gfInv(uint8(a))
+		inv := gfDiv(1, uint8(a))
 		if gfMul(uint8(a), inv) != 1 {
-			t.Fatalf("gfInv(%d) wrong", a)
+			t.Fatalf("inverse of %d wrong", a)
 		}
 	}
 	rng := simrand.New(5)
@@ -56,7 +60,7 @@ func TestGF256GeneratorOrder(t *testing.T) {
 
 func TestPolyDeriv(t *testing.T) {
 	// d/dx (1 + 3x + 5x^2 + 7x^3) = 3 + 7x^2 in characteristic 2.
-	got := polyDeriv([]uint8{1, 3, 5, 7})
+	got := polyDerivInto([]uint8{1, 3, 5, 7}, make([]uint8, 3))
 	want := []uint8{3, 0, 7}
 	if len(got) != len(want) {
 		t.Fatalf("deriv length %d, want %d", len(got), len(want))
@@ -74,15 +78,15 @@ func TestRSEncodeProducesValidCodewords(t *testing.T) {
 		for trial := 0; trial < 200; trial++ {
 			cw := rs.Encode(randomData(rng, rs.K))
 			if !rs.IsValid(cw) {
-				t.Fatalf("%s: encoded word invalid", rs.Name())
+				t.Fatalf("%s: encoded word invalid", rsName(rs))
 			}
-			got, st := rs.Decode(cw)
+			got, st := rs.DecodeErasures(cw, nil)
 			if st != StatusOK {
-				t.Fatalf("%s: clean decode status %v", rs.Name(), st)
+				t.Fatalf("%s: clean decode status %v", rsName(rs), st)
 			}
 			for i := 0; i < rs.K+rs.R; i++ {
 				if got[i] != cw[i] {
-					t.Fatalf("%s: clean decode altered symbol %d", rs.Name(), i)
+					t.Fatalf("%s: clean decode altered symbol %d", rsName(rs), i)
 				}
 			}
 		}
@@ -103,7 +107,7 @@ func TestChipkillCorrectsAnySingleSymbol(t *testing.T) {
 				errVal = 1
 			}
 			bad[sym] ^= errVal
-			got, st := rs.Decode(bad)
+			got, st := rs.DecodeErasures(bad, nil)
 			if st != StatusCorrected {
 				t.Fatalf("symbol %d: status %v", sym, st)
 			}
@@ -140,7 +144,7 @@ func TestChipkillDetectsDoubleSymbol(t *testing.T) {
 		if rs.IsValid(bad) {
 			t.Fatal("two-symbol error produced valid codeword (distance < 3?)")
 		}
-		got, st := rs.Decode(bad)
+		got, st := rs.DecodeErasures(bad, nil)
 		switch st {
 		case StatusDetected:
 			detected++
@@ -185,7 +189,7 @@ func TestDoubleChipkillCorrectsAnyTwoSymbols(t *testing.T) {
 		copy(bad, cw)
 		bad[i] ^= uint8(1 + rng.Intn(255))
 		bad[j] ^= uint8(1 + rng.Intn(255))
-		got, st := rs.Decode(bad)
+		got, st := rs.DecodeErasures(bad, nil)
 		if st != StatusCorrected {
 			t.Fatalf("trial %d: status %v", trial, st)
 		}
@@ -336,7 +340,7 @@ func BenchmarkChipkillDecodeClean(b *testing.B) {
 	cw := rs.Encode(make([]uint8, rs.K))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs.Decode(cw)
+		rs.DecodeErasures(cw, nil)
 	}
 }
 
@@ -346,7 +350,7 @@ func BenchmarkChipkillDecodeOneError(b *testing.B) {
 	cw[3] ^= 0x5a
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs.Decode(cw)
+		rs.DecodeErasures(cw, nil)
 	}
 }
 

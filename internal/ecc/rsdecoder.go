@@ -40,18 +40,13 @@ func (rs *RS) NewDecoder() *RSDecoder {
 	}
 }
 
-// Decode corrects up to floor(R/2) symbol errors in cw in place. It returns
-// StatusOK for a clean word, StatusCorrected after repairing errors, and
-// StatusDetected when the syndromes fit no correctable pattern — in which
-// case cw is left unmodified.
-func (d *RSDecoder) Decode(cw []uint8) DecodeStatus {
-	return d.DecodeErasures(cw, nil)
-}
-
 // DecodeErasures is the in-place errors-and-erasures decoder: the symbol
 // indices in erasures (known-bad chips named by XED catch-words) plus up to
 // floor((R-len(erasures))/2) unknown symbol errors are corrected directly
-// in cw. cw is modified only when the result is StatusCorrected.
+// in cw. It returns StatusOK for a clean word, StatusCorrected after
+// repairing errors, and StatusDetected when the syndromes fit no
+// correctable pattern; cw is modified only when the result is
+// StatusCorrected.
 func (d *RSDecoder) DecodeErasures(cw []uint8, erasures []int) DecodeStatus {
 	rs := d.rs
 	n := rs.K + rs.R

@@ -113,7 +113,7 @@ func TestSyndromesIntoMatchesSyndromes(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		cw := rs.Encode(randomData(rng, rs.K))
 		corrupt(rng, cw, rng.Intn(3))
-		want := rs.Syndromes(cw)
+		want := rs.SyndromesInto(cw, nil)
 		got := rs.SyndromesInto(cw, buf[:0])
 		if !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: SyndromesInto diverged from Syndromes", trial)
@@ -148,13 +148,13 @@ func TestRSDecoderAllocFree(t *testing.T) {
 		{"IsValid", func() { _ = rs.IsValid(oneErr) }},
 		{"EncodeInto", func() { cw = rs.EncodeInto(clean[:rs.K], cw[:0]) }},
 		{"Decode/clean", func() {
-			if st := dec.Decode(clean); st != StatusOK {
+			if st := dec.DecodeErasures(clean, nil); st != StatusOK {
 				t.Fatalf("clean decode: %v", st)
 			}
 		}},
 		{"Decode/oneError", func() {
 			copy(scratch, oneErr)
-			if st := dec.Decode(scratch); st != StatusCorrected {
+			if st := dec.DecodeErasures(scratch, nil); st != StatusCorrected {
 				t.Fatalf("one-error decode: %v", st)
 			}
 		}},
@@ -211,7 +211,7 @@ func BenchmarkChipkillDecoderOneErrorInPlace(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		copy(scratch, bad)
-		if st := dec.Decode(scratch); st != StatusCorrected {
+		if st := dec.DecodeErasures(scratch, nil); st != StatusCorrected {
 			b.Fatal(st)
 		}
 	}

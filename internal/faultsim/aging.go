@@ -82,16 +82,3 @@ func (a AgingProfile) Peak() float64 {
 	}
 	return peak
 }
-
-// MeanMultiplier integrates m(t) over the lifetime (trapezoid on the
-// piecewise-linear profile) — the factor by which total fault counts grow.
-func (a AgingProfile) MeanMultiplier() float64 {
-	mean := 1.0
-	if a.InfantFactor > 1 && a.BurnInFraction > 0 {
-		mean += (a.InfantFactor - 1) / 2 * a.BurnInFraction
-	}
-	if a.WearoutFactor > 1 && a.WearoutOnset < 1 {
-		mean += (a.WearoutFactor - 1) / 2 * (1 - a.WearoutOnset)
-	}
-	return mean
-}

@@ -5,10 +5,11 @@ import "xedsim/internal/simrand"
 // Batched trial generation: how every campaign, the fleet simulator
 // (through TrialSource) and CaptureTrace draw their trials.
 //
-// The scalar generator (generator.Trial) interleaves every trial's draws:
-// one Poisson count, then per record a class draw, an onset draw and three
-// bounded geometry draws, each paying full per-call sampler overhead. The
-// batch plan restructures a whole chunk into structure-of-arrays form:
+// The scalar generator (generator.Trial, a test oracle in oracle_test.go)
+// interleaves every trial's draws: one Poisson count, then per record a
+// class draw, an onset draw and three bounded geometry draws, each paying
+// full per-call sampler overhead. The batch plan restructures a whole
+// chunk into structure-of-arrays form:
 //
 //  1. One arrival pass plans the chunk: TruncPoisson.NextPositiveRuns
 //     emits (zero-run, count) pairs, so the ~75% of trials that draw no

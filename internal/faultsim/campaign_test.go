@@ -449,7 +449,8 @@ func TestTrialErrorReplayChosenTrial(t *testing.T) {
 	gen := newRunGenerator(&cfg, ev.evalTables)
 	arr := newArrivalSamplers(gen.genTables)
 	var p batchPlan
-	rng := simrand.NewStream(opts.Seed, chunk)
+	rng := new(simrand.Source)
+	rng.SeedStream(opts.Seed, chunk)
 	p.build(gen.genTables, &arr, rng, opts.ChunkSize)
 	last := -1
 	var faults, buf []FaultRecord

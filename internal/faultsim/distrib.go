@@ -53,20 +53,6 @@ type ChunkResult struct {
 	Errors []TrialError `json:"errors,omitempty"`
 }
 
-// CampaignHash returns the config hash guarding checkpoint compatibility
-// for a campaign shaped by (cfg, schemes, Trials, Seed, ChunkSize) — the
-// same hash RunCampaign stamps into snapshots. Distributed deployments use
-// it as the job identity: two submissions hashing equal are the same
-// campaign and produce bit-identical results, so a completed result can be
-// served from cache.
-func CampaignHash(cfg Config, schemes []Scheme, opts CampaignOptions) (string, error) {
-	c, err := newCampaign(cfg, schemes, opts, true)
-	if err != nil {
-		return "", err
-	}
-	return c.hash, nil
-}
-
 // ChunkRunner evaluates chunk spans of one campaign on behalf of a remote
 // coordinator. It is single-goroutine (one runner per worker loop), exactly
 // like a RunCampaign worker goroutine: it holds the campaign's shared
@@ -95,9 +81,6 @@ func NewChunkRunner(cfg Config, schemes []Scheme, opts CampaignOptions) (*ChunkR
 		w: newCampaignWorker(newCampaignTables(&c.cfg, c.schemes), c.opts.Seed, c.years),
 	}, nil
 }
-
-// Hash returns the campaign's config hash (the job identity).
-func (r *ChunkRunner) Hash() string { return r.c.hash }
 
 // NumChunks returns the campaign's total chunk count.
 func (r *ChunkRunner) NumChunks() int { return r.c.run.Chunks() }
@@ -157,14 +140,15 @@ func NewMerger(cfg Config, schemes []Scheme, opts CampaignOptions) (*Merger, err
 	return &Merger{c: c}, nil
 }
 
-// Hash returns the campaign's config hash (the job identity).
+// Hash returns the config hash guarding checkpoint compatibility — the same
+// hash RunCampaign stamps into snapshots. Distributed deployments use it
+// as the job identity: two submissions hashing equal are the same campaign
+// and produce bit-identical results, so a completed result can be served
+// from cache.
 func (m *Merger) Hash() string { return m.c.hash }
 
 // NumChunks returns the campaign's total chunk count.
 func (m *Merger) NumChunks() int { return m.c.run.Chunks() }
-
-// ChunkSize returns the normalized trials-per-chunk granularity.
-func (m *Merger) ChunkSize() int { return m.c.opts.ChunkSize }
 
 // DoneChunks returns how many chunks have been merged.
 func (m *Merger) DoneChunks() int { return m.c.run.DoneChunks() }
@@ -183,9 +167,6 @@ func (m *Merger) TrialErrorCount() int {
 	defer m.c.run.Unlock()
 	return len(m.c.acc.errs)
 }
-
-// Complete reports whether every chunk has been merged.
-func (m *Merger) Complete() bool { return m.c.run.DoneChunks() == m.c.run.Chunks() }
 
 // SpanMerged reports whether every chunk of [lo, hi) has been merged.
 func (m *Merger) SpanMerged(lo, hi int) bool { return m.c.run.SpanMerged(lo, hi) }

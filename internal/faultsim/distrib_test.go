@@ -77,7 +77,7 @@ func TestMergerMatchesRunCampaign(t *testing.T) {
 
 	for _, unit := range []int{1, 7, 16, 1000} {
 		m := runSpans(t, cfg, mkSchemes, opts, unit, rand.New(rand.NewSource(int64(unit))))
-		if !m.Complete() {
+		if m.DoneChunks() != m.NumChunks() {
 			t.Fatalf("unit %d: merger incomplete: %d/%d chunks", unit, m.DoneChunks(), m.NumChunks())
 		}
 		if !reflect.DeepEqual(m.Report(), localRep) {
@@ -378,26 +378,30 @@ func TestMergerLoadChecksWholePayload(t *testing.T) {
 	}
 }
 
-// TestCampaignHashIdentity pins the job-identity semantics: the hash is
+// TestMergerHashIdentity pins the job-identity semantics: the hash is
 // stable across scheduling choices (bit-identical results ⇒ same cache
 // key) and discriminates on everything that shapes the trial streams.
-func TestCampaignHashIdentity(t *testing.T) {
+func TestMergerHashIdentity(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := []Scheme{NewXED()}
-	base := CampaignOptions{Trials: 1000, Seed: 1}
-	h0, err := CampaignHash(cfg, schemes, base)
-	if err != nil {
-		t.Fatal(err)
+	hash := func(opts CampaignOptions) string {
+		m, err := NewMerger(cfg, schemes, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Hash()
 	}
+	base := CampaignOptions{Trials: 1000, Seed: 1}
+	h0 := hash(base)
 	parallel := base
 	parallel.Workers = 16
-	if h, _ := CampaignHash(cfg, schemes, parallel); h != h0 {
+	if h := hash(parallel); h != h0 {
 		t.Fatal("worker count changed the campaign hash")
 	}
 	// Explicit default chunk size hashes like the implicit one.
 	explicit := base
 	explicit.ChunkSize = DefaultChunkSize
-	if h, _ := CampaignHash(cfg, schemes, explicit); h != h0 {
+	if h := hash(explicit); h != h0 {
 		t.Fatal("explicit default chunk size changed the campaign hash")
 	}
 	for name, mut := range map[string]func(*CampaignOptions){
@@ -407,7 +411,7 @@ func TestCampaignHashIdentity(t *testing.T) {
 	} {
 		o := base
 		mut(&o)
-		if h, _ := CampaignHash(cfg, schemes, o); h == h0 {
+		if h := hash(o); h == h0 {
 			t.Fatalf("%s change did not change the campaign hash", name)
 		}
 	}

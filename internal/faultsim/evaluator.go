@@ -184,18 +184,6 @@ func (e *Evaluator) EvaluateInto(faults []FaultRecord, out []TrialOutcome) []Tri
 	return out
 }
 
-// referenceInto judges the trial with every scheme's reference probe
-// (O(n²) FailTimeKind) instead of the pre-index — the oracle the campaign
-// path is tested against.
-func (e *Evaluator) referenceInto(faults []FaultRecord, out []TrialOutcome) []TrialOutcome {
-	out = out[:0]
-	for _, ds := range e.schemes {
-		t, k := ds.FailTimeKind(e.cfg, faults)
-		out = append(out, TrialOutcome{FailTime: t, Kind: k})
-	}
-	return out
-}
-
 // prepare digests the trial's records into e.prep (see prepRec).
 func (e *Evaluator) prepare(faults []FaultRecord) {
 	prep := e.prep[:0]

@@ -409,18 +409,6 @@ func BenchmarkFullTrialAllSchemes(b *testing.B) {
 	}
 }
 
-func TestRecordOverlapHelpers(t *testing.T) {
-	a := mkRec(0, 0, 0, dram.GranRow, true, 100, 200)
-	b := mkRec(0, 0, 1, dram.GranRow, true, 150, 250)
-	c := mkRec(0, 0, 2, dram.GranRow, true, 300, 400)
-	if !a.Overlaps(&b) || b.Overlaps(&c) || a.Overlaps(&c) {
-		t.Fatal("interval overlap logic wrong")
-	}
-	if got := a.OverlapStart(&b); got != 150 {
-		t.Fatalf("overlap start = %v", got)
-	}
-}
-
 func TestReportAccessors(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.Ranks() != 8 {

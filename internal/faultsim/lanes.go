@@ -100,11 +100,13 @@ func digestRecordSig(r *FaultRecord, sig int32) laneRec {
 	}
 }
 
-// recSig is sigOf with laneSig fused by hand so the whole signature
-// computation stays within the inliner's budget; the batch pack loop
-// calls it on every single-record trial before deciding whether a full
-// digest is even needed. TestDigestRecordMatchesSigOf pins the
-// equivalence against sigOf.
+// recSig digests an in-fleet record into its weight-table row: 3 boolean
+// record flags per granularity, and the chip position picks the row block.
+// It is written out by hand so the whole signature computation stays
+// within the inliner's budget; the batch pack loop calls it on every
+// single-record trial before deciding whether a full digest is even
+// needed. TestDigestRecordMatchesSigOf pins the equivalence against the
+// tests' sigOf.
 func recSig(r *FaultRecord) int32 {
 	s := int32(r.Gran) * 8
 	if r.Transient {
@@ -225,13 +227,9 @@ func (b *LaneBatch) activeMask() uint64 {
 	return 1<<uint(b.lanes) - 1
 }
 
-// laneSig indexes the weight tables: 3 boolean record flags per
-// granularity. laneNSig entries per chip position.
+// laneNSig is the number of weight-table entries per chip position: 3
+// boolean record flags per granularity.
 const laneNSig = int(dram.NumGranularities) * 8
-
-func laneSig(r *FaultRecord) int {
-	return int(r.Gran)*8 | b2i(r.Transient) | b2i(r.Silent)<<1 | b2i(r.EscalatedByScaling)<<2
-}
 
 // b2i compiles to a flag-free byte load: a bool is 0 or 1 in memory.
 func b2i(b bool) int {
@@ -239,12 +237,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// sigOf digests an in-fleet record into its weight-table row. The
-// signature is config-free: the chip position picks the row block.
-func sigOf(r *FaultRecord) int32 {
-	return int32(r.Chip)*int32(laneNSig) + int32(laneSig(r))
 }
 
 // laneVecGroup is the number of schemes whose weight codes share the one

@@ -14,6 +14,18 @@ import (
 	"xedsim/internal/simrand"
 )
 
+// laneSig indexes the weight tables: 3 boolean record flags per
+// granularity.
+func laneSig(r *FaultRecord) int {
+	return int(r.Gran)*8 | b2i(r.Transient) | b2i(r.Silent)<<1 | b2i(r.EscalatedByScaling)<<2
+}
+
+// sigOf digests an in-fleet record into its weight-table row. The
+// signature is config-free: the chip position picks the row block.
+func sigOf(r *FaultRecord) int32 {
+	return int32(r.Chip)*int32(laneNSig) + int32(laneSig(r))
+}
+
 // denseConfig inflates the Table I rates so multi-record trials — the
 // lanes the mask pass must route to the scalar probe — are common enough
 // to exercise at small trial counts.

@@ -15,6 +15,67 @@ import (
 // every trial materialised and judged on its own by a scalar oracle — so
 // tests can hold that path to its oracles trial stream for trial stream.
 
+// Trial appends this trial's fault records to buf and returns it. The
+// returned slice is valid until the next call with the same buf. Under an
+// aging profile, candidates are drawn at the envelope rate and thinned to
+// the instantaneous multiplier, which samples the non-homogeneous Poisson
+// process exactly. This one-trial-at-a-time draw is the law-level oracle
+// the batch plan is tested against; every production path plans instead.
+func (g *generator) Trial(rng *simrand.Source, buf []FaultRecord) []FaultRecord {
+	buf = buf[:0]
+	aging := g.cfg.Aging
+	if !aging.enabled() {
+		n := rng.Poisson(g.totalMean)
+		for i := 0; i < n; i++ {
+			cls := g.sampleClass(rng)
+			buf = g.emit(rng, buf, g.classes[cls])
+		}
+		return buf
+	}
+	peak := aging.Peak()
+	n := rng.Poisson(g.totalMean * peak)
+	for i := 0; i < n; i++ {
+		// Candidate onset; thin against the bathtub.
+		x := rng.Float64()
+		if !rng.Bernoulli(aging.Multiplier(x) / peak) {
+			continue
+		}
+		cls := g.sampleClass(rng)
+		buf = g.emitAt(rng, buf, g.classes[cls], x*g.cfg.LifetimeHours)
+	}
+	return buf
+}
+
+func (g *generator) sampleClass(rng *simrand.Source) int {
+	return g.classSamp.Lookup(rng.Float64())
+}
+
+func (g *generator) emit(rng *simrand.Source, buf []FaultRecord, cls ClassRate) []FaultRecord {
+	return g.emitAt(rng, buf, cls, rng.Float64()*g.cfg.LifetimeHours)
+}
+
+// emitAt emits one fault with a fixed onset time: it draws the record's
+// geometry and hands off to emitPlaced. The batch generator (batchgen.go)
+// reaches emitPlaced directly with geometry read from its chunk columns.
+func (g *generator) emitAt(rng *simrand.Source, buf []FaultRecord, cls ClassRate, start float64) []FaultRecord {
+	ch := g.chSamp.Sample(rng)
+	rank := g.rankSamp.Sample(rng)
+	chip := g.chipSamp.Sample(rng)
+	return g.emitPlaced(rng, buf, cls, start, ch, rank, chip)
+}
+
+// referenceInto judges the trial with every scheme's reference probe
+// (O(n²) FailTimeKind) instead of the pre-index — the oracle the campaign
+// path is tested against.
+func (e *Evaluator) referenceInto(faults []FaultRecord, out []TrialOutcome) []TrialOutcome {
+	out = out[:0]
+	for _, ds := range e.schemes {
+		t, k := ds.FailTimeKind(e.cfg, faults)
+		out = append(out, TrialOutcome{FailTime: t, Kind: k})
+	}
+	return out
+}
+
 // judgeFunc is a scalar oracle: Evaluator.EvaluateInto or referenceInto.
 type judgeFunc func(ev *Evaluator, faults []FaultRecord, out []TrialOutcome) []TrialOutcome
 

@@ -36,16 +36,6 @@ type FaultRecord struct {
 	EventID uint64
 }
 
-// Overlaps reports whether the two faults' active intervals intersect.
-func (f *FaultRecord) Overlaps(o *FaultRecord) bool {
-	return f.Start < o.End && o.Start < f.End
-}
-
-// OverlapStart returns the instant both faults are first active together.
-func (f *FaultRecord) OverlapStart(o *FaultRecord) float64 {
-	return math.Max(f.Start, o.Start)
-}
-
 // generator draws the fault stream for one trial. Its tables are shared;
 // the multi-rank EventID counter is the only state a draw mutates, so
 // goroutines drawing from one configuration each hold their own generator
@@ -55,10 +45,10 @@ type generator struct {
 	nextEvent uint64
 }
 
-// genTables holds a generator's per-config constants (class means,
-// exp(-mean), Lemire thresholds, the scaling-escalation probability),
-// computed once rather than per record — the trial loop runs millions of
-// times per campaign — and read-only after construction.
+// genTables holds a generator's per-config constants (class means, the
+// class alias table, Lemire thresholds, the scaling-escalation
+// probability), computed once rather than per record — the trial loop runs
+// millions of times per campaign — and read-only after construction.
 type genTables struct {
 	cfg *Config
 	// classes holds the fault classes this generator draws from —
@@ -76,8 +66,6 @@ type genTables struct {
 	withRanges bool
 
 	// Precomputed samplers and constants.
-	trialCount   simrand.PoissonSampler // mean = totalMean
-	trialCountPk simrand.PoissonSampler // mean = totalMean * aging peak
 	classSamp    simrand.WeightedSampler
 	chSamp       simrand.IntnSampler
 	rankSamp     simrand.IntnSampler
@@ -127,10 +115,6 @@ func newFilteredGenerator(cfg *Config, live func(ClassRate) bool) *generator {
 		g.classMeans = append(g.classMeans, mean)
 		g.totalMean += mean
 	}
-	g.trialCount = simrand.NewPoissonSampler(g.totalMean)
-	if cfg.Aging.enabled() {
-		g.trialCountPk = simrand.NewPoissonSampler(g.totalMean * cfg.Aging.Peak())
-	}
 	if g.totalMean > 0 {
 		g.classSamp = simrand.NewWeightedSampler(g.classMeans)
 	}
@@ -157,55 +141,6 @@ func newRunGenerator(cfg *Config, ev *evalTables) *generator {
 	g := newFilteredGenerator(cfg, ev.classLive)
 	g.withRanges = cfg.RequireAddressOverlap
 	return g
-}
-
-// Trial appends this trial's fault records to buf and returns it. The
-// returned slice is valid until the next call with the same buf. Under an
-// aging profile, candidates are drawn at the envelope rate and thinned to
-// the instantaneous multiplier, which samples the non-homogeneous Poisson
-// process exactly. This one-trial-at-a-time draw is the law-level oracle
-// the batch plan is tested against; every production path plans instead.
-func (g *generator) Trial(rng *simrand.Source, buf []FaultRecord) []FaultRecord {
-	buf = buf[:0]
-	aging := g.cfg.Aging
-	if !aging.enabled() {
-		n := g.trialCount.Sample(rng)
-		for i := 0; i < n; i++ {
-			cls := g.sampleClass(rng)
-			buf = g.emit(rng, buf, g.classes[cls])
-		}
-		return buf
-	}
-	peak := aging.Peak()
-	n := g.trialCountPk.Sample(rng)
-	for i := 0; i < n; i++ {
-		// Candidate onset; thin against the bathtub.
-		x := rng.Float64()
-		if !rng.Bernoulli(aging.Multiplier(x) / peak) {
-			continue
-		}
-		cls := g.sampleClass(rng)
-		buf = g.emitAt(rng, buf, g.classes[cls], x*g.cfg.LifetimeHours)
-	}
-	return buf
-}
-
-func (g *generator) sampleClass(rng *simrand.Source) int {
-	return g.classSamp.Sample(rng)
-}
-
-func (g *generator) emit(rng *simrand.Source, buf []FaultRecord, cls ClassRate) []FaultRecord {
-	return g.emitAt(rng, buf, cls, rng.Float64()*g.cfg.LifetimeHours)
-}
-
-// emitAt emits one fault with a fixed onset time: it draws the record's
-// geometry and hands off to emitPlaced. The batch generator (batchgen.go)
-// reaches emitPlaced directly with geometry read from its chunk columns.
-func (g *generator) emitAt(rng *simrand.Source, buf []FaultRecord, cls ClassRate, start float64) []FaultRecord {
-	ch := g.chSamp.Sample(rng)
-	rank := g.rankSamp.Sample(rng)
-	chip := g.chipSamp.Sample(rng)
-	return g.emitPlaced(rng, buf, cls, start, ch, rank, chip)
 }
 
 // emitPlaced emits one fault whose onset and geometry are already drawn.

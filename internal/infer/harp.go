@@ -1,8 +1,6 @@
 package infer
 
 import (
-	"math/bits"
-
 	"xedsim/internal/dram"
 	"xedsim/internal/simrand"
 )
@@ -39,9 +37,6 @@ func (w *WordProfile) Uncorrectable() bool { return w.Direct != 0 }
 // AtRisk reports whether the on-die engine showed any error activity,
 // including words already uncorrectable.
 func (w *WordProfile) AtRisk() bool { return w.Activity > 0 || w.Direct != 0 }
-
-// ErrorBits returns the number of distinct post-correction error positions.
-func (w *WordProfile) ErrorBits() int { return bits.OnesCount64(w.Direct) }
 
 // Profile is the outcome of profiling a set of words.
 type Profile struct {

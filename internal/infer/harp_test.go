@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"math/bits"
 	"testing"
 
 	"xedsim/internal/dram"
@@ -33,8 +34,8 @@ func TestProfileChipClassifiesWords(t *testing.T) {
 		// CRC8 detects the double error and ships raw data: exactly the
 		// two stuck positions read back wrong.
 		t.Fatalf("broken word direct mask %#x, want %#x", w.Direct, uint64(1<<5|1<<33))
-	} else if w.ErrorBits() != 2 {
-		t.Fatalf("ErrorBits = %d, want 2", w.ErrorBits())
+	} else if n := bits.OnesCount64(w.Direct); n != 2 {
+		t.Fatalf("%d post-correction error bits, want 2", n)
 	}
 
 	if got := p.PredictUncorrectable(); len(got) != 1 || got[0] != broken {

@@ -19,7 +19,6 @@ type robEntry struct {
 
 // core is one trace-driven processor.
 type core struct {
-	id    int
 	mlp   int
 	trace *traceGen
 
@@ -106,7 +105,7 @@ func (c *core) fetch(sim *Simulator) {
 			entry := c.push(robEntry{count: 1, owner: c})
 			c.robInstr++
 			c.outstanding++
-			sim.enqueueRead(c, entry, op)
+			sim.enqueueRead(entry, op)
 		}
 		c.hasOp = false
 		budget--

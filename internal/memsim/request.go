@@ -1,7 +1,7 @@
 package memsim
 
-// reqKind distinguishes demand reads, demand writes, and the companion
-// traffic some schemes add.
+// reqKind distinguishes reads from writes; the companion traffic some
+// schemes add takes the kind of the transfer it is.
 type reqKind int
 
 const (
@@ -15,14 +15,10 @@ type request struct {
 	// rank is the first rank of the (possibly ganged) access, bank/row/col
 	// the open-page target; the queue holding it names the channel gang.
 	rank, bank, row, col int
-	// core owning the demand read (-1 for writes and companions).
-	core int
 	// robSlot links a read back to the issuing core's ROB entry.
 	robSlot *robEntry
 	// arrive is the enqueue cycle (FCFS tiebreak and latency stats).
 	arrive int64
-	// companion marks scheme-generated extra traffic.
-	companion bool
 }
 
 // completion is a demand read in flight to its ROB entry.

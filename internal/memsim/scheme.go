@@ -1,7 +1,5 @@
 package memsim
 
-import "strconv"
-
 // SchemeConfig describes how one reliability scheme maps a cache-line
 // access onto DRAM resources — the lever behind every Figure 11-14 result.
 type SchemeConfig struct {
@@ -160,16 +158,6 @@ func MultiECCScheme() SchemeConfig {
 		BurstCyclesPerRank: 4, ExtraWritePerWrite: 1.0, ExtraReadPerWrite: true,
 		OnDieECCCurrentFactor: 1.125, CorrectionCycles: 4,
 	}
-}
-
-// XEDSchemeWithSerialMode is XED with serial-mode episodes forced every n
-// reads, for quantifying §XI-A's "overheads ... happen only on receiving
-// multiple Catch-Words ... once every 200K accesses".
-func XEDSchemeWithSerialMode(n int) SchemeConfig {
-	s := XEDScheme()
-	s.Name = "XED (serial mode 1/" + strconv.Itoa(n) + ")"
-	s.SerialModeEvery = n
-	return s
 }
 
 // LOTECCScheme models LOT-ECC with write coalescing (§XII-A, Figure 14):

@@ -2,8 +2,19 @@ package memsim
 
 import (
 	"context"
+	"strconv"
 	"testing"
 )
+
+// XEDSchemeWithSerialMode is XED with serial-mode episodes forced every n
+// reads, for quantifying §XI-A's "overheads ... happen only on receiving
+// multiple Catch-Words ... once every 200K accesses".
+func XEDSchemeWithSerialMode(n int) SchemeConfig {
+	s := XEDScheme()
+	s.Name = "XED (serial mode 1/" + strconv.Itoa(n) + ")"
+	s.SerialModeEvery = n
+	return s
+}
 
 func TestSerialModeOverheadNegligibleAtPaperRate(t *testing.T) {
 	// §XI-A: serial-mode episodes once per 200K accesses cost nothing

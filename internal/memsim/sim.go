@@ -167,7 +167,6 @@ func New(cfg Config) *Simulator {
 			mlp = 8
 		}
 		s.cores = append(s.cores, &core{
-			id:     i,
 			mlp:    mlp,
 			trace:  newTraceGen(cfg.Workload, geom, cfg.Seed*1000003+uint64(i)),
 			target: cfg.InstrPerCore,
@@ -197,12 +196,12 @@ func (s *Simulator) gangRank(effRank int) int {
 
 // enqueueRead registers a demand read (plus any scheme companion) and is
 // called from core.fetch.
-func (s *Simulator) enqueueRead(c *core, entry *robEntry, op *traceOp) {
+func (s *Simulator) enqueueRead(entry *robEntry, op *traceOp) {
 	base := s.gangBase(op.channel)
 	ch := s.channels[base]
 	r := s.newRequest(request{
 		kind: reqRead, rank: s.gangRank(op.rank), bank: op.bank,
-		row: op.row, col: op.col, core: c.id, robSlot: entry, arrive: s.now,
+		row: op.row, col: op.col, robSlot: entry, arrive: s.now,
 	})
 	ch.readQ.push(r)
 	ch.wake = s.now + 1
@@ -214,8 +213,6 @@ func (s *Simulator) enqueueRead(c *core, entry *robEntry, op *traceOp) {
 		for k := 0; k < 2; k++ {
 			comp := *r
 			comp.robSlot = nil
-			comp.core = -1
-			comp.companion = true
 			ch.readQ.push(s.newRequest(comp))
 			s.res.CompanionReads++
 		}
@@ -223,8 +220,6 @@ func (s *Simulator) enqueueRead(c *core, entry *robEntry, op *traceOp) {
 	if s.cfg.Scheme.ExtraReadPerRead {
 		comp := *r
 		comp.robSlot = nil
-		comp.core = -1
-		comp.companion = true
 		comp.col = (op.col + 1) % s.cfg.ColsPerRow // ECC fetched from the same row
 		ch.readQ.push(s.newRequest(comp))
 		s.res.CompanionReads++
@@ -241,7 +236,7 @@ func (s *Simulator) enqueueWrite(op *traceOp) bool {
 	}
 	w := s.newRequest(request{
 		kind: reqWrite, rank: s.gangRank(op.rank), bank: op.bank,
-		row: op.row, col: op.col, core: -1, arrive: s.now,
+		row: op.row, col: op.col, arrive: s.now,
 	})
 	ch.writeQ.push(w)
 	ch.wake = s.now + 1
@@ -251,14 +246,12 @@ func (s *Simulator) enqueueWrite(op *traceOp) bool {
 		// Read-modify-write: fetch the checksum line before updating.
 		rd := *w
 		rd.kind = reqRead
-		rd.companion = true
 		rd.col = (op.col + 11) % s.cfg.ColsPerRow
 		ch.readQ.push(s.newRequest(rd))
 		s.res.CompanionReads++
 	}
 	if p := s.cfg.Scheme.ExtraWritePerWrite; p > 0 && s.rng.Bernoulli(p) {
 		comp := *w
-		comp.companion = true
 		// LOT-ECC's tier-1 ECC shares the data row, so the coalesced
 		// update is a row hit at a different column: pure extra write
 		// bandwidth, which is what its §XII-A slowdown consists of.

@@ -178,18 +178,6 @@ func (b *HistogramBatch) Flush() {
 	b.sum = 0
 }
 
-// Count returns the total number of observations; zero on a nil receiver.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed values; zero on a nil receiver.
 func (h *Histogram) Sum() float64 {
 	if h == nil {

@@ -8,6 +8,18 @@ import (
 	"testing"
 )
 
+// Count returns the total number of observations; zero on a nil receiver.
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")

@@ -115,8 +115,8 @@ const truncCDFMax = 512
 
 // TruncPoisson draws zero-truncated Poisson variates (N >= 1) for one fixed
 // mean via guide-table CDF inversion: one uniform, one table lookup, and an
-// expected O(1) forward scan, replacing SamplePositive's subtractive CDF
-// walk (O(mean) per draw). For mean >= 30 it falls back to PTRS rejection,
+// expected O(1) forward scan, replacing the subtractive CDF walk of
+// SamplePositive (O(mean) per draw; a test oracle in sampler_test.go). For mean >= 30 it falls back to PTRS rejection,
 // where truncation is a ~e^-30 no-op. Distribution-exact with respect to
 // the truncated pmf, but NOT uniform-for-uniform identical to
 // SamplePositive: the two resolve the same inversion with differently
@@ -165,9 +165,6 @@ func NewTruncPoisson(mean float64) TruncPoisson {
 	}
 	return t
 }
-
-// Mean returns the sampler's (untruncated) mean.
-func (t *TruncPoisson) Mean() float64 { return t.p.mean }
 
 // Sample draws one zero-truncated variate. Costs one uniform on the
 // guide-table path.

@@ -5,6 +5,63 @@ import (
 	"testing"
 )
 
+// Sample draws one variate. It consumes the same uniforms in the same
+// order as Source.Poisson(mean), so switching call sites preserves streams.
+func (p *PoissonSampler) Sample(s *Source) int {
+	if p.mean <= 0 {
+		return 0
+	}
+	if p.small {
+		k := 0
+		prod := 1.0
+		for {
+			prod *= s.Float64()
+			if prod <= p.expNegMean {
+				return k
+			}
+			k++
+		}
+	}
+	return p.samplePTRS(s)
+}
+
+// SamplePositive draws a zero-truncated Poisson variate (N >= 1) by
+// inversion on the truncated CDF. Together with SkipZeros it decomposes the
+// i.i.d. Poisson trial sequence exactly: a geometric run of N==0 trials
+// followed by one N>=1 trial, without spending any uniforms on the zeros.
+// TruncPoisson resolves the same inversion faster; this plain walk is the
+// law its tests hold it to.
+func (p *PoissonSampler) SamplePositive(s *Source) int {
+	if p.mean <= 0 {
+		panic("simrand: SamplePositive with non-positive mean")
+	}
+	if !p.small {
+		// Truncation is a no-op correction at large means (P(0) ~ e^-30);
+		// rejection terminates almost immediately.
+		for {
+			if k := p.samplePTRS(s); k >= 1 {
+				return k
+			}
+		}
+	}
+	u := s.Float64() * (1 - p.expNegMean)
+	k := 1
+	pk := p.mean * p.expNegMean // P(N == 1)
+	for {
+		u -= pk
+		if u < 0 || pk == 0 {
+			return k
+		}
+		k++
+		pk *= p.mean / float64(k)
+	}
+}
+
+// Sample draws one index. It costs exactly one uniform.
+func (w *WeightedSampler) Sample(s *Source) int {
+	return w.Lookup(s.Float64())
+}
+
 // TestPoissonSamplerStreamIdentical: the cached-constant sampler must
 // consume the same uniforms and return the same variates as the ad-hoc
 // Source.Poisson, so call sites can switch without perturbing streams.

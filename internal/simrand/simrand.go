@@ -156,11 +156,11 @@ func (s *Source) poissonPTRS(mean float64) int {
 	}
 }
 
-// PoissonSampler draws Poisson variates for one fixed mean with the
-// per-mean constants (exp(-mean), PTRS coefficients) computed once. The
-// Monte-Carlo fault generator draws one Poisson variate per trial at a
-// constant mean, and math.Exp(-mean) inside Poisson was ~25% of the whole
-// campaign's CPU time before this was hoisted.
+// PoissonSampler holds the per-mean constants (exp(-mean), PTRS
+// coefficients, SkipZeros' tables) of Poisson draws at one fixed mean,
+// computed once. The Monte-Carlo fault generator draws at a constant mean
+// for every trial, and math.Exp(-mean) inside Poisson was ~25% of the
+// whole campaign's CPU time before this was hoisted.
 type PoissonSampler struct {
 	mean       float64
 	expNegMean float64 // e^-mean; also P(N == 0)
@@ -224,29 +224,6 @@ func NewPoissonSampler(mean float64) PoissonSampler {
 	return p
 }
 
-// Mean returns the sampler's mean.
-func (p *PoissonSampler) Mean() float64 { return p.mean }
-
-// Sample draws one variate. It consumes the same uniforms in the same
-// order as Source.Poisson(mean), so switching call sites preserves streams.
-func (p *PoissonSampler) Sample(s *Source) int {
-	if p.mean <= 0 {
-		return 0
-	}
-	if p.small {
-		k := 0
-		prod := 1.0
-		for {
-			prod *= s.Float64()
-			if prod <= p.expNegMean {
-				return k
-			}
-			k++
-		}
-	}
-	return p.samplePTRS(s)
-}
-
 func (p *PoissonSampler) samplePTRS(s *Source) int {
 	for {
 		u := s.Float64() - 0.5
@@ -263,38 +240,6 @@ func (p *PoissonSampler) samplePTRS(s *Source) int {
 		if math.Log(v*p.invAlpha/(p.a/(us*us)+p.b)) <= k*p.logMean-p.mean-lg {
 			return int(k)
 		}
-	}
-}
-
-// SamplePositive draws a zero-truncated Poisson variate (N >= 1) by
-// inversion on the truncated CDF. Together with SkipZeros it decomposes the
-// i.i.d. Poisson trial sequence exactly: a geometric run of N==0 trials
-// followed by one N>=1 trial, without spending any uniforms on the zeros.
-// TruncPoisson resolves the same inversion faster; this plain walk is the
-// law its tests hold it to.
-func (p *PoissonSampler) SamplePositive(s *Source) int {
-	if p.mean <= 0 {
-		panic("simrand: SamplePositive with non-positive mean")
-	}
-	if !p.small {
-		// Truncation is a no-op correction at large means (P(0) ~ e^-30);
-		// rejection terminates almost immediately.
-		for {
-			if k := p.samplePTRS(s); k >= 1 {
-				return k
-			}
-		}
-	}
-	u := s.Float64() * (1 - p.expNegMean)
-	k := 1
-	pk := p.mean * p.expNegMean // P(N == 1)
-	for {
-		u -= pk
-		if u < 0 || pk == 0 {
-			return k
-		}
-		k++
-		pk *= p.mean / float64(k)
 	}
 }
 
@@ -427,11 +372,6 @@ func NewWeightedSampler(weights []float64) WeightedSampler {
 		ws.alias[i] = i
 	}
 	return ws
-}
-
-// Sample draws one index. It costs exactly one uniform.
-func (w *WeightedSampler) Sample(s *Source) int {
-	return w.Lookup(s.Float64())
 }
 
 // Bernoulli returns true with probability p.

@@ -56,11 +56,3 @@ func streamKey(seed, stream uint64) uint64 {
 func (s *Source) SeedStream(seed, stream uint64) {
 	s.seed(streamKey(seed, stream))
 }
-
-// NewStream returns a fresh Source for substream `stream` of the logical
-// seed; see SeedStream.
-func NewStream(seed, stream uint64) *Source {
-	var s Source
-	s.SeedStream(seed, stream)
-	return &s
-}
