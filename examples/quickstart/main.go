@@ -23,24 +23,29 @@ func main() {
 		panic(err)
 	}
 
-	// Write a few cache lines.
-	lines := map[dram.WordAddr]core.Line{}
+	// Write a few cache lines, kept in write order so every run prints
+	// the same lines in the same order.
+	type written struct {
+		addr dram.WordAddr
+		line core.Line
+	}
+	var lines []written
 	for i := 0; i < 8; i++ {
 		addr := dram.WordAddr{Bank: i % 4, Row: i, Col: i * 3}
 		var line core.Line
 		for b := range line {
 			line[b] = uint64(i)<<32 | uint64(b)
 		}
-		lines[addr] = line
+		lines = append(lines, written{addr, line})
 		sys.Write(addr, line)
 	}
 	fmt.Printf("wrote %d cache lines\n", len(lines))
 
 	// Clean reads.
-	for addr, want := range lines {
-		res := sys.Read(addr)
-		if res.Data != want || res.Outcome != core.OutcomeClean {
-			panic(fmt.Sprintf("clean read failed at %v: %+v", addr, res))
+	for _, w := range lines {
+		res := sys.Read(w.addr)
+		if res.Data != w.line || res.Outcome != core.OutcomeClean {
+			panic(fmt.Sprintf("clean read failed at %v: %+v", w.addr, res))
 		}
 	}
 	fmt.Println("all clean reads verified")
@@ -50,12 +55,12 @@ func main() {
 	sys.InjectFault(3, dram.NewChipFault(false, 99))
 	fmt.Println("injected permanent whole-chip failure into chip 3")
 
-	for addr, want := range lines {
-		res := sys.Read(addr)
-		if res.Data != want {
-			panic(fmt.Sprintf("XED failed to correct at %v: %+v", addr, res))
+	for _, w := range lines {
+		res := sys.Read(w.addr)
+		if res.Data != w.line {
+			panic(fmt.Sprintf("XED failed to correct at %v: %+v", w.addr, res))
 		}
-		fmt.Printf("  %v -> outcome=%v faultyChips=%v data ok\n", addr, res.Outcome, res.FaultyChips)
+		fmt.Printf("  %v -> outcome=%v faultyChips=%v data ok\n", w.addr, res.Outcome, res.FaultyChips)
 	}
 
 	st := sys.Stats()

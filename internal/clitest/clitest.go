@@ -1,5 +1,6 @@
 // Package clitest lets a command's tests run the command itself in a child
-// process, to assert on what only a whole process shows: its exit code.
+// process, to assert on what only a whole process shows: its exit code and
+// its output.
 package clitest
 
 import (
@@ -27,13 +28,20 @@ func Main(m *testing.M, main func()) {
 // its exit code and standard error.
 func Run(t testing.TB, args ...string) (code int, stderr string) {
 	t.Helper()
+	code, _, stderr = Output(t, args...)
+	return code, stderr
+}
+
+// Output is Run that also returns the command's standard output.
+func Output(t testing.TB, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), env+"=1")
-	var buf strings.Builder
-	cmd.Stderr = &buf
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
 	var exit *exec.ExitError
 	if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
 		t.Fatal(err)
 	}
-	return cmd.ProcessState.ExitCode(), buf.String()
+	return cmd.ProcessState.ExitCode(), out.String(), errOut.String()
 }
