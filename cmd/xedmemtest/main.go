@@ -58,7 +58,6 @@ func main() {
 		Geometry:         dram.Geometry{Banks: *banks, RowsPerBank: *rows, ColsPerRow: 128},
 		ScalingFaultRate: *scaling,
 		Seed:             *seed,
-		Metrics:          reg,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xedmemtest: %v\n", err)
@@ -112,6 +111,7 @@ func main() {
 			failures += bad + dues
 		}
 	}
+	fleet.AddMetrics(reg)
 	done()
 	if failures == 0 {
 		fmt.Println("PASS: no miscompares, no uncorrectable errors")

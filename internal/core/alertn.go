@@ -32,10 +32,8 @@ type AlertReadResult struct {
 // conveys *which* chip asserted, making the controller exactly as strong
 // as catch-word XED with zero collision risk.
 type AlertNController struct {
-	rank     *dram.Rank
+	raid3
 	extended bool
-	fct      *FCT
-	stats    Stats
 }
 
 // NewAlertNController wraps a 9-chip rank. extended selects the
@@ -48,53 +46,33 @@ func NewAlertNController(rank *dram.Rank, extended bool) *AlertNController {
 	// carries (possibly corrected) data, never catch-words.
 	rank.SetXEDEnable(false)
 	return &AlertNController{
-		rank:     rank,
+		raid3:    raid3{rank: rank, flagged: pinAsserted, fct: NewFCT(DefaultFCTEntries)},
 		extended: extended,
-		fct:      NewFCT(DefaultFCTEntries),
 	}
 }
 
-// Rank exposes the underlying rank.
-func (c *AlertNController) Rank() *dram.Rank { return c.rank }
-
-// Stats returns a copy of the counters.
-func (c *AlertNController) Stats() Stats { return c.stats }
-
-// WriteLine stores data beats plus RAID-3 parity.
-func (c *AlertNController) WriteLine(a dram.WordAddr, data Line) {
-	c.stats.Writes++
-	var beats [DataChips + 1]uint64
-	copy(beats[:DataChips], data[:])
-	beats[parityChip] = ecc.Parity(data[:])
-	c.rank.WriteLine(a, beats[:])
+// pinAsserted appends to into the chips that pulsed ALERT_n on line: those
+// whose on-die engine detected or corrected. The basic pin is the wire-OR
+// of every chip's; a direct read of one chip reports its own.
+func pinAsserted(line []dram.ReadResult, into []int) []int {
+	for i, r := range line {
+		if r.Status != ecc.StatusOK {
+			into = append(into, i)
+		}
+	}
+	return into
 }
 
 // ReadLine reads one line. With the basic pin, an assertion plus a parity
 // mismatch forces diagnosis (no location); with the extended pin the
 // asserting chips are erased directly like catch-word XED.
 func (c *AlertNController) ReadLine(a dram.WordAddr) AlertReadResult {
-	c.stats.Reads++
-	raw := c.rank.ReadLine(a)
-
-	var words [DataChips + 1]uint64
-	var asserting []int
-	for i := range words {
-		words[i] = raw[i].Data
-		// A chip pulses ALERT_n whenever its engine detected or
-		// corrected (Status != OK). The wire-OR is what the
-		// controller of the basic variant observes.
-		if raw[i].Status != ecc.StatusOK {
-			asserting = append(asserting, i)
-		}
-	}
+	words, asserting := c.read(a)
 	alert := len(asserting) > 0
-	parityOK := ecc.CheckParity(words[:DataChips], words[parityChip])
 
-	if parityOK {
+	if ecc.CheckParity(words[:DataChips], words[parityChip]) {
 		// Either clean, or every erring chip corrected itself on-die.
-		if alert {
-			c.stats.CatchWordsSeen += uint64(len(asserting))
-		}
+		c.stats.CatchWordsSeen += uint64(len(asserting))
 		c.stats.CleanReads++
 		return AlertReadResult{
 			ReadResult:    ReadResult{Data: toLine(words), Outcome: OutcomeClean},
@@ -132,7 +110,7 @@ func (c *AlertNController) ReadLine(a dram.WordAddr) AlertReadResult {
 				ReadResult: ReadResult{
 					Data:        toLine(words),
 					Outcome:     OutcomeCorrectedErasure,
-					FaultyChips: []int{dataBad},
+					FaultyChips: c.faultyOne(dataBad),
 				},
 				AlertAsserted: true,
 			}
@@ -142,61 +120,9 @@ func (c *AlertNController) ReadLine(a dram.WordAddr) AlertReadResult {
 	}
 
 	// Basic pin (or extended with no assertion): something is wrong but
-	// the location is unknown — exactly XED's §VI situation, resolved
-	// the same way.
-	res := c.diagnose(a)
-	return AlertReadResult{ReadResult: res, AlertAsserted: alert}
-}
-
-// diagnose mirrors the XED controller's §VI flow against this rank.
-func (c *AlertNController) diagnose(a dram.WordAddr) ReadResult {
-	if chip := c.fct.Lookup(a.Bank, a.Row); chip >= 0 {
-		return c.reconstruct(a, chip)
-	}
-	if chip := c.interLine(a); chip >= 0 {
-		if c.fct.Insert(a.Bank, a.Row, chip) {
-			c.stats.FCTChipMarks++
-		}
-		return c.reconstruct(a, chip)
-	}
-	c.stats.IntraLineRuns++
-	if chip := intraLinePatternTest(c.rank, a); chip >= 0 {
-		if c.fct.Insert(a.Bank, a.Row, chip) {
-			c.stats.FCTChipMarks++
-		}
-		return c.reconstruct(a, chip)
-	}
-	c.stats.DUEs++
-	raw := c.rank.ReadLine(a)
-	var words [DataChips + 1]uint64
-	for i := range words {
-		words[i] = raw[i].Data
-	}
-	return ReadResult{Data: toLine(words), Outcome: OutcomeDUE}
-}
-
-// interLine counts per-chip on-die assertions across the row. Without
-// catch-words the basic controller cannot see which chip asserts on a
-// shared pin — but it CAN walk the row one chip at a time using per-chip
-// reads (the diagnostic mode every controller has), so the §VI-A procedure
-// carries over with the same 10% threshold.
-func (c *AlertNController) interLine(a dram.WordAddr) int {
-	c.stats.InterLineRuns++
-	geom := c.rank.Geometry()
-	var counts [DataChips + 1]int
-	for col := 0; col < geom.ColsPerRow; col++ {
-		addr := dram.WordAddr{Bank: a.Bank, Row: a.Row, Col: col}
-		for i := 0; i <= DataChips; i++ {
-			if _, st := c.rank.Chip(i).ReadRaw(addr); st != ecc.StatusOK {
-				counts[i]++
-			}
-		}
-	}
-	return convictRowChip(&counts, geom.ColsPerRow)
-}
-
-// reconstruct rebuilds line a against convicted chip k.
-func (c *AlertNController) reconstruct(a dram.WordAddr, k int) ReadResult {
-	c.stats.DiagCorrections++
-	return ReadResult{Data: reconstructLine(c.rank, a, k), Outcome: OutcomeCorrectedDiagnosis, FaultyChips: []int{k}}
+	// the location is unknown — exactly XED's §VI situation, resolved by
+	// the same flow. Its row scan reads each chip's on-die status directly
+	// (the per-chip diagnostic mode every controller has), so the §VI-A
+	// procedure carries over with the same 10% threshold.
+	return AlertReadResult{ReadResult: c.diagnoseAndCorrect(a, nil), AlertAsserted: alert}
 }

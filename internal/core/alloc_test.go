@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"xedsim/internal/dram"
-	"xedsim/internal/obs"
 )
 
 // Allocation regression tests for the controller hot paths: after the
@@ -43,42 +42,6 @@ func TestXEDReadPathAllocFree(t *testing.T) {
 	erasure()
 	if allocs := testing.AllocsPerRun(200, erasure); allocs != 0 {
 		t.Errorf("single-erasure read path: %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestXEDInstrumentedReadPathAllocFree pins the obs contract: attaching a
-// metrics registry adds atomic updates to the read path but no heap
-// allocations, clean and erasure-correcting reads alike.
-func TestXEDInstrumentedReadPathAllocFree(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := newXED(t, WithMetrics(reg))
-	a := dram.WordAddr{Bank: 1, Row: 3, Col: 7}
-	c.WriteLine(a, Line{1, 2, 3, 4, 5, 6, 7, 8})
-
-	clean := func() {
-		if res := c.ReadLine(a); res.Outcome != OutcomeClean {
-			t.Fatalf("clean read: %v", res.Outcome)
-		}
-	}
-	clean()
-	if allocs := testing.AllocsPerRun(200, clean); allocs != 0 {
-		t.Errorf("instrumented clean read path: %v allocs/op, want 0", allocs)
-	}
-
-	c.Rank().InjectChipFailure(3, dram.NewChipFault(false, 42))
-	erasure := func() {
-		if res := c.ReadLine(a); res.Outcome != OutcomeCorrectedErasure {
-			t.Fatalf("erasure read: %v", res.Outcome)
-		}
-	}
-	erasure()
-	if allocs := testing.AllocsPerRun(200, erasure); allocs != 0 {
-		t.Errorf("instrumented erasure read path: %v allocs/op, want 0", allocs)
-	}
-
-	snap := reg.Snapshot()
-	if snap.Counters["core.reads"] == 0 || snap.Counters["core.corrections_erasure"] == 0 {
-		t.Fatalf("instrumentation recorded nothing: %+v", snap.Counters)
 	}
 }
 
@@ -166,16 +129,69 @@ func TestBaselineReadPathsAllocFree(t *testing.T) {
 	})
 }
 
+// TestAlertNReadPathAllocFree: both ALERT_n variants read through the
+// rank's scratch and return scratch-backed FaultyChips, clean or with a
+// failed chip: the basic pin's full §VI diagnosis (the FCT is cleared
+// before each read) and the extended pin's erasure.
+func TestAlertNReadPathAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		extended bool
+		failed   Outcome
+	}{
+		{"basic", false, OutcomeCorrectedDiagnosis},
+		{"extended", true, OutcomeCorrectedErasure},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newAlertN(t, tc.extended)
+			a := dram.WordAddr{Bank: 1, Row: 3, Col: 7}
+			data := Line{1, 2, 3, 4, 5, 6, 7, 8}
+			c.WriteLine(a, data)
+			read := func(want Outcome) func() {
+				return func() {
+					res := c.ReadLine(a)
+					if res.Outcome != want || res.Data != data {
+						t.Fatalf("read: %v (data ok %v), want %v", res.Outcome, res.Data == data, want)
+					}
+				}
+			}
+			clean := read(OutcomeClean)
+			clean()
+			if allocs := testing.AllocsPerRun(200, clean); allocs != 0 {
+				t.Errorf("clean read path: %v allocs/op, want 0", allocs)
+			}
+			c.Rank().InjectChipFailure(3, dram.NewChipFault(false, 42))
+			diagnosed := read(tc.failed)
+			failed := func() {
+				c.fct.Reset()
+				diagnosed()
+			}
+			failed()
+			if allocs := testing.AllocsPerRun(200, failed); allocs != 0 {
+				t.Errorf("failed-chip read path: %v allocs/op, want 0", allocs)
+			}
+		})
+	}
+}
+
 func TestWritePathsAllocFree(t *testing.T) {
 	xed := newXED(t)
+	alert := newAlertN(t, false)
+	eccDIMM := newECCDIMM(t)
 	ck := newPlainChipkill(t)
+	dck := newDoubleChipkill(t)
+	xck := newXEDChipkill(t)
 	a := dram.WordAddr{Bank: 2, Row: 4, Col: 6}
 	cases := []struct {
 		name string
 		op   func()
 	}{
 		{"XED", func() { xed.WriteLine(a, Line{1, 2, 3}) }},
+		{"ALERT_n", func() { alert.WriteLine(a, Line{1, 2, 3}) }},
+		{"ECCDIMM", func() { eccDIMM.WriteLine(a, Line{1, 2, 3}) }},
 		{"Chipkill", func() { ck.WriteBlock(a, Block{4, 5, 6}) }},
+		{"DoubleChipkill", func() { dck.WriteBlock(a, WideBlock{4, 5, 6}) }},
+		{"XEDChipkill", func() { xck.WriteBlock(a, Block{4, 5, 6}) }},
 	}
 	for _, tc := range cases {
 		tc.op()

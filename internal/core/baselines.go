@@ -101,49 +101,25 @@ func (c *ECCDIMMController) ReadLine(a dram.WordAddr) (Line, Outcome) {
 // (§II-D2): RS(18,16) per byte lane, correcting one unlocated chip error
 // and detecting two. On-Die ECC stays concealed.
 type ChipkillController struct {
-	rank  *dram.Rank
-	lanes rsLanes
-	stats Stats
-
-	readBuf []dram.ReadResult // read-path scratch
+	rsGang
 }
 
 // NewChipkillController wraps an 18-chip rank with XED disabled.
 func NewChipkillController(rank *dram.Rank) *ChipkillController {
-	if rank.Chips() != ChipkillChips {
-		panic(fmt.Sprintf("core: Chipkill needs 18 chips, got %d", rank.Chips()))
-	}
+	c := &ChipkillController{newRSGang("Chipkill", rank, ecc.NewChipkill())}
 	rank.SetXEDEnable(false)
-	return &ChipkillController{rank: rank, lanes: newRSLanes(ecc.NewChipkill())}
+	return c
 }
-
-// Rank exposes the underlying rank.
-func (c *ChipkillController) Rank() *dram.Rank { return c.rank }
-
-// Stats returns a copy of the counters.
-func (c *ChipkillController) Stats() Stats { return c.stats }
 
 // WriteBlock stores 16 data beats and 2 lane-wise RS check beats.
-func (c *ChipkillController) WriteBlock(a dram.WordAddr, data Block) {
-	c.stats.Writes++
-	var beats [ChipkillChips]uint64
-	copy(beats[:ChipkillDataChips], data[:])
-	c.lanes.encode(beats[:])
-	c.rank.WriteLine(a, beats[:])
-}
+func (c *ChipkillController) WriteBlock(a dram.WordAddr, data Block) { c.write(a, data[:]) }
 
 // ReadBlock decodes lane-wise: one bad chip is corrected, two bad chips
 // are (at best) detected.
 func (c *ChipkillController) ReadBlock(a dram.WordAddr) (Block, Outcome) {
-	c.stats.Reads++
-	c.readBuf = c.rank.ReadLineInto(a, c.readBuf)
-	var words [ChipkillChips]uint64
-	for i := range words {
-		words[i] = c.readBuf[i].Data
-	}
 	var out Block
-	st := c.lanes.decode(words[:], nil, out[:])
-	return out, countBaselineRead(&c.stats, st)
+	outcome := c.readDecoded(a, out[:])
+	return out, outcome
 }
 
 // DoubleChipkillChips is the 36-chip Double-Chipkill gang (§IX).
@@ -158,46 +134,22 @@ type WideBlock = [DoubleChipkillDataChips]uint64
 // DoubleChipkillController is conventional Double-Chipkill: RS(36,32) per
 // byte lane, correcting any two unlocated chip errors.
 type DoubleChipkillController struct {
-	rank  *dram.Rank
-	lanes rsLanes
-	stats Stats
-
-	readBuf []dram.ReadResult // read-path scratch
+	rsGang
 }
 
 // NewDoubleChipkillController wraps a 36-chip gang with XED disabled.
 func NewDoubleChipkillController(rank *dram.Rank) *DoubleChipkillController {
-	if rank.Chips() != DoubleChipkillChips {
-		panic(fmt.Sprintf("core: Double-Chipkill needs 36 chips, got %d", rank.Chips()))
-	}
+	c := &DoubleChipkillController{newRSGang("Double-Chipkill", rank, ecc.NewDoubleChipkill())}
 	rank.SetXEDEnable(false)
-	return &DoubleChipkillController{rank: rank, lanes: newRSLanes(ecc.NewDoubleChipkill())}
+	return c
 }
-
-// Rank exposes the underlying rank.
-func (c *DoubleChipkillController) Rank() *dram.Rank { return c.rank }
-
-// Stats returns a copy of the counters.
-func (c *DoubleChipkillController) Stats() Stats { return c.stats }
 
 // WriteBlock stores 32 data beats and 4 lane-wise check beats.
-func (c *DoubleChipkillController) WriteBlock(a dram.WordAddr, data WideBlock) {
-	c.stats.Writes++
-	var beats [DoubleChipkillChips]uint64
-	copy(beats[:DoubleChipkillDataChips], data[:])
-	c.lanes.encode(beats[:])
-	c.rank.WriteLine(a, beats[:])
-}
+func (c *DoubleChipkillController) WriteBlock(a dram.WordAddr, data WideBlock) { c.write(a, data[:]) }
 
 // ReadBlock corrects up to two bad chips per lane.
 func (c *DoubleChipkillController) ReadBlock(a dram.WordAddr) (WideBlock, Outcome) {
-	c.stats.Reads++
-	c.readBuf = c.rank.ReadLineInto(a, c.readBuf)
-	var words [DoubleChipkillChips]uint64
-	for i := range words {
-		words[i] = c.readBuf[i].Data
-	}
 	var out WideBlock
-	st := c.lanes.decode(words[:], nil, out[:])
-	return out, countBaselineRead(&c.stats, st)
+	outcome := c.readDecoded(a, out[:])
+	return out, outcome
 }

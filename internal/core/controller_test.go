@@ -349,7 +349,7 @@ func TestXEDCatchWordsAreDistinctAndProgrammed(t *testing.T) {
 	c := newXED(t)
 	seen := map[uint64]bool{}
 	for i := 0; i <= DataChips; i++ {
-		cw := c.catchWords[i]
+		cw := c.cw.words[i]
 		if seen[cw] {
 			t.Fatalf("duplicate catch-word for chip %d", i)
 		}

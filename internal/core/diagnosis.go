@@ -9,74 +9,63 @@ import (
 // multi-bit chip error (§VI). The DIMM-level parity still exposes that
 // *something* is wrong, but not *which* chip; these routines identify the
 // chip so RAID-3 reconstruction can proceed instead of declaring an
-// uncorrectable error.
+// uncorrectable error. They run on raid3, so the ALERT_n controller, whose
+// shared pin never names the chip, resolves its parity mismatches the
+// same way.
 
 // diagnoseAndCorrect drives the §VI flow: FCT lookup, then Inter-Line
 // Fault Diagnosis, then Intra-Line Fault Diagnosis; on success the faulty
 // chip's beat is rebuilt from parity, otherwise the read is a DUE.
 // hintWords, when non-nil, carries the serial-mode (on-die corrected) bus
-// words already collected for this line.
-func (c *Controller) diagnoseAndCorrect(a dram.WordAddr, hintWords []uint64) ReadResult {
+// words already collected for this line; a DUE returns them, or a fresh
+// read of the line without them.
+func (p *raid3) diagnoseAndCorrect(a dram.WordAddr, hintWords []uint64) ReadResult {
 	// Fast path: a previous diagnosis already convicted a chip for this
 	// row (or permanently, after FCT saturation).
-	if chip := c.fct.Lookup(a.Bank, a.Row); chip >= 0 {
-		return c.reconstructAgainstChip(a, chip, OutcomeCorrectedDiagnosis)
+	if chip := p.fct.Lookup(a.Bank, a.Row); chip >= 0 {
+		return p.reconstructAgainstChip(a, chip)
 	}
-	if chip := c.interLineDiagnosis(a); chip >= 0 {
-		if c.fct.Insert(a.Bank, a.Row, chip) {
-			c.stats.FCTChipMarks++
-			c.m.fctChipMarks.Inc()
-		}
-		return c.reconstructAgainstChip(a, chip, OutcomeCorrectedDiagnosis)
-	}
-	if chip := c.intraLineDiagnosis(a); chip >= 0 {
+	chip := p.interLineDiagnosis(a)
+	if chip < 0 {
 		// Intra-line verdicts feed the FCT too: a column or bank
 		// failure is convicted row by row, and once every entry names
 		// the same chip it is permanently marked (§VI-A).
-		if c.fct.Insert(a.Bank, a.Row, chip) {
-			c.stats.FCTChipMarks++
-			c.m.fctChipMarks.Inc()
+		chip = p.intraLineDiagnosis(a)
+	}
+	if chip >= 0 {
+		if p.fct.Insert(a.Bank, a.Row, chip) {
+			p.stats.FCTChipMarks++
 		}
-		return c.reconstructAgainstChip(a, chip, OutcomeCorrectedDiagnosis)
+		return p.reconstructAgainstChip(a, chip)
 	}
 	// Both diagnoses failed (the transient-word-fault case of §VIII):
 	// detected but uncorrectable.
-	c.stats.DUEs++
-	c.m.dues.Inc()
-	res := ReadResult{Outcome: OutcomeDUE}
+	p.stats.DUEs++
+	var words [DataChips + 1]uint64
 	if hintWords != nil {
-		var words [DataChips + 1]uint64
 		copy(words[:], hintWords)
-		res.Data = toLine(words)
 	} else {
-		c.readBuf = c.rank.ReadLineInto(a, c.readBuf)
-		var words [DataChips + 1]uint64
-		for i := range words {
-			words[i] = c.readBuf[i].Data
-		}
-		res.Data = toLine(words)
+		words = p.busWords(a)
 	}
-	return res
+	return ReadResult{Data: toLine(words), Outcome: OutcomeDUE}
 }
 
 // interLineDiagnosis streams the entire row buffer (all columns of the
-// accessed row) and counts, per chip, how many lines that chip flagged
-// with a catch-word. A chip whose count reaches the threshold (10% of the
-// row, §VI-A) is convicted — a row/column/bank failure damages many
-// spatially close lines, and the on-die code cannot miss all of them.
-// Returns the faulty chip or -1.
-func (c *Controller) interLineDiagnosis(a dram.WordAddr) int {
-	c.stats.InterLineRuns++
-	c.m.interLineRuns.Inc()
-	geom := c.rank.Geometry()
+// accessed row) and counts, per chip, how many lines the chip flagged. A
+// chip whose count reaches the threshold (10% of the row, §VI-A) is
+// convicted — a row/column/bank failure damages many spatially close
+// lines, and the on-die code cannot miss all of them. Returns the faulty
+// chip or -1.
+func (p *raid3) interLineDiagnosis(a dram.WordAddr) int {
+	p.stats.InterLineRuns++
+	geom := p.rank.Geometry()
 	var counts [DataChips + 1]int
 	for col := 0; col < geom.ColsPerRow; col++ {
-		addr := dram.WordAddr{Bank: a.Bank, Row: a.Row, Col: col}
-		c.readBuf = c.rank.ReadLineInto(addr, c.readBuf)
-		for i, r := range c.readBuf {
-			if r.Data == c.catchWords[i] {
-				counts[i]++
-			}
+		p.busWords(dram.WordAddr{Bank: a.Bank, Row: a.Row, Col: col})
+		// The scan may reuse flaggedBuf: this read's FaultyChips are
+		// written after it.
+		for _, i := range p.flagged(p.readBuf, p.flaggedBuf[:0]) {
+			counts[i]++
 		}
 	}
 	return convictRowChip(&counts, geom.ColsPerRow)
@@ -109,21 +98,15 @@ func convictRowChip(counts *[DataChips + 1]int, cols int) int {
 	return -1
 }
 
-// intraLineDiagnosis tests for a permanent fault confined to the accessed
-// line (§VI-B). Returns the faulty chip or -1.
-func (c *Controller) intraLineDiagnosis(a dram.WordAddr) int {
-	c.stats.IntraLineRuns++
-	c.m.intraLineRuns.Inc()
-	return intraLinePatternTest(c.rank, a)
-}
-
-// intraLinePatternTest is the §VI-B test on line a of a 9-chip rank: it
-// buffers the line, writes all-zeros and all-ones patterns, reads them
-// back with XED bypassed, and convicts the chip whose cells do not hold
-// the pattern. Transient word faults do not reproduce under rewrite and
-// correctly escape conviction. The original (buffered) content is restored
-// before returning. Returns the faulty chip or -1.
-func intraLinePatternTest(rank *dram.Rank, a dram.WordAddr) int {
+// intraLineDiagnosis is the §VI-B test for a permanent fault confined to
+// the accessed line: it buffers the line, writes all-zeros and all-ones
+// patterns, reads them back with XED bypassed, and convicts the chip whose
+// cells do not hold the pattern. Transient word faults do not reproduce
+// under rewrite and correctly escape conviction. The original (buffered)
+// content is restored before returning. Returns the faulty chip or -1.
+func (p *raid3) intraLineDiagnosis(a dram.WordAddr) int {
+	p.stats.IntraLineRuns++
+	rank := p.rank
 	// Buffer the suspect line as raw (on-die corrected where possible)
 	// words.
 	var buffer [DataChips + 1]uint64
@@ -159,28 +142,21 @@ func intraLinePatternTest(rank *dram.Rank, a dram.WordAddr) int {
 	return faulty
 }
 
-// reconstructAgainstChip rebuilds the line treating chip k as an erasure
-// (see reconstructLine).
-func (c *Controller) reconstructAgainstChip(a dram.WordAddr, k int, outcome Outcome) ReadResult {
-	c.stats.DiagCorrections++
-	c.m.diagCorrections.Inc()
-	return ReadResult{Data: reconstructLine(c.rank, a, k), Outcome: outcome, FaultyChips: c.faultyOne(k)}
-}
-
-// reconstructLine rebuilds line a of a 9-chip rank treating chip k as an
+// reconstructAgainstChip rebuilds line a treating convicted chip k as an
 // erasure: every other chip is read with XED bypassed (their on-die
 // engines repair any correctable scaling faults), then chip k's beat is
 // recomputed from parity (§VI, §VII-C).
-func reconstructLine(rank *dram.Rank, a dram.WordAddr, k int) Line {
+func (p *raid3) reconstructAgainstChip(a dram.WordAddr, k int) ReadResult {
+	p.stats.DiagCorrections++
 	var words [DataChips + 1]uint64
 	for i := 0; i <= DataChips; i++ {
 		if i == k {
 			continue
 		}
-		words[i], _ = rank.Chip(i).ReadRaw(a)
+		words[i], _ = p.rank.Chip(i).ReadRaw(a)
 	}
 	if k != parityChip {
 		words[k] = ecc.Reconstruct(words[:DataChips], words[parityChip], k)
 	}
-	return toLine(words)
+	return ReadResult{Data: toLine(words), Outcome: OutcomeCorrectedDiagnosis, FaultyChips: p.faultyOne(k)}
 }

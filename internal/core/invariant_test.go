@@ -91,7 +91,7 @@ func TestXEDNeverSilentlyWrongSingleFaultyChip(t *testing.T) {
 // defeated at least once — the only licence for a wrong non-DUE read.
 func anySilentCorrupt(rank *dram.Rank) bool {
 	for i := 0; i < rank.Chips(); i++ {
-		if rank.Chip(i).Stats().SilentCorrupt > 0 {
+		if rank.Chip(i).SilentCorrupt() > 0 {
 			return true
 		}
 	}

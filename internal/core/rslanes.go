@@ -1,6 +1,70 @@
 package core
 
-import "xedsim/internal/ecc"
+import (
+	"fmt"
+
+	"xedsim/internal/dram"
+	"xedsim/internal/ecc"
+)
+
+// rsGang is the datapath the Chipkill-family controllers share: a gang of
+// K data chips and R check chips accessed together, protected by the
+// byte-lane Reed-Solomon code below.
+type rsGang struct {
+	rank  *dram.Rank
+	lanes rsLanes
+	stats Stats
+
+	// Read-path scratch, reused across calls so steady-state reads do not
+	// allocate.
+	readBuf []dram.ReadResult
+	words   [DoubleChipkillChips]uint64
+}
+
+// newRSGang wraps rank under the lane code rs. It panics, naming the
+// scheme, unless the rank has exactly one chip per code symbol.
+func newRSGang(scheme string, rank *dram.Rank, rs *ecc.RS) rsGang {
+	if n := rs.K + rs.R; rank.Chips() != n {
+		panic(fmt.Sprintf("core: %s needs %d chips, got %d", scheme, n, rank.Chips()))
+	}
+	return rsGang{rank: rank, lanes: newRSLanes(rs)}
+}
+
+// Rank exposes the underlying rank.
+func (g *rsGang) Rank() *dram.Rank { return g.rank }
+
+// Stats returns a copy of the counters.
+func (g *rsGang) Stats() Stats { return g.stats }
+
+// write stores one block: the K data beats go to the data chips and the
+// lanes' check beats to the R check chips.
+func (g *rsGang) write(a dram.WordAddr, data []uint64) {
+	g.stats.Writes++
+	var beats [DoubleChipkillChips]uint64
+	copy(beats[:], data)
+	n := g.rank.Chips()
+	g.lanes.encode(beats[:n])
+	g.rank.WriteLine(a, beats[:n])
+}
+
+// read is one demand read of block a: it counts the read and returns each
+// chip's bus word, in gang scratch valid until the next operation.
+func (g *rsGang) read(a dram.WordAddr) []uint64 {
+	g.stats.Reads++
+	g.readBuf = g.rank.ReadLineInto(a, g.readBuf)
+	words := g.words[:len(g.readBuf)]
+	for i, r := range g.readBuf {
+		words[i] = r.Data
+	}
+	return words
+}
+
+// readDecoded is a conventional Chipkill read of block a: the lane code
+// locates and corrects unlocated chip errors within its budget, the K data
+// beats land in out (which must start zeroed), and the outcome is counted.
+func (g *rsGang) readDecoded(a dram.WordAddr, out []uint64) Outcome {
+	return countBaselineRead(&g.stats, g.lanes.decode(g.read(a), nil, out))
+}
 
 // rsLanes is the byte-lane Reed-Solomon codec of the Chipkill-family
 // controllers: byte b of every chip's 64-bit beat forms lane b, one

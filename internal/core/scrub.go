@@ -9,33 +9,42 @@ import "xedsim/internal/dram"
 // — and rewrites heal transient upsets in the functional model exactly as
 // redundant-bit rewrites do in real DRAM.
 
+// scrubCounts tallies patrol scrub work: lines read, lines corrected and
+// written back, uncorrectable lines left in place, and controller passes.
+type scrubCounts struct {
+	lines, corrections, dues, passes uint64
+}
+
+func (s *scrubCounts) add(o scrubCounts) {
+	s.lines += o.lines
+	s.corrections += o.corrections
+	s.dues += o.dues
+	s.passes += o.passes
+}
+
 // scrub runs one patrol pass over the controller's rank in address order
-// and returns the number of uncorrectable lines hit. A corrected line is
-// written back; an uncorrectable one is left for the OS to retire rather
-// than laundering bad data. The pass is mirrored into the "core.scrub.*"
-// counters of the controller's registry, if any.
-func (c *Controller) scrub() int {
-	m := newScrubMetrics(c.obsReg)
+// and returns its counts. A corrected line is written back; an
+// uncorrectable one is left for the OS to retire rather than laundering
+// bad data.
+func (c *Controller) scrub() scrubCounts {
 	geom := c.rank.Geometry()
-	dues := 0
+	n := scrubCounts{passes: 1}
 	for bank := 0; bank < geom.Banks; bank++ {
 		for row := 0; row < geom.RowsPerBank; row++ {
 			for col := 0; col < geom.ColsPerRow; col++ {
 				a := dram.WordAddr{Bank: bank, Row: row, Col: col}
 				switch res := c.ReadLine(a); res.Outcome {
 				case OutcomeDUE:
-					m.dues.Inc()
-					dues++
+					n.dues++
 				case OutcomeClean:
 					// Nothing to heal; skip the write-back.
 				default:
-					m.corrections.Inc()
+					n.corrections++
 					c.WriteLine(a, res.Data)
 				}
-				m.lines.Inc()
+				n.lines++
 			}
 		}
 	}
-	m.passes.Inc()
-	return dues
+	return n
 }

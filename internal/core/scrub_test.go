@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"xedsim/internal/dram"
-	"xedsim/internal/obs"
 	"xedsim/internal/simrand"
 )
 
@@ -12,8 +11,7 @@ import (
 // must not be written back — a rewrite would heal the (transient) fault in
 // the functional model and launder undetected-bad data into clean state.
 func TestScrubberDUELineNotWrittenBack(t *testing.T) {
-	reg := obs.NewRegistry()
-	ctrl := newXED(t, WithMetrics(reg))
+	ctrl := newXED(t)
 	rng := simrand.New(91)
 	a := dram.WordAddr{Bank: 2, Row: 3, Col: 4}
 	ctrl.WriteLine(a, lineOf(rng))
@@ -22,11 +20,8 @@ func TestScrubberDUELineNotWrittenBack(t *testing.T) {
 	// so any write-back would heal it.
 	ctrl.Rank().Chip(1).InjectFault(silentWordFault(a, true))
 
-	if dues := ctrl.scrub(); dues != 1 {
-		t.Fatalf("scrub DUEs = %d, want 1", dues)
-	}
-	if d, c := reg.Counter("core.scrub.dues").Load(), reg.Counter("core.scrub.corrections").Load(); d != 1 || c != 0 {
-		t.Fatalf("core.scrub.dues = %d, core.scrub.corrections = %d", d, c)
+	if n := ctrl.scrub(); n.dues != 1 || n.corrections != 0 {
+		t.Fatalf("scrub dues = %d, corrections = %d; want 1 and 0", n.dues, n.corrections)
 	}
 	// No write-back happened: the transient fault is still live, so a
 	// second read still reports DUE instead of laundered-clean data.

@@ -5,7 +5,6 @@ import (
 
 	"xedsim/internal/dram"
 	"xedsim/internal/ecc"
-	"xedsim/internal/obs"
 	"xedsim/internal/simrand"
 )
 
@@ -17,6 +16,8 @@ import (
 type MemorySystem struct {
 	mapper *dram.AddressMapper
 	ctrls  [][]*Controller // [channel][rank]
+	// scrubbed totals every ScrubAll pass so far.
+	scrubbed scrubCounts
 }
 
 // MemorySystemConfig shapes the fleet.
@@ -29,9 +30,6 @@ type MemorySystemConfig struct {
 	// ScalingFaultRate seeds birthtime weak cells (0 disables).
 	ScalingFaultRate float64
 	Seed             uint64
-	// Metrics, when non-nil, mirrors every controller's activity counters
-	// into one shared registry (fleet totals under "core.*" names).
-	Metrics *obs.Registry
 }
 
 // NewMemorySystem builds the fleet with per-rank XED controllers. It
@@ -61,7 +59,7 @@ func NewMemorySystem(cfg MemorySystemConfig) (*MemorySystem, error) {
 					})
 				}
 			}
-			row = append(row, NewController(rank, rng.Uint64(), WithMetrics(cfg.Metrics)))
+			row = append(row, NewController(rank, rng.Uint64()))
 		}
 		m.ctrls = append(m.ctrls, row)
 	}
@@ -125,13 +123,14 @@ func (m *MemorySystem) TotalStats() Stats {
 // ScrubAll runs one full patrol pass over every rank and returns the
 // total DUE count encountered.
 func (m *MemorySystem) ScrubAll() int {
-	dues := 0
+	var pass scrubCounts
 	for _, row := range m.ctrls {
 		for _, c := range row {
-			dues += c.scrub()
+			pass.add(c.scrub())
 		}
 	}
-	return dues
+	m.scrubbed.add(pass)
+	return int(pass.dues)
 }
 
 // String summarises the fleet.

@@ -149,8 +149,7 @@ func TestAddressMapperBounds(t *testing.T) {
 }
 
 func TestScrubberHealsTransientFaults(t *testing.T) {
-	reg := obs.NewRegistry()
-	ctrl := newXED(t, WithMetrics(reg))
+	ctrl := newXED(t)
 	rng := simrand.New(72)
 	geom := ctrl.Rank().Geometry()
 
@@ -161,15 +160,15 @@ func TestScrubberHealsTransientFaults(t *testing.T) {
 	// rewritten.
 	ctrl.Rank().Chip(2).InjectFault(dram.NewRowFault(1, 4, true, 5))
 
-	ctrl.scrub()
-	if reg.Counter("core.scrub.corrections").Load() == 0 {
+	n := ctrl.scrub()
+	if n.corrections == 0 {
 		t.Fatal("scrub pass corrected nothing")
 	}
-	if n := reg.Counter("core.scrub.lines").Load(); n != uint64(geom.Banks*geom.RowsPerBank*geom.ColsPerRow) {
-		t.Fatalf("scrubbed %d lines", n)
+	if n.lines != uint64(geom.Banks*geom.RowsPerBank*geom.ColsPerRow) {
+		t.Fatalf("scrubbed %d lines", n.lines)
 	}
-	if n := reg.Counter("core.scrub.passes").Load(); n != 1 {
-		t.Fatalf("passes = %d", n)
+	if n.passes != 1 {
+		t.Fatalf("passes = %d", n.passes)
 	}
 	// After scrubbing, the transient damage is healed: clean read, and
 	// the chip-level fault no longer corrupts (rewritten epoch).
@@ -195,17 +194,13 @@ func TestScrubberLeavesPermanentFaultsCorrectable(t *testing.T) {
 }
 
 func TestScrubberReportsDUEs(t *testing.T) {
-	reg := obs.NewRegistry()
-	ctrl := newXED(t, WithMetrics(reg))
+	ctrl := newXED(t)
 	rng := simrand.New(74)
 	a := dram.WordAddr{Bank: 0, Row: 0, Col: 0}
 	ctrl.WriteLine(a, lineOf(rng))
 	ctrl.Rank().Chip(1).InjectFault(silentWordFault(a, true))
-	if dues := ctrl.scrub(); dues != 1 {
-		t.Fatalf("scrub DUEs = %d, want 1", dues)
-	}
-	if n := reg.Counter("core.scrub.dues").Load(); n != 1 {
-		t.Fatalf("core.scrub.dues = %d", n)
+	if n := ctrl.scrub(); n.dues != 1 {
+		t.Fatalf("scrub dues = %d, want 1", n.dues)
 	}
 }
 
@@ -219,4 +214,75 @@ func TestMemorySystemScrubAll(t *testing.T) {
 	if dues := m.ScrubAll(); dues != 0 {
 		t.Fatalf("scaling faults alone caused %d scrub DUEs", dues)
 	}
+}
+
+// TestMemorySystemAddMetrics: AddMetrics writes exactly TotalStats under
+// the core.* names, and the ScrubAll totals under core.scrub.* once a pass
+// has run.
+func TestMemorySystemAddMetrics(t *testing.T) {
+	m := smallFleet(t, 0.002)
+	rng := simrand.New(76)
+	for i := 0; i < 200; i++ {
+		phys := (rng.Uint64() % (m.Capacity() / 64)) << 6
+		m.Write(phys, lineOf(rng))
+		m.Read(phys)
+	}
+	m.InjectChipFailure(1, 0, 3, dram.NewChipFault(false, 9))
+	for phys := uint64(0); phys < 64*64; phys += 64 {
+		m.Read(phys)
+	}
+	want := func() map[string]uint64 {
+		s := m.TotalStats()
+		return map[string]uint64{
+			"core.reads":                 s.Reads,
+			"core.writes":                s.Writes,
+			"core.reads_clean":           s.CleanReads,
+			"core.catchwords_seen":       s.CatchWordsSeen,
+			"core.corrections_erasure":   s.ErasureCorrections,
+			"core.corrections_serial":    s.SerialCorrections,
+			"core.corrections_diagnosis": s.DiagCorrections,
+			"core.dues":                  s.DUEs,
+			"core.collisions":            s.Collisions,
+			"core.catchword_updates":     s.CatchWordUpdates,
+			"core.diag_interline_runs":   s.InterLineRuns,
+			"core.diag_intraline_runs":   s.IntraLineRuns,
+			"core.fct_chip_marks":        s.FCTChipMarks,
+		}
+	}
+	check := func(want map[string]uint64) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		m.AddMetrics(reg)
+		got := reg.Snapshot().Counters
+		if len(got) != len(want) {
+			t.Fatalf("AddMetrics wrote %d counters, want %d: %v", len(got), len(want), got)
+		}
+		for name, n := range want {
+			if v, ok := got[name]; !ok || v != n {
+				t.Errorf("%s = %d (present %v), want %d", name, v, ok, n)
+			}
+		}
+	}
+
+	stats := want()
+	if stats["core.corrections_erasure"] == 0 || stats["core.reads_clean"] == 0 {
+		t.Fatalf("fleet exercised too little: %v", stats)
+	}
+	check(stats)
+
+	// Every scrubbed line is one read, and every correction one
+	// write-back.
+	before := m.TotalStats()
+	dues := m.ScrubAll()
+	dues += m.ScrubAll()
+	after := m.TotalStats()
+	stats = want()
+	stats["core.scrub.lines"] = after.Reads - before.Reads
+	stats["core.scrub.corrections"] = after.Writes - before.Writes
+	stats["core.scrub.dues"] = uint64(dues)
+	stats["core.scrub.passes"] = 2 * 8
+	if stats["core.scrub.lines"] != 2*m.Capacity()/64 || stats["core.scrub.corrections"] == 0 {
+		t.Fatalf("two scrub passes read %d lines and corrected %d", stats["core.scrub.lines"], stats["core.scrub.corrections"])
+	}
+	check(stats)
 }

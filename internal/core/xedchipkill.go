@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"xedsim/internal/dram"
 	"xedsim/internal/ecc"
-	"xedsim/internal/simrand"
 )
 
 // XED layered on Single-Chipkill hardware (§IX): 18 chips per access (16
@@ -28,49 +25,26 @@ type Block = [ChipkillDataChips]uint64
 // XEDChipkillController drives an 18-chip gang with per-chip On-Die ECC,
 // catch-words enabled, and RS(18,16) across chips on every byte lane.
 type XEDChipkillController struct {
-	rank       *dram.Rank
-	lanes      rsLanes
-	catchWords [ChipkillChips]uint64
-	rng        *simrand.Source
-	stats      Stats
+	rsGang
+	cw catchWords
 
 	// Read-path scratch, reused across calls.
 	flaggedBuf  [ChipkillChips]int
 	suspectsBuf [ChipkillChips]int
-	readBuf     []dram.ReadResult
 }
 
 // NewXEDChipkillController programs catch-words and XED-Enable on all 18
 // chips and prepares the RS(18,16) lane code.
 func NewXEDChipkillController(rank *dram.Rank, seed uint64) *XEDChipkillController {
-	if rank.Chips() != ChipkillChips {
-		panic(fmt.Sprintf("core: XED-on-Chipkill needs 18 chips, got %d", rank.Chips()))
-	}
-	c := &XEDChipkillController{rank: rank, lanes: newRSLanes(ecc.NewXEDChipkill()), rng: simrand.New(seed)}
-	for i := 0; i < ChipkillChips; i++ {
-		c.catchWords[i] = c.rng.Uint64()
-		rank.Chip(i).SetCatchWord(c.catchWords[i])
-	}
-	rank.SetXEDEnable(true)
+	c := &XEDChipkillController{rsGang: newRSGang("XED-on-Chipkill", rank, ecc.NewXEDChipkill())}
+	c.cw = bootCatchWords(rank, seed)
 	return c
 }
-
-// Rank exposes the underlying rank.
-func (c *XEDChipkillController) Rank() *dram.Rank { return c.rank }
-
-// Stats returns a copy of the counters.
-func (c *XEDChipkillController) Stats() Stats { return c.stats }
 
 // WriteBlock stores 16 data beats plus two RS check beats. Check beats are
 // computed lane-wise: for byte lane b, the 18 lane symbols form one
 // RS(18,16) codeword.
-func (c *XEDChipkillController) WriteBlock(a dram.WordAddr, data Block) {
-	c.stats.Writes++
-	var beats [ChipkillChips]uint64
-	copy(beats[:ChipkillDataChips], data[:])
-	c.lanes.encode(beats[:])
-	c.rank.WriteLine(a, beats[:])
-}
+func (c *XEDChipkillController) WriteBlock(a dram.WordAddr, data Block) { c.write(a, data[:]) }
 
 // ReadBlock reads and corrects one 18-chip access:
 //
@@ -80,16 +54,8 @@ func (c *XEDChipkillController) WriteBlock(a dram.WordAddr, data Block) {
 //  3. no catch-word but bad syndromes → bounded-distance decode (one
 //     unlocated chip error, the classic Chipkill case).
 func (c *XEDChipkillController) ReadBlock(a dram.WordAddr) (Block, Outcome) {
-	c.stats.Reads++
-	c.readBuf = c.rank.ReadLineInto(a, c.readBuf)
-	var words [ChipkillChips]uint64
-	flagged := c.flaggedBuf[:0]
-	for i := range words {
-		words[i] = c.readBuf[i].Data
-		if words[i] == c.catchWords[i] {
-			flagged = append(flagged, i)
-		}
-	}
+	words := c.read(a)
+	flagged := c.cw.flagged(c.readBuf, c.flaggedBuf[:0])
 	c.stats.CatchWordsSeen += uint64(len(flagged))
 
 	if len(flagged) > c.lanes.rs.R {
@@ -108,7 +74,7 @@ func (c *XEDChipkillController) ReadBlock(a dram.WordAddr) (Block, Outcome) {
 			c.stats.DUEs++
 			return blockOf(words), OutcomeDUE
 		}
-		if ok, out := c.decodeLanes(&words, flagged); ok {
+		if ok, out := c.decodeLanes(words, flagged); ok {
 			c.stats.SerialCorrections++
 			return out, OutcomeCorrectedSerial
 		}
@@ -117,14 +83,14 @@ func (c *XEDChipkillController) ReadBlock(a dram.WordAddr) (Block, Outcome) {
 	}
 
 	if len(flagged) == 0 {
-		if c.lanes.valid(words[:]) {
+		if c.lanes.valid(words) {
 			c.stats.CleanReads++
 			return blockOf(words), OutcomeClean
 		}
 		// Unlocated errors (silent on-die miss): let the RS code both
 		// locate and correct — the classic Chipkill budget of one
 		// chip with R=2.
-		if ok, out := c.decodeLanes(&words, nil); ok {
+		if ok, out := c.decodeLanes(words, nil); ok {
 			c.stats.DiagCorrections++
 			return out, OutcomeCorrectedDiagnosis
 		}
@@ -133,9 +99,15 @@ func (c *XEDChipkillController) ReadBlock(a dram.WordAddr) (Block, Outcome) {
 	}
 
 	// 1 or 2 erasures: the §IX-A fast path.
-	if ok, out := c.decodeLanes(&words, flagged); ok {
+	if ok, out := c.decodeLanes(words, flagged); ok {
 		c.stats.ErasureCorrections++
-		c.detectCollisions(words, out, flagged)
+		// §V-D on the Chipkill configuration: an erased data chip whose
+		// corrected data equals its catch-word was a collision.
+		for _, i := range flagged {
+			if i < ChipkillDataChips && c.cw.matches(i, out[i]) {
+				c.cw.collision(i, &c.stats)
+			}
+		}
 		return out, OutcomeCorrectedErasure
 	}
 	// Erasure decode failed — an additional unlocated error beyond the
@@ -147,34 +119,14 @@ func (c *XEDChipkillController) ReadBlock(a dram.WordAddr) (Block, Outcome) {
 // decodeLanes corrects all 8 byte lanes with the given erasures — nil
 // asks the RS code to locate the damage itself, one unlocated chip error
 // under R=2. It reports ok=false if any lane is uncorrectable.
-func (c *XEDChipkillController) decodeLanes(words *[ChipkillChips]uint64, erasures []int) (bool, Block) {
+func (c *XEDChipkillController) decodeLanes(words []uint64, erasures []int) (bool, Block) {
 	var out Block
-	ok := c.lanes.decode(words[:], erasures, out[:]) != ecc.StatusDetected
+	ok := c.lanes.decode(words, erasures, out[:]) != ecc.StatusDetected
 	return ok, out
 }
 
-// detectCollisions spots §V-D collisions on the Chipkill configuration:
-// if an erased chip's corrected data equals its catch-word, refresh it.
-func (c *XEDChipkillController) detectCollisions(words [ChipkillChips]uint64, corrected Block, flagged []int) {
-	for _, i := range flagged {
-		if i >= ChipkillDataChips {
-			continue
-		}
-		if corrected[i] == c.catchWords[i] {
-			c.stats.Collisions++
-			next := c.rng.Uint64()
-			for next == c.catchWords[i] {
-				next = c.rng.Uint64()
-			}
-			c.catchWords[i] = next
-			c.rank.Chip(i).SetCatchWord(next)
-			c.stats.CatchWordUpdates++
-		}
-	}
-}
-
-func blockOf(words [ChipkillChips]uint64) Block {
+func blockOf(words []uint64) Block {
 	var b Block
-	copy(b[:], words[:ChipkillDataChips])
+	copy(b[:], words)
 	return b
 }

@@ -126,7 +126,7 @@ func TestXEDChipkillCollision(t *testing.T) {
 	c := newXEDChipkill(t)
 	a := dram.WordAddr{Bank: 0, Row: 0, Col: 1}
 	var data Block
-	data[7] = c.catchWords[7]
+	data[7] = c.cw.words[7]
 	c.WriteBlock(a, data)
 	got, outcome := c.ReadBlock(a)
 	if outcome != OutcomeCorrectedErasure || got != data {

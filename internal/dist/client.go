@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"xedsim/internal/faultsim"
@@ -22,7 +21,7 @@ const DefaultPollInterval = 250 * time.Millisecond
 // resubmit; submission is idempotent by config hash, so the re-derived job
 // is the same job).
 type Client struct {
-	base atomic.Value // string
+	base string
 	hc   *http.Client
 	// PollInterval paces Wait; 0 selects DefaultPollInterval.
 	PollInterval time.Duration
@@ -33,16 +32,15 @@ type Client struct {
 
 // NewClient builds a client for a coordinator base URL.
 func NewClient(base string, hc *http.Client) *Client {
-	c := &Client{hc: hc}
+	c := &Client{base: base, hc: hc}
 	if c.hc == nil {
 		c.hc = &http.Client{}
 	}
-	c.base.Store(base)
 	return c
 }
 
-// Base returns the current coordinator base URL.
-func (c *Client) Base() string { return c.base.Load().(string) }
+// Base returns the coordinator base URL.
+func (c *Client) Base() string { return c.base }
 
 func (c *Client) poll() time.Duration {
 	if c.PollInterval > 0 {

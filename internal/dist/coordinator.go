@@ -98,7 +98,6 @@ type unit struct {
 	merged   bool
 	token    uint64    // current lease token; 0 = unleased
 	deadline time.Time // lease expiry; zero when unleased
-	retries  int       // times this unit was re-granted after expiry
 }
 
 // job is one campaign's coordinator-side state.
@@ -374,7 +373,6 @@ func (c *Coordinator) Lease(workerID string) (*Lease, error) {
 				// Expired lease: reclaim and re-dispatch.
 				c.met.leasesExpired.Inc()
 				c.met.leasesRetried.Inc()
-				u.retries++
 			}
 			c.token++
 			u.token = c.token

@@ -2,9 +2,12 @@ package dist
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -260,49 +263,64 @@ func TestChaosBitIdentical(t *testing.T) {
 	}
 }
 
-// TestClientSurvivesAmnesiacRestart pins the 404-resubmit path: when a
-// coordinator is replaced by one with NO persisted state, a waiting client
-// notices the unknown job and resubmits the spec — same hash, same job,
-// same bytes — rather than failing or forking.
+// TestClientSurvivesAmnesiacRestart pins the 404-resubmit path: when the
+// coordinator behind a client's address is replaced, while the client is
+// polling, by one with NO persisted state, the client notices the unknown
+// job and resubmits the spec — same hash, same job, same bytes — rather
+// than failing or forking. One front server keeps the address fixed, as a
+// coordinator restarted on the same port does.
 func TestClientSurvivesAmnesiacRestart(t *testing.T) {
 	spec := testSpec()
 	localRep, _ := localRun(t, spec)
 
-	c1 := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4})
-	srv1 := httptest.NewServer(c1.Handler())
+	first := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4}).Handler()
+	amnesiac := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4}).Handler()
+	var coord atomic.Pointer[http.Handler]
+	coord.Store(&first)
+	swapped := make(chan struct{})
+	var polls, submits atomic.Int32
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*coord.Load()).ServeHTTP(w, r)
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+			submits.Add(1)
+		case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") && polls.Add(1) == 1:
+			// The client is polling a job no worker has touched:
+			// restart the coordinator without its memory.
+			coord.Store(&amnesiac)
+			close(swapped)
+		}
+	}))
+	defer front.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	cl := NewClient(srv1.URL, nil)
-	cl.PollInterval = 10 * time.Millisecond
-	cl.BackoffMin = 2 * time.Millisecond
-	if _, err := cl.Submit(ctx, spec); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill the coordinator before any work happens; bring up a fresh one
-	// with no memory of the job.
-	srv1.Close()
-	c2 := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4})
-	srv2 := httptest.NewServer(c2.Handler())
-	defer srv2.Close()
-	cl.SetBase(srv2.URL)
-
-	w := NewWorker(fastWorker("w", srv2.URL))
+	// The worker joins only after the restart, so the first coordinator
+	// never sees the job run.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		w.Run(ctx) //nolint:errcheck
+		select {
+		case <-swapped:
+			NewWorker(fastWorker("w", front.URL)).Run(ctx) //nolint:errcheck
+		case <-ctx.Done():
+		}
 	}()
 
+	cl := NewClient(front.URL, nil)
+	cl.PollInterval = 10 * time.Millisecond
+	cl.BackoffMin = 2 * time.Millisecond
 	rep, err := cl.RunCampaign(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rep, localRep) {
 		t.Fatal("post-amnesia Report differs from local RunCampaign")
+	}
+	if n := submits.Load(); n != 2 {
+		t.Fatalf("client submitted %d times, want 2 (the spec, then its resubmission after the 404)", n)
 	}
 	cancel()
 	wg.Wait()

@@ -33,24 +33,14 @@ type Chip struct {
 	// words whose last write predates the fault's injection epoch.
 	writeClock uint64
 
-	// Stats observable by tests and examples.
-	stats ChipStats
+	// silentCorrupt counts reads whose corruption produced a *valid*
+	// codeword (see SilentCorrupt).
+	silentCorrupt uint64
 }
 
 type storedWord struct {
 	cw    ecc.Codeword72
 	epoch uint64
-}
-
-// ChipStats counts on-die ECC activity.
-type ChipStats struct {
-	Reads            uint64
-	Writes           uint64
-	OnDieCorrections uint64 // reads where the engine corrected a single-bit error
-	OnDieDetections  uint64 // reads where the engine saw an invalid codeword
-	CatchWordsSent   uint64 // reads answered with the catch-word (XED mode)
-	SilentCorrupt    uint64 // reads where corruption produced a *valid* codeword
-	MRSWrites        uint64 // mode-register-set commands received
 }
 
 // NewChip builds a chip with the given geometry and on-die code. The paper
@@ -66,8 +56,10 @@ func NewChip(geom Geometry, code ecc.Code64) *Chip {
 // Geometry returns the chip geometry.
 func (c *Chip) Geometry() Geometry { return c.geom }
 
-// Stats returns a copy of the activity counters.
-func (c *Chip) Stats() ChipStats { return c.stats }
+// SilentCorrupt returns how many reads found corruption that aliased onto
+// a valid codeword, which the on-die engine cannot see: the only way a
+// chip can hand the controller wrong data without flagging it.
+func (c *Chip) SilentCorrupt() uint64 { return c.silentCorrupt }
 
 // SetXEDEnable sets the XED-Enable mode register over the MRS interface.
 // With XED disabled the chip behaves as a conventional On-Die-ECC device:
@@ -134,7 +126,6 @@ func (c *Chip) Write(a WordAddr, data uint64) {
 		panic(fmt.Sprintf("dram: write outside geometry: %v", a))
 	}
 	c.writeClock++
-	c.stats.Writes++
 	c.store[c.geom.index(a)] = storedWord{cw: c.code.Encode(data), epoch: c.writeClock}
 }
 
@@ -146,8 +137,9 @@ type ReadResult struct {
 	// controller cannot see this flag on a real bus — it must compare
 	// Data against its CWR copy — but tests use it as ground truth.
 	IsCatchWord bool
-	// Status is the on-die engine's private decode outcome (invisible
-	// on the bus; exposed for instrumentation).
+	// Status is the on-die engine's decode outcome. It never reaches
+	// the data bus; an ALERT_n controller sees it as the chip's pin, and
+	// tests use it as ground truth.
 	Status ecc.DecodeStatus
 }
 
@@ -157,7 +149,6 @@ func (c *Chip) Read(a WordAddr) ReadResult {
 	if !c.geom.Contains(a) {
 		panic(fmt.Sprintf("dram: read outside geometry: %v", a))
 	}
-	c.stats.Reads++
 	sw, ok := c.store[c.geom.index(a)]
 	if !ok {
 		sw = storedWord{cw: c.code.Encode(0)}
@@ -182,22 +173,16 @@ func (c *Chip) Read(a WordAddr) ReadResult {
 			// Corruption aliased onto a valid codeword: the engine
 			// cannot know. If it decodes to different data this is
 			// silent data corruption at the chip level.
-			c.stats.SilentCorrupt++
+			c.silentCorrupt++
 		}
 		return ReadResult{Data: cw.Data, Status: ecc.StatusOK}
 	}
 	// Invalid codeword: the engine detected an error.
 	data, st := c.code.Decode(cw)
-	if st == ecc.StatusCorrected {
-		c.stats.OnDieCorrections++
-	} else {
-		c.stats.OnDieDetections++
-	}
 	if c.xedEnable {
 		// DC-Mux selects the catch-word on detection OR correction
 		// (§V-A: "if the On-Die ECC detects or corrects an error, the
 		// DC-Mux selects the Catch-Word").
-		c.stats.CatchWordsSent++
 		return ReadResult{Data: c.catchWord, IsCatchWord: true, Status: st}
 	}
 	// Conventional mode: ship the corrected value if correctable, the
@@ -207,8 +192,8 @@ func (c *Chip) Read(a WordAddr) ReadResult {
 
 // ReadRaw returns the value the chip would transfer with XED temporarily
 // disabled — the controller's serial-mode read for multi-catch-word
-// correction (§VII-B) uses this via the MRS dance. The stats and fault
-// behaviour match Read with xedEnable=false.
+// correction (§VII-B) uses this via the MRS dance. Its fault behaviour
+// matches Read with xedEnable=false.
 func (c *Chip) ReadRaw(a WordAddr) (uint64, ecc.DecodeStatus) {
 	saved := c.xedEnable
 	c.xedEnable = false

@@ -40,11 +40,8 @@ func TestChipOnDieCorrectsSingleBit(t *testing.T) {
 	c.Write(a, 0xdeadbeef)
 	c.InjectFault(NewBitFault(a, 13, false))
 	r := c.Read(a)
-	if r.Data != 0xdeadbeef || r.IsCatchWord {
-		t.Fatalf("read = %+v, want corrected data", r)
-	}
-	if c.Stats().OnDieCorrections != 1 {
-		t.Fatalf("corrections = %d, want 1", c.Stats().OnDieCorrections)
+	if r.Data != 0xdeadbeef || r.IsCatchWord || r.Status != ecc.StatusCorrected {
+		t.Fatalf("read = %+v, want data corrected on-die", r)
 	}
 }
 
@@ -58,11 +55,8 @@ func TestChipXEDSendsCatchWordOnCorrection(t *testing.T) {
 	c.Write(a, 42)
 	c.InjectFault(NewBitFault(a, 70, false)) // check-bit fault
 	r := c.Read(a)
-	if !r.IsCatchWord || r.Data != 0x5ca1ab1e0ddba11 {
-		t.Fatalf("read = %+v, want catch-word", r)
-	}
-	if c.Stats().CatchWordsSent != 1 {
-		t.Fatalf("catch-words = %d, want 1", c.Stats().CatchWordsSent)
+	if !r.IsCatchWord || r.Data != 0x5ca1ab1e0ddba11 || r.Status != ecc.StatusCorrected {
+		t.Fatalf("read = %+v, want catch-word for a corrected error", r)
 	}
 }
 
@@ -307,18 +301,6 @@ func TestScalingFaultAlwaysCorrectedOnDie(t *testing.T) {
 	}
 }
 
-func TestChipStatsCount(t *testing.T) {
-	c := newTestChip()
-	a := WordAddr{Bank: 0, Row: 0, Col: 0}
-	c.Write(a, 1)
-	c.Read(a)
-	c.Read(a)
-	st := c.Stats()
-	if st.Writes != 1 || st.Reads != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestGeometryValidateAndBounds(t *testing.T) {
 	if err := (Geometry{}).Validate(); err == nil {
 		t.Fatal("zero geometry should be invalid")
@@ -383,7 +365,7 @@ func TestSilentEscapeRateMatchesCodeAlgebra(t *testing.T) {
 		c.Write(a, rng.Uint64())
 		c.Read(a)
 	}
-	silent := float64(c.Stats().SilentCorrupt)
+	silent := float64(c.SilentCorrupt())
 	want := trials / 256.0
 	if silent < want*0.7 || silent > want*1.3 {
 		t.Fatalf("silent escapes %v, want ≈%v (2^-8 of %d)", silent, want, trials)

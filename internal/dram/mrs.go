@@ -31,7 +31,6 @@ const (
 // exactly as the command bus delivers it. SetXEDEnable and SetCatchWord
 // are conveniences layered on this entry point.
 func (c *Chip) MRSWrite(reg ModeRegister, value uint16) {
-	c.stats.MRSWrites++
 	switch reg {
 	case MRXEDEnable:
 		c.xedEnable = value&1 == 1

@@ -39,22 +39,27 @@ func TestMRSEnableBit(t *testing.T) {
 	}
 }
 
-func TestMRSWriteCountsAndBroadcast(t *testing.T) {
+func TestMRSBroadcast(t *testing.T) {
 	r := newTestRank(9)
 	r.MRSBroadcast(MRXEDEnable, 1)
+	// The 64-bit catch-word is four 16-bit slices: with the enable bit,
+	// the 65-bit state of §V-A is programmed in five commands.
+	for i := 0; i < 4; i++ {
+		r.MRSBroadcast(MRCatchWord0+ModeRegister(i), uint16(0x1111*(i+1)))
+	}
 	for i := 0; i < 9; i++ {
 		if !r.Chip(i).XEDEnabled() {
 			t.Fatalf("chip %d not enabled by broadcast", i)
 		}
-		if r.Chip(i).Stats().MRSWrites != 1 {
-			t.Fatalf("chip %d MRS count %d", i, r.Chip(i).Stats().MRSWrites)
+		if got := r.Chip(i).CatchWord(); got != 0x4444333322221111 {
+			t.Fatalf("chip %d catch-word %#x after broadcast", i, got)
 		}
 	}
-	// SetCatchWord is four MRS writes — the 65-bit state of §V-A is
-	// programmed in five commands total.
-	r.Chip(0).SetCatchWord(0xdead)
-	if got := r.Chip(0).Stats().MRSWrites; got != 5 {
-		t.Fatalf("MRS writes = %d, want 5", got)
+	r.MRSBroadcast(MRXEDEnable, 0)
+	for i := 0; i < 9; i++ {
+		if r.Chip(i).XEDEnabled() {
+			t.Fatalf("chip %d not disabled by broadcast", i)
+		}
 	}
 }
 

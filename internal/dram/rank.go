@@ -74,14 +74,10 @@ func (r *Rank) WriteLine(a WordAddr, beats []uint64) {
 	}
 }
 
-// ReadLine reads one cache line, returning each chip's bus word.
-func (r *Rank) ReadLine(a WordAddr) []ReadResult {
-	return r.ReadLineInto(a, nil)
-}
-
-// ReadLineInto is ReadLine writing into out's backing array when it has
-// capacity for the rank's chip count (allocating otherwise). Controllers
-// keep one such buffer per rank so steady-state reads never allocate.
+// ReadLineInto reads one cache line, returning each chip's bus word in
+// out's backing array when it has capacity for the rank's chip count
+// (allocating otherwise). Controllers keep one such buffer per rank so
+// steady-state reads never allocate.
 func (r *Rank) ReadLineInto(a WordAddr, out []ReadResult) []ReadResult {
 	if cap(out) < len(r.chips) {
 		out = make([]ReadResult, len(r.chips))

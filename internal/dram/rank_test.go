@@ -22,7 +22,7 @@ func TestRankLineRoundTrip(t *testing.T) {
 		beats[i] = uint64(i) * 0x1111111111111111
 	}
 	r.WriteLine(a, beats)
-	got := r.ReadLine(a)
+	got := r.ReadLineInto(a, nil)
 	for i, rr := range got {
 		if rr.Data != beats[i] || rr.IsCatchWord {
 			t.Fatalf("chip %d: %+v, want %#x", i, rr, beats[i])
@@ -63,7 +63,7 @@ func TestRankFailedChipSendsItsCatchWord(t *testing.T) {
 	a := WordAddr{Bank: 0, Row: 10, Col: 4}
 	r.WriteLine(a, make([]uint64, 9))
 	r.InjectChipFailure(3, NewChipFault(false, 77))
-	res := r.ReadLine(a)
+	res := r.ReadLineInto(a, nil)
 	for i, rr := range res {
 		if i == 3 {
 			if !rr.IsCatchWord || rr.Data != words[3] {

@@ -7,8 +7,8 @@
 //
 //   - Hot-path neutrality. Every metric update is a single atomic
 //     operation (histograms add a bounds search), never an allocation, so
-//     instrumentation can sit on the Monte-Carlo trial path and the
-//     controller read path without moving the benchmarks. Instrumented
+//     instrumentation can sit on the Monte-Carlo trial path and the memory
+//     simulator's request path without moving the benchmarks. Instrumented
 //     code resolves its metrics ONCE (a *Counter field, not a registry
 //     lookup per event).
 //

@@ -44,11 +44,11 @@ var allowlist = []struct {
 		[]string{"faultsim.ApplyToChip", "ecc.NewDoubleChipkill",
 			"core.ECCDIMMController", "core.NewECCDIMMController",
 			"core.DoubleChipkillController", "core.NewDoubleChipkillController",
-			"core.scatterBeat", "core.ChipkillController.Stats"}},
+			"core.scatterBeat"}},
 	{"ROADMAP 7(b): xedfaultsim -explain re-plans a trial through its replay",
 		[]string{"faultsim.TrialError.Replay", "simrand.Restore", "simrand.Source.SetState"}},
 	{"test seam: core's invariant test licenses a wrong non-DUE read by its SilentCorrupt count",
-		[]string{"dram.Chip.Stats"}},
+		[]string{"dram.Chip.SilentCorrupt"}},
 }
 
 func main() {

@@ -49,7 +49,7 @@ func TestCheck(t *testing.T) {
 		{"core.Controller.ReadLine", "internal/core/controller.go:10"},
 		{"core.unusedHelper", "internal/core/controller.go:20"},
 		{"infer.RecoverCode", "internal/infer/beer.go:30"},
-		{"dram.Chip.Stats", "internal/dram/chip.go:40"},
+		{"dram.Chip.SilentCorrupt", "internal/dram/chip.go:40"},
 		{"dist/chaos.Run", "internal/dist/chaos/chaos.go:50"},
 	}
 	linked := map[string]bool{"core.Controller.ReadLine": true, "infer.RecoverCode": true}
@@ -62,7 +62,7 @@ func TestCheck(t *testing.T) {
 			t.Errorf("check output lacks %q:\n%s", want, out)
 		}
 	}
-	for _, quiet := range []string{"ReadLine", "dram.Chip.Stats", "dist/chaos"} {
+	for _, quiet := range []string{"ReadLine", "dram.Chip.SilentCorrupt", "dist/chaos"} {
 		if strings.Contains(out, quiet) {
 			t.Errorf("check output names %q:\n%s", quiet, out)
 		}
@@ -74,17 +74,17 @@ func TestCheck(t *testing.T) {
 // shares its prefix.
 func TestCovering(t *testing.T) {
 	for key, want := range map[string]bool{
-		"dist/chaos.Run":                    true,
-		"core.ECCDIMMController.ReadLine":   true,
-		"core.ECCDIMMControllerX.ReadLine":  false,
-		"core.ChipkillController.Stats":     true,
-		"core.ChipkillController.ReadLine":  false,
-		"dist.Client.Submit":                false,
-		"simrand.Source.SetState":           true,
-		"faultsim.TrialError.ReplayAll":     false,
-		"infer.RecoverCodeFromObservations": false,
-		"clitest.Run":                       true,
-		"clitestx.Run":                      false,
+		"dist/chaos.Run":                          true,
+		"core.ECCDIMMController.ReadLine":         true,
+		"core.ECCDIMMControllerX.ReadLine":        false,
+		"core.DoubleChipkillController.ReadBlock": true,
+		"core.ChipkillController.ReadBlock":       false,
+		"dist.Client.Submit":                      false,
+		"simrand.Source.SetState":                 true,
+		"faultsim.TrialError.ReplayAll":           false,
+		"infer.RecoverCodeFromObservations":       false,
+		"clitest.Run":                             true,
+		"clitestx.Run":                            false,
 	} {
 		if got := covering(key) != ""; got != want {
 			t.Errorf("%s covered = %v, want %v", key, got, want)
