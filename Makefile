@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet verify bench bench-save benchstat race fuzz ci experiments clean
+.PHONY: all build test vet verify bench bench-save benchstat race fuzz goldens ci experiments clean
 
 all: build vet test
 
@@ -64,6 +64,17 @@ fuzz:
 	go test -fuzz=FuzzEDACDumpRoundTrip -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fleet/
 	go test -fuzz=FuzzHARPVerdictVsProfile -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fleet/
 	go test -fuzz=FuzzWakeVsEveryCycle -fuzztime=$(FUZZTIME) -run='^$$' ./internal/memsim/
+
+# Regenerate every golden file from the current tree: memsim's results,
+# the examples' stdout, xedmemtest's runs, and the campaign and fleet
+# identity files. A change meant to move numbers runs this and explains
+# the diff; `go test ./...` checks the files.
+goldens:
+	go test ./internal/memsim -run '^TestGoldenResults$$' -update
+	go test . -run '^TestExamplesSmoke$$' -update
+	go test ./cmd/xedmemtest -run '^TestGolden$$' -update
+	go test ./internal/faultsim -run '^TestIdentityGolden$$' -update
+	go test ./internal/fleet -run '^TestIdentityGolden$$' -update
 
 # Everything CI's test and race jobs run (see .github/workflows/ci.yml),
 # runnable locally, apart from the three smokes that interrupt or kill

@@ -11,7 +11,7 @@
 //	xedfleet -checkpoint fleet.ckpt -resume        # continue an interrupted run
 //	xedfleet -debug-addr localhost:6060            # live /metrics and /edac views
 //
-// Results are bit-identical for a fixed (config, -seed, -chunk) at any
+// Results are bit-identical for a fixed (config, -seed) at any
 // -workers count, and a -resume'd run reproduces an uninterrupted one
 // exactly; internal/fleet's statistical battery holds both properties.
 // SIGINT/SIGTERM drains workers at chunk boundaries, snapshots progress
@@ -45,7 +45,6 @@ type cliArgs struct {
 	scheme      string
 	seed        uint64
 	workers     int
-	chunk       int
 	dimmsMC     int
 	dimmsHist   int
 	edacPath    string
@@ -72,9 +71,6 @@ func validateArgs(a cliArgs) error {
 	}
 	if a.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", a.workers)
-	}
-	if a.chunk < 0 {
-		return fmt.Errorf("-chunk must be >= 0, got %d", a.chunk)
 	}
 	if a.dimmsMC <= 0 {
 		return fmt.Errorf("-dimms-per-mc must be positive, got %d", a.dimmsMC)
@@ -108,7 +104,6 @@ func main() {
 	flag.StringVar(&a.scheme, "scheme", "XED", "rank-level protection scheme (faultsim registry name)")
 	flag.Uint64Var(&a.seed, "seed", 42, "random seed")
 	flag.IntVar(&a.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS); results do not depend on this")
-	flag.IntVar(&a.chunk, "chunk", 0, "DIMMs per scheduling chunk (0 = default); part of the deterministic stream layout")
 	flag.IntVar(&a.dimmsMC, "dimms-per-mc", 8, "DIMMs per simulated memory controller (EDAC grouping; sizes checkpoints and dumps)")
 	flag.IntVar(&a.dimmsHist, "dimm", -1, "print this DIMM's regenerated fault history as JSON and exit")
 	flag.StringVar(&a.edacPath, "edac", "", "write the EDAC sysfs-shaped counter dump to this file (\"-\" for stdout)")
@@ -138,7 +133,6 @@ func main() {
 	opts := fleet.Options{
 		Seed:               a.seed,
 		Workers:            a.workers,
-		ChunkSize:          a.chunk,
 		CheckpointPath:     a.ckptPath,
 		CheckpointInterval: a.ckptEvery,
 		Resume:             a.resume,

@@ -38,7 +38,6 @@ func TestValidateArgs(t *testing.T) {
 		{"negative years", func(a *cliArgs) { a.years = -1 }, "-years"},
 		{"zero scrub", func(a *cliArgs) { a.scrub = 0 }, "-scrub-hours"},
 		{"negative workers", func(a *cliArgs) { a.workers = -1 }, "-workers"},
-		{"negative chunk", func(a *cliArgs) { a.chunk = -5 }, "-chunk"},
 		{"zero dimms-per-mc", func(a *cliArgs) { a.dimmsMC = 0 }, "-dimms-per-mc"},
 		{"zero ckpt interval", func(a *cliArgs) { a.ckptEvery = 0 }, "-checkpoint-every"},
 		{"bad policy", func(a *cliArgs) { a.policy = "retire-everything" }, "policy"},

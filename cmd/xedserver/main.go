@@ -54,7 +54,6 @@ type cliArgs struct {
 	schemeList  string
 	systems     int
 	seed        uint64
-	chunkSize   int
 	scrub       float64
 	overlap     bool
 	outPath     string
@@ -71,9 +70,6 @@ func validateArgs(a cliArgs) error {
 		}
 		if a.systems <= 0 {
 			return fmt.Errorf("-systems must be positive, got %d", a.systems)
-		}
-		if a.chunkSize < 0 {
-			return fmt.Errorf("-chunk-size must be >= 0, got %d", a.chunkSize)
 		}
 		if a.scrub < 0 {
 			return fmt.Errorf("-scrub-hours must be >= 0, got %v", a.scrub)
@@ -117,7 +113,6 @@ func main() {
 	flag.StringVar(&a.schemeList, "schemes", "", "comma-separated scheme names (submit mode)")
 	flag.IntVar(&a.systems, "systems", 2_000_000, "Monte-Carlo trials (submit mode)")
 	flag.Uint64Var(&a.seed, "seed", 42, "random seed (submit mode)")
-	flag.IntVar(&a.chunkSize, "chunk-size", 0, "trials per chunk, 0 = engine default (submit mode)")
 	flag.Float64Var(&a.scrub, "scrub-hours", 0, "override patrol-scrub interval in hours (submit mode)")
 	flag.BoolVar(&a.overlap, "address-overlap", false, "require address-range intersection for compound failures (submit mode)")
 	flag.StringVar(&a.outPath, "out", "", "write the result's canonical checkpoint to this file (submit mode)")
@@ -196,13 +191,7 @@ func runSubmit(ctx context.Context, a *cliArgs) error {
 		cfg.ScrubIntervalHours = a.scrub
 	}
 	cfg.RequireAddressOverlap = a.overlap
-	spec := &dist.JobSpec{
-		Config:    cfg,
-		Schemes:   cli.SplitList(a.schemeList),
-		Trials:    a.systems,
-		Seed:      a.seed,
-		ChunkSize: a.chunkSize,
-	}
+	spec := &dist.JobSpec{Config: cfg, Schemes: cli.SplitList(a.schemeList), Trials: a.systems, Seed: a.seed}
 	if err := spec.Validate(); err != nil {
 		return err
 	}

@@ -53,7 +53,6 @@ func TestValidateArgs(t *testing.T) {
 		{"submit without coordinator", func(a *cliArgs) { *a = submitArgs(); a.coordinator = "" }, "-coordinator"},
 		{"submit without schemes", func(a *cliArgs) { *a = submitArgs(); a.schemeList = "" }, "-schemes"},
 		{"submit zero systems", func(a *cliArgs) { *a = submitArgs(); a.systems = 0 }, "-systems"},
-		{"submit negative chunk size", func(a *cliArgs) { *a = submitArgs(); a.chunkSize = -1 }, "-chunk-size"},
 		{"submit negative scrub", func(a *cliArgs) { *a = submitArgs(); a.scrub = -1 }, "-scrub-hours"},
 	}
 	for _, tc := range cases {

@@ -63,11 +63,12 @@ type Format struct {
 	Hash    string
 }
 
-// Worker is one goroutine's chunk executor.
+// Worker is one goroutine's chunk executor. A chunk is the unit of
+// cancellation: the runner checks its context before it claims a chunk, and
+// a claimed chunk runs to completion and merges.
 type Worker interface {
-	// RunChunk computes chunk c, items [lo, hi). It returns false if ctx
-	// was cancelled mid-chunk; the chunk is then not merged.
-	RunChunk(ctx context.Context, c, lo, hi int) bool
+	// RunChunk computes chunk c, items [lo, hi).
+	RunChunk(c, lo, hi int)
 	// Fold adds the chunk RunChunk last computed to the accumulator; the
 	// runner's lock is held. A non-nil error is fatal to the run.
 	Fold() error
@@ -355,9 +356,7 @@ func (r *Runner[P]) work(ctx context.Context, cancel context.CancelFunc, w Worke
 			continue
 		}
 		lo, hi := r.Bounds(c)
-		if !w.RunChunk(ctx, c, lo, hi) {
-			return
-		}
+		w.RunChunk(c, lo, hi)
 		if !r.merge(c, w, o) {
 			cancel()
 			return

@@ -66,12 +66,11 @@ type toyWorker struct {
 	v uint64
 }
 
-func (w *toyWorker) RunChunk(ctx context.Context, c, lo, hi int) bool {
+func (w *toyWorker) RunChunk(c, lo, hi int) {
 	w.c, w.v = c, 0
 	for i := lo; i < hi; i++ {
 		w.v += value(i)
 	}
-	return ctx.Err() == nil
 }
 
 func (w *toyWorker) Fold() error {
@@ -99,6 +98,15 @@ func run(ctx context.Context, t *toy, r *Runner[toySnap], o Options) error {
 	return r.Run(ctx, o, func() (Worker, error) { return &toyWorker{t: t}, nil })
 }
 
+// chunkValue is what chunk c adds to the toy's sum.
+func chunkValue(c int) uint64 {
+	var v uint64
+	for i := c * toySize; i < min((c+1)*toySize, toyItems); i++ {
+		v += value(i)
+	}
+	return v
+}
+
 func readFile(t *testing.T, path string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(path)
@@ -110,11 +118,8 @@ func readFile(t *testing.T, path string) []byte {
 
 func TestWorkerCountInvariant(t *testing.T) {
 	var want toy
-	for i := 0; i < toyItems; i += toySize {
-		var v uint64
-		for j := i; j < min(i+toySize, toyItems); j++ {
-			v += value(j)
-		}
+	for c := 0; c*toySize < toyItems; c++ {
+		v := chunkValue(c)
 		want.sum += v
 		want.buckets[v%8]++
 	}
@@ -337,5 +342,52 @@ func TestMergeSpan(t *testing.T) {
 	}
 	if folds != 2 || r.DoneChunks() != 5 || !r.SpanMerged(4, 9) || r.SpanMerged(3, 5) {
 		t.Fatalf("%d folds, %d chunks done", folds, r.DoneChunks())
+	}
+}
+
+// cancellingWorker cancels the run as it starts each chunk.
+type cancellingWorker struct {
+	toyWorker
+	cancel  context.CancelFunc
+	started *atomic.Int32
+}
+
+func (w *cancellingWorker) RunChunk(c, lo, hi int) {
+	w.started.Add(1)
+	w.cancel()
+	w.toyWorker.RunChunk(c, lo, hi)
+}
+
+// TestCancelMidChunkMerges: a chunk is the unit of cancellation. A context
+// cancelled while a chunk runs lets that chunk finish and merge whole, and
+// its worker claims no other.
+func TestCancelMidChunkMerges(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		tt, r := newToy()
+		var started atomic.Int32
+		err := r.Run(ctx, Options{Workers: workers}, func() (Worker, error) {
+			return &cancellingWorker{toyWorker: toyWorker{t: tt}, cancel: cancel, started: &started}, nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: Run returned %v, want context.Canceled", workers, err)
+		}
+		n := int(started.Load())
+		if n == 0 || n > workers || r.DoneChunks() != n {
+			t.Fatalf("workers=%d: %d chunks started, %d merged; want each worker's one chunk merged", workers, n, r.DoneChunks())
+		}
+		var want uint64
+		for c := 0; c < r.Chunks(); c++ {
+			if r.SpanMerged(c, c+1) {
+				want += chunkValue(c)
+			}
+		}
+		if tt.sum != want {
+			t.Fatalf("workers=%d: merged sum %d, want the merged chunks' whole sum %d", workers, tt.sum, want)
+		}
+		if workers == 1 && !r.SpanMerged(0, 1) {
+			t.Fatal("the one worker's chunk 0 did not merge")
+		}
 	}
 }

@@ -65,14 +65,14 @@ func pinAsserted(line []dram.ReadResult, into []int) []int {
 
 // ReadLine reads one line. With the basic pin, an assertion plus a parity
 // mismatch forces diagnosis (no location); with the extended pin the
-// asserting chips are erased directly like catch-word XED.
+// asserting chip is erased directly like catch-word XED.
 func (c *AlertNController) ReadLine(a dram.WordAddr) AlertReadResult {
 	words, asserting := c.read(a)
+	c.stats.CatchWordsSeen += uint64(len(asserting))
 	alert := len(asserting) > 0
 
 	if ecc.CheckParity(words[:DataChips], words[parityChip]) {
 		// Either clean, or every erring chip corrected itself on-die.
-		c.stats.CatchWordsSeen += uint64(len(asserting))
 		c.stats.CleanReads++
 		return AlertReadResult{
 			ReadResult:    ReadResult{Data: toLine(words), Outcome: OutcomeClean},
@@ -80,49 +80,37 @@ func (c *AlertNController) ReadLine(a dram.WordAddr) AlertReadResult {
 		}
 	}
 
-	if c.extended {
-		// Location available: erase the asserting chips. One data
-		// chip rebuilds from parity; an asserting parity chip means
-		// the data beats are fine.
-		dataBad := -1
-		multi := false
-		for _, i := range asserting {
-			if i == parityChip {
-				continue
-			}
-			if dataBad >= 0 {
-				multi = true
-			}
-			dataBad = i
-		}
-		switch {
-		case multi:
-			// Two uncorrectable data chips exceed one parity word.
+	if c.extended && alert {
+		// Location available: the parity mismatch is the asserting
+		// chip's. Two asserting chips exceed one parity word, whether or
+		// not one of them is the parity chip: the pin cannot tell a chip
+		// that corrected from one that detected.
+		if len(asserting) > 1 {
 			c.stats.DUEs++
 			return AlertReadResult{
 				ReadResult:    ReadResult{Data: toLine(words), Outcome: OutcomeDUE, FaultyChips: asserting},
 				AlertAsserted: true,
 			}
-		case dataBad >= 0:
-			words[dataBad] = ecc.Reconstruct(words[:DataChips], words[parityChip], dataBad)
-			c.stats.ErasureCorrections++
-			return AlertReadResult{
-				ReadResult: ReadResult{
-					Data:        toLine(words),
-					Outcome:     OutcomeCorrectedErasure,
-					FaultyChips: c.faultyOne(dataBad),
-				},
-				AlertAsserted: true,
-			}
 		}
-		// Parity mismatch without an assertion: silent on-die miss;
-		// fall through to diagnosis like the basic variant.
+		// One asserting chip is erased: a data chip rebuilds from
+		// parity, and an erased parity chip leaves the data beats as
+		// read.
+		bad := asserting[0]
+		if bad != parityChip {
+			words[bad] = ecc.Reconstruct(words[:DataChips], words[parityChip], bad)
+		}
+		c.stats.ErasureCorrections++
+		return AlertReadResult{
+			ReadResult:    ReadResult{Data: toLine(words), Outcome: OutcomeCorrectedErasure, FaultyChips: c.faultyOne(bad)},
+			AlertAsserted: true,
+		}
 	}
 
-	// Basic pin (or extended with no assertion): something is wrong but
-	// the location is unknown — exactly XED's §VI situation, resolved by
-	// the same flow. Its row scan reads each chip's on-die status directly
-	// (the per-chip diagnostic mode every controller has), so the §VI-A
-	// procedure carries over with the same 10% threshold.
+	// Basic pin, or a parity mismatch with no assertion (a silent on-die
+	// miss): something is wrong but the location is unknown — exactly
+	// XED's §VI situation, resolved by the same flow. Its row scan reads
+	// each chip's on-die status directly (the per-chip diagnostic mode
+	// every controller has), so the §VI-A procedure carries over with the
+	// same 10% threshold.
 	return AlertReadResult{ReadResult: c.diagnoseAndCorrect(a, nil), AlertAsserted: alert}
 }

@@ -111,14 +111,35 @@ func TestExtendedAlertNParityChipFailure(t *testing.T) {
 	c.WriteLine(a, data)
 	c.Rank().InjectChipFailure(8, dram.NewChipFault(false, 4))
 	res := c.ReadLine(a)
-	// Data chips are intact: the read may classify as clean (parity
-	// unreadable but data verified by... parity is the failed part, so
-	// the controller sees a mismatch and erases chip 8).
-	if res.Data != data {
-		t.Fatalf("parity-chip failure corrupted data: %+v", res)
+	// The data chips are intact and the pin names the parity chip: it is
+	// erased, and the data beats stand as read, with no row scan.
+	if res.Data != data || res.Outcome != OutcomeCorrectedErasure {
+		t.Fatalf("parity-chip failure: %v (dataOK=%v), want corrected-erasure", res.Outcome, res.Data == data)
 	}
-	if res.Outcome == OutcomeDUE {
-		t.Fatalf("parity-chip failure should not be a DUE")
+	if len(res.FaultyChips) != 1 || res.FaultyChips[0] != 8 {
+		t.Fatalf("blamed %v, want [8]", res.FaultyChips)
+	}
+	if c.Stats().InterLineRuns != 0 {
+		t.Fatal("the pin named the parity chip, yet the read ran an inter-line scan")
+	}
+}
+
+// TestExtendedAlertNDataAndParityChipFailureDUE: a dead data chip and a
+// dead parity chip both assert. Rebuilding the data chip from the parity
+// chip's garbage would return wrong data, so two asserting chips are a
+// DUE, the parity chip among them.
+func TestExtendedAlertNDataAndParityChipFailureDUE(t *testing.T) {
+	for seed := uint64(100); seed < 140; seed++ {
+		c := newAlertN(t, true)
+		rng := simrand.New(seed)
+		a := dram.WordAddr{Bank: 2, Row: 5, Col: 11}
+		data := lineOf(rng)
+		c.WriteLine(a, data)
+		c.Rank().InjectChipFailure(3, dram.NewChipFault(false, seed))
+		c.Rank().InjectChipFailure(8, dram.NewChipFault(false, seed+1000))
+		if res := c.ReadLine(a); res.Outcome != OutcomeDUE {
+			t.Fatalf("seed %d: chips 3 and 8 dead: %v (dataOK=%v), want DUE", seed, res.Outcome, res.Data == data)
+		}
 	}
 }
 

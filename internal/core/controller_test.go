@@ -424,6 +424,42 @@ func TestInterLineThresholdPinned(t *testing.T) {
 	}
 }
 
+// TestXEDTwoDeadChipsDUE: two dead chips in a rank both send catch-words
+// on nearly every line of a row, so §VI-A convicts neither — convicting
+// the one that flagged a line more would rebuild the line from the other's
+// garbage — and intra-line diagnosis finds both. Such a read is a DUE,
+// never wrong data, as faultsim judges two concurrent chip failures in a
+// rank. About one word in 256 of a dead chip's garbage is a valid codeword
+// and sends no catch-word; a read where one of the two stays silent takes
+// the single-erasure path instead, whose wrong rebuild is the open
+// correctSingleErasure defect (ROADMAP 5), so it is counted, not judged.
+func TestXEDTwoDeadChipsDUE(t *testing.T) {
+	judged := 0
+	for _, pair := range [][2]int{{3, 8}, {3, 5}} {
+		for seed := uint64(100); seed < 120; seed++ {
+			c := newXED(t)
+			rng := simrand.New(seed)
+			a := dram.WordAddr{Bank: 1, Row: 7, Col: 19}
+			data := lineOf(rng)
+			c.WriteLine(a, data)
+			c.Rank().InjectChipFailure(pair[0], dram.NewChipFault(false, seed))
+			c.Rank().InjectChipFailure(pair[1], dram.NewChipFault(false, seed+1000))
+			res := c.ReadLine(a)
+			if c.Stats().CatchWordsSeen != 2 {
+				t.Logf("chips %v dead, seed %d: one chip silent, %v (dataOK=%v)", pair, seed, res.Outcome, res.Data == data)
+				continue
+			}
+			judged++
+			if res.Outcome != OutcomeDUE {
+				t.Fatalf("chips %v dead, seed %d: %v (dataOK=%v), want DUE", pair, seed, res.Outcome, res.Data == data)
+			}
+		}
+	}
+	if judged < 36 {
+		t.Fatalf("only %d of 40 reads saw both catch-words; the test has no power", judged)
+	}
+}
+
 func TestXEDReadOfUnwrittenLineWithChipFailure(t *testing.T) {
 	// Unwritten lines read as zero; a failed chip must not change that.
 	c := newXED(t)

@@ -76,26 +76,24 @@ func (p *raid3) interLineDiagnosis(a dram.WordAddr) int {
 const interLineThreshold = 0.10
 
 // convictRowChip is the §VI-A conviction rule over per-chip counts of
-// flagged lines in a row of cols lines: the chip with the unique highest
-// count is convicted if that count reaches interLineThreshold of the row
-// (at least one line). Returns the chip or -1.
+// flagged lines in a row of cols lines: a chip is convicted if it alone
+// reaches interLineThreshold of the row (at least one line). Two chips at
+// the threshold convict neither: two dead chips each flag nearly every
+// line, and convicting the one that flagged a line more would rebuild the
+// line from the other's garbage. Returns the chip or -1.
 func convictRowChip(counts *[DataChips + 1]int, cols int) int {
-	threshold := int(interLineThreshold * float64(cols))
-	if threshold < 1 {
-		threshold = 1
-	}
-	best, bestCount, ties := -1, 0, 0
+	threshold := max(int(interLineThreshold*float64(cols)), 1)
+	convict := -1
 	for i, n := range counts {
-		if n > bestCount {
-			best, bestCount, ties = i, n, 1
-		} else if n == bestCount && n > 0 {
-			ties++
+		if n < threshold {
+			continue
 		}
+		if convict >= 0 {
+			return -1
+		}
+		convict = i
 	}
-	if bestCount >= threshold && ties == 1 {
-		return best
-	}
-	return -1
+	return convict
 }
 
 // intraLineDiagnosis is the §VI-B test for a permanent fault confined to

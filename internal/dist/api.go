@@ -44,10 +44,12 @@ import (
 	"xedsim/internal/faultsim"
 )
 
-// JobSpec is a campaign submission: everything that shapes the trial
-// streams and the meaning of the result. Its identity — and the completed-
-// result cache key — is the faultsim.Merger hash of the normalized spec,
-// the same hash that guards checkpoint compatibility.
+// JobSpec is a campaign submission: exactly the campaign's identity, the
+// (config, schemes, trials, seed) that shape the trial streams and the
+// meaning of the result. Its identity — and the completed-result cache
+// key — is the faultsim.Merger hash of the spec, the same hash that guards
+// checkpoint compatibility. POST /v1/jobs refuses a spec that names any
+// other field.
 type JobSpec struct {
 	// Config is the simulated system and fault environment.
 	Config faultsim.Config `json:"config"`
@@ -57,23 +59,11 @@ type JobSpec struct {
 	// Trials and Seed shape the Monte-Carlo campaign.
 	Trials int    `json:"trials"`
 	Seed   uint64 `json:"seed"`
-	// ChunkSize is the trials-per-chunk granularity; 0 selects
-	// faultsim.DefaultChunkSize. Part of the job identity (it shapes the
-	// substreams).
-	ChunkSize int `json:"chunk_size,omitempty"`
-	// ErrorBudget bounds voided (panicking) trials aggregated across all
-	// workers; 0 selects faultsim.DefaultErrorBudget.
-	ErrorBudget int `json:"error_budget,omitempty"`
 }
 
 // CampaignOptions maps the spec onto the engine's option struct.
 func (s *JobSpec) CampaignOptions() faultsim.CampaignOptions {
-	return faultsim.CampaignOptions{
-		Trials:      s.Trials,
-		Seed:        s.Seed,
-		ChunkSize:   s.ChunkSize,
-		ErrorBudget: s.ErrorBudget,
-	}
+	return faultsim.CampaignOptions{Trials: s.Trials, Seed: s.Seed}
 }
 
 // ResolveSchemes instantiates the named schemes.

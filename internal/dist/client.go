@@ -159,14 +159,7 @@ func (c *Client) Runner() func(ctx context.Context, cfg faultsim.Config, schemes
 		for i, s := range schemes {
 			names[i] = s.Name()
 		}
-		return c.RunCampaign(ctx, &JobSpec{
-			Config:      cfg,
-			Schemes:     names,
-			Trials:      opts.Trials,
-			Seed:        opts.Seed,
-			ChunkSize:   opts.ChunkSize,
-			ErrorBudget: opts.ErrorBudget,
-		})
+		return c.RunCampaign(ctx, &JobSpec{Config: cfg, Schemes: names, Trials: opts.Trials, Seed: opts.Seed})
 	}
 }
 

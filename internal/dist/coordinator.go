@@ -97,7 +97,7 @@ type unit struct {
 	lo, hi   int
 	merged   bool
 	token    uint64    // current lease token; 0 = unleased
-	deadline time.Time // lease expiry; zero when unleased
+	deadline time.Time // lease expiry, while token != 0
 }
 
 // job is one campaign's coordinator-side state.
@@ -138,7 +138,6 @@ type coordMetrics struct {
 	queueDepth      *obs.Gauge
 	leasesGranted   *obs.Counter
 	leasesExpired   *obs.Counter
-	leasesRetried   *obs.Counter
 	merges          *obs.Counter
 	mergesDuplicate *obs.Counter
 	mergeMS         *obs.Histogram
@@ -157,7 +156,6 @@ func newCoordMetrics(r *obs.Registry) coordMetrics {
 		queueDepth:      r.Gauge("dist.queue_depth"),
 		leasesGranted:   r.Counter("dist.leases_granted"),
 		leasesExpired:   r.Counter("dist.leases_expired"),
-		leasesRetried:   r.Counter("dist.leases_retried"),
 		merges:          r.Counter("dist.merges"),
 		mergesDuplicate: r.Counter("dist.merges_duplicate"),
 		mergeMS:         r.Histogram("dist.merge_ms", []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 100}),
@@ -347,8 +345,10 @@ func (c *Coordinator) Submit(spec JobSpec) (JobStatus, error) {
 
 // Lease grants the next available work unit: scanning jobs in submission
 // order, a unit is grantable when unmerged and either never leased or past
-// its deadline (straggler/death re-dispatch). Returns nil when no work is
-// available.
+// its deadline (straggler/death re-dispatch). Re-granting an expired lease
+// is the one place a lease expires, counted once in dist.leases_expired;
+// until then its holder's heartbeat still extends it. Returns nil when no
+// work is available.
 func (c *Coordinator) Lease(workerID string) (*Lease, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -372,7 +372,6 @@ func (c *Coordinator) Lease(workerID string) (*Lease, error) {
 				}
 				// Expired lease: reclaim and re-dispatch.
 				c.met.leasesExpired.Inc()
-				c.met.leasesRetried.Inc()
 			}
 			c.token++
 			u.token = c.token
@@ -623,10 +622,9 @@ func (c *Coordinator) SaveState() {
 	c.persistLedgerLocked()
 }
 
-// Start runs the background housekeeping loop until ctx is cancelled:
-// expiring stale leases (so the expiry metric ticks even with no lease
-// traffic) and persisting dirty accumulators every PersistInterval, which
-// bounds how much a torn restart has to recompute.
+// Start runs the background persistence loop until ctx is cancelled: it
+// saves dirty accumulators every PersistInterval, which bounds how much a
+// torn restart has to recompute.
 func (c *Coordinator) Start(ctx context.Context) {
 	go func() {
 		tick := time.NewTicker(c.opts.PersistInterval)
@@ -636,31 +634,10 @@ func (c *Coordinator) Start(ctx context.Context) {
 			case <-ctx.Done():
 				return
 			case <-tick.C:
-				c.sweep()
 				c.SaveState()
 			}
 		}
 	}()
-}
-
-// sweep reclaims expired leases outside the lease path.
-func (c *Coordinator) sweep() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.now()
-	for _, j := range c.jobs {
-		if j.state.Terminal() {
-			continue
-		}
-		for i := range j.units {
-			u := &j.units[i]
-			if !u.merged && u.token != 0 && !now.Before(u.deadline) {
-				u.token = 0
-				u.deadline = time.Time{}
-				c.met.leasesExpired.Inc()
-			}
-		}
-	}
 }
 
 // Handler returns the coordinator's HTTP surface: the job and worker API
@@ -670,8 +647,11 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := obs.NewMux(c.opts.Metrics, c.Ready)
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		// A spec is the campaign's identity, so a field this coordinator
+		// does not know is refused rather than dropped: dropping it would
+		// run a different campaign than the client named.
 		var spec JobSpec
-		if err := decodeJSON(w, r, &spec); err != nil {
+		if err := decodeJSON(w, r, &spec, true); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -720,7 +700,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if err := decodeJSON(w, r, &req); err != nil {
+		if err := decodeJSON(w, r, &req, false); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -740,7 +720,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/complete", func(w http.ResponseWriter, r *http.Request) {
 		var req CompleteRequest
-		if err := decodeJSON(w, r, &req); err != nil {
+		if err := decodeJSON(w, r, &req, false); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -757,7 +737,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
-		if err := decodeJSON(w, r, &req); err != nil {
+		if err := decodeJSON(w, r, &req, false); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -790,9 +770,14 @@ func resultErrCode(err error) int {
 // trial-error list is the largest legitimate message.
 const maxBodyBytes = 16 << 20
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, into any) error {
+// decodeJSON decodes a request body into into; strict refuses fields into
+// does not have.
+func decodeJSON(w http.ResponseWriter, r *http.Request, into any, strict bool) error {
 	defer r.Body.Close() //nolint:errcheck
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
 	if err := dec.Decode(into); err != nil {
 		return fmt.Errorf("dist: decoding request: %w", err)
 	}

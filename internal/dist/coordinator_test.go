@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,16 +19,15 @@ import (
 )
 
 // testSpec is a small campaign spanning enough chunks to shard meaningfully
-// (79 chunks → 20 four-chunk units).
+// (40 chunks, the last one short → 10 four-chunk units).
 func testSpec() *JobSpec {
 	cfg := faultsim.DefaultConfig()
 	cfg.LifetimeHours = 2 * faultsim.HoursPerYear
 	return &JobSpec{
-		Config:    cfg,
-		Schemes:   []string{"ECC-DIMM (SECDED)", "XED"},
-		Trials:    40_000,
-		Seed:      99,
-		ChunkSize: 512,
+		Config:  cfg,
+		Schemes: []string{"ECC-DIMM (SECDED)", "XED"},
+		Trials:  40*faultsim.DefaultChunkSize - 1000,
+		Seed:    99,
 	}
 }
 
@@ -150,51 +150,45 @@ func TestCoordinatorMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestCoordinatorBatchGenMatchesLocal: campaigns have one path, so a
-// submission from an older client that still names an engine and a
-// generation mode is the same job as one that does not — same ID, served
-// from the cache once done — and merges to the local run's Report and
-// checkpoint bytes.
-func TestCoordinatorBatchGenMatchesLocal(t *testing.T) {
+// TestSubmitRefusesUnknownFields: a job spec is exactly the campaign's
+// identity, so POST /v1/jobs refuses, with 400 and no job admitted, a spec
+// that names a field the coordinator does not know — the chunk size and
+// error budget older clients could set, or the engine and generation modes
+// of older still — rather than run a different campaign than the client
+// named. The spec without them is admitted as the campaign it names.
+func TestSubmitRefusesUnknownFields(t *testing.T) {
 	spec := testSpec()
-	localRep, localBytes := localRun(t, spec)
-	legacy := strings.Replace(mustSpecJSON(t, spec), `"chunk_size"`, `"engine":"indexed","gen":"scalar","chunk_size"`, 1)
-
 	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
+	post := func(body string) (int, JobStatus) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st JobStatus
+		json.NewDecoder(resp.Body).Decode(&st) //nolint:errcheck // an error body decodes to a zero status
+		return resp.StatusCode, st
 	}
-	var st JobStatus
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("legacy submit: HTTP %d, %v", resp.StatusCode, err)
-	}
-	drainJob(t, c)
 
-	st2, err := c.Submit(*spec)
-	if err != nil {
-		t.Fatal(err)
+	for _, field := range []string{`"chunk_size":512`, `"chunk_size":4096`, `"error_budget":3`, `"engine":"indexed","gen":"scalar"`} {
+		body := strings.Replace(mustSpecJSON(t, spec), `"trials"`, field+`,"trials"`, 1)
+		if code, _ := post(body); code != http.StatusBadRequest {
+			t.Fatalf("spec naming %s: HTTP %d, want 400", field, code)
+		}
 	}
-	if st2.ID != st.ID || !st2.Cached {
-		t.Fatalf("the same campaign without mode fields is a different job: %+v vs %+v", st2, st)
+	if lease, _ := c.Lease("w"); lease != nil {
+		t.Fatal("a refused spec was admitted")
 	}
-	rep, err := c.Result(st.ID)
-	if err != nil {
-		t.Fatal(err)
+
+	code, st := post(mustSpecJSON(t, spec))
+	if code != http.StatusAccepted {
+		t.Fatalf("spec submit: HTTP %d", code)
 	}
-	if !reflect.DeepEqual(rep, localRep) {
-		t.Fatal("coordinator Report differs from local RunCampaign")
-	}
-	b, err := c.CheckpointBytes(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != string(localBytes) {
-		t.Fatal("coordinator checkpoint bytes differ from local checkpoint file")
+	if direct, err := c.Submit(*spec); err != nil || direct.ID != st.ID {
+		t.Fatalf("the posted spec is job %.12s, the same spec submitted directly %.12s (%v)", st.ID, direct.ID, err)
 	}
 }
 
@@ -305,6 +299,89 @@ func TestLeaseExpiryAndHeartbeat(t *testing.T) {
 	}})
 	if hb.Lost != 1 {
 		t.Fatalf("straggler heartbeat = %+v, want lost", hb)
+	}
+}
+
+// TestLeaseExpiresOnlyOnRegrant: with the persistence loop running, a
+// lease past its deadline stays its holder's until Lease re-grants its
+// unit — the holder's heartbeat still extends it — and the re-grant counts
+// exactly one expiry.
+func TestLeaseExpiresOnlyOnRegrant(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	c := newTestCoordinator(t, CoordinatorOptions{
+		StateDir: dir, LeaseTTL: 10 * time.Second, UnitChunks: 4, PersistInterval: time.Millisecond, Metrics: reg,
+	})
+	var clock atomic.Int64 // fake seconds, readable from the persistence loop
+	clock.Store(1000)
+	c.now = func() time.Time { return time.Unix(clock.Load(), 0) }
+	ctx, cancel := context.WithCancel(context.Background())
+	c.Start(ctx)
+	defer func() {
+		// Stop the loop's writes before the state dir is removed: a save
+		// in progress holds the lock, and runs after it find no dir.
+		cancel()
+		c.mu.Lock()
+		c.opts.StateDir = ""
+		c.mu.Unlock()
+	}()
+	// persisted waits until the loop has run twice after the call, so at
+	// least one whole run saw the clock as it is now: every run rewrites
+	// the ledger.
+	ledger := filepath.Join(dir, "ledger.ckpt")
+	persisted := func() {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			if err := os.Remove(ledger); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				if _, err := os.Stat(ledger); err == nil {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the persistence loop did not run")
+				}
+			}
+		}
+	}
+	if _, err := c.Submit(*testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	l1, err := c.Lease("w1")
+	if err != nil || l1 == nil {
+		t.Fatalf("lease: %v %v", l1, err)
+	}
+	ref := []LeaseRef{{JobID: l1.JobID, Unit: l1.Unit, Token: l1.Token}}
+	expired := func() uint64 { return reg.Snapshot().Counters["dist.leases_expired"] }
+
+	// Past the deadline, with the loop running, the lease is still w1's
+	// to extend.
+	clock.Add(11)
+	persisted()
+	if hb := c.Heartbeat(HeartbeatRequest{WorkerID: "w1", Leases: ref}); hb.Extended != 1 || hb.Lost != 0 {
+		t.Fatalf("heartbeat past the deadline = %+v, want the lease extended", hb)
+	}
+	if n := expired(); n != 0 {
+		t.Fatalf("dist.leases_expired = %d before any re-grant, want 0", n)
+	}
+	if next, _ := c.Lease("w2"); next == nil || next.Unit == l1.Unit {
+		t.Fatalf("lease after the extension = %+v, want another unit", next)
+	}
+
+	// Past the extended deadline, a lease request re-grants the unit and
+	// counts its one expiry.
+	clock.Add(11)
+	persisted()
+	next, _ := c.Lease("w3")
+	if next == nil || next.Unit != l1.Unit || next.Token == l1.Token {
+		t.Fatalf("re-grant = %+v, want unit %d under a new token", next, l1.Unit)
+	}
+	if n := expired(); n != 1 {
+		t.Fatalf("dist.leases_expired = %d after one re-grant, want 1", n)
+	}
+	if hb := c.Heartbeat(HeartbeatRequest{WorkerID: "w1", Leases: ref}); hb.Lost != 1 {
+		t.Fatalf("heartbeat after the re-grant = %+v, want the lease lost", hb)
 	}
 }
 
@@ -469,7 +546,7 @@ func TestRecoveryRecomputesRefusedJobCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 16; i++ { // 64 of 79 chunks
+	for i := 0; i < 8; i++ { // 32 of 40 chunks
 		lease, err := c1.Lease("w")
 		if err != nil || lease == nil {
 			t.Fatal("no lease")
@@ -501,8 +578,8 @@ func TestRecoveryRecomputesRefusedJobCheckpoint(t *testing.T) {
 	if err := dec.Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	if done := env.Payload["done_trials"].(json.Number).String(); done != "32768" {
-		t.Fatalf("saved job holds %s trials, want 64 chunks of 512", done)
+	if done := env.Payload["done_trials"].(json.Number).String(); done != "131072" {
+		t.Fatalf("saved job holds %s trials, want 32 chunks of 4096", done)
 	}
 	scheme1 := env.Payload["results"].([]any)[1].(map[string]any)
 	scheme1["by_year"] = scheme1["by_year"].([]any)[:1]
@@ -567,27 +644,28 @@ func TestDrainRefusesWork(t *testing.T) {
 }
 
 // TestErrorBudgetFailsJob pins cross-worker budget aggregation at the
-// service layer: fabricated voided trials from two units trip the job into
-// the failed state, which the status and result paths surface.
+// service layer: fabricated voided trials from two units, each within
+// faultsim.DefaultErrorBudget but over it together, trip the job into the
+// failed state, which the status and result paths surface.
 func TestErrorBudgetFailsJob(t *testing.T) {
 	spec := testSpec()
 	spec.Schemes = []string{"XED"}
-	spec.Trials = 4096
-	spec.ErrorBudget = 3
+	spec.Trials = 2 * faultsim.DefaultChunkSize
 	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 1})
 	st, err := c.Submit(*spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const perUnit = faultsim.DefaultErrorBudget * 3 / 5
 	mkRes := func(lo int) faultsim.ChunkResult {
 		res := faultsim.ChunkResult{
 			Lo: lo, Hi: lo + 1,
-			Trials:  512 - 2,
+			Trials:  faultsim.DefaultChunkSize - perUnit,
 			Tallies: []faultsim.SchemeTally{{ByYear: make([]uint64, 2)}},
 		}
-		for i := 0; i < 2; i++ {
+		for i := 0; i < perUnit; i++ {
 			res.Errors = append(res.Errors, faultsim.TrialError{
-				Trial: lo*512 + i, Chunk: lo, RNGState: [4]uint64{1, 2, 3, 4}, PanicValue: "boom",
+				Trial: lo*faultsim.DefaultChunkSize + i, Chunk: lo, RNGState: [4]uint64{1, 2, 3, 4}, PanicValue: "boom",
 			})
 		}
 		return res
@@ -602,7 +680,7 @@ func TestErrorBudgetFailsJob(t *testing.T) {
 		t.Fatalf("budget-tripping complete = %+v, %v", resp, err)
 	}
 	st, _ = c.Status(st.ID)
-	if st.State != JobFailed || st.Error == "" || st.TrialErrors != 4 {
+	if st.State != JobFailed || st.Error == "" || st.TrialErrors != 2*perUnit {
 		t.Fatalf("failed job status = %+v", st)
 	}
 	if _, err := c.Result(st.ID); !errors.Is(err, ErrNotDone) {

@@ -298,7 +298,7 @@ func FuzzBatchGenVsScalar(f *testing.F) {
 }
 
 // TestBatchCampaignEngineAndWorkerInvariance pins the determinism contract
-// of the one campaign path: for fixed (cfg, Trials, Seed, ChunkSize) the
+// of the one campaign path: for fixed (cfg, schemes, Trials, Seed) the
 // report is bit-identical across worker counts and equal to both scalar
 // judges — the pre-indexed Evaluator and the O(n²) reference — run over
 // the same planned chunks.
@@ -331,7 +331,7 @@ func TestBatchVsScalarCampaignLaw(t *testing.T) {
 		cfg.FITs[i].Rate *= 100
 	}
 	schemes := AllSchemes()
-	opts := CampaignOptions{Trials: 100_000, Seed: 424242, ChunkSize: 4096, Workers: 4}
+	opts := CampaignOptions{Trials: 100_000, Seed: 424242, Workers: 4}
 	if testing.Short() {
 		opts.Trials = 25_000
 	}
@@ -430,13 +430,12 @@ func TestBatchPlanZeroAllocs(t *testing.T) {
 	w := newCampaignWorker(newCampaignTables(&cfg, AllSchemes()), 7, 7)
 	w.shape = true
 	w.recsPerTrial, w.skipRun = met.recsPerTrial.Batch(), met.skipRun.Batch()
-	ctx := context.Background()
 	for c := 0; c < 10; c++ {
-		w.RunChunk(ctx, c, 0, 4096)
+		w.RunChunk(c, 0, 4096)
 	}
 	c := 10
 	if allocs := testing.AllocsPerRun(20, func() {
-		w.RunChunk(ctx, c, 0, 2048)
+		w.RunChunk(c, 0, 2048)
 		w.recsPerTrial.Flush()
 		w.skipRun.Flush()
 		c++
@@ -455,7 +454,7 @@ func TestBatchGenMetricsShape(t *testing.T) {
 	opts.Metrics = reg
 	rep := mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
 	snap := reg.Snapshot()
-	wantChunks := uint64((opts.Trials + opts.ChunkSize - 1) / opts.ChunkSize)
+	wantChunks := uint64((opts.Trials + DefaultChunkSize - 1) / DefaultChunkSize)
 	if got := snap.Counters["faultsim.gen.batch_refills"]; got != wantChunks {
 		t.Fatalf("batch_refills = %d, want %d (one plan per chunk)", got, wantChunks)
 	}

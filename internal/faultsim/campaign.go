@@ -48,15 +48,16 @@ import (
 // reseeding xoshiro per trial costs more than an average trial does, and a
 // chunk is what the batch plan draws at once.
 
-// Campaign engine defaults.
+// Campaign engine constants.
 const (
-	// DefaultChunkSize is the trials-per-chunk granularity of scheduling,
-	// checkpointing and cancellation draining. A chunk is ~100µs of work.
+	// DefaultChunkSize is the trials per chunk: the granularity of
+	// scheduling, checkpointing and cancellation. It shapes the substreams,
+	// so every campaign uses it. A chunk is ~100µs of work.
 	DefaultChunkSize = 4096
 	// DefaultCheckpointInterval spaces periodic snapshots.
 	DefaultCheckpointInterval = 30 * time.Second
 	// DefaultErrorBudget is how many panicking trials a campaign tolerates
-	// before giving up (CampaignOptions.ErrorBudget zero value).
+	// before giving up.
 	DefaultErrorBudget = 100
 )
 
@@ -70,7 +71,7 @@ const (
 )
 
 // ErrErrorBudgetExceeded reports a campaign aborted because more trials
-// panicked than ErrorBudget tolerates.
+// panicked than DefaultErrorBudget tolerates.
 var ErrErrorBudgetExceeded = errors.New("faultsim: trial-error budget exceeded")
 
 // CampaignOptions parameterises RunCampaign.
@@ -79,12 +80,10 @@ type CampaignOptions struct {
 	Trials int
 	// Seed is the campaign seed; all trial randomness derives from it.
 	Seed uint64
-	// Workers is the goroutine count; <= 0 selects GOMAXPROCS.
+	// Workers is the goroutine count; <= 0 selects GOMAXPROCS. Results are
+	// deterministic for a fixed (Config, schemes, Trials, Seed) regardless
+	// of Workers.
 	Workers int
-	// ChunkSize is the trials-per-chunk scheduling granularity; 0 selects
-	// DefaultChunkSize. Results are deterministic for a fixed (Config,
-	// Trials, Seed, ChunkSize) regardless of Workers.
-	ChunkSize int
 	// CheckpointPath enables periodic atomic snapshots when non-empty.
 	CheckpointPath string
 	// CheckpointInterval spaces periodic snapshots; 0 selects
@@ -94,10 +93,6 @@ type CampaignOptions struct {
 	// chunks it does not cover. A missing file starts fresh; a snapshot
 	// from any different configuration is refused.
 	Resume bool
-	// ErrorBudget is the maximum number of panicking trials tolerated
-	// before the campaign aborts with ErrErrorBudgetExceeded. The zero
-	// value selects DefaultErrorBudget; any negative value tolerates none.
-	ErrorBudget int
 	// OnChunk, when non-nil, observes progress after each chunk merge
 	// (and once at startup when resuming): completed and total chunk
 	// counts. It is called from worker goroutines, serialised.
@@ -222,6 +217,8 @@ type campaignSnapshot struct {
 
 // campaignHashInput is what the checkpoint config hash covers: everything
 // that shapes the trial streams and the meaning of the accumulators.
+// ChunkSize is always DefaultChunkSize; it stays in the input so that
+// existing job IDs and checkpoints still match.
 type campaignHashInput struct {
 	Config    Config   `json:"config"`
 	Schemes   []string `json:"schemes"`
@@ -342,11 +339,10 @@ func newCampaignMetrics(r *obs.Registry, schemes []Scheme) campaignMetrics {
 	return m
 }
 
-// newCampaign validates (cfg, schemes, opts), normalizes the options
-// (default chunk size, checkpoint interval, error budget) and builds the
-// campaign's accumulator and runner. needHash forces the config-hash
-// computation even when no CheckpointPath is set (distributed merging
-// always needs it).
+// newCampaign validates (cfg, schemes, opts), normalizes the checkpoint
+// interval and builds the campaign's accumulator and runner. needHash
+// forces the config-hash computation even when no CheckpointPath is set
+// (distributed merging always needs it).
 func newCampaign(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bool) (*campaign, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -360,17 +356,8 @@ func newCampaign(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bo
 	if len(schemes) > laneVecGroup {
 		return nil, fmt.Errorf("faultsim: a campaign judges at most %d schemes, got %d", laneVecGroup, len(schemes))
 	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = DefaultChunkSize
-	}
 	if opts.CheckpointInterval <= 0 {
 		opts.CheckpointInterval = DefaultCheckpointInterval
-	}
-	switch {
-	case opts.ErrorBudget == 0:
-		opts.ErrorBudget = DefaultErrorBudget
-	case opts.ErrorBudget < 0:
-		opts.ErrorBudget = 0
 	}
 
 	c := &campaign{
@@ -382,7 +369,7 @@ func newCampaign(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bo
 	if needHash {
 		var err error
 		c.hash, err = checkpoint.Hash(campaignHashInput{
-			Config: cfg, Schemes: c.schemeNames(), Trials: opts.Trials, Seed: opts.Seed, ChunkSize: opts.ChunkSize,
+			Config: cfg, Schemes: c.schemeNames(), Trials: opts.Trials, Seed: opts.Seed, ChunkSize: DefaultChunkSize,
 		})
 		if err != nil {
 			return nil, err
@@ -392,8 +379,8 @@ func newCampaign(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bo
 	for i := range c.acc.results {
 		c.acc.results[i].ByYear = make([]uint64, c.years)
 	}
-	c.acc.budget = opts.ErrorBudget
-	c.run = chunkrun.New(opts.Trials, opts.ChunkSize,
+	c.acc.budget = DefaultErrorBudget
+	c.run = chunkrun.New(opts.Trials, DefaultChunkSize,
 		chunkrun.Format{Kind: checkpointKind, Version: checkpointVersion, Hash: c.hash}, c)
 	return c, nil
 }
@@ -414,7 +401,7 @@ func (c *campaign) schemeNames() []string {
 // covering exactly Trials trials (minus any panicking trials, which are
 // voided and listed in Report.TrialErrors) and a nil error.
 //
-// Results are bit-identical for a fixed (cfg, Trials, Seed, ChunkSize)
+// Results are bit-identical for a fixed (cfg, schemes, Trials, Seed)
 // whatever the worker count and whether or not the run was interrupted and
 // resumed.
 func RunCampaign(ctx context.Context, cfg Config, schemes []Scheme, opts CampaignOptions) (*Report, error) {
@@ -434,7 +421,7 @@ func RunCampaign(ctx context.Context, cfg Config, schemes []Scheme, opts Campaig
 	c.met = newCampaignMetrics(opts.Metrics, schemes)
 	c.met.trialsRequested.Add(int64(opts.Trials))
 	c.met.chunksTotal.Add(int64(c.run.Chunks()))
-	c.met.errorBudget.Set(int64(opts.ErrorBudget))
+	c.met.errorBudget.Set(DefaultErrorBudget)
 	if done := c.run.DoneChunks(); done > 0 {
 		// Resumed progress is visible immediately, so live trials/s and
 		// tallies start from the snapshot's frontier rather than zero.
@@ -479,7 +466,7 @@ func (c *campaign) Snapshot(done []uint64, complete bool) campaignSnapshot {
 	return campaignSnapshot{
 		Trials:     c.opts.Trials,
 		Seed:       c.opts.Seed,
-		ChunkSize:  c.opts.ChunkSize,
+		ChunkSize:  DefaultChunkSize,
 		Years:      c.years,
 		Schemes:    c.schemeNames(),
 		DoneChunks: done,
@@ -625,22 +612,16 @@ func newCampaignWorker(t *campaignTables, seed uint64, years int) *campaignWorke
 	return w
 }
 
-// cancelCheckMask paces the intra-chunk ctx poll. Cancellation is normally
-// drained at chunk boundaries; the intra-chunk check only matters for
-// outsized custom ChunkSizes.
-const cancelCheckMask = 1<<16 - 1
-
 // RunChunk evaluates trials [lo, hi) of chunk c into the worker's tallies:
 // it plans the whole chunk, packs the planned trials into lane batches and
 // judges each batch as it fills. Trials outside the plan drew no faults;
 // an empty trial survives every scheme unless scaling faults meet a
 // fleet without On-Die ECC, and then every trial fails as an SDC at hour 0
-// whatever it drew, so such a chunk is tallied without a plan. RunChunk
-// returns false if ctx cancelled mid-chunk (tallies must be discarded). A
-// panic inside scheme code is contained per lane by the LaneEvaluator; a
-// panic escaping to this frame is a generation failure and propagates
-// (recovery there could not keep the RNG stream deterministic).
-func (w *campaignWorker) RunChunk(ctx context.Context, c, lo, hi int) bool {
+// whatever it drew, so such a chunk is tallied without a plan. A panic
+// inside scheme code is contained per lane by the LaneEvaluator; a panic
+// escaping to this frame is a generation failure and propagates (recovery
+// there could not keep the RNG stream deterministic).
+func (w *campaignWorker) RunChunk(c, lo, hi int) {
 	w.chunk, w.lo, w.hi = c, lo, hi
 	// TrialError holds heap references (Faults slice, panic strings);
 	// truncating without clearing would keep every past chunk's worst-case
@@ -653,15 +634,12 @@ func (w *campaignWorker) RunChunk(ctx context.Context, c, lo, hi int) bool {
 	for s := range w.failures {
 		clear(w.failures[s])
 	}
-	if ctx.Err() != nil {
-		return false
-	}
 	if w.t.eval.scalingFatal {
 		n := uint64(hi - lo)
 		for s := range w.total {
 			w.total[s], w.sdcs[s], w.failures[s][0] = n, n, n
 		}
-		return true
+		return
 	}
 	// Substream (seed, c): the chunk's randomness is independent of which
 	// worker runs it and of every other chunk.
@@ -681,11 +659,8 @@ func (w *campaignWorker) RunChunk(ctx context.Context, c, lo, hi int) bool {
 		w.observePlan(&w.buf.plan)
 	}
 	w.buf.batch.Reset()
-	if !w.packPlanned(ctx) {
-		return false
-	}
+	w.packPlanned()
 	w.flushBatch()
-	return true
 }
 
 // Fold adds the last chunk to the campaign's accumulator (chunkrun.Worker).
@@ -717,22 +692,18 @@ func (w *campaignWorker) Publish() {
 
 // packPlanned packs the chunk's planned trials into lane batches. Trials
 // outside the plan drew no faults, so they tally nothing and get no lane.
-func (w *campaignWorker) packPlanned(ctx context.Context) bool {
+func (w *campaignWorker) packPlanned() {
 	p, b, lv, g, rng := &w.buf.plan, &w.buf.batch, w.lv, &w.gen, &w.rng
 	// emitTrial and commitDigested are open-coded: the loop visits every
 	// planned trial in order, so recEnd[i-1] is just where the previous
 	// iteration stopped, and keeping the recs/lrs slice headers and the
 	// lane count in locals spares a load+store per record. The locals sync
 	// back to the batch at every flush boundary (flushBatch resets the
-	// batch) and on early return.
+	// batch) and at the end.
 	classes, lifetime := g.classes, g.cfg.LifetimeHours
 	rLo := int32(0)
 	recs, lrs, lanes := b.recs, b.lrs, b.lanes
 	for i := 0; i < p.emitted(); i++ {
-		if i&255 == 0 && ctx.Err() != nil {
-			b.recs, b.lrs, b.lanes = recs, lrs, lanes
-			return false
-		}
 		n0 := len(recs)
 		for r := rLo; r < p.recEnd[i]; r++ {
 			recs = g.emitPlaced(rng, recs, classes[p.class[r]],
@@ -770,7 +741,6 @@ func (w *campaignWorker) packPlanned(ctx context.Context) bool {
 		}
 	}
 	b.recs, b.lrs, b.lanes = recs, lrs, lanes
-	return true
 }
 
 // flushBatch judges the pending lane batch and folds its failure masks

@@ -20,10 +20,10 @@ import (
 )
 
 // campaignTestOpts is the shared shape: small enough to run in
-// milliseconds, chunked finely enough that scheduling and interruption
-// actually exercise the chunk machinery (≈40 chunks).
+// milliseconds, with enough chunks (40, the last one short) that
+// scheduling and interruption actually exercise the chunk machinery.
 func campaignTestOpts() CampaignOptions {
-	return CampaignOptions{Trials: 20_000, Seed: 99, ChunkSize: 512}
+	return CampaignOptions{Trials: 40*DefaultChunkSize - 1000, Seed: 99}
 }
 
 func mustCampaign(t *testing.T, ctx context.Context, cfg Config, schemes []Scheme, opts CampaignOptions) *Report {
@@ -73,7 +73,7 @@ func TestRunCampaignMetrics(t *testing.T) {
 	if got := snap.Counters["campaign.trials_done"]; got != rep.Trials {
 		t.Fatalf("trials_done = %d, Report.Trials = %d", got, rep.Trials)
 	}
-	wantChunks := (opts.Trials + opts.ChunkSize - 1) / opts.ChunkSize
+	wantChunks := (opts.Trials + DefaultChunkSize - 1) / DefaultChunkSize
 	if got := snap.Counters["campaign.chunks_done"]; got != uint64(wantChunks) {
 		t.Fatalf("chunks_done = %d, want %d", got, wantChunks)
 	}
@@ -108,19 +108,6 @@ func TestRunCampaignMetrics(t *testing.T) {
 	}
 }
 
-func TestRunCampaignChunkSizeChangesAreDeclared(t *testing.T) {
-	// The determinism contract fixes (cfg, Trials, Seed, ChunkSize) —
-	// ChunkSize is part of the stream layout, so changing it may change
-	// the sampled faults. This test pins the *guaranteed* half: same
-	// ChunkSize twice is bit-identical.
-	cfg := DefaultConfig()
-	a := mustCampaign(t, context.Background(), cfg, AllSchemes(), campaignTestOpts())
-	b := mustCampaign(t, context.Background(), cfg, AllSchemes(), campaignTestOpts())
-	if !reflect.DeepEqual(a.Results, b.Results) {
-		t.Fatal("identical campaigns diverged")
-	}
-}
-
 func TestRunCampaignCheckpointResumeBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := AllSchemes()
@@ -132,7 +119,7 @@ func TestRunCampaignCheckpointResumeBitIdentical(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		path := filepath.Join(t.TempDir(), "campaign.ckpt")
-		nChunks := (campaignTestOpts().Trials + campaignTestOpts().ChunkSize - 1) / campaignTestOpts().ChunkSize
+		nChunks := (campaignTestOpts().Trials + DefaultChunkSize - 1) / DefaultChunkSize
 		stopAfter := 1 + rng.Intn(nChunks-2) // interrupt at a random trial count
 
 		ctx, cancel := context.WithCancel(context.Background())
@@ -196,7 +183,6 @@ func TestRunCampaignRefusesMismatchedCheckpoint(t *testing.T) {
 	for name, mutate := range map[string]func(*Config, *CampaignOptions){
 		"seed":    func(c *Config, o *CampaignOptions) { o.Seed++ },
 		"trials":  func(c *Config, o *CampaignOptions) { o.Trials *= 2 },
-		"chunk":   func(c *Config, o *CampaignOptions) { o.ChunkSize *= 2 },
 		"config":  func(c *Config, o *CampaignOptions) { c.ScrubIntervalHours = 1 },
 		"schemes": nil, // handled below: different scheme set
 	} {
@@ -242,14 +228,20 @@ func panicScheme() Scheme {
 	}
 }
 
+// panicTestOpts sizes a campaign so that panicScheme voids some of its
+// trials (55 at this seed) but no more than DefaultErrorBudget tolerates.
+// campaignTestOpts' eight times as many trials void more than the budget.
+func panicTestOpts() CampaignOptions {
+	return CampaignOptions{Trials: 20_000, Seed: 99}
+}
+
 func TestRunCampaignPanicIsolationAndReplay(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := []Scheme{NewXED(), panicScheme()}
 	var reference *Report
 	for _, workers := range []int{1, 4, 16} {
-		opts := campaignTestOpts()
+		opts := panicTestOpts()
 		opts.Workers = workers
-		opts.ErrorBudget = 1 << 20 // isolate, never abort
 		rep, err := RunCampaign(context.Background(), cfg, schemes, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: campaign aborted: %v", workers, err)
@@ -310,13 +302,12 @@ func TestRunCampaignErrorBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := []Scheme{NewXED(), panicScheme()}
 	opts := campaignTestOpts()
-	opts.ErrorBudget = -1 // tolerate none
 	rep, err := RunCampaign(context.Background(), cfg, schemes, opts)
 	if !errors.Is(err, ErrErrorBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrErrorBudgetExceeded", err)
 	}
-	if rep == nil || len(rep.TrialErrors) == 0 {
-		t.Fatal("aborted campaign should still report its trial errors")
+	if rep == nil || len(rep.TrialErrors) <= DefaultErrorBudget {
+		t.Fatal("aborted campaign should still report its trial errors, more than the budget")
 	}
 }
 
@@ -451,7 +442,7 @@ func TestTrialErrorReplayChosenTrial(t *testing.T) {
 	var p batchPlan
 	rng := new(simrand.Source)
 	rng.SeedStream(opts.Seed, chunk)
-	p.build(gen.genTables, &arr, rng, opts.ChunkSize)
+	p.build(gen.genTables, &arr, rng, DefaultChunkSize)
 	last := -1
 	var faults, buf []FaultRecord
 	for i := 0; i < p.emitted(); i++ {
@@ -470,10 +461,10 @@ func TestTrialErrorReplayChosenTrial(t *testing.T) {
 		t.Fatalf("%d voided trials, want exactly the chosen one", len(rep.TrialErrors))
 	}
 	te := rep.TrialErrors[0]
-	if want := chunk*opts.ChunkSize + int(p.trialPos[last]); te.Trial != want || te.Chunk != chunk ||
-		te.PlanIndex != last || te.ChunkTrials != opts.ChunkSize {
+	if want := chunk*DefaultChunkSize + int(p.trialPos[last]); te.Trial != want || te.Chunk != chunk ||
+		te.PlanIndex != last || te.ChunkTrials != DefaultChunkSize {
 		t.Fatalf("voided trial %d (chunk %d, plan index %d of a %d-trial chunk), want trial %d (chunk %d, plan index %d of %d)",
-			te.Trial, te.Chunk, te.PlanIndex, te.ChunkTrials, want, chunk, last, opts.ChunkSize)
+			te.Trial, te.Chunk, te.PlanIndex, te.ChunkTrials, want, chunk, last, DefaultChunkSize)
 	}
 	got, outs, panicked, err := te.Replay(cfg, schemes)
 	if err != nil {
@@ -493,7 +484,7 @@ func TestTrialErrorReplayChosenTrial(t *testing.T) {
 		t.Fatalf("empty-trial replay = %v, %v, %v, %v", got, outs, panicked, err)
 	}
 	// Records that cannot name a planned trial are refused.
-	for _, bad := range []TrialError{{ChunkTrials: 0, RNGState: te.RNGState}, {ChunkTrials: opts.ChunkSize, PlanIndex: p.emitted(), RNGState: te.RNGState}} {
+	for _, bad := range []TrialError{{ChunkTrials: 0, RNGState: te.RNGState}, {ChunkTrials: DefaultChunkSize, PlanIndex: p.emitted(), RNGState: te.RNGState}} {
 		if _, _, _, err := bad.Replay(cfg, schemes); err == nil {
 			t.Fatalf("replay of %+v accepted", bad)
 		}
@@ -601,7 +592,7 @@ func rewriteCheckpoint(t *testing.T, path string, edit func(*campaignSnapshot)) 
 // done than exist and never be complete; it is refused.
 func TestRunCampaignRefusesDoneBitPastChunkCount(t *testing.T) {
 	cfg := DefaultConfig()
-	opts := CampaignOptions{Trials: 40_000, Seed: 99, ChunkSize: 512} // 79 chunks
+	opts := CampaignOptions{Trials: 79 * DefaultChunkSize, Seed: 99} // 79 chunks
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "campaign.ckpt")
 	mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
 	rewriteCheckpoint(t, opts.CheckpointPath, func(s *campaignSnapshot) { s.DoneChunks[1] |= 1 << (79 - 64) })

@@ -22,7 +22,7 @@ import (
 // Both are thin views over the campaign's domain layer and its
 // chunkrun.Runner, the same ones RunCampaign drives, which is what makes
 // the headline invariant cheap to state and test: for a fixed (Config,
-// schemes, Trials, Seed, ChunkSize), a Merger that has merged every chunk
+// schemes, Trials, Seed), a Merger that has merged every chunk
 // exactly once holds byte-identical checkpoint snapshots — and therefore
 // bit-identical Reports — to a local RunCampaign, no matter how chunks
 // were partitioned, scheduled, retried or duplicated in between. Chunk
@@ -68,9 +68,9 @@ type ChunkRunner struct {
 }
 
 // NewChunkRunner builds a runner for the campaign shaped by (cfg, schemes,
-// opts). Only Trials, Seed, ChunkSize and ErrorBudget of opts are
-// meaningful here; scheduling fields (Workers, CheckpointPath, OnChunk,
-// Metrics) belong to the caller's loop.
+// opts). Only Trials and Seed of opts are meaningful here; scheduling
+// fields (Workers, CheckpointPath, OnChunk, Metrics) belong to the
+// caller's loop.
 func NewChunkRunner(cfg Config, schemes []Scheme, opts CampaignOptions) (*ChunkRunner, error) {
 	c, err := newCampaign(cfg, schemes, opts, true)
 	if err != nil {
@@ -85,9 +85,9 @@ func NewChunkRunner(cfg Config, schemes []Scheme, opts CampaignOptions) (*ChunkR
 // NumChunks returns the campaign's total chunk count.
 func (r *ChunkRunner) NumChunks() int { return r.c.run.Chunks() }
 
-// RunSpan evaluates chunks [lo, hi) and returns their tallies. It honours
-// ctx at sub-chunk granularity: a cancellation mid-span returns ctx's
-// error and no result (partial spans must never be merged). Spans are
+// RunSpan evaluates chunks [lo, hi) and returns their tallies. It checks
+// ctx before each chunk: a cancellation mid-span returns ctx's error and
+// no result (partial spans must never be merged). Spans are
 // independent — any partition of [0, NumChunks) into spans, run in any
 // order on any number of runners, yields tallies that merge to the same
 // campaign state.
@@ -106,13 +106,11 @@ func (r *ChunkRunner) RunSpan(ctx context.Context, lo, hi int) (*ChunkResult, er
 	// spans to the campaign's error budget together.
 	acc := accum{results: res.Tallies, budget: math.MaxInt}
 	for c := lo; c < hi; c++ {
-		tlo, thi := run.Bounds(c)
-		if !r.w.RunChunk(ctx, c, tlo, thi) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("faultsim: chunk %d aborted", c)
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		tlo, thi := run.Bounds(c)
+		r.w.RunChunk(c, tlo, thi)
 		_ = acc.fold(r.w) // no budget, so it cannot fail
 	}
 	res.Trials, res.Errors = acc.trials, acc.errs
@@ -129,9 +127,9 @@ type Merger struct {
 }
 
 // NewMerger builds a merger for the campaign shaped by (cfg, schemes,
-// opts). Trials, Seed, ChunkSize and ErrorBudget are meaningful; the
-// error budget is enforced across all merged spans, aggregating voided
-// trials from every worker.
+// opts). Only Trials and Seed of opts are meaningful; DefaultErrorBudget
+// is enforced across all merged spans, aggregating voided trials from
+// every worker.
 func NewMerger(cfg Config, schemes []Scheme, opts CampaignOptions) (*Merger, error) {
 	c, err := newCampaign(cfg, schemes, opts, true)
 	if err != nil {

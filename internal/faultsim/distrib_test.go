@@ -12,9 +12,10 @@ import (
 	"xedsim/internal/checkpoint"
 )
 
-// distTestOpts is a small campaign that still spans many chunks.
+// distTestOpts is a small campaign that still spans many chunks: 40 full
+// ones and a short last one.
 func distTestOpts() CampaignOptions {
-	return CampaignOptions{Trials: 40_000, Seed: 99, ChunkSize: 512}
+	return CampaignOptions{Trials: 40*DefaultChunkSize + 1000, Seed: 99}
 }
 
 // runSpans partitions the chunk range into spans of `unit` chunks,
@@ -143,7 +144,7 @@ func TestMergeRejectsDuplicates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LifetimeHours = 1 * HoursPerYear
 	schemes := []Scheme{NewXED()}
-	opts := CampaignOptions{Trials: 4096, Seed: 1, ChunkSize: 512}
+	opts := CampaignOptions{Trials: 8 * DefaultChunkSize, Seed: 1}
 
 	m, err := NewMerger(cfg, schemes, opts)
 	if err != nil {
@@ -183,7 +184,7 @@ func TestMergeValidatesEnvelopes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LifetimeHours = 1 * HoursPerYear
 	schemes := []Scheme{NewXED()}
-	opts := CampaignOptions{Trials: 4096, Seed: 1, ChunkSize: 512}
+	opts := CampaignOptions{Trials: 8 * DefaultChunkSize, Seed: 1}
 	m, err := NewMerger(cfg, schemes, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -227,35 +228,37 @@ func TestMergerErrorBudgetAggregates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LifetimeHours = 1 * HoursPerYear
 	schemes := []Scheme{NewXED()}
-	opts := CampaignOptions{Trials: 4096, Seed: 1, ChunkSize: 512, ErrorBudget: 3}
+	opts := CampaignOptions{Trials: 8 * DefaultChunkSize, Seed: 1}
 	m, err := NewMerger(cfg, schemes, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fabricate spans with two voided trials each (as if scheme code
-	// panicked on remote workers).
+	// Fabricate spans with 60 voided trials each (as if scheme code
+	// panicked on remote workers): one span stays within the budget of
+	// 100, two cross it.
+	const perSpan = DefaultErrorBudget * 3 / 5
 	mkRes := func(lo int) *ChunkResult {
 		res := &ChunkResult{
 			Lo: lo, Hi: lo + 1,
-			Trials:  512 - 2,
+			Trials:  DefaultChunkSize - perSpan,
 			Tallies: []SchemeTally{{ByYear: make([]uint64, 1)}},
 		}
-		for i := 0; i < 2; i++ {
+		for i := 0; i < perSpan; i++ {
 			res.Errors = append(res.Errors, TrialError{
-				Trial: lo*512 + i, Chunk: lo, RNGState: [4]uint64{1, 2, 3, 4}, PanicValue: "boom",
+				Trial: lo*DefaultChunkSize + i, Chunk: lo, RNGState: [4]uint64{1, 2, 3, 4}, PanicValue: "boom",
 			})
 		}
 		return res
 	}
 	if err := m.Merge(mkRes(0)); err != nil {
-		t.Fatalf("first span (2 errors, budget 3): %v", err)
+		t.Fatalf("first span (%d errors, budget %d): %v", perSpan, DefaultErrorBudget, err)
 	}
 	err = m.Merge(mkRes(1))
 	if !errors.Is(err, ErrErrorBudgetExceeded) {
 		t.Fatalf("second span err = %v, want ErrErrorBudgetExceeded", err)
 	}
-	if m.TrialErrorCount() != 4 {
-		t.Fatalf("TrialErrorCount = %d, want 4", m.TrialErrorCount())
+	if m.TrialErrorCount() != 2*perSpan {
+		t.Fatalf("TrialErrorCount = %d, want %d", m.TrialErrorCount(), 2*perSpan)
 	}
 }
 
@@ -346,7 +349,7 @@ func TestMergerLoadChecksWholePayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RunSpan(context.Background(), 0, 64)
+	res, err := r.RunSpan(context.Background(), 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +369,7 @@ func TestMergerLoadChecksWholePayload(t *testing.T) {
 	if err := fresh.Load(path); !errors.Is(err, checkpoint.ErrConfigMismatch) {
 		t.Fatalf("load of a truncated by_year: %v, want ErrConfigMismatch", err)
 	}
-	if fresh.SpanMerged(0, 64) || fresh.DoneChunks() != 0 || fresh.DoneTrials() != 0 {
+	if fresh.SpanMerged(0, 16) || fresh.DoneChunks() != 0 || fresh.DoneTrials() != 0 {
 		t.Fatalf("refused load left %d chunks and %d trials merged", fresh.DoneChunks(), fresh.DoneTrials())
 	}
 	empty, err := NewMerger(cfg, mkSchemes(), opts)
@@ -398,16 +401,9 @@ func TestMergerHashIdentity(t *testing.T) {
 	if h := hash(parallel); h != h0 {
 		t.Fatal("worker count changed the campaign hash")
 	}
-	// Explicit default chunk size hashes like the implicit one.
-	explicit := base
-	explicit.ChunkSize = DefaultChunkSize
-	if h := hash(explicit); h != h0 {
-		t.Fatal("explicit default chunk size changed the campaign hash")
-	}
 	for name, mut := range map[string]func(*CampaignOptions){
 		"seed":   func(o *CampaignOptions) { o.Seed++ },
 		"trials": func(o *CampaignOptions) { o.Trials++ },
-		"chunk":  func(o *CampaignOptions) { o.ChunkSize = 100 },
 	} {
 		o := base
 		mut(&o)

@@ -41,25 +41,24 @@ func denseConfig(factor FIT) Config {
 }
 
 // TestLaneEngineBoundaries pins the lane-packing arithmetic at the word
-// boundaries: trial counts around one lane word, chunks smaller than a
-// word (so every batch is partial), and chunks that split words unevenly —
-// on a dense config, where planned trials are packed into lanes, and on a
-// scaling-fatal one (scaling faults without On-Die ECC), where every
-// trial, empty or not, fails and the chunk is tallied without a plan. The
-// campaign must match both scalar oracles on the same planned chunks.
+// boundaries: trial counts around one lane word, a full chunk whose
+// planned trials split words unevenly, and a short last chunk smaller than
+// a word (so its one batch is partial) — on a dense config, where planned
+// trials are packed into lanes, and on a scaling-fatal one (scaling faults
+// without On-Die ECC), where every trial, empty or not, fails and the
+// chunk is tallied without a plan. The campaign must match both scalar
+// oracles on the same planned chunks.
 func TestLaneEngineBoundaries(t *testing.T) {
 	fatal := denseConfig(150)
 	fatal.OnDie, fatal.ScalingRate = false, 1e-4
 	schemes := AllSchemes()
 	for name, cfg := range map[string]Config{"dense": denseConfig(150), "fatal": fatal} {
-		for _, trials := range []int{1, 63, 64, 65, 130} {
-			for _, chunk := range []int{1, 7, 64, 4096} {
-				opts := CampaignOptions{Trials: trials, Seed: 7, ChunkSize: chunk, Workers: 2}
-				rep := mustCampaign(t, context.Background(), cfg, schemes, opts)
-				for judge, fn := range oracleJudges {
-					sameCampaign(t, fmt.Sprintf("%s trials=%d chunk=%d vs %s", name, trials, chunk, judge),
-						rep, oracleCampaign(t, cfg, schemes, opts, fn))
-				}
+		for _, trials := range []int{1, 7, 63, 64, 65, 130, DefaultChunkSize + 7} {
+			opts := CampaignOptions{Trials: trials, Seed: 7, Workers: 2}
+			rep := mustCampaign(t, context.Background(), cfg, schemes, opts)
+			for judge, fn := range oracleJudges {
+				sameCampaign(t, fmt.Sprintf("%s trials=%d vs %s", name, trials, judge),
+					rep, oracleCampaign(t, cfg, schemes, opts, fn))
 			}
 		}
 	}
@@ -87,7 +86,7 @@ func TestLaneEngineEquivalenceSweep(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		opts := CampaignOptions{Trials: 30_000, Seed: 11, ChunkSize: 512, Workers: 4}
+		opts := CampaignOptions{Trials: 30_000, Seed: 11, Workers: 4}
 		if testing.Short() {
 			opts.Trials = 8_000
 		}
@@ -113,7 +112,7 @@ func TestLaneEngineHeavyWeights(t *testing.T) {
 		NewRankErasureScheme("Heavy120", 200, heavy(120)),
 		NewRankErasureScheme("Heavy130", 200, heavy(130)),
 	}
-	opts := CampaignOptions{Trials: 20_000, Seed: 3, ChunkSize: 512, Workers: 2}
+	opts := CampaignOptions{Trials: 20_000, Seed: 3, Workers: 2}
 	rep := mustCampaign(t, context.Background(), cfg, schemes, opts)
 	for judge, fn := range oracleJudges {
 		sameCampaign(t, "heavy schemes vs "+judge, rep, oracleCampaign(t, cfg, schemes, opts, fn))
@@ -154,8 +153,7 @@ func TestLaneEngineSchemeCap(t *testing.T) {
 func TestLaneEnginePanicIsolation(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := []Scheme{NewXED(), panicScheme()}
-	opts := campaignTestOpts()
-	opts.ErrorBudget = 1 << 20
+	opts := panicTestOpts()
 	rep, err := RunCampaign(context.Background(), cfg, schemes, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +163,7 @@ func TestLaneEnginePanicIsolation(t *testing.T) {
 	}
 	sameCampaign(t, "under panics", rep, oracleCampaign(t, cfg, schemes, opts, (*Evaluator).EvaluateInto))
 	// The error budget is enforced at merge.
-	opts.ErrorBudget = -1
-	if _, err := RunCampaign(context.Background(), cfg, schemes, opts); !errors.Is(err, ErrErrorBudgetExceeded) {
+	if _, err := RunCampaign(context.Background(), cfg, schemes, campaignTestOpts()); !errors.Is(err, ErrErrorBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrErrorBudgetExceeded", err)
 	}
 }
@@ -278,7 +275,7 @@ func TestLaneEvaluateBatchAllocFree(t *testing.T) {
 func TestLaneEngineMetrics(t *testing.T) {
 	cfg := denseConfig(100)
 	reg := obs.NewRegistry()
-	opts := CampaignOptions{Trials: 20_000, Seed: 5, ChunkSize: 512, Metrics: reg}
+	opts := CampaignOptions{Trials: 20_000, Seed: 5, Metrics: reg}
 	rep := mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
 
 	snap := reg.Snapshot().Counters

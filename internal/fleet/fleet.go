@@ -22,8 +22,8 @@
 // (internal/chunkrun): DIMMs are partitioned into fixed-size chunks, chunk
 // c draws from simrand substream (seed, c), and every accumulator is a sum
 // of per-chunk integers — so results are bit-identical for a fixed
-// (Config, Seed, ChunkSize) whatever the worker count, and checkpoint/
-// resume restores mid-horizon runs exactly.
+// (Config, Seed) whatever the worker count, and checkpoint/resume restores
+// mid-horizon runs exactly.
 package fleet
 
 import (

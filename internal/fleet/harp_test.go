@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"testing"
 
 	"xedsim/internal/dram"
@@ -94,7 +93,7 @@ func TestHARPVerdictMatchesProfile(t *testing.T) {
 		var transients, silent, retired int
 		for c, lo := 0, 0; lo < cfg.DIMMs; c, lo = c+1, lo+DefaultChunkSize {
 			hi := min(lo+DefaultChunkSize, cfg.DIMMs)
-			w.scanChunk(context.Background(), c, lo, hi, func(int, int) {},
+			w.scanChunk(c, lo, hi, func(int, int) {},
 				func(d int, recs []faultsim.FaultRecord) bool {
 					for i := range recs {
 						r := &recs[i]

@@ -15,12 +15,14 @@ import (
 	"xedsim/internal/simrand"
 )
 
-// Fleet engine defaults.
+// Fleet engine constants.
 const (
-	// DefaultChunkSize is the DIMMs-per-chunk scheduling granularity.
-	// Smaller than the campaign engine's 4096: a DIMM with faults costs
-	// more than a campaign trial (telemetry, retirement), and small fleets
-	// (10k DIMMs) still want enough chunks to spread over workers.
+	// DefaultChunkSize is the DIMMs per chunk: the granularity of
+	// scheduling, checkpointing and cancellation. It shapes the
+	// substreams, so every fleet uses it. Smaller than the campaign
+	// engine's 4096: a DIMM with faults costs more than a campaign trial
+	// (telemetry, retirement), and small fleets (10k DIMMs) still want
+	// enough chunks to spread over workers.
 	DefaultChunkSize = 1024
 	// DefaultCheckpointInterval spaces periodic snapshots.
 	DefaultCheckpointInterval = 30 * time.Second
@@ -41,14 +43,11 @@ const (
 // Options parameterises Run.
 type Options struct {
 	// Seed roots all fleet randomness; DIMM d's fault history is a pure
-	// function of (Config, Seed, ChunkSize, d).
+	// function of (Config, Seed, d).
 	Seed uint64
-	// Workers is the goroutine count; <= 0 selects GOMAXPROCS.
+	// Workers is the goroutine count; <= 0 selects GOMAXPROCS. Results are
+	// bit-identical for a fixed (Config, Seed) regardless of Workers.
 	Workers int
-	// ChunkSize is the DIMMs-per-chunk scheduling granularity; 0 selects
-	// DefaultChunkSize. Results are bit-identical for a fixed (Config,
-	// Seed, ChunkSize) regardless of Workers.
-	ChunkSize int
 	// CheckpointPath enables periodic atomic snapshots when non-empty.
 	CheckpointPath string
 	// CheckpointInterval spaces periodic snapshots; 0 selects
@@ -141,8 +140,8 @@ func (t *Tally) add(o *Tally) {
 }
 
 // Summary is the outcome of one fleet run: pure integer telemetry plus the
-// configuration that produced it. Two runs with the same (Config, Seed,
-// ChunkSize) produce identical Summaries whatever the worker count and
+// configuration that produced it. Two runs with the same (Config, Seed)
+// produce identical Summaries whatever the worker count and
 // whether or not they were interrupted and resumed.
 type Summary struct {
 	Config    Config `json:"config"`
@@ -211,6 +210,8 @@ type fleetSnapshot struct {
 
 // fleetHashInput is what the checkpoint config hash covers: everything
 // that shapes the fault streams and the meaning of the accumulators.
+// ChunkSize is always DefaultChunkSize; it stays in the input so that
+// existing checkpoints still match.
 type fleetHashInput struct {
 	Config    Config `json:"config"`
 	Seed      uint64 `json:"seed"`
@@ -281,9 +282,6 @@ func Run(ctx context.Context, cfg Config, opts Options) (*Summary, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = DefaultChunkSize
-	}
 	if opts.CheckpointInterval <= 0 {
 		opts.CheckpointInterval = DefaultCheckpointInterval
 	}
@@ -294,14 +292,14 @@ func Run(ctx context.Context, cfg Config, opts Options) (*Summary, error) {
 	}
 	var hash string
 	if opts.CheckpointPath != "" {
-		hash, err = checkpoint.Hash(fleetHashInput{Config: cfg, Seed: opts.Seed, ChunkSize: opts.ChunkSize})
+		hash, err = checkpoint.Hash(fleetHashInput{Config: cfg, Seed: opts.Seed, ChunkSize: DefaultChunkSize})
 		if err != nil {
 			return nil, err
 		}
 	}
 	f.tally.FailedByYear = make([]uint64, f.years)
 	f.mcs = make([]MCCounters, cfg.MCs())
-	f.run = chunkrun.New(cfg.DIMMs, opts.ChunkSize,
+	f.run = chunkrun.New(cfg.DIMMs, DefaultChunkSize,
 		chunkrun.Format{Kind: fleetCheckpointKind, Version: fleetCheckpointVersion, Hash: hash}, f)
 	if opts.Resume && opts.CheckpointPath != "" {
 		if err := f.run.Load(opts.CheckpointPath); err != nil {
@@ -339,7 +337,7 @@ func Run(ctx context.Context, cfg Config, opts Options) (*Summary, error) {
 	return &Summary{
 		Config:    f.cfg,
 		Seed:      opts.Seed,
-		ChunkSize: opts.ChunkSize,
+		ChunkSize: DefaultChunkSize,
 		Years:     f.years,
 		Complete:  f.run.DoneChunks() == f.run.Chunks(),
 		Tally:     f.tally.clone(),
@@ -352,7 +350,7 @@ func (f *fleetRun) Snapshot(done []uint64, complete bool) fleetSnapshot {
 	return fleetSnapshot{
 		DIMMs:      f.cfg.DIMMs,
 		Seed:       f.opts.Seed,
-		ChunkSize:  f.opts.ChunkSize,
+		ChunkSize:  DefaultChunkSize,
 		Years:      f.years,
 		DoneChunks: done,
 		Complete:   complete,
@@ -425,11 +423,10 @@ func newFleetWorker(cfg *Config, src *faultsim.TrialSource, seed uint64, years i
 	return w, nil
 }
 
-// RunChunk ages DIMMs [lo, hi) of chunk c into the worker's tallies. It
-// returns false if ctx cancelled mid-chunk (tallies must be discarded).
-func (w *fleetWorker) RunChunk(ctx context.Context, c, lo, hi int) bool {
+// RunChunk ages DIMMs [lo, hi) of chunk c into the worker's tallies.
+func (w *fleetWorker) RunChunk(c, lo, hi int) {
 	w.resetChunk(lo, hi)
-	return w.scanChunk(ctx, c, lo, hi,
+	w.scanChunk(c, lo, hi,
 		func(_, n int) {
 			w.tally.DIMMs += uint64(n)
 			w.tally.Arrivals[0] += uint64(n)
@@ -479,19 +476,10 @@ func (w *fleetWorker) resetChunk(lo, hi int) {
 // the head of substream (seed, c), so History replays exactly what
 // RunChunk aged. Every fleet scheme survives a fault-free DIMM (fleet
 // configs set no scaling rate), so empty DIMMs are only counted.
-func (w *fleetWorker) scanChunk(ctx context.Context, c, lo, hi int, onEmpty func(at, n int), onDIMM func(d int, recs []faultsim.FaultRecord) bool) bool {
+func (w *fleetWorker) scanChunk(c, lo, hi int, onEmpty func(at, n int), onDIMM func(d int, recs []faultsim.FaultRecord) bool) {
 	w.rng.SeedStream(w.seed, uint64(c))
 	w.src.Plan(&w.rng, hi-lo)
-	// d jumps over empty DIMMs, so ctx is polled by distance travelled:
-	// once at the chunk head, then each time d is 1024 or more DIMMs past
-	// the last poll.
-	for d, poll := lo, lo; ; d++ {
-		if d >= poll {
-			if ctx.Err() != nil {
-				return false
-			}
-			poll = d + 1024
-		}
+	for d := lo; ; d++ {
 		skipped, recs := w.src.NextNonEmpty(&w.rng, w.buf)
 		w.buf = recs
 		if skipped > 0 {
@@ -499,7 +487,7 @@ func (w *fleetWorker) scanChunk(ctx context.Context, c, lo, hi int, onEmpty func
 			d += skipped
 		}
 		if len(recs) == 0 || !onDIMM(d, recs) {
-			return true // the plan is spent (d == hi), or onDIMM stopped
+			return // the plan is spent (d == hi), or onDIMM stopped
 		}
 	}
 }
@@ -720,19 +708,15 @@ func (h *DIMMHistory) MarshalJSON() ([]byte, error) {
 }
 
 // History regenerates one DIMM's fault history. The result is identical to
-// what a Run with the same (cfg, opts.Seed, opts.ChunkSize) aged for that
-// DIMM, at any worker count: the DIMM's chunk substream is replayed from
-// the chunk head through the DIMM.
+// what a Run with the same (cfg, opts.Seed) aged for that DIMM, at any
+// worker count: the DIMM's chunk substream is replayed from the chunk head
+// through the DIMM. Of opts only Seed is read.
 func History(cfg Config, opts Options, dimm int) (*DIMMHistory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if dimm < 0 || dimm >= cfg.DIMMs {
 		return nil, fmt.Errorf("fleet: DIMM %d out of range [0, %d)", dimm, cfg.DIMMs)
-	}
-	chunkSize := opts.ChunkSize
-	if chunkSize <= 0 {
-		chunkSize = DefaultChunkSize
 	}
 	src, err := cfg.trialSource()
 	if err != nil {
@@ -742,12 +726,12 @@ func History(cfg Config, opts Options, dimm int) (*DIMMHistory, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := dimm / chunkSize
-	lo := c * chunkSize
-	hi := min(lo+chunkSize, cfg.DIMMs)
+	c := dimm / DefaultChunkSize
+	lo := c * DefaultChunkSize
+	hi := min(lo+DefaultChunkSize, cfg.DIMMs)
 	h := &DIMMHistory{DIMM: dimm, FailTime: math.Inf(1), Kind: faultsim.FailNone}
 	w.resetChunk(lo, hi)
-	w.scanChunk(context.Background(), c, lo, hi,
+	w.scanChunk(c, lo, hi,
 		func(at, n int) {}, // a zero-fault DIMM keeps the healthy default
 		func(d int, recs []faultsim.FaultRecord) bool {
 			if d < dimm {

@@ -57,13 +57,13 @@ func mustRun(t *testing.T, cfg Config, opts Options) *Summary {
 // accumulators are sums of per-chunk integers.
 func TestWorkerCountInvariance(t *testing.T) {
 	cfg := testConfig(30_000)
-	ref := mustRun(t, cfg, Options{Seed: 11, ChunkSize: 512, Workers: 1})
+	ref := mustRun(t, cfg, Options{Seed: 11, Workers: 1})
 	if ref.Tally.Failed == 0 || ref.Tally.CEs == 0 {
 		t.Fatalf("reference run saw no failures (%d) or no CEs (%d); test has no power",
 			ref.Tally.Failed, ref.Tally.CEs)
 	}
 	for _, workers := range []int{4, 16} {
-		got := mustRun(t, cfg, Options{Seed: 11, ChunkSize: 512, Workers: workers})
+		got := mustRun(t, cfg, Options{Seed: 11, Workers: workers})
 		if !reflect.DeepEqual(ref, got) {
 			t.Errorf("summary at %d workers differs from 1-worker reference:\n 1: %+v\n%2d: %+v",
 				workers, ref.Tally, workers, got.Tally)
@@ -71,19 +71,15 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestSeedAndChunkSizeMatter guards against the inverse failure mode: if
-// different seeds or chunk layouts collapsed to the same stream, the
-// invariance test above would pass vacuously.
-func TestSeedAndChunkSizeMatter(t *testing.T) {
+// TestSeedMatters guards against the inverse failure mode: if different
+// seeds collapsed to the same stream, the invariance test above would pass
+// vacuously.
+func TestSeedMatters(t *testing.T) {
 	cfg := testConfig(20_000)
-	a := mustRun(t, cfg, Options{Seed: 1, ChunkSize: 512})
-	b := mustRun(t, cfg, Options{Seed: 2, ChunkSize: 512})
+	a := mustRun(t, cfg, Options{Seed: 1})
+	b := mustRun(t, cfg, Options{Seed: 2})
 	if reflect.DeepEqual(a.Tally, b.Tally) {
 		t.Errorf("seeds 1 and 2 produced identical tallies: %+v", a.Tally)
-	}
-	c := mustRun(t, cfg, Options{Seed: 1, ChunkSize: 1024})
-	if reflect.DeepEqual(a.Tally, c.Tally) {
-		t.Errorf("chunk sizes 512 and 1024 produced identical tallies (streams should differ): %+v", a.Tally)
 	}
 }
 
@@ -92,13 +88,13 @@ func TestSeedAndChunkSizeMatter(t *testing.T) {
 // produces the same bits as an uninterrupted run.
 func TestCheckpointResumeBitIdentity(t *testing.T) {
 	cfg := testConfig(30_000)
-	ref := mustRun(t, cfg, Options{Seed: 5, ChunkSize: 512, Workers: 4})
+	ref := mustRun(t, cfg, Options{Seed: 5, Workers: 4})
 
 	path := filepath.Join(t.TempDir(), "fleet.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	partial, err := Run(ctx, cfg, Options{
-		Seed: 5, ChunkSize: 512, Workers: 2,
+		Seed: 5, Workers: 2,
 		CheckpointPath: path,
 		OnChunk: func(done, total int) {
 			if done >= total/3 {
@@ -115,7 +111,7 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 
 	for _, workers := range []int{1, 8} {
 		got, err := Run(context.Background(), cfg, Options{
-			Seed: 5, ChunkSize: 512, Workers: workers,
+			Seed: 5, Workers: workers,
 			CheckpointPath: path, Resume: true,
 		})
 		if err != nil {
@@ -133,14 +129,14 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 func TestResumeRefusesForeignConfig(t *testing.T) {
 	cfg := testConfig(4_000)
 	path := filepath.Join(t.TempDir(), "fleet.ckpt")
-	mustRun(t, cfg, Options{Seed: 9, ChunkSize: 512, CheckpointPath: path})
+	mustRun(t, cfg, Options{Seed: 9, CheckpointPath: path})
 
 	other := cfg
 	other.ScrubIntervalHours = 24
-	if _, err := Run(context.Background(), other, Options{Seed: 9, ChunkSize: 512, CheckpointPath: path, Resume: true}); err == nil {
+	if _, err := Run(context.Background(), other, Options{Seed: 9, CheckpointPath: path, Resume: true}); err == nil {
 		t.Fatalf("resume under a different scrub interval succeeded; want config-hash refusal")
 	}
-	if _, err := Run(context.Background(), cfg, Options{Seed: 10, ChunkSize: 512, CheckpointPath: path, Resume: true}); err == nil {
+	if _, err := Run(context.Background(), cfg, Options{Seed: 10, CheckpointPath: path, Resume: true}); err == nil {
 		t.Fatalf("resume under a different seed succeeded; want config-hash refusal")
 	}
 }
@@ -151,7 +147,7 @@ func TestResumeRefusesForeignConfig(t *testing.T) {
 func TestResumeRefusesVersionOneCheckpoint(t *testing.T) {
 	cfg := testConfig(4_000)
 	path := filepath.Join(t.TempDir(), "fleet.ckpt")
-	opts := Options{Seed: 9, ChunkSize: 512, CheckpointPath: path}
+	opts := Options{Seed: 9, CheckpointPath: path}
 	mustRun(t, cfg, opts)
 
 	raw, err := os.ReadFile(path)
@@ -302,7 +298,7 @@ func TestHistoryAggregatesToFleetTallies(t *testing.T) {
 	cfg := testConfig(3_000)
 	pol, _ := ParsePolicy("on-first-ce")
 	cfg.Policy = pol
-	opts := Options{Seed: 17, ChunkSize: 256}
+	opts := Options{Seed: 17}
 	sum := mustRun(t, cfg, opts)
 
 	var faults, failed, ces, ceNoInfo, retired uint64
@@ -519,9 +515,9 @@ func TestTrialSourceMeanMatchesConfig(t *testing.T) {
 // bitmap marks a chunk past the last one would resume with more chunks
 // done than exist and never be complete; it is refused.
 func TestResumeRefusesDoneBitPastChunkCount(t *testing.T) {
-	cfg := testConfig(4_000) // 8 chunks of 512
+	cfg := testConfig(8 * DefaultChunkSize) // 8 chunks
 	path := filepath.Join(t.TempDir(), "fleet.ckpt")
-	mustRun(t, cfg, Options{Seed: 9, ChunkSize: 512, CheckpointPath: path})
+	mustRun(t, cfg, Options{Seed: 9, CheckpointPath: path})
 
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -543,7 +539,7 @@ func TestResumeRefusesDoneBitPastChunkCount(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(context.Background(), cfg, Options{Seed: 9, ChunkSize: 512, CheckpointPath: path, Resume: true})
+	_, err = Run(context.Background(), cfg, Options{Seed: 9, CheckpointPath: path, Resume: true})
 	if !errors.Is(err, checkpoint.ErrConfigMismatch) {
 		t.Fatalf("resume with chunk 8 of 8 marked done: %v, want ErrConfigMismatch", err)
 	}
@@ -580,32 +576,6 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// countingCtx counts the Err polls a scan makes.
-type countingCtx struct {
-	context.Context
-	polls int
-}
-
-func (c *countingCtx) Err() error {
-	c.polls++
-	return c.Context.Err()
-}
-
-// TestScanChunkPollsContext: skip-sampling jumps over empty DIMMs, yet a
-// chunk must still poll for cancellation about once per 1024 DIMMs, or a
-// large -chunk leaves SIGTERM waiting for an unbounded stretch.
-func TestScanChunkPollsContext(t *testing.T) {
-	cfg := testConfig(1 << 20)
-	w := testWorker(t, &cfg, 7)
-	ctx := &countingCtx{Context: context.Background()}
-	if !w.RunChunk(ctx, 0, 0, cfg.DIMMs) {
-		t.Fatal("RunChunk reported cancellation under a live context")
-	}
-	if ctx.polls < 1000 {
-		t.Errorf("a %d-DIMM chunk polled ctx %d times, want >= 1000", cfg.DIMMs, ctx.polls)
-	}
-}
-
 // TestEveryFleetSchemeSurvivesEmptyDIMMs is the premise that lets a fleet
 // count fault-free DIMMs without judging them: under every scheme a fleet
 // can name, with or without the on-die code, an empty trial survives.
@@ -628,9 +598,9 @@ func TestEveryFleetSchemeSurvivesEmptyDIMMs(t *testing.T) {
 // campaigns running side by side must each give what they give alone.
 func TestFleetAndCampaignShareChunkPool(t *testing.T) {
 	cfg := testConfig(300_000)
-	opts := Options{Seed: 6, ChunkSize: 512, Workers: 4}
+	opts := Options{Seed: 6, Workers: 4}
 	ccfg := faultsim.DefaultConfig()
-	copts := faultsim.CampaignOptions{Trials: 1_000_000, Seed: 6, ChunkSize: 2048, Workers: 4}
+	copts := faultsim.CampaignOptions{Trials: 1_000_000, Seed: 6, Workers: 4}
 	campaign := func() (*faultsim.Report, error) {
 		return faultsim.RunCampaign(context.Background(), ccfg, faultsim.AllSchemes(), copts)
 	}

@@ -19,7 +19,7 @@ func TestSymbolKey(t *testing.T) {
 		{"  4a2b60 T xedsim/internal/faultsim.RunCampaign.deferwrap1", "faultsim.RunCampaign"},
 		{"  4a2b60 T xedsim/internal/cli.Command.serveDebug.gowrap1", "cli.Command.serveDebug"},
 		{"  4a2b60 T xedsim/internal/cli.(*Progress).Update-fm", "cli.Progress.Update"},
-		{"  4a2b60 T xedsim/internal/dist.(*Coordinator).sweep.func1.2", "dist.Coordinator.sweep"},
+		{"  4a2b60 T xedsim/internal/dist.(*Coordinator).Start.func1.2", "dist.Coordinator.Start"},
 		{"  4a2b60 T xedsim/internal/faultsim.init.0", "faultsim.init"},
 		{"  4a2b60 T xedsim/internal/dist/chaos.Run", "dist/chaos.Run"},
 		{"  4a2b60 T xedsim/internal/chunkrun.(*Runner[" + shape + "]).Run", "chunkrun.Runner.Run"},
