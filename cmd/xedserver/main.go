@@ -9,10 +9,10 @@
 // into leased chunk spans, and xedworker processes drain them. Results are
 // bit-identical to a local xedfaultsim run of the same campaign — the
 // /v1/jobs/{id}/checkpoint endpoint serves exactly the bytes a local run's
-// -checkpoint file would contain. With -state-dir the job ledger and
-// accumulators survive restarts: a killed coordinator resumes its
-// in-flight jobs. SIGINT/SIGTERM drains gracefully (readiness flips,
-// workers are refused and back off, state is persisted).
+// -checkpoint file would contain. With -state-dir each job's checkpoint
+// survives a restart, and the job resumes from it when its client (a
+// waiting -submit, say) resubmits it. SIGINT/SIGTERM drains gracefully
+// (readiness flips, held requests get 503, state is persisted).
 //
 // Submitting: -submit builds a campaign spec from the same flags
 // xedfaultsim uses, rides out coordinator restarts and backpressure, and
@@ -103,7 +103,7 @@ func validateArgs(a cliArgs) error {
 func main() {
 	var a cliArgs
 	flag.StringVar(&a.addr, "addr", ":7600", "serve the coordinator API on this address")
-	flag.StringVar(&a.stateDir, "state-dir", "", "persist the job ledger and accumulators here (restarts resume in-flight jobs)")
+	flag.StringVar(&a.stateDir, "state-dir", "", "persist job checkpoints here (a restarted coordinator resumes a job when its client resubmits it)")
 	flag.IntVar(&a.queueDepth, "queue-depth", dist.DefaultQueueDepth, "max jobs admitted but not finished; beyond it submissions get 429")
 	flag.DurationVar(&a.leaseTimeout, "lease-timeout", dist.DefaultLeaseTTL, "work-unit lease TTL; a silent worker's units are re-dispatched after this")
 	flag.IntVar(&a.unitChunks, "unit-chunks", dist.DefaultUnitChunks, "campaign chunks per leased work unit")
@@ -135,9 +135,9 @@ func main() {
 }
 
 // runServe hosts the coordinator until the context is cancelled, then
-// drains: readiness flips to 503, in-flight requests finish, and all job
-// state is persisted so the next incarnation resumes where this one
-// stopped.
+// drains: readiness flips to 503, held requests are released with 503,
+// in-flight requests finish, and all job state is persisted so the next
+// incarnation resumes each job where this one stopped.
 func runServe(ctx context.Context, a *cliArgs) error {
 	coord, err := dist.NewCoordinator(dist.CoordinatorOptions{
 		StateDir:        a.stateDir,
@@ -197,7 +197,6 @@ func runSubmit(ctx context.Context, a *cliArgs) error {
 	}
 
 	cl := dist.NewClient(a.coordinator, nil)
-	cl.PollInterval = time.Second
 	st, err := cl.Wait(ctx, spec)
 	if err != nil {
 		return err

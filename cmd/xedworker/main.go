@@ -8,9 +8,10 @@
 // Workers are stateless and crash-safe by construction: every chunk is a
 // pure function of the campaign spec, so killing a worker at any instant —
 // including mid-unit — loses nothing but time. Its leases expire and the
-// coordinator re-dispatches the units. Heartbeats keep long units alive;
-// retries with jittered exponential backoff ride out coordinator restarts
-// and backpressure. -max-units stops the worker after N settled units (the
+// coordinator re-dispatches the units. An idle worker's lease request is
+// held at the coordinator until a unit is free; retries with jittered
+// exponential backoff ride out errors, coordinator restarts and
+// backpressure. -max-units stops the worker after N settled units (the
 // chaos harness's kill lever; also handy for scale-to-zero batch runs).
 package main
 
@@ -21,7 +22,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"time"
 
 	"xedsim/internal/cli"
 	"xedsim/internal/dist"
@@ -35,7 +35,6 @@ type cliArgs struct {
 	coordinator string
 	id          string
 	parallel    int
-	heartbeat   time.Duration
 	maxUnits    int
 	debugAddr   string
 }
@@ -47,9 +46,6 @@ func validateArgs(a cliArgs) error {
 	}
 	if a.parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0, got %d", a.parallel)
-	}
-	if a.heartbeat <= 0 {
-		return fmt.Errorf("-heartbeat must be positive, got %v", a.heartbeat)
 	}
 	if a.maxUnits < 0 {
 		return fmt.Errorf("-max-units must be >= 0, got %d", a.maxUnits)
@@ -70,7 +66,6 @@ func main() {
 	flag.StringVar(&a.coordinator, "coordinator", "", "coordinator base URL, e.g. http://host:7600")
 	flag.StringVar(&a.id, "id", "", "worker identity in lease traffic (default hostname-pid)")
 	flag.IntVar(&a.parallel, "parallel", 0, "concurrent work units (0 = GOMAXPROCS)")
-	flag.DurationVar(&a.heartbeat, "heartbeat", dist.DefaultHeartbeatInterval, "lease-extension interval; keep well below the coordinator's -lease-timeout")
 	flag.IntVar(&a.maxUnits, "max-units", 0, "exit after settling this many units (0 = run until signalled)")
 	flag.StringVar(&a.debugAddr, "debug-addr", "", "serve live metrics and pprof over HTTP on this address")
 	cmd.Parse()
@@ -92,12 +87,11 @@ func main() {
 	defer stop()
 
 	w := dist.NewWorker(dist.WorkerOptions{
-		ID:                a.id,
-		Coordinator:       a.coordinator,
-		Parallel:          a.parallel,
-		HeartbeatInterval: a.heartbeat,
-		MaxUnits:          a.maxUnits,
-		Metrics:           reg,
+		ID:          a.id,
+		Coordinator: a.coordinator,
+		Parallel:    a.parallel,
+		MaxUnits:    a.maxUnits,
+		Metrics:     reg,
 	})
 	fmt.Fprintf(os.Stderr, "xedworker: %s leasing from %s with %d slots\n", a.id, a.coordinator, a.parallel)
 	if err := w.Run(ctx); err != nil {

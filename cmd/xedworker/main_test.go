@@ -3,16 +3,10 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
-
-	"xedsim/internal/dist"
 )
 
 func validWorkerArgs() cliArgs {
-	return cliArgs{
-		coordinator: "http://localhost:7600",
-		heartbeat:   dist.DefaultHeartbeatInterval,
-	}
+	return cliArgs{coordinator: "http://localhost:7600"}
 }
 
 // TestValidateArgs pins the exit-2 flag-validation contract.
@@ -31,8 +25,6 @@ func TestValidateArgs(t *testing.T) {
 		}, ""},
 		{"missing coordinator", func(a *cliArgs) { a.coordinator = "" }, "-coordinator"},
 		{"negative parallel", func(a *cliArgs) { a.parallel = -1 }, "-parallel"},
-		{"zero heartbeat", func(a *cliArgs) { a.heartbeat = 0 }, "-heartbeat"},
-		{"negative heartbeat", func(a *cliArgs) { a.heartbeat = -time.Second }, "-heartbeat"},
 		{"negative max units", func(a *cliArgs) { a.maxUnits = -1 }, "-max-units"},
 	}
 	for _, tc := range cases {

@@ -76,47 +76,26 @@ func Marshal(kind string, version int, configHash string, payload any) ([]byte, 
 	return env, nil
 }
 
-// CleanStale removes leftover temp files from interrupted Saves of path: a
-// crash (or kill) between CreateTemp and the rename leaves a
-// "<base>.tmp<rand>" sibling behind forever, and a long-lived service
-// saving on a timer would otherwise accumulate them without bound. Save
-// calls this before every write; it is also exported for explicit startup
-// sweeps. Removal failures on individual files are ignored (the next sweep
-// retries); only listing the directory can fail.
-func CleanStale(path string) error {
-	stale, err := filepath.Glob(path + ".tmp*")
-	if err != nil {
-		// Only bad patterns error, and ours is fixed; defensive.
-		return fmt.Errorf("checkpoint: sweeping stale temps: %w", err)
-	}
-	for _, s := range stale {
-		os.Remove(s) //nolint:errcheck // best-effort; retried next Save
-	}
-	return nil
-}
-
 // Save atomically AND durably writes payload under the given
-// kind/version/configHash to path. The temp file lives in path's directory
-// so the rename cannot cross filesystems, and after the rename the
-// directory itself is fsynced: the rename is a directory-entry update, so
-// without the directory sync a crash right after a "successful" Save could
-// still roll the file back to the previous snapshot (or to nothing). Every
-// error path removes the temp file, and temp files orphaned by a crash
-// mid-save are swept on the next Save (see CleanStale).
+// kind/version/configHash to path. It writes the sibling "<path>.tmp" (in
+// path's directory, so the rename cannot cross filesystems), fsyncs it,
+// renames it over path and then fsyncs the directory: the rename is a
+// directory-entry update, so without the directory sync a crash right
+// after a "successful" Save could still roll the file back to the previous
+// snapshot (or to nothing). Every error path removes the temp file. A
+// crash mid-save can leave "<path>.tmp" behind; the next Save of path
+// truncates and replaces it, so orphans never pile up and no Save lists
+// the directory. Saves of one path must not run concurrently.
 func Save(path, kind string, version int, configHash string, payload any) error {
 	env, err := Marshal(kind, version, configHash, payload)
 	if err != nil {
 		return err
 	}
-	if err := CleanStale(path); err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmpName := path + ".tmp"
+	tmp, err := os.OpenFile(tmpName, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after a successful rename
 	if _, err := tmp.Write(env); err != nil {
 		tmp.Close()
@@ -132,7 +111,7 @@ func Save(path, kind string, version int, configHash string, payload any) error 
 	if err := os.Rename(tmpName, path); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
+	if err := syncDir(filepath.Dir(path)); err != nil {
 		return err
 	}
 	return nil

@@ -161,19 +161,18 @@ func TestLoadRejectsMismatches(t *testing.T) {
 	}
 }
 
-// TestSaveSweepsStaleTemps pins the crash-orphan sweep: temp files left by
-// a save that died between CreateTemp and rename are removed by the next
-// Save to the same path (and by an explicit CleanStale), while unrelated
-// files survive.
+// TestSaveSweepsStaleTemps pins the crash-orphan cleanup: the temp file
+// left by a save that died before its rename is replaced and renamed away
+// by the next Save to the same path, while unrelated files survive.
 func TestSaveSweepsStaleTemps(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.json")
-	for _, stale := range []string{"snap.json.tmp123", "snap.json.tmp999x"} {
-		if err := os.WriteFile(filepath.Join(dir, stale), []byte("orphan"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// The orphan is longer than the fresh snapshot, so a Save that did not
+	// truncate it would leave trailing garbage.
+	if err := os.WriteFile(path+".tmp", []byte(strings.Repeat("orphan ", 200)), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	bystander := filepath.Join(dir, "other.json.tmp5")
+	bystander := filepath.Join(dir, "other.json.tmp")
 	if err := os.WriteFile(bystander, []byte("not ours"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +181,11 @@ func TestSaveSweepsStaleTemps(t *testing.T) {
 	}
 	noTempFilesFor(t, dir, "snap.json")
 	if _, err := os.Stat(bystander); err != nil {
-		t.Fatalf("sweep removed another checkpoint's temp file: %v", err)
+		t.Fatalf("Save removed another checkpoint's temp file: %v", err)
 	}
 	var out payload
 	if err := Load(path, "k", 1, "h", &out); err != nil || out.Label != "fresh" {
-		t.Fatalf("Load after sweep: %+v, %v", out, err)
+		t.Fatalf("Load after the orphan was replaced: %+v, %v", out, err)
 	}
 }
 
@@ -201,22 +200,6 @@ func noTempFilesFor(t *testing.T, dir, base string) {
 		if strings.HasPrefix(e.Name(), base+".tmp") {
 			t.Fatalf("stale temp file %s", e.Name())
 		}
-	}
-}
-
-func TestCleanStaleExplicit(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ledger.ckpt")
-	if err := os.WriteFile(path+".tmp42", []byte("orphan"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := CleanStale(path); err != nil {
-		t.Fatal(err)
-	}
-	noTempFilesFor(t, dir, "ledger.ckpt")
-	// Idempotent on a clean directory.
-	if err := CleanStale(path); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -13,29 +13,38 @@
 //     after a lease expiry, a worker death, or a torn coordinator restart —
 //     reproduces exactly the tallies the lost attempt would have reported.
 //   - Leases bound the blast radius of a dead or straggling worker: an
-//     expired lease makes its unit grantable again on the next request.
+//     expired lease makes its unit grantable again, and a held lease
+//     request wakes at the earliest lease deadline to take it.
 //   - Merging is idempotent by chunk bitmap: duplicated deliveries (client
 //     retries, chaos-injected duplicates, two workers racing on a
 //     re-dispatched unit) are acknowledged and dropped, never
 //     double-counted.
-//   - The job ledger and per-job accumulators persist through
-//     internal/checkpoint (atomic, fsynced, config-hash-guarded), so a
-//     restarted coordinator resumes in-flight jobs; anything merged after
-//     the last save is simply recomputed.
+//   - Each job's checkpoint is the coordinator's only durable state,
+//     saved through internal/checkpoint (atomic, fsynced,
+//     config-hash-guarded). A restarted coordinator reads none of them at
+//     start: it resumes a job from its checkpoint when the job's client
+//     resubmits it (Client.Wait does so on a 404), and anything merged
+//     after the last save is simply recomputed. A job whose client is gone
+//     stays on disk.
 //   - The job queue is bounded: beyond the configured depth, submissions
 //     get 429 + Retry-After instead of unbounded memory growth.
 //
 // The wire protocol is plain JSON over stdlib HTTP:
 //
-//	POST /v1/jobs           submit a JobSpec           → JobStatus (202) | 429
-//	GET  /v1/jobs/{id}      poll                       → JobStatus
-//	GET  /v1/jobs/{id}/result      completed Report    → faultsim.Report JSON
-//	GET  /v1/jobs/{id}/checkpoint  canonical snapshot  → checkpoint envelope bytes
-//	POST /v1/lease          worker asks for a unit     → Lease | 204
-//	POST /v1/complete       worker returns a unit      → CompleteResponse
-//	POST /v1/heartbeat      worker extends its leases  → HeartbeatResponse
+//	POST /v1/jobs                  submit a JobSpec        → JobStatus (202) | 429
+//	GET  /v1/jobs/{id}?wait=<d>    status, held up to d    → JobStatus
+//	GET  /v1/jobs/{id}/result      completed Report        → faultsim.Report JSON
+//	GET  /v1/jobs/{id}/checkpoint  canonical snapshot      → checkpoint envelope bytes
+//	POST /v1/lease                 ask for a unit          → Lease | 204
+//	POST /v1/complete              return a computed unit  → CompleteResponse
 //
-// plus /metrics, /healthz and /readyz from internal/obs.
+// plus /metrics, /healthz and /readyz from internal/obs. Nobody polls: a
+// status request with a wait (a Go duration) is held until the job's state
+// or merged-chunk count changes, and a lease request with a wait until a
+// unit can be granted; the coordinator caps a wait at MaxWait, answers a
+// wait that ends first with the current status or a 204, and releases
+// every held request with 503 when it drains. A request without a wait is
+// answered at once.
 package dist
 
 import (
@@ -109,7 +118,7 @@ type SchemeProgress struct {
 	WilsonHi float64 `json:"wilson_hi"`
 }
 
-// JobStatus is the poll response for one job.
+// JobStatus is the status response for one job.
 type JobStatus struct {
 	ID          string   `json:"id"`
 	State       JobState `json:"state"`
@@ -130,12 +139,15 @@ type JobStatus struct {
 // LeaseRequest asks the coordinator for a work unit.
 type LeaseRequest struct {
 	WorkerID string `json:"worker_id"`
+	// WaitMillis, when positive, holds the request until a unit can be
+	// granted or the wait ends (204).
+	WaitMillis int64 `json:"wait_ms,omitempty"`
 }
 
-// Lease grants a work unit: a contiguous chunk span of one job, held until
-// Deadline. Workers extend the deadline with heartbeats; a lease that
-// expires un-completed makes the unit grantable again (straggler
-// re-dispatch). The full JobSpec rides along so workers are stateless —
+// Lease grants a work unit: a contiguous chunk span of one job, reserved
+// for TTLMillis. A lease that expires un-completed makes the unit
+// grantable again (straggler re-dispatch). The full JobSpec rides along so
+// workers are stateless —
 // each lease loop keeps the ChunkRunner of the job it last served but can
 // always rebuild it.
 type Lease struct {
@@ -144,7 +156,7 @@ type Lease struct {
 	Unit int `json:"unit"`
 	Lo   int `json:"lo"`
 	Hi   int `json:"hi"`
-	// Token identifies this grant; completions and heartbeats quote it.
+	// Token identifies this grant; completions quote it.
 	Token uint64 `json:"token"`
 	// TTLMillis is the lease duration from grant (a duration, not a
 	// wall-clock deadline, so worker and coordinator clocks need not
@@ -170,27 +182,6 @@ type CompleteResponse struct {
 	Duplicate bool `json:"duplicate,omitempty"`
 	// JobDone hints that the job reached a terminal state.
 	JobDone bool `json:"job_done,omitempty"`
-}
-
-// LeaseRef identifies one held lease in a heartbeat.
-type LeaseRef struct {
-	JobID string `json:"job_id"`
-	Unit  int    `json:"unit"`
-	Token uint64 `json:"token"`
-}
-
-// HeartbeatRequest extends the worker's live leases.
-type HeartbeatRequest struct {
-	WorkerID string     `json:"worker_id"`
-	Leases   []LeaseRef `json:"leases"`
-}
-
-// HeartbeatResponse reports how many of the quoted leases were extended; a
-// lease that expired and was re-granted elsewhere is not (its count is in
-// Lost), telling the straggler its result may be redundant.
-type HeartbeatResponse struct {
-	Extended int `json:"extended"`
-	Lost     int `json:"lost,omitempty"`
 }
 
 // errorBody is the JSON error payload non-2xx responses carry.

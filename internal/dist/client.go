@@ -11,20 +11,15 @@ import (
 	"xedsim/internal/faultsim"
 )
 
-// DefaultPollInterval paces Wait's status polls.
-const DefaultPollInterval = 250 * time.Millisecond
-
 // Client is the submitting side of the protocol: it submits campaign
-// specs, polls for completion, and fetches results — resilient to
-// backpressure (429 + Retry-After), coordinator outages (connection errors
-// back off and retry), and coordinator restarts that lost the job (404 →
-// resubmit; submission is idempotent by config hash, so the re-derived job
-// is the same job).
+// specs, waits for completion on held status requests, and fetches
+// results — resilient to backpressure (429 + Retry-After), coordinator
+// outages (connection errors back off and retry), and coordinator
+// restarts that lost the job (404 → resubmit; submission is idempotent by
+// config hash, so the re-derived job is the same job).
 type Client struct {
 	base string
 	hc   *http.Client
-	// PollInterval paces Wait; 0 selects DefaultPollInterval.
-	PollInterval time.Duration
 	// BackoffMin/BackoffMax bound the retry backoff (zero → 50ms / 5s).
 	BackoffMin time.Duration
 	BackoffMax time.Duration
@@ -41,13 +36,6 @@ func NewClient(base string, hc *http.Client) *Client {
 
 // Base returns the coordinator base URL.
 func (c *Client) Base() string { return c.base }
-
-func (c *Client) poll() time.Duration {
-	if c.PollInterval > 0 {
-		return c.PollInterval
-	}
-	return DefaultPollInterval
-}
 
 // Submit submits a spec, retrying through backpressure and outages until
 // the coordinator admits (or permanently rejects) the job. A 400 is
@@ -73,9 +61,15 @@ func (c *Client) Submit(ctx context.Context, spec *JobSpec) (JobStatus, error) {
 }
 
 // Status fetches a job's status once (no retries; Wait owns resilience).
-func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
+// A positive wait asks the coordinator to hold the request until the job's
+// state or merged-chunk count changes, or until the wait ends.
+func (c *Client) Status(ctx context.Context, id string, wait time.Duration) (JobStatus, error) {
+	path := "/v1/jobs/" + id
+	if wait > 0 {
+		path += "?wait=" + wait.String()
+	}
 	var st JobStatus
-	code, _, err := getJSON(ctx, c.hc, c.Base(), "/v1/jobs/"+id, &st)
+	code, _, err := getJSON(ctx, c.hc, c.Base(), path, &st)
 	if code == http.StatusNotFound {
 		return JobStatus{}, fmt.Errorf("%w: %.12s", ErrUnknownJob, id)
 	}
@@ -85,10 +79,11 @@ func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 	return st, nil
 }
 
-// Wait submits a spec and polls until the job is terminal. Outages are
-// ridden out with backoff; a coordinator that comes back without the job
-// (no ledger, or a pruned one) gets the spec resubmitted — idempotent by
-// config hash, so this never forks the campaign.
+// Wait submits a spec and waits, on held status requests, until the job
+// is terminal. Errors, outages and drains are ridden out with backoff; a
+// coordinator that comes back without the job (a restart) gets the spec
+// resubmitted — idempotent by config hash, so this never forks the
+// campaign, and the coordinator resumes the job from its checkpoint.
 func (c *Client) Wait(ctx context.Context, spec *JobSpec) (JobStatus, error) {
 	st, err := c.Submit(ctx, spec)
 	if err != nil {
@@ -96,10 +91,7 @@ func (c *Client) Wait(ctx context.Context, spec *JobSpec) (JobStatus, error) {
 	}
 	bo := newBackoff(c.BackoffMin, c.BackoffMax)
 	for !st.State.Terminal() {
-		if err := sleepCtx(ctx, c.poll()); err != nil {
-			return JobStatus{}, err
-		}
-		next, err := c.Status(ctx, st.ID)
+		next, err := c.Status(ctx, st.ID, MaxWait)
 		switch {
 		case err == nil:
 			st = next

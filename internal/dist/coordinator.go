@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"xedsim/internal/checkpoint"
 	"xedsim/internal/faultsim"
 	"xedsim/internal/obs"
 )
@@ -23,16 +22,9 @@ const (
 	DefaultLeaseTTL        = 15 * time.Second
 	DefaultUnitChunks      = 64
 	DefaultPersistInterval = 5 * time.Second
-)
-
-// Ledger framing on disk.
-const (
-	ledgerKind    = "dist-ledger"
-	ledgerVersion = 1
-	// ledgerHash is fixed: the ledger's compatibility is carried by
-	// kind/version, and each job's own checkpoint is guarded by its
-	// campaign config hash.
-	ledgerHash = "dist-ledger"
+	// MaxWait caps how long the coordinator holds a status or lease
+	// request. Client.Wait and the worker ask for it.
+	MaxWait = 30 * time.Second
 )
 
 // Sentinel errors the HTTP layer maps onto status codes.
@@ -40,12 +32,12 @@ var (
 	// ErrQueueFull rejects a submission beyond the bounded queue depth
 	// (HTTP 429 + Retry-After).
 	ErrQueueFull = errors.New("dist: job queue full")
-	// ErrDraining rejects work while the coordinator drains for shutdown
-	// (HTTP 503 + Retry-After).
+	// ErrDraining rejects work while the coordinator drains for shutdown,
+	// and releases held requests (HTTP 503 + Retry-After).
 	ErrDraining = errors.New("dist: coordinator draining")
 	// ErrUnknownJob reports a job ID the coordinator has no record of
-	// (HTTP 404) — after a restart that lost an unpersisted job, clients
-	// resubmit the spec (same ID, deterministic result).
+	// (HTTP 404). A restarted coordinator knows a job again once its
+	// client resubmits the spec (same ID, deterministic result).
 	ErrUnknownJob = errors.New("dist: unknown job")
 	// ErrNotDone reports a result request for an unfinished job (HTTP 409).
 	ErrNotDone = errors.New("dist: job not done")
@@ -53,17 +45,18 @@ var (
 
 // CoordinatorOptions parameterises NewCoordinator.
 type CoordinatorOptions struct {
-	// StateDir, when non-empty, persists the job ledger and per-job
-	// accumulators so a restarted coordinator resumes in-flight jobs. An
-	// empty StateDir keeps everything in memory (tests, throwaway runs).
+	// StateDir, when non-empty, holds each job's checkpoint, job-<id>.ckpt,
+	// so a restarted coordinator resumes a job when its client resubmits
+	// it. An empty StateDir keeps everything in memory (tests, throwaway
+	// runs).
 	StateDir string
 	// QueueDepth bounds the jobs admitted but not yet terminal; 0 selects
 	// DefaultQueueDepth. Beyond it, submissions get ErrQueueFull.
 	QueueDepth int
-	// LeaseTTL is how long a granted work unit stays reserved without a
-	// heartbeat; 0 selects DefaultLeaseTTL. It is the re-dispatch latency
-	// for a dead worker's units, and must exceed a unit's compute time
-	// (heartbeats extend in-flight leases).
+	// LeaseTTL is how long a granted work unit stays reserved; 0 selects
+	// DefaultLeaseTTL. It is the re-dispatch latency for a dead worker's
+	// units. A unit that outlives it is re-granted and computed twice,
+	// and the first result to arrive merges.
 	LeaseTTL time.Duration
 	// UnitChunks is the chunks-per-lease granularity; 0 selects
 	// DefaultUnitChunks. Fixed per job at submission.
@@ -102,30 +95,15 @@ type unit struct {
 
 // job is one campaign's coordinator-side state.
 type job struct {
-	id         string
-	spec       JobSpec
-	unitChunks int
-	state      JobState
-	errMsg     string
-	merger     *faultsim.Merger
-	units      []unit
-	unmerged   int
-	dirty      bool // merged progress not yet persisted
-}
-
-// ledgerEntry and ledgerSnapshot are the ledger checkpoint payload: enough
-// to rebuild every job's identity and re-derive its unit layout; merged
-// progress lives in each job's own campaign checkpoint.
-type ledgerEntry struct {
-	ID         string   `json:"id"`
-	Spec       JobSpec  `json:"spec"`
-	State      JobState `json:"state"`
-	Error      string   `json:"error,omitempty"`
-	UnitChunks int      `json:"unit_chunks"`
-}
-
-type ledgerSnapshot struct {
-	Jobs []ledgerEntry `json:"jobs"`
+	id       string
+	spec     JobSpec
+	state    JobState
+	errMsg   string
+	merger   *faultsim.Merger
+	units    []unit
+	unmerged int
+	dirty    bool  // merged progress not yet persisted
+	saveErr  error // the latest failed save, until one succeeds
 }
 
 // coordMetrics holds pre-resolved obs handles (nil-safe when unset).
@@ -142,8 +120,7 @@ type coordMetrics struct {
 	mergesDuplicate *obs.Counter
 	mergeMS         *obs.Histogram
 	chunksMerged    *obs.Counter
-	heartbeats      *obs.Counter
-	heartbeatsLost  *obs.Counter
+	saveFailures    *obs.Counter
 }
 
 func newCoordMetrics(r *obs.Registry) coordMetrics {
@@ -160,14 +137,14 @@ func newCoordMetrics(r *obs.Registry) coordMetrics {
 		mergesDuplicate: r.Counter("dist.merges_duplicate"),
 		mergeMS:         r.Histogram("dist.merge_ms", []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 100}),
 		chunksMerged:    r.Counter("dist.chunks_merged"),
-		heartbeats:      r.Counter("dist.heartbeats"),
-		heartbeatsLost:  r.Counter("dist.heartbeats_lost"),
+		saveFailures:    r.Counter("dist.job_save_failures"),
 	}
 }
 
 // Coordinator shards campaign jobs into leased work units, merges worker
-// results idempotently, and persists enough state to survive restarts. All
-// methods are safe for concurrent use.
+// results idempotently, and persists each job's checkpoint so a restart
+// loses at most what merged since the last save. All methods are safe for
+// concurrent use.
 type Coordinator struct {
 	opts CoordinatorOptions
 	now  func() time.Time // test hook; time.Now by default
@@ -178,93 +155,36 @@ type Coordinator struct {
 	order    []string // submission order, for fair dispatch scans
 	token    uint64   // lease token allocator
 	draining bool
+	// changed is closed, and replaced, on every submit, merge and drain:
+	// held status and lease requests wait on it.
+	changed chan struct{}
 }
 
-// NewCoordinator builds a coordinator and, when opts.StateDir is set,
-// recovers the job ledger from a previous incarnation: terminal jobs come
-// back cache-servable, in-flight jobs resume from their last persisted
-// accumulator with every unmerged unit grantable again. Progress merged
-// after the last persist is recomputed by workers — determinism makes the
-// recomputation bit-identical, so a torn restart never changes a result.
+// NewCoordinator builds a coordinator. It reads no state at start: a
+// job's checkpoint in opts.StateDir is loaded when the job is submitted
+// again (see Submit).
 func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c := &Coordinator{
-		opts: opts.normalize(),
-		now:  time.Now,
-		jobs: make(map[string]*job),
-		met:  newCoordMetrics(opts.Metrics),
+		opts:    opts.normalize(),
+		now:     time.Now,
+		jobs:    make(map[string]*job),
+		met:     newCoordMetrics(opts.Metrics),
+		changed: make(chan struct{}),
 	}
 	if c.opts.StateDir != "" {
 		if err := os.MkdirAll(c.opts.StateDir, 0o755); err != nil {
 			return nil, fmt.Errorf("dist: state dir: %w", err)
 		}
-		if err := c.recover(); err != nil {
-			return nil, err
-		}
 	}
 	return c, nil
 }
 
-func (c *Coordinator) ledgerPath() string { return filepath.Join(c.opts.StateDir, "ledger.ckpt") }
 func (c *Coordinator) jobPath(id string) string {
 	return filepath.Join(c.opts.StateDir, "job-"+id+".ckpt")
 }
 
-// recover loads the ledger and rebuilds job state. Called from
-// NewCoordinator before the coordinator is shared, so no locking.
-func (c *Coordinator) recover() error {
-	var led ledgerSnapshot
-	err := checkpoint.Load(c.ledgerPath(), ledgerKind, ledgerVersion, ledgerHash, &led)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("dist: recovering ledger: %w", err)
-	}
-	for _, ent := range led.Jobs {
-		j, err := c.buildJob(ent.Spec, ent.UnitChunks)
-		if err != nil {
-			// A ledger entry the current binary cannot rebuild (e.g. a
-			// scheme vocabulary change) is dropped rather than wedging
-			// every other job.
-			continue
-		}
-		if j.id != ent.ID {
-			continue // ledger/id mismatch; treat as corrupt entry
-		}
-		if err := j.merger.Load(c.jobPath(j.id)); err != nil {
-			// Unreadable or mismatched accumulator: recompute from zero.
-			j.dirty = false
-		}
-		// Re-derive unit merge state from the restored chunk bitmap.
-		j.unmerged = 0
-		for i := range j.units {
-			j.units[i].merged = j.merger.SpanMerged(j.units[i].lo, j.units[i].hi)
-			if !j.units[i].merged {
-				j.unmerged++
-			}
-		}
-		switch {
-		case ent.State == JobFailed:
-			j.state, j.errMsg = JobFailed, ent.Error
-		case j.unmerged == 0:
-			j.state = JobDone
-		case ent.State == JobQueued:
-			j.state = JobQueued
-		default:
-			j.state = JobRunning
-		}
-		c.jobs[j.id] = j
-		c.order = append(c.order, j.id)
-		if !j.state.Terminal() {
-			c.met.jobsResumed.Inc()
-		}
-	}
-	c.met.queueDepth.Set(int64(c.activeLocked()))
-	return nil
-}
-
 // buildJob constructs a job (merger + unit layout) from a spec.
-func (c *Coordinator) buildJob(spec JobSpec, unitChunks int) (*job, error) {
+func (c *Coordinator) buildJob(spec JobSpec) (*job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -276,25 +196,48 @@ func (c *Coordinator) buildJob(spec JobSpec, unitChunks int) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if unitChunks <= 0 {
-		unitChunks = c.opts.UnitChunks
-	}
-	j := &job{
-		id:         m.Hash(),
-		spec:       spec,
-		unitChunks: unitChunks,
-		state:      JobQueued,
-		merger:     m,
-	}
-	for lo := 0; lo < m.NumChunks(); lo += unitChunks {
-		hi := lo + unitChunks
-		if hi > m.NumChunks() {
-			hi = m.NumChunks()
-		}
-		j.units = append(j.units, unit{lo: lo, hi: hi})
+	j := &job{id: m.Hash(), spec: spec, state: JobQueued, merger: m}
+	for lo := 0; lo < m.NumChunks(); lo += c.opts.UnitChunks {
+		j.units = append(j.units, unit{lo: lo, hi: min(lo+c.opts.UnitChunks, m.NumChunks())})
 	}
 	j.unmerged = len(j.units)
 	return j, nil
+}
+
+// restore loads j's checkpoint, when the state dir holds one, and
+// re-derives each unit's merged bit and the job's state from it: every
+// chunk merged is done, a trial-error count over the budget is failed, and
+// anything else is still to run. A checkpoint that cannot be read, or one
+// whose merged chunks part-cover a unit (it was saved under another unit
+// size), is dropped, and the job recomputes from zero: chunks are
+// deterministic, so the result is the same.
+func (c *Coordinator) restore(j *job) *job {
+	if c.opts.StateDir == "" || j.merger.Load(c.jobPath(j.id)) != nil || j.merger.DoneChunks() == 0 {
+		return j
+	}
+	if n := j.merger.TrialErrorCount(); n > faultsim.DefaultErrorBudget {
+		errs := j.merger.Report().TrialErrors
+		j.state = JobFailed
+		j.errMsg = fmt.Sprintf("%v: %d trials panicked (budget %d); first: %v",
+			faultsim.ErrErrorBudgetExceeded, n, faultsim.DefaultErrorBudget, &errs[0])
+		return j
+	}
+	merged := 0
+	for i := range j.units {
+		u := &j.units[i]
+		if u.merged = j.merger.SpanMerged(u.lo, u.hi); u.merged {
+			merged += u.hi - u.lo
+			j.unmerged--
+		}
+	}
+	if merged != j.merger.DoneChunks() {
+		fresh, _ := c.buildJob(j.spec) // j's spec built once already
+		return fresh
+	}
+	if j.unmerged == 0 {
+		j.state = JobDone
+	}
+	return j
 }
 
 // activeLocked counts non-terminal jobs (the bounded-queue occupancy).
@@ -308,54 +251,113 @@ func (c *Coordinator) activeLocked() int {
 	return n
 }
 
+// wakeLocked releases every held request to look again.
+func (c *Coordinator) wakeLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
+}
+
+// knownLocked answers a submission of a job the coordinator holds: its
+// current status, marked Cached when it is done (the completed-result
+// cache).
+func (c *Coordinator) knownLocked(j *job) JobStatus {
+	st := c.statusLocked(j)
+	if j.state == JobDone {
+		st.Cached = true
+		c.met.cacheHits.Inc()
+	}
+	return st
+}
+
 // Submit admits a campaign job. Submissions are idempotent by config hash:
 // resubmitting a known job returns its current status — and a completed
 // job's status immediately, marked Cached, without scheduling any work
-// (the completed-result cache). New jobs beyond the queue depth are
-// rejected with ErrQueueFull; a draining coordinator rejects all
-// submissions with ErrDraining.
+// (the completed-result cache). A job the coordinator does not hold is
+// first restored from its checkpoint in the state dir, if there is one
+// (see restore): a finished or failed job is held again at once, and an
+// unfinished one resumes from its saved progress. New jobs beyond the
+// queue depth are rejected with ErrQueueFull; a draining coordinator
+// rejects all of them with ErrDraining.
 func (c *Coordinator) Submit(spec JobSpec) (JobStatus, error) {
-	j, err := c.buildJob(spec, 0)
+	j, err := c.buildJob(spec)
 	if err != nil {
 		return JobStatus{}, err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if existing, ok := c.jobs[j.id]; ok {
-		st := c.statusLocked(existing)
-		if existing.state == JobDone {
-			st.Cached = true
-			c.met.cacheHits.Inc()
+		defer c.mu.Unlock()
+		return c.knownLocked(existing), nil
+	}
+	c.mu.Unlock()
+	j = c.restore(j) // outside the lock: it reads a file
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if existing, ok := c.jobs[j.id]; ok { // a concurrent submission won
+		return c.knownLocked(existing), nil
+	}
+	if !j.state.Terminal() {
+		if c.draining {
+			return JobStatus{}, ErrDraining
 		}
-		return st, nil
-	}
-	if c.draining {
-		return JobStatus{}, ErrDraining
-	}
-	if c.activeLocked() >= c.opts.QueueDepth {
-		return JobStatus{}, ErrQueueFull
+		if c.activeLocked() >= c.opts.QueueDepth {
+			return JobStatus{}, ErrQueueFull
+		}
 	}
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
-	c.met.jobsSubmitted.Inc()
 	c.met.queueDepth.Set(int64(c.activeLocked()))
-	c.persistLedgerLocked()
+	c.wakeLocked()
+	switch {
+	case j.state.Terminal():
+		return c.knownLocked(j), nil
+	case j.merger.DoneChunks() > 0:
+		c.met.jobsResumed.Inc()
+	default:
+		c.met.jobsSubmitted.Inc()
+	}
 	return c.statusLocked(j), nil
 }
 
 // Lease grants the next available work unit: scanning jobs in submission
 // order, a unit is grantable when unmerged and either never leased or past
 // its deadline (straggler/death re-dispatch). Re-granting an expired lease
-// is the one place a lease expires, counted once in dist.leases_expired;
-// until then its holder's heartbeat still extends it. Returns nil when no
-// work is available.
-func (c *Coordinator) Lease(workerID string) (*Lease, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// is the one place a lease expires, counted once in dist.leases_expired.
+//
+// When no unit is grantable, Lease holds the request for up to wait
+// (capped at MaxWait; 0 answers at once): it looks again on every job
+// event and at the earliest outstanding lease deadline, so a unit whose
+// grant was lost is re-granted at its TTL. It returns nil when the wait
+// ends first, ErrDraining once the coordinator drains, and ctx's error
+// when ctx ends.
+func (c *Coordinator) Lease(ctx context.Context, workerID string, wait time.Duration) (*Lease, error) {
+	end := time.Now().Add(min(wait, MaxWait))
+	for {
+		c.mu.Lock()
+		lease, expiry, err := c.leaseLocked()
+		changed := c.changed
+		c.mu.Unlock()
+		hold := time.Until(end)
+		if lease != nil || err != nil || hold <= 0 {
+			return lease, err
+		}
+		if expiry > 0 && expiry < hold {
+			hold = expiry
+		}
+		if err := holdFor(ctx, changed, hold); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// leaseLocked grants a unit if one is grantable; otherwise it returns the
+// time until the earliest outstanding lease deadline (0 when none).
+func (c *Coordinator) leaseLocked() (*Lease, time.Duration, error) {
 	if c.draining {
-		return nil, ErrDraining
+		return nil, 0, ErrDraining
 	}
 	now := c.now()
+	var expiry time.Duration
 	for _, id := range c.order {
 		j := c.jobs[id]
 		if j.state.Terminal() {
@@ -367,7 +369,10 @@ func (c *Coordinator) Lease(workerID string) (*Lease, error) {
 				continue
 			}
 			if u.token != 0 {
-				if now.Before(u.deadline) {
+				if d := u.deadline.Sub(now); d > 0 {
+					if expiry == 0 || d < expiry {
+						expiry = d
+					}
 					continue
 				}
 				// Expired lease: reclaim and re-dispatch.
@@ -376,10 +381,7 @@ func (c *Coordinator) Lease(workerID string) (*Lease, error) {
 			c.token++
 			u.token = c.token
 			u.deadline = now.Add(c.opts.LeaseTTL)
-			if j.state == JobQueued {
-				j.state = JobRunning
-				c.persistLedgerLocked()
-			}
+			j.state = JobRunning
 			c.met.leasesGranted.Inc()
 			return &Lease{
 				JobID:     j.id,
@@ -389,10 +391,24 @@ func (c *Coordinator) Lease(workerID string) (*Lease, error) {
 				Token:     u.token,
 				TTLMillis: c.opts.LeaseTTL.Milliseconds(),
 				Spec:      j.spec,
-			}, nil
+			}, 0, nil
 		}
 	}
-	return nil, nil
+	return nil, expiry, nil
+}
+
+// holdFor waits for changed to close, for d, or for ctx to end, and
+// reports ctx's error in the last case.
+func holdFor(ctx context.Context, changed <-chan struct{}, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-changed:
+	case <-t.C:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return nil
 }
 
 // Complete merges one finished unit. The merge is at-most-once per unit:
@@ -435,6 +451,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		u.merged, u.token = true, 0
 		j.unmerged--
 		c.failLocked(j, err.Error())
+		c.wakeLocked()
 		return CompleteResponse{Merged: true, JobDone: true}, nil
 	default:
 		return CompleteResponse{}, err
@@ -448,82 +465,40 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if j.unmerged == 0 {
 		c.finishLocked(j)
 	}
+	c.wakeLocked()
 	return CompleteResponse{Merged: true, JobDone: j.state.Terminal()}, nil
-}
-
-// Heartbeat extends the quoted leases that are still held under their
-// token. A lease that expired and was re-granted elsewhere is reported
-// lost, telling the straggler its unit may be recomputed by someone else
-// (its eventual result is still welcome — first merge wins).
-func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.met.heartbeats.Inc()
-	now := c.now()
-	var resp HeartbeatResponse
-	for _, ref := range req.Leases {
-		j, ok := c.jobs[ref.JobID]
-		if ok && !j.state.Terminal() && ref.Unit >= 0 && ref.Unit < len(j.units) {
-			u := &j.units[ref.Unit]
-			if !u.merged && u.token == ref.Token {
-				u.deadline = now.Add(c.opts.LeaseTTL)
-				resp.Extended++
-				continue
-			}
-		}
-		resp.Lost++
-	}
-	c.met.heartbeatsLost.Add(uint64(resp.Lost))
-	return resp
 }
 
 // finishLocked transitions a fully merged job to done and persists it.
 func (c *Coordinator) finishLocked(j *job) {
 	j.state = JobDone
-	j.dirty = false
 	c.met.jobsCompleted.Inc()
 	c.met.queueDepth.Set(int64(c.activeLocked()))
 	c.persistJobLocked(j)
-	c.persistLedgerLocked()
 }
 
 // failLocked transitions a job to failed and persists it.
 func (c *Coordinator) failLocked(j *job, msg string) {
 	j.state = JobFailed
 	j.errMsg = msg
-	j.dirty = false
+	j.dirty = true
 	c.met.jobsFailed.Inc()
 	c.met.queueDepth.Set(int64(c.activeLocked()))
 	c.persistJobLocked(j)
-	c.persistLedgerLocked()
 }
 
-// persistLedgerLocked writes the ledger checkpoint (no-op without a
-// StateDir). Persistence failures are deliberately non-fatal to the
-// serving path: the coordinator keeps working from memory and the next
-// persistence point retries.
-func (c *Coordinator) persistLedgerLocked() {
-	if c.opts.StateDir == "" {
-		return
-	}
-	led := ledgerSnapshot{}
-	for _, id := range c.order {
-		j := c.jobs[id]
-		led.Jobs = append(led.Jobs, ledgerEntry{
-			ID: j.id, Spec: j.spec, State: j.state, Error: j.errMsg, UnitChunks: j.unitChunks,
-		})
-	}
-	checkpoint.Save(c.ledgerPath(), ledgerKind, ledgerVersion, ledgerHash, &led) //nolint:errcheck
-}
-
-// persistJobLocked writes one job's accumulator checkpoint.
+// persistJobLocked writes one job's checkpoint. A job stays dirty until a
+// save succeeds, so the persist tick retries a failed one; until then the
+// failure is counted in dist.job_save_failures and /readyz reports it.
 func (c *Coordinator) persistJobLocked(j *job) {
 	if c.opts.StateDir == "" {
 		return
 	}
-	if err := j.merger.Save(c.jobPath(j.id)); err == nil {
-		j.dirty = false
+	if j.saveErr = j.merger.Save(c.jobPath(j.id)); j.saveErr != nil {
+		c.met.saveFailures.Inc()
+		return
 	}
+	j.dirty = false
 }
 
 // statusLocked builds the wire status for a job.
@@ -549,27 +524,59 @@ func (c *Coordinator) statusLocked(j *job) JobStatus {
 	return st
 }
 
-// Status returns a job's current status.
-func (c *Coordinator) Status(id string) (JobStatus, error) {
+// Status returns a job's current status. A terminal job answers at once;
+// otherwise Status holds the request for up to wait (capped at MaxWait; 0
+// answers at once) until the job's state or merged-chunk count differs
+// from what it was when the request arrived. A held request ends with
+// ErrDraining once the coordinator drains, and with ctx's error when ctx
+// ends.
+func (c *Coordinator) Status(ctx context.Context, id string, wait time.Duration) (JobStatus, error) {
+	end := time.Now().Add(min(wait, MaxWait))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	j, ok := c.jobs[id]
 	if !ok {
 		return JobStatus{}, ErrUnknownJob
 	}
+	state, done := j.state, j.merger.DoneChunks()
+	for !j.state.Terminal() && j.state == state && j.merger.DoneChunks() == done {
+		hold := time.Until(end)
+		if hold <= 0 {
+			break
+		}
+		if c.draining {
+			return JobStatus{}, ErrDraining
+		}
+		changed := c.changed
+		c.mu.Unlock()
+		err := holdFor(ctx, changed, hold)
+		c.mu.Lock()
+		if err != nil {
+			return JobStatus{}, err
+		}
+	}
 	return c.statusLocked(j), nil
 }
 
-// Result returns a completed job's Report.
-func (c *Coordinator) Result(id string) (*faultsim.Report, error) {
+// doneJob returns a completed job.
+func (c *Coordinator) doneJob(id string) (*job, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	j, ok := c.jobs[id]
-	c.mu.Unlock()
 	if !ok {
 		return nil, ErrUnknownJob
 	}
 	if j.state != JobDone {
 		return nil, fmt.Errorf("%w: job %.12s is %s", ErrNotDone, id, j.state)
+	}
+	return j, nil
+}
+
+// Result returns a completed job's Report.
+func (c *Coordinator) Result(id string) (*faultsim.Report, error) {
+	j, err := c.doneJob(id)
+	if err != nil {
+		return nil, err
 	}
 	return j.merger.Report(), nil
 }
@@ -578,39 +585,42 @@ func (c *Coordinator) Result(id string) (*faultsim.Report, error) {
 // a local RunCampaign with the same spec would leave in its checkpoint
 // file, byte for byte.
 func (c *Coordinator) CheckpointBytes(id string) ([]byte, error) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		return nil, ErrUnknownJob
-	}
-	if j.state != JobDone {
-		return nil, fmt.Errorf("%w: job %.12s is %s", ErrNotDone, id, j.state)
+	j, err := c.doneJob(id)
+	if err != nil {
+		return nil, err
 	}
 	return j.merger.SnapshotBytes()
 }
 
 // Drain flips the coordinator into shutdown mode: /readyz fails, new
 // submissions and lease requests are refused (workers back off and retry
-// against the restarted coordinator), and all state is persisted.
+// against the restarted coordinator), every held request is released with
+// ErrDraining, and all state is persisted.
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	c.draining = true
+	c.wakeLocked()
 	c.mu.Unlock()
 	c.SaveState()
 }
 
-// Ready implements the /readyz check: not ready while draining.
+// Ready implements the /readyz check: not ready while draining, nor while
+// any job's latest checkpoint save failed.
 func (c *Coordinator) Ready() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.draining {
 		return ErrDraining
 	}
+	for _, id := range c.order {
+		if j := c.jobs[id]; j.saveErr != nil {
+			return fmt.Errorf("dist: job %.12s not saved: %w", id, j.saveErr)
+		}
+	}
 	return nil
 }
 
-// SaveState persists the ledger and every job with unpersisted progress.
+// SaveState persists every job with unpersisted progress.
 func (c *Coordinator) SaveState() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -619,7 +629,6 @@ func (c *Coordinator) SaveState() {
 			c.persistJobLocked(j)
 		}
 	}
-	c.persistLedgerLocked()
 }
 
 // Start runs the background persistence loop until ctx is cancelled: it
@@ -642,7 +651,7 @@ func (c *Coordinator) Start(ctx context.Context) {
 
 // Handler returns the coordinator's HTTP surface: the job and worker API
 // under /v1/, plus /metrics, /healthz, /readyz and pprof from
-// internal/obs.
+// internal/obs. Held requests end with their request's context.
 func (c *Coordinator) Handler() http.Handler {
 	mux := obs.NewMux(c.opts.Metrics, c.Ready)
 
@@ -671,12 +680,21 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, err := c.Status(r.PathValue("id"))
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
+		var wait time.Duration
+		if q := r.URL.Query().Get("wait"); q != "" {
+			var err error
+			if wait, err = time.ParseDuration(q); err != nil {
+				writeError(w, http.StatusBadRequest, fmt.Errorf("dist: wait: %w", err))
+				return
+			}
 		}
-		writeJSON(w, http.StatusOK, st)
+		st, err := c.Status(r.Context(), r.PathValue("id"), wait)
+		switch {
+		case errors.Is(err, ErrUnknownJob):
+			writeError(w, http.StatusNotFound, err)
+		case !writeHeld(w, err):
+			writeJSON(w, http.StatusOK, st)
+		}
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
@@ -704,13 +722,9 @@ func (c *Coordinator) Handler() http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		lease, err := c.Lease(req.WorkerID)
+		lease, err := c.Lease(r.Context(), req.WorkerID, time.Duration(req.WaitMillis)*time.Millisecond)
 		switch {
-		case errors.Is(err, ErrDraining):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, err)
-		case err != nil:
-			writeError(w, http.StatusInternalServerError, err)
+		case writeHeld(w, err):
 		case lease == nil:
 			w.WriteHeader(http.StatusNoContent)
 		default:
@@ -735,16 +749,25 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 	})
 
-	mux.HandleFunc("POST /v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req HeartbeatRequest
-		if err := decodeJSON(w, r, &req, false); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, c.Heartbeat(req))
-	})
-
 	return mux
+}
+
+// writeHeld answers the errors a held request can end with, and reports
+// whether err was one: ErrDraining is 503 with Retry-After, and a request
+// whose context ended gets no answer, since nobody is left to read it.
+// Any other non-nil error is a 500.
+func writeHeld(w http.ResponseWriter, err error) bool {
+	switch {
+	case err == nil:
+		return false
+	case errors.Is(err, ErrDraining):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	default:
+		writeError(w, http.StatusInternalServerError, err)
+	}
+	return true
 }
 
 // retryAfterSeconds suggests a backoff roughly one lease cycle long.

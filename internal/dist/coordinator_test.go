@@ -9,8 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,7 +68,7 @@ func drainJob(t *testing.T, c *Coordinator) {
 	t.Helper()
 	runners := map[string]*faultsim.ChunkRunner{}
 	for {
-		lease, err := c.Lease("test-worker")
+		lease, err := c.Lease(context.Background(), "test-worker", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func TestCoordinatorMatchesLocal(t *testing.T) {
 	}
 	drainJob(t, c)
 
-	st, err = c.Status(st.ID)
+	st, err = c.Status(context.Background(), st.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestCoordinatorMatchesLocal(t *testing.T) {
 	if !st2.Cached || st2.State != JobDone || st2.ID != st.ID {
 		t.Fatalf("resubmit: %+v", st2)
 	}
-	if lease, _ := c.Lease("w"); lease != nil {
+	if lease, _ := c.Lease(context.Background(), "w", 0); lease != nil {
 		t.Fatal("cached job produced work")
 	}
 }
@@ -179,7 +180,7 @@ func TestSubmitRefusesUnknownFields(t *testing.T) {
 			t.Fatalf("spec naming %s: HTTP %d, want 400", field, code)
 		}
 	}
-	if lease, _ := c.Lease("w"); lease != nil {
+	if lease, _ := c.Lease(context.Background(), "w", 0); lease != nil {
 		t.Fatal("a refused spec was admitted")
 	}
 
@@ -254,9 +255,8 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 }
 
 // TestLeaseExpiryAndHeartbeat pins the lease lifecycle against a fake
-// clock: an expired lease is re-granted (with a fresh token) while a
-// heartbeated one is not, and a straggler whose lease was re-granted is
-// told it lost it.
+// clock: a lease past its deadline is re-granted with a fresh token, while
+// one within its deadline is not.
 func TestLeaseExpiryAndHeartbeat(t *testing.T) {
 	c := newTestCoordinator(t, CoordinatorOptions{LeaseTTL: 10 * time.Second, UnitChunks: 4})
 	now := time.Unix(1000, 0)
@@ -264,124 +264,68 @@ func TestLeaseExpiryAndHeartbeat(t *testing.T) {
 	if _, err := c.Submit(*testSpec()); err != nil {
 		t.Fatal(err)
 	}
-
-	l1, err := c.Lease("w1")
-	if err != nil || l1 == nil {
-		t.Fatalf("lease: %v %v", l1, err)
+	lease := func(worker string) *Lease {
+		t.Helper()
+		l, err := c.Lease(context.Background(), worker, 0)
+		if err != nil || l == nil {
+			t.Fatalf("lease: %v %v", l, err)
+		}
+		return l
 	}
+
+	l1 := lease("w1")
 	// Within TTL the unit is reserved: the next lease is a different unit.
-	l2, _ := c.Lease("w2")
-	if l2 == nil || l2.Unit == l1.Unit {
-		t.Fatalf("second lease = %+v, want different unit", l2)
+	now = now.Add(5 * time.Second)
+	l2 := lease("w2")
+	if l2.Unit == l1.Unit {
+		t.Fatalf("second lease = %+v, want a different unit", l2)
 	}
 
-	// w1 heartbeats, w2 goes silent. Advance past the original deadline:
-	// w1's unit stays reserved, w2's is re-granted with a new token.
-	now = now.Add(8 * time.Second)
-	hb := c.Heartbeat(HeartbeatRequest{WorkerID: "w1", Leases: []LeaseRef{
-		{JobID: l1.JobID, Unit: l1.Unit, Token: l1.Token},
-	}})
-	if hb.Extended != 1 || hb.Lost != 0 {
-		t.Fatalf("heartbeat = %+v", hb)
+	// Past l1's deadline and within l2's: l1's unit is re-granted with a
+	// new token, and l2's is not.
+	now = now.Add(6 * time.Second)
+	next := lease("w3")
+	if next.Unit != l1.Unit || next.Token == l1.Token {
+		t.Fatalf("re-grant = %+v, want unit %d under a new token", next, l1.Unit)
 	}
-	now = now.Add(4 * time.Second) // l2 expired; l1 extended to t+18s
-
-	next, _ := c.Lease("w3")
-	if next == nil || next.Unit != l2.Unit {
-		t.Fatalf("re-grant = %+v, want unit %d", next, l2.Unit)
-	}
-	if next.Token == l2.Token {
-		t.Fatal("re-granted lease reused the token")
-	}
-	// The straggler's heartbeat now reports the lease lost.
-	hb = c.Heartbeat(HeartbeatRequest{WorkerID: "w2", Leases: []LeaseRef{
-		{JobID: l2.JobID, Unit: l2.Unit, Token: l2.Token},
-	}})
-	if hb.Lost != 1 {
-		t.Fatalf("straggler heartbeat = %+v, want lost", hb)
+	if again := lease("w4"); again.Unit == l2.Unit {
+		t.Fatalf("lease within l2's deadline = %+v, re-granted l2's unit", again)
 	}
 }
 
-// TestLeaseExpiresOnlyOnRegrant: with the persistence loop running, a
-// lease past its deadline stays its holder's until Lease re-grants its
-// unit — the holder's heartbeat still extends it — and the re-grant counts
-// exactly one expiry.
+// TestLeaseExpiresOnlyOnRegrant: a lease past its deadline is not counted
+// expired until Lease re-grants its unit, and the re-grant counts exactly
+// one expiry.
 func TestLeaseExpiresOnlyOnRegrant(t *testing.T) {
-	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	c := newTestCoordinator(t, CoordinatorOptions{
-		StateDir: dir, LeaseTTL: 10 * time.Second, UnitChunks: 4, PersistInterval: time.Millisecond, Metrics: reg,
-	})
-	var clock atomic.Int64 // fake seconds, readable from the persistence loop
-	clock.Store(1000)
-	c.now = func() time.Time { return time.Unix(clock.Load(), 0) }
-	ctx, cancel := context.WithCancel(context.Background())
-	c.Start(ctx)
-	defer func() {
-		// Stop the loop's writes before the state dir is removed: a save
-		// in progress holds the lock, and runs after it find no dir.
-		cancel()
-		c.mu.Lock()
-		c.opts.StateDir = ""
-		c.mu.Unlock()
-	}()
-	// persisted waits until the loop has run twice after the call, so at
-	// least one whole run saw the clock as it is now: every run rewrites
-	// the ledger.
-	ledger := filepath.Join(dir, "ledger.ckpt")
-	persisted := func() {
-		t.Helper()
-		for i := 0; i < 2; i++ {
-			if err := os.Remove(ledger); err != nil {
-				t.Fatal(err)
-			}
-			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-				if _, err := os.Stat(ledger); err == nil {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("the persistence loop did not run")
-				}
-			}
-		}
-	}
+	c := newTestCoordinator(t, CoordinatorOptions{LeaseTTL: 10 * time.Second, UnitChunks: 4, Metrics: reg})
+	now := time.Unix(1000, 0)
+	c.now = func() time.Time { return now }
 	if _, err := c.Submit(*testSpec()); err != nil {
 		t.Fatal(err)
 	}
-	l1, err := c.Lease("w1")
+	l1, err := c.Lease(context.Background(), "w1", 0)
 	if err != nil || l1 == nil {
 		t.Fatalf("lease: %v %v", l1, err)
 	}
-	ref := []LeaseRef{{JobID: l1.JobID, Unit: l1.Unit, Token: l1.Token}}
 	expired := func() uint64 { return reg.Snapshot().Counters["dist.leases_expired"] }
 
-	// Past the deadline, with the loop running, the lease is still w1's
-	// to extend.
-	clock.Add(11)
-	persisted()
-	if hb := c.Heartbeat(HeartbeatRequest{WorkerID: "w1", Leases: ref}); hb.Extended != 1 || hb.Lost != 0 {
-		t.Fatalf("heartbeat past the deadline = %+v, want the lease extended", hb)
-	}
+	now = now.Add(11 * time.Second)
 	if n := expired(); n != 0 {
 		t.Fatalf("dist.leases_expired = %d before any re-grant, want 0", n)
 	}
-	if next, _ := c.Lease("w2"); next == nil || next.Unit == l1.Unit {
-		t.Fatalf("lease after the extension = %+v, want another unit", next)
-	}
-
-	// Past the extended deadline, a lease request re-grants the unit and
-	// counts its one expiry.
-	clock.Add(11)
-	persisted()
-	next, _ := c.Lease("w3")
+	next, _ := c.Lease(context.Background(), "w2", 0)
 	if next == nil || next.Unit != l1.Unit || next.Token == l1.Token {
 		t.Fatalf("re-grant = %+v, want unit %d under a new token", next, l1.Unit)
 	}
 	if n := expired(); n != 1 {
 		t.Fatalf("dist.leases_expired = %d after one re-grant, want 1", n)
 	}
-	if hb := c.Heartbeat(HeartbeatRequest{WorkerID: "w1", Leases: ref}); hb.Lost != 1 {
-		t.Fatalf("heartbeat after the re-grant = %+v, want the lease lost", hb)
+	if other, _ := c.Lease(context.Background(), "w3", 0); other == nil || other.Unit == l1.Unit {
+		t.Fatalf("next lease = %+v, want a fresh unit", other)
+	}
+	if n := expired(); n != 1 {
+		t.Fatalf("dist.leases_expired = %d after a fresh grant, want 1", n)
 	}
 }
 
@@ -396,7 +340,7 @@ func TestCompleteDuplicateAndLateResults(t *testing.T) {
 	if _, err := c.Submit(*spec); err != nil {
 		t.Fatal(err)
 	}
-	lease, err := c.Lease("w1")
+	lease, err := c.Lease(context.Background(), "w1", 0)
 	if err != nil || lease == nil {
 		t.Fatal("no lease")
 	}
@@ -418,7 +362,7 @@ func TestCompleteDuplicateAndLateResults(t *testing.T) {
 	if err != nil || second.Merged || !second.Duplicate {
 		t.Fatalf("second complete = %+v, %v", second, err)
 	}
-	st, _ := c.Status(lease.JobID)
+	st, _ := c.Status(context.Background(), lease.JobID, 0)
 	if st.DoneChunks != lease.Hi-lease.Lo {
 		t.Fatalf("DoneChunks = %d after duplicate, want %d", st.DoneChunks, lease.Hi-lease.Lo)
 	}
@@ -428,7 +372,7 @@ func TestCompleteDuplicateAndLateResults(t *testing.T) {
 
 	// A corrupted envelope for a not-yet-merged unit is rejected and
 	// merges nothing.
-	lease2, err := c.Lease("w2")
+	lease2, err := c.Lease(context.Background(), "w2", 0)
 	if err != nil || lease2 == nil {
 		t.Fatal("no second lease")
 	}
@@ -441,13 +385,14 @@ func TestCompleteDuplicateAndLateResults(t *testing.T) {
 	if _, err := c.Complete(bad); err == nil {
 		t.Fatal("corrupted envelope accepted")
 	}
-	if st, _ := c.Status(lease2.JobID); st.DoneChunks != lease.Hi-lease.Lo {
+	if st, _ := c.Status(context.Background(), lease2.JobID, 0); st.DoneChunks != lease.Hi-lease.Lo {
 		t.Fatal("rejected envelope advanced the accumulator")
 	}
 }
 
 // TestLedgerRecovery pins the torn-restart path: a coordinator killed with
-// a half-merged job comes back (same state dir) resuming that job, serves
+// a half-merged job comes back (same state dir) knowing no job, resumes
+// that job from its checkpoint when the client resubmits it, serves only
 // the unmerged units again, and finishes with bytes identical to a local
 // run — including progress merged after the last persist, which is simply
 // recomputed.
@@ -469,7 +414,7 @@ func TestLedgerRecovery(t *testing.T) {
 	// Merge three units, persist after the second: the third merge is
 	// "lost" by the crash and must be recomputed.
 	for i := 0; i < 3; i++ {
-		lease, err := c1.Lease("w")
+		lease, err := c1.Lease(context.Background(), "w", 0)
 		if err != nil || lease == nil {
 			t.Fatal("no lease")
 		}
@@ -486,13 +431,17 @@ func TestLedgerRecovery(t *testing.T) {
 	}
 	// c1 is abandoned here without SaveState: a hard kill.
 
-	c2 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4})
-	st2, err := c2.Status(st.ID)
-	if err != nil {
-		t.Fatalf("restarted coordinator lost the job: %v", err)
+	reg := obs.NewRegistry()
+	c2 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4, Metrics: reg})
+	if _, err := c2.Status(context.Background(), st.ID, 0); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("restarted coordinator's status before the resubmission: err %v, want ErrUnknownJob", err)
 	}
-	if st2.State.Terminal() {
-		t.Fatalf("restored state = %s", st2.State)
+	st2, err := c2.Submit(*spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.ID != st.ID || st2.State.Terminal() || st2.Cached {
+		t.Fatalf("resubmission to the restarted coordinator = %+v", st2)
 	}
 	if st2.DoneChunks != 8 {
 		t.Fatalf("restored DoneChunks = %d, want 8 (two persisted units)", st2.DoneChunks)
@@ -511,6 +460,14 @@ func TestLedgerRecovery(t *testing.T) {
 	}
 	if string(b) != string(localBytes) {
 		t.Fatal("post-restart checkpoint bytes differ from local checkpoint")
+	}
+	// The restored units were not recomputed.
+	snap := reg.Snapshot().Counters
+	if n := snap["dist.chunks_merged"]; n != 40-8 {
+		t.Fatalf("restarted coordinator merged %d chunks, want the 32 not persisted", n)
+	}
+	if n := snap["dist.jobs_resumed"]; n != 1 {
+		t.Fatalf("dist.jobs_resumed = %d, want 1", n)
 	}
 
 	// A third incarnation sees the job terminal and cache-serves it.
@@ -547,7 +504,7 @@ func TestRecoveryRecomputesRefusedJobCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ { // 32 of 40 chunks
-		lease, err := c1.Lease("w")
+		lease, err := c1.Lease(context.Background(), "w", 0)
 		if err != nil || lease == nil {
 			t.Fatal("no lease")
 		}
@@ -591,9 +548,9 @@ func TestRecoveryRecomputesRefusedJobCheckpoint(t *testing.T) {
 	}
 
 	c2 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4})
-	st2, err := c2.Status(st.ID)
+	st2, err := c2.Submit(*spec)
 	if err != nil {
-		t.Fatalf("restarted coordinator lost the job: %v", err)
+		t.Fatal(err)
 	}
 	if st2.DoneChunks != 0 {
 		t.Fatalf("restored DoneChunks = %d from a refused checkpoint, want 0", st2.DoneChunks)
@@ -619,7 +576,7 @@ func TestDrainRefusesWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Drain()
-	if _, err := c.Lease("w"); !errors.Is(err, ErrDraining) {
+	if _, err := c.Lease(context.Background(), "w", 0); !errors.Is(err, ErrDraining) {
 		t.Fatalf("lease while draining err = %v", err)
 	}
 	s := testSpec()
@@ -643,51 +600,316 @@ func TestDrainRefusesWork(t *testing.T) {
 	}
 }
 
-// TestErrorBudgetFailsJob pins cross-worker budget aggregation at the
-// service layer: fabricated voided trials from two units, each within
-// faultsim.DefaultErrorBudget but over it together, trip the job into the
-// failed state, which the status and result paths surface.
-func TestErrorBudgetFailsJob(t *testing.T) {
-	spec := testSpec()
-	spec.Schemes = []string{"XED"}
-	spec.Trials = 2 * faultsim.DefaultChunkSize
-	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 1})
+// failBudget fails spec's job on c with fabricated voided trials from
+// two units, each within faultsim.DefaultErrorBudget but over it
+// together. spec must be one XED scheme over two one-chunk units.
+func failBudget(t *testing.T, c *Coordinator, spec *JobSpec) JobStatus {
+	t.Helper()
 	st, err := c.Submit(*spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const perUnit = faultsim.DefaultErrorBudget * 3 / 5
 	mkRes := func(lo int) faultsim.ChunkResult {
 		res := faultsim.ChunkResult{
 			Lo: lo, Hi: lo + 1,
-			Trials:  faultsim.DefaultChunkSize - perUnit,
+			Trials:  faultsim.DefaultChunkSize - failPerUnit,
 			Tallies: []faultsim.SchemeTally{{ByYear: make([]uint64, 2)}},
 		}
-		for i := 0; i < perUnit; i++ {
+		for i := 0; i < failPerUnit; i++ {
 			res.Errors = append(res.Errors, faultsim.TrialError{
 				Trial: lo*faultsim.DefaultChunkSize + i, Chunk: lo, RNGState: [4]uint64{1, 2, 3, 4}, PanicValue: "boom",
 			})
 		}
 		return res
 	}
-	l1, _ := c.Lease("w")
+	l1, _ := c.Lease(context.Background(), "w", 0)
 	if _, err := c.Complete(CompleteRequest{JobID: st.ID, Unit: l1.Unit, Token: l1.Token, Result: mkRes(l1.Lo)}); err != nil {
 		t.Fatal(err)
 	}
-	l2, _ := c.Lease("w")
+	l2, _ := c.Lease(context.Background(), "w", 0)
 	resp, err := c.Complete(CompleteRequest{JobID: st.ID, Unit: l2.Unit, Token: l2.Token, Result: mkRes(l2.Lo)})
 	if err != nil || !resp.JobDone {
 		t.Fatalf("budget-tripping complete = %+v, %v", resp, err)
 	}
-	st, _ = c.Status(st.ID)
-	if st.State != JobFailed || st.Error == "" || st.TrialErrors != 2*perUnit {
+	return st
+}
+
+const failPerUnit = faultsim.DefaultErrorBudget * 3 / 5
+
+func budgetSpec() *JobSpec {
+	spec := testSpec()
+	spec.Schemes = []string{"XED"}
+	spec.Trials = 2 * faultsim.DefaultChunkSize
+	return spec
+}
+
+// checkFailed checks that job id is failed by the error budget on c, and
+// that c serves no result and no work for it.
+func checkFailed(t *testing.T, c *Coordinator, id string) {
+	t.Helper()
+	st, err := c.Status(context.Background(), id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobFailed || !strings.Contains(st.Error, "budget") || st.TrialErrors != 2*failPerUnit {
 		t.Fatalf("failed job status = %+v", st)
 	}
-	if _, err := c.Result(st.ID); !errors.Is(err, ErrNotDone) {
+	if _, err := c.Result(id); !errors.Is(err, ErrNotDone) {
 		t.Fatalf("Result of failed job err = %v", err)
 	}
-	// No further work is handed out for a failed job.
-	if lease, _ := c.Lease("w"); lease != nil {
+	if lease, _ := c.Lease(context.Background(), "w", 0); lease != nil {
 		t.Fatal("failed job produced work")
+	}
+}
+
+// TestErrorBudgetFailsJob pins cross-worker budget aggregation at the
+// service layer: voided trials from two units, each within the budget but
+// over it together, trip the job into the failed state, which the status
+// and result paths surface.
+func TestErrorBudgetFailsJob(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 1})
+	st := failBudget(t, c, budgetSpec())
+	checkFailed(t, c, st.ID)
+}
+
+// TestFailedJobRestoresFailed: a restarted coordinator re-derives a failed
+// job from its checkpoint alone (its trial errors exceed the budget), so
+// the resubmission is answered failed, with the budget error, and runs
+// nothing.
+func TestFailedJobRestoresFailed(t *testing.T) {
+	dir := t.TempDir()
+	spec := budgetSpec()
+	st := failBudget(t, newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 1}), spec)
+
+	c := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 1})
+	st2, err := c.Submit(*spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.ID != st.ID || st2.State != JobFailed || st2.Cached {
+		t.Fatalf("resubmitted failed job = %+v", st2)
+	}
+	checkFailed(t, c, st.ID)
+}
+
+// TestHeldRequestEndsWithContext: a held status or lease request returns
+// with its context's error when the context ends, long before its wait.
+func TestHeldRequestEndsWithContext(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 64})
+	st, err := c.Submit(*testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l, _ := c.Lease(context.Background(), "w", 0); l == nil { // the job's one unit
+		t.Fatal("no lease")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := c.Status(ctx, st.ID, MaxWait); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("held status: err %v, want the context's", err)
+	}
+	if _, err := c.Lease(ctx, "w", MaxWait); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("held lease: err %v, want the context's", err)
+	}
+	if d := time.Since(start); d > MaxWait/6 {
+		t.Fatalf("held requests returned %v after a 50ms context", d)
+	}
+}
+
+// TestResultReadsStateUnderLock: Result and CheckpointBytes, called while
+// the job they name runs, read its state under the coordinator's lock, so
+// go test -race finds no race with the lease and merge paths that write
+// it.
+func TestResultReadsStateUnderLock(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4})
+	st, err := c.Submit(*testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			c.CheckpointBytes(st.ID) //nolint:errcheck // not done yet, mostly
+			if _, err := c.Result(st.ID); err == nil {
+				return
+			}
+		}
+	}()
+	drainJob(t, c)
+	<-done
+}
+
+// TestPerJobCostIsFlat: with a state dir, one job's round (submit, lease,
+// complete, status) allocates about as much after 300 finished jobs as
+// after 10: what a job saves does not grow with the number of jobs the
+// coordinator has held.
+func TestPerJobCostIsFlat(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorOptions{StateDir: t.TempDir()})
+	ctx := context.Background()
+	var ms runtime.MemStats
+	seed := uint64(0)
+	round := func() uint64 {
+		t.Helper()
+		seed++
+		spec := testSpec()
+		spec.Schemes, spec.Trials, spec.Seed = []string{"XED"}, faultsim.DefaultChunkSize, seed
+		res := faultsim.ChunkResult{Lo: 0, Hi: 1, Trials: faultsim.DefaultChunkSize,
+			Tallies: []faultsim.SchemeTally{{ByYear: make([]uint64, 2)}}}
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		st, err := c.Submit(*spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := c.Lease(ctx, "w", 0)
+		if err != nil || l == nil {
+			t.Fatalf("lease: %v %v", l, err)
+		}
+		if _, err := c.Complete(CompleteRequest{JobID: l.JobID, Unit: l.Unit, Token: l.Token, Result: res}); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = c.Status(ctx, st.ID, 0); err != nil || st.State != JobDone {
+			t.Fatalf("status %+v, %v", st, err)
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	// cost runs rounds until jobs have finished, then returns the median
+	// of five more.
+	cost := func(jobs uint64) uint64 {
+		for seed < jobs {
+			round()
+		}
+		b := make([]uint64, 5)
+		for i := range b {
+			b[i] = round()
+		}
+		slices.Sort(b)
+		return b[2]
+	}
+	at10, at300 := cost(10), cost(300)
+	t.Logf("bytes allocated per job round: %d after 10 jobs, %d after 300", at10, at300)
+	if at300 > 2*at10 {
+		t.Fatalf("a job round allocates %d bytes after 300 jobs, %d after 10: per-job cost grows with the job count", at300, at10)
+	}
+}
+
+// TestFailedSaveIsRetriedAndNotReady: a job checkpoint save that fails is
+// counted in dist.job_save_failures, /readyz answers 503 while it stands,
+// and the persist tick retries it until it succeeds.
+func TestFailedSaveIsRetriedAndNotReady(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	reg := obs.NewRegistry()
+	c := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4, PersistInterval: 5 * time.Millisecond, Metrics: reg})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ready := func() int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// A regular file where the state dir was makes every save fail, even
+	// for root.
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Submit(*testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainJob(t, c) // the job finishes, and its final save fails
+	if n := reg.Snapshot().Counters["dist.job_save_failures"]; n != 1 {
+		t.Fatalf("dist.job_save_failures = %d after one failed save, want 1", n)
+	}
+	if code := ready(); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz with a failed save = %d, want 503", code)
+	}
+
+	// Restore the dir: the next tick saves the job, and /readyz recovers.
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c.Start(ctx)
+	for deadline := time.Now().Add(10 * time.Second); ready() != http.StatusOK; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("/readyz still not ready 10s after the state dir came back")
+		}
+	}
+	cancel()
+	want, err := c.CheckpointBytes(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "job-"+st.ID+".ckpt")); err != nil || string(got) != string(want) {
+		t.Fatalf("the retried save left %d bytes (%v), want the job's %d", len(got), err, len(want))
+	}
+}
+
+// TestRestoreAcrossUnitSizes: a job checkpoint saved under one unit size
+// and resubmitted to a coordinator with another, so that a unit is only
+// partly merged, is dropped rather than left with a unit no result can
+// complete; the job recomputes and ends with the local run's bytes.
+func TestRestoreAcrossUnitSizes(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec()
+	localRep, localBytes := localRun(t, spec)
+
+	c1 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4})
+	if _, err := c1.Submit(*spec); err != nil {
+		t.Fatal(err)
+	}
+	schemes, _ := spec.ResolveSchemes()
+	r, err := faultsim.NewChunkRunner(spec.Config, schemes, spec.CampaignOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // chunks 0-11: half of the third 8-chunk unit
+		lease, err := c1.Lease(context.Background(), "w", 0)
+		if err != nil || lease == nil {
+			t.Fatal("no lease")
+		}
+		res, err := r.RunSpan(context.Background(), lease.Lo, lease.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c1.Complete(CompleteRequest{JobID: lease.JobID, Unit: lease.Unit, Token: lease.Token, Result: *res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1.SaveState()
+
+	c2 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 8})
+	st, err := c2.Submit(*spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DoneChunks != 0 {
+		t.Fatalf("restored DoneChunks = %d under another unit size, want 0", st.DoneChunks)
+	}
+	drainJob(t, c2)
+	rep, err := c2.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, localRep) {
+		t.Fatal("recomputed job differs from local RunCampaign")
+	}
+	if b, err := c2.CheckpointBytes(st.ID); err != nil || string(b) != string(localBytes) {
+		t.Fatalf("recomputed job's checkpoint differs from the local one (err %v)", err)
 	}
 }

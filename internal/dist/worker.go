@@ -18,11 +18,10 @@ import (
 	"xedsim/internal/obs"
 )
 
-// Worker defaults.
+// Retry backoff defaults.
 const (
-	DefaultHeartbeatInterval = 2 * time.Second
-	defaultBackoffMin        = 50 * time.Millisecond
-	defaultBackoffMax        = 5 * time.Second
+	defaultBackoffMin = 50 * time.Millisecond
+	defaultBackoffMax = 5 * time.Second
 )
 
 // backoff is jittered exponential backoff: each step doubles the base
@@ -72,18 +71,14 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // WorkerOptions parameterises NewWorker.
 type WorkerOptions struct {
-	// ID names the worker in lease and heartbeat traffic (logs/metrics on
-	// the coordinator side). Empty selects "worker".
+	// ID names the worker in lease traffic (logs/metrics on the
+	// coordinator side). Empty selects "worker".
 	ID string
 	// Coordinator is the base URL of the coordinator, e.g.
 	// "http://127.0.0.1:7600".
 	Coordinator string
 	// Parallel is the number of concurrent lease loops; 0 selects 1.
 	Parallel int
-	// HeartbeatInterval paces lease-extension heartbeats; it must be
-	// comfortably below the coordinator's lease TTL. 0 selects
-	// DefaultHeartbeatInterval.
-	HeartbeatInterval time.Duration
 	// MaxUnits, when positive, stops the worker after that many completed
 	// units — the chaos harness's kill-after-N-chunks lever.
 	MaxUnits int
@@ -92,30 +87,27 @@ type WorkerOptions struct {
 	Client *http.Client
 	// Metrics, when non-nil, publishes worker counters under "dist.worker_*".
 	Metrics *obs.Registry
-	// BackoffMin/BackoffMax bound the retry backoff; zero values select
-	// 50ms / 5s.
+	// BackoffMin/BackoffMax bound the backoff after errors, 429 and 503;
+	// zero values select 50ms / 5s.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
 }
 
 // Worker leases work units from a coordinator, evaluates them with
 // faultsim.ChunkRunner, and reports results back, retrying with jittered
-// exponential backoff across coordinator outages. It holds no durable
-// state: everything it computes can be recomputed, so crash-stopping a
-// worker at any instant is always safe.
+// exponential backoff across coordinator outages. Its lease requests are
+// held at the coordinator until a unit is free, so an idle worker waits
+// without polling. It holds no durable state: everything it computes can
+// be recomputed, so crash-stopping a worker at any instant is always safe.
 type Worker struct {
 	opts WorkerOptions
 	base string
 	hc   *http.Client
 
-	unitsDone  atomic.Int64
-	leaseFail  *obs.Counter
-	unitsC     *obs.Counter
-	retriesC   *obs.Counter
-	lostLeases *obs.Counter
-
-	mu     sync.Mutex
-	active map[LeaseRef]struct{}
+	unitsDone atomic.Int64
+	leaseFail *obs.Counter
+	unitsC    *obs.Counter
+	retriesC  *obs.Counter
 
 	// runners holds each lease loop's runner cache, one per loop.
 	runners []jobRunner
@@ -158,17 +150,12 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.Parallel <= 0 {
 		opts.Parallel = 1
 	}
-	if opts.HeartbeatInterval <= 0 {
-		opts.HeartbeatInterval = DefaultHeartbeatInterval
-	}
 	w := &Worker{
-		opts:       opts,
-		hc:         opts.Client,
-		active:     make(map[LeaseRef]struct{}),
-		leaseFail:  opts.Metrics.Counter("dist.worker_lease_failures"),
-		unitsC:     opts.Metrics.Counter("dist.worker_units_done"),
-		retriesC:   opts.Metrics.Counter("dist.worker_retries"),
-		lostLeases: opts.Metrics.Counter("dist.worker_leases_lost"),
+		opts:      opts,
+		hc:        opts.Client,
+		leaseFail: opts.Metrics.Counter("dist.worker_lease_failures"),
+		unitsC:    opts.Metrics.Counter("dist.worker_units_done"),
+		retriesC:  opts.Metrics.Counter("dist.worker_retries"),
 	}
 	if w.hc == nil {
 		w.hc = &http.Client{}
@@ -184,18 +171,13 @@ func (w *Worker) Base() string { return w.base }
 // acknowledged duplicate).
 func (w *Worker) UnitsDone() int { return int(w.unitsDone.Load()) }
 
-// Run executes lease loops plus a heartbeat loop until ctx is cancelled
-// or MaxUnits is reached. It returns nil on a clean stop.
+// Run executes the lease loops until ctx is cancelled or MaxUnits is
+// reached. It returns nil on a clean stop.
 func (w *Worker) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w.heartbeatLoop(ctx)
-	}()
 	w.runners = make([]jobRunner, w.opts.Parallel)
 	for i := range w.runners {
 		wg.Add(1)
@@ -234,14 +216,10 @@ func (w *Worker) leaseLoop(ctx context.Context, stop context.CancelFunc, cache *
 			}
 			continue
 		}
-		if lease == nil {
-			// No work available right now; idle-poll with backoff.
-			if sleepCtx(ctx, bo.next()) != nil {
-				return
-			}
-			continue
-		}
 		bo.reset()
+		if lease == nil {
+			continue // the hold ended with no unit free: ask again
+		}
 		if err := w.runUnit(ctx, cache, lease); err != nil {
 			if ctx.Err() != nil {
 				return
@@ -262,19 +240,8 @@ func maxDuration(a, b time.Duration) time.Duration {
 	return b
 }
 
-// runUnit computes a leased span and reports it, holding the lease in the
-// heartbeat set for the duration.
+// runUnit computes a leased span and reports it.
 func (w *Worker) runUnit(ctx context.Context, cache *jobRunner, lease *Lease) error {
-	ref := LeaseRef{JobID: lease.JobID, Unit: lease.Unit, Token: lease.Token}
-	w.mu.Lock()
-	w.active[ref] = struct{}{}
-	w.mu.Unlock()
-	defer func() {
-		w.mu.Lock()
-		delete(w.active, ref)
-		w.mu.Unlock()
-	}()
-
 	r, err := cache.get(lease)
 	if err != nil {
 		// A spec this binary cannot evaluate; drop the lease and let it
@@ -295,12 +262,14 @@ func (w *Worker) runUnit(ctx context.Context, cache *jobRunner, lease *Lease) er
 	})
 }
 
-// lease asks the coordinator for a unit. A 204 returns (nil, 0, nil); a
+// lease asks the coordinator for a unit, to be held for up to MaxWait
+// until one is free. A 204 (the hold ended first) returns (nil, 0, nil); a
 // 429/503 returns the server's Retry-After as a floor for the caller's
 // backoff.
 func (w *Worker) lease(ctx context.Context) (*Lease, time.Duration, error) {
 	var lease Lease
-	code, retryAfter, err := w.postJSON(ctx, "/v1/lease", &LeaseRequest{WorkerID: w.opts.ID}, &lease)
+	req := &LeaseRequest{WorkerID: w.opts.ID, WaitMillis: MaxWait.Milliseconds()}
+	code, retryAfter, err := w.postJSON(ctx, "/v1/lease", req, &lease)
 	if err != nil {
 		return nil, retryAfter, err
 	}
@@ -330,33 +299,6 @@ func (w *Worker) complete(ctx context.Context, req *CompleteRequest) error {
 		w.retriesC.Inc()
 		if sleepCtx(ctx, maxDuration(retryAfter, bo.next())) != nil {
 			return ctx.Err()
-		}
-	}
-}
-
-// heartbeatLoop extends the active leases until ctx is done.
-func (w *Worker) heartbeatLoop(ctx context.Context) {
-	tick := time.NewTicker(w.opts.HeartbeatInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		w.mu.Lock()
-		refs := make([]LeaseRef, 0, len(w.active))
-		for ref := range w.active {
-			refs = append(refs, ref)
-		}
-		w.mu.Unlock()
-		if len(refs) == 0 {
-			continue
-		}
-		var resp HeartbeatResponse
-		_, _, err := w.postJSON(ctx, "/v1/heartbeat", &HeartbeatRequest{WorkerID: w.opts.ID, Leases: refs}, &resp)
-		if err == nil && resp.Lost > 0 {
-			w.lostLeases.Add(uint64(resp.Lost))
 		}
 	}
 }

@@ -298,7 +298,6 @@ type campaignMetrics struct {
 	trialErrors     *obs.Counter
 	chunksDone      *obs.Counter
 	chunksTotal     *obs.Gauge
-	errorBudget     *obs.Gauge
 
 	// Per-scheme tallies, parallel to the campaign's scheme slice.
 	failures []*obs.Counter
@@ -322,7 +321,6 @@ func newCampaignMetrics(r *obs.Registry, schemes []Scheme) campaignMetrics {
 		trialErrors:     r.Counter("campaign.trial_errors"),
 		chunksDone:      r.Counter("campaign.chunks_done"),
 		chunksTotal:     r.Gauge("campaign.chunks_total"),
-		errorBudget:     r.Gauge("campaign.error_budget"),
 		trialsEvaluated: r.Counter("campaign.trials_evaluated"),
 		laneBatches:     r.Counter("campaign.lane_batches"),
 		laneProbes:      r.Counter("campaign.lane_probes"),
@@ -421,7 +419,6 @@ func RunCampaign(ctx context.Context, cfg Config, schemes []Scheme, opts Campaig
 	c.met = newCampaignMetrics(opts.Metrics, schemes)
 	c.met.trialsRequested.Add(int64(opts.Trials))
 	c.met.chunksTotal.Add(int64(c.run.Chunks()))
-	c.met.errorBudget.Set(DefaultErrorBudget)
 	if done := c.run.DoneChunks(); done > 0 {
 		// Resumed progress is visible immediately, so live trials/s and
 		// tallies start from the snapshot's frontier rather than zero.
