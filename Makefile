@@ -66,13 +66,14 @@ fuzz:
 	go test -fuzz=FuzzWakeVsEveryCycle -fuzztime=$(FUZZTIME) -run='^$$' ./internal/memsim/
 
 # Regenerate every golden file from the current tree: memsim's results,
-# the examples' stdout, xedmemtest's runs, and the campaign and fleet
-# identity files. A change meant to move numbers runs this and explains
-# the diff; `go test ./...` checks the files.
+# the examples' stdout, xedmemtest's and xedmemsim's runs, and the
+# campaign and fleet identity files. A change meant to move numbers runs
+# this and explains the diff; `go test ./...` checks the files.
 goldens:
 	go test ./internal/memsim -run '^TestGoldenResults$$' -update
 	go test . -run '^TestExamplesSmoke$$' -update
 	go test ./cmd/xedmemtest -run '^TestGolden$$' -update
+	go test ./cmd/xedmemsim -run '^TestGolden$$' -update
 	go test ./internal/faultsim -run '^TestIdentityGolden$$' -update
 	go test ./internal/fleet -run '^TestIdentityGolden$$' -update
 
