@@ -54,20 +54,7 @@ func TestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			for suffix, got := range map[string][]byte{".stdout.golden": []byte(stdout), ".metrics.golden": snap} {
-				golden := filepath.Join("testdata", tc.name+suffix)
-				if *update {
-					if err := os.WriteFile(golden, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					continue
-				}
-				want, err := os.ReadFile(golden)
-				if err != nil {
-					t.Fatalf("%v (run with -update to create it)", err)
-				}
-				if string(got) != string(want) {
-					t.Errorf("%s differs (run with -update to accept):\ngot:\n%s\nwant:\n%s", golden, got, want)
-				}
+				clitest.Golden(t, filepath.Join("testdata", tc.name+suffix), got, *update)
 			}
 		})
 	}

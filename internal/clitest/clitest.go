@@ -45,3 +45,22 @@ func Output(t testing.TB, args ...string) (code int, stdout, stderr string) {
 	}
 	return cmd.ProcessState.ExitCode(), out.String(), errOut.String()
 }
+
+// Golden holds got to the golden file at path; with update set it rewrites
+// the file from got instead.
+func Golden(t testing.TB, path string, got []byte, update bool) {
+	t.Helper()
+	if update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("%s differs (run with -update to accept):\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}

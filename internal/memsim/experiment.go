@@ -17,11 +17,20 @@ type Comparison struct {
 	Results [][]Result
 }
 
-// RunComparison simulates every (workload, scheme) pair. instrPerCore
-// scales fidelity versus runtime; workers <= 0 uses GOMAXPROCS. ctx
-// cancellation abandons unstarted pairs and interrupts in-flight
-// simulations at the next cycle-batch boundary; the partial Comparison is
-// returned alongside ctx's error (unfinished cells hold the zero Result).
+// RunComparison simulates every workload under every scheme. instrPerCore
+// scales fidelity versus runtime; workers <= 0 uses GOMAXPROCS.
+//
+// Schemes whose configs differ only in Name describe the same memory
+// system (XED runs on SECDED's hardware, XED+Chipkill on Chipkill's), so
+// each workload simulates the first scheme of such a group once and every
+// other member's cell is a copy of that Result under its own Scheme name.
+//
+// ctx cancellation abandons unstarted simulations and interrupts in-flight
+// ones at the next cycle-batch boundary; the Comparison is returned
+// alongside ctx's error. Then a cell whose simulation never started holds
+// the zero Result, one interrupted mid-run holds the partial Result
+// RunContext returned, and one that finished holds its full Result; a
+// twin's cell holds a copy of its source's.
 func RunComparison(ctx context.Context, workloads []Workload, schemes []SchemeConfig, instrPerCore int64, seed uint64, workers int) (*Comparison, error) {
 	cmp := &Comparison{Workloads: workloads, Schemes: schemes}
 	cmp.Results = make([][]Result, len(workloads))
@@ -31,7 +40,11 @@ func RunComparison(ctx context.Context, workloads []Workload, schemes []SchemeCo
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	type job struct{ w, s int }
+	groups := sameSystemGroups(schemes)
+	type job struct {
+		w     int
+		group []int
+	}
 	jobs := make(chan job)
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
@@ -42,21 +55,44 @@ func RunComparison(ctx context.Context, workloads []Workload, schemes []SchemeCo
 				if ctx.Err() != nil {
 					continue // drain the channel without simulating
 				}
-				cfg := DefaultConfig(workloads[j.w], schemes[j.s])
+				cfg := DefaultConfig(workloads[j.w], schemes[j.group[0]])
 				cfg.InstrPerCore = instrPerCore
 				cfg.Seed = seed + uint64(j.w)*977
-				cmp.Results[j.w][j.s] = New(cfg).RunContext(ctx)
+				res := New(cfg).RunContext(ctx)
+				for _, s := range j.group {
+					res.Scheme = schemes[s].Name
+					cmp.Results[j.w][s] = res
+				}
 			}
 		}()
 	}
 	for w := range workloads {
-		for s := range schemes {
-			jobs <- job{w, s}
+		for _, g := range groups {
+			jobs <- job{w, g}
 		}
 	}
 	close(jobs)
 	wg.Wait()
 	return cmp, ctx.Err()
+}
+
+// sameSystemGroups partitions the indices of schemes into groups whose
+// configs are equal once Name is cleared, each group in index order and
+// the groups ordered by their first member.
+func sameSystemGroups(schemes []SchemeConfig) [][]int {
+	var groups [][]int
+	group := map[SchemeConfig]int{}
+	for s, sc := range schemes {
+		sc.Name = ""
+		g, ok := group[sc]
+		if !ok {
+			g = len(groups)
+			group[sc] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], s)
+	}
+	return groups
 }
 
 // NormalizedTime returns execution time of (workload w, scheme s) relative

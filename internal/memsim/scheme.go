@@ -72,6 +72,8 @@ func SECDEDScheme() SchemeConfig {
 // rank of 9 chips, no bandwidth overhead. Serial-mode episodes are so rare
 // (once per ~200K accesses, §VII-B) that their cost is unmeasurable; the
 // simulator still exposes them through SerialModeEvery for ablation.
+// It equals SECDEDScheme in every field but Name, so RunComparison runs
+// the two as one simulation per workload.
 func XEDScheme() SchemeConfig {
 	return SchemeConfig{
 		Name: "XED (9 chips)", RanksPerAccess: 1, ChannelsPerAccess: 1,
@@ -91,7 +93,8 @@ func ChipkillScheme() SchemeConfig {
 
 // XEDChipkillScheme — XED on Single-Chipkill hardware — has exactly
 // Chipkill's resource footprint (18 chips over two ranks) but erasure
-// decoding at the controller.
+// decoding at the controller. It equals ChipkillScheme in every field but
+// Name, so RunComparison runs the two as one simulation per workload.
 func XEDChipkillScheme() SchemeConfig {
 	return SchemeConfig{
 		Name: "XED + Single Chipkill (18 chips)", RanksPerAccess: 1, ChannelsPerAccess: 2,

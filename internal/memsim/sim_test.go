@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"xedsim/internal/obs"
@@ -280,6 +281,63 @@ func TestRunComparisonNormalisation(t *testing.T) {
 	}
 	if g := cmp.SuiteGmeanTime(2, "SPEC2006"); g <= 1 {
 		t.Fatalf("suite gmean %v", g)
+	}
+}
+
+// TestRunComparisonMatchesEachRun: RunComparison simulates schemes that
+// differ only in Name once per workload, and every cell must still equal
+// its own config's run. powerOnly differs from SECDED only in a field that
+// moves Result.Power alone, so it must not borrow SECDED's simulation.
+func TestRunComparisonMatchesEachRun(t *testing.T) {
+	ws := []Workload{mustWorkload(t, "libquantum"), mustWorkload(t, "mcf"), mustWorkload(t, "lbm")}
+	powerOnly := SECDEDScheme()
+	powerOnly.Name = "SECDED on plain DRAM"
+	powerOnly.OnDieECCCurrentFactor = 1
+	schemes := append(goldenSchemes(), powerOnly)
+	const instr, seed = 5_000, 3
+	cmp, err := RunComparison(context.Background(), ws, schemes, instr, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range ws {
+		want := make([]Result, len(schemes))
+		for s := range schemes {
+			cfg := DefaultConfig(ws[w], schemes[s])
+			cfg.InstrPerCore = instr
+			cfg.Seed = seed + uint64(w)*977
+			want[s] = New(cfg).Run()
+			if !reflect.DeepEqual(cmp.Results[w][s], want[s]) {
+				t.Errorf("%s under %s:\n got %+v\nwant %+v", ws[w].Name, schemes[s].Name, cmp.Results[w][s], want[s])
+			}
+		}
+		if want[len(schemes)-1].Power == want[0].Power {
+			t.Fatalf("%s: the power-only copy runs at SECDED's power, so it tells no grouping apart", ws[w].Name)
+		}
+	}
+	// Figure 11's two twins share their baselines' simulations.
+	fig11 := []SchemeConfig{SECDEDScheme(), XEDScheme(), ChipkillScheme(), XEDChipkillScheme(), DoubleChipkillScheme()}
+	if got, want := sameSystemGroups(fig11), [][]int{{0, 1}, {2, 3}, {4}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Figure 11 groups %v, want %v", got, want)
+	}
+}
+
+// TestRunComparisonCancelledBeforeStart: a comparison whose context is
+// already cancelled simulates nothing. It returns ctx's error, and every
+// cell, twins included, holds the zero Result.
+func TestRunComparisonCancelledBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ws := []Workload{mustWorkload(t, "libquantum"), mustWorkload(t, "mcf")}
+	cmp, err := RunComparison(ctx, ws, goldenSchemes(), 5_000, 3, 0)
+	if err != ctx.Err() {
+		t.Fatalf("err = %v, want %v", err, ctx.Err())
+	}
+	for w, row := range cmp.Results {
+		for s, r := range row {
+			if r != (Result{}) {
+				t.Fatalf("%s under %s holds %+v, want the zero Result", ws[w].Name, cmp.Schemes[s].Name, r)
+			}
+		}
 	}
 }
 
