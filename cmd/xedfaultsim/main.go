@@ -21,6 +21,18 @@
 // -resume continues from the snapshot — the resumed run is bit-identical
 // to an uninterrupted one with the same seed. A snapshot records a hash of
 // the full campaign configuration and refuses to resume a different one.
+//
+// With -coordinator each campaign runs as a job on an xedserver
+// coordinator, drained by xedworker processes, instead of on local cores:
+//
+//	xedfaultsim -coordinator http://host:7600 -experiment custom \
+//	    -schemes "ECC-DIMM (SECDED),XED" -systems 1000000000 -checkpoint fig7.ckpt
+//
+// The service's results are bit-identical to local ones, so the command
+// prints what the local run prints, and -checkpoint writes the finished
+// job's checkpoint, the bytes the local run's file holds. The coordinator
+// schedules, saves and resumes the job, so -workers, -resume,
+// -checkpoint-every, -progress and -metrics-json are usage errors with it.
 package main
 
 import (
@@ -32,6 +44,7 @@ import (
 	"time"
 
 	"xedsim/internal/cli"
+	"xedsim/internal/dist"
 	"xedsim/internal/faultsim"
 	"xedsim/internal/obs"
 )
@@ -55,6 +68,7 @@ type cliArgs struct {
 	progress    bool
 	metricsJSON string
 	debugAddr   string
+	coordinator string
 }
 
 // validateArgs returns the message cmd.UsageErr should print, or nil. Range
@@ -94,6 +108,22 @@ func validateArgs(a cliArgs) error {
 	if _, err := faultsim.ParseOnDieCode(a.ondieCode); err != nil {
 		return err
 	}
+	if a.coordinator != "" {
+		for _, f := range []struct {
+			set  bool
+			name string
+		}{
+			{a.workers != 0, "-workers"},
+			{a.resume, "-resume"},
+			{a.ckptEvery != faultsim.DefaultCheckpointInterval, "-checkpoint-every"},
+			{a.progress, "-progress"},
+			{a.metricsJSON != "", "-metrics-json"},
+		} {
+			if f.set {
+				return fmt.Errorf("%s does not apply with -coordinator: the service runs and saves the campaign", f.name)
+			}
+		}
+	}
 	return nil
 }
 
@@ -113,6 +143,7 @@ func main() {
 	flag.BoolVar(&a.progress, "progress", false, "repaint a one-line live status (trials/s, per-scheme tallies) on stderr")
 	flag.StringVar(&a.metricsJSON, "metrics-json", "", "write the final metrics snapshot to this file as JSON")
 	flag.StringVar(&a.debugAddr, "debug-addr", "", "serve live metrics and pprof over HTTP on this address (e.g. localhost:6060)")
+	flag.StringVar(&a.coordinator, "coordinator", "", "run each campaign as a job on this xedserver coordinator URL instead of local cores")
 	prof := cli.RegisterProfile(flag.CommandLine)
 	cmd.Parse()
 
@@ -237,7 +268,13 @@ func runExperiment(ctx context.Context, name string, a *cliArgs, custom []faults
 		copts.OnChunk = progress.Update
 	}
 
-	rep, err := faultsim.RunCampaign(ctx, cfg, schemes, copts)
+	var rep *faultsim.Report
+	var err error
+	if a.coordinator != "" {
+		rep, err = runRemote(ctx, a, dist.NewJobSpec(cfg, schemes, copts))
+	} else {
+		rep, err = faultsim.RunCampaign(ctx, cfg, schemes, copts)
+	}
 	progress.Finish() // terminate the repaint line before the results table
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
@@ -261,4 +298,32 @@ func runExperiment(ctx context.Context, name string, a *cliArgs, custom []faults
 		return cli.Interrupted("partial results", a.ckptPath)
 	}
 	return nil
+}
+
+// runRemote runs spec as a job on the -coordinator service and returns its
+// Report. With -checkpoint it writes the finished job's checkpoint, the
+// bytes a local run leaves in that file.
+func runRemote(ctx context.Context, a *cliArgs, spec *dist.JobSpec) (*faultsim.Report, error) {
+	cl := dist.NewClient(a.coordinator, nil)
+	st, err := cl.Wait(ctx, spec)
+	if err != nil {
+		if ctx.Err() != nil { // no partial Report to print: the progress is the coordinator's
+			return nil, errors.New("interrupted; the job keeps running on the coordinator, and the same command collects its result")
+		}
+		return nil, err
+	}
+	rep, err := cl.Result(ctx, st.ID)
+	if err != nil {
+		return nil, err
+	}
+	if a.ckptPath != "" {
+		b, err := cl.CheckpointBytes(ctx, st.ID)
+		if err != nil {
+			return nil, err
+		}
+		if err := os.WriteFile(a.ckptPath, b, 0o644); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
 }

@@ -1,11 +1,18 @@
 package main
 
 import (
+	"context"
+	"fmt"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"xedsim/internal/clitest"
+	"xedsim/internal/dist"
+	"xedsim/internal/faultsim"
 )
 
 func TestMain(m *testing.M) { clitest.Main(m, main) }
@@ -18,6 +25,14 @@ func TestValidateArgs(t *testing.T) {
 	valid := cliArgs{systems: 1000, ckptEvery: time.Second, experiment: "fig1"}
 	if err := validateArgs(valid); err != nil {
 		t.Fatalf("valid args rejected: %v", err)
+	}
+	// remote runs mut on valid args with -coordinator set.
+	remote := func(mut func(*cliArgs)) func(*cliArgs) {
+		return func(a *cliArgs) {
+			a.coordinator = "http://localhost:7600"
+			a.ckptEvery = faultsim.DefaultCheckpointInterval
+			mut(a)
+		}
 	}
 
 	cases := []struct {
@@ -37,6 +52,11 @@ func TestValidateArgs(t *testing.T) {
 		{"resume without checkpoint", func(a *cliArgs) { a.resume = true }, "-resume"},
 		{"unknown on-die code", func(a *cliArgs) { a.ondieCode = "crc16" }, "on-die code"},
 		{"bad random code seed", func(a *cliArgs) { a.ondieCode = "random:x" }, "seed"},
+		{"workers with coordinator", remote(func(a *cliArgs) { a.workers = 2 }), "-workers does not apply with -coordinator"},
+		{"resume with coordinator", remote(func(a *cliArgs) { a.ckptPath, a.resume = "x.json", true }), "-resume does not apply with -coordinator"},
+		{"checkpoint-every with coordinator", remote(func(a *cliArgs) { a.ckptEvery = time.Second }), "-checkpoint-every does not apply with -coordinator"},
+		{"progress with coordinator", remote(func(a *cliArgs) { a.progress = true }), "-progress does not apply with -coordinator"},
+		{"metrics-json with coordinator", remote(func(a *cliArgs) { a.metricsJSON = "m.json" }), "-metrics-json does not apply with -coordinator"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,6 +86,13 @@ func TestValidateArgs(t *testing.T) {
 		})
 	}
 
+	// -coordinator with a checkpoint file and the local defaults is valid.
+	svc := valid
+	remote(func(a *cliArgs) { a.ckptPath = "x.json" })(&svc)
+	if err := validateArgs(svc); err != nil {
+		t.Fatalf("-coordinator rejected: %v", err)
+	}
+
 	// A zero scrub override is "keep the config default", not an error.
 	ok := valid
 	ok.scrub = 0
@@ -79,6 +106,51 @@ func TestValidateArgs(t *testing.T) {
 		a.ondieCode = spec
 		if err := validateArgs(a); err != nil {
 			t.Errorf("-ondie-code %s rejected: %v", spec, err)
+		}
+	}
+}
+
+// TestCoordinatorMatchesLocal: a campaign run with -coordinator, through an
+// in-process coordinator and worker, prints the local run's stdout byte for
+// byte, and its -checkpoint file holds the local run's bytes.
+func TestCoordinatorMatchesLocal(t *testing.T) {
+	coord, err := dist.NewCoordinator(dist.CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	worked := make(chan struct{})
+	go func() {
+		defer close(worked)
+		dist.NewWorker(dist.WorkerOptions{ID: "w", Coordinator: srv.URL, Parallel: 2}).Run(ctx) //nolint:errcheck
+	}()
+	defer func() { cancel(); <-worked }()
+
+	dir := t.TempDir()
+	for i, args := range [][]string{
+		{"-experiment", "custom", "-schemes", "ECC-DIMM (SECDED),XED", "-systems", "600000", "-seed", "7"},
+		{"-experiment", "fig8", "-systems", "300000", "-seed", "3"},
+	} {
+		var stdout, ckpt [2]string
+		for j, extra := range [][]string{nil, {"-coordinator", srv.URL}} {
+			path := filepath.Join(dir, fmt.Sprintf("run%d-%d.ckpt", i, j))
+			code, out, stderr := clitest.Output(t, append(append(args, "-checkpoint", path), extra...)...)
+			if code != 0 {
+				t.Fatalf("%v %v: exit %d, stderr %q", args, extra, code, stderr)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stdout[j], ckpt[j] = out, string(b)
+		}
+		if stdout[1] != stdout[0] {
+			t.Errorf("%v: -coordinator printed\n%s\nthe local run\n%s", args, stdout[1], stdout[0])
+		}
+		if ckpt[1] != ckpt[0] {
+			t.Errorf("%v: -coordinator's checkpoint (%d bytes) differs from the local run's (%d bytes)", args, len(ckpt[1]), len(ckpt[0]))
 		}
 	}
 }

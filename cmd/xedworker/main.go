@@ -10,9 +10,9 @@
 // including mid-unit — loses nothing but time. Its leases expire and the
 // coordinator re-dispatches the units. An idle worker's lease request is
 // held at the coordinator until a unit is free; retries with jittered
-// exponential backoff ride out errors, coordinator restarts and
-// backpressure. -max-units stops the worker after N settled units (the
-// chaos harness's kill lever; also handy for scale-to-zero batch runs).
+// exponential backoff (50 ms doubling to 5 s) ride out errors,
+// coordinator restarts and backpressure. The worker runs until SIGINT or
+// SIGTERM.
 package main
 
 import (
@@ -35,7 +35,6 @@ type cliArgs struct {
 	coordinator string
 	id          string
 	parallel    int
-	maxUnits    int
 	debugAddr   string
 }
 
@@ -46,9 +45,6 @@ func validateArgs(a cliArgs) error {
 	}
 	if a.parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0, got %d", a.parallel)
-	}
-	if a.maxUnits < 0 {
-		return fmt.Errorf("-max-units must be >= 0, got %d", a.maxUnits)
 	}
 	return nil
 }
@@ -66,7 +62,6 @@ func main() {
 	flag.StringVar(&a.coordinator, "coordinator", "", "coordinator base URL, e.g. http://host:7600")
 	flag.StringVar(&a.id, "id", "", "worker identity in lease traffic (default hostname-pid)")
 	flag.IntVar(&a.parallel, "parallel", 0, "concurrent work units (0 = GOMAXPROCS)")
-	flag.IntVar(&a.maxUnits, "max-units", 0, "exit after settling this many units (0 = run until signalled)")
 	flag.StringVar(&a.debugAddr, "debug-addr", "", "serve live metrics and pprof over HTTP on this address")
 	cmd.Parse()
 
@@ -90,7 +85,6 @@ func main() {
 		ID:          a.id,
 		Coordinator: a.coordinator,
 		Parallel:    a.parallel,
-		MaxUnits:    a.maxUnits,
 		Metrics:     reg,
 	})
 	fmt.Fprintf(os.Stderr, "xedworker: %s leasing from %s with %d slots\n", a.id, a.coordinator, a.parallel)

@@ -20,12 +20,10 @@ func TestValidateArgs(t *testing.T) {
 		{"explicit everything", func(a *cliArgs) {
 			a.id = "w1"
 			a.parallel = 4
-			a.maxUnits = 10
 			a.debugAddr = "localhost:0"
 		}, ""},
 		{"missing coordinator", func(a *cliArgs) { a.coordinator = "" }, "-coordinator"},
 		{"negative parallel", func(a *cliArgs) { a.parallel = -1 }, "-parallel"},
-		{"negative max units", func(a *cliArgs) { a.maxUnits = -1 }, "-max-units"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,7 +26,7 @@
 //     resubmits it (Client.Wait does so on a 404), and anything merged
 //     after the last save is simply recomputed. A job whose client is gone
 //     stays on disk.
-//   - The job queue is bounded: beyond the configured depth, submissions
+//   - The job queue is bounded: beyond 16 unfinished jobs, submissions
 //     get 429 + Retry-After instead of unbounded memory growth.
 //
 // The wire protocol is plain JSON over stdlib HTTP:
@@ -68,6 +68,17 @@ type JobSpec struct {
 	// Trials and Seed shape the Monte-Carlo campaign.
 	Trials int    `json:"trials"`
 	Seed   uint64 `json:"seed"`
+}
+
+// NewJobSpec names the campaign that faultsim.RunCampaign(ctx, cfg,
+// schemes, opts) runs: its schemes by name, its trials and seed. The rest
+// of opts sets up or observes a local run and is not part of the job.
+func NewJobSpec(cfg faultsim.Config, schemes []faultsim.Scheme, opts faultsim.CampaignOptions) *JobSpec {
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = s.Name()
+	}
+	return &JobSpec{Config: cfg, Schemes: names, Trials: opts.Trials, Seed: opts.Seed}
 }
 
 // CampaignOptions maps the spec onto the engine's option struct.

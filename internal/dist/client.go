@@ -20,9 +20,6 @@ import (
 type Client struct {
 	base string
 	hc   *http.Client
-	// BackoffMin/BackoffMax bound the retry backoff (zero → 50ms / 5s).
-	BackoffMin time.Duration
-	BackoffMax time.Duration
 }
 
 // NewClient builds a client for a coordinator base URL.
@@ -41,7 +38,7 @@ func (c *Client) Base() string { return c.base }
 // the coordinator admits (or permanently rejects) the job. A 400 is
 // permanent — the spec itself is invalid.
 func (c *Client) Submit(ctx context.Context, spec *JobSpec) (JobStatus, error) {
-	bo := newBackoff(c.BackoffMin, c.BackoffMax)
+	var bo backoff
 	for {
 		var st JobStatus
 		code, retryAfter, err := postJSON(ctx, c.hc, c.Base(), "/v1/jobs", spec, &st)
@@ -80,16 +77,17 @@ func (c *Client) Status(ctx context.Context, id string, wait time.Duration) (Job
 }
 
 // Wait submits a spec and waits, on held status requests, until the job
-// is terminal. Errors, outages and drains are ridden out with backoff; a
-// coordinator that comes back without the job (a restart) gets the spec
-// resubmitted — idempotent by config hash, so this never forks the
-// campaign, and the coordinator resumes the job from its checkpoint.
+// is done, and returns the job's recorded error if it failed. Errors,
+// outages and drains are ridden out with backoff; a coordinator that comes
+// back without the job (a restart) gets the spec resubmitted — idempotent
+// by config hash, so this never forks the campaign, and the coordinator
+// resumes the job from its checkpoint.
 func (c *Client) Wait(ctx context.Context, spec *JobSpec) (JobStatus, error) {
 	st, err := c.Submit(ctx, spec)
 	if err != nil {
 		return JobStatus{}, err
 	}
-	bo := newBackoff(c.BackoffMin, c.BackoffMax)
+	var bo backoff
 	for !st.State.Terminal() {
 		next, err := c.Status(ctx, st.ID, MaxWait)
 		switch {
@@ -109,6 +107,9 @@ func (c *Client) Wait(ctx context.Context, spec *JobSpec) (JobStatus, error) {
 		if sleepCtx(ctx, bo.next()) != nil {
 			return JobStatus{}, ctx.Err()
 		}
+	}
+	if st.State == JobFailed {
+		return JobStatus{}, fmt.Errorf("dist: job %.12s failed: %s", st.ID, st.Error)
 	}
 	return st, nil
 }
@@ -147,11 +148,7 @@ func (c *Client) CheckpointBytes(ctx context.Context, id string) ([]byte, error)
 // xedverify -coordinator plugs into the conformance gate.
 func (c *Client) Runner() func(ctx context.Context, cfg faultsim.Config, schemes []faultsim.Scheme, opts faultsim.CampaignOptions) (*faultsim.Report, error) {
 	return func(ctx context.Context, cfg faultsim.Config, schemes []faultsim.Scheme, opts faultsim.CampaignOptions) (*faultsim.Report, error) {
-		names := make([]string, len(schemes))
-		for i, s := range schemes {
-			names[i] = s.Name()
-		}
-		return c.RunCampaign(ctx, &JobSpec{Config: cfg, Schemes: names, Trials: opts.Trials, Seed: opts.Seed})
+		return c.RunCampaign(ctx, NewJobSpec(cfg, schemes, opts))
 	}
 }
 
@@ -163,9 +160,6 @@ func (c *Client) RunCampaign(ctx context.Context, spec *JobSpec) (*faultsim.Repo
 	st, err := c.Wait(ctx, spec)
 	if err != nil {
 		return nil, err
-	}
-	if st.State == JobFailed {
-		return nil, fmt.Errorf("dist: job %.12s failed: %s", st.ID, st.Error)
 	}
 	return c.Result(ctx, st.ID)
 }

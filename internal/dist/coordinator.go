@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -16,15 +17,20 @@ import (
 	"xedsim/internal/obs"
 )
 
-// Coordinator defaults.
 const (
-	DefaultQueueDepth      = 16
-	DefaultLeaseTTL        = 15 * time.Second
-	DefaultUnitChunks      = 64
-	DefaultPersistInterval = 5 * time.Second
+	// DefaultLeaseTTL is the lease TTL when CoordinatorOptions sets none.
+	DefaultLeaseTTL = 15 * time.Second
 	// MaxWait caps how long the coordinator holds a status or lease
 	// request. Client.Wait and the worker ask for it.
 	MaxWait = 30 * time.Second
+
+	// queueDepth bounds the jobs admitted but not yet terminal; beyond
+	// it, submissions get ErrQueueFull.
+	queueDepth = 16
+	// unitChunks is the chunk span of a leased work unit.
+	unitChunks = 64
+	// persistInterval paces Start's saves of dirty jobs.
+	persistInterval = 5 * time.Second
 )
 
 // Sentinel errors the HTTP layer maps onto status codes.
@@ -50,37 +56,19 @@ type CoordinatorOptions struct {
 	// it. An empty StateDir keeps everything in memory (tests, throwaway
 	// runs).
 	StateDir string
-	// QueueDepth bounds the jobs admitted but not yet terminal; 0 selects
-	// DefaultQueueDepth. Beyond it, submissions get ErrQueueFull.
-	QueueDepth int
 	// LeaseTTL is how long a granted work unit stays reserved; 0 selects
 	// DefaultLeaseTTL. It is the re-dispatch latency for a dead worker's
 	// units. A unit that outlives it is re-granted and computed twice,
 	// and the first result to arrive merges.
 	LeaseTTL time.Duration
-	// UnitChunks is the chunks-per-lease granularity; 0 selects
-	// DefaultUnitChunks. Fixed per job at submission.
-	UnitChunks int
-	// PersistInterval paces the background persistence of dirty job
-	// accumulators (Start); 0 selects DefaultPersistInterval.
-	PersistInterval time.Duration
 	// Metrics, when non-nil, publishes coordinator counters under
 	// "dist.*" names.
 	Metrics *obs.Registry
 }
 
 func (o CoordinatorOptions) normalize() CoordinatorOptions {
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = DefaultQueueDepth
-	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = DefaultLeaseTTL
-	}
-	if o.UnitChunks <= 0 {
-		o.UnitChunks = DefaultUnitChunks
-	}
-	if o.PersistInterval <= 0 {
-		o.PersistInterval = DefaultPersistInterval
 	}
 	return o
 }
@@ -100,7 +88,7 @@ type job struct {
 	state    JobState
 	errMsg   string
 	merger   *faultsim.Merger
-	units    []unit
+	units    []unit // nil once the job is terminal
 	unmerged int
 	dirty    bool  // merged progress not yet persisted
 	saveErr  error // the latest failed save, until one succeeds
@@ -150,10 +138,12 @@ type Coordinator struct {
 	now  func() time.Time // test hook; time.Now by default
 	met  coordMetrics
 
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string // submission order, for fair dispatch scans
-	token    uint64   // lease token allocator
+	mu   sync.Mutex
+	jobs map[string]*job
+	// order holds the unfinished jobs in submission order: Lease scans it,
+	// and its length is the bounded queue's occupancy.
+	order    []*job
+	token    uint64 // lease token allocator
 	draining bool
 	// changed is closed, and replaced, on every submit, merge and drain:
 	// held status and lease requests wait on it.
@@ -197,8 +187,8 @@ func (c *Coordinator) buildJob(spec JobSpec) (*job, error) {
 		return nil, err
 	}
 	j := &job{id: m.Hash(), spec: spec, state: JobQueued, merger: m}
-	for lo := 0; lo < m.NumChunks(); lo += c.opts.UnitChunks {
-		j.units = append(j.units, unit{lo: lo, hi: min(lo+c.opts.UnitChunks, m.NumChunks())})
+	for lo := 0; lo < m.NumChunks(); lo += unitChunks {
+		j.units = append(j.units, unit{lo: lo, hi: min(lo+unitChunks, m.NumChunks())})
 	}
 	j.unmerged = len(j.units)
 	return j, nil
@@ -208,9 +198,9 @@ func (c *Coordinator) buildJob(spec JobSpec) (*job, error) {
 // re-derives each unit's merged bit and the job's state from it: every
 // chunk merged is done, a trial-error count over the budget is failed, and
 // anything else is still to run. A checkpoint that cannot be read, or one
-// whose merged chunks part-cover a unit (it was saved under another unit
-// size), is dropped, and the job recomputes from zero: chunks are
-// deterministic, so the result is the same.
+// whose merged chunks part-cover a unit (a coordinator that leased other
+// spans saved it), is dropped, and the job recomputes from zero: chunks
+// are deterministic, so the result is the same.
 func (c *Coordinator) restore(j *job) *job {
 	if c.opts.StateDir == "" || j.merger.Load(c.jobPath(j.id)) != nil || j.merger.DoneChunks() == 0 {
 		return j
@@ -220,6 +210,7 @@ func (c *Coordinator) restore(j *job) *job {
 		j.state = JobFailed
 		j.errMsg = fmt.Sprintf("%v: %d trials panicked (budget %d); first: %v",
 			faultsim.ErrErrorBudgetExceeded, n, faultsim.DefaultErrorBudget, &errs[0])
+		j.units = nil
 		return j
 	}
 	merged := 0
@@ -235,20 +226,9 @@ func (c *Coordinator) restore(j *job) *job {
 		return fresh
 	}
 	if j.unmerged == 0 {
-		j.state = JobDone
+		j.state, j.units = JobDone, nil
 	}
 	return j
-}
-
-// activeLocked counts non-terminal jobs (the bounded-queue occupancy).
-func (c *Coordinator) activeLocked() int {
-	n := 0
-	for _, j := range c.jobs {
-		if !j.state.Terminal() {
-			n++
-		}
-	}
-	return n
 }
 
 // wakeLocked releases every held request to look again.
@@ -300,13 +280,13 @@ func (c *Coordinator) Submit(spec JobSpec) (JobStatus, error) {
 		if c.draining {
 			return JobStatus{}, ErrDraining
 		}
-		if c.activeLocked() >= c.opts.QueueDepth {
+		if len(c.order) >= queueDepth {
 			return JobStatus{}, ErrQueueFull
 		}
+		c.order = append(c.order, j)
+		c.met.queueDepth.Set(int64(len(c.order)))
 	}
 	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
-	c.met.queueDepth.Set(int64(c.activeLocked()))
 	c.wakeLocked()
 	switch {
 	case j.state.Terminal():
@@ -358,11 +338,7 @@ func (c *Coordinator) leaseLocked() (*Lease, time.Duration, error) {
 	}
 	now := c.now()
 	var expiry time.Duration
-	for _, id := range c.order {
-		j := c.jobs[id]
-		if j.state.Terminal() {
-			continue
-		}
+	for _, j := range c.order {
 		for i := range j.units {
 			u := &j.units[i]
 			if u.merged {
@@ -414,10 +390,11 @@ func holdFor(ctx context.Context, changed <-chan struct{}, d time.Duration) erro
 // Complete merges one finished unit. The merge is at-most-once per unit:
 // duplicate deliveries — a retried POST, a chaos-duplicated request, or
 // two workers racing on a re-dispatched unit — are acknowledged as
-// duplicates and dropped. The lease token is deliberately advisory here:
-// any correct result for the unit is acceptable (chunk determinism
-// guarantees every attempt computes identical tallies), so an expired
-// lease's late result still merges if it arrives first.
+// duplicates and dropped, and so is any delivery to a finished or failed
+// job. The lease token is deliberately advisory here: any correct result
+// for the unit is acceptable (chunk determinism guarantees every attempt
+// computes identical tallies), so an expired lease's late result still
+// merges if it arrives first.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -425,13 +402,17 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if !ok {
 		return CompleteResponse{}, ErrUnknownJob
 	}
+	if j.state.Terminal() { // its units are gone
+		c.met.mergesDuplicate.Inc()
+		return CompleteResponse{Duplicate: true, JobDone: true}, nil
+	}
 	if req.Unit < 0 || req.Unit >= len(j.units) {
 		return CompleteResponse{}, fmt.Errorf("dist: job %.12s has no unit %d", req.JobID, req.Unit)
 	}
 	u := &j.units[req.Unit]
-	if j.state.Terminal() || u.merged {
+	if u.merged {
 		c.met.mergesDuplicate.Inc()
-		return CompleteResponse{Duplicate: true, JobDone: j.state.Terminal()}, nil
+		return CompleteResponse{Duplicate: true}, nil
 	}
 	if req.Result.Lo != u.lo || req.Result.Hi != u.hi {
 		return CompleteResponse{}, fmt.Errorf("dist: unit %d result spans [%d, %d), expected [%d, %d)",
@@ -473,8 +454,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 func (c *Coordinator) finishLocked(j *job) {
 	j.state = JobDone
 	c.met.jobsCompleted.Inc()
-	c.met.queueDepth.Set(int64(c.activeLocked()))
-	c.persistJobLocked(j)
+	c.retireLocked(j)
 }
 
 // failLocked transitions a job to failed and persists it.
@@ -483,7 +463,16 @@ func (c *Coordinator) failLocked(j *job, msg string) {
 	j.errMsg = msg
 	j.dirty = true
 	c.met.jobsFailed.Inc()
-	c.met.queueDepth.Set(int64(c.activeLocked()))
+	c.retireLocked(j)
+}
+
+// retireLocked takes a job that just turned terminal out of the dispatch
+// order, drops its units, which nothing leases or merges again, and
+// persists it.
+func (c *Coordinator) retireLocked(j *job) {
+	c.order = slices.DeleteFunc(c.order, func(o *job) bool { return o == j })
+	c.met.queueDepth.Set(int64(len(c.order)))
+	j.units = nil
 	c.persistJobLocked(j)
 }
 
@@ -612,8 +601,8 @@ func (c *Coordinator) Ready() error {
 	if c.draining {
 		return ErrDraining
 	}
-	for _, id := range c.order {
-		if j := c.jobs[id]; j.saveErr != nil {
+	for id, j := range c.jobs {
+		if j.saveErr != nil {
 			return fmt.Errorf("dist: job %.12s not saved: %w", id, j.saveErr)
 		}
 	}
@@ -624,19 +613,19 @@ func (c *Coordinator) Ready() error {
 func (c *Coordinator) SaveState() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range c.order {
-		if j := c.jobs[id]; j.dirty {
+	for _, j := range c.jobs {
+		if j.dirty {
 			c.persistJobLocked(j)
 		}
 	}
 }
 
 // Start runs the background persistence loop until ctx is cancelled: it
-// saves dirty accumulators every PersistInterval, which bounds how much a
+// saves dirty accumulators every persistInterval, which bounds how much a
 // torn restart has to recompute.
 func (c *Coordinator) Start(ctx context.Context) {
 	go func() {
-		tick := time.NewTicker(c.opts.PersistInterval)
+		tick := time.NewTicker(persistInterval)
 		defer tick.Stop()
 		for {
 			select {

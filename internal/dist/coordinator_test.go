@@ -20,16 +20,24 @@ import (
 )
 
 // testSpec is a small campaign spanning enough chunks to shard meaningfully
-// (40 chunks, the last one short → 10 four-chunk units).
+// (635 chunks, the last one short → ten units, nine of 64 chunks and one
+// of 59).
 func testSpec() *JobSpec {
 	cfg := faultsim.DefaultConfig()
 	cfg.LifetimeHours = 2 * faultsim.HoursPerYear
 	return &JobSpec{
 		Config:  cfg,
 		Schemes: []string{"ECC-DIMM (SECDED)", "XED"},
-		Trials:  40*faultsim.DefaultChunkSize - 1000,
+		Trials:  635*faultsim.DefaultChunkSize - 1000,
 		Seed:    99,
 	}
+}
+
+// oneUnitSpec is testSpec cut to one work unit (40 chunks).
+func oneUnitSpec() *JobSpec {
+	spec := testSpec()
+	spec.Trials = 40*faultsim.DefaultChunkSize - 1000
+	return spec
 }
 
 // localRun evaluates a spec with plain RunCampaign and returns the Report
@@ -106,7 +114,7 @@ func TestCoordinatorMatchesLocal(t *testing.T) {
 	spec := testSpec()
 	localRep, localBytes := localRun(t, spec)
 
-	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4})
+	c := newTestCoordinator(t, CoordinatorOptions{})
 	st, err := c.Submit(*spec)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +167,7 @@ func TestCoordinatorMatchesLocal(t *testing.T) {
 // named. The spec without them is admitted as the campaign it names.
 func TestSubmitRefusesUnknownFields(t *testing.T) {
 	spec := testSpec()
-	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4})
+	c := newTestCoordinator(t, CoordinatorOptions{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 	post := func(body string) (int, JobStatus) {
@@ -193,19 +201,23 @@ func TestSubmitRefusesUnknownFields(t *testing.T) {
 	}
 }
 
-// TestQueueBackpressure pins the bounded queue: beyond QueueDepth active
+// TestQueueBackpressure pins the bounded queue: beyond queueDepth active
 // jobs, submissions fail with ErrQueueFull — and over HTTP, 429 with a
 // Retry-After header.
 func TestQueueBackpressure(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorOptions{QueueDepth: 1})
+	c := newTestCoordinator(t, CoordinatorOptions{})
 	a := testSpec()
-	if _, err := c.Submit(*a); err != nil {
-		t.Fatal(err)
+	for i := range queueDepth {
+		s := testSpec()
+		s.Seed += uint64(i)
+		if _, err := c.Submit(*s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	b := testSpec()
-	b.Seed++
+	b.Seed += queueDepth
 	if _, err := c.Submit(*b); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("second submit err = %v, want ErrQueueFull", err)
+		t.Fatalf("submit past the queue depth: err = %v, want ErrQueueFull", err)
 	}
 	// Resubmitting the admitted job is not a new admission.
 	if _, err := c.Submit(*a); err != nil {
@@ -258,7 +270,7 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 // clock: a lease past its deadline is re-granted with a fresh token, while
 // one within its deadline is not.
 func TestLeaseExpiryAndHeartbeat(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorOptions{LeaseTTL: 10 * time.Second, UnitChunks: 4})
+	c := newTestCoordinator(t, CoordinatorOptions{LeaseTTL: 10 * time.Second})
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
 	if _, err := c.Submit(*testSpec()); err != nil {
@@ -298,7 +310,7 @@ func TestLeaseExpiryAndHeartbeat(t *testing.T) {
 // one expiry.
 func TestLeaseExpiresOnlyOnRegrant(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := newTestCoordinator(t, CoordinatorOptions{LeaseTTL: 10 * time.Second, UnitChunks: 4, Metrics: reg})
+	c := newTestCoordinator(t, CoordinatorOptions{LeaseTTL: 10 * time.Second, Metrics: reg})
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
 	if _, err := c.Submit(*testSpec()); err != nil {
@@ -335,7 +347,7 @@ func TestLeaseExpiresOnlyOnRegrant(t *testing.T) {
 // second time.
 func TestCompleteDuplicateAndLateResults(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4, Metrics: reg})
+	c := newTestCoordinator(t, CoordinatorOptions{Metrics: reg})
 	spec := testSpec()
 	if _, err := c.Submit(*spec); err != nil {
 		t.Fatal(err)
@@ -401,7 +413,7 @@ func TestLedgerRecovery(t *testing.T) {
 	spec := testSpec()
 	localRep, localBytes := localRun(t, spec)
 
-	c1 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4})
+	c1 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir})
 	st, err := c1.Submit(*spec)
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +444,7 @@ func TestLedgerRecovery(t *testing.T) {
 	// c1 is abandoned here without SaveState: a hard kill.
 
 	reg := obs.NewRegistry()
-	c2 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4, Metrics: reg})
+	c2 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, Metrics: reg})
 	if _, err := c2.Status(context.Background(), st.ID, 0); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("restarted coordinator's status before the resubmission: err %v, want ErrUnknownJob", err)
 	}
@@ -443,8 +455,8 @@ func TestLedgerRecovery(t *testing.T) {
 	if st2.ID != st.ID || st2.State.Terminal() || st2.Cached {
 		t.Fatalf("resubmission to the restarted coordinator = %+v", st2)
 	}
-	if st2.DoneChunks != 8 {
-		t.Fatalf("restored DoneChunks = %d, want 8 (two persisted units)", st2.DoneChunks)
+	if st2.DoneChunks != 2*unitChunks {
+		t.Fatalf("restored DoneChunks = %d, want %d (two persisted units)", st2.DoneChunks, 2*unitChunks)
 	}
 	drainJob(t, c2)
 	rep, err := c2.Result(st.ID)
@@ -463,15 +475,15 @@ func TestLedgerRecovery(t *testing.T) {
 	}
 	// The restored units were not recomputed.
 	snap := reg.Snapshot().Counters
-	if n := snap["dist.chunks_merged"]; n != 40-8 {
-		t.Fatalf("restarted coordinator merged %d chunks, want the 32 not persisted", n)
+	if n := snap["dist.chunks_merged"]; n != 635-2*unitChunks {
+		t.Fatalf("restarted coordinator merged %d chunks, want the %d not persisted", n, 635-2*unitChunks)
 	}
 	if n := snap["dist.jobs_resumed"]; n != 1 {
 		t.Fatalf("dist.jobs_resumed = %d, want 1", n)
 	}
 
 	// A third incarnation sees the job terminal and cache-serves it.
-	c3 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4})
+	c3 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir})
 	st3, err := c3.Submit(*spec)
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +505,7 @@ func TestRecoveryRecomputesRefusedJobCheckpoint(t *testing.T) {
 	spec := testSpec()
 	localRep, localBytes := localRun(t, spec)
 
-	c1 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4})
+	c1 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir})
 	st, err := c1.Submit(*spec)
 	if err != nil {
 		t.Fatal(err)
@@ -503,7 +515,7 @@ func TestRecoveryRecomputesRefusedJobCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ { // 32 of 40 chunks
+	for i := 0; i < 8; i++ { // 512 of 635 chunks
 		lease, err := c1.Lease(context.Background(), "w", 0)
 		if err != nil || lease == nil {
 			t.Fatal("no lease")
@@ -535,8 +547,8 @@ func TestRecoveryRecomputesRefusedJobCheckpoint(t *testing.T) {
 	if err := dec.Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	if done := env.Payload["done_trials"].(json.Number).String(); done != "131072" {
-		t.Fatalf("saved job holds %s trials, want 32 chunks of 4096", done)
+	if done := env.Payload["done_trials"].(json.Number).String(); done != "2097152" {
+		t.Fatalf("saved job holds %s trials, want 512 chunks of 4096", done)
 	}
 	scheme1 := env.Payload["results"].([]any)[1].(map[string]any)
 	scheme1["by_year"] = scheme1["by_year"].([]any)[:1]
@@ -547,7 +559,7 @@ func TestRecoveryRecomputesRefusedJobCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4})
+	c2 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir})
 	st2, err := c2.Submit(*spec)
 	if err != nil {
 		t.Fatal(err)
@@ -602,32 +614,32 @@ func TestDrainRefusesWork(t *testing.T) {
 
 // failBudget fails spec's job on c with fabricated voided trials from
 // two units, each within faultsim.DefaultErrorBudget but over it
-// together. spec must be one XED scheme over two one-chunk units.
+// together. spec must be one XED scheme over two units.
 func failBudget(t *testing.T, c *Coordinator, spec *JobSpec) JobStatus {
 	t.Helper()
 	st, err := c.Submit(*spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkRes := func(lo int) faultsim.ChunkResult {
+	mkRes := func(l *Lease) faultsim.ChunkResult {
 		res := faultsim.ChunkResult{
-			Lo: lo, Hi: lo + 1,
-			Trials:  faultsim.DefaultChunkSize - failPerUnit,
+			Lo: l.Lo, Hi: l.Hi,
+			Trials:  uint64((l.Hi-l.Lo)*faultsim.DefaultChunkSize - failPerUnit),
 			Tallies: []faultsim.SchemeTally{{ByYear: make([]uint64, 2)}},
 		}
 		for i := 0; i < failPerUnit; i++ {
 			res.Errors = append(res.Errors, faultsim.TrialError{
-				Trial: lo*faultsim.DefaultChunkSize + i, Chunk: lo, RNGState: [4]uint64{1, 2, 3, 4}, PanicValue: "boom",
+				Trial: l.Lo*faultsim.DefaultChunkSize + i, Chunk: l.Lo, RNGState: [4]uint64{1, 2, 3, 4}, PanicValue: "boom",
 			})
 		}
 		return res
 	}
 	l1, _ := c.Lease(context.Background(), "w", 0)
-	if _, err := c.Complete(CompleteRequest{JobID: st.ID, Unit: l1.Unit, Token: l1.Token, Result: mkRes(l1.Lo)}); err != nil {
+	if _, err := c.Complete(CompleteRequest{JobID: st.ID, Unit: l1.Unit, Token: l1.Token, Result: mkRes(l1)}); err != nil {
 		t.Fatal(err)
 	}
 	l2, _ := c.Lease(context.Background(), "w", 0)
-	resp, err := c.Complete(CompleteRequest{JobID: st.ID, Unit: l2.Unit, Token: l2.Token, Result: mkRes(l2.Lo)})
+	resp, err := c.Complete(CompleteRequest{JobID: st.ID, Unit: l2.Unit, Token: l2.Token, Result: mkRes(l2)})
 	if err != nil || !resp.JobDone {
 		t.Fatalf("budget-tripping complete = %+v, %v", resp, err)
 	}
@@ -639,7 +651,7 @@ const failPerUnit = faultsim.DefaultErrorBudget * 3 / 5
 func budgetSpec() *JobSpec {
 	spec := testSpec()
 	spec.Schemes = []string{"XED"}
-	spec.Trials = 2 * faultsim.DefaultChunkSize
+	spec.Trials = 2 * unitChunks * faultsim.DefaultChunkSize
 	return spec
 }
 
@@ -667,7 +679,7 @@ func checkFailed(t *testing.T, c *Coordinator, id string) {
 // over it together, trip the job into the failed state, which the status
 // and result paths surface.
 func TestErrorBudgetFailsJob(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 1})
+	c := newTestCoordinator(t, CoordinatorOptions{})
 	st := failBudget(t, c, budgetSpec())
 	checkFailed(t, c, st.ID)
 }
@@ -679,9 +691,9 @@ func TestErrorBudgetFailsJob(t *testing.T) {
 func TestFailedJobRestoresFailed(t *testing.T) {
 	dir := t.TempDir()
 	spec := budgetSpec()
-	st := failBudget(t, newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 1}), spec)
+	st := failBudget(t, newTestCoordinator(t, CoordinatorOptions{StateDir: dir}), spec)
 
-	c := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 1})
+	c := newTestCoordinator(t, CoordinatorOptions{StateDir: dir})
 	st2, err := c.Submit(*spec)
 	if err != nil {
 		t.Fatal(err)
@@ -695,8 +707,8 @@ func TestFailedJobRestoresFailed(t *testing.T) {
 // TestHeldRequestEndsWithContext: a held status or lease request returns
 // with its context's error when the context ends, long before its wait.
 func TestHeldRequestEndsWithContext(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 64})
-	st, err := c.Submit(*testSpec())
+	c := newTestCoordinator(t, CoordinatorOptions{})
+	st, err := c.Submit(*oneUnitSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -722,7 +734,7 @@ func TestHeldRequestEndsWithContext(t *testing.T) {
 // go test -race finds no race with the lease and merge paths that write
 // it.
 func TestResultReadsStateUnderLock(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4})
+	c := newTestCoordinator(t, CoordinatorOptions{})
 	st, err := c.Submit(*testSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -798,11 +810,11 @@ func TestPerJobCostIsFlat(t *testing.T) {
 
 // TestFailedSaveIsRetriedAndNotReady: a job checkpoint save that fails is
 // counted in dist.job_save_failures, /readyz answers 503 while it stands,
-// and the persist tick retries it until it succeeds.
+// and the next SaveState (the persist tick's) retries it.
 func TestFailedSaveIsRetriedAndNotReady(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "state")
 	reg := obs.NewRegistry()
-	c := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4, PersistInterval: 5 * time.Millisecond, Metrics: reg})
+	c := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, Metrics: reg})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 	ready := func() int {
@@ -835,22 +847,17 @@ func TestFailedSaveIsRetriedAndNotReady(t *testing.T) {
 		t.Fatalf("/readyz with a failed save = %d, want 503", code)
 	}
 
-	// Restore the dir: the next tick saves the job, and /readyz recovers.
+	// Restore the dir: the next save succeeds, and /readyz recovers.
 	if err := os.Remove(dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	c.Start(ctx)
-	for deadline := time.Now().Add(10 * time.Second); ready() != http.StatusOK; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("/readyz still not ready 10s after the state dir came back")
-		}
+	c.SaveState()
+	if code := ready(); code != http.StatusOK {
+		t.Fatalf("/readyz after the retried save = %d, want 200", code)
 	}
-	cancel()
 	want, err := c.CheckpointBytes(st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -860,56 +867,118 @@ func TestFailedSaveIsRetriedAndNotReady(t *testing.T) {
 	}
 }
 
-// TestRestoreAcrossUnitSizes: a job checkpoint saved under one unit size
-// and resubmitted to a coordinator with another, so that a unit is only
-// partly merged, is dropped rather than left with a unit no result can
-// complete; the job recomputes and ends with the local run's bytes.
+// TestRestoreAcrossUnitSizes: a job checkpoint whose merged chunks
+// part-cover a unit, as one saved by a coordinator that leased other spans
+// leaves, is dropped on resubmission rather than left with a unit no
+// result can complete; the job recomputes and ends with the local run's
+// bytes.
 func TestRestoreAcrossUnitSizes(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec()
 	localRep, localBytes := localRun(t, spec)
 
-	c1 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 4})
-	if _, err := c1.Submit(*spec); err != nil {
+	schemes, _ := spec.ResolveSchemes()
+	m, err := faultsim.NewMerger(spec.Config, schemes, spec.CampaignOptions())
+	if err != nil {
 		t.Fatal(err)
 	}
-	schemes, _ := spec.ResolveSchemes()
 	r, err := faultsim.NewChunkRunner(spec.Config, schemes, spec.CampaignOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ { // chunks 0-11: half of the third 8-chunk unit
-		lease, err := c1.Lease(context.Background(), "w", 0)
-		if err != nil || lease == nil {
-			t.Fatal("no lease")
-		}
-		res, err := r.RunSpan(context.Background(), lease.Lo, lease.Hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c1.Complete(CompleteRequest{JobID: lease.JobID, Unit: lease.Unit, Token: lease.Token, Result: *res}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c1.SaveState()
-
-	c2 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 8})
-	st, err := c2.Submit(*spec)
+	res, err := r.RunSpan(context.Background(), 0, unitChunks+unitChunks/2) // half of the second unit
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.DoneChunks != 0 {
-		t.Fatalf("restored DoneChunks = %d under another unit size, want 0", st.DoneChunks)
+	if err := m.Merge(res); err != nil {
+		t.Fatal(err)
 	}
-	drainJob(t, c2)
-	rep, err := c2.Result(st.ID)
+	if err := m.Save(filepath.Join(dir, "job-"+m.Hash()+".ckpt")); err != nil {
+		t.Fatal(err)
+	}
+
+	c := newTestCoordinator(t, CoordinatorOptions{StateDir: dir})
+	st, err := c.Submit(*spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != m.Hash() || st.DoneChunks != 0 {
+		t.Fatalf("resubmitted job %.12s restored DoneChunks = %d from a part-covering checkpoint, want job %.12s with 0", st.ID, st.DoneChunks, m.Hash())
+	}
+	drainJob(t, c)
+	rep, err := c.Result(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rep, localRep) {
 		t.Fatal("recomputed job differs from local RunCampaign")
 	}
-	if b, err := c2.CheckpointBytes(st.ID); err != nil || string(b) != string(localBytes) {
+	if b, err := c.CheckpointBytes(st.ID); err != nil || string(b) != string(localBytes) {
 		t.Fatalf("recomputed job's checkpoint differs from the local one (err %v)", err)
 	}
+}
+
+// TestFinishedJobsLeaveDispatch: a job that finishes or fails leaves the
+// dispatch order and drops its units, and one restored terminal never
+// enters it, so the lease scan and the queue count cover only unfinished
+// jobs however many a coordinator has held. A late completion to a
+// finished job is acknowledged as a duplicate.
+func TestFinishedJobsLeaveDispatch(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	c := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, Metrics: reg})
+	var specs []*JobSpec
+	for seed := uint64(1); seed <= 3; seed++ {
+		spec := oneUnitSpec()
+		spec.Seed = seed
+		specs = append(specs, spec)
+		if _, err := c.Submit(*spec); err != nil {
+			t.Fatal(err)
+		}
+		drainJob(t, c)
+	}
+	failed := budgetSpec()
+	failBudget(t, c, failed)
+	specs = append(specs, failed)
+	checkRetired := func(c *Coordinator) {
+		t.Helper()
+		if len(c.order) != 0 {
+			t.Fatalf("%d terminal jobs still in the dispatch order", len(c.order))
+		}
+		for id, j := range c.jobs {
+			if !j.state.Terminal() || j.units != nil {
+				t.Fatalf("job %.12s is %s with %d units, want terminal with none", id, j.state, len(j.units))
+			}
+		}
+		if len(c.jobs) != len(specs) {
+			t.Fatalf("coordinator holds %d jobs, want %d", len(c.jobs), len(specs))
+		}
+	}
+	checkRetired(c)
+
+	spec := specs[0]
+	schemes, _ := spec.ResolveSchemes()
+	r, err := faultsim.NewChunkRunner(spec.Config, schemes, spec.CampaignOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.RunSpan(context.Background(), 0, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Complete(CompleteRequest{WorkerID: "late", JobID: mustHash(t, spec), Unit: 0, Result: *res})
+	if err != nil || resp.Merged || !resp.Duplicate || !resp.JobDone {
+		t.Fatalf("late completion to a finished job = %+v, %v; want a duplicate", resp, err)
+	}
+	if n := reg.Snapshot().Counters["dist.merges_duplicate"]; n != 1 {
+		t.Fatalf("dist.merges_duplicate = %d, want the late completion's 1", n)
+	}
+
+	restarted := newTestCoordinator(t, CoordinatorOptions{StateDir: dir})
+	for _, spec := range specs {
+		if st, err := restarted.Submit(*spec); err != nil || !st.State.Terminal() {
+			t.Fatalf("resubmission to a restarted coordinator = %+v, %v; want terminal", st, err)
+		}
+	}
+	checkRetired(restarted)
 }

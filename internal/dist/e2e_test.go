@@ -18,16 +18,6 @@ import (
 	"xedsim/internal/obs"
 )
 
-// fastWorker returns worker options tuned for test latency.
-func fastWorker(id, base string) WorkerOptions {
-	return WorkerOptions{
-		ID:          id,
-		Coordinator: base,
-		BackoffMin:  2 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-	}
-}
-
 // TestWorkersEndToEnd runs the whole service in-process over real HTTP:
 // two parallel workers drain a job submitted through the Client, and the
 // result is bit-identical to a local RunCampaign.
@@ -35,7 +25,7 @@ func TestWorkersEndToEnd(t *testing.T) {
 	spec := testSpec()
 	localRep, localBytes := localRun(t, spec)
 
-	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4})
+	c := newTestCoordinator(t, CoordinatorOptions{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -43,7 +33,7 @@ func TestWorkersEndToEnd(t *testing.T) {
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, id := range []string{"w1", "w2"} {
-		w := NewWorker(fastWorker(id, srv.URL))
+		w := NewWorker(WorkerOptions{ID: id, Coordinator: srv.URL})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -78,13 +68,12 @@ func TestWorkersEndToEnd(t *testing.T) {
 // job keeps at most one ChunkRunner per lease loop — the current job's —
 // instead of one for every job it ever served.
 func TestWorkerKeepsOneRunnerPerLoop(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4})
+	c := newTestCoordinator(t, CoordinatorOptions{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	opts := fastWorker("w", srv.URL)
-	opts.Parallel = 2
+	opts := WorkerOptions{ID: "w", Coordinator: srv.URL, Parallel: 2}
 	w := NewWorker(opts)
 	done := make(chan struct{})
 	go func() {
@@ -162,8 +151,8 @@ func mustHash(t *testing.T, spec *JobSpec) string {
 // TestChaosBitIdentical is the headline robustness proof. The schedule is
 // deliberately deterministic:
 //
-//  1. Worker B (no faults) completes exactly 3 units, then crash-stops
-//     (kill-worker-after-N-units).
+//  1. Worker B (no faults, in-process) completes exactly 3 units, then
+//     crash-stops.
 //  2. The coordinator persists and is torn down mid-job; a second
 //     incarnation starts on the same state dir knowing no job.
 //  3. The client resubmits, and the second incarnation resumes the job
@@ -181,8 +170,7 @@ func TestChaosBitIdentical(t *testing.T) {
 	localRep, localBytes := localRun(t, spec)
 	dir := t.TempDir()
 
-	c1 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 2, LeaseTTL: time.Second})
-	srv1 := httptest.NewServer(c1.Handler())
+	c1 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, LeaseTTL: time.Second})
 	st, err := c1.Submit(*spec)
 	if err != nil {
 		t.Fatal(err)
@@ -192,21 +180,30 @@ func TestChaosBitIdentical(t *testing.T) {
 	defer cancel()
 
 	// Phase 1: worker B merges 3 units and dies.
-	optsB := fastWorker("worker-b", srv1.URL)
-	optsB.MaxUnits = 3
-	wb := NewWorker(optsB)
-	if err := wb.Run(ctx); err != nil {
-		t.Fatalf("worker B: %v", err)
+	schemes, _ := spec.ResolveSchemes()
+	rb, err := faultsim.NewChunkRunner(spec.Config, schemes, spec.CampaignOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wb.UnitsDone() != 3 {
-		t.Fatalf("worker B settled %d units, want 3", wb.UnitsDone())
+	for range 3 {
+		lease, err := c1.Lease(ctx, "worker-b", 0)
+		if err != nil || lease == nil {
+			t.Fatalf("worker B's lease: %v %v", lease, err)
+		}
+		res, err := rb.RunSpan(ctx, lease.Lo, lease.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c1.Complete(CompleteRequest{WorkerID: "worker-b", JobID: lease.JobID, Unit: lease.Unit, Token: lease.Token, Result: *res})
+		if err != nil || !resp.Merged {
+			t.Fatalf("worker B's completion = %+v, %v", resp, err)
+		}
 	}
 
 	// Phase 2: torn coordinator restart. Persist, kill, start afresh.
 	c1.SaveState()
-	srv1.Close()
 	reg := obs.NewRegistry()
-	c2 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, UnitChunks: 2, LeaseTTL: time.Second, Metrics: reg})
+	c2 := newTestCoordinator(t, CoordinatorOptions{StateDir: dir, LeaseTTL: time.Second, Metrics: reg})
 	srv2 := httptest.NewServer(c2.Handler())
 	defer srv2.Close()
 	if _, err := c2.Status(ctx, st.ID, 0); !errors.Is(err, ErrUnknownJob) {
@@ -229,10 +226,7 @@ func TestChaosBitIdentical(t *testing.T) {
 		Delay:          5 * time.Millisecond,
 		PathPrefix:     "/v1/complete",
 	})
-	optsA := fastWorker("worker-a", srv2.URL)
-	optsA.Parallel = 2
-	optsA.Client = faultyA.Client()
-	wa := NewWorker(optsA)
+	wa := NewWorker(WorkerOptions{ID: "worker-a", Coordinator: srv2.URL, Parallel: 2, Client: faultyA.Client()})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -261,10 +255,10 @@ func TestChaosBitIdentical(t *testing.T) {
 	if string(b) != string(localBytes) {
 		t.Fatal("chaos-run checkpoint bytes differ from local checkpoint file")
 	}
-	// The resubmission resumed the 6 persisted chunks rather than
+	// The resubmission resumed the 3 persisted units rather than
 	// recomputing them.
-	if n := reg.Snapshot().Counters["dist.chunks_merged"]; n != 40-6 {
-		t.Fatalf("restarted coordinator merged %d chunks, want the 34 not persisted", n)
+	if n := reg.Snapshot().Counters["dist.chunks_merged"]; n != 635-3*unitChunks {
+		t.Fatalf("restarted coordinator merged %d chunks, want the %d not persisted", n, 635-3*unitChunks)
 	}
 
 	// The faults must actually have fired for this to prove anything.
@@ -288,8 +282,8 @@ func TestClientSurvivesAmnesiacRestart(t *testing.T) {
 	spec := testSpec()
 	localRep, _ := localRun(t, spec)
 
-	first := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4}).Handler()
-	amnesiac := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4}).Handler()
+	first := newTestCoordinator(t, CoordinatorOptions{}).Handler()
+	amnesiac := newTestCoordinator(t, CoordinatorOptions{}).Handler()
 	var coord atomic.Pointer[http.Handler]
 	coord.Store(&first)
 	swapped := make(chan struct{})
@@ -320,14 +314,12 @@ func TestClientSurvivesAmnesiacRestart(t *testing.T) {
 		defer wg.Done()
 		select {
 		case <-swapped:
-			NewWorker(fastWorker("w", front.URL)).Run(ctx) //nolint:errcheck
+			NewWorker(WorkerOptions{ID: "w", Coordinator: front.URL}).Run(ctx) //nolint:errcheck
 		case <-ctx.Done():
 		}
 	}()
 
-	cl := NewClient(front.URL, nil)
-	cl.BackoffMin = 2 * time.Millisecond
-	rep, err := cl.RunCampaign(ctx, spec)
+	rep, err := NewClient(front.URL, nil).RunCampaign(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +361,8 @@ func waitArrived(t *testing.T, arrived *atomic.Int32, n int32) {
 // server closes, the goroutine count is back at its baseline.
 func TestDrainReleasesHeldRequests(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 64})
-	st, err := c.Submit(*testSpec())
+	c := newTestCoordinator(t, CoordinatorOptions{})
+	st, err := c.Submit(*oneUnitSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,8 +426,8 @@ func TestDrainReleasesHeldRequests(t *testing.T) {
 // ends its handler, so closing the server (which waits for every handler)
 // does not wait out the hold.
 func TestHeldHTTPRequestEndsWithClient(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 64})
-	st, err := c.Submit(*testSpec())
+	c := newTestCoordinator(t, CoordinatorOptions{})
+	st, err := c.Submit(*oneUnitSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,11 +461,11 @@ func TestHeldHTTPRequestEndsWithClient(t *testing.T) {
 // the unit only until the lease TTL. A worker's held lease request wakes at
 // that deadline and takes the unit, long before its own wait would end.
 func TestDroppedLeaseStrandsUnitUntilTTL(t *testing.T) {
-	spec := testSpec()
+	spec := oneUnitSpec()
 	localRep, _ := localRun(t, spec)
 	const ttl = 300 * time.Millisecond
 	reg := obs.NewRegistry()
-	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 64, LeaseTTL: ttl, Metrics: reg})
+	c := newTestCoordinator(t, CoordinatorOptions{LeaseTTL: ttl, Metrics: reg})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 	if _, err := c.Submit(*spec); err != nil {
@@ -492,7 +484,7 @@ func TestDroppedLeaseStrandsUnitUntilTTL(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		NewWorker(fastWorker("w", srv.URL)).Run(ctx) //nolint:errcheck
+		NewWorker(WorkerOptions{ID: "w", Coordinator: srv.URL}).Run(ctx) //nolint:errcheck
 	}()
 	rep, err := NewClient(srv.URL, nil).RunCampaign(ctx, spec)
 	elapsed := time.Since(start)
@@ -521,17 +513,16 @@ func TestWorkerLosesRaceToExpiredLease(t *testing.T) {
 	spec := testSpec()
 	localRep, localBytes := localRun(t, spec)
 	reg := obs.NewRegistry()
-	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4, LeaseTTL: time.Millisecond, Metrics: reg})
+	c := newTestCoordinator(t, CoordinatorOptions{LeaseTTL: time.Millisecond, Metrics: reg})
 	srv, arrived := heldServer(c)
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	late := chaos.New(nil, chaos.Options{DelayEvery: 1, Delay: 50 * time.Millisecond, PathPrefix: "/v1/complete"})
-	slow := fastWorker("slow", srv.URL)
-	slow.Client = late.Client()
+	slow := WorkerOptions{ID: "slow", Coordinator: srv.URL, Client: late.Client()}
 	var wg sync.WaitGroup
-	for _, opts := range []WorkerOptions{slow, fastWorker("fast", srv.URL)} {
+	for _, opts := range []WorkerOptions{slow, {ID: "fast", Coordinator: srv.URL}} {
 		w := NewWorker(opts)
 		wg.Add(1)
 		go func() {

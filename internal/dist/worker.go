@@ -18,38 +18,26 @@ import (
 	"xedsim/internal/obs"
 )
 
-// Retry backoff defaults.
+// The retry backoff after errors, 429 and 503 runs from backoffMin to
+// backoffMax.
 const (
-	defaultBackoffMin = 50 * time.Millisecond
-	defaultBackoffMax = 5 * time.Second
+	backoffMin = 50 * time.Millisecond
+	backoffMax = 5 * time.Second
 )
 
 // backoff is jittered exponential backoff: each step doubles the base
-// delay up to max, then randomises within [delay/2, delay] so a fleet of
-// workers retrying against a recovering coordinator doesn't stampede in
-// lockstep.
+// delay up to backoffMax, then randomises within [delay/2, delay] so a
+// fleet of workers retrying against a recovering coordinator doesn't
+// stampede in lockstep. The zero value starts at backoffMin.
 type backoff struct {
-	cur, min, max time.Duration
-}
-
-func newBackoff(min, max time.Duration) *backoff {
-	if min <= 0 {
-		min = defaultBackoffMin
-	}
-	if max < min {
-		max = defaultBackoffMax
-	}
-	return &backoff{min: min, max: max}
+	cur time.Duration
 }
 
 func (b *backoff) next() time.Duration {
 	if b.cur == 0 {
-		b.cur = b.min
-	} else if b.cur < b.max {
-		b.cur *= 2
-		if b.cur > b.max {
-			b.cur = b.max
-		}
+		b.cur = backoffMin
+	} else if b.cur < backoffMax {
+		b.cur = min(2*b.cur, backoffMax)
 	}
 	half := b.cur / 2
 	return half + time.Duration(rand.Int63n(int64(half)+1))
@@ -79,18 +67,11 @@ type WorkerOptions struct {
 	Coordinator string
 	// Parallel is the number of concurrent lease loops; 0 selects 1.
 	Parallel int
-	// MaxUnits, when positive, stops the worker after that many completed
-	// units — the chaos harness's kill-after-N-chunks lever.
-	MaxUnits int
 	// Client overrides the HTTP client (chaos tests inject a faulty
 	// transport here). Nil selects a plain client.
 	Client *http.Client
 	// Metrics, when non-nil, publishes worker counters under "dist.worker_*".
 	Metrics *obs.Registry
-	// BackoffMin/BackoffMax bound the backoff after errors, 429 and 503;
-	// zero values select 50ms / 5s.
-	BackoffMin time.Duration
-	BackoffMax time.Duration
 }
 
 // Worker leases work units from a coordinator, evaluates them with
@@ -171,25 +152,20 @@ func (w *Worker) Base() string { return w.base }
 // acknowledged duplicate).
 func (w *Worker) UnitsDone() int { return int(w.unitsDone.Load()) }
 
-// Run executes the lease loops until ctx is cancelled or MaxUnits is
-// reached. It returns nil on a clean stop.
+// Run executes the lease loops until ctx ends. It returns nil when ctx
+// was cancelled, and ctx's error otherwise.
 func (w *Worker) Run(ctx context.Context) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var wg sync.WaitGroup
 	w.runners = make([]jobRunner, w.opts.Parallel)
 	for i := range w.runners {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.leaseLoop(ctx, cancel, &w.runners[i])
+			w.leaseLoop(ctx, &w.runners[i])
 		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); errors.Is(err, context.Canceled) {
-		return nil
-	} else if err != nil {
+	if err := ctx.Err(); !errors.Is(err, context.Canceled) {
 		return err
 	}
 	return nil
@@ -197,13 +173,9 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // leaseLoop is one lease → compute → complete cycle runner, with its own
 // runner cache.
-func (w *Worker) leaseLoop(ctx context.Context, stop context.CancelFunc, cache *jobRunner) {
-	bo := newBackoff(w.opts.BackoffMin, w.opts.BackoffMax)
+func (w *Worker) leaseLoop(ctx context.Context, cache *jobRunner) {
+	var bo backoff
 	for ctx.Err() == nil {
-		if w.opts.MaxUnits > 0 && int(w.unitsDone.Load()) >= w.opts.MaxUnits {
-			stop()
-			return
-		}
 		lease, retryAfter, err := w.lease(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -226,10 +198,7 @@ func (w *Worker) leaseLoop(ctx context.Context, stop context.CancelFunc, cache *
 			}
 			continue
 		}
-		if n := w.unitsDone.Add(1); w.opts.MaxUnits > 0 && int(n) >= w.opts.MaxUnits {
-			stop()
-			return
-		}
+		w.unitsDone.Add(1)
 	}
 }
 
@@ -284,7 +253,7 @@ func (w *Worker) lease(ctx context.Context) (*Lease, time.Duration, error) {
 // settles the unit too: the submitting client will resubmit the spec and
 // re-derive the same job.
 func (w *Worker) complete(ctx context.Context, req *CompleteRequest) error {
-	bo := newBackoff(w.opts.BackoffMin, w.opts.BackoffMax)
+	var bo backoff
 	for {
 		var resp CompleteResponse
 		code, retryAfter, err := w.postJSON(ctx, "/v1/complete", req, &resp)

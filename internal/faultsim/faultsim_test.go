@@ -442,8 +442,8 @@ func TestReportAccessors(t *testing.T) {
 	}
 }
 
-// TestReportWriteTable pins the per-year table xedfaultsim and
-// xedserver -submit print.
+// TestReportWriteTable pins the per-year table xedfaultsim prints, on
+// local cores or with -coordinator.
 func TestReportWriteTable(t *testing.T) {
 	rep := &Report{Years: 2, Results: []Result{{
 		SchemeName: "XED", Trials: 100, Failures: 4, DUEs: 3, SDCs: 1,
