@@ -21,6 +21,15 @@ func TestExitConventions(t *testing.T) {
 		t.Fatalf("usage error: exit %d, stderr %q", code, stderr)
 	}
 
+	// A trial count past chunkrun.MaxItems is a usage error, not a panic
+	// in the chunk arithmetic.
+	for _, n := range []string{"274877906945", "9223372036854775807"} {
+		code, stderr = clitest.Run(t, "-experiment", "custom", "-schemes", "XED", "-systems", n)
+		if code != 2 || !strings.HasPrefix(stderr, "xedfaultsim: -systems must be at most 274877906944, got "+n+"\n") {
+			t.Fatalf("-systems %s: exit %d, stderr %q", n, code, stderr)
+		}
+	}
+
 	// Flag parsing stops at a positional argument and would drop every flag
 	// after it, so one is a usage error.
 	code, stderr = clitest.Run(t, "-experiment", "fig7", "-systems", "1000", "stray", "-seed", "5")

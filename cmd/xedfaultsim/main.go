@@ -43,6 +43,7 @@ import (
 	"os"
 	"time"
 
+	"xedsim/internal/chunkrun"
 	"xedsim/internal/cli"
 	"xedsim/internal/dist"
 	"xedsim/internal/faultsim"
@@ -78,6 +79,9 @@ type cliArgs struct {
 func validateArgs(a cliArgs) error {
 	if a.systems <= 0 {
 		return fmt.Errorf("-systems must be positive, got %d", a.systems)
+	}
+	if a.systems > chunkrun.MaxItems {
+		return fmt.Errorf("-systems must be at most %d, got %d", chunkrun.MaxItems, a.systems)
 	}
 	if a.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", a.workers)

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"xedsim/internal/chunkrun"
 	"xedsim/internal/clitest"
 	"xedsim/internal/dist"
 	"xedsim/internal/faultsim"
@@ -44,6 +46,8 @@ func TestValidateArgs(t *testing.T) {
 		{"zero checkpoint-every", func(a *cliArgs) { a.ckptEvery = 0 }, "-checkpoint-every"},
 		{"negative checkpoint-every", func(a *cliArgs) { a.ckptEvery = -time.Second }, "-checkpoint-every"},
 		{"zero systems", func(a *cliArgs) { a.systems = 0 }, "-systems"},
+		{"systems past bound", func(a *cliArgs) { a.systems = chunkrun.MaxItems + 1 }, "-systems must be at most"},
+		{"max int systems", func(a *cliArgs) { a.systems = math.MaxInt64 }, "-systems must be at most"},
 		{"negative workers", func(a *cliArgs) { a.workers = -1 }, "-workers"},
 		{"unknown experiment", func(a *cliArgs) { a.experiment = "fig99" }, "unknown experiment"},
 		{"custom without schemes", func(a *cliArgs) { a.experiment = "custom" }, "-schemes"},

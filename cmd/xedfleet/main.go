@@ -28,6 +28,7 @@ import (
 	"os"
 	"time"
 
+	"xedsim/internal/chunkrun"
 	"xedsim/internal/cli"
 	"xedsim/internal/faultsim"
 	"xedsim/internal/fleet"
@@ -62,6 +63,9 @@ type cliArgs struct {
 func validateArgs(a cliArgs) error {
 	if a.dimms <= 0 {
 		return fmt.Errorf("-dimms must be positive, got %d", a.dimms)
+	}
+	if a.dimms > chunkrun.MaxItems {
+		return fmt.Errorf("-dimms must be at most %d, got %d", chunkrun.MaxItems, a.dimms)
 	}
 	if a.years <= 0 {
 		return fmt.Errorf("-years must be positive, got %v", a.years)

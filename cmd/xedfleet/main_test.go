@@ -1,10 +1,16 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"xedsim/internal/chunkrun"
+	"xedsim/internal/clitest"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 func validBase() cliArgs {
 	return cliArgs{
@@ -34,6 +40,8 @@ func TestValidateArgs(t *testing.T) {
 		{"valid resume", func(a *cliArgs) { a.resume = true; a.ckptPath = "x.ckpt" }, ""},
 		{"zero dimms", func(a *cliArgs) { a.dimms = 0 }, "-dimms"},
 		{"negative dimms", func(a *cliArgs) { a.dimms = -100 }, "-dimms"},
+		{"dimms past bound", func(a *cliArgs) { a.dimms = chunkrun.MaxItems + 1 }, "-dimms must be at most"},
+		{"max int dimms", func(a *cliArgs) { a.dimms = math.MaxInt64 }, "-dimms must be at most"},
 		{"zero years", func(a *cliArgs) { a.years = 0 }, "-years"},
 		{"negative years", func(a *cliArgs) { a.years = -1 }, "-years"},
 		{"zero scrub", func(a *cliArgs) { a.scrub = 0 }, "-scrub-hours"},
@@ -61,6 +69,17 @@ func TestValidateArgs(t *testing.T) {
 			t.Errorf("%s: validateArgs accepted %+v", tc.name, a)
 		} else if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestHugeFleetExits2: a fleet past chunkrun.MaxItems DIMMs is a usage
+// error, not a panic in the chunk arithmetic.
+func TestHugeFleetExits2(t *testing.T) {
+	for _, n := range []string{"274877906945", "9223372036854775807"} {
+		code, stderr := clitest.Run(t, "-dimms", n)
+		if code != 2 || !strings.HasPrefix(stderr, "xedfleet: -dimms must be at most 274877906944, got "+n+"\n") {
+			t.Fatalf("-dimms %s: exit %d, stderr %q", n, code, stderr)
 		}
 	}
 }

@@ -5,6 +5,13 @@
 //
 //	xedworker -coordinator http://host:7600 -parallel 8
 //
+// -parallel is the worker's core count: it runs that many lease loops and
+// at most that many goroutines computing chunks. A unit computes on its
+// loop's core and on the cores of the loops that hold no unit; those give
+// their cores back at the next chunk boundary once their loops lease a
+// unit, so a lone unit runs on every core and a busy worker runs one unit
+// per core.
+//
 // Workers are stateless and crash-safe by construction: every chunk is a
 // pure function of the campaign spec, so killing a worker at any instant —
 // including mid-unit — loses nothing but time. Its leases expire and the
@@ -61,7 +68,7 @@ func main() {
 	var a cliArgs
 	flag.StringVar(&a.coordinator, "coordinator", "", "coordinator base URL, e.g. http://host:7600")
 	flag.StringVar(&a.id, "id", "", "worker identity in lease traffic (default hostname-pid)")
-	flag.IntVar(&a.parallel, "parallel", 0, "concurrent work units (0 = GOMAXPROCS)")
+	flag.IntVar(&a.parallel, "parallel", 0, "cores to compute on: lease loops, and the cap on goroutines computing chunks (0 = GOMAXPROCS)")
 	flag.StringVar(&a.debugAddr, "debug-addr", "", "serve live metrics and pprof over HTTP on this address")
 	cmd.Parse()
 
@@ -87,7 +94,7 @@ func main() {
 		Parallel:    a.parallel,
 		Metrics:     reg,
 	})
-	fmt.Fprintf(os.Stderr, "xedworker: %s leasing from %s with %d slots\n", a.id, a.coordinator, a.parallel)
+	fmt.Fprintf(os.Stderr, "xedworker: %s leasing from %s on %d cores\n", a.id, a.coordinator, a.parallel)
 	if err := w.Run(ctx); err != nil {
 		cmd.Fatal(err)
 	}

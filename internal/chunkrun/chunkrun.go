@@ -36,6 +36,12 @@ import (
 	"xedsim/internal/obs"
 )
 
+// MaxItems bounds a computation's item count: 2^38, about 2.7×10^11, 270
+// times the paper's 10^9 systems. Validators refuse more, which keeps the
+// chunk count's arithmetic far from overflow and a computation's done
+// bitmap, and a campaign-service job's unit slice, in the tens of MB.
+const MaxItems = 1 << 38
+
 // ErrDuplicate reports a merge of a span whose chunks were all merged
 // already: the expected outcome of retries and duplicated deliveries, which
 // callers acknowledge rather than fail.
@@ -121,7 +127,7 @@ type Runner[P any] struct {
 }
 
 // New returns a runner over items split into chunks of size, with no chunk
-// done. The codec's Snapshot and Restore read and write the accumulator the
+// done; items must lie in [1, MaxItems]. The codec's Snapshot and Restore read and write the accumulator the
 // runner's lock guards.
 func New[P any](items, size int, f Format, codec Codec[P]) *Runner[P] {
 	chunks := (items + size - 1) / size

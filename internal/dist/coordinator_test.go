@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"xedsim/internal/chunkrun"
 	"xedsim/internal/faultsim"
 	"xedsim/internal/obs"
 )
@@ -263,6 +265,37 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 		if _, err := c.Submit(*s); err == nil {
 			t.Errorf("%s: invalid spec admitted", name)
 		}
+	}
+}
+
+// TestSubmitRefusesHugeTrials: a spec past chunkrun.MaxItems trials is
+// answered 400, not with a handler panic that drops the connection (which
+// the Client would retry until its context ended), and the coordinator
+// keeps serving.
+func TestSubmitRefusesHugeTrials(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorOptions{})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cl := NewClient(srv.URL, nil)
+	for _, trials := range []int{chunkrun.MaxItems + 1, math.MaxInt64} {
+		spec := testSpec()
+		spec.Trials = trials
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(mustSpecJSON(t, spec)))
+		if err != nil {
+			t.Fatalf("%d trials: %v", trials, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%d trials: HTTP %d, want 400", trials, resp.StatusCode)
+		}
+		if _, err := cl.Submit(ctx, spec); err == nil || ctx.Err() != nil {
+			t.Fatalf("Client.Submit of %d trials: %v, context %v", trials, err, ctx.Err())
+		}
+	}
+	if _, err := cl.Submit(ctx, testSpec()); err != nil {
+		t.Fatalf("a valid spec after the refusals: %v", err)
 	}
 }
 

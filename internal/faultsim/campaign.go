@@ -348,6 +348,9 @@ func newCampaign(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bo
 	if opts.Trials <= 0 {
 		return nil, fmt.Errorf("faultsim: non-positive trial count %d", opts.Trials)
 	}
+	if opts.Trials > chunkrun.MaxItems {
+		return nil, fmt.Errorf("faultsim: %d trials, more than the %d a campaign may have", opts.Trials, chunkrun.MaxItems)
+	}
 	if len(schemes) == 0 {
 		return nil, fmt.Errorf("faultsim: no schemes to evaluate")
 	}

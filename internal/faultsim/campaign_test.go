@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"xedsim/internal/checkpoint"
+	"xedsim/internal/chunkrun"
 	"xedsim/internal/obs"
 	"xedsim/internal/simrand"
 )
@@ -318,6 +319,24 @@ func TestRunCampaignValidation(t *testing.T) {
 	}
 	if _, err := RunCampaign(context.Background(), cfg, nil, CampaignOptions{Trials: 10}); err == nil {
 		t.Fatal("empty scheme set accepted")
+	}
+	// Near math.MaxInt64 the chunk count's arithmetic overflows, and the
+	// campaign, its runner and its merger must refuse any count past the
+	// bound up front. (The context is cancelled so that a campaign which
+	// accepted the count would stop before its first chunk.)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, trials := range []int{chunkrun.MaxItems + 1, math.MaxInt64} {
+		opts := CampaignOptions{Trials: trials}
+		if _, err := RunCampaign(cancelled, cfg, AllSchemes(), opts); err == nil || errors.Is(err, context.Canceled) {
+			t.Fatalf("%d trials: %v, want a refusal", trials, err)
+		}
+		if _, err := NewChunkRunner(cfg, AllSchemes(), opts); err == nil {
+			t.Fatalf("NewChunkRunner accepted %d trials", trials)
+		}
+		if _, err := NewMerger(cfg, AllSchemes(), opts); err == nil {
+			t.Fatalf("NewMerger accepted %d trials", trials)
+		}
 	}
 	bad := cfg
 	bad.Channels = 0

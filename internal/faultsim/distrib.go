@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"xedsim/internal/chunkrun"
 )
@@ -54,17 +56,44 @@ type ChunkResult struct {
 }
 
 // ChunkRunner evaluates chunk spans of one campaign on behalf of a remote
-// coordinator. It is single-goroutine (one runner per worker loop), exactly
-// like a RunCampaign worker goroutine: it holds the campaign's shared
-// tables and borrows its per-chunk buffers and evaluator scratch from a
-// package-level pool only while a span runs, so an idle runner holds
-// little and needs no closing. Trial
-// panics are voided and reported in the ChunkResult; generation panics
-// propagate (they cannot be contained without desynchronising the RNG
+// coordinator. One caller uses it at a time (one runner per worker loop).
+// RunSpan computes on the caller's goroutine, exactly like a RunCampaign
+// worker goroutine; RunSpanOn also fans a span out over the cores a Cores
+// lends it, each helper goroutine with its own campaignWorker over the
+// runner's shared tables, as RunCampaign's workers share them. Workers
+// borrow their per-chunk buffers and evaluator scratch from a
+// package-level pool only while a chunk runs, so an idle runner holds
+// little and needs no closing. Trial panics are voided and reported in the
+// ChunkResult; a generation panic is recovered on no goroutine, so it ends
+// the process (it cannot be contained without desynchronising the RNG
 // stream).
 type ChunkRunner struct {
 	c *campaign
 	w *campaignWorker
+
+	// The current span's chunk counter, and the helpers it has started.
+	// helpers grows to the widest span the runner has run, on first use,
+	// so NewChunkRunner builds none.
+	next    atomic.Int64
+	wg      sync.WaitGroup
+	helpers []*spanHelper
+}
+
+// spanHelper is one helper goroutine's campaign worker and the tallies of
+// the chunks it claims in a span.
+type spanHelper struct {
+	w   *campaignWorker
+	acc accum
+}
+
+// Cores lends a span the idle cores of its host. RunSpanOn takes one with
+// TryAcquire for each helper goroutine it starts; a helper gives it back
+// with Release when the span runs out of chunks, or at its next chunk
+// boundary once Wanted reports that another computation waits for a core.
+type Cores interface {
+	TryAcquire() bool
+	Wanted() bool
+	Release()
 }
 
 // NewChunkRunner builds a runner for the campaign shaped by (cfg, schemes,
@@ -85,13 +114,22 @@ func NewChunkRunner(cfg Config, schemes []Scheme, opts CampaignOptions) (*ChunkR
 // NumChunks returns the campaign's total chunk count.
 func (r *ChunkRunner) NumChunks() int { return r.c.run.Chunks() }
 
-// RunSpan evaluates chunks [lo, hi) and returns their tallies. It checks
-// ctx before each chunk: a cancellation mid-span returns ctx's error and
-// no result (partial spans must never be merged). Spans are
-// independent — any partition of [0, NumChunks) into spans, run in any
-// order on any number of runners, yields tallies that merge to the same
-// campaign state.
+// RunSpan evaluates chunks [lo, hi) on the caller's goroutine and returns
+// their tallies. It checks ctx before each chunk: a cancellation mid-span
+// returns ctx's error and no result (partial spans must never be merged).
+// Spans are independent — any partition of [0, NumChunks) into spans, run
+// in any order on any number of runners, yields tallies that merge to the
+// same campaign state.
 func (r *ChunkRunner) RunSpan(ctx context.Context, lo, hi int) (*ChunkResult, error) {
+	return r.RunSpanOn(ctx, lo, hi, nil)
+}
+
+// RunSpanOn is RunSpan on the caller's goroutine plus one helper goroutine
+// for each core cores lends at the start of the span, up to one per chunk
+// after the first; nil cores lend none. The goroutines claim chunks from
+// one counter, and their tallies sum to a ChunkResult equal to RunSpan's.
+// It returns once every helper has stopped and released its core.
+func (r *ChunkRunner) RunSpanOn(ctx context.Context, lo, hi int, cores Cores) (*ChunkResult, error) {
 	run := r.c.run
 	if lo < 0 || hi <= lo || hi > run.Chunks() {
 		return nil, fmt.Errorf("faultsim: chunk span [%d, %d) out of range [0, %d)", lo, hi, run.Chunks())
@@ -105,16 +143,84 @@ func (r *ChunkRunner) RunSpan(ctx context.Context, lo, hi int) (*ChunkResult, er
 	// The span folds chunks as RunCampaign does; the Merger holds all
 	// spans to the campaign's error budget together.
 	acc := accum{results: res.Tallies, budget: math.MaxInt}
-	for c := lo; c < hi; c++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	r.next.Store(int64(lo))
+	helpers := 0
+	for ; cores != nil && helpers < hi-lo-1 && cores.TryAcquire(); helpers++ {
+		h := r.helper(helpers)
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			defer cores.Release()
+			r.claim(ctx, h.w, &h.acc, hi, cores)
+		}()
+	}
+	// Only the caller's goroutine never yields, so the span is whole once
+	// it finds the counter past hi and the helpers have finished.
+	err := r.claim(ctx, r.w, &acc, hi, nil)
+	r.wg.Wait()
+	if err != nil {
+		return nil, err
+	}
+	for _, h := range r.helpers[:helpers] {
+		for s := range acc.results {
+			acc.results[s].add(&h.acc.results[s])
 		}
-		tlo, thi := run.Bounds(c)
-		r.w.RunChunk(c, tlo, thi)
-		_ = acc.fold(r.w) // no budget, so it cannot fail
+		acc.trials += h.acc.trials
+		acc.errs = append(acc.errs, h.acc.errs...)
+	}
+	if helpers > 0 && len(acc.errs) > 1 {
+		sortTrialErrs(acc.errs)
 	}
 	res.Trials, res.Errors = acc.trials, acc.errs
 	return res, nil
+}
+
+// claim computes chunks from the span's counter on w, folding each into
+// acc, until the counter passes hi or ctx ends, or, with cores set, until
+// cores wants its core back at a chunk boundary.
+func (r *ChunkRunner) claim(ctx context.Context, w *campaignWorker, acc *accum, hi int, cores Cores) error {
+	run := r.c.run
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if cores != nil && cores.Wanted() {
+			return nil
+		}
+		c := int(r.next.Add(1) - 1)
+		if c >= hi {
+			return nil
+		}
+		tlo, thi := run.Bounds(c)
+		w.RunChunk(c, tlo, thi)
+		_ = acc.fold(w) // no budget, so it cannot fail
+	}
+}
+
+// helper returns the runner's i-th span helper, reset for a new span and
+// built on first use.
+func (r *ChunkRunner) helper(i int) *spanHelper {
+	if i == len(r.helpers) {
+		h := &spanHelper{
+			w:   newCampaignWorker(r.w.t, r.c.opts.Seed, r.c.years),
+			acc: accum{results: make([]SchemeTally, len(r.c.schemes)), budget: math.MaxInt},
+		}
+		for s := range h.acc.results {
+			h.acc.results[s].ByYear = make([]uint64, r.c.years)
+		}
+		r.helpers = append(r.helpers, h)
+	}
+	h := r.helpers[i]
+	for s := range h.acc.results {
+		t := &h.acc.results[s]
+		t.Failures, t.DUEs, t.SDCs = 0, 0, 0
+		clear(t.ByYear)
+	}
+	// The previous span's result owns copies of these errors; drop the
+	// references the backing array still holds.
+	clear(h.acc.errs)
+	h.acc.trials, h.acc.errs = 0, h.acc.errs[:0]
+	return h
 }
 
 // Merger folds ChunkResults into campaign state equivalent to a local

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"xedsim/internal/checkpoint"
@@ -108,9 +109,140 @@ func TestMergerLaneEngineBitIdentical(t *testing.T) {
 		oracleCampaign(t, cfg, mkSchemes(), opts, (*Evaluator).EvaluateInto))
 }
 
+// spanCores lends a span up to width-1 helper cores. With wantAt > 0 it
+// asks for them back from its wantAt-th Wanted call on, as a worker does
+// once another of its lease loops waits for a core.
+type spanCores struct {
+	free    atomic.Int32
+	wanteds atomic.Int32
+	wantAt  int32
+}
+
+func newSpanCores(width int, wantAt int32) *spanCores {
+	c := &spanCores{wantAt: wantAt}
+	c.free.Store(int32(width - 1))
+	return c
+}
+
+func (c *spanCores) TryAcquire() bool {
+	if c.free.Add(-1) >= 0 {
+		return true
+	}
+	c.free.Add(1)
+	return false
+}
+
+func (c *spanCores) Wanted() bool { return c.wantAt > 0 && c.wanteds.Add(1) >= c.wantAt }
+
+func (c *spanCores) Release() { c.free.Add(1) }
+
+// cancelAfter is a context whose Err reports Canceled from its n+1-th call
+// on, so a span sees it cancelled after at most n of its chunks whatever
+// goroutines claim them.
+type cancelAfter struct {
+	context.Context
+	left atomic.Int32
+}
+
+func newCancelAfter(n int32) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.left.Store(n)
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// withoutStacks drops the voided trials' panic stacks, which name the
+// goroutine that judged the trial.
+func withoutStacks(res *ChunkResult) *ChunkResult {
+	for i := range res.Errors {
+		res.Errors[i].Stack = ""
+	}
+	return res
+}
+
+// TestChunkRunnerSpanWidths: a span fanned out over any number of helper
+// goroutines, with or without handing their cores back midway, returns the
+// ChunkResult RunSpan computes on one goroutine, voided trials sorted by
+// trial; and every helper releases its core. One runner serves every width,
+// so helpers built for a wide span are reset for the next.
+func TestChunkRunnerSpanWidths(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LifetimeHours = 2 * HoursPerYear
+	for _, tc := range []struct {
+		name    string
+		schemes []Scheme
+	}{
+		{"clean", []Scheme{NewSECDED(), NewXED()}},
+		{"voided", []Scheme{NewXED(), panicScheme()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			const lo, hi = 3, 38
+			ref, err := NewChunkRunner(cfg, tc.schemes, distTestOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.RunSpan(ctx, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if voided := len(want.Errors) > 0; voided != (tc.name == "voided") {
+				t.Fatalf("%d voided trials", len(want.Errors))
+			}
+			withoutStacks(want)
+			r, err := NewChunkRunner(cfg, tc.schemes, distTestOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, wantAt := range []int32{0, 4} {
+				for _, width := range []int{1, 2, 3, 8} {
+					cores := newSpanCores(width, wantAt)
+					got, err := r.RunSpanOn(ctx, lo, hi, cores)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(withoutStacks(got), want) {
+						t.Fatalf("width %d, cores wanted from call %d: span result differs from RunSpan's", width, wantAt)
+					}
+					if n := cores.free.Load(); n != int32(width-1) {
+						t.Fatalf("width %d: %d of %d helper cores came back", width, n, width-1)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestChunkRunnerSpanCancelled: a span cancelled midway returns ctx's
+// error and no result at every width.
+func TestChunkRunnerSpanCancelled(t *testing.T) {
+	r, err := NewChunkRunner(DefaultConfig(), []Scheme{NewXED()}, distTestOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{1, 2, 3, 8} {
+		cores := newSpanCores(width, 0)
+		res, err := r.RunSpanOn(newCancelAfter(10), 0, 30, cores)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("width %d: cancelled span returned (%v, %v), want (nil, context.Canceled)", width, res, err)
+		}
+		if n := cores.free.Load(); n != int32(width-1) {
+			t.Fatalf("width %d: %d of %d helper cores came back", width, n, width-1)
+		}
+	}
+}
+
 // TestChunkRunnerSpanAllocs pins the runner's steady state: once the
-// pooled chunk buffers are warm, a span allocates only its ChunkResult
-// (the result, its tallies and their year buckets).
+// pooled chunk buffers are warm, a one-chunk span allocates only its
+// ChunkResult (the result, its tallies and their year buckets), and a
+// wide span's allocations, helpers included, do not grow with its chunk
+// count.
 func TestChunkRunnerSpanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -134,6 +266,22 @@ func TestChunkRunnerSpanAllocs(t *testing.T) {
 	})
 	if allocs > 3 {
 		t.Fatalf("RunSpan allocates %v times per span, want at most 3", allocs)
+	}
+
+	wide := func(width, chunks int) float64 {
+		cores := newSpanCores(width, 0) // every helper's core comes back
+		return testing.AllocsPerRun(10, func() {
+			if _, err := r.RunSpanOn(ctx, 0, chunks, cores); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, width := range []int{1, 3} {
+		wide(width, 8) // build the helpers and warm their buffers
+		short, long := wide(width, 8), wide(width, r.NumChunks())
+		if long > short || long > float64(3+2*(width-1)) {
+			t.Fatalf("width %d: a %d-chunk span allocates %v times, an 8-chunk one %v", width, r.NumChunks(), long, short)
+		}
 	}
 }
 

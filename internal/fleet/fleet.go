@@ -32,6 +32,7 @@ import (
 	"strconv"
 	"strings"
 
+	"xedsim/internal/chunkrun"
 	"xedsim/internal/dram"
 	"xedsim/internal/faultsim"
 )
@@ -170,6 +171,9 @@ func DefaultConfig() Config {
 func (c *Config) Validate() error {
 	if c.DIMMs <= 0 {
 		return fmt.Errorf("fleet: non-positive DIMM count %d", c.DIMMs)
+	}
+	if c.DIMMs > chunkrun.MaxItems {
+		return fmt.Errorf("fleet: %d DIMMs, more than the %d a fleet may have", c.DIMMs, chunkrun.MaxItems)
 	}
 	if c.HorizonHours <= 0 {
 		return fmt.Errorf("fleet: non-positive horizon %v", c.HorizonHours)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"xedsim/internal/checkpoint"
+	"xedsim/internal/chunkrun"
 	"xedsim/internal/dram"
 	"xedsim/internal/faultsim"
 )
@@ -454,20 +455,22 @@ func TestConfigValidate(t *testing.T) {
 		return cfg
 	}
 	bad := map[string]Config{
-		"zero dimms":      mut(func(c *Config) { c.DIMMs = 0 }),
-		"negative dimms":  mut(func(c *Config) { c.DIMMs = -5 }),
-		"zero horizon":    mut(func(c *Config) { c.HorizonHours = 0 }),
-		"zero scrub":      mut(func(c *Config) { c.ScrubIntervalHours = 0 }),
-		"zero mc group":   mut(func(c *Config) { c.DIMMsPerMC = 0 }),
-		"zero dimm size":  mut(func(c *Config) { c.DIMMSizeMB = 0 }),
-		"negative cost":   mut(func(c *Config) { c.CostPerSwapUSD = -1 }),
-		"NaN cost":        mut(func(c *Config) { c.CostPerSwapUSD = math.NaN() }),
-		"bad threshold":   mut(func(c *Config) { c.Policy = Policy{Kind: PolicyThreshold} }),
-		"bad policy kind": mut(func(c *Config) { c.Policy = Policy{Kind: PolicyKind(99)} }),
-		"bad scheme":      mut(func(c *Config) { c.Scheme = "NoSuchScheme" }),
-		"zero ranks":      mut(func(c *Config) { c.RanksPerDIMM = 0 }),
-		"zero chips":      mut(func(c *Config) { c.ChipsPerRank = 0 }),
-		"empty fits":      mut(func(c *Config) { c.FITs = nil }),
+		"zero dimms":       mut(func(c *Config) { c.DIMMs = 0 }),
+		"negative dimms":   mut(func(c *Config) { c.DIMMs = -5 }),
+		"dimms past bound": mut(func(c *Config) { c.DIMMs = chunkrun.MaxItems + 1 }),
+		"max int dimms":    mut(func(c *Config) { c.DIMMs = math.MaxInt64 }),
+		"zero horizon":     mut(func(c *Config) { c.HorizonHours = 0 }),
+		"zero scrub":       mut(func(c *Config) { c.ScrubIntervalHours = 0 }),
+		"zero mc group":    mut(func(c *Config) { c.DIMMsPerMC = 0 }),
+		"zero dimm size":   mut(func(c *Config) { c.DIMMSizeMB = 0 }),
+		"negative cost":    mut(func(c *Config) { c.CostPerSwapUSD = -1 }),
+		"NaN cost":         mut(func(c *Config) { c.CostPerSwapUSD = math.NaN() }),
+		"bad threshold":    mut(func(c *Config) { c.Policy = Policy{Kind: PolicyThreshold} }),
+		"bad policy kind":  mut(func(c *Config) { c.Policy = Policy{Kind: PolicyKind(99)} }),
+		"bad scheme":       mut(func(c *Config) { c.Scheme = "NoSuchScheme" }),
+		"zero ranks":       mut(func(c *Config) { c.RanksPerDIMM = 0 }),
+		"zero chips":       mut(func(c *Config) { c.ChipsPerRank = 0 }),
+		"empty fits":       mut(func(c *Config) { c.FITs = nil }),
 	}
 	for name, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
