@@ -7,6 +7,7 @@
 //	xedsweep -sweep scrub   # patrol-scrub interval 1h..1 month
 //	xedsweep -sweep scaling # scaling-fault rate 1e-6..1e-3 (Table III++)
 //	xedsweep -sweep silent  # on-die miss rate 0..5% (code-strength sweep)
+//	xedsweep -sweep aging   # flat, bathtub, infant-mortality and wear-out profiles
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"os"
 
 	"xedsim/internal/analysis"
+	"xedsim/internal/chunkrun"
 	"xedsim/internal/cli"
 	"xedsim/internal/faultsim"
 )
@@ -36,6 +38,9 @@ type cliArgs struct {
 func validateArgs(a cliArgs) error {
 	if a.systems <= 0 {
 		return fmt.Errorf("-systems must be positive, got %d", a.systems)
+	}
+	if a.systems > chunkrun.MaxItems {
+		return fmt.Errorf("-systems must be at most %d, got %d", chunkrun.MaxItems, a.systems)
 	}
 	if a.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", a.workers)

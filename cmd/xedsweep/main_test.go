@@ -1,9 +1,11 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"xedsim/internal/chunkrun"
 	"xedsim/internal/clitest"
 )
 
@@ -24,6 +26,8 @@ func TestValidateArgs(t *testing.T) {
 	}{
 		{"zero systems", func(a *cliArgs) { a.systems = 0 }, "-systems"},
 		{"negative systems", func(a *cliArgs) { a.systems = -5 }, "-systems"},
+		{"systems past bound", func(a *cliArgs) { a.systems = chunkrun.MaxItems + 1 }, "-systems must be at most"},
+		{"max int systems", func(a *cliArgs) { a.systems = math.MaxInt64 }, "-systems must be at most"},
 		{"negative workers", func(a *cliArgs) { a.workers = -1 }, "-workers"},
 		{"unknown sweep", func(a *cliArgs) { a.sweep = "voltage" }, "unknown sweep"},
 		{"empty sweep", func(a *cliArgs) { a.sweep = "" }, "unknown sweep"},

@@ -5,12 +5,12 @@
 //
 //	xedworker -coordinator http://host:7600 -parallel 8
 //
-// -parallel is the worker's core count: it runs that many lease loops and
-// at most that many goroutines computing chunks. A unit computes on its
-// loop's core and on the cores of the loops that hold no unit; those give
-// their cores back at the next chunk boundary once their loops lease a
-// unit, so a lone unit runs on every core and a busy worker runs one unit
-// per core.
+// -parallel is the number of cores to compute on: when it is set, the
+// worker runs on that many (GOMAXPROCS), and it runs that many lease loops,
+// each fanning its unit out over that many goroutines. The Go scheduler
+// shares the cores among the goroutines of the units in flight, so a lone
+// unit runs on every core and a core a finished unit frees goes to the
+// units still running.
 //
 // Workers are stateless and crash-safe by construction: every chunk is a
 // pure function of the campaign spec, so killing a worker at any instant —
@@ -68,7 +68,7 @@ func main() {
 	var a cliArgs
 	flag.StringVar(&a.coordinator, "coordinator", "", "coordinator base URL, e.g. http://host:7600")
 	flag.StringVar(&a.id, "id", "", "worker identity in lease traffic (default hostname-pid)")
-	flag.IntVar(&a.parallel, "parallel", 0, "cores to compute on: lease loops, and the cap on goroutines computing chunks (0 = GOMAXPROCS)")
+	flag.IntVar(&a.parallel, "parallel", 0, "cores to compute on: GOMAXPROCS, lease loops and goroutines per unit (0 = GOMAXPROCS)")
 	flag.StringVar(&a.debugAddr, "debug-addr", "", "serve live metrics and pprof over HTTP on this address")
 	cmd.Parse()
 
@@ -78,9 +78,10 @@ func main() {
 	if a.id == "" {
 		a.id = defaultWorkerID()
 	}
-	if a.parallel == 0 {
-		a.parallel = runtime.GOMAXPROCS(0)
+	if a.parallel > 0 {
+		runtime.GOMAXPROCS(a.parallel)
 	}
+	a.parallel = runtime.GOMAXPROCS(0)
 
 	reg, done := cmd.Observe(false, "", a.debugAddr, nil)
 	defer done()

@@ -3,6 +3,7 @@ package xedsim_test
 import (
 	"context"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,16 +13,21 @@ import (
 	"time"
 )
 
-// documentedCommandDocs returns the files whose `go run ./cmd/<name> …`
-// lines TestDocumentedCommandsParse holds to the commands' flags: the
-// top-level docs and the repository's skill notes (its verify recipe).
-func documentedCommandDocs(t *testing.T) []string {
+// skillNotes returns the repository's skill notes (its verify recipe).
+func skillNotes(t *testing.T) []string {
 	t.Helper()
 	skills, err := filepath.Glob(".*/skills/*/SKILL.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, skills...)
+	return skills
+}
+
+// documentedCommandDocs returns the files whose `go run ./cmd/<name> …`
+// lines TestDocumentedCommandsParse holds to the commands' flags: the
+// top-level docs and the skill notes.
+func documentedCommandDocs(t *testing.T) []string {
+	return append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, skillNotes(t)...)
 }
 
 var goRunCmd = regexp.MustCompile("go run \\./cmd/([a-z]+)")
@@ -146,6 +152,56 @@ func TestDocumentedCommandsParse(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s: %s %s -h: %v\n%s", c.where, c.name, strings.Join(c.args, " "), err, firstLine(out))
 		}
+	}
+}
+
+var (
+	testFuncName = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z][A-Za-z0-9_]*`)
+	testFuncDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)[A-Z][A-Za-z0-9_]*)\(`)
+)
+
+// TestDocumentedTestsExist: every Test… or Fuzz… function that README.md,
+// DESIGN.md or a skill note names is declared in some _test.go file, so
+// the docs cite no test that was renamed or deleted. EXPERIMENTS.md,
+// ROADMAP.md and CHANGES.md are logs of past work and may name tests
+// since removed.
+func TestDocumentedTestsExist(t *testing.T) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		for _, m := range testFuncDecl.FindAllSubmatch(b, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := 0
+	for _, doc := range append([]string{"README.md", "DESIGN.md"}, skillNotes(t)...) {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, name := range testFuncName.FindAllString(line, -1) {
+				cited++
+				if !declared[name] {
+					t.Errorf("%s:%d names %s, which no _test.go declares", doc, i+1, name)
+				}
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("the docs name no tests")
 	}
 }
 

@@ -115,14 +115,14 @@ func TestJobRunnerReplacesPreviousJob(t *testing.T) {
 	b.Seed++
 	leaseA := &Lease{JobID: mustHash(t, a), Spec: *a}
 	leaseB := &Lease{JobID: mustHash(t, b), Spec: *b}
-	ra, err := cache.get(leaseA)
+	ra, err := cache.get(leaseA, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := cache.get(leaseA); again != ra {
+	if again, _ := cache.get(leaseA, 2); again != ra {
 		t.Fatal("a second lease of the same job rebuilt its runner")
 	}
-	rb, err := cache.get(leaseB)
+	rb, err := cache.get(leaseB, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestJobRunnerReplacesPreviousJob(t *testing.T) {
 		t.Fatal("the cache kept the previous job's runner")
 	}
 	bad := &Lease{JobID: "bad", Spec: JobSpec{Schemes: []string{"TMR"}, Trials: 1}}
-	if _, err := cache.get(bad); err == nil || cache.r != nil {
+	if _, err := cache.get(bad, 2); err == nil || cache.r != nil {
 		t.Fatalf("unbuildable spec: err %v, cached runner %v", err, cache.r)
 	}
 }

@@ -65,9 +65,13 @@ type WorkerOptions struct {
 	// Coordinator is the base URL of the coordinator, e.g.
 	// "http://127.0.0.1:7600".
 	Coordinator string
-	// Parallel is the worker's core count; 0 selects 1. The worker runs
-	// that many lease loops and at most that many compute goroutines: a
-	// unit computes on its loop's core plus every core whose loop is idle.
+	// Parallel is the worker's lease loop count and each unit's goroutine
+	// count; 0 selects 1. A unit's span runs on its loop's goroutine plus
+	// helpers up to Parallel in all (faultsim.ChunkRunner.RunSpan), so a
+	// lone unit runs on every core. With all Parallel loops busy up to
+	// Parallel² goroutines exist, but only GOMAXPROCS run at once: the Go
+	// scheduler shares the cores among them, and a goroutine borrows chunk
+	// buffers only while its chunk runs.
 	Parallel int
 	// Client overrides the HTTP client (chaos tests inject a faulty
 	// transport here). Nil selects a plain client.
@@ -80,12 +84,11 @@ type WorkerOptions struct {
 // faultsim.ChunkRunner, and reports results back, retrying with jittered
 // exponential backoff across coordinator outages. Its lease requests are
 // held at the coordinator until a unit is free, so an idle worker waits
-// without polling. A unit computes on its lease loop's core and on the
-// cores of the loops that hold no unit; those helpers give their cores
-// back at the next chunk boundary once another loop holds a unit, so when
-// every loop is busy each unit runs on one core. It holds no durable
-// state: everything it computes can be recomputed, so crash-stopping a
-// worker at any instant is always safe.
+// without polling. Each unit fans out over Parallel goroutines and the Go
+// scheduler shares the cores among the units in flight, so a core a
+// finished unit frees goes to the spans still running. It holds no
+// durable state: everything it computes can be recomputed, so
+// crash-stopping a worker at any instant is always safe.
 type Worker struct {
 	opts WorkerOptions
 	base string
@@ -98,66 +101,7 @@ type Worker struct {
 
 	// runners holds each lease loop's runner cache, one per loop.
 	runners []jobRunner
-	// cores holds the worker's Parallel compute tokens.
-	cores computeCores
 }
-
-// computeCores is the worker's compute tokens: one per core, held by each
-// goroutine that computes a unit's chunks. A lease loop takes one with
-// acquire for its own unit, and the unit's span takes idle ones for its
-// helpers (faultsim.Cores). Tests substitute a counting wrapper.
-type computeCores interface {
-	faultsim.Cores
-	acquire(ctx context.Context) error
-}
-
-// cores is the token pool behind computeCores.
-type cores struct {
-	free    chan struct{} // a semaphore: one element per free token
-	waiting atomic.Int32  // lease loops blocked in acquire
-}
-
-func newCores(n int) *cores {
-	c := &cores{free: make(chan struct{}, n)}
-	for range n {
-		c.free <- struct{}{}
-	}
-	return c
-}
-
-// acquire takes a token for a lease loop's unit, waiting until ctx ends
-// for one. While it waits, Wanted calls a helper's token back.
-func (c *cores) acquire(ctx context.Context) error {
-	select {
-	case <-c.free:
-		return nil
-	default:
-	}
-	c.waiting.Add(1)
-	defer c.waiting.Add(-1)
-	select {
-	case <-c.free:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// TryAcquire takes a free token for a helper.
-func (c *cores) TryAcquire() bool {
-	select {
-	case <-c.free:
-		return true
-	default:
-		return false
-	}
-}
-
-// Wanted reports whether a lease loop waits for a token.
-func (c *cores) Wanted() bool { return c.waiting.Load() > 0 }
-
-// Release returns a token.
-func (c *cores) Release() { c.free <- struct{}{} }
 
 // jobRunner is a lease loop's runner cache: the ChunkRunner of the job the
 // loop served last, with the helper workers its widest span has built. A
@@ -171,8 +115,9 @@ type jobRunner struct {
 }
 
 // get returns the ChunkRunner for the lease's job, building it from the
-// lease's spec when the loop last served another job.
-func (c *jobRunner) get(lease *Lease) (*faultsim.ChunkRunner, error) {
+// lease's spec, with parallel goroutines per span, when the loop last
+// served another job.
+func (c *jobRunner) get(lease *Lease, parallel int) (*faultsim.ChunkRunner, error) {
 	if c.r != nil && c.jobID == lease.JobID {
 		return c.r, nil
 	}
@@ -181,7 +126,9 @@ func (c *jobRunner) get(lease *Lease) (*faultsim.ChunkRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := faultsim.NewChunkRunner(lease.Spec.Config, schemes, lease.Spec.CampaignOptions())
+	opts := lease.Spec.CampaignOptions()
+	opts.Workers = parallel
+	r, err := faultsim.NewChunkRunner(lease.Spec.Config, schemes, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +150,6 @@ func NewWorker(opts WorkerOptions) *Worker {
 		leaseFail: opts.Metrics.Counter("dist.worker_lease_failures"),
 		unitsC:    opts.Metrics.Counter("dist.worker_units_done"),
 		retriesC:  opts.Metrics.Counter("dist.worker_retries"),
-		cores:     newCores(opts.Parallel),
 	}
 	if w.hc == nil {
 		w.hc = &http.Client{}
@@ -278,7 +224,13 @@ func maxDuration(a, b time.Duration) time.Duration {
 
 // runUnit computes a leased span and reports it.
 func (w *Worker) runUnit(ctx context.Context, cache *jobRunner, lease *Lease) error {
-	res, err := w.compute(ctx, cache, lease)
+	r, err := cache.get(lease, w.opts.Parallel)
+	if err != nil {
+		// A spec this binary cannot evaluate; drop the lease and let it
+		// expire for someone else.
+		return err
+	}
+	res, err := r.RunSpan(ctx, lease.Lo, lease.Hi)
 	if err != nil {
 		return err
 	}
@@ -290,22 +242,6 @@ func (w *Worker) runUnit(ctx context.Context, cache *jobRunner, lease *Lease) er
 		Token:    lease.Token,
 		Result:   *res,
 	})
-}
-
-// compute evaluates a leased span on the loop's own token and on the
-// tokens its span's helpers take.
-func (w *Worker) compute(ctx context.Context, cache *jobRunner, lease *Lease) (*faultsim.ChunkResult, error) {
-	if err := w.cores.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer w.cores.Release()
-	r, err := cache.get(lease)
-	if err != nil {
-		// A spec this binary cannot evaluate; drop the lease and let it
-		// expire for someone else.
-		return nil, err
-	}
-	return r.RunSpanOn(ctx, lease.Lo, lease.Hi, w.cores)
 }
 
 // lease asks the coordinator for a unit, to be held for up to MaxWait

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,10 +58,9 @@ type ChunkResult struct {
 
 // ChunkRunner evaluates chunk spans of one campaign on behalf of a remote
 // coordinator. One caller uses it at a time (one runner per worker loop).
-// RunSpan computes on the caller's goroutine, exactly like a RunCampaign
-// worker goroutine; RunSpanOn also fans a span out over the cores a Cores
-// lends it, each helper goroutine with its own campaignWorker over the
-// runner's shared tables, as RunCampaign's workers share them. Workers
+// RunSpan fans a span out over the campaign's Workers goroutines, as
+// RunCampaign's pool does: the caller's goroutine and helpers that each
+// hold their own campaignWorker over the runner's shared tables. Workers
 // borrow their per-chunk buffers and evaluator scratch from a
 // package-level pool only while a chunk runs, so an idle runner holds
 // little and needs no closing. Trial panics are voided and reported in the
@@ -86,24 +86,19 @@ type spanHelper struct {
 	acc accum
 }
 
-// Cores lends a span the idle cores of its host. RunSpanOn takes one with
-// TryAcquire for each helper goroutine it starts; a helper gives it back
-// with Release when the span runs out of chunks, or at its next chunk
-// boundary once Wanted reports that another computation waits for a core.
-type Cores interface {
-	TryAcquire() bool
-	Wanted() bool
-	Release()
-}
-
 // NewChunkRunner builds a runner for the campaign shaped by (cfg, schemes,
-// opts). Only Trials and Seed of opts are meaningful here; scheduling
-// fields (Workers, CheckpointPath, OnChunk, Metrics) belong to the
-// caller's loop.
+// opts). Trials and Seed of opts shape the campaign and Workers is each
+// span's goroutine count (<= 0 selects GOMAXPROCS); the other fields
+// (CheckpointPath, OnChunk, Metrics) belong to the caller's loop.
 func NewChunkRunner(cfg Config, schemes []Scheme, opts CampaignOptions) (*ChunkRunner, error) {
-	c, err := newCampaign(cfg, schemes, opts, true)
+	// No ChunkRunner method reads the config hash, which only frames
+	// checkpoints.
+	c, err := newCampaign(cfg, schemes, opts, false)
 	if err != nil {
 		return nil, err
+	}
+	if c.opts.Workers <= 0 {
+		c.opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	return &ChunkRunner{
 		c: c,
@@ -114,22 +109,16 @@ func NewChunkRunner(cfg Config, schemes []Scheme, opts CampaignOptions) (*ChunkR
 // NumChunks returns the campaign's total chunk count.
 func (r *ChunkRunner) NumChunks() int { return r.c.run.Chunks() }
 
-// RunSpan evaluates chunks [lo, hi) on the caller's goroutine and returns
-// their tallies. It checks ctx before each chunk: a cancellation mid-span
-// returns ctx's error and no result (partial spans must never be merged).
-// Spans are independent — any partition of [0, NumChunks) into spans, run
-// in any order on any number of runners, yields tallies that merge to the
-// same campaign state.
+// RunSpan evaluates chunks [lo, hi) and returns their tallies. It runs on
+// the caller's goroutine plus min(Workers, hi-lo)-1 helper goroutines,
+// which claim chunks from one counter, so a one-chunk span stays on the
+// caller's goroutine; the tallies sum to the same ChunkResult at any
+// width, voided trials sorted by trial. Each goroutine checks ctx before
+// each chunk: a cancellation mid-span returns ctx's error and no result
+// (partial spans must never be merged). Spans are independent — any
+// partition of [0, NumChunks) into spans, run in any order on any number
+// of runners, yields tallies that merge to the same campaign state.
 func (r *ChunkRunner) RunSpan(ctx context.Context, lo, hi int) (*ChunkResult, error) {
-	return r.RunSpanOn(ctx, lo, hi, nil)
-}
-
-// RunSpanOn is RunSpan on the caller's goroutine plus one helper goroutine
-// for each core cores lends at the start of the span, up to one per chunk
-// after the first; nil cores lend none. The goroutines claim chunks from
-// one counter, and their tallies sum to a ChunkResult equal to RunSpan's.
-// It returns once every helper has stopped and released its core.
-func (r *ChunkRunner) RunSpanOn(ctx context.Context, lo, hi int, cores Cores) (*ChunkResult, error) {
 	run := r.c.run
 	if lo < 0 || hi <= lo || hi > run.Chunks() {
 		return nil, fmt.Errorf("faultsim: chunk span [%d, %d) out of range [0, %d)", lo, hi, run.Chunks())
@@ -144,19 +133,19 @@ func (r *ChunkRunner) RunSpanOn(ctx context.Context, lo, hi int, cores Cores) (*
 	// spans to the campaign's error budget together.
 	acc := accum{results: res.Tallies, budget: math.MaxInt}
 	r.next.Store(int64(lo))
-	helpers := 0
-	for ; cores != nil && helpers < hi-lo-1 && cores.TryAcquire(); helpers++ {
-		h := r.helper(helpers)
+	helpers := min(r.c.opts.Workers, hi-lo) - 1
+	for i := range helpers {
+		h := r.helper(i)
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			defer cores.Release()
-			r.claim(ctx, h.w, &h.acc, hi, cores)
+			_ = r.claim(ctx, h.w, &h.acc, hi) // the caller's claim reports ctx's end
 		}()
 	}
-	// Only the caller's goroutine never yields, so the span is whole once
-	// it finds the counter past hi and the helpers have finished.
-	err := r.claim(ctx, r.w, &acc, hi, nil)
+	// A goroutine computes every chunk it claims, so the span is whole
+	// once the caller's goroutine finds the counter past hi and the
+	// helpers have finished.
+	err := r.claim(ctx, r.w, &acc, hi)
 	r.wg.Wait()
 	if err != nil {
 		return nil, err
@@ -176,16 +165,12 @@ func (r *ChunkRunner) RunSpanOn(ctx context.Context, lo, hi int, cores Cores) (*
 }
 
 // claim computes chunks from the span's counter on w, folding each into
-// acc, until the counter passes hi or ctx ends, or, with cores set, until
-// cores wants its core back at a chunk boundary.
-func (r *ChunkRunner) claim(ctx context.Context, w *campaignWorker, acc *accum, hi int, cores Cores) error {
+// acc, until the counter passes hi or ctx ends.
+func (r *ChunkRunner) claim(ctx context.Context, w *campaignWorker, acc *accum, hi int) error {
 	run := r.c.run
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
-		}
-		if cores != nil && cores.Wanted() {
-			return nil
 		}
 		c := int(r.next.Add(1) - 1)
 		if c >= hi {

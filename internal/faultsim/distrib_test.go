@@ -3,6 +3,7 @@ package faultsim
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -109,33 +110,6 @@ func TestMergerLaneEngineBitIdentical(t *testing.T) {
 		oracleCampaign(t, cfg, mkSchemes(), opts, (*Evaluator).EvaluateInto))
 }
 
-// spanCores lends a span up to width-1 helper cores. With wantAt > 0 it
-// asks for them back from its wantAt-th Wanted call on, as a worker does
-// once another of its lease loops waits for a core.
-type spanCores struct {
-	free    atomic.Int32
-	wanteds atomic.Int32
-	wantAt  int32
-}
-
-func newSpanCores(width int, wantAt int32) *spanCores {
-	c := &spanCores{wantAt: wantAt}
-	c.free.Store(int32(width - 1))
-	return c
-}
-
-func (c *spanCores) TryAcquire() bool {
-	if c.free.Add(-1) >= 0 {
-		return true
-	}
-	c.free.Add(1)
-	return false
-}
-
-func (c *spanCores) Wanted() bool { return c.wantAt > 0 && c.wanteds.Add(1) >= c.wantAt }
-
-func (c *spanCores) Release() { c.free.Add(1) }
-
 // cancelAfter is a context whose Err reports Canceled from its n+1-th call
 // on, so a span sees it cancelled after at most n of its chunks whatever
 // goroutines claim them.
@@ -166,11 +140,26 @@ func withoutStacks(res *ChunkResult) *ChunkResult {
 	return res
 }
 
-// TestChunkRunnerSpanWidths: a span fanned out over any number of helper
-// goroutines, with or without handing their cores back midway, returns the
-// ChunkResult RunSpan computes on one goroutine, voided trials sorted by
-// trial; and every helper releases its core. One runner serves every width,
-// so helpers built for a wide span are reset for the next.
+// spanWidths are the Workers counts the span tests fan spans out over.
+var spanWidths = []int{1, 2, 3, 8}
+
+// newSpanRunner builds a runner whose spans fan out over width goroutines.
+func newSpanRunner(t *testing.T, cfg Config, schemes []Scheme, width int) *ChunkRunner {
+	t.Helper()
+	opts := distTestOpts()
+	opts.Workers = width
+	r, err := NewChunkRunner(cfg, schemes, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestChunkRunnerSpanWidths: a span fanned out over any number of
+// goroutines returns the ChunkResult one goroutine computes, voided trials
+// sorted by trial. Each runner runs a short span, then a wide one twice,
+// so helpers built lazily for the wide span and reset after it add up
+// right.
 func TestChunkRunnerSpanWidths(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LifetimeHours = 2 * HoursPerYear
@@ -183,35 +172,28 @@ func TestChunkRunnerSpanWidths(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
-			const lo, hi = 3, 38
-			ref, err := NewChunkRunner(cfg, tc.schemes, distTestOpts())
-			if err != nil {
-				t.Fatal(err)
+			spans := [][2]int{{3, 5}, {3, 38}, {3, 38}}
+			ref := newSpanRunner(t, cfg, tc.schemes, 1)
+			want := make([]*ChunkResult, len(spans))
+			for i, sp := range spans {
+				res, err := ref.RunSpan(ctx, sp[0], sp[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = withoutStacks(res)
 			}
-			want, err := ref.RunSpan(ctx, lo, hi)
-			if err != nil {
-				t.Fatal(err)
+			if voided := len(want[1].Errors) > 0; voided != (tc.name == "voided") {
+				t.Fatalf("%d voided trials", len(want[1].Errors))
 			}
-			if voided := len(want.Errors) > 0; voided != (tc.name == "voided") {
-				t.Fatalf("%d voided trials", len(want.Errors))
-			}
-			withoutStacks(want)
-			r, err := NewChunkRunner(cfg, tc.schemes, distTestOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, wantAt := range []int32{0, 4} {
-				for _, width := range []int{1, 2, 3, 8} {
-					cores := newSpanCores(width, wantAt)
-					got, err := r.RunSpanOn(ctx, lo, hi, cores)
+			for _, width := range spanWidths {
+				r := newSpanRunner(t, cfg, tc.schemes, width)
+				for i, sp := range spans {
+					got, err := r.RunSpan(ctx, sp[0], sp[1])
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(withoutStacks(got), want) {
-						t.Fatalf("width %d, cores wanted from call %d: span result differs from RunSpan's", width, wantAt)
-					}
-					if n := cores.free.Load(); n != int32(width-1) {
-						t.Fatalf("width %d: %d of %d helper cores came back", width, n, width-1)
+					if !reflect.DeepEqual(withoutStacks(got), want[i]) {
+						t.Fatalf("width %d, span %d [%d, %d): result differs from one goroutine's", width, i, sp[0], sp[1])
 					}
 				}
 			}
@@ -220,65 +202,72 @@ func TestChunkRunnerSpanWidths(t *testing.T) {
 }
 
 // TestChunkRunnerSpanCancelled: a span cancelled midway returns ctx's
-// error and no result at every width.
+// error and no result at every width, and the runner's next span is whole.
 func TestChunkRunnerSpanCancelled(t *testing.T) {
-	r, err := NewChunkRunner(DefaultConfig(), []Scheme{NewXED()}, distTestOpts())
+	schemes := []Scheme{NewXED()}
+	want, err := newSpanRunner(t, DefaultConfig(), schemes, 1).RunSpan(context.Background(), 0, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, width := range []int{1, 2, 3, 8} {
-		cores := newSpanCores(width, 0)
-		res, err := r.RunSpanOn(newCancelAfter(10), 0, 30, cores)
+	for _, width := range spanWidths {
+		r := newSpanRunner(t, DefaultConfig(), schemes, width)
+		res, err := r.RunSpan(newCancelAfter(10), 0, 30)
 		if !errors.Is(err, context.Canceled) || res != nil {
 			t.Fatalf("width %d: cancelled span returned (%v, %v), want (nil, context.Canceled)", width, res, err)
 		}
-		if n := cores.free.Load(); n != int32(width-1) {
-			t.Fatalf("width %d: %d of %d helper cores came back", width, n, width-1)
+		got, err := r.RunSpan(context.Background(), 0, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("width %d: the span after a cancelled one differs from one goroutine's", width)
 		}
 	}
 }
 
 // TestChunkRunnerSpanAllocs pins the runner's steady state: once the
-// pooled chunk buffers are warm, a one-chunk span allocates only its
-// ChunkResult (the result, its tallies and their year buckets), and a
-// wide span's allocations, helpers included, do not grow with its chunk
-// count.
+// pooled chunk buffers are warm, a one-chunk span stays on the caller's
+// goroutine and allocates only its ChunkResult (the result, its tallies
+// and their year buckets), and a wide span's allocations, helpers
+// included, do not grow with its chunk count.
 func TestChunkRunnerSpanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	r, err := NewChunkRunner(DefaultConfig(), AllSchemes(), distTestOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	for c := 0; c < r.NumChunks(); c++ {
-		if _, err := r.RunSpan(ctx, c, c+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := 0
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := r.RunSpan(ctx, c, c+1); err != nil {
-			t.Fatal(err)
-		}
-		c = (c + 1) % r.NumChunks()
-	})
-	if allocs > 3 {
-		t.Fatalf("RunSpan allocates %v times per span, want at most 3", allocs)
-	}
-
-	wide := func(width, chunks int) float64 {
-		cores := newSpanCores(width, 0) // every helper's core comes back
-		return testing.AllocsPerRun(10, func() {
-			if _, err := r.RunSpanOn(ctx, 0, chunks, cores); err != nil {
+	for _, width := range spanWidths {
+		r := newSpanRunner(t, DefaultConfig(), AllSchemes(), width)
+		for c := 0; c < r.NumChunks(); c++ {
+			if _, err := r.RunSpan(ctx, c, c+1); err != nil {
 				t.Fatal(err)
 			}
+		}
+		c := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := r.RunSpan(ctx, c, c+1); err != nil {
+				t.Fatal(err)
+			}
+			c = (c + 1) % r.NumChunks()
 		})
-	}
-	for _, width := range []int{1, 3} {
-		wide(width, 8) // build the helpers and warm their buffers
-		short, long := wide(width, 8), wide(width, r.NumChunks())
+		if allocs > 3 {
+			t.Fatalf("width %d: a one-chunk span allocates %v times, want at most 3", width, allocs)
+		}
+
+		// The fewest of three counts: the pool lends a new chunk buffer
+		// the first time more goroutines than before are mid-chunk at
+		// once, which is warm-up, not growth.
+		wide := func(chunks int) float64 {
+			least := math.Inf(1)
+			for range 3 {
+				least = min(least, testing.AllocsPerRun(10, func() {
+					if _, err := r.RunSpan(ctx, 0, chunks); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+			return least
+		}
+		short, long := wide(8), wide(r.NumChunks())
 		if long > short || long > float64(3+2*(width-1)) {
 			t.Fatalf("width %d: a %d-chunk span allocates %v times, an 8-chunk one %v", width, r.NumChunks(), long, short)
 		}
