@@ -17,7 +17,7 @@ import (
 // name; and -metrics-json leaves the final snapshot behind.
 func TestExitConventions(t *testing.T) {
 	code, stderr := clitest.Run(t, "-systems", "0")
-	if code != 2 || !strings.HasPrefix(stderr, "xedfaultsim: -systems must be positive, got 0\n") || !strings.Contains(stderr, "-checkpoint-every") {
+	if code != 2 || !strings.HasPrefix(stderr, "xedfaultsim: -systems must be positive, got 0\n") || !strings.Contains(stderr, "-checkpoint") {
 		t.Fatalf("usage error: exit %d, stderr %q", code, stderr)
 	}
 

@@ -16,11 +16,13 @@
 //
 // Long campaigns are resilient: SIGINT/SIGTERM drains the workers, prints
 // the partial results with their trial counts and confidence intervals,
-// and exits nonzero. With -checkpoint the campaign also snapshots its
-// accumulators atomically every -checkpoint-every (and on interrupt), and
-// -resume continues from the snapshot — the resumed run is bit-identical
-// to an uninterrupted one with the same seed. A snapshot records a hash of
-// the full campaign configuration and refuses to resume a different one.
+// and exits nonzero. With -checkpoint F the campaign snapshots its
+// accumulators atomically to F every 30 s and on interrupt, and running
+// the same command again continues from F: the resumed run is
+// bit-identical to an uninterrupted one. A snapshot records a hash of the
+// full campaign configuration; a command whose campaign differs refuses
+// F, leaves it as it is and exits 1. The campaign computes on GOMAXPROCS
+// cores.
 //
 // With -coordinator each campaign runs as a job on an xedserver
 // coordinator, drained by xedworker processes, instead of on local cores:
@@ -31,8 +33,8 @@
 // The service's results are bit-identical to local ones, so the command
 // prints what the local run prints, and -checkpoint writes the finished
 // job's checkpoint, the bytes the local run's file holds. The coordinator
-// schedules, saves and resumes the job, so -workers, -resume,
-// -checkpoint-every, -progress and -metrics-json are usage errors with it.
+// schedules, saves and resumes the job, so -progress and -metrics-json are
+// usage errors with it.
 package main
 
 import (
@@ -41,7 +43,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"xedsim/internal/chunkrun"
 	"xedsim/internal/cli"
@@ -60,11 +61,8 @@ type cliArgs struct {
 	seed        uint64
 	scrub       float64
 	overlap     bool
-	workers     int
 	schemeList  string
 	ckptPath    string
-	ckptEvery   time.Duration
-	resume      bool
 	ondieCode   string
 	progress    bool
 	metricsJSON string
@@ -74,8 +72,7 @@ type cliArgs struct {
 
 // validateArgs returns the message cmd.UsageErr should print, or nil. Range
 // errors are caught here, at flag-validation time, rather than surfacing
-// later as Config invariant violations (negative scrub intervals) or as
-// silently disabled periodic snapshots (non-positive -checkpoint-every).
+// later as Config invariant violations (negative scrub intervals).
 func validateArgs(a cliArgs) error {
 	if a.systems <= 0 {
 		return fmt.Errorf("-systems must be positive, got %d", a.systems)
@@ -83,14 +80,8 @@ func validateArgs(a cliArgs) error {
 	if a.systems > chunkrun.MaxItems {
 		return fmt.Errorf("-systems must be at most %d, got %d", chunkrun.MaxItems, a.systems)
 	}
-	if a.workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", a.workers)
-	}
 	if a.scrub < 0 {
 		return fmt.Errorf("-scrub-hours must be >= 0, got %v", a.scrub)
-	}
-	if a.ckptEvery <= 0 {
-		return fmt.Errorf("-checkpoint-every must be positive, got %v", a.ckptEvery)
 	}
 	switch a.experiment {
 	case "all", "fig1", "fig7", "fig8", "fig9", "fig10", "custom":
@@ -106,9 +97,6 @@ func validateArgs(a cliArgs) error {
 	if a.ckptPath != "" && a.experiment == "all" {
 		return errors.New("-checkpoint covers one campaign; pick a single -experiment")
 	}
-	if a.resume && a.ckptPath == "" {
-		return errors.New("-resume needs -checkpoint")
-	}
 	if _, err := faultsim.ParseOnDieCode(a.ondieCode); err != nil {
 		return err
 	}
@@ -117,9 +105,6 @@ func validateArgs(a cliArgs) error {
 			set  bool
 			name string
 		}{
-			{a.workers != 0, "-workers"},
-			{a.resume, "-resume"},
-			{a.ckptEvery != faultsim.DefaultCheckpointInterval, "-checkpoint-every"},
 			{a.progress, "-progress"},
 			{a.metricsJSON != "", "-metrics-json"},
 		} {
@@ -138,11 +123,8 @@ func main() {
 	flag.Uint64Var(&a.seed, "seed", 42, "random seed")
 	flag.Float64Var(&a.scrub, "scrub-hours", 0, "override patrol-scrub interval (hours)")
 	flag.BoolVar(&a.overlap, "address-overlap", false, "require address-range intersection for compound failures (precise FaultSim criterion)")
-	flag.IntVar(&a.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	flag.StringVar(&a.schemeList, "schemes", "", "comma-separated scheme names for -experiment custom")
-	flag.StringVar(&a.ckptPath, "checkpoint", "", "snapshot campaign progress to this file (single experiment only)")
-	flag.DurationVar(&a.ckptEvery, "checkpoint-every", faultsim.DefaultCheckpointInterval, "interval between periodic snapshots")
-	flag.BoolVar(&a.resume, "resume", false, "resume from -checkpoint if it exists")
+	flag.StringVar(&a.ckptPath, "checkpoint", "", "snapshot campaign progress to this file, and resume from it when it holds this campaign's snapshot (single experiment only)")
 	flag.StringVar(&a.ondieCode, "ondie-code", "", "measure the silent-word fraction from this on-die code (crc8|hamming|hsiao|random:<seed>) instead of assuming the paper's 0.008")
 	flag.BoolVar(&a.progress, "progress", false, "repaint a one-line live status (trials/s, per-scheme tallies) on stderr")
 	flag.StringVar(&a.metricsJSON, "metrics-json", "", "write the final metrics snapshot to this file as JSON")
@@ -258,13 +240,10 @@ func runExperiment(ctx context.Context, name string, a *cliArgs, custom []faults
 	}
 
 	copts := faultsim.CampaignOptions{
-		Trials:             a.systems,
-		Seed:               a.seed,
-		Workers:            a.workers,
-		CheckpointPath:     a.ckptPath,
-		CheckpointInterval: a.ckptEvery,
-		Resume:             a.resume,
-		Metrics:            reg,
+		Trials:         a.systems,
+		Seed:           a.seed,
+		CheckpointPath: a.ckptPath,
+		Metrics:        reg,
 	}
 	var progress *cli.Progress
 	if a.progress {

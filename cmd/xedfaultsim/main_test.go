@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -9,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"xedsim/internal/chunkrun"
 	"xedsim/internal/clitest"
@@ -21,10 +21,9 @@ func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestValidateArgs pins the flag-range validation behind the exit-2 usage
 // convention: out-of-range values are rejected up front instead of
-// violating Config invariants later (-scrub-hours -1) or silently
-// disabling periodic snapshots (-checkpoint-every 0).
+// violating Config invariants later (-scrub-hours -1).
 func TestValidateArgs(t *testing.T) {
-	valid := cliArgs{systems: 1000, ckptEvery: time.Second, experiment: "fig1"}
+	valid := cliArgs{systems: 1000, experiment: "fig1"}
 	if err := validateArgs(valid); err != nil {
 		t.Fatalf("valid args rejected: %v", err)
 	}
@@ -32,7 +31,6 @@ func TestValidateArgs(t *testing.T) {
 	remote := func(mut func(*cliArgs)) func(*cliArgs) {
 		return func(a *cliArgs) {
 			a.coordinator = "http://localhost:7600"
-			a.ckptEvery = faultsim.DefaultCheckpointInterval
 			mut(a)
 		}
 	}
@@ -43,22 +41,15 @@ func TestValidateArgs(t *testing.T) {
 		want string
 	}{
 		{"negative scrub-hours", func(a *cliArgs) { a.scrub = -1 }, "-scrub-hours"},
-		{"zero checkpoint-every", func(a *cliArgs) { a.ckptEvery = 0 }, "-checkpoint-every"},
-		{"negative checkpoint-every", func(a *cliArgs) { a.ckptEvery = -time.Second }, "-checkpoint-every"},
 		{"zero systems", func(a *cliArgs) { a.systems = 0 }, "-systems"},
 		{"systems past bound", func(a *cliArgs) { a.systems = chunkrun.MaxItems + 1 }, "-systems must be at most"},
 		{"max int systems", func(a *cliArgs) { a.systems = math.MaxInt64 }, "-systems must be at most"},
-		{"negative workers", func(a *cliArgs) { a.workers = -1 }, "-workers"},
 		{"unknown experiment", func(a *cliArgs) { a.experiment = "fig99" }, "unknown experiment"},
 		{"custom without schemes", func(a *cliArgs) { a.experiment = "custom" }, "-schemes"},
 		{"schemes outside custom", func(a *cliArgs) { a.schemeList = "XED" }, "-schemes"},
 		{"checkpoint with all", func(a *cliArgs) { a.experiment = "all"; a.ckptPath = "x.json" }, "-checkpoint"},
-		{"resume without checkpoint", func(a *cliArgs) { a.resume = true }, "-resume"},
 		{"unknown on-die code", func(a *cliArgs) { a.ondieCode = "crc16" }, "on-die code"},
 		{"bad random code seed", func(a *cliArgs) { a.ondieCode = "random:x" }, "seed"},
-		{"workers with coordinator", remote(func(a *cliArgs) { a.workers = 2 }), "-workers does not apply with -coordinator"},
-		{"resume with coordinator", remote(func(a *cliArgs) { a.ckptPath, a.resume = "x.json", true }), "-resume does not apply with -coordinator"},
-		{"checkpoint-every with coordinator", remote(func(a *cliArgs) { a.ckptEvery = time.Second }), "-checkpoint-every does not apply with -coordinator"},
 		{"progress with coordinator", remote(func(a *cliArgs) { a.progress = true }), "-progress does not apply with -coordinator"},
 		{"metrics-json with coordinator", remote(func(a *cliArgs) { a.metricsJSON = "m.json" }), "-metrics-json does not apply with -coordinator"},
 	}
@@ -76,18 +67,26 @@ func TestValidateArgs(t *testing.T) {
 		})
 	}
 
-	// One campaign path: -engine and -gen are gone, and naming either is a
-	// usage error.
-	for _, tc := range []struct{ name, flag, value string }{
-		{"unknown engine", "-engine", "lanes"},
-		{"unknown generator", "-gen", "batch"},
+	// One campaign path: -engine and -gen are gone. The checkpoint is the
+	// resume point, its save interval a constant and the core count
+	// GOMAXPROCS, so -resume, -checkpoint-every and -workers are gone too.
+	// Naming any of them is a usage error, with or without -coordinator.
+	const coord = "http://localhost:7600"
+	for _, tc := range []struct {
+		name, flag string
+		args       []string
+	}{
+		{"unknown engine", "-engine", []string{"-engine", "lanes"}},
+		{"unknown generator", "-gen", []string{"-gen", "batch"}},
+		{"zero checkpoint-every", "-checkpoint-every", []string{"-checkpoint", "x.ckpt", "-checkpoint-every", "0"}},
+		{"negative checkpoint-every", "-checkpoint-every", []string{"-checkpoint-every", "-1s"}},
+		{"negative workers", "-workers", []string{"-workers", "-1"}},
+		{"resume without checkpoint", "-resume", []string{"-resume"}},
+		{"workers with coordinator", "-workers", []string{"-coordinator", coord, "-workers", "2"}},
+		{"resume with coordinator", "-resume", []string{"-coordinator", coord, "-checkpoint", "x.ckpt", "-resume"}},
+		{"checkpoint-every with coordinator", "-checkpoint-every", []string{"-coordinator", coord, "-checkpoint-every", "1s"}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			code, stderr := clitest.Run(t, tc.flag, tc.value)
-			if want := "flag provided but not defined: " + tc.flag; code != 2 || !strings.Contains(stderr, want) {
-				t.Fatalf("exit %d, stderr %q; want exit 2 and %q", code, stderr, want)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { clitest.Undefined(t, tc.flag, tc.args...) })
 	}
 
 	// -coordinator with a checkpoint file and the local defaults is valid.
@@ -156,5 +155,75 @@ func TestCoordinatorMatchesLocal(t *testing.T) {
 		if ckpt[1] != ckpt[0] {
 			t.Errorf("%v: -coordinator's checkpoint (%d bytes) differs from the local run's (%d bytes)", args, len(ckpt[1]), len(ckpt[0]))
 		}
+	}
+}
+
+// TestCheckpointIsTheResumePoint: -checkpoint F starts fresh when F is
+// missing, continues a partial snapshot of the same campaign to the
+// uninterrupted run's stdout and bytes, reports a complete one as it is,
+// and refuses another campaign's snapshot, leaving F unchanged, with exit
+// 1 and nothing on stdout. So does a run whose F cannot be written, before
+// it computes anything.
+func TestCheckpointIsTheResumePoint(t *testing.T) {
+	args := []string{"-experiment", "custom", "-schemes", "ECC-DIMM (SECDED),XED", "-systems", "400000", "-seed", "7"}
+	dir := t.TempDir()
+	run := func(path string, extra ...string) (code int, stdout, stderr string) {
+		t.Helper()
+		a := append(append([]string(nil), args...), extra...)
+		if path != "" {
+			a = append(a, "-checkpoint", path)
+		}
+		return clitest.Output(t, a...)
+	}
+	read := func(path string) string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	_, ref, _ := run("")
+	full := filepath.Join(dir, "full.ckpt")
+	if code, out, stderr := run(full); code != 0 || out != ref {
+		t.Fatalf("fresh run over a missing file: exit %d, stderr %q, stdout\n%s\nwant\n%s", code, stderr, out, ref)
+	}
+	want := read(full)
+	if code, out, stderr := run(full); code != 0 || out != ref || read(full) != want {
+		t.Fatalf("rerun over a complete snapshot: exit %d, stderr %q; stdout or bytes changed", code, stderr)
+	}
+
+	// A partial snapshot of the same campaign, as an interrupted run leaves.
+	partial := filepath.Join(dir, "partial.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err := faultsim.RunCampaign(ctx, faultsim.DefaultConfig(),
+		[]faultsim.Scheme{faultsim.NewSECDED(), faultsim.NewXED()},
+		faultsim.CampaignOptions{Trials: 400_000, Seed: 7, Workers: 2, CheckpointPath: partial, OnChunk: func(done, total int) {
+			if done >= total/3 {
+				cancel()
+			}
+		}})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted campaign returned %v", err)
+	}
+	if code, out, stderr := run(partial); code != 0 || out != ref || read(partial) != want {
+		t.Fatalf("rerun over a partial snapshot: exit %d, stderr %q; stdout or bytes differ from the uninterrupted run's", code, stderr)
+	}
+
+	code, out, stderr := run(full, "-seed", "8")
+	if code != 1 || out != "" || !strings.Contains(stderr, full+" was produced by a different configuration") ||
+		!strings.Contains(stderr, "remove it or choose another checkpoint path") {
+		t.Fatalf("another campaign's snapshot: exit %d, stdout %q, stderr %q", code, out, stderr)
+	}
+	if read(full) != want {
+		t.Fatal("the refused snapshot changed")
+	}
+
+	missing := filepath.Join(dir, "missing", "x.ckpt")
+	code, out, stderr = run(missing, "-systems", "1000000000")
+	if code != 1 || out != "" || !strings.Contains(stderr, missing) {
+		t.Fatalf("unwritable checkpoint: exit %d, stdout %q, stderr %q", code, out, stderr)
 	}
 }

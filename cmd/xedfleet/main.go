@@ -8,14 +8,16 @@
 //	xedfleet -policy harp                          # retire permanent faults' rows at first scrub
 //	xedfleet -edac fleet.edac                      # write the EDAC sysfs dump
 //	xedfleet -dimm 12345                           # one DIMM's regenerated history
-//	xedfleet -checkpoint fleet.ckpt -resume        # continue an interrupted run
+//	xedfleet -checkpoint fleet.ckpt                # save progress; run again to continue
 //	xedfleet -debug-addr localhost:6060            # live /metrics and /edac views
 //
-// Results are bit-identical for a fixed (config, -seed) at any
-// -workers count, and a -resume'd run reproduces an uninterrupted one
+// Results are bit-identical for a fixed (config, -seed) at any GOMAXPROCS,
+// and a run continued from its -checkpoint reproduces an uninterrupted one
 // exactly; internal/fleet's statistical battery holds both properties.
 // SIGINT/SIGTERM drains workers at chunk boundaries, snapshots progress
-// when -checkpoint is set, prints the partial summary and exits nonzero.
+// when -checkpoint is set, prints the partial summary and exits nonzero;
+// the same command then resumes from the snapshot. A snapshot of another
+// fleet is refused, left as it is, and the command exits 1.
 package main
 
 import (
@@ -45,13 +47,10 @@ type cliArgs struct {
 	policy      string
 	scheme      string
 	seed        uint64
-	workers     int
 	dimmsMC     int
 	dimmsHist   int
 	edacPath    string
 	ckptPath    string
-	ckptEvery   time.Duration
-	resume      bool
 	progress    bool
 	metricsJSON string
 	debugAddr   string
@@ -73,14 +72,8 @@ func validateArgs(a cliArgs) error {
 	if a.scrub <= 0 {
 		return fmt.Errorf("-scrub-hours must be positive, got %v", a.scrub)
 	}
-	if a.workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", a.workers)
-	}
 	if a.dimmsMC <= 0 {
 		return fmt.Errorf("-dimms-per-mc must be positive, got %d", a.dimmsMC)
-	}
-	if a.ckptEvery <= 0 {
-		return fmt.Errorf("-checkpoint-every must be positive, got %v", a.ckptEvery)
 	}
 	if _, err := fleet.ParsePolicy(a.policy); err != nil {
 		return err
@@ -93,9 +86,6 @@ func validateArgs(a cliArgs) error {
 	if a.dimmsHist < -1 || a.dimmsHist >= a.dimms { // -1: no history
 		return fmt.Errorf("-dimm %d out of range [0, %d)", a.dimmsHist, a.dimms)
 	}
-	if a.resume && a.ckptPath == "" {
-		return errors.New("-resume needs -checkpoint")
-	}
 	return nil
 }
 
@@ -107,13 +97,10 @@ func main() {
 	flag.StringVar(&a.policy, "policy", "none", "row retirement policy: none|on-first-ce|threshold:<n>|harp")
 	flag.StringVar(&a.scheme, "scheme", "XED", "rank-level protection scheme (faultsim registry name)")
 	flag.Uint64Var(&a.seed, "seed", 42, "random seed")
-	flag.IntVar(&a.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS); results do not depend on this")
 	flag.IntVar(&a.dimmsMC, "dimms-per-mc", 8, "DIMMs per simulated memory controller (EDAC grouping; sizes checkpoints and dumps)")
 	flag.IntVar(&a.dimmsHist, "dimm", -1, "print this DIMM's regenerated fault history as JSON and exit")
 	flag.StringVar(&a.edacPath, "edac", "", "write the EDAC sysfs-shaped counter dump to this file (\"-\" for stdout)")
-	flag.StringVar(&a.ckptPath, "checkpoint", "", "snapshot fleet progress to this file")
-	flag.DurationVar(&a.ckptEvery, "checkpoint-every", fleet.DefaultCheckpointInterval, "interval between periodic snapshots")
-	flag.BoolVar(&a.resume, "resume", false, "resume from -checkpoint if it exists")
+	flag.StringVar(&a.ckptPath, "checkpoint", "", "snapshot fleet progress to this file, and resume from it when it holds this fleet's snapshot")
 	flag.BoolVar(&a.progress, "progress", false, "repaint a one-line live status on stderr")
 	flag.StringVar(&a.metricsJSON, "metrics-json", "", "write the final metrics snapshot to this file as JSON")
 	flag.StringVar(&a.debugAddr, "debug-addr", "", "serve live /metrics, /edac and pprof over HTTP on this address")
@@ -134,13 +121,7 @@ func main() {
 		cmd.UsageErr("%v", err)
 	}
 
-	opts := fleet.Options{
-		Seed:               a.seed,
-		Workers:            a.workers,
-		CheckpointPath:     a.ckptPath,
-		CheckpointInterval: a.ckptEvery,
-		Resume:             a.resume,
-	}
+	opts := fleet.Options{Seed: a.seed, CheckpointPath: a.ckptPath}
 
 	if a.dimmsHist >= 0 {
 		h, err := fleet.History(cfg, opts, a.dimmsHist)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"xedsim/internal/chunkrun"
 	"xedsim/internal/clitest"
@@ -21,7 +20,6 @@ func validBase() cliArgs {
 		scheme:    "XED",
 		dimmsMC:   8,
 		dimmsHist: -1,
-		ckptEvery: 30 * time.Second,
 	}
 }
 
@@ -37,7 +35,7 @@ func TestValidateArgs(t *testing.T) {
 		{"valid harp", func(a *cliArgs) { a.policy = "harp" }, ""},
 		{"valid threshold", func(a *cliArgs) { a.policy = "threshold:3" }, ""},
 		{"valid history", func(a *cliArgs) { a.dimmsHist = 9_999 }, ""},
-		{"valid resume", func(a *cliArgs) { a.resume = true; a.ckptPath = "x.ckpt" }, ""},
+		{"valid checkpoint", func(a *cliArgs) { a.ckptPath = "x.ckpt" }, ""},
 		{"zero dimms", func(a *cliArgs) { a.dimms = 0 }, "-dimms"},
 		{"negative dimms", func(a *cliArgs) { a.dimms = -100 }, "-dimms"},
 		{"dimms past bound", func(a *cliArgs) { a.dimms = chunkrun.MaxItems + 1 }, "-dimms must be at most"},
@@ -45,15 +43,12 @@ func TestValidateArgs(t *testing.T) {
 		{"zero years", func(a *cliArgs) { a.years = 0 }, "-years"},
 		{"negative years", func(a *cliArgs) { a.years = -1 }, "-years"},
 		{"zero scrub", func(a *cliArgs) { a.scrub = 0 }, "-scrub-hours"},
-		{"negative workers", func(a *cliArgs) { a.workers = -1 }, "-workers"},
 		{"zero dimms-per-mc", func(a *cliArgs) { a.dimmsMC = 0 }, "-dimms-per-mc"},
-		{"zero ckpt interval", func(a *cliArgs) { a.ckptEvery = 0 }, "-checkpoint-every"},
 		{"bad policy", func(a *cliArgs) { a.policy = "retire-everything" }, "policy"},
 		{"bad threshold", func(a *cliArgs) { a.policy = "threshold:0" }, "threshold"},
 		{"bad scheme", func(a *cliArgs) { a.scheme = "NoSuchScheme" }, "NoSuchScheme"},
 		{"history out of range", func(a *cliArgs) { a.dimmsHist = 10_000 }, "-dimm"},
 		{"history below -1", func(a *cliArgs) { a.dimmsHist = -5 }, "-dimm"},
-		{"resume without checkpoint", func(a *cliArgs) { a.resume = true }, "-resume"},
 	}
 	for _, tc := range cases {
 		a := validBase()
@@ -70,6 +65,13 @@ func TestValidateArgs(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
 		}
+	}
+
+	// The checkpoint is the resume point, its save interval a constant and
+	// the core count GOMAXPROCS: naming the flags that set them is a usage
+	// error.
+	for _, flag := range []string{"-resume", "-checkpoint-every", "-workers"} {
+		t.Run(flag[1:], func(t *testing.T) { clitest.Undefined(t, flag, "-checkpoint", "x.ckpt", flag) })
 	}
 }
 

@@ -35,16 +35,12 @@ type cliArgs struct {
 	experiment string
 	instr      int64
 	seed       uint64
-	workers    int
 }
 
 // validateArgs returns the message cmd.UsageErr should print, or nil.
 func validateArgs(a cliArgs) error {
 	if a.instr <= 0 {
 		return fmt.Errorf("-instr must be positive, got %d", a.instr)
-	}
-	if a.workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", a.workers)
 	}
 	switch a.experiment {
 	case "all", "fig11", "fig12", "fig13", "fig14":
@@ -59,7 +55,6 @@ func main() {
 	flag.StringVar(&a.experiment, "experiment", "all", "fig11|fig12|fig13|fig14|all")
 	flag.Int64Var(&a.instr, "instr", 150_000, "instructions per core")
 	flag.Uint64Var(&a.seed, "seed", 7, "random seed")
-	flag.IntVar(&a.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	prof := cli.RegisterProfile(flag.CommandLine)
 	cmd.Parse()
 	if err := validateArgs(a); err != nil {
@@ -109,7 +104,7 @@ func fig1112(ctx context.Context, a cliArgs) error {
 		memsim.XEDChipkillScheme(),
 		memsim.DoubleChipkillScheme(),
 	}
-	cmp, err := memsim.RunComparison(ctx, memsim.PaperWorkloads(), schemes, a.instr, a.seed, a.workers)
+	cmp, err := memsim.RunComparison(ctx, memsim.PaperWorkloads(), schemes, a.instr, a.seed, 0)
 	if err != nil {
 		return err
 	}
@@ -160,7 +155,7 @@ func fig13(ctx context.Context, a cliArgs) error {
 		memsim.ExtraBurstDoubleChipkill(),
 		memsim.ExtraTransactionDoubleChipkill(),
 	}
-	cmp, err := memsim.RunComparison(ctx, memsim.PaperWorkloads(), schemes, a.instr, a.seed, a.workers)
+	cmp, err := memsim.RunComparison(ctx, memsim.PaperWorkloads(), schemes, a.instr, a.seed, 0)
 	if err != nil {
 		return err
 	}
@@ -181,7 +176,7 @@ func fig14(ctx context.Context, a cliArgs) error {
 		memsim.LOTECCScheme(),
 		memsim.MultiECCScheme(),
 	}
-	cmp, err := memsim.RunComparison(ctx, memsim.PaperWorkloads(), schemes, a.instr, a.seed, a.workers)
+	cmp, err := memsim.RunComparison(ctx, memsim.PaperWorkloads(), schemes, a.instr, a.seed, 0)
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,6 @@ func TestValidateArgs(t *testing.T) {
 	}{
 		{"zero instr", func(a *cliArgs) { a.instr = 0 }, "-instr"},
 		{"negative instr", func(a *cliArgs) { a.instr = -1 }, "-instr"},
-		{"negative workers", func(a *cliArgs) { a.workers = -1 }, "-workers"},
 		{"unknown experiment", func(a *cliArgs) { a.experiment = "fig99" }, "unknown experiment"},
 	}
 	for _, tc := range cases {
@@ -44,6 +43,9 @@ func TestValidateArgs(t *testing.T) {
 			}
 		})
 	}
+
+	// The comparison runs on GOMAXPROCS cores: -workers is gone.
+	t.Run("negative workers", func(t *testing.T) { clitest.Undefined(t, "-workers", "-workers", "-1") })
 
 	for _, exp := range []string{"all", "fig11", "fig12", "fig13", "fig14"} {
 		a := valid

@@ -31,7 +31,6 @@ type cliArgs struct {
 	sweep   string
 	systems int
 	seed    uint64
-	workers int
 }
 
 // validateArgs returns the message cmd.UsageErr should print, or nil.
@@ -41,9 +40,6 @@ func validateArgs(a cliArgs) error {
 	}
 	if a.systems > chunkrun.MaxItems {
 		return fmt.Errorf("-systems must be at most %d, got %d", chunkrun.MaxItems, a.systems)
-	}
-	if a.workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", a.workers)
 	}
 	switch a.sweep {
 	case "fit", "scrub", "scaling", "silent", "aging":
@@ -58,7 +54,6 @@ func main() {
 	flag.StringVar(&a.sweep, "sweep", "fit", "fit|scrub|scaling|silent|aging")
 	flag.IntVar(&a.systems, "systems", 500_000, "Monte-Carlo trials per point")
 	flag.Uint64Var(&a.seed, "seed", 42, "random seed")
-	flag.IntVar(&a.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	cmd.Parse()
 	if err := validateArgs(a); err != nil {
 		cmd.UsageErr("%v", err)
@@ -74,7 +69,7 @@ func main() {
 	header := "point,secded,xed,chipkill,xedchipkill,xed_due,xed_sdc"
 	row := func(label string, cfg faultsim.Config) {
 		rep, err := faultsim.RunCampaign(ctx, cfg, schemes, faultsim.CampaignOptions{
-			Trials: a.systems, Seed: a.seed, Workers: a.workers,
+			Trials: a.systems, Seed: a.seed,
 		})
 		if errors.Is(err, context.Canceled) {
 			// Completed rows are already printed; drop the partial one.

@@ -43,7 +43,6 @@ type cliArgs struct {
 	claims          string
 	list            bool
 	seed            uint64
-	workers         int
 	batch           int
 	maxTrials       int
 	configs         int
@@ -53,9 +52,6 @@ type cliArgs struct {
 
 // validateArgs returns the message cmd.UsageErr should print, or nil.
 func validateArgs(a cliArgs) error {
-	if a.workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", a.workers)
-	}
 	if a.batch <= 0 {
 		return fmt.Errorf("-batch must be positive, got %d", a.batch)
 	}
@@ -67,9 +63,6 @@ func validateArgs(a cliArgs) error {
 	}
 	if a.trialsPerConfig <= 0 {
 		return fmt.Errorf("-trials-per-config must be positive, got %d", a.trialsPerConfig)
-	}
-	if a.coordinator != "" && a.workers != 0 {
-		return fmt.Errorf("-workers does not apply with -coordinator (the service's workers decide parallelism)")
 	}
 	if a.claims != "" {
 		if _, err := selectedClaims(a.claims); err != nil {
@@ -90,7 +83,6 @@ func main() {
 	flag.StringVar(&a.claims, "claims", "", "comma-separated claim names (default: all; see -list)")
 	flag.BoolVar(&a.list, "list", false, "print the claim table and exit")
 	flag.Uint64Var(&a.seed, "seed", def.Seed, "root seed for campaigns and differential sweeps")
-	flag.IntVar(&a.workers, "workers", 0, "campaign workers (0 = GOMAXPROCS)")
 	flag.IntVar(&a.batch, "batch", def.Batch, "Monte-Carlo trials per sequential-test step")
 	flag.IntVar(&a.maxTrials, "max-trials", def.MaxTrials, "trial budget per statistical claim")
 	flag.IntVar(&a.configs, "configs", def.Configs, "random configs for the evaluator differential claim")
@@ -116,7 +108,6 @@ func main() {
 
 	opts := conformance.Options{
 		Seed:            a.seed,
-		Workers:         a.workers,
 		Batch:           a.batch,
 		MaxTrials:       a.maxTrials,
 		Configs:         a.configs,

@@ -23,16 +23,11 @@ func TestValidateArgs(t *testing.T) {
 		mut  func(*cliArgs)
 		want string
 	}{
-		{"negative workers", func(a *cliArgs) { a.workers = -1 }, "-workers"},
 		{"zero batch", func(a *cliArgs) { a.batch = 0 }, "-batch"},
 		{"max-trials below batch", func(a *cliArgs) { a.maxTrials = 999 }, "-max-trials"},
 		{"zero configs", func(a *cliArgs) { a.configs = 0 }, "-configs"},
 		{"zero trials-per-config", func(a *cliArgs) { a.trialsPerConfig = 0 }, "-trials-per-config"},
 		{"unknown claim", func(a *cliArgs) { a.claims = "fig7/no-such-claim" }, "unknown claim"},
-		{"workers with coordinator", func(a *cliArgs) {
-			a.coordinator = "http://localhost:7600"
-			a.workers = 4
-		}, "-workers does not apply"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,18 +43,19 @@ func TestValidateArgs(t *testing.T) {
 		})
 	}
 
-	// One campaign path: -engine and -gen are gone, and naming either is a
-	// usage error.
-	for _, tc := range []struct{ name, flag, value string }{
-		{"unknown engine", "-engine", "lanes"},
-		{"unknown generator", "-gen", "batch"},
+	// One campaign path: -engine and -gen are gone; the campaigns compute
+	// on GOMAXPROCS cores, or on the service's workers, so -workers is gone
+	// too. Naming any of them is a usage error.
+	for _, tc := range []struct {
+		name, flag string
+		args       []string
+	}{
+		{"unknown engine", "-engine", []string{"-engine", "lanes"}},
+		{"unknown generator", "-gen", []string{"-gen", "batch"}},
+		{"negative workers", "-workers", []string{"-workers", "-1"}},
+		{"workers with coordinator", "-workers", []string{"-coordinator", "http://localhost:7600", "-workers", "4"}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			code, stderr := clitest.Run(t, tc.flag, tc.value)
-			if want := "flag provided but not defined: " + tc.flag; code != 2 || !strings.Contains(stderr, want) {
-				t.Fatalf("exit %d, stderr %q; want exit 2 and %q", code, stderr, want)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { clitest.Undefined(t, tc.flag, tc.args...) })
 	}
 
 	// A positional argument is a usage error; flag parsing would otherwise

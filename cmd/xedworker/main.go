@@ -3,14 +3,14 @@
 // xedserver coordinator, evaluates them with the chunked Monte-Carlo
 // engine, and reports the tallies back.
 //
-//	xedworker -coordinator http://host:7600 -parallel 8
+//	xedworker -coordinator http://host:7600
+//	GOMAXPROCS=1 xedworker -coordinator http://host:7600   # one core
 //
-// -parallel is the number of cores to compute on: when it is set, the
-// worker runs on that many (GOMAXPROCS), and it runs that many lease loops,
-// each fanning its unit out over that many goroutines. The Go scheduler
-// shares the cores among the goroutines of the units in flight, so a lone
-// unit runs on every core and a core a finished unit frees goes to the
-// units still running.
+// The worker computes on GOMAXPROCS cores, which the Go runtime reads from
+// the environment: it runs that many lease loops, each fanning its unit out
+// over that many goroutines. The Go scheduler shares the cores among the
+// goroutines of the units in flight, so a lone unit runs on every core and
+// a core a finished unit frees goes to the units still running.
 //
 // Workers are stateless and crash-safe by construction: every chunk is a
 // pure function of the campaign spec, so killing a worker at any instant —
@@ -41,7 +41,6 @@ const cmd cli.Command = "xedworker"
 type cliArgs struct {
 	coordinator string
 	id          string
-	parallel    int
 	debugAddr   string
 }
 
@@ -49,9 +48,6 @@ type cliArgs struct {
 func validateArgs(a cliArgs) error {
 	if a.coordinator == "" {
 		return errors.New("-coordinator URL is required")
-	}
-	if a.parallel < 0 {
-		return fmt.Errorf("-parallel must be >= 0, got %d", a.parallel)
 	}
 	return nil
 }
@@ -68,7 +64,6 @@ func main() {
 	var a cliArgs
 	flag.StringVar(&a.coordinator, "coordinator", "", "coordinator base URL, e.g. http://host:7600")
 	flag.StringVar(&a.id, "id", "", "worker identity in lease traffic (default hostname-pid)")
-	flag.IntVar(&a.parallel, "parallel", 0, "cores to compute on: GOMAXPROCS, lease loops and goroutines per unit (0 = GOMAXPROCS)")
 	flag.StringVar(&a.debugAddr, "debug-addr", "", "serve live metrics and pprof over HTTP on this address")
 	cmd.Parse()
 
@@ -78,10 +73,7 @@ func main() {
 	if a.id == "" {
 		a.id = defaultWorkerID()
 	}
-	if a.parallel > 0 {
-		runtime.GOMAXPROCS(a.parallel)
-	}
-	a.parallel = runtime.GOMAXPROCS(0)
+	parallel := runtime.GOMAXPROCS(0)
 
 	reg, done := cmd.Observe(false, "", a.debugAddr, nil)
 	defer done()
@@ -92,10 +84,10 @@ func main() {
 	w := dist.NewWorker(dist.WorkerOptions{
 		ID:          a.id,
 		Coordinator: a.coordinator,
-		Parallel:    a.parallel,
+		Parallel:    parallel,
 		Metrics:     reg,
 	})
-	fmt.Fprintf(os.Stderr, "xedworker: %s leasing from %s on %d cores\n", a.id, a.coordinator, a.parallel)
+	fmt.Fprintf(os.Stderr, "xedworker: %s leasing from %s on %d cores\n", a.id, a.coordinator, parallel)
 	if err := w.Run(ctx); err != nil {
 		cmd.Fatal(err)
 	}

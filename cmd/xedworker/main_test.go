@@ -3,7 +3,11 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"xedsim/internal/clitest"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 func validWorkerArgs() cliArgs {
 	return cliArgs{coordinator: "http://localhost:7600"}
@@ -19,11 +23,9 @@ func TestValidateArgs(t *testing.T) {
 		{"baseline", func(a *cliArgs) {}, ""},
 		{"explicit everything", func(a *cliArgs) {
 			a.id = "w1"
-			a.parallel = 4
 			a.debugAddr = "localhost:0"
 		}, ""},
 		{"missing coordinator", func(a *cliArgs) { a.coordinator = "" }, "-coordinator"},
-		{"negative parallel", func(a *cliArgs) { a.parallel = -1 }, "-parallel"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -41,6 +43,11 @@ func TestValidateArgs(t *testing.T) {
 			}
 		})
 	}
+
+	// The worker computes on GOMAXPROCS cores: -parallel is gone.
+	t.Run("negative parallel", func(t *testing.T) {
+		clitest.Undefined(t, "-parallel", "-coordinator", "http://localhost:7600", "-parallel", "-1")
+	})
 }
 
 func TestDefaultWorkerID(t *testing.T) {

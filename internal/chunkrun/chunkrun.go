@@ -10,7 +10,8 @@
 //   - an atomic chunk queue that hands each chunk to one worker goroutine;
 //   - the done bitmap and its count, and the lock merges take;
 //   - span merges that reject duplicates and partial overlaps;
-//   - periodic and final checkpoint saves, and loads that check the whole
+//   - a check that the checkpoint can be written before any chunk runs,
+//     periodic and final checkpoint saves, and loads that check the whole
 //     payload before they change any state;
 //   - the serialised progress callback, and cancel-on-fatal.
 //
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -41,6 +43,9 @@ import (
 // chunk count's arithmetic far from overflow and a computation's done
 // bitmap, and a campaign-service job's unit slice, in the tens of MB.
 const MaxItems = 1 << 38
+
+// saveInterval spaces a Run's periodic saves. Tests shorten it.
+var saveInterval = 30 * time.Second
 
 // ErrDuplicate reports a merge of a span whose chunks were all merged
 // already: the expected outcome of retries and duplicated deliveries, which
@@ -88,10 +93,9 @@ type Options struct {
 	// Workers is the goroutine count; <= 0 selects GOMAXPROCS. No more
 	// goroutines start than there are chunks.
 	Workers int
-	// Path, when non-empty, is where Run saves a snapshot every Interval
-	// and once at the end.
-	Path     string
-	Interval time.Duration
+	// Path, when non-empty, is where Run saves a snapshot every 30 s and
+	// once at the end.
+	Path string
 	// OnChunk, when non-nil, observes progress after each merged chunk, and
 	// once at the start when the runner was restored with progress. Calls
 	// are serialised and their done counts never decrease.
@@ -287,9 +291,16 @@ func (r *Runner[P]) checkBitmap(done []uint64) error {
 // cancelled, or an error is fatal. A Runner runs once. The first fatal
 // error (a Worker.Fold or newWorker error, or a failed periodic save)
 // cancels the other workers and wins over ctx's error; a fatal-free
-// cancellation returns ctx's error. With o.Path set, Run ends with a save,
-// whatever stopped it, so a later Load resumes from the frontier.
+// cancellation returns ctx's error. With o.Path set, Run first checks that
+// a file can be created in o.Path's directory and returns that error
+// before any chunk runs; it ends with a save, whatever stopped it, so a
+// later Load resumes from the frontier.
 func (r *Runner[P]) Run(ctx context.Context, o Options, newWorker func() (Worker, error)) error {
+	if o.Path != "" {
+		if err := probe(o.Path); err != nil {
+			return err
+		}
+	}
 	if o.Metrics != nil {
 		r.saves = o.Metrics.Counter(o.Prefix + ".checkpoint.saves")
 		r.saveMS = o.Metrics.Histogram(o.Prefix+".checkpoint.save_ms", []float64{1, 2, 5, 10, 25, 50, 100, 250, 1000})
@@ -339,6 +350,19 @@ func (r *Runner[P]) Run(ctx context.Context, o Options, newWorker func() (Worker
 	return err
 }
 
+// probe creates and removes a temporary file beside path, so a snapshot
+// that cannot be written fails a run before it computes anything rather
+// than at its first save. It writes nothing to path itself: a snapshot can
+// be tens of MB.
+func probe(path string) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".probe*")
+	if err != nil {
+		return fmt.Errorf("chunkrun: checkpoint %s cannot be written: %w", path, err)
+	}
+	f.Close()
+	return os.Remove(f.Name())
+}
+
 func (r *Runner[P]) failLocked(err error) {
 	if r.failed == nil {
 		r.failed = err
@@ -378,7 +402,7 @@ func (r *Runner[P]) merge(c int, w Worker, o *Options) bool {
 		r.failLocked(err)
 	}
 	r.markLocked(c)
-	if o.Path != "" && time.Since(r.lastSave) >= o.Interval {
+	if o.Path != "" && time.Since(r.lastSave) >= saveInterval {
 		if err := r.saveLocked(o.Path); err != nil {
 			r.failLocked(err)
 		}

@@ -391,3 +391,81 @@ func TestCancelMidChunkMerges(t *testing.T) {
 		}
 	}
 }
+
+// saveOnEveryMerge sets the periodic save interval to zero for one test.
+func saveOnEveryMerge(t *testing.T) {
+	d := saveInterval
+	t.Cleanup(func() { saveInterval = d })
+	saveInterval = 0
+}
+
+// TestUnwritablePathFailsFirst: a checkpoint path in a missing directory
+// fails Run before any worker starts, with an error wrapping
+// os.ErrNotExist, rather than at the first save after the work is done.
+func TestUnwritablePathFailsFirst(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "toy.ckpt")
+	tt, r := newToy()
+	var workers atomic.Int32
+	err := r.Run(context.Background(), Options{Workers: 4, Path: path}, func() (Worker, error) {
+		workers.Add(1)
+		return &toyWorker{t: tt}, nil
+	})
+	if !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Run: %v, want an error wrapping os.ErrNotExist", err)
+	}
+	if workers.Load() != 0 || r.DoneChunks() != 0 || tt.sum != 0 {
+		t.Fatalf("%d workers started and %d chunks ran before the path was refused", workers.Load(), r.DoneChunks())
+	}
+}
+
+// TestPeriodicSaves: a run saves while it runs, not only when it stops;
+// each save holds every chunk merged before it.
+func TestPeriodicSaves(t *testing.T) {
+	saveOnEveryMerge(t)
+	path := filepath.Join(t.TempDir(), "toy.ckpt")
+	tt, r := newToy()
+	checked := 0
+	err := run(context.Background(), tt, r, Options{Workers: 1, Path: path, OnChunk: func(done, _ int) {
+		if done%50 != 1 {
+			return
+		}
+		_, mid := newToy()
+		if err := mid.Load(path); err != nil || mid.DoneChunks() != done {
+			t.Errorf("after %d merges the file holds %d chunks (err %v)", done, mid.DoneChunks(), err)
+		}
+		checked++
+	}})
+	if err != nil || checked != 3 {
+		t.Fatalf("Run: %v after %d mid-run checks, want nil after 3", err, checked)
+	}
+}
+
+// TestPeriodicSaveFailureWins: a periodic save that fails mid-run stops
+// the run, and Run returns that save's error even when ctx is cancelled
+// afterwards.
+func TestPeriodicSaveFailureWins(t *testing.T) {
+	saveOnEveryMerge(t)
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tt, r := newToy()
+	err := run(ctx, tt, r, Options{Workers: 1, Path: filepath.Join(dir, "toy.ckpt"), OnChunk: func(done, _ int) {
+		switch done {
+		case 10:
+			if err := os.RemoveAll(dir); err != nil {
+				t.Error(err)
+			}
+		case 11: // the save after chunk 11's merge failed
+			cancel()
+		}
+	}})
+	if err == nil || errors.Is(err, context.Canceled) || !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Run: %v, want the failed save's error", err)
+	}
+	if r.DoneChunks() != 11 {
+		t.Fatalf("the run merged %d chunks, want it stopped at the failed save after 11", r.DoneChunks())
+	}
+}

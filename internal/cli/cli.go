@@ -54,11 +54,11 @@ func InterruptContext() (context.Context, context.CancelFunc) {
 
 // Interrupted is the error an interrupted run exits 1 with, once it has
 // printed what it completed: what names that output, and path, when not
-// empty, the checkpoint its progress was saved to.
+// empty, the checkpoint its progress was saved to and resumes from.
 func Interrupted(what, path string) error {
 	msg := "interrupted; " + what + " above"
 	if path != "" {
-		msg += ", progress saved to " + path
+		msg += ", progress saved to " + path + "; run the same command again to continue"
 	}
 	return errors.New(msg)
 }

@@ -32,7 +32,7 @@ func TestInterrupted(t *testing.T) {
 	if got, want := Interrupted("partial results", "").Error(), "interrupted; partial results above"; got != want {
 		t.Errorf("without a path: %q, want %q", got, want)
 	}
-	if got, want := Interrupted("partial summary", "f.ckpt").Error(), "interrupted; partial summary above, progress saved to f.ckpt"; got != want {
+	if got, want := Interrupted("partial summary", "f.ckpt").Error(), "interrupted; partial summary above, progress saved to f.ckpt; run the same command again to continue"; got != want {
 		t.Errorf("with a path: %q, want %q", got, want)
 	}
 }

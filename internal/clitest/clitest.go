@@ -46,6 +46,17 @@ func Output(t testing.TB, args ...string) (code int, stdout, stderr string) {
 	return cmd.ProcessState.ExitCode(), out.String(), errOut.String()
 }
 
+// Undefined runs the command under test with args and fails t unless it
+// exits 2 naming flag as not defined: the usage error of a flag the
+// command no longer has.
+func Undefined(t testing.TB, flag string, args ...string) {
+	t.Helper()
+	code, stderr := Run(t, args...)
+	if want := "flag provided but not defined: " + flag; code != 2 || !strings.Contains(stderr, want) {
+		t.Fatalf("%q: exit %d, stderr %q; want exit 2 and %q", args, code, stderr, want)
+	}
+}
+
 // Golden holds got to the golden file at path; with update set it rewrites
 // the file from got instead.
 func Golden(t testing.TB, path string, got []byte, update bool) {

@@ -63,7 +63,7 @@ func (a AgingProfile) enabled() bool {
 func (a AgingProfile) Multiplier(x float64) float64 {
 	m := 1.0
 	if a.InfantFactor > 1 && a.BurnInFraction > 0 && x < a.BurnInFraction {
-		m += (a.InfantFactor - 1) * (1 - x/a.BurnInFraction)
+		m += float64((a.InfantFactor - 1) * (1 - x/a.BurnInFraction))
 	}
 	if a.WearoutFactor > 1 && x > a.WearoutOnset && a.WearoutOnset < 1 {
 		m += (a.WearoutFactor - 1) * (x - a.WearoutOnset) / (1 - a.WearoutOnset)

@@ -371,7 +371,6 @@ func TestBatchCampaignCheckpointResume(t *testing.T) {
 	iopts := opts
 	iopts.Workers = 4
 	iopts.CheckpointPath = path
-	iopts.CheckpointInterval = 1 // nanosecond: snapshot at every merge
 	iopts.OnChunk = func(done, total int) {
 		if done >= total/3 {
 			cancel()
@@ -385,7 +384,6 @@ func TestBatchCampaignCheckpointResume(t *testing.T) {
 
 	ropts := iopts
 	ropts.OnChunk = nil
-	ropts.Resume = true
 	resumed := mustCampaign(t, context.Background(), cfg, schemes, ropts)
 	if !reflect.DeepEqual(resumed.Results, full.Results) {
 		t.Fatalf("resumed batch campaign diverged:\n%+v\nvs\n%+v", resumed.Results, full.Results)

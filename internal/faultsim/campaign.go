@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"time"
 
 	"xedsim/internal/checkpoint"
 	"xedsim/internal/chunkrun"
@@ -54,8 +53,6 @@ const (
 	// scheduling, checkpointing and cancellation. It shapes the substreams,
 	// so every campaign uses it. A chunk is ~100µs of work.
 	DefaultChunkSize = 4096
-	// DefaultCheckpointInterval spaces periodic snapshots.
-	DefaultCheckpointInterval = 30 * time.Second
 	// DefaultErrorBudget is how many panicking trials a campaign tolerates
 	// before giving up.
 	DefaultErrorBudget = 100
@@ -84,15 +81,12 @@ type CampaignOptions struct {
 	// deterministic for a fixed (Config, schemes, Trials, Seed) regardless
 	// of Workers.
 	Workers int
-	// CheckpointPath enables periodic atomic snapshots when non-empty.
+	// CheckpointPath, when non-empty, is the campaign's resume point and
+	// snapshot file. A file holding this campaign's snapshot is resumed,
+	// re-running only the chunks it does not cover; a missing file starts
+	// fresh; any other file is refused, unchanged, before any work. The
+	// run saves to it every 30 s and when it stops.
 	CheckpointPath string
-	// CheckpointInterval spaces periodic snapshots; 0 selects
-	// DefaultCheckpointInterval.
-	CheckpointInterval time.Duration
-	// Resume loads CheckpointPath before starting and re-runs only the
-	// chunks it does not cover. A missing file starts fresh; a snapshot
-	// from any different configuration is refused.
-	Resume bool
 	// OnChunk, when non-nil, observes progress after each chunk merge
 	// (and once at startup when resuming): completed and total chunk
 	// counts. It is called from worker goroutines, serialised.
@@ -337,10 +331,9 @@ func newCampaignMetrics(r *obs.Registry, schemes []Scheme) campaignMetrics {
 	return m
 }
 
-// newCampaign validates (cfg, schemes, opts), normalizes the checkpoint
-// interval and builds the campaign's accumulator and runner. needHash
-// forces the config-hash computation even when no CheckpointPath is set
-// (distributed merging always needs it).
+// newCampaign validates (cfg, schemes, opts) and builds the campaign's
+// accumulator and runner. needHash forces the config-hash computation even
+// when no CheckpointPath is set (distributed merging always needs it).
 func newCampaign(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bool) (*campaign, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -356,9 +349,6 @@ func newCampaign(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bo
 	}
 	if len(schemes) > laneVecGroup {
 		return nil, fmt.Errorf("faultsim: a campaign judges at most %d schemes, got %d", laneVecGroup, len(schemes))
-	}
-	if opts.CheckpointInterval <= 0 {
-		opts.CheckpointInterval = DefaultCheckpointInterval
 	}
 
 	c := &campaign{
@@ -396,9 +386,9 @@ func (c *campaign) schemeNames() []string {
 
 // RunCampaign executes a resilient Monte-Carlo campaign. It honours ctx
 // cancellation by draining workers at chunk boundaries and returning the
-// partial Report alongside ctx's error; with CheckpointPath set it also
-// snapshots progress periodically and on cancellation, and Resume picks a
-// campaign back up from such a snapshot. Completed runs return a Report
+// partial Report alongside ctx's error; with CheckpointPath set it picks
+// the campaign up from the snapshot there, if any, and snapshots progress
+// periodically and on cancellation. Completed runs return a Report
 // covering exactly Trials trials (minus any panicking trials, which are
 // voided and listed in Report.TrialErrors) and a nil error.
 //
@@ -413,10 +403,9 @@ func RunCampaign(ctx context.Context, cfg Config, schemes []Scheme, opts Campaig
 	if err != nil {
 		return nil, err
 	}
-	opts = c.opts
-	if opts.Resume && opts.CheckpointPath != "" {
+	if opts.CheckpointPath != "" {
 		if err := c.run.Load(opts.CheckpointPath); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w; remove it or choose another checkpoint path", err)
 		}
 	}
 	c.met = newCampaignMetrics(opts.Metrics, schemes)
@@ -437,12 +426,11 @@ func RunCampaign(ctx context.Context, cfg Config, schemes []Scheme, opts Campaig
 
 	tables := newCampaignTables(&c.cfg, c.schemes)
 	runErr := c.run.Run(ctx, chunkrun.Options{
-		Workers:  opts.Workers,
-		Path:     opts.CheckpointPath,
-		Interval: opts.CheckpointInterval,
-		OnChunk:  opts.OnChunk,
-		Metrics:  opts.Metrics,
-		Prefix:   "campaign",
+		Workers: opts.Workers,
+		Path:    opts.CheckpointPath,
+		OnChunk: opts.OnChunk,
+		Metrics: opts.Metrics,
+		Prefix:  "campaign",
 	}, func() (chunkrun.Worker, error) {
 		w := newCampaignWorker(tables, c.opts.Seed, c.years)
 		w.c = c

@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -109,10 +110,20 @@ func TestRunCampaignMetrics(t *testing.T) {
 	}
 }
 
+// TestRunCampaignCheckpointResumeBitIdentical: a cancelled campaign run
+// again with the same CheckpointPath, and no other option, resumes from
+// the snapshot it left and ends with the uninterrupted run's Report and
+// checkpoint bytes.
 func TestRunCampaignCheckpointResumeBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := AllSchemes()
-	full := mustCampaign(t, context.Background(), cfg, schemes, campaignTestOpts())
+	fullOpts := campaignTestOpts()
+	fullOpts.CheckpointPath = filepath.Join(t.TempDir(), "full.ckpt")
+	full := mustCampaign(t, context.Background(), cfg, schemes, fullOpts)
+	want, err := os.ReadFile(fullOpts.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	seed := time.Now().UnixNano()
 	rng := rand.New(rand.NewSource(seed))
@@ -127,7 +138,6 @@ func TestRunCampaignCheckpointResumeBitIdentical(t *testing.T) {
 		opts := campaignTestOpts()
 		opts.Workers = 4
 		opts.CheckpointPath = path
-		opts.CheckpointInterval = time.Nanosecond // snapshot at every merge
 		opts.OnChunk = func(done, total int) {
 			if done >= stopAfter {
 				cancel()
@@ -148,7 +158,6 @@ func TestRunCampaignCheckpointResumeBitIdentical(t *testing.T) {
 
 		resumed := opts
 		resumed.OnChunk = nil
-		resumed.Resume = true
 		rep2 := mustCampaign(t, context.Background(), cfg, schemes, resumed)
 		if rep2.Trials != full.Trials {
 			t.Fatalf("round %d: resumed run tallied %d trials, want %d", round, rep2.Trials, full.Trials)
@@ -157,20 +166,40 @@ func TestRunCampaignCheckpointResumeBitIdentical(t *testing.T) {
 			t.Fatalf("round %d (stop after %d/%d chunks): resumed results diverge from uninterrupted:\n%+v\nvs\n%+v",
 				round, stopAfter, nChunks, rep2.Results, full.Results)
 		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("round %d: resumed checkpoint differs from the uninterrupted run's (err %v)", round, err)
+		}
 	}
 }
 
+// TestRunCampaignResumeShortCircuitsCompletedRun: a missing checkpoint
+// starts a fresh campaign, and a run over its complete snapshot judges no
+// trial and reports it as it is.
 func TestRunCampaignResumeShortCircuitsCompletedRun(t *testing.T) {
 	cfg := DefaultConfig()
 	path := filepath.Join(t.TempDir(), "done.ckpt")
 	opts := campaignTestOpts()
 	opts.CheckpointPath = path
 	first := mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
+	if fresh := mustCampaign(t, context.Background(), cfg, AllSchemes(), campaignTestOpts()); !reflect.DeepEqual(first, fresh) {
+		t.Fatal("a run over a missing checkpoint differs from one without a checkpoint")
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	opts.Resume = true
+	reg := obs.NewRegistry()
+	opts.Metrics = reg
 	again := mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
 	if !reflect.DeepEqual(first.Results, again.Results) {
 		t.Fatal("resuming a complete snapshot changed the results")
+	}
+	if n := reg.Snapshot().Counters["campaign.trials_evaluated"]; n != 0 {
+		t.Fatalf("resuming a complete snapshot judged %d trials", n)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("resuming a complete snapshot changed its bytes (err %v)", err)
 	}
 }
 
@@ -181,6 +210,11 @@ func TestRunCampaignRefusesMismatchedCheckpoint(t *testing.T) {
 	opts.CheckpointPath = path
 	mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
 
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	for name, mutate := range map[string]func(*Config, *CampaignOptions){
 		"seed":    func(c *Config, o *CampaignOptions) { o.Seed++ },
 		"trials":  func(c *Config, o *CampaignOptions) { o.Trials *= 2 },
@@ -188,7 +222,6 @@ func TestRunCampaignRefusesMismatchedCheckpoint(t *testing.T) {
 		"schemes": nil, // handled below: different scheme set
 	} {
 		mcfg, mopts := cfg, opts
-		mopts.Resume = true
 		schemes := AllSchemes()
 		if mutate != nil {
 			mutate(&mcfg, &mopts)
@@ -197,6 +230,9 @@ func TestRunCampaignRefusesMismatchedCheckpoint(t *testing.T) {
 		}
 		if _, err := RunCampaign(context.Background(), mcfg, schemes, mopts); !errors.Is(err, checkpoint.ErrConfigMismatch) {
 			t.Fatalf("%s mutation: resume returned %v, want ErrConfigMismatch", name, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s mutation: the refused snapshot changed (err %v)", name, err)
 		}
 	}
 }
@@ -567,7 +603,6 @@ func TestCampaignRefusesVersionOneCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opts.Resume = true
 	if _, err := RunCampaign(context.Background(), cfg, AllSchemes(), opts); !errors.Is(err, checkpoint.ErrVersionMismatch) {
 		t.Fatalf("resume from a v1 checkpoint: %v, want ErrVersionMismatch", err)
 	}
@@ -616,7 +651,6 @@ func TestRunCampaignRefusesDoneBitPastChunkCount(t *testing.T) {
 	mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
 	rewriteCheckpoint(t, opts.CheckpointPath, func(s *campaignSnapshot) { s.DoneChunks[1] |= 1 << (79 - 64) })
 
-	opts.Resume = true
 	opts.OnChunk = func(done, total int) {
 		if done > total {
 			t.Errorf("OnChunk(%d, %d)", done, total)

@@ -17,7 +17,7 @@ func WilsonInterval(k, n uint64) (lo, hi float64) {
 	p := float64(k) / nf
 	denom := 1 + z*z/nf
 	center := (p + z*z/(2*nf)) / denom
-	half := z / denom * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf))
+	half := float64(z / denom * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)))
 	lo, hi = center-half, center+half
 	if lo < 0 {
 		lo = 0

@@ -39,7 +39,7 @@ func (k FailKind) String() string {
 
 // Mis-correction probabilities of the bounded-distance decoders when an
 // error beyond their budget arrives, estimated from the codes' syndrome
-// geometry and confirmed by the internal/ecc measurements:
+// geometry:
 //
 //   - DIMM-level (72,64) SECDED against a chip's worth of multi-bit
 //     damage: the syndrome aliases one of the 72 single-bit columns for
@@ -49,6 +49,10 @@ func (k FailKind) String() string {
 //     occupy 18x255 of the 2^16 syndrome space (~7%).
 //   - RS(36,32) against a triple-symbol error: correctable syndromes
 //     occupy ~1% of the 2^32 space.
+//
+// TestRSMiscorrectionConstants holds the two RS constants within 25 % of
+// the rate at which the internal/ecc decoders mis-correct two- and
+// three-symbol errors (0.0627 and 0.00812).
 const (
 	secdedMiscorrectProb   = 0.25
 	chipkillMiscorrectProb = 0.07

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"xedsim/internal/dram"
+	"xedsim/internal/ecc"
+	"xedsim/internal/simrand"
 )
 
 func TestKindStrings(t *testing.T) {
@@ -77,6 +79,76 @@ func TestSECDEDKindSplit(t *testing.T) {
 	if frac < secdedMiscorrectProb*0.8 || frac > secdedMiscorrectProb*1.2 {
 		t.Fatalf("SECDED SDC fraction %v, want ≈%v", frac, secdedMiscorrectProb)
 	}
+}
+
+// TestRSMiscorrectionConstants holds the Chipkill and Double-Chipkill
+// mis-correction constants to the decoders they stand for: random
+// two-symbol errors through RS(18,16) and random three-symbol errors
+// through RS(36,32), with no erasures, at a fixed seed. A pattern the
+// decoder reports as corrected is a mis-correction; none is a codeword, so
+// none decodes clean.
+//
+// An RS code of distance d = 2t+1 is MDS, with A_d = C(n,d)(q-1) codewords
+// of weight d, and a bounded-distance decoder mis-corrects a (t+1)-symbol
+// error exactly when it agrees with one of them on its support: a rate of
+// A_d C(d,t+1) / (C(n,t+1) (q-1)^(t+1)), 0.0627 for RS(18,16) and 0.00812
+// for RS(36,32). The measured rate must match it within four standard
+// errors, and each constant must lie within 25 % of it. Double-Chipkill's
+// 0.01 is the random-syndrome fraction, 23 % above the three-symbol rate.
+func TestRSMiscorrectionConstants(t *testing.T) {
+	const patterns = 200_000
+	rng := simrand.New(11)
+	for _, tc := range []struct {
+		name     string
+		rs       *ecc.RS
+		constant float64
+	}{
+		{"RS(18,16)", ecc.NewChipkill(), chipkillMiscorrectProb},
+		{"RS(36,32)", ecc.NewDoubleChipkill(), dblCKMiscorrectProb},
+	} {
+		n, d := tc.rs.K+tc.rs.R, tc.rs.R+1
+		symbols := tc.rs.R/2 + 1
+		exact := binom(n, d) * 255 * binom(d, symbols) / (binom(n, symbols) * math.Pow(255, float64(symbols)))
+
+		dec := tc.rs.NewDecoder()
+		data := make([]uint8, tc.rs.K)
+		cw := make([]uint8, n)
+		pos := make([]int, n)
+		for i := range pos {
+			pos[i] = i
+		}
+		miscorrected := 0
+		for range patterns {
+			for i := range data {
+				data[i] = uint8(rng.Uint64())
+			}
+			tc.rs.EncodeInto(data, cw)
+			for i := range symbols { // distinct symbols: a partial shuffle
+				j := i + rng.Intn(n-i)
+				pos[i], pos[j] = pos[j], pos[i]
+				cw[pos[i]] ^= uint8(1 + rng.Intn(255))
+			}
+			if dec.DecodeErasures(cw, nil) != ecc.StatusDetected {
+				miscorrected++
+			}
+		}
+		got := float64(miscorrected) / patterns
+		if se := math.Sqrt(exact * (1 - exact) / patterns); math.Abs(got-exact) > 4*se {
+			t.Errorf("%s: %d-symbol errors mis-correct at %.4g, want %.4g ± %.2g", tc.name, symbols, got, exact, 4*se)
+		}
+		if math.Abs(tc.constant-exact) > 0.25*exact {
+			t.Errorf("%s: the constant %.4g is not within 25%% of the mis-correction rate %.4g", tc.name, tc.constant, exact)
+		}
+	}
+}
+
+// binom is the binomial coefficient C(n, k) as a float64.
+func binom(n, k int) float64 {
+	c := 1.0
+	for i := range k {
+		c = c * float64(n-i) / float64(i+1)
+	}
+	return c
 }
 
 func TestXEDDUEMatchesTableIV(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"xedsim/internal/dram"
 	"xedsim/internal/obs"
@@ -181,7 +180,6 @@ func TestLaneEngineCrossEngineResume(t *testing.T) {
 	opts := campaignTestOpts()
 	opts.Workers = 2
 	opts.CheckpointPath = path
-	opts.CheckpointInterval = time.Nanosecond
 	opts.OnChunk = func(done, total int) {
 		if done >= total/2 {
 			cancel()
@@ -198,7 +196,6 @@ func TestLaneEngineCrossEngineResume(t *testing.T) {
 
 	resumed := opts
 	resumed.OnChunk = nil
-	resumed.Resume = true
 	resumed.Workers = 16
 	sameCampaign(t, "resumed vs uninterrupted reference", mustCampaign(t, context.Background(), cfg, schemes, resumed), full)
 }

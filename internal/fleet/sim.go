@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"time"
 
 	"xedsim/internal/checkpoint"
 	"xedsim/internal/chunkrun"
@@ -24,8 +23,6 @@ const (
 	// (telemetry, retirement), and small fleets (10k DIMMs) still want
 	// enough chunks to spread over workers.
 	DefaultChunkSize = 1024
-	// DefaultCheckpointInterval spaces periodic snapshots.
-	DefaultCheckpointInterval = 30 * time.Second
 	// ArrivalBins sizes the per-DIMM fault-arrival histogram: bins 0..7
 	// count DIMMs with exactly that many fault events over the horizon,
 	// the last bin collects 8+.
@@ -48,15 +45,12 @@ type Options struct {
 	// Workers is the goroutine count; <= 0 selects GOMAXPROCS. Results are
 	// bit-identical for a fixed (Config, Seed) regardless of Workers.
 	Workers int
-	// CheckpointPath enables periodic atomic snapshots when non-empty.
+	// CheckpointPath, when non-empty, is the fleet's resume point and
+	// snapshot file. A file holding this fleet's snapshot is resumed,
+	// ageing only the chunks it does not cover; a missing file starts
+	// fresh; any other file is refused, unchanged, before any work. The
+	// run saves to it every 30 s and when it stops.
 	CheckpointPath string
-	// CheckpointInterval spaces periodic snapshots; 0 selects
-	// DefaultCheckpointInterval.
-	CheckpointInterval time.Duration
-	// Resume loads CheckpointPath before starting and ages only the
-	// chunks it does not cover. A missing file starts fresh; a snapshot
-	// from any different configuration is refused.
-	Resume bool
 	// OnChunk, when non-nil, observes progress after each chunk merge
 	// (and once at startup when resuming). Called from worker
 	// goroutines, serialised.
@@ -274,16 +268,13 @@ func (m *fleetMetrics) publish(t *Tally) {
 
 // Run ages the configured fleet. It honours ctx cancellation by draining
 // workers at chunk boundaries and returning the partial Summary alongside
-// ctx's error; with CheckpointPath set it also snapshots progress
-// periodically and on cancellation, and Resume picks a fleet back up from
-// such a snapshot. Completed runs return a Summary covering exactly
+// ctx's error; with CheckpointPath set it picks the fleet up from the
+// snapshot there, if any, and snapshots progress periodically and on
+// cancellation. Completed runs return a Summary covering exactly
 // cfg.DIMMs DIMMs and a nil error.
 func Run(ctx context.Context, cfg Config, opts Options) (*Summary, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.CheckpointInterval <= 0 {
-		opts.CheckpointInterval = DefaultCheckpointInterval
 	}
 	f := &fleetRun{cfg: cfg, opts: opts, years: cfg.Years()}
 	src, err := cfg.trialSource() // its tables are shared by every worker's Fork
@@ -301,9 +292,9 @@ func Run(ctx context.Context, cfg Config, opts Options) (*Summary, error) {
 	f.mcs = make([]MCCounters, cfg.MCs())
 	f.run = chunkrun.New(cfg.DIMMs, DefaultChunkSize,
 		chunkrun.Format{Kind: fleetCheckpointKind, Version: fleetCheckpointVersion, Hash: hash}, f)
-	if opts.Resume && opts.CheckpointPath != "" {
+	if opts.CheckpointPath != "" {
 		if err := f.run.Load(opts.CheckpointPath); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w; remove it or choose another checkpoint path", err)
 		}
 	}
 	f.met = newFleetMetrics(opts.Metrics)
@@ -318,12 +309,11 @@ func Run(ctx context.Context, cfg Config, opts Options) (*Summary, error) {
 	}
 
 	runErr := f.run.Run(ctx, chunkrun.Options{
-		Workers:  opts.Workers,
-		Path:     opts.CheckpointPath,
-		Interval: opts.CheckpointInterval,
-		OnChunk:  opts.OnChunk,
-		Metrics:  opts.Metrics,
-		Prefix:   "fleet",
+		Workers: opts.Workers,
+		Path:    opts.CheckpointPath,
+		OnChunk: opts.OnChunk,
+		Metrics: opts.Metrics,
+		Prefix:  "fleet",
 	}, func() (chunkrun.Worker, error) {
 		w, err := newFleetWorker(&f.cfg, src.Fork(), f.opts.Seed, f.years)
 		if err != nil {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -85,13 +86,20 @@ func TestSeedMatters(t *testing.T) {
 }
 
 // TestCheckpointResumeBitIdentity is the battery's second pillar: a run
-// interrupted mid-horizon and resumed — at a different worker count —
-// produces the same bits as an uninterrupted run.
+// interrupted mid-horizon and run again with the same CheckpointPath — at
+// a different worker count — resumes and produces the same Summary and
+// checkpoint bytes as an uninterrupted run.
 func TestCheckpointResumeBitIdentity(t *testing.T) {
 	cfg := testConfig(30_000)
-	ref := mustRun(t, cfg, Options{Seed: 5, Workers: 4})
+	dir := t.TempDir()
+	refPath := filepath.Join(dir, "ref.ckpt")
+	ref := mustRun(t, cfg, Options{Seed: 5, Workers: 4, CheckpointPath: refPath})
+	want, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	path := filepath.Join(t.TempDir(), "fleet.ckpt")
+	path := filepath.Join(dir, "fleet.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	partial, err := Run(ctx, cfg, Options{
@@ -110,11 +118,15 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 		t.Fatalf("interruption was not partial: %d/%d DIMMs", partial.Tally.DIMMs, cfg.DIMMs)
 	}
 
+	partialBytes, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 8} {
-		got, err := Run(context.Background(), cfg, Options{
-			Seed: 5, Workers: workers,
-			CheckpointPath: path, Resume: true,
-		})
+		if err := os.WriteFile(path, partialBytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(context.Background(), cfg, Options{Seed: 5, Workers: workers, CheckpointPath: path})
 		if err != nil {
 			t.Fatalf("resume at %d workers: %v", workers, err)
 		}
@@ -122,23 +134,41 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 			t.Errorf("resumed summary at %d workers differs from uninterrupted reference:\nref: %+v\ngot: %+v",
 				workers, ref.Tally, got.Tally)
 		}
+		if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, want) {
+			t.Errorf("resumed checkpoint at %d workers differs from the uninterrupted run's (err %v)", workers, err)
+		}
 	}
 }
 
 // TestResumeRefusesForeignConfig: a snapshot from a different fleet shape
-// must be refused, not silently blended.
+// must be refused, not silently blended, and left as it is. A run over
+// the fleet's own complete snapshot reports it as it is.
 func TestResumeRefusesForeignConfig(t *testing.T) {
 	cfg := testConfig(4_000)
 	path := filepath.Join(t.TempDir(), "fleet.ckpt")
-	mustRun(t, cfg, Options{Seed: 9, CheckpointPath: path})
+	first := mustRun(t, cfg, Options{Seed: 9, CheckpointPath: path})
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	other := cfg
 	other.ScrubIntervalHours = 24
-	if _, err := Run(context.Background(), other, Options{Seed: 9, CheckpointPath: path, Resume: true}); err == nil {
-		t.Fatalf("resume under a different scrub interval succeeded; want config-hash refusal")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		seed uint64
+	}{{"scrub interval", other, 9}, {"seed", cfg, 10}} {
+		if _, err := Run(context.Background(), tc.cfg, Options{Seed: tc.seed, CheckpointPath: path}); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+			t.Fatalf("resume under a different %s: %v, want ErrConfigMismatch", tc.name, err)
+		}
+		if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, want) {
+			t.Fatalf("resume under a different %s changed the refused snapshot (err %v)", tc.name, err)
+		}
 	}
-	if _, err := Run(context.Background(), cfg, Options{Seed: 10, CheckpointPath: path, Resume: true}); err == nil {
-		t.Fatalf("resume under a different seed succeeded; want config-hash refusal")
+
+	if again := mustRun(t, cfg, Options{Seed: 9, CheckpointPath: path}); !reflect.DeepEqual(again, first) {
+		t.Fatal("a run over the complete snapshot changed the Summary")
 	}
 }
 
@@ -169,7 +199,6 @@ func TestResumeRefusesVersionOneCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opts.Resume = true
 	if _, err := Run(context.Background(), cfg, opts); !errors.Is(err, checkpoint.ErrVersionMismatch) {
 		t.Fatalf("resume from a v1 checkpoint: %v, want ErrVersionMismatch", err)
 	}
@@ -542,7 +571,7 @@ func TestResumeRefusesDoneBitPastChunkCount(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(context.Background(), cfg, Options{Seed: 9, CheckpointPath: path, Resume: true})
+	_, err = Run(context.Background(), cfg, Options{Seed: 9, CheckpointPath: path})
 	if !errors.Is(err, checkpoint.ErrConfigMismatch) {
 		t.Fatalf("resume with chunk 8 of 8 marked done: %v, want ErrConfigMismatch", err)
 	}

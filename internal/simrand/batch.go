@@ -84,7 +84,7 @@ func (g *IntnSampler) Fill(s *Source, dst []int32, words []uint64) {
 // is Lookup composed with Float64; the batch generator separates the two so
 // the uniforms can come from a FillFloat64 column.
 func (w *WeightedSampler) Lookup(u float64) int {
-	u *= float64(len(w.prob))
+	u = float64(u * float64(len(w.prob)))
 	i := int(u)
 	if i >= len(w.prob) {
 		i = len(w.prob) - 1

@@ -216,8 +216,8 @@ func NewPoissonSampler(mean float64) PoissonSampler {
 		p.small = true
 		return p
 	}
-	p.b = 0.931 + 2.53*math.Sqrt(mean)
-	p.a = -0.059 + 0.02483*p.b
+	p.b = 0.931 + float64(2.53*math.Sqrt(mean))
+	p.a = -0.059 + float64(0.02483*p.b)
 	p.invAlpha = 1.1239 + 1.1328/(p.b-3.4)
 	p.vr = 0.9277 - 3.6224/(p.b-2)
 	p.logMean = math.Log(mean)
@@ -229,7 +229,7 @@ func (p *PoissonSampler) samplePTRS(s *Source) int {
 		u := s.Float64() - 0.5
 		v := s.Float64()
 		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*p.a/us+p.b)*u + p.mean + 0.43)
+		k := math.Floor(float64((2*p.a/us+p.b)*u) + p.mean + 0.43)
 		if us >= 0.07 && v <= p.vr {
 			return int(k)
 		}
@@ -237,7 +237,7 @@ func (p *PoissonSampler) samplePTRS(s *Source) int {
 			continue
 		}
 		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*p.invAlpha/(p.a/(us*us)+p.b)) <= k*p.logMean-p.mean-lg {
+		if math.Log(v*p.invAlpha/(p.a/(us*us)+p.b)) <= float64(k*p.logMean)-p.mean-lg {
 			return int(k)
 		}
 	}

@@ -119,8 +119,9 @@ type ReliabilityReport = faultsim.Report
 // DefaultReliabilityConfig is the paper's §III evaluation system.
 func DefaultReliabilityConfig() ReliabilityConfig { return faultsim.DefaultConfig() }
 
-// CampaignOptions re-exports the resilient campaign engine's options
-// (cancellation, checkpoint/resume, panic isolation).
+// CampaignOptions re-exports the resilient campaign engine's options: the
+// trial count, seed and worker count, the checkpoint path that is the
+// run's resume point, and progress and metrics hooks.
 type CampaignOptions = faultsim.CampaignOptions
 
 // RunReliability executes a Monte-Carlo reliability campaign over the
@@ -130,8 +131,9 @@ func RunReliability(cfg ReliabilityConfig, trials int, seed uint64) (*Reliabilit
 }
 
 // RunReliabilityCampaign is RunReliability through the resilient engine:
-// ctx cancellation drains workers and returns the partial report, and opts
-// selects checkpointing, resume, panic error budget and scheduling shape.
+// ctx cancellation drains workers and returns the partial report, a
+// checkpoint in opts resumes and saves the campaign, and panicking trials
+// are voided up to a fixed budget.
 func RunReliabilityCampaign(ctx context.Context, cfg ReliabilityConfig, opts CampaignOptions) (*ReliabilityReport, error) {
 	return faultsim.RunCampaign(ctx, cfg, faultsim.AllSchemes(), opts)
 }
